@@ -20,15 +20,16 @@ Pieces:
   shared segments once instead of being copied through pipes, with
   deterministic parent-owned cleanup;
 * :mod:`~repro.dist.channels` — SRSW channels over OS pipes that keep
-  the model's *infinite slack* (sends never block: a per-writer feeder
-  thread drains an unbounded local queue into the pipe);
+  the model's *infinite slack* (sends never block: the sender writes
+  the pipe itself when that cannot block, and otherwise a per-writer
+  feeder thread drains an unbounded local queue into it);
 * :mod:`~repro.dist.engine` — :class:`MultiprocessEngine`, the third
   execution backend, honouring the same ``System``/``RunResult``
   contract as the threaded and cooperative engines;
 * :mod:`~repro.dist.net` — the cross-host transport: length-prefixed
   socket framing of the same wire format, TCP
   :class:`~repro.dist.net.transport.SocketChannel` endpoints sharing
-  the pipe transport's queue+feeder core, rank rendezvous, the
+  the pipe transport's inline-write+feeder core, rank rendezvous, the
   ``python -m repro worker-daemon`` per-host daemon, and
   :class:`~repro.dist.net.engine.SocketEngine`
   (``make_engine("socket")``) — the only backend whose ranks can live

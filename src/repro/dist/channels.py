@@ -8,13 +8,18 @@ The one place a pipe *cannot* imitate the paper's channel directly is
 slack: a pipe has finite kernel capacity (~64 KiB on Linux), so a raw
 ``send`` would block once the reader falls that far behind — and a
 balanced exchange pattern that is deadlock-free in the model could then
-deadlock in practice.  :class:`ProcChannel` therefore never writes the
-pipe from the sending process's main thread.  Sends append to an
-unbounded in-process queue — exactly the semantics of
-:class:`repro.runtime.channel.Channel` — and a per-channel *feeder
-thread* (started lazily on first send) drains that queue into the pipe,
-blocking on kernel backpressure where the main thread must not.  That
-queue-plus-feeder core is shared with the TCP transport as
+deadlock in practice.  :class:`ProcChannel` therefore never makes a
+pipe write that could block from the sending thread.  A value whose
+arrays all rode the slab is one frame of at most ``PIPE_BUF`` bytes —
+which POSIX writes atomically, and which cannot block once the fd
+polls writable — so the sender writes it *inline*: no queue, no thread
+hop.  Anything else (an array frame that fell back to the pipe, an
+oversized header, a full pipe, and then every later value until the
+backlog drains) appends to an unbounded in-process queue — exactly the
+semantics of :class:`repro.runtime.channel.Channel` — and a per-channel
+*feeder thread*, started on that first back-pressure, drains the queue
+into the pipe, blocking where the sender must not.  That
+inline-write-plus-feeder core is shared with the TCP transport as
 :class:`repro.dist.net.feeder.SendFeeder`.
 
 Close/EOF mirrors the threaded engine's cascade: a writer closes its
@@ -31,6 +36,7 @@ sampled at each send, which bounds true occupancy from above.
 
 from __future__ import annotations
 
+import select
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,6 +47,10 @@ from repro.errors import ChannelError, ChannelOwnershipError, EmptyChannelError
 from repro.util import payload_nbytes
 
 __all__ = ["EndpointSpec", "ProcChannel"]
+
+#: ``Connection.send_bytes`` puts a 4-byte length before every payload
+#: below 2 GiB and writes both with one ``write`` when they are small.
+_PIPE_PREFIX = 4
 
 
 @dataclass
@@ -88,6 +98,7 @@ class ProcChannel:
         "_slab_w",
         "_slab_r",
         "_feeder",
+        "_pollout",
         "_closed",
         "sends",
         "receives",
@@ -113,11 +124,13 @@ class ProcChannel:
                 )
             else:
                 self._slab_r = wire.SlabReader(spec.slab_name, spec.slab_counter)
+        self._pollout = None  # select.poll() on the write fd, made lazily
         self._feeder = SendFeeder(
             spec.name,
             self._write_frames,
             self._end_stream,
             write_many=self._batch_writer(),
+            try_write=self._try_write_frames,
         )
         self._closed = False
         self.sends = 0
@@ -165,6 +178,27 @@ class ProcChannel:
         """
         return None
 
+    def _try_write_frames(self, item: tuple):
+        """Sender-thread write: the value's single small frame straight
+        to the pipe, or ``item`` back for the feeder.
+
+        Only a header-only value of at most ``PIPE_BUF`` bytes
+        qualifies: the kernel takes such a write whole, and — this
+        being the pipe's only writer — a pipe that polls writable has
+        room for it, so the write cannot block.
+        """
+        header, buffers, _clock = item
+        if buffers or _PIPE_PREFIX + len(header) > select.PIPE_BUF:
+            return item
+        pollout = self._pollout
+        if pollout is None:
+            pollout = self._pollout = select.poll()
+            pollout.register(self._conn.fileno(), select.POLLOUT)
+        if not pollout.poll(0):
+            return item
+        self._write_frames(item)
+        return None
+
     def _write_frames(self, item: tuple) -> None:
         """Feeder-thread write: one encoded value's frames to the pipe.
 
@@ -184,9 +218,10 @@ class ProcChannel:
 
         Never blocks (infinite slack): the value is encoded here — so
         slab staging freezes array payloads at send time, preserving
-        single-assignment semantics — then the header and any fallback
-        pipe frames land on the local unbounded queue, and the feeder
-        thread owns the actual pipe write.
+        single-assignment semantics — then written inline when the
+        transport can take it without blocking; otherwise the header
+        and any fallback pipe frames land on the local unbounded queue
+        and the feeder thread owns the pipe write.
         """
         if rank != self.writer:
             raise ChannelOwnershipError(
@@ -217,7 +252,7 @@ class ProcChannel:
         return seq
 
     def close(self) -> None:
-        """Flush queued values and close the write end (EOF downstream).
+        """Flush any queued values and close the write end (EOF downstream).
 
         Reader-side close just drops the receive end.  Idempotent —
         including concurrently: the feeder's own lock ensures the flush

@@ -24,6 +24,14 @@ classes, NumPy arrays, nested data — is delegated to it untouched, so
 the worker side needs nothing but :func:`pickle.loads` (the rebuild
 helpers here are ordinary module-level functions, picklable by
 reference).
+
+**Program images.**  Pickling a refined program's bodies walks closure
+graphs of hundreds of kilobytes, and a served or benchmarked
+:class:`~repro.runtime.system.System` is dispatched many times
+unchanged.  :func:`body_images` therefore pickles each rank's body once
+per ``System`` and hands every later dispatch the same bytes (see
+:class:`~repro.runtime.process.ProcessSpec` for the contract on bodies
+this relies on).
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ import importlib
 import io
 import marshal
 import pickle
+import threading
 import types
+import weakref
 
-__all__ = ["ClosurePickler", "dumps", "loads"]
+__all__ = ["ClosurePickler", "body_images", "dumps", "loads"]
 
 #: Protocol 5 is required for the six-element reduce form (deferred
 #: state setter) used to fill closure cells after creation.
@@ -151,3 +161,32 @@ def dumps(obj) -> bytes:
 #: Deserialisation needs no special machinery: the rebuild helpers are
 #: importable module-level functions.
 loads = pickle.loads
+
+
+#: ``System`` -> ``[(body, image), ...]`` by rank.  Weak on the system,
+#: so an entry lives exactly as long as the program it describes.
+_images: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_images_lock = threading.Lock()  # job servers prepare jobs on many threads
+
+
+def body_images(system) -> list[bytes]:
+    """Each rank's pickled body, pickled once per ``System``.
+
+    The first dispatch of a system pays :func:`dumps` per rank; every
+    later one — the serving case — is a dictionary lookup.  An entry is
+    revalidated by identity (``spec.body is cached_body``), so rebinding
+    a :class:`~repro.runtime.process.ProcessSpec`'s ``body`` re-pickles
+    that rank, and it dies with its ``System``.
+    """
+    with _images_lock:
+        cached = _images.get(system, ())
+    specs = system.processes
+    fresh = [
+        cached[rank]
+        if rank < len(cached) and cached[rank][0] is spec.body
+        else (spec.body, dumps(spec.body))
+        for rank, spec in enumerate(specs)
+    ]
+    with _images_lock:
+        _images[system] = fresh
+    return [image for _body, image in fresh]

@@ -522,6 +522,8 @@ class MultiprocessEngine:
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 parent_conns[parent_conn] = p.rank
                 child_conns.append(child_conn)
+            # Bodies cross by value from the once-per-System image.
+            images = closures.body_images(system) if by_value else None
             if pool is not None:
                 # Parked workers: ship each rank's job down its control
                 # pipe; the embedded pipe ends are fd-duplicated at
@@ -537,7 +539,7 @@ class MultiprocessEngine:
                             "name": p.name,
                             "nprocs": nprocs,
                             "result_conn": child_conns[rank],
-                            "body": ("pickle", closures.dumps(p.body)),
+                            "body": ("pickle", images[rank]),
                             "plan": plans[rank],
                             "rest": ("pickle", closures.dumps(rests[rank])),
                             "w_specs": w_specs[rank],
@@ -552,7 +554,7 @@ class MultiprocessEngine:
                 for p in system.processes:
                     rank = p.rank
                     if by_value:
-                        body_payload = ("pickle", closures.dumps(p.body))
+                        body_payload = ("pickle", images[rank])
                         rest_payload = ("pickle", closures.dumps(rests[rank]))
                         foreign = None
                     else:

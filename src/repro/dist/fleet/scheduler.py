@@ -306,11 +306,9 @@ class FleetScheduler(JobServerCore):
 
     def _prepare(self, job: _Job):
         bodies = [
-            ("pickle", closures.dumps(p.body)) for p in job.system.processes
+            ("pickle", image) for image in closures.body_images(job.system)
         ]
-        rests = [
-            ("pickle", closures.dumps(p.store)) for p in job.system.processes
-        ]
+        rests = [("object", dict(p.store)) for p in job.system.processes]
         return bodies, rests
 
     def _execute(self, job: _Job, prepared, grant) -> RunResult:

@@ -7,9 +7,10 @@ while preserving the paper's channel semantics exactly:
   :mod:`repro.dist.wire` format over stream sockets, with an explicit
   goodbye frame so clean writer close and writer death are
   distinguishable (TCP FIN alone cannot tell them apart);
-* :mod:`repro.dist.net.feeder` — the unbounded-queue + feeder-thread
-  send core shared by the pipe and socket transports, which is what
-  keeps channel slack infinite when kernel buffers are not;
+* :mod:`repro.dist.net.feeder` — the send core shared by the pipe and
+  socket transports: non-blocking writes from the sending thread, an
+  unbounded queue and a feeder thread only under back-pressure, which
+  is what keeps channel slack infinite when kernel buffers are not;
 * :mod:`repro.dist.net.transport` — :class:`SocketChannel`, the
   cross-host sibling of :class:`~repro.dist.channels.ProcChannel`;
 * :mod:`repro.dist.net.rendezvous` — rank→daemon assignment and the

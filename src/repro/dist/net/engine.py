@@ -25,9 +25,11 @@ Per run, the coordinator:
    lists — each naming the *reader's* daemon, so writer daemons dial
    data connections peer-to-peer (values never relay through the
    coordinator);
-3. opens one control connection per rank, sends the job (body and
-   store travel by value via :mod:`repro.dist.closures` — shared
-   memory cannot span hosts, so there is no segment plan), and hands
+3. opens one control connection per rank, sends the job (the body
+   travels by value as its once-per-System image from
+   :mod:`repro.dist.closures`, the store as raw-buffer
+   :mod:`repro.dist.wire` frames — shared memory cannot span hosts,
+   so there is no segment plan), and hands
    the connections to the same
    :func:`~repro.dist.engine.collect_results` barrier/collection loop
    the multiprocess engine uses, with proxies standing in for the
@@ -38,10 +40,11 @@ Per run, the coordinator:
    crash-grace window rather than a hang.
 
 Determinacy is engine-independent (Theorem 1): TCP neither reorders a
-stream nor bounds the channel (sends park in the
-:class:`~repro.dist.net.feeder.SendFeeder` queue, never blocking the
-writer), so the socket engine's results are bitwise-identical to every
-other backend's — which the equivalence tests assert.
+stream nor bounds the channel (what the kernel will not take at once
+parks in the :class:`~repro.dist.net.feeder.SendFeeder` queue, never
+blocking the writer), so the socket engine's results are
+bitwise-identical to every other backend's — which the equivalence
+tests assert.
 """
 
 from __future__ import annotations
@@ -224,10 +227,15 @@ def run_assigned(
     shared by :class:`SocketEngine` (round-robin assignment) and the
     fleet scheduler (policy-driven placement with retry).
 
-    ``bodies`` / ``rests`` accept pre-pickled ``("pickle", bytes)``
-    payloads per rank (a scheduler pickles once and re-dispatches the
-    same bytes on retry); by default each rank's body and store are
-    pickled here.  ``timing_sink``, when given, receives the
+    ``bodies`` / ``rests`` accept ready ``("pickle", bytes)`` /
+    ``("object", value)`` payloads per rank (a scheduler prepares once
+    and re-dispatches the same payloads on retry).  By default bodies
+    come from the system's once-pickled images
+    (:func:`repro.dist.closures.body_images`) and each rank's initial
+    store travels as a plain dict inside the job frame, so its arrays
+    ride :func:`repro.dist.wire.send`'s raw-buffer frames instead of
+    being pickled (and then pickled again inside the job header).
+    ``timing_sink``, when given, receives the
     ``startup_s`` / ``run_s`` / ``total_s`` split even when the run
     fails.  Failures — body exceptions, rendezvous failures, or a
     daemon dying mid-run (control-stream EOF without the goodbye) —
@@ -239,12 +247,10 @@ def run_assigned(
     w_specs, r_specs = build_net_endpoints(system, assign, job_id)
     if bodies is None:
         bodies = [
-            ("pickle", closures.dumps(p.body)) for p in system.processes
+            ("pickle", image) for image in closures.body_images(system)
         ]
     if rests is None:
-        rests = [
-            ("pickle", closures.dumps(p.store)) for p in system.processes
-        ]
+        rests = [("object", dict(p.store)) for p in system.processes]
 
     procs: list[_RemoteRank] = []
     parent_conns: dict[Any, int] = {}

@@ -1,24 +1,36 @@
-"""The shared queue-plus-feeder-thread core of infinite-slack senders.
+"""The shared inline-write-plus-feeder core of infinite-slack senders.
 
 Both cross-process transports — OS pipes (:class:`~repro.dist.channels.
 ProcChannel`) and TCP sockets (:class:`~repro.dist.net.transport.
 SocketChannel`) — have finite kernel buffers, so a raw write could
 block once the reader falls behind, and a balanced exchange pattern
 that is deadlock-free in the paper's infinite-slack model could then
-deadlock in practice.  The cure is identical for both: sends append to
-an unbounded in-process queue — exactly the semantics of
-:class:`repro.runtime.channel.Channel` — and a per-channel feeder
-thread (started lazily on first send) drains that queue into the
-transport, absorbing kernel backpressure where the sender's main
-thread must not.
+deadlock in practice.  The cure is identical for both and lives here:
 
-:class:`SendFeeder` is that core, extracted so the two channel types
-share one implementation instead of two copies.  Shutdown is
-idempotent and thread-safe: however many times (and from however many
-threads) :meth:`close` is called, the close sentinel is enqueued once,
-the feeder is joined once, and the transport's finisher (close the
-pipe fd / send the TCP goodbye frame) runs exactly once — including
-when nothing was ever sent and the thread never started.
+* **Fast path — the sender's own thread is the data plane.**  Channels
+  are single-writer and Theorem 1 makes the final state independent of
+  *which thread* performs a write, so while nothing is pending
+  :meth:`SendFeeder.put` hands the item to the transport's
+  non-blocking ``try_write`` hook and the bytes enter the kernel before
+  ``put`` returns — no queue, no thread hop, no feeder thread at all.
+* **Slow path — back-pressure.**  Whatever ``try_write`` could not
+  place without blocking (the whole item, or the unsent tail of a
+  partial write) appends to an unbounded in-process queue — exactly the
+  semantics of :class:`repro.runtime.channel.Channel` — and a
+  per-channel feeder thread, started on that first would-block, drains
+  the queue with blocking writes.  Every later item queues behind it
+  (FIFO) until the backlog is gone, then sends go inline again.
+
+The two threads never write concurrently: the sender writes only while
+``queued == written`` — two single-writer counters, so no lock is
+needed — and the feeder publishes ``written`` only after its blocking
+write returned.
+
+Shutdown is idempotent and thread-safe: however many times (and from
+however many threads) :meth:`close` is called, the close sentinel is
+enqueued once, the feeder is joined once, and the transport's finisher
+(close the pipe fd / send the TCP goodbye frame) runs exactly once —
+including when every send went inline and the thread never started.
 """
 
 from __future__ import annotations
@@ -33,9 +45,14 @@ __all__ = ["SendFeeder"]
 
 _CLOSE = object()
 
+#: What a vanished reader looks like to a writer, inline or in the
+#: feeder thread: the transport is broken and the rest is discarded.
+_BROKEN = (BrokenPipeError, ConnectionError, OSError, TransportError)
+
 
 class SendFeeder:
-    """Unbounded send queue drained into a transport by a daemon thread.
+    """Inline non-blocking writes backed by an unbounded queue drained
+    into the transport by a daemon thread.
 
     Parameters
     ----------
@@ -61,17 +78,30 @@ class SendFeeder:
         closing a pipe fd, or sending the clean-close goodbye frame and
         closing a socket.  Errors are swallowed; by this point the
         peer may already be gone.
+    try_write:
+        Optional non-blocking form of ``write``, called in the *sending*
+        thread while nothing is pending.  Returns ``None`` when the
+        whole item entered the kernel, else what is left to write — the
+        item itself, or the unsent tail of a partial write — which is
+        queued for ``write``/``write_many``.  Must never block.  A
+        broken transport is handled exactly as in the feeder thread:
+        swallowed, later items discarded, finisher left to
+        :meth:`close`.  When ``None``, every item is queued.
     """
 
     __slots__ = (
         "_name",
         "_write",
         "_write_many",
+        "_try_write",
         "_finish",
         "_queue",
         "_thread",
         "_lock",
         "_closed",
+        "_broken",
+        "_queued",
+        "_written",
         "coalesce_hwm",
     )
 
@@ -81,26 +111,41 @@ class SendFeeder:
         write: Callable[[Any], None],
         finish: Callable[[], None],
         write_many: Callable[[list], None] | None = None,
+        try_write: Callable[[Any], Any] | None = None,
     ):
         self._name = name
         self._write = write
         self._write_many = write_many
+        self._try_write = try_write
         self._finish = finish
         self._queue: queue.Queue | None = None
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._closed = False
+        self._broken = False
+        # Items handed to the queue (sender-only) and items the feeder
+        # finished writing (feeder-only): equal means the feeder is idle
+        # and the sender may write the transport itself.
+        self._queued = 0
+        self._written = 0
         #: High-water mark of the coalescing window: the largest number
-        #: of queued items a single ``write_many`` call flushed.
+        #: of items a single flush wrote (an inline write is a flush of
+        #: one; only a backlog makes ``write_many`` flush more).
         self.coalesce_hwm = 0
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def _drain_batch(self, q: queue.Queue, first: Any) -> bool:
+    @property
+    def pending(self) -> int:
+        """Queued items the feeder thread has not finished writing."""
+        return self._queued - self._written
+
+    def _drain_batch(self, q: queue.Queue, first: Any) -> tuple[int, bool]:
         """Flush ``first`` plus everything else already queued in one
-        ``write_many`` call; True when the close sentinel was seen."""
+        ``write_many`` call; returns the batch size and whether the
+        close sentinel was seen."""
         batch = [first]
         saw_close = False
         while True:
@@ -115,7 +160,7 @@ class SendFeeder:
         if len(batch) > self.coalesce_hwm:
             self.coalesce_hwm = len(batch)
         self._write_many(batch)
-        return saw_close
+        return len(batch), saw_close
 
     def _run(self) -> None:
         q = self._queue
@@ -123,26 +168,49 @@ class SendFeeder:
             item = q.get()
             if item is _CLOSE:
                 break
+            wrote, saw_close = 1, False
             try:
                 if self._write_many is not None:
-                    if self._drain_batch(q, item):
-                        break
+                    wrote, saw_close = self._drain_batch(q, item)
                 else:
                     self._write(item)
-            except (BrokenPipeError, ConnectionError, OSError, TransportError):
+            except _BROKEN:
+                self._broken = True
+                break
+            # Published only after the blocking write returned: from
+            # here the sender may write inline again.
+            self._written += wrote
+            if saw_close:
                 break
         self._do_finish()
 
     def _do_finish(self) -> None:
         try:
             self._finish()
-        except (BrokenPipeError, ConnectionError, OSError, TransportError):
+        except _BROKEN:
             pass
 
     def put(self, item: Any) -> None:
-        """Enqueue one item; never blocks.  Starts the thread lazily."""
+        """Send one item; never blocks.
+
+        Written inline when nothing is pending and ``try_write`` takes
+        it; otherwise (or for what ``try_write`` left over) queued for
+        the feeder thread, which starts on this first back-pressure.
+        """
         if self._closed:
             raise RuntimeError(f"send on closed feeder {self._name!r}")
+        if self._broken:
+            return  # reader gone: discard, like the drain does
+        if self._try_write is not None and not self.pending:
+            try:
+                item = self._try_write(item)
+            except _BROKEN:
+                self._broken = True
+                return
+            if item is None:
+                if not self.coalesce_hwm:
+                    self.coalesce_hwm = 1
+                return
         if self._thread is None:
             with self._lock:
                 if self._closed:
@@ -156,6 +224,7 @@ class SendFeeder:
                     )
                     # Publish the queue before the thread reads it.
                     self._thread.start()
+        self._queued += 1
         self._queue.put(item)
 
     def close(self) -> None:
@@ -175,6 +244,7 @@ class SendFeeder:
             self._queue.put(_CLOSE)
             thread.join()
         else:
-            # Nothing was ever sent: still run the end-of-stream action
-            # so the reader sees a clean close instead of a hang.
+            # Every send went inline (or nothing was ever sent): still
+            # run the end-of-stream action so the reader sees a clean
+            # close instead of a hang.
             self._do_finish()

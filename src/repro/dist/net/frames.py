@@ -22,7 +22,11 @@ short writes cost extra syscalls, never corruption.  The stream counts
 to ``send_syscalls_unvectored`` (what the historical
 one-``sendall``-per-piece sender would have issued for the same
 frames), which is how the bench's syscall-reduction check measures the
-fast path without re-running the slow one.
+fast path without re-running the slow one.  The same gather also comes
+in a never-blocking form (:meth:`FrameStream.try_send_frames`: one
+``sendmsg`` with ``MSG_DONTWAIT`` that hands back the unsent tail), so
+a channel's sending thread can write the socket itself and leave only
+back-pressure to the feeder thread (:mod:`repro.dist.net.feeder`).
 
 **Buffered fast path (receive).**  Reads land in a reusable 64 KiB
 scratch via bulk ``recv_into``, so one syscall can deliver many small
@@ -112,15 +116,36 @@ _IOV_CAP = 512
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 
 
+def _unsent(views: list, sent: int) -> list:
+    """``views`` minus their first ``sent`` bytes (a short gather-write
+    resumes at the exact byte)."""
+    done = 0
+    while done < len(views) and sent >= len(views[done]):
+        sent -= len(views[done])
+        done += 1
+    rest = views[done:]
+    if sent:
+        rest[0] = rest[0][sent:]
+    return rest
+
+
+def _peer_hung_up() -> TransportAbortError:
+    return TransportAbortError(
+        "send failed: the reading peer hung up without draining "
+        "the stream (peer killed?)"
+    )
+
+
 class FrameStream:
     """One length-prefixed frame stream over a connected socket.
 
     Duck-types the ``Connection`` surface :mod:`repro.dist.wire` and the
     engine's collection loop use: ``send_bytes`` / ``recv_bytes`` /
     ``recv_bytes_into`` / ``poll`` / ``fileno`` / ``close`` — plus the
-    vectored extension ``send_frames`` (a list of frames in one
-    syscall).  Instances are SRSW like everything above them: one
-    thread sends, one thread receives.
+    vectored extensions ``send_frames`` (a list of frames in one
+    syscall) and its non-blocking twin ``try_send_frames``.  Instances
+    are SRSW like everything above them: one thread sends at a time,
+    one thread receives.
     """
 
     __slots__ = (
@@ -202,16 +227,9 @@ class FrameStream:
             while pending:
                 sent = self._sock.sendmsg(pending[:_IOV_CAP])
                 self.send_syscalls += 1
-                while pending and sent >= len(pending[0]):
-                    sent -= len(pending[0])
-                    pending.pop(0)
-                if sent:
-                    pending[0] = pending[0][sent:]
+                pending = _unsent(pending, sent)
         except (BrokenPipeError, ConnectionResetError) as exc:
-            raise TransportAbortError(
-                "send failed: the reading peer hung up without draining "
-                "the stream (peer killed?)"
-            ) from exc
+            raise _peer_hung_up() from exc
 
     def _sendall(self, data) -> None:
         """Fallback single-buffer write (no ``sendmsg`` on this
@@ -219,25 +237,15 @@ class FrameStream:
         try:
             self._sock.sendall(data)
         except (BrokenPipeError, ConnectionResetError) as exc:
-            raise TransportAbortError(
-                "send failed: the reading peer hung up without draining "
-                "the stream (peer killed?)"
-            ) from exc
+            raise _peer_hung_up() from exc
         self.send_syscalls += 1
 
-    def send_frames(self, frames: list) -> None:
-        """Write a batch of ``(payload, clock)`` frames in (ideally) one
-        gather syscall.
-
-        Each frame is a length prefix, an optional 8-byte clock word
+    def _pack(self, frames: list) -> list:
+        """``(payload, clock)`` frames as the byte views of their wire
+        image: per frame a length prefix, an optional 8-byte clock word
         (``clock`` non-``None`` sets the prefix's clock flag), and the
-        payload — byte-identical to ``len(frames)`` separate
-        :meth:`send_bytes` calls, minus the kernel round trips.  This
-        is the primitive both whole-value sends
-        (:func:`repro.dist.wire.send_encoded`: header + all array
-        frames at once) and the feeder's coalesced flushes (several
-        queued values at once) bottom out in.
-        """
+        payload.  Prefixes live in the reusable header scratch, so the
+        views are only good until the next call."""
         hdr = self._hdr
         need = 2 * _LEN.size * len(frames)
         if len(hdr) < need:
@@ -262,12 +270,57 @@ class FrameStream:
                 views.append(view)
                 unvectored += 1  # the payload sendall
         self.send_syscalls_unvectored += unvectored
+        if len(frames) > 1:
+            self.vectored_frames += len(frames)
+        return views
+
+    def send_frames(self, frames: list) -> None:
+        """Write a batch of ``(payload, clock)`` frames in (ideally) one
+        gather syscall.
+
+        Byte-identical to ``len(frames)`` separate :meth:`send_bytes`
+        calls, minus the kernel round trips.  This is the blocking
+        primitive whole-value sends (:func:`repro.dist.wire.send_encoded`:
+        header + all array frames at once) and the feeder's coalesced
+        flushes (several queued values at once) bottom out in.
+        """
+        self.send_views(self._pack(frames))
+
+    def send_views(self, views: list) -> None:
+        """Blocking write of already-framed bytes — a :meth:`_pack`
+        image, or the tail :meth:`try_send_frames` could not place."""
         if _HAS_SENDMSG:
             self._gather(views)
         else:  # pragma: no cover - non-POSIX fallback
             self._sendall(b"".join(views))
-        if len(frames) > 1:
-            self.vectored_frames += len(frames)
+
+    def try_send_frames(self, frames: list) -> list:
+        """Non-blocking :meth:`send_frames`: one ``sendmsg`` gather with
+        ``MSG_DONTWAIT``, never a retry.
+
+        Returns the byte views the kernel did not take — empty when the
+        whole batch is on its way, everything when the socket buffer is
+        full, the exact unsent tail after a partial write — for
+        :meth:`send_views` to finish later.  Tail bytes that sat in the
+        header scratch are copied out, so the tail stays valid while
+        other batches are packed.
+        """
+        views = self._pack(frames)
+        if not _HAS_SENDMSG:  # pragma: no cover - non-POSIX: all blocking
+            return [b"".join(views)]
+        try:
+            sent = self._sock.sendmsg(
+                views[:_IOV_CAP], (), socket.MSG_DONTWAIT
+            )
+        except BlockingIOError:
+            sent = 0
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise _peer_hung_up() from exc
+        self.send_syscalls += 1
+        hdr = self._hdr
+        return [
+            bytes(v) if v.obj is hdr else v for v in _unsent(views, sent)
+        ]
 
     def send_bytes(self, data, clock: int | None = None) -> None:
         """Write one frame: length prefix then payload, short-write safe.
@@ -281,10 +334,7 @@ class FrameStream:
     def send_goodbye(self) -> None:
         """Announce a clean close: the reader's next receive EOFs."""
         self.send_syscalls_unvectored += 1
-        if _HAS_SENDMSG:
-            self._gather([_LEN.pack(GOODBYE)])
-        else:  # pragma: no cover - non-POSIX fallback
-            self._sendall(_LEN.pack(GOODBYE))
+        self.send_views([_LEN.pack(GOODBYE)])
 
     # -- read side ----------------------------------------------------------
 

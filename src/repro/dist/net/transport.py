@@ -8,10 +8,13 @@ design constraints are identical and the solutions are shared:
 
 * **Infinite slack.**  Kernel TCP buffers are finite, so a raw send
   could block on a slow reader.  Sends are therefore encoded in the
-  sending thread (freezing array payloads, preserving single-assignment
-  semantics) and handed to the same
-  :class:`~repro.dist.net.feeder.SendFeeder` queue-plus-thread core the
-  pipe transport uses; only the feeder ever blocks on the network.
+  sending thread and offered to the kernel right there in one
+  *non-blocking* gather (``sendmsg`` with ``MSG_DONTWAIT``) — the
+  common case, which costs no queue and no thread.  Whatever the
+  kernel would not take (all of a value, or the tail of a partial
+  write, and then every later value until that backlog drains) goes to
+  the same :class:`~repro.dist.net.feeder.SendFeeder` core the pipe
+  transport uses; only its feeder thread ever blocks on the network.
 * **Close/EOF cascade.**  A finishing writer flushes its queue, sends
   the framing layer's *goodbye* frame, and closes; the reader's next
   receive on the drained stream raises
@@ -35,17 +38,18 @@ design constraints are identical and the solutions are shared:
   memory, which does not exist cross-host.
 
 * **Vectored fast path.**  The framing layer gathers a whole encoded
-  value — and, through the feeder's coalescing window
-  (:meth:`_write_frames_many`), several back-to-back values — into a
-  single ``sendmsg`` syscall, and bulk-buffers small receives (see
+  value — and, when back-pressure has queued several, the feeder's
+  coalescing window (:meth:`_write_frames_many`) gathers all of them —
+  into a single ``sendmsg`` syscall, and bulk-buffers small receives (see
   :mod:`repro.dist.net.frames`).  Four counters measure it, surfaced
   through :meth:`stats` on the writer side: ``net_syscalls`` (send
   syscalls actually issued), ``net_syscalls_unvectored`` (what the
   historical one-``sendall``-per-piece sender would have issued for
   the same frames — the denominatorless before/after pair the bench's
   ≥2× syscall-reduction check divides), ``net_vectored`` (frames that
-  left in a multi-frame gather batch), and ``coalesce_hwm`` (the
-  deepest feeder batch a single vectored flush drained).
+  left in a multi-frame gather batch), and ``coalesce_hwm`` (the most
+  values one flush wrote: 1 while every send goes inline, more only
+  when a backlog drained as one batch).
 """
 
 from __future__ import annotations
@@ -94,10 +98,10 @@ class SocketChannel(ProcChannel):
     """One endpoint of a cross-host SRSW channel (see module docstring).
 
     Subclasses :class:`~repro.dist.channels.ProcChannel`: the send path
-    (encode in the caller, queue to the feeder), the ownership checks,
-    and the stats contract are inherited unchanged — only the
-    end-of-stream actions differ (goodbye frame on clean close, abort
-    mapping on receive).
+    (encode in the caller, write inline or queue to the feeder), the
+    ownership checks, and the stats contract are inherited unchanged —
+    only the write primitives and the end-of-stream actions differ
+    (goodbye frame on clean close, abort mapping on receive).
     """
 
     transport = "socket"
@@ -116,19 +120,35 @@ class SocketChannel(ProcChannel):
         """Opt in to the feeder's coalescing window (see base class)."""
         return self._write_frames_many
 
+    def _try_write_frames(self, item: tuple):
+        """Sender-thread write: the whole value in one non-blocking
+        gather; ``None`` when the kernel took it all, else the unsent
+        byte views (a list, where a queued value is a tuple)."""
+        header, buffers, clock = item
+        rest = self._conn.try_send_frames(
+            wire.encoded_frames(self._conn, header, buffers, clock)
+        )
+        return rest or None
+
     def _write_frames_many(self, items: list) -> None:
         """Feeder-thread batch write: every queued value's frames in
         one gather syscall.
 
-        Back-to-back sends that queued while a previous write blocked
-        on the kernel (batched ghost exchanges, overlap prologue sends)
+        Sends that queued while a previous write blocked on the kernel
         drain as a single vectored write — the frame bytes are
-        identical to draining them one value at a time.
+        identical to draining them one value at a time.  The unsent
+        tail of a partial inline write is already framed and — queued
+        only when nothing else was pending — always heads its batch.
         """
+        conn = self._conn
+        if isinstance(items[0], list):
+            conn.send_views(items[0])
+            items = items[1:]
         frames: list = []
         for header, buffers, clock in items:
-            frames.extend(wire.encoded_frames(self._conn, header, buffers, clock))
-        self._conn.send_frames(frames)
+            frames.extend(wire.encoded_frames(conn, header, buffers, clock))
+        if frames:
+            conn.send_frames(frames)
 
     # -- fast-path counters (writer side; live on the frame stream and
     # feeder so they survive channel close) ---------------------------------

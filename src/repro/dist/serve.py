@@ -195,9 +195,10 @@ class JobServer(JobServerCore):
     # -- the per-job pipeline ------------------------------------------------
 
     def _prepare(self, job: _Job):
-        # Body pickling is pure CPU on this side and needs no slots.
+        # Body pickling is pure CPU on this side and needs no slots;
+        # a resubmitted System finds its images already made.
         return [
-            ("pickle", closures.dumps(p.body)) for p in job.system.processes
+            ("pickle", image) for image in closures.body_images(job.system)
         ]
 
     def _execute(self, job: _Job, prepared, grant) -> RunResult:

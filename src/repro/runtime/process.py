@@ -37,7 +37,14 @@ class ProcessSpec:
     body:
         ``body(ctx)`` — runs to completion using only ``ctx`` for
         communication and ``ctx.store`` for state.  Its return value is
-        captured in the run result.
+        captured in the run result.  A body is *immutable once bound*:
+        it must not carry state from one run to the next, and what it
+        closes over must not be edited between runs — the threaded
+        engine re-runs the very same closure objects, and the process
+        engines ship an image pickled once per ``System``
+        (:func:`repro.dist.closures.body_images`) to every later run.
+        To change a rank's program, bind a new callable to ``body``
+        (noticed by identity); per-run inputs belong in ``store``.
     store:
         Initial local variables.  Deep-copied at every run start so that
         (a) repeated runs are independent and (b) no mutable state is
