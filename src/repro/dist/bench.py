@@ -75,8 +75,10 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import sys
 import time
+from multiprocessing import resource_sharer
 from pathlib import Path
 from typing import Any
 
@@ -805,7 +807,9 @@ def _serve_systems(par, jobs: int) -> list:
     return [par.to_parallel() for _ in range(jobs)]
 
 
-def _latency_stats(latencies: list[float]) -> dict[str, float]:
+def _latency_stats(
+    latencies: list[float], startups: list[float]
+) -> dict[str, float]:
     lat = sorted(latencies)
 
     def pct(q):
@@ -814,10 +818,14 @@ def _latency_stats(latencies: list[float]) -> dict[str, float]:
     return {
         "latency_p50_s": round(pct(0.50), 6),
         "latency_p95_s": round(pct(0.95), 6),
+        # Dispatch -> go barrier, the fixed part of each job's service.
+        "startup_ms_p50": round(statistics.median(startups) * 1e3, 4),
     }
 
 
-def _serve_row(mode, batch, jobs, elapsed, latencies, identical, **extra):
+def _serve_row(
+    mode, batch, jobs, elapsed, latencies, startups, identical, **extra
+):
     row = {
         "mode": mode,
         "batch": batch,
@@ -825,7 +833,7 @@ def _serve_row(mode, batch, jobs, elapsed, latencies, identical, **extra):
         "elapsed_s": round(elapsed, 6),
         "jobs_per_s": round(jobs / elapsed, 4) if elapsed else 0.0,
         "all_identical": identical,
-        **_latency_stats(latencies),
+        **_latency_stats(latencies, startups),
         **extra,
     }
     return row
@@ -928,18 +936,19 @@ def run_serve_bench(args: list[str], out=print) -> bool:
         try:
             engine.run(par_used.to_parallel())  # warm-up: pool boot
             systems = _serve_systems(par_used, jobs)
-            lat, runs = [], []
+            lat, startups, runs = [], [], []
             t0 = time.perf_counter()
             for system in systems:
                 j0 = time.perf_counter()
                 runs.append(engine.run(system))
                 lat.append(time.perf_counter() - j0)
+                startups.append(engine.last_timing["startup_s"])
             elapsed = time.perf_counter() - t0
         finally:
             engine.close()
         results.append(
             _serve_row(
-                "engine-serial", batch, jobs, elapsed, lat,
+                "engine-serial", batch, jobs, elapsed, lat, startups,
                 check_all(par_used, runs),
             )
         )
@@ -965,6 +974,7 @@ def run_serve_bench(args: list[str], out=print) -> bool:
         results.append(
             _serve_row(
                 mode, batch, jobs, elapsed, lat,
+                [r.startup_s for r in records],
                 check_all(par_used, runs),
                 max_inflight=inflight,
                 pool_size=pool_size,
@@ -1006,9 +1016,11 @@ def run_serve_bench(args: list[str], out=print) -> bool:
             elapsed = time.perf_counter() - t0
             records = server.job_stats()[1:]
         lat = [r.latency_s for r in records if r.latency_s is not None]
+        startups = [r.startup_s for r in records if r.startup_s is not None]
         results.append(
             _serve_row(
                 "serve-open", False, len(runs), elapsed, lat or [0.0],
+                startups or [0.0],
                 check_all(par, runs),
                 max_inflight=max_inflight,
                 offered_factor=factor,
@@ -1026,6 +1038,7 @@ def run_serve_bench(args: list[str], out=print) -> bool:
             f"{r['jobs_per_s']:.2f}",
             f"{r['latency_p50_s'] * 1e3:.1f}",
             f"{r['latency_p95_s'] * 1e3:.1f}",
+            f"{r['startup_ms_p50']:.1f}",
             str(r.get("rejected", "-")),
             "yes" if r["all_identical"] else "NO",
         ]
@@ -1040,6 +1053,7 @@ def run_serve_bench(args: list[str], out=print) -> bool:
                 "jobs/s",
                 "p50 ms",
                 "p95 ms",
+                "startup ms",
                 "rejected",
                 "identical",
             ],
@@ -1097,10 +1111,17 @@ def run_serve_bench(args: list[str], out=print) -> bool:
             "affinity": affinity,
             "cpu_count": cpu_count,
             "python": sys.version.split()[0],
+            # Dispatch passes descriptors in-band; the fd-server thread
+            # of multiprocessing must never have been needed.
+            "resource_sharer_started": (
+                resource_sharer._resource_sharer._listener is not None
+            ),
             "timing_note": (
                 "closed-loop rows submit all jobs at once (serve modes) or "
                 "loop engine.run (engine-serial); every server gets one "
                 "untimed warm-up job (pool boot) excluded from latencies; "
+                "startup_ms_p50 is the median dispatch -> go-barrier time "
+                "per job (JobStats.startup_s / engine.last_timing); "
                 "open-loop rows submit at the offered rate with "
                 "on_full=reject; throughput checks are enforced only on "
                 "multi-core hosts, result-identity checks everywhere"

@@ -28,14 +28,18 @@ reference).
 **Program images.**  Pickling a refined program's bodies walks closure
 graphs of hundreds of kilobytes, and a served or benchmarked
 :class:`~repro.runtime.system.System` is dispatched many times
-unchanged.  :func:`body_images` therefore pickles each rank's body once
-per ``System`` and hands every later dispatch the same bytes (see
+unchanged.  :func:`body_payloads` therefore pickles each rank's body
+once per ``System`` and hands every later dispatch the same bytes under
+the same digest, which is what lets a long-lived worker keep the
+*unpickled* body resident between runs
+(:class:`repro.dist.worker.ResidentImages`; see
 :class:`~repro.runtime.process.ProcessSpec` for the contract on bodies
 this relies on).
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
 import marshal
@@ -44,7 +48,13 @@ import threading
 import types
 import weakref
 
-__all__ = ["ClosurePickler", "body_images", "dumps", "loads"]
+__all__ = [
+    "ClosurePickler",
+    "body_images",
+    "body_payloads",
+    "dumps",
+    "loads",
+]
 
 #: Protocol 5 is required for the six-element reduce form (deferred
 #: state setter) used to fill closure cells after creation.
@@ -163,30 +173,42 @@ def dumps(obj) -> bytes:
 loads = pickle.loads
 
 
-#: ``System`` -> ``[(body, image), ...]`` by rank.  Weak on the system,
+#: ``System`` -> ``[(body, payload), ...]`` by rank.  Weak on the system,
 #: so an entry lives exactly as long as the program it describes.
 _images: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _images_lock = threading.Lock()  # job servers prepare jobs on many threads
 
 
-def body_images(system) -> list[bytes]:
-    """Each rank's pickled body, pickled once per ``System``.
+def body_payloads(system) -> list[tuple]:
+    """Each rank's body as the ``("image", digest, image)`` payload a
+    job carries, pickled and digested once per ``System``.
 
-    The first dispatch of a system pays :func:`dumps` per rank; every
-    later one — the serving case — is a dictionary lookup.  An entry is
-    revalidated by identity (``spec.body is cached_body``), so rebinding
-    a :class:`~repro.runtime.process.ProcessSpec`'s ``body`` re-pickles
-    that rank, and it dies with its ``System``.
+    The first dispatch of a system pays :func:`dumps` and one hash per
+    rank; every later one — the serving case — is a dictionary lookup.
+    An entry is revalidated by identity (``spec.body is cached_body``),
+    so rebinding a :class:`~repro.runtime.process.ProcessSpec`'s
+    ``body`` re-pickles that rank, and it dies with its ``System``.
+    Equal digests mean equal bytes, so a worker may run any body it
+    already unpickled from them in place of unpickling again.
     """
     with _images_lock:
         cached = _images.get(system, ())
-    specs = system.processes
     fresh = [
         cached[rank]
         if rank < len(cached) and cached[rank][0] is spec.body
-        else (spec.body, dumps(spec.body))
-        for rank, spec in enumerate(specs)
+        else (spec.body, _payload(spec.body))
+        for rank, spec in enumerate(system.processes)
     ]
     with _images_lock:
         _images[system] = fresh
-    return [image for _body, image in fresh]
+    return [payload for _body, payload in fresh]
+
+
+def _payload(body) -> tuple:
+    image = dumps(body)
+    return ("image", hashlib.blake2b(image, digest_size=16).digest(), image)
+
+
+def body_images(system) -> list[bytes]:
+    """The pickled bytes of :func:`body_payloads`, by rank."""
+    return [image for _kind, _digest, image in body_payloads(system)]

@@ -219,12 +219,16 @@ def collect_results(system: System, procs, parent_conns, crash_grace: float):
     while len(terminal) < nprocs:
         if deadline is not None and not aborted and not started:
             # Startup failed: release ranks already at the barrier.
+            # They unwind without running, so they are done with — a
+            # parked pool worker must not be waited out and terminated.
             aborted = True
             for r in ready - terminal:
                 try:
                     wire.send(conn_of[r], ("abort",))
                 except (OSError, TransportAbortError):
                     pass
+                terminal.add(r)
+            continue
 
         timeout = None
         if deadline is not None:
@@ -499,6 +503,7 @@ class MultiprocessEngine:
         procs: list[Any] = []
         parent_conns: dict[Any, int] = {}
         all_channel_conns: list[Any] = []
+        child_conns: list[Any] = []
         plans: list[dict[str, tuple]] = []
         rests: list[dict[str, Any]] = []
         collected = False
@@ -517,44 +522,39 @@ class MultiprocessEngine:
                 rests.append(rest)
 
             # Result pipes and workers.
-            child_conns: list[Any] = []
             for p in system.processes:
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 parent_conns[parent_conn] = p.rank
                 child_conns.append(child_conn)
             # Bodies cross by value from the once-per-System image.
-            images = closures.body_images(system) if by_value else None
+            bodies = closures.body_payloads(system) if by_value else None
             if pool is not None:
-                # Parked workers: ship each rank's job down its control
-                # pipe; the embedded pipe ends are fd-duplicated at
-                # pickle time, so the parent's copies can close below.
+                # Parked workers: one control frame per rank, carrying
+                # duplicates of its pipe ends in-band, so the parent's
+                # copies can close below.
                 slots = pool.ensure(nprocs)
                 procs = [slot.proc for slot in slots]
-                for p in system.processes:
-                    rank = p.rank
+                for rank in range(nprocs):
                     pool.dispatch(
                         slots[rank],
-                        {
-                            "rank": rank,
-                            "name": p.name,
-                            "nprocs": nprocs,
-                            "result_conn": child_conns[rank],
-                            "body": ("pickle", images[rank]),
-                            "plan": plans[rank],
-                            "rest": ("pickle", closures.dumps(rests[rank])),
-                            "w_specs": w_specs[rank],
-                            "r_specs": r_specs[rank],
-                            "recv_timeout": self._recv_timeout,
-                            "observe": self._observe,
-                            "affinity": affinity[rank],
-                            "trace_causal": self._trace_causal,
-                        },
+                        system,
+                        rank,
+                        child_conns[rank],
+                        body=bodies[rank],
+                        plan=plans[rank],
+                        rest=rests[rank],
+                        w_specs=w_specs[rank],
+                        r_specs=r_specs[rank],
+                        affinity=affinity[rank],
+                        recv_timeout=self._recv_timeout,
+                        observe=self._observe,
+                        trace_causal=self._trace_causal,
                     )
             else:
                 for p in system.processes:
                     rank = p.rank
                     if by_value:
-                        body_payload = ("pickle", images[rank])
+                        body_payload = bodies[rank]
                         rest_payload = ("pickle", closures.dumps(rests[rank]))
                         foreign = None
                     else:
@@ -643,7 +643,9 @@ class MultiprocessEngine:
                         proc.terminate()
                 for proc in procs:
                     proc.join(timeout=5.0)
-            for conn in parent_conns:
+            # An abandoned setup still holds every end; closing the
+            # result pipes is what unwinds ranks already dispatched.
+            for conn in (*all_channel_conns, *child_conns, *parent_conns):
                 try:
                     conn.close()
                 except OSError:

@@ -305,9 +305,7 @@ class FleetScheduler(JobServerCore):
     # -- execution with retry ------------------------------------------------
 
     def _prepare(self, job: _Job):
-        bodies = [
-            ("pickle", image) for image in closures.body_images(job.system)
-        ]
+        bodies = closures.body_payloads(job.system)
         rests = [("object", dict(p.store)) for p in job.system.processes]
         return bodies, rests
 

@@ -52,6 +52,7 @@ from typing import Any
 
 from repro.dist.net import rendezvous
 from repro.dist.net.frames import FrameStream
+from repro.dist.worker import ResidentImages
 from repro.errors import RendezvousError, TransportError
 
 __all__ = ["WorkerDaemon", "daemon_process_main", "run_daemon_cli"]
@@ -96,6 +97,9 @@ class WorkerDaemon:
             "bad_hellos": 0,
         }
         self._counters_lock = threading.Lock()
+        #: Bodies this daemon has unpickled, shared by its rank threads
+        #: (each run checks its body out exclusively).
+        self._images = ResidentImages()
         # Drain state: ranks currently executing, guarded by the same
         # condition stop() waits on.  _draining flips before _stopped
         # so new control hellos are refused while in-flight ranks (and
@@ -115,7 +119,9 @@ class WorkerDaemon:
 
     def stats(self) -> dict[str, Any]:
         """A consistent snapshot of this daemon's event counters plus
-        live load (``ranks_active``) and identity (``pid``,
+        live load (``ranks_active``), resident program images
+        (``images_resident`` idle bodies, ``image_hits`` /
+        ``image_misses`` per rank run) and identity (``pid``,
         ``uptime_s``) — the dict a fleet scheduler's placement policy
         and heartbeat monitor consume, locally or over a ``stats``
         connection (:func:`~repro.dist.net.rendezvous.poll_stats`)."""
@@ -124,6 +130,7 @@ class WorkerDaemon:
         with self._drain_cv:
             out["ranks_active"] = self._active
             out["draining"] = self._draining
+        out.update(self._images.stats())
         out["pid"] = os.getpid()
         out["uptime_s"] = time.monotonic() - self._t_start
         return out
@@ -337,6 +344,7 @@ class WorkerDaemon:
                 job["observe"],
                 job.get("affinity"),
                 job.get("trace_causal", False),
+                self._images,
             )
         finally:
             # A goodbye first makes the coordinator's EOF *clean*: bare

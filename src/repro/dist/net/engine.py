@@ -227,11 +227,12 @@ def run_assigned(
     shared by :class:`SocketEngine` (round-robin assignment) and the
     fleet scheduler (policy-driven placement with retry).
 
-    ``bodies`` / ``rests`` accept ready ``("pickle", bytes)`` /
-    ``("object", value)`` payloads per rank (a scheduler prepares once
-    and re-dispatches the same payloads on retry).  By default bodies
-    come from the system's once-pickled images
-    (:func:`repro.dist.closures.body_images`) and each rank's initial
+    ``bodies`` / ``rests`` accept ready ``("image", digest, bytes)`` /
+    ``("pickle", bytes)`` / ``("object", value)`` payloads per rank (a
+    scheduler prepares once and re-dispatches the same payloads on
+    retry).  By default bodies come from the system's once-pickled
+    images (:func:`repro.dist.closures.body_payloads`), which a daemon
+    keeps resident by digest, and each rank's initial
     store travels as a plain dict inside the job frame, so its arrays
     ride :func:`repro.dist.wire.send`'s raw-buffer frames instead of
     being pickled (and then pickled again inside the job header).
@@ -246,9 +247,7 @@ def run_assigned(
     nprocs = system.nprocs
     w_specs, r_specs = build_net_endpoints(system, assign, job_id)
     if bodies is None:
-        bodies = [
-            ("pickle", image) for image in closures.body_images(system)
-        ]
+        bodies = closures.body_payloads(system)
     if rests is None:
         rests = [("object", dict(p.store)) for p in system.processes]
 

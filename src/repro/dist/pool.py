@@ -3,8 +3,8 @@
 The one-shot :class:`~repro.dist.engine.MultiprocessEngine` pays for a
 full process boot (interpreter, imports, shm attach) on every ``run``.
 A :class:`WorkerPool` keeps a set of long-lived worker processes parked
-on a *control pipe*; each engine run ships per-run jobs — body, store
-plan, channel endpoints, a fresh result pipe — down that pipe and the
+on a *control socket*; each engine run ships per-run jobs — body, store
+plan, channel endpoints, a fresh result pipe — down that socket and the
 workers execute :func:`repro.dist.worker.run_job` exactly as a one-shot
 worker would, then park again.  The result-pipe protocol (ready / go /
 done / error) is unchanged, so the engine's collection loop, barrier
@@ -13,15 +13,27 @@ amortized.
 
 Mechanics worth noting:
 
-* **Live pipe handles cross a live pipe.**  Job payloads are sent with
-  plain ``Connection.send`` — multiprocessing's ``ForkingPickler``
-  reduces each embedded ``Connection`` by duplicating its fd at pickle
-  time and handing it over through the resource sharer, under both
-  ``fork`` and ``spawn`` contexts — so the parent can close its copies
-  immediately after dispatch and EOF semantics stay exact.  Bodies and
-  store remainders are pre-pickled with :mod:`repro.dist.closures`
-  (pool workers outlive the fork point, so even under ``fork`` bodies
-  created later must cross by value).
+* **One control message per rank.**  A parked worker's control channel
+  is an ``AF_UNIX`` socketpair.  :meth:`WorkerPool.dispatch` pickles
+  the job with every embedded ``Connection`` (the rank's channel ends
+  and its result pipe) replaced by an index, writes it as one
+  length-prefixed frame, and the descriptors themselves ride the same
+  ``sendmsg`` as ``SCM_RIGHTS`` ancillary data — the kernel installs
+  duplicates in the worker as it reads the frame.  No listener, helper
+  thread, connect or authentication round trip per descriptor, under
+  ``fork`` and ``spawn`` alike; the parent closes its copies right
+  after dispatch and EOF semantics stay exact.  Descriptors still in
+  flight when a worker dies are closed with its socket, and a worker
+  found dead at dispatch fails that rank like a crash at any later
+  point.
+* **Bodies by image.**  Pool workers outlive the fork point, so even
+  under ``fork`` bodies created later must cross by value: every job
+  carries its rank's once-per-``System`` image
+  (:func:`repro.dist.closures.body_payloads`), and the worker keeps the
+  bodies it has unpickled resident by digest
+  (:class:`repro.dist.worker.ResidentImages`) — a resubmitted system
+  re-runs the closure it already has.  A respawned worker starts with
+  none and unpickles each image it is sent once more.
 * **Crash containment.**  A worker that dies mid-job is detected by the
   engine via its process sentinel, exactly as in one-shot mode; the
   engine then calls :meth:`WorkerPool.reap` so the dead slot is
@@ -37,23 +49,118 @@ Mechanics worth noting:
 
 from __future__ import annotations
 
+import array
+import io
 import multiprocessing
+import pickle
+import socket
+import struct
 import threading
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from typing import Any
 
+from repro.dist import closures
+from repro.dist.engine import WorkerCrashError
 from repro.dist.shm import SharedStoreArena
-from repro.dist.worker import run_job
+from repro.dist.worker import ResidentImages, run_job
+from repro.errors import ProcessFailedError
 
 __all__ = ["WorkerPool", "pool_worker_main"]
 
+#: Control frame header: payload bytes, descriptors that come with it.
+_HEADER = struct.Struct("!II")
+#: ``SCM_MAX_FD``: the kernel refuses more descriptors on one message.
+_MAX_FDS = 253
 
-def pool_worker_main(slot: int, ctrl) -> None:
-    """Long-lived worker loop: park on the control pipe, run jobs."""
+
+class _FdPickler(pickle.Pickler):
+    """Pickles a control message, replacing each ``Connection`` in it
+    by its index into :attr:`fds`."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.fds: list[int] = []
+
+    def persistent_id(self, obj):
+        if isinstance(obj, Connection):
+            self.fds.append(obj.fileno())
+            return (len(self.fds) - 1, obj.readable, obj.writable)
+        return None
+
+
+class _FdUnpickler(pickle.Unpickler):
+    """The receiving half: an index becomes a ``Connection`` that owns
+    the descriptor received in that position."""
+
+    def __init__(self, file, fds: list[int]):
+        super().__init__(file)
+        self._fds = fds
+
+    def persistent_load(self, pid):
+        index, readable, writable = pid
+        return Connection(self._fds[index], readable, writable)
+
+
+def _rights(fds: list[int]) -> list[tuple]:
+    return [(socket.SOL_SOCKET, socket.SCM_RIGHTS, array.array("i", fds))]
+
+
+def _send_frame(sock: socket.socket, msg: tuple) -> None:
+    """Write ``msg`` and the descriptors of every ``Connection`` in it.
+
+    Header, pickle and the first :data:`_MAX_FDS` descriptors are one
+    ``sendmsg``; each further chunk of descriptors rides one pad byte
+    after the pickle.  The sender keeps its own descriptors.
+    """
+    buffer = io.BytesIO()
+    pickler = _FdPickler(buffer)
+    pickler.dump(msg)
+    fds = pickler.fds
+    with buffer.getbuffer() as payload:
+        header = _HEADER.pack(len(payload), len(fds))
+        sent = sock.sendmsg(
+            [header, payload], _rights(fds[:_MAX_FDS]) if fds else []
+        )
+        if sent < len(header) + len(payload):  # a signal cut it short
+            sock.sendall((header + payload)[sent:])
+    for i in range(_MAX_FDS, len(fds), _MAX_FDS):
+        sock.sendmsg([b"\0"], _rights(fds[i : i + _MAX_FDS]))
+
+
+def _recv_frame(sock: socket.socket) -> tuple:
+    """Read one :func:`_send_frame` message; raises ``EOFError`` when
+    the peer is gone."""
+    fds: list[int] = []
+
+    def read(n: int) -> bytes:
+        chunks = []
+        while n:
+            # Descriptors arrive with the first byte of the write that
+            # carried them, so every read must be ready to take them.
+            data, new, _flags, _addr = socket.recv_fds(sock, n, _MAX_FDS)
+            if not data:
+                raise EOFError
+            fds.extend(new)
+            chunks.append(data)
+            n -= len(data)
+        return b"".join(chunks)
+
+    length, nfds = _HEADER.unpack(read(_HEADER.size))
+    payload = read(length)
+    read(max(0, nfds - 1) // _MAX_FDS)  # one pad byte per further chunk
+    if len(fds) != nfds:
+        raise OSError(f"control frame lost {nfds - len(fds)} descriptors")
+    return _FdUnpickler(io.BytesIO(payload), fds).load()
+
+
+def pool_worker_main(slot: int, ctrl: socket.socket) -> None:
+    """Long-lived worker loop: park on the control socket, run jobs."""
+    images = ResidentImages()
     try:
         while True:
             try:
-                msg = ctrl.recv()
+                msg = _recv_frame(ctrl)
             except (EOFError, OSError):
                 break  # pool parent went away: exit quietly
             if msg[0] == "stop":
@@ -61,39 +168,28 @@ def pool_worker_main(slot: int, ctrl) -> None:
             if msg[0] != "job":  # unknown frame: ignore, keep parking
                 continue
             job = msg[1]
-            result_conn = job["result_conn"]
             try:
-                run_job(
-                    job["rank"],
-                    job["name"],
-                    job["nprocs"],
-                    result_conn,
-                    job["body"],
-                    job["plan"],
-                    job["rest"],
-                    job["w_specs"],
-                    job["r_specs"],
-                    job["recv_timeout"],
-                    job["observe"],
-                    job["affinity"],
-                    job.get("trace_causal", False),
-                )
+                run_job(**job, images=images)
             finally:
                 try:
-                    result_conn.close()
+                    job["result_conn"].close()
                 except OSError:
                     pass
     finally:
-        try:
-            ctrl.close()
-        except OSError:
-            pass
+        ctrl.close()
 
 
 @dataclass
 class _Slot:
     proc: Any
-    conn: Any  # parent end of the control pipe
+    sock: socket.socket  # parent end of the control socketpair
+
+
+def _send_stop(slot: _Slot) -> None:
+    try:
+        _send_frame(slot.sock, ("stop",))
+    except OSError:
+        pass  # already gone
 
 
 class WorkerPool:
@@ -153,7 +249,7 @@ class WorkerPool:
         from multiprocessing import resource_tracker
 
         resource_tracker.ensure_running()
-        parent, child = self.ctx.Pipe(duplex=True)
+        parent, child = socket.socketpair()
         proc = self.ctx.Process(
             target=pool_worker_main,
             name=f"repro-pool-{self.spawned}",
@@ -171,10 +267,7 @@ class WorkerPool:
         if slot.proc.is_alive():
             slot.proc.terminate()
             slot.proc.join(timeout=1.0)
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
+        slot.sock.close()
 
     def reap(self) -> int:
         """Drop dead *parked* workers; returns how many were discarded.
@@ -237,16 +330,57 @@ class WorkerPool:
                 parked = [s for s in slots if s.proc.is_alive()]
                 self._slots.extend(parked)
         for slot in doomed:
-            try:
-                slot.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
+            _send_stop(slot)
             self._discard(slot)
 
-    def dispatch(self, slot: _Slot, job: dict[str, Any]) -> None:
-        """Ship one run's job to a parked worker (plain pickle: the
-        embedded Connections must go through ForkingPickler)."""
-        slot.conn.send(("job", job))
+    def dispatch(
+        self,
+        slot: _Slot,
+        system,
+        rank: int,
+        result_conn,
+        *,
+        body: tuple,
+        plan: dict[str, tuple],
+        rest: dict[str, Any],
+        w_specs: list,
+        r_specs: list,
+        affinity,
+        recv_timeout: float | None,
+        observe: bool,
+        trace_causal: bool,
+    ) -> None:
+        """Ship ``rank``'s job for one run of ``system`` to the parked
+        worker in ``slot``: the keyword arguments of
+        :func:`repro.dist.worker.run_job` as one control frame.
+
+        A worker that died while parked fails the write; that surfaces as
+        the rank's :class:`~repro.errors.ProcessFailedError`, like a crash
+        at any later point.  Ranks already dispatched unwind when the
+        caller closes their result pipes.
+        """
+        job = {
+            "rank": rank,
+            "name": system.processes[rank].name,
+            "nprocs": system.nprocs,
+            "result_conn": result_conn,
+            "body_payload": body,
+            "plan": plan,
+            "rest_payload": ("pickle", closures.dumps(rest)),
+            "w_specs": w_specs,
+            "r_specs": r_specs,
+            "recv_timeout": recv_timeout,
+            "observe": observe,
+            "affinity": affinity,
+            "trace_causal": trace_causal,
+        }
+        try:
+            _send_frame(slot.sock, ("job", job))
+        except OSError as exc:
+            slot.proc.join(timeout=1.0)
+            raise ProcessFailedError(
+                rank, WorkerCrashError(rank, slot.proc.exitcode)
+            ) from exc
 
     def shutdown(self) -> None:
         """Stop every worker and unlink every shared segment.
@@ -265,10 +399,7 @@ class WorkerPool:
             self._slots.clear()
             self._lent.clear()
         for slot in parked:
-            try:
-                slot.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
+            _send_stop(slot)
         for slot in lent:
             slot.proc.terminate()
         for slot in parked + lent:
@@ -276,8 +407,5 @@ class WorkerPool:
             if slot.proc.is_alive():
                 slot.proc.terminate()
                 slot.proc.join(timeout=5.0)
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
+            slot.sock.close()
         self.arena.cleanup()

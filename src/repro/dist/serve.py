@@ -48,6 +48,7 @@ throughput, p50/p95, and slot utilization.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any
 
 from repro.dist import closures
@@ -154,7 +155,7 @@ class JobServer(JobServerCore):
 
         # Boot every worker NOW, while this process is single-threaded:
         # forking from a live serving thread-pool can copy another
-        # thread's held lock (pickler, resource sharer, import system)
+        # thread's held lock (pickler, import system)
         # into the child, which then wedges in its first recv.  With
         # the pool pre-sized, checkout never forks on the serving path
         # (only crash respawns do, and those are rare).
@@ -197,25 +198,28 @@ class JobServer(JobServerCore):
     def _prepare(self, job: _Job):
         # Body pickling is pure CPU on this side and needs no slots;
         # a resubmitted System finds its images already made.
-        return [
-            ("pickle", image) for image in closures.body_images(job.system)
-        ]
+        return closures.body_payloads(job.system)
 
     def _execute(self, job: _Job, prepared, grant) -> RunResult:
-        return self._run_job(job.system, prepared)
+        return self._run_job(job.system, prepared, job.stats)
 
-    def _run_job(self, system: System, bodies: list) -> RunResult:
+    def _run_job(
+        self, system: System, bodies: list, job_stats: JobStats
+    ) -> RunResult:
         """One job through checkout → dispatch → collect → readback.
 
         The same protocol as a pooled engine run; segment names are
         tracked so exactly this job's segments recycle at the end.
         """
+        t_start = time.perf_counter()
         pool = self.pool
         arena = pool.arena
         nprocs = system.nprocs
         affinity = _affinity_sets(self._affinity, nprocs)
         seg_names: list[str] = []
         parent_conns: dict[Any, int] = {}
+        channel_conns: list = []
+        child_conns: list = []
         slots: list = []
         collected = False
         try:
@@ -237,32 +241,27 @@ class JobServer(JobServerCore):
                         name for name, _dt, _sh in plan.values()
                     )
 
-            child_conns = []
             for p in system.processes:
                 parent_conn, child_conn = pool.ctx.Pipe(duplex=True)
                 parent_conns[parent_conn] = p.rank
                 child_conns.append(child_conn)
 
             slots = pool.checkout(nprocs)
-            for p in system.processes:
-                rank = p.rank
+            for rank in range(nprocs):
                 pool.dispatch(
                     slots[rank],
-                    {
-                        "rank": rank,
-                        "name": p.name,
-                        "nprocs": nprocs,
-                        "result_conn": child_conns[rank],
-                        "body": bodies[rank],
-                        "plan": plans[rank],
-                        "rest": ("pickle", closures.dumps(rests[rank])),
-                        "w_specs": w_specs[rank],
-                        "r_specs": r_specs[rank],
-                        "recv_timeout": self._recv_timeout,
-                        "observe": self._observe,
-                        "affinity": affinity[rank],
-                        "trace_causal": self._trace_causal,
-                    },
+                    system,
+                    rank,
+                    child_conns[rank],
+                    body=bodies[rank],
+                    plan=plans[rank],
+                    rest=rests[rank],
+                    w_specs=w_specs[rank],
+                    r_specs=r_specs[rank],
+                    affinity=affinity[rank],
+                    recv_timeout=self._recv_timeout,
+                    observe=self._observe,
+                    trace_causal=self._trace_causal,
                 )
             # Workers hold fd duplicates; close ours so EOF stays exact.
             for conn in channel_conns:
@@ -278,12 +277,14 @@ class JobServer(JobServerCore):
                 observations,
                 causal_payloads,
                 errors,
-                _t0,
-                _t1,
+                t_run0,
+                _t_run1,
             ) = collect_results(
                 system, procs, parent_conns, self._crash_grace
             )
             collected = True
+            if t_run0 is not None:
+                job_stats.startup_s = t_run0 - t_start
 
             stores: list[dict[str, Any]] = []
             with self._arena_lock:
@@ -302,7 +303,9 @@ class JobServer(JobServerCore):
                 # keeps its segments out of reuse until pool shutdown.
                 with self._arena_lock:
                     arena.recycle(seg_names)
-            for conn in parent_conns:
+            # An abandoned setup still holds every end; closing the
+            # result pipes is what unwinds ranks already dispatched.
+            for conn in (*channel_conns, *child_conns, *parent_conns):
                 try:
                     conn.close()
                 except OSError:

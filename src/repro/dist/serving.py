@@ -82,6 +82,10 @@ class JobStats:
     #: merged event count and trace depth (longest causal chain).
     causal_events: int | None = None
     causal_depth: int | None = None
+    #: Start-up share of the service time: from the job's dispatch to
+    #: its go barrier (endpoints built, stores shipped, every rank
+    #: constructed and ready).  None when the barrier was never reached.
+    startup_s: float | None = None
 
     @property
     def queue_wait_s(self) -> float | None:
@@ -382,6 +386,11 @@ class JobServerCore:
         waits = sorted(
             r.queue_wait_s for r in done if r.queue_wait_s is not None
         )
+        startups = sorted(
+            r.startup_s for r in done if r.startup_s is not None
+        )
+        if startups:
+            out["startup_ms_p50"] = percentile(startups, 0.50) * 1e3
         out.update(
             elapsed_s=elapsed,
             throughput_jobs_per_s=len(done) / elapsed,

@@ -20,6 +20,13 @@ Result-pipe protocol (all frames via :mod:`repro.dist.wire`):
   and the observation payload when observing;
 * worker → parent ``("error", rank, exc_info)`` when the body raised.
 
+**Resident images.**  Pool workers and worker daemons outlive a run,
+and a served :class:`~repro.runtime.system.System` sends the same body
+image (same digest, :func:`repro.dist.closures.body_payloads`) every
+time.  :class:`ResidentImages` keeps the bodies a worker has already
+unpickled, so a resubmitted system re-runs the resident closure — as
+the threaded engine always has — instead of unpickling it again.
+
 Whatever happens, the ``finally`` block closes the rank's write
 endpoints — flushing queued values and signalling EOF downstream, the
 cross-process analogue of the threaded engine's close-wakes-readers
@@ -31,6 +38,7 @@ the process sentinel.
 from __future__ import annotations
 
 import os
+import threading
 import traceback
 from typing import Any
 
@@ -40,7 +48,60 @@ from repro.dist.shm import attach_store, close_handles, flush_store
 from repro.errors import TransportError
 from repro.runtime.context import ProcessContext
 
-__all__ = ["worker_main", "run_job", "apply_affinity", "report_error"]
+__all__ = [
+    "ResidentImages",
+    "worker_main",
+    "run_job",
+    "apply_affinity",
+    "report_error",
+]
+
+#: Most idle unpickled bodies one worker keeps between runs.  A body
+#: holds its kernels' scratch buffers, so this bounds what residency
+#: adds to a worker's memory; the least recently run body goes first.
+MAX_RESIDENT_IMAGES = 16
+
+
+class ResidentImages:
+    """The unpickled bodies one worker keeps between runs, by digest.
+
+    Checkout is **exclusive**: a body is removed while a rank runs it
+    and comes back in :func:`run_job`'s ``finally``.  A daemon runs
+    ranks of concurrent jobs as threads of one process, and a body
+    carries per-instance scratch (``KernelScratch``, ``Mur1`` planes),
+    so two ranks must never run one instance at once — the second
+    unpickles its own, and both are kept afterwards.  A body whose run
+    raised is not checked in again: it may have stopped between two of
+    its own bookkeeping steps.
+    """
+
+    def __init__(self) -> None:
+        self._idle: list[tuple[bytes, Any]] = []  # least recently run first
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def checkout(self, digest: bytes, image: bytes) -> Any:
+        with self._lock:
+            for i in range(len(self._idle) - 1, -1, -1):
+                if self._idle[i][0] == digest:
+                    self.hits += 1
+                    return self._idle.pop(i)[1]
+            self.misses += 1
+        return closures.loads(image)
+
+    def checkin(self, digest: bytes, body: Any) -> None:
+        with self._lock:
+            self._idle.append((digest, body))
+            del self._idle[:-MAX_RESIDENT_IMAGES]
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "images_resident": len(self._idle),
+                "image_hits": self.hits,
+                "image_misses": self.misses,
+            }
 
 
 def _open_channel(spec) -> ProcChannel:
@@ -102,9 +163,11 @@ def apply_affinity(cpus) -> None:
         pass  # cpu set not permitted/offline: run unpinned
 
 
-def _unpack(payload: tuple[str, Any]) -> Any:
-    kind, data = payload
-    return closures.loads(data) if kind == "pickle" else data
+def _unpack(payload: tuple) -> Any:
+    """``("object", value)``, ``("pickle", bytes)`` or ``("image",
+    digest, bytes)`` to the value it carries."""
+    kind, data = payload[0], payload[-1]
+    return data if kind == "object" else closures.loads(data)
 
 
 def _exc_info(exc: BaseException) -> tuple[str, Any, str]:
@@ -163,19 +226,28 @@ def run_job(
     observe: bool,
     affinity=None,
     trace_causal: bool = False,
+    images: ResidentImages | None = None,
 ) -> None:
     """Execute one dispatched rank: build, barrier, run body, report.
 
     Never raises: failures are shipped to the parent as ``("error", …)``
     frames.  Does **not** close ``result_conn`` — one-shot workers close
-    it on exit, pool workers close it per job.
+    it on exit, pool workers close it per job.  ``images`` is the
+    calling worker's :class:`ResidentImages`; an ``("image", digest,
+    bytes)`` body is checked out of it for the run.
     """
     out: dict[str, ProcChannel] = {}
     inc: dict[str, ProcChannel] = {}
     handles: dict[str, tuple] = {}
+    # Checked out of ``images`` for this run; back in on the way out.
+    resident = images is not None and body_payload[0] == "image"
+    body = None
     try:
         apply_affinity(affinity)
-        body = _unpack(body_payload)
+        if resident:
+            body = images.checkout(*body_payload[1:])
+        else:
+            body = _unpack(body_payload)
         rest = _unpack(rest_payload)
         store, handles = attach_store(plan, rest)
         out = {spec.name: _open_channel(spec) for spec in w_specs}
@@ -216,6 +288,9 @@ def run_job(
             observer.process_started(rank, name)
         try:
             ret = body(ctx)
+        except BaseException:
+            resident = False  # it may have stopped mid-bookkeeping
+            raise
         finally:
             if observer is not None:
                 observer.process_finished(rank)
@@ -255,6 +330,8 @@ def run_job(
         for ch in inc.values():
             ch.close()
         close_handles(handles)
+        if resident and body is not None:
+            images.checkin(body_payload[1], body)
 
 
 def worker_main(

@@ -42,7 +42,10 @@ class ProcessSpec:
         closes over must not be edited between runs — the threaded
         engine re-runs the very same closure objects, and the process
         engines ship an image pickled once per ``System``
-        (:func:`repro.dist.closures.body_images`) to every later run.
+        (:func:`repro.dist.closures.body_payloads`) to every later run,
+        where a pool worker or daemon that has already unpickled it
+        re-runs that same unpickled closure (one rank at a time per
+        instance), as the threaded engine always has.
         To change a rank's program, bind a new callable to ``body``
         (noticed by identity); per-run inputs belong in ``store``.
     store:

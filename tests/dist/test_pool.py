@@ -7,11 +7,12 @@ repeated dispatches, worker crashes, and system-shape changes.
 """
 
 import os
+import signal
 
 import numpy as np
 import pytest
 
-from repro.dist.engine import MultiprocessEngine
+from repro.dist.engine import MultiprocessEngine, WorkerCrashError
 from repro.dist.pool import WorkerPool
 from repro.dist.shm import live_segment_names
 from repro.errors import ProcessFailedError
@@ -106,6 +107,32 @@ class TestCrashRecovery:
             assert len(engine._pool) < 2
             run_pair_equal(engine.run(exchange_system()), good)
             assert engine._pool.spawned == 3
+
+    def test_worker_killed_between_ensure_and_dispatch(self):
+        with MultiprocessEngine(start_method="fork", pool=True) as engine:
+            good = engine.run(exchange_system())
+            pool = engine._pool
+            real_ensure = pool.ensure
+
+            def ensure_then_kill(n):
+                slots = real_ensure(n)
+                pool.ensure = real_ensure
+                slots[1].proc.kill()
+                slots[1].proc.join()
+                return slots
+
+            pool.ensure = ensure_then_kill
+            # Rank 0 is already dispatched when rank 1's write fails.
+            with pytest.raises(ProcessFailedError) as failure:
+                engine.run(exchange_system())
+            assert failure.value.rank == 1
+            assert isinstance(failure.value.original, WorkerCrashError)
+            assert failure.value.original.exitcode == -signal.SIGKILL
+            # The dead slot is reaped, rank 0's worker parked again.
+            assert len(pool) == 1
+            run_pair_equal(engine.run(exchange_system()), good)
+            assert pool.spawned == 3
+        assert live_segment_names() == frozenset()
 
     def test_body_exception_does_not_kill_workers(self):
         def raiser(ctx):

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from tests.dist.test_pool import exchange_system, run_pair_equal
-from repro.dist.engine import MultiprocessEngine
+from repro.dist.engine import MultiprocessEngine, WorkerCrashError
 from repro.dist.pool import WorkerPool
 from repro.dist.serve import (
     JobServer,
@@ -132,6 +132,37 @@ class TestServing:
                 server.submit(exchange_system(2, 64, 2.0)).result(timeout=60),
                 seed,
             )
+
+    def test_worker_killed_between_checkout_and_dispatch(self):
+        with JobServer(pool_size=2, max_inflight=2) as server:
+            seed = server.submit(exchange_system(2, 64, 2.0)).result(
+                timeout=60
+            )
+            pool = server.pool
+            real_checkout = pool.checkout
+
+            def checkout_then_kill(n):
+                slots = real_checkout(n)
+                pool.checkout = real_checkout
+                slots[1].proc.kill()
+                slots[1].proc.join()
+                return slots
+
+            pool.checkout = checkout_then_kill
+            doomed = server.submit(exchange_system(2, 64, 2.0))
+            with pytest.raises(ProcessFailedError) as failure:
+                doomed.result(timeout=60)
+            assert failure.value.rank == 1
+            assert isinstance(failure.value.original, WorkerCrashError)
+            # Contained to that future: the dead slot went at checkin,
+            # the next job runs on a respawned worker.
+            run_pair_equal(
+                server.submit(exchange_system(2, 64, 2.0)).result(timeout=60),
+                seed,
+            )
+            assert server.stats()["jobs_failed"] == 1
+            assert pool.spawned == 3
+        assert live_segment_names() == frozenset()
 
     def test_submit_after_close_raises(self):
         server = JobServer(pool_size=1)
