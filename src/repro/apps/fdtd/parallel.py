@@ -21,10 +21,26 @@ This module is the application of the whole methodology:
 Per-step stage structure (the parallel mirror of the sequential
 contract in :mod:`~repro.apps.fdtd.version_a`):
 
-1. boundary-exchange ``hx, hy, hz``  (the E update reads H at -1)
+1. boundary-exchange of the H ghost faces the E update reads
 2. local E phase: Mur record -> E update -> Mur apply -> sources
-3. boundary-exchange ``ex, ey, ez``  (the H update reads E at +1)
+3. boundary-exchange of the E ghost faces the H update reads
 4. local H phase: H update -> far-field accumulation (Version C)
+
+Each exchange ships exactly its phase's *ghost-read footprint*
+(:data:`~repro.apps.fdtd.update.H_GHOST_FACES` /
+:data:`~repro.apps.fdtd.update.E_GHOST_FACES`, derived from the curl
+tables): the E update takes backward differences, so along axis ``a``
+it reads only the low-side ghost of the two H components whose curl
+entry names ``a`` (``hy,hz`` across an x face, ``hx,hz`` across y,
+``hx,hy`` across z); the H update mirrors that on the high side.  Per
+inter-rank face and step that is 2 H strips one way and 2 E strips the
+other — 4 messages where exchanging all three components both ways
+would send 12, and a third of the bytes.  Theorem 1 makes which strips
+travel a free choice as long as every ghost cell a local block reads
+was filled first; ghost cells no stage reads are simply left stale, and
+the owned cells stay bitwise identical
+(``tests/fdtd/test_ghost_footprint.py`` poisons every ghost with NaN to
+prove it).
 
 Near-field arithmetic is elementwise over partitioned regions, so the
 simulated (and parallel) near fields are bitwise identical to the
@@ -52,6 +68,9 @@ from repro.apps.fdtd.grid import (
 )
 from repro.apps.fdtd.ntff import NTFFAccumulator, NTFFConfig
 from repro.apps.fdtd.update import (
+    E_GHOST_FACES,
+    E_SHELL_SIDES,
+    H_GHOST_FACES,
     KernelScratch,
     comm_strips,
     intersect_local,
@@ -175,7 +194,10 @@ def _overlap_time_loop(
     same fields as the unsplit program.
     """
     nprocs = decomp.nprocs
-    strips_by_rank = [comm_strips(decomp, r) for r in range(nprocs)]
+    # Mur and the sources write E, so they split along the E shell.
+    strips_by_rank = [
+        comm_strips(decomp, r, E_SHELL_SIDES) for r in range(nprocs)
+    ]
     shell_regions: list[dict] = []
     interior_regions: list[dict] = []
     for r in range(nprocs):
@@ -233,7 +255,7 @@ def _overlap_time_loop(
 
     # Prologue: the first step's H ghosts can fly before the loop.
     h_begin = (
-        builder.begin_exchange_boundaries(*H_COMPONENTS)
+        builder.begin_exchange_boundaries(*H_COMPONENTS, faces=H_GHOST_FACES)
         if config.steps
         else None
     )
@@ -243,7 +265,7 @@ def _overlap_time_loop(
             lambda store, rank, _n=step: e_shell(store, rank, _n),
             name=f"E-shell[{step}]",
         )
-        e_begin = builder.begin_exchange_boundaries(*E_COMPONENTS)
+        e_begin = builder.begin_exchange_boundaries(*E_COMPONENTS, faces=E_GHOST_FACES)
         builder.grid_spmd(
             lambda store, rank, _n=step: e_interior(store, rank, _n),
             name=f"E-interior[{step}]",
@@ -255,7 +277,7 @@ def _overlap_time_loop(
         )
         # The last step's H strips feed no one: no epilogue exchange.
         h_begin = (
-            builder.begin_exchange_boundaries(*H_COMPONENTS)
+            builder.begin_exchange_boundaries(*H_COMPONENTS, faces=H_GHOST_FACES)
             if step < config.steps - 1
             else None
         )
@@ -345,10 +367,11 @@ def build_parallel_fdtd(
     then redistributes" flow); initial stores are pre-scattered either
     way, so the stages are semantically idempotent.
 
-    ``batch_exchanges`` coalesces each phase's three per-component
-    ghost exchanges into one combined stage, so a rank sends one
-    message per neighbour per phase instead of one per field component
-    — bitwise-identical results, ~3x fewer exchange messages/frames.
+    ``batch_exchanges`` coalesces each phase's per-component ghost
+    exchanges into one combined stage, so a rank sends one message per
+    neighbour per phase instead of one per footprint component —
+    bitwise-identical results, exactly half the exchange
+    messages/frames (two components cross each face per phase).
     Off by default because the communication cost model (and the
     ``stats`` measured-vs-modeled agreement check) counts per-variable
     messages.
@@ -376,10 +399,13 @@ def build_parallel_fdtd(
         send H strips            (skipped on the last step)
         H-interior: H update elsewhere + far-field accumulation
 
-    Sends only move earlier and receives later relative to the same
-    data dependencies, and the passes partition each phase's cells
-    exactly, so the results are bitwise identical to ``overlap=False``
-    on every engine.  Overlap always coalesces each phase's components
+    The E shell is the low-side strips only and the H shell the
+    high-side strips only (the sides each phase's one-sided stencil
+    reads ghosts on and ships from), half the full shell.  Sends only
+    move earlier and receives later relative to the same data
+    dependencies, and the passes partition each phase's cells exactly,
+    so the results are bitwise identical to ``overlap=False`` on every
+    engine.  Overlap always coalesces each phase's components
     into one combined exchange (it subsumes ``batch_exchanges``).
 
     ``backend`` names the array namespace
@@ -486,12 +512,16 @@ def build_parallel_fdtd(
                 )
 
         for step in range(config.steps):
-            builder.exchange_boundaries(*H_COMPONENTS, batch=batch_exchanges)
+            builder.exchange_boundaries(
+                *H_COMPONENTS, faces=H_GHOST_FACES, batch=batch_exchanges
+            )
             builder.grid_spmd(
                 lambda store, rank, _n=step: e_phase(store, rank, _n),
                 name=f"E-phase[{step}]",
             )
-            builder.exchange_boundaries(*E_COMPONENTS, batch=batch_exchanges)
+            builder.exchange_boundaries(
+                *E_COMPONENTS, faces=E_GHOST_FACES, batch=batch_exchanges
+            )
             builder.grid_spmd(
                 lambda store, rank, _n=step: h_phase(store, rank, _n),
                 name=f"H-phase[{step}]",

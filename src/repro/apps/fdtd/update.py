@@ -36,6 +36,12 @@ from repro.archetypes.mesh.decomposition import BlockDecomposition
 __all__ = [
     "E_CURL",
     "H_CURL",
+    "E_STENCIL_SIDE",
+    "H_STENCIL_SIDE",
+    "H_GHOST_FACES",
+    "E_GHOST_FACES",
+    "E_SHELL_SIDES",
+    "H_SHELL_SIDES",
     "KernelScratch",
     "shift_region",
     "curl_update",
@@ -60,6 +66,48 @@ H_CURL: dict[str, tuple[str, int, str, int]] = {
     "hy": ("ez", 0, "ex", 2),
     "hz": ("ex", 1, "ey", 0),
 }
+#: Which neighbour each half-step's differences reach for: E updates
+#: take backward differences (``f[x] - f[x-1]``), H updates forward.
+E_STENCIL_SIDE = -1
+H_STENCIL_SIDE = +1
+
+
+def _ghost_reads(
+    curl: dict[str, tuple[str, int, str, int]], side: int
+) -> frozenset[tuple[str, int, int]]:
+    """The ``(variable, axis, side)`` ghost faces one half-step reads:
+    each curl entry differences ``field_a`` along ``axis_a`` and
+    ``field_b`` along ``axis_b``, one cell toward ``side``."""
+    return frozenset(
+        (field, axis, side)
+        for fa, axis_a, fb, axis_b in curl.values()
+        for field, axis in ((fa, axis_a), (fb, axis_b))
+    )
+
+
+#: Ghost-read footprint of the E update (H one cell toward low
+#: indices) — the only ghost faces the H phase-exchange has to fill.
+#: ``hy,hz@x-``, ``hx,hz@y-``, ``hx,hy@z-``: two of three components,
+#: one of two directions per inter-rank face.
+H_GHOST_FACES = _ghost_reads(E_CURL, E_STENCIL_SIDE)
+#: Ghost-read footprint of the H update (E one cell toward high
+#: indices) — what the E phase-exchange fills.
+E_GHOST_FACES = _ghost_reads(H_CURL, H_STENCIL_SIDE)
+
+def _shell_sides(reads, ships) -> frozenset[int]:
+    """Sides of a rank's block whose owned strips make up a phase's
+    *shell* in the overlap refinement: the strips next to the ghosts the
+    phase ``reads``, plus the strips it ``ships`` (a receiver's ghost on
+    ``side`` is filled from the sender's owned strip on ``-side``)."""
+    return frozenset(
+        {side for _, _, side in reads} | {-side for _, _, side in ships}
+    )
+
+
+#: The E passes read H ghosts and ship E strips: low side only.
+E_SHELL_SIDES = _shell_sides(reads=H_GHOST_FACES, ships=E_GHOST_FACES)
+#: The H passes read E ghosts and ship H strips: high side only.
+H_SHELL_SIDES = _shell_sides(reads=E_GHOST_FACES, ships=H_GHOST_FACES)
 
 
 def shift_region(region: tuple[slice, ...], axis: int, delta: int) -> tuple[slice, ...]:
@@ -253,7 +301,7 @@ def update_e(
                 axis_b,
                 inv_spacing[axis_b],
                 region,
-                backward=True,
+                backward=E_STENCIL_SIDE < 0,
                 scratch=scratch,
                 xp=xp,
             )
@@ -281,7 +329,7 @@ def update_h(
                 axis_b,
                 inv_spacing[axis_b],
                 region,
-                backward=False,
+                backward=H_STENCIL_SIDE < 0,
                 scratch=scratch,
                 xp=xp,
             )
@@ -329,7 +377,9 @@ def local_update_regions(
 Strip = tuple[int, int, int]
 
 
-def comm_strips(decomp: BlockDecomposition, rank: int) -> list[Strip]:
+def comm_strips(
+    decomp: BlockDecomposition, rank: int, sides=(-1, 1)
+) -> list[Strip]:
     """The rank's owned slabs adjacent to inter-rank faces, in local
     (ghosted) indices.
 
@@ -341,14 +391,19 @@ def comm_strips(decomp: BlockDecomposition, rank: int) -> list[Strip]:
     overlap refinement.  Everything outside every strip is *interior*:
     it neither feeds a message nor reads a ghost, so it can compute
     while the messages are in flight.
+
+    ``sides`` keeps only the low (``-1``) or high (``+1``) strips: a
+    one-sided stencil ships and reads ghosts on one side only
+    (:data:`E_SHELL_SIDES` / :data:`H_SHELL_SIDES`), so its shell is
+    half of the full one.
     """
     g = decomp.ghost
     strips: list[Strip] = []
     for axis, (a, b) in enumerate(decomp.owned_bounds(rank)):
         extent = b - a
-        if decomp.pgrid.neighbor(rank, axis, -1) is not None:
+        if -1 in sides and decomp.pgrid.neighbor(rank, axis, -1) is not None:
             strips.append((axis, g, g + g))
-        if decomp.pgrid.neighbor(rank, axis, 1) is not None:
+        if 1 in sides and decomp.pgrid.neighbor(rank, axis, 1) is not None:
             strips.append((axis, g + extent - g, g + extent))
     return strips
 
@@ -402,12 +457,15 @@ def split_local_update_regions(
 ]:
     """Per-component ``(shell, interior)`` update-region pieces for one
     rank — :func:`local_update_regions` split along the communication
-    strips.  With no inter-rank neighbours (a 1×1×1 decomposition) the
+    strips of the component's phase (low-side strips for E, high-side
+    for H).  With no inter-rank neighbours (a 1×1×1 decomposition) the
     shell is empty and the interior is the whole region, so the
     overlapped program degenerates to the baseline."""
-    strips = comm_strips(decomp, rank)
+    e_strips = comm_strips(decomp, rank, E_SHELL_SIDES)
+    h_strips = comm_strips(decomp, rank, H_SHELL_SIDES)
     shell: dict[str, list[tuple[slice, ...]]] = {}
     interior: dict[str, list[tuple[slice, ...]]] = {}
     for comp, region in local_update_regions(grid, decomp, rank).items():
+        strips = e_strips if comp in E_COMPONENTS else h_strips
         shell[comp], interior[comp] = split_region(region, strips)
     return shell, interior

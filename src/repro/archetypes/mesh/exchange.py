@@ -15,6 +15,14 @@ boundary strips.  Provided in the two forms the methodology needs:
   library routine" form, paper section 3.3): all sends posted first,
   then all receives, per the ordering Theorem 1's application
   prescribes.
+
+Both forms take ``faces=``: the ghost faces the exchange has to fill,
+as a set of ``(variable, axis, side)`` triples (``side`` is the
+*receiver's* ghost side).  Theorem 1 makes any exchange determinate, so
+which strips travel is free as long as every ghost cell the next local
+block reads was filled first; a one-sided stencil declares its
+footprint and ships only that.  ``None`` means every face of every
+variable.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import numpy as np
 
 from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.archetypes.mesh.ghost import ghost_face_region, owned_face_region
+from repro.errors import ArchetypeError
 from repro.obs.observer import observer_of
 from repro.refinement.dataexchange import DataExchange, VarRef
 from repro.refinement.split import ExchangeBegin, ExchangeEnd, split_exchange
@@ -37,11 +46,38 @@ __all__ = [
 ]
 
 
+def check_faces(decomp: BlockDecomposition, variables, faces) -> None:
+    """Reject a ``faces`` entry that names no face of this exchange: a
+    misspelt footprint would otherwise silently ship nothing and leave
+    the ghost it meant stale.  ``variables=None`` skips the variable
+    check: one phase's footprint is shared by its per-variable
+    exchanges, each of which sees only its own entries."""
+    if faces is None:
+        return
+    for face in faces:
+        var, axis, side = face
+        if variables is not None and var not in variables:
+            raise ArchetypeError(
+                f"faces entry {face!r}: variable {var!r} is not exchanged "
+                f"here (exchanging {sorted(variables)})"
+            )
+        if axis not in range(decomp.ndim):
+            raise ArchetypeError(
+                f"faces entry {face!r}: axis {axis!r} out of range for a "
+                f"{decomp.ndim}-D decomposition"
+            )
+        if side not in (-1, 1):
+            raise ArchetypeError(
+                f"faces entry {face!r}: side must be -1 or +1"
+            )
+
+
 def boundary_exchange_op(
     decomp: BlockDecomposition,
     var: str,
     name: str = "",
     rank_offset: int = 0,
+    faces=None,
 ) -> DataExchange:
     """The boundary exchange for ``var`` as a data-exchange operation.
 
@@ -53,25 +89,9 @@ def boundary_exchange_op(
     With a single process there are no faces: the returned operation is
     empty, with an empty participant set (a no-op stage).
     """
-    op = DataExchange(name=name or f"exchange:{var}")
-    receivers: set[int] = set()
-    for rank, axis, direction, nb in decomp.all_faces():
-        # ``rank`` receives into its ghost strip on side ``direction``
-        # from neighbour ``nb``'s owned strip on the opposite side.
-        dst = VarRef(
-            rank + rank_offset,
-            var,
-            ghost_face_region(decomp, rank, axis, direction),
-        )
-        src = VarRef(
-            nb + rank_offset,
-            var,
-            owned_face_region(decomp, nb, axis, -direction),
-        )
-        op.assign(dst, src)
-        receivers.add(rank + rank_offset)
-    op.participants = frozenset(receivers)
-    return op
+    return boundary_exchange_multi_op(
+        decomp, [var], name=name, rank_offset=rank_offset, faces=faces
+    )
 
 
 def boundary_exchange_multi_op(
@@ -79,6 +99,7 @@ def boundary_exchange_multi_op(
     variables,
     name: str = "",
     rank_offset: int = 0,
+    faces=None,
 ) -> DataExchange:
     """One *combined* boundary exchange covering several variables.
 
@@ -91,12 +112,22 @@ def boundary_exchange_multi_op(
     every variable's strip for a neighbour pair folds into **one**
     message — one wire frame where the per-variable form pays one per
     variable (paper §3's per-pair grouping, applied across fields).
+
+    ``faces`` restricts the assignments to the declared ``(variable,
+    axis, side)`` ghost faces; a rank left with no assignment is not a
+    participant, so restriction (iii) holds over the ranks that do
+    receive.
     """
     variables = list(variables)
+    check_faces(decomp, None, faces)
     op = DataExchange(name=name or "exchange:" + "+".join(variables))
     receivers: set[int] = set()
     for rank, axis, direction, nb in decomp.all_faces():
+        # ``rank`` receives into its ghost strip on side ``direction``
+        # from neighbour ``nb``'s owned strip on the opposite side.
         for var in variables:
+            if faces is not None and (var, axis, direction) not in faces:
+                continue
             dst = VarRef(
                 rank + rank_offset,
                 var,
@@ -108,7 +139,7 @@ def boundary_exchange_multi_op(
                 owned_face_region(decomp, nb, axis, -direction),
             )
             op.assign(dst, src)
-        receivers.add(rank + rank_offset)
+            receivers.add(rank + rank_offset)
     op.participants = frozenset(receivers)
     return op
 
@@ -118,6 +149,7 @@ def boundary_exchange_split(
     variables,
     name: str = "",
     rank_offset: int = 0,
+    faces=None,
 ) -> tuple[ExchangeBegin, ExchangeEnd] | tuple[None, None]:
     """The combined boundary exchange as a *split* begin/end stage pair
     — the mesh archetype's compute/communication overlap form.
@@ -133,7 +165,7 @@ def boundary_exchange_split(
     the pair the same way they skip an empty exchange.
     """
     op = boundary_exchange_multi_op(
-        decomp, variables, name=name, rank_offset=rank_offset
+        decomp, variables, name=name, rank_offset=rank_offset, faces=faces
     )
     if not op.assignments:
         return None, None
@@ -198,6 +230,8 @@ def exchange_boundaries_msg(
     local: np.ndarray,
     tag_base: int = 0,
     rank_offset: int = 0,
+    var: str | None = None,
+    faces=None,
 ) -> None:
     """Message-passing boundary exchange for one rank's ghosted array.
 
@@ -209,18 +243,36 @@ def exchange_boundaries_msg(
     All sends are posted before any receive — the exchange can never
     self-block, in any interleaving.
 
+    ``faces`` is the same footprint the ``DataExchange`` form takes and
+    ``var`` names which of its variables ``local`` holds: the rank
+    fills only its declared ghost faces, and ships a strip only where
+    the neighbour's facing ghost is declared — message for message what
+    :func:`boundary_exchange_op` with the same ``faces`` refines to.
+
     When the run is observed, the two phases appear as spans
     ``exchange:send`` and ``exchange:recv`` (category ``exchange``), so
     the timeline separates the copy-out/post cost from the wait for
     neighbours.
     """
+    if faces is not None:
+        if var is None:
+            raise ArchetypeError(
+                "exchange_boundaries_msg: faces= needs var= to say which "
+                "variable the array holds"
+            )
+        check_faces(decomp, None, faces)
+
+    def wanted(axis: int, side: int) -> bool:
+        return faces is None or (var, axis, side) in faces
+
     obs = observer_of(comm.ctx)
     # Phase 1: copy out and send every face strip.
     with obs.span(comm.rank, "exchange:send", cat="exchange"):
         for axis in range(decomp.ndim):
             for direction in (-1, 1):
                 nb = decomp.pgrid.neighbor(grid_rank, axis, direction)
-                if nb is None:
+                # The neighbour receives this strip on its -direction side.
+                if nb is None or not wanted(axis, -direction):
                     continue
                 strip = local[
                     owned_face_region(decomp, grid_rank, axis, direction)
@@ -232,7 +284,7 @@ def exchange_boundaries_msg(
         for axis in range(decomp.ndim):
             for direction in (-1, 1):
                 nb = decomp.pgrid.neighbor(grid_rank, axis, direction)
-                if nb is None:
+                if nb is None or not wanted(axis, direction):
                     continue
                 # The neighbour sent toward us: it used direction
                 # -direction, whose tag parity is

@@ -31,9 +31,9 @@ from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.archetypes.mesh.distributed_grid import scatter_array
 from repro.archetypes.mesh.exchange import (
     boundary_exchange_multi_op,
-    boundary_exchange_op,
     boundary_exchange_ops_with_corners,
     boundary_exchange_split,
+    check_faces,
 )
 from repro.archetypes.mesh.gio import collect_stage, distribute_stage
 from repro.archetypes.mesh.reduction import (
@@ -160,7 +160,11 @@ class MeshProgramBuilder:
         return self
 
     def exchange_boundaries(
-        self, *variables: str, corners: bool = False, batch: bool = False
+        self,
+        *variables: str,
+        corners: bool = False,
+        batch: bool = False,
+        faces=None,
     ) -> "MeshProgramBuilder":
         """Boundary-exchange stages for one or more distributed arrays.
 
@@ -178,30 +182,39 @@ class MeshProgramBuilder:
         the unbatched form; batching is opt-in for throughput runs.
         Ignored for ``corners=True`` (the corner variant needs its
         per-axis ordering).
+
+        ``faces`` is the ghost-read footprint of the local block that
+        follows — a set of ``(variable, axis, side)`` ghost faces — and
+        only those faces are exchanged; ``None`` exchanges every face.
+        It cannot be combined with ``corners=True``: the corner variant
+        relies on every earlier-axis ghost having been filled.
         """
-        if batch and not corners and len(variables) > 1:
-            for var in variables:
-                self._check_kind(var, "distributed")
-            op = boundary_exchange_multi_op(self.decomp, variables)
-            if op.assignments:
-                self._stages.append(op)
-            return self
+        if corners and faces is not None:
+            raise ArchetypeError(
+                "exchange_boundaries: faces= cannot be combined with "
+                "corners=True (the corner-filling exchange needs every face)"
+            )
         for var in variables:
             self._check_kind(var, "distributed")
-            if corners:
+        if corners:
+            for var in variables:
                 self._stages.extend(
                     boundary_exchange_ops_with_corners(self.decomp, var)
                 )
-            else:
-                op = boundary_exchange_op(self.decomp, var)
-                if op.assignments:
-                    self._stages.append(op)
+            return self
+        check_faces(self.decomp, variables, faces)
+        groups = [variables] if batch else [(var,) for var in variables]
+        for group in groups:
+            op = boundary_exchange_multi_op(self.decomp, group, faces=faces)
+            if op.assignments:
+                self._stages.append(op)
         return self
 
-    def begin_exchange_boundaries(self, *variables: str):
+    def begin_exchange_boundaries(self, *variables: str, faces=None):
         """The *begin* half of a split (overlapped) boundary exchange.
 
         Emits the send side of one combined exchange for ``variables``
+        (restricted to ``faces`` as in :meth:`exchange_boundaries`)
         and returns a handle for :meth:`end_exchange_boundaries`.  The
         stages appended between begin and end run while the ghost
         frames are in flight; they must not touch the exchanged strips
@@ -214,7 +227,10 @@ class MeshProgramBuilder:
         """
         for var in variables:
             self._check_kind(var, "distributed")
-        begin, end = boundary_exchange_split(self.decomp, variables)
+        check_faces(self.decomp, variables, faces)
+        begin, end = boundary_exchange_split(
+            self.decomp, variables, faces=faces
+        )
         if begin is None:
             return None
         self._stages.append(begin)

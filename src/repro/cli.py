@@ -559,6 +559,7 @@ def run_effort(out=print) -> bool:
 
 
 def run_ablations(out=print) -> bool:
+    from repro.apps.fdtd.update import H_GHOST_FACES
     from repro.archetypes.mesh import BlockDecomposition
     from repro.errors import DeadlockError
     from repro.perfmodel import SUN_ETHERNET, exchange_comm_volume
@@ -633,7 +634,7 @@ def run_ablations(out=print) -> bool:
     rows = []
     for pshape in [(8, 1, 1), (4, 2, 1), (2, 2, 2)]:
         d = BlockDecomposition((34, 34, 34), pshape, ghost=1)
-        vol = exchange_comm_volume(d, 3, 4)
+        vol = exchange_comm_volume(d, 3, 4, faces=H_GHOST_FACES)
         rows.append(
             [str(pshape), str(vol.total_messages), f"{vol.total_bytes/1e3:.1f} kB"]
         )

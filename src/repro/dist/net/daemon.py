@@ -51,6 +51,7 @@ import time
 from typing import Any
 
 from repro.dist.net import rendezvous
+from repro.dist.net.feeder import running_feeder_threads
 from repro.dist.net.frames import FrameStream
 from repro.dist.worker import ResidentImages
 from repro.errors import RendezvousError, TransportError
@@ -119,17 +120,20 @@ class WorkerDaemon:
 
     def stats(self) -> dict[str, Any]:
         """A consistent snapshot of this daemon's event counters plus
-        live load (``ranks_active``), resident program images
-        (``images_resident`` idle bodies, ``image_hits`` /
-        ``image_misses`` per rank run) and identity (``pid``,
-        ``uptime_s``) — the dict a fleet scheduler's placement policy
-        and heartbeat monitor consume, locally or over a ``stats``
-        connection (:func:`~repro.dist.net.rendezvous.poll_stats`)."""
+        live load (``ranks_active``; ``feeder_threads``, the channels
+        whose sends are queued behind back-pressure right now),
+        resident program images (``images_resident`` idle bodies,
+        ``image_hits`` / ``image_misses`` per rank run) and identity
+        (``pid``, ``uptime_s``) — the dict a fleet scheduler's placement
+        policy and heartbeat monitor consume, locally or over a
+        ``stats`` connection
+        (:func:`~repro.dist.net.rendezvous.poll_stats`)."""
         with self._counters_lock:
             out: dict[str, Any] = dict(self._counters)
         with self._drain_cv:
             out["ranks_active"] = self._active
             out["draining"] = self._draining
+        out["feeder_threads"] = running_feeder_threads()
         out.update(self._images.stats())
         out["pid"] = os.getpid()
         out["uptime_s"] = time.monotonic() - self._t_start

@@ -41,13 +41,22 @@ from typing import Any, Callable
 
 from repro.errors import TransportError
 
-__all__ = ["SendFeeder"]
+__all__ = ["SendFeeder", "running_feeder_threads"]
 
 _CLOSE = object()
+_THREAD_PREFIX = "feed-"
 
 #: What a vanished reader looks like to a writer, inline or in the
 #: feeder thread: the transport is broken and the rest is discarded.
 _BROKEN = (BrokenPipeError, ConnectionError, OSError, TransportError)
+
+
+def running_feeder_threads() -> int:
+    """How many feeder threads are alive in this process right now —
+    zero unless some channel is (or just was) under back-pressure."""
+    return sum(
+        t.name.startswith(_THREAD_PREFIX) for t in threading.enumerate()
+    )
 
 
 class SendFeeder:
@@ -219,7 +228,7 @@ class SendFeeder:
                     self._queue = queue.Queue()
                     self._thread = threading.Thread(
                         target=self._run,
-                        name=f"feed-{self._name}",
+                        name=_THREAD_PREFIX + self._name,
                         daemon=True,
                     )
                     # Publish the queue before the thread reads it.

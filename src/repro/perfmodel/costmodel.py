@@ -10,8 +10,12 @@ implementation's, not a separate estimate:
   two coefficient multiplies, one add), 6 components, counted over each
   rank's owned nodes;
 * **boundary exchange**: per step, each of the two phases moves one
-  ghost-deep face strip per (face, variable) pair, one combined message
-  per pair (three field components per phase);
+  ghost-deep face strip per declared ``(variable, axis, side)`` ghost
+  face, one message each — for FDTD the phase's ghost-read footprint
+  (:data:`~repro.apps.fdtd.update.H_GHOST_FACES` /
+  :data:`~repro.apps.fdtd.update.E_GHOST_FACES`: two of the three
+  components, one direction per inter-rank face), the same sets the
+  parallel program passes to its exchanges;
 * **far field** (Version C): per step, each rank processes its owned
   surface points (~60 flops each, covering the cross products, area
   scaling and retarded binning across the three observation
@@ -23,8 +27,10 @@ implementation's, not a separate estimate:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
+from repro.apps.fdtd.update import E_GHOST_FACES, H_GHOST_FACES
 from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.util import product
 
@@ -66,9 +72,17 @@ class CommVolume:
 
 
 def exchange_comm_volume(
-    decomp: BlockDecomposition, nvars: int, word_bytes: int
+    decomp: BlockDecomposition, nvars: int, word_bytes: int, faces=None
 ) -> CommVolume:
-    """Traffic of one boundary-exchange phase of ``nvars`` arrays."""
+    """Traffic of one boundary-exchange phase of ``nvars`` arrays.
+
+    ``faces`` is the exchange's declared ``(variable, axis, side)``
+    ghost faces (as passed to the mesh exchange operations): a rank's
+    ghost face on ``(axis, side)`` then receives one strip per variable
+    declared for it instead of ``nvars``.  Per-rank figures count what
+    the rank receives.
+    """
+    per_face = Counter((axis, side) for _, axis, side in faces or ())
     total_messages = 0
     total_bytes = 0.0
     max_msgs = 0
@@ -84,8 +98,9 @@ def exchange_comm_volume(
                 strip = decomp.ghost * product(
                     s for a, s in enumerate(shape) if a != axis
                 )
-                msgs += nvars  # one combined message per (face, var)
-                nbytes += nvars * strip * word_bytes
+                n = nvars if faces is None else per_face[(axis, direction)]
+                msgs += n  # one message per (face, var)
+                nbytes += n * strip * word_bytes
         total_messages += msgs
         total_bytes += nbytes
         max_msgs = max(max_msgs, msgs)
@@ -167,9 +182,10 @@ def fdtd_step_costs(
 ) -> FDTDStepCosts:
     """Assemble one configuration's per-step cost inputs."""
     owned = [product(decomp.owned_shape(r)) for r in range(decomp.nprocs)]
-    # Two phases x three field components each.
-    exchange = exchange_comm_volume(decomp, 3, word_bytes)
-    exchange = exchange + exchange
+    # Two phases, each filling only the ghost faces its update reads.
+    exchange = exchange_comm_volume(
+        decomp, 3, word_bytes, faces=H_GHOST_FACES
+    ) + exchange_comm_volume(decomp, 3, word_bytes, faces=E_GHOST_FACES)
     if version.upper() == "C":
         per_rank = surface_points_per_rank(grid_cells, ntff_gap, decomp)
         max_sp = max(per_rank)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.archetypes.mesh import (
     BlockDecomposition,
+    MeshProgramBuilder,
     boundary_exchange_op,
     exchange_boundaries_msg,
     face_region_shape,
@@ -16,6 +17,7 @@ from repro.archetypes.mesh import (
     owned_face_region,
     scatter_array,
 )
+from repro.errors import ArchetypeError
 from repro.refinement import make_stores
 from repro.refinement.store import AddressSpace
 from repro.runtime import (
@@ -25,6 +27,7 @@ from repro.runtime import (
     ThreadedEngine,
     make_full_mesh_channels,
 )
+from repro.runtime.communicator import pair_channel_name
 
 
 def global_field(shape, seed=1):
@@ -220,3 +223,114 @@ class TestMessagePassingExchange:
             np.testing.assert_array_equal(
                 result.stores[rank]["u"], ref_stores[rank]["u"]
             )
+
+
+class TestDeclaredFaces:
+    """``faces=``: ship only the ghost faces the next block reads."""
+
+    #: a one-sided two-variable footprint: u reads low ghosts along
+    #: axes 0 and 2, v a high ghost along axis 1
+    FACES = frozenset({("u", 0, -1), ("u", 2, -1), ("v", 1, 1)})
+
+    def setup_stores(self, d):
+        return [
+            AddressSpace(
+                {
+                    "u": scatter_array(d, global_field(d.grid_shape, 3))[r],
+                    "v": scatter_array(d, global_field(d.grid_shape, 4))[r],
+                },
+                owner=r,
+            )
+            for r in range(d.nprocs)
+        ]
+
+    def test_only_declared_faces_are_assigned(self):
+        d = BlockDecomposition((6, 6, 6), (2, 2, 2), ghost=1)
+        for var in ("u", "v"):
+            full = boundary_exchange_op(d, var)
+            op = boundary_exchange_op(d, var, faces=self.FACES)
+            kept = [
+                a
+                for a in full.assignments
+                if any(
+                    a.dst.region == ghost_face_region(d, a.dst.proc, axis, side)
+                    for v, axis, side in self.FACES
+                    if v == var
+                )
+            ]
+            assert op.assignments == kept
+            assert 0 < len(kept) < len(full.assignments)
+            # ranks left without an assignment are not participants
+            assert op.participants == {a.dst.proc for a in op.assignments}
+            op.validate(nprocs=d.nprocs, stores=self.setup_stores(d))
+
+    def test_msg_form_posts_exactly_the_dataexchange_messages(self):
+        d = BlockDecomposition((6, 6, 6), (2, 2, 2), ghost=1)
+        ref_stores = self.setup_stores(d)
+        expected_msgs: dict[str, int] = {}
+        for var in ("u", "v"):
+            op = boundary_exchange_op(d, var, faces=self.FACES)
+            op.apply(ref_stores)
+            for a in op.cross_partition():
+                name = pair_channel_name(a.src.proc, a.dst.proc)
+                expected_msgs[name] = expected_msgs.get(name, 0) + 1
+
+        def body(ctx):
+            comm = Communicator(ctx)
+            for i, var in enumerate(("u", "v")):
+                exchange_boundaries_msg(
+                    comm,
+                    d,
+                    ctx.rank,
+                    ctx.store[var],
+                    tag_base=16 * i,
+                    var=var,
+                    faces=self.FACES,
+                )
+
+        initial = self.setup_stores(d)
+        system = System(
+            [
+                ProcessSpec(r, body, store=dict(initial[r].items()))
+                for r in range(d.nprocs)
+            ]
+        )
+        make_full_mesh_channels(system)
+        result = ThreadedEngine().run(system)
+        sent = {
+            name: sends
+            for name, (sends, _) in result.channel_stats.items()
+            if sends
+        }
+        assert sent == expected_msgs
+        # undeclared ghosts keep their old values in both forms
+        for rank in range(d.nprocs):
+            for var in ("u", "v"):
+                np.testing.assert_array_equal(
+                    result.stores[rank][var], ref_stores[rank][var]
+                )
+
+    def test_msg_form_needs_var_with_faces(self):
+        d = BlockDecomposition((8,), (2,), ghost=1)
+        with pytest.raises(ArchetypeError, match="var="):
+            exchange_boundaries_msg(
+                None, d, 0, np.zeros(6), faces={("u", 0, 1)}
+            )
+
+    @pytest.mark.parametrize(
+        "bad", [("w", 0, 1), ("u", 3, 1), ("u", 0, 0), ("u", 0, 2)]
+    )
+    def test_unknown_face_raises(self, bad):
+        d = BlockDecomposition((6, 6, 6), (2, 1, 1), ghost=1)
+        b = MeshProgramBuilder(d, use_host=False)
+        b.declare_distributed("u").declare_distributed("w")
+        with pytest.raises(ArchetypeError, match="faces entry"):
+            b.exchange_boundaries("u", faces={bad})
+        with pytest.raises(ArchetypeError, match="faces entry"):
+            b.begin_exchange_boundaries("u", faces={bad})
+
+    def test_corners_with_faces_raises(self):
+        d = BlockDecomposition((6, 6), (2, 2), ghost=2)
+        b = MeshProgramBuilder(d, use_host=False).declare_distributed("u")
+        with pytest.raises(ArchetypeError, match="corners"):
+            b.exchange_boundaries("u", corners=True, faces={("u", 0, 1)})

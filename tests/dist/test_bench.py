@@ -51,8 +51,10 @@ def test_smoke_bench_writes_valid_json(tmp_path):
             assert row["net_vectored"] == 0
 
     # The batching checks run even in smoke: strictly fewer total wire
-    # frames, and >= 2x fewer on the data-exchange channels proper.
+    # frames, and exactly half on the data-exchange channels proper
+    # (two footprint components per face, batched into one frame).
     assert payload["checks"]["batched_frames_lt_unbatched"] is True
+    assert payload["checks"]["batched_dx_frames_exactly_half"] is True
     assert payload["checks"]["batched_dx_frame_reduction_ge_2x"] is True
     assert payload["checks"]["batched_dx_frame_reduction_min_ratio"] >= 2.0
 

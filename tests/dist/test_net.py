@@ -422,8 +422,25 @@ def test_external_daemon_hosts_and_shared_daemon():
         finally:
             engine.close()
         assert daemon.jobs_run == 4  # close() left the daemon alone
+        # every send of an un-pressured run went inline
+        assert daemon.stats()["feeder_threads"] == 0
         reference = ThreadedEngine().run(stencil_ring())
         assert result.returns == reference.returns
+
+
+def test_daemon_feeder_threads_gauge_is_live():
+    """The gauge counts ``feed-*`` threads alive now, not ever started."""
+    gate = threading.Event()
+    ch = threading.Thread(target=gate.wait, name="feed-stalled", daemon=True)
+    daemon = WorkerDaemon("127.0.0.1", 0)
+    ch.start()
+    try:
+        assert daemon.stats()["feeder_threads"] == 1
+    finally:
+        gate.set()
+        ch.join(5.0)
+    assert not ch.is_alive()
+    assert daemon.stats()["feeder_threads"] == 0
 
 
 def test_worker_daemon_cli_rejects_bad_flags():

@@ -73,7 +73,9 @@ class TestMessageCounts:
     def test_per_channel_symmetry_of_interior_ranks(self, run_and_model):
         config, par, result, decomp = run_and_model
         # In a 2x2 grid every rank has exactly 2 neighbours; per step it
-        # sends 3 components x 2 phases = 6 messages to each.
+        # sends each one the 2 components of the one phase whose stencil
+        # reads across that face in that direction (H toward +, E
+        # toward -): 2 messages.
         for rank in range(decomp.nprocs):
             for axis in range(3):
                 for direction in (-1, 1):
@@ -81,7 +83,7 @@ class TestMessageCounts:
                     if nb is None:
                         continue
                     sends, _ = result.channel_stats[f"dx_{rank}_{nb}"]
-                    assert sends == config.steps * 6
+                    assert sends == config.steps * 2
 
 
 class TestBytesOrderOfMagnitude:

@@ -106,9 +106,25 @@ class TestStepCosts:
 
     def test_exchange_counts_both_phases(self):
         d = BlockDecomposition((13, 13, 13), (2, 1, 1), ghost=1)
+        from repro.apps.fdtd.update import E_GHOST_FACES, H_GHOST_FACES
+
         costs = fdtd_step_costs((12, 12, 12), d, 4)
-        single = exchange_comm_volume(d, 3, 4)
-        assert costs.exchange.total_messages == 2 * single.total_messages
+        h = exchange_comm_volume(d, 3, 4, faces=H_GHOST_FACES)
+        e = exchange_comm_volume(d, 3, 4, faces=E_GHOST_FACES)
+        assert costs.exchange == h + e
+        # two of three components, one of two directions per face
+        assert 3 * costs.exchange.total_messages == 2 * (
+            exchange_comm_volume(d, 3, 4).total_messages
+        )
+
+    def test_faces_count_per_declared_face(self):
+        d = BlockDecomposition((10, 10, 10), (2, 1, 1), ghost=1)
+        vol = exchange_comm_volume(
+            d, 3, 4, faces={("a", 0, -1), ("b", 0, -1), ("a", 1, 1)}
+        )
+        # only rank 1 has a low-x ghost face; nobody has a y neighbour
+        assert vol.total_messages == vol.max_rank_messages == 2
+        assert vol.total_bytes == vol.max_rank_bytes == 2 * 10 * 10 * 4
 
 
 class TestShapes:
