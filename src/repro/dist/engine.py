@@ -8,26 +8,38 @@ cooperative engine.  Where the threaded engine shares one address space
 and a whole interpreter — the paper's model taken literally, and the
 only backend on which compute-bound ranks actually run in parallel.
 
-Per run, the parent:
+This module is the one coordinator of process-backed runs.
+:func:`run_on_pool` puts one ``System`` on the workers of a
+:class:`~repro.dist.pool.WorkerPool` — the only launcher there is — and
+is what :meth:`MultiprocessEngine.run` (on a pool it keeps, or one
+scoped to the run) and :class:`~repro.dist.serve.JobServer` both call.
+Per run, it:
 
-1. allocates a :class:`~repro.dist.shm.SharedStoreArena` and places
-   each rank's large store arrays in shared segments (the FDTD Yee-grid
+1. places each rank's large store arrays in shared segments of the
+   pool's :class:`~repro.dist.shm.SharedStoreArena` (the FDTD Yee-grid
    blocks cross the process boundary exactly twice: written once at
    setup, read once at readback);
 2. builds one OS pipe per channel and one duplex *result pipe* per
-   rank, then starts the workers (``spawn`` context by default —
-   process bodies, typically closures, cross via
-   :mod:`repro.dist.closures`; ``fork`` passes them by reference);
+   rank, borrows one worker per rank and ships it its job — the body as
+   its once-per-System image (:mod:`repro.dist.closures`), the pipe
+   ends in-band;
 3. holds all workers at a start barrier until every one reports ready,
-   so :attr:`last_timing` can split startup from the run proper;
-4. multiplexes result pipes and process sentinels: ``done`` payloads
-   carry returns, store overrides, channel statistics, and observation
-   payloads; a worker that dies without reporting is reaped via its
-   sentinel into :class:`~repro.errors.ProcessFailedError`, exactly as
-   a raising body is;
-5. reads the shared segments back and **always** destroys the arena in
-   a ``finally`` — no segment outlives the run, even when a worker
-   crashed mid-step (the no-leak tests exercise precisely this).
+   so the timing split can separate startup from the run proper;
+4. multiplexes result pipes and process sentinels
+   (:func:`collect_results`): ``done`` payloads carry returns, store
+   overrides, channel statistics, and observation payloads; a worker
+   that dies without reporting is reaped via its sentinel into
+   :class:`~repro.errors.ProcessFailedError`, exactly as a raising body
+   is;
+5. reads the shared segments back and **always** returns workers and
+   segments to the pool in a ``finally`` — and the pool's shutdown
+   unlinks every segment, even when a worker crashed mid-step (the
+   no-leak tests exercise precisely this).
+
+What was collected is a :class:`Collected` record, and
+:meth:`Collected.finish` is the one tail — failure wrapping, channel
+statistics, report, causal trace, ``RunResult`` — shared with the TCP
+coordinator (:func:`repro.dist.net.engine.run_assigned`).
 
 Tracing is unsupported: a trace is a single observation order, and
 separate address spaces have none to offer.  Requesting one raises
@@ -36,16 +48,16 @@ separate address spaces have none to offer.  Requesting one raises
 
 from __future__ import annotations
 
-import multiprocessing
 import multiprocessing.connection as mp_connection
 import os
 import time
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec
+from repro.dist.pool import WorkerCrashError, WorkerPool
 from repro.dist.shm import DEFAULT_SLAB, DEFAULT_THRESHOLD, SharedStoreArena
-from repro.dist.worker import worker_main
 from repro.errors import (
     RuntimeModelError,
     TransportAbortError,
@@ -59,10 +71,12 @@ from repro.runtime.system import (
 )
 
 __all__ = [
+    "Collected",
     "MultiprocessEngine",
     "WorkerCrashError",
     "build_channel_endpoints",
     "collect_results",
+    "run_on_pool",
 ]
 
 _EMPTY_W = {
@@ -103,23 +117,6 @@ def _affinity_sets(affinity, nprocs: int) -> list:
     return sets
 
 
-class WorkerCrashError(RuntimeError):
-    """A worker process died without reporting a result.
-
-    Wrapped in :class:`~repro.errors.ProcessFailedError` like any other
-    body failure; ``exitcode`` is the process's exit code (negative =
-    killed by that signal number).
-    """
-
-    def __init__(self, rank: int, exitcode: int | None):
-        self.rank = rank
-        self.exitcode = exitcode
-        super().__init__(
-            f"worker process for rank {rank} died without reporting "
-            f"(exitcode {exitcode})"
-        )
-
-
 class _RemoteError(RuntimeError):
     """Stand-in for a worker exception that could not be unpickled."""
 
@@ -140,17 +137,133 @@ def _rebuild_exception(exc_info: tuple[str, Any, str]) -> BaseException:
     return _RemoteError(str(data), tb)
 
 
-def collect_results(system: System, procs, parent_conns, crash_grace: float):
+def merge_channel_stats(
+    system: System, stats: dict[int, dict]
+) -> list[ChannelStatsRecord]:
+    """Fuse the writer and reader endpoint halves per channel."""
+    records = []
+    for spec in system.channel_specs:
+        w = stats.get(spec.writer, {}).get(spec.name, _EMPTY_W)
+        r = stats.get(spec.reader, {}).get(spec.name, _EMPTY_R)
+        records.append(
+            ChannelStatsRecord(
+                name=spec.name,
+                writer=spec.writer,
+                reader=spec.reader,
+                sends=w["sends"],
+                receives=r["receives"],
+                bytes_sent=w["bytes_sent"],
+                queue_hwm=w["queue_hwm"],
+                frames=w.get("frames", 0),
+                pipe_bytes=w.get("pipe_bytes", 0),
+                shm_bytes=w.get("shm_bytes", 0),
+                net_syscalls=w.get("net_syscalls", 0),
+                net_syscalls_unvectored=w.get(
+                    "net_syscalls_unvectored", 0
+                ),
+                net_vectored=w.get("net_vectored", 0),
+                coalesce_hwm=w.get("coalesce_hwm", 0),
+            )
+        )
+    return records
+
+
+@dataclass
+class Collected:
+    """What one run's ranks reported, keyed by rank.
+
+    Filled by :func:`collect_results`; a rank is in ``errors`` or in
+    ``returns``/``overrides``/``stats``, never both.  ``causal`` holds a
+    rank's :meth:`~repro.obs.causal.CausalRecorder.payload` when the job
+    ran with causal tracing.  ``t_run0`` is the "go" of the start
+    barrier (``None`` if it was never reached), ``t_run1`` the last
+    terminal report.
+    """
+
+    returns: dict[int, Any] = field(default_factory=dict)
+    overrides: dict[int, dict] = field(default_factory=dict)
+    stats: dict[int, dict] = field(default_factory=dict)
+    observations: dict[int, dict] = field(default_factory=dict)
+    causal: dict[int, dict] = field(default_factory=dict)
+    errors: dict[int, BaseException] = field(default_factory=dict)
+    t_run0: float | None = None
+    t_run1: float | None = None
+
+    def timing(self, t_start: float) -> dict[str, float | None]:
+        """The ``startup_s`` / ``run_s`` / ``total_s`` split of a run
+        that began at ``t_start`` and ends now.  A run that never
+        reached the start barrier has no startup to report:
+        ``startup_s`` is ``None`` and ``run_s`` 0.0."""
+        t_end = time.perf_counter()
+        if self.t_run0 is None:
+            startup_s, run_s = None, 0.0
+        else:
+            startup_s = self.t_run0 - t_start
+            run_s = max(0.0, (self.t_run1 or t_end) - self.t_run0)
+        return {
+            "startup_s": startup_s,
+            "run_s": run_s,
+            "total_s": t_end - t_start,
+        }
+
+    def finish(
+        self,
+        system: System,
+        stores: list[dict[str, Any]],
+        engine_name: str,
+        observe: bool,
+        *,
+        report_name: str | None = None,
+    ) -> RunResult:
+        """The tail of every process-backed run: raise the lowest failed
+        rank's :class:`~repro.errors.ProcessFailedError`, else fuse the
+        channel statistics, merge worker observations (``observe``) and
+        causal payloads, and assemble the :class:`RunResult`.  The
+        observation report is labelled ``report_name`` (default: the
+        engine's name)."""
+        if self.errors:
+            rank = min(self.errors)
+            raise wrap_process_failure(
+                rank, self.errors[rank]
+            ) from self.errors[rank]
+        nprocs = system.nprocs
+        records = merge_channel_stats(system, self.stats)
+        report = None
+        if observe:
+            from repro.obs.report import merge_worker_observations
+
+            report = merge_worker_observations(
+                report_name or engine_name,
+                nprocs,
+                self.observations,
+                records,
+            )
+        causal = None
+        if self.causal:
+            from repro.obs.causal import merge_causal_events
+
+            causal = merge_causal_events(
+                self.causal, nprocs, engine=engine_name
+            )
+        return assemble_run_result(
+            stores=stores,
+            returns=[self.returns.get(r) for r in range(nprocs)],
+            engine=engine_name,
+            channel_stats=records,
+            report=report,
+            causal=causal,
+        )
+
+
+def collect_results(
+    system: System, procs, parent_conns, crash_grace: float
+) -> Collected:
     """Multiplex result pipes + sentinels until every rank is terminal.
 
-    The one collection loop shared by the whole-run engine and the
-    per-job serving layer: ready/go barrier, done/error frames, sentinel
-    reaping into :class:`WorkerCrashError`, and the post-first-failure
-    grace window (``crash_grace`` seconds) before survivors are
-    terminated.  Returns ``(returns, overrides, stats, observations,
-    causal, errors, t_run0, t_run1)`` — ``causal`` maps rank to its
-    :meth:`~repro.obs.causal.CausalRecorder.payload` when the job ran
-    with causal tracing, else stays empty.
+    The one collection loop of every process-backed run, over pipes and
+    over TCP: ready/go barrier, done/error frames, sentinel reaping
+    into :class:`WorkerCrashError`, and the post-first-failure grace
+    window (``crash_grace`` seconds) before survivors are terminated.
 
     ``procs`` entries need not be local processes: the socket engine
     passes proxies for ranks living in remote daemons, with
@@ -171,25 +284,18 @@ def collect_results(system: System, procs, parent_conns, crash_grace: float):
     ready: set[int] = set()
     started = False
     aborted = False
-    returns: dict[int, Any] = {}
-    overrides: dict[int, dict] = {}
-    stats: dict[int, dict] = {}
-    observations: dict[int, dict] = {}
-    causal: dict[int, dict] = {}
-    errors: dict[int, BaseException] = {}
-    t_run0: float | None = None
-    t_run1: float | None = None
+    out = Collected()
     deadline: float | None = None
 
     def fail(rank: int, exc: BaseException) -> None:
         nonlocal deadline
         terminal.add(rank)
-        errors.setdefault(rank, exc)
+        out.errors.setdefault(rank, exc)
         if deadline is None:
             deadline = time.perf_counter() + crash_grace
 
     def handle(rank: int, msg: tuple) -> None:
-        nonlocal started, aborted, t_run0
+        nonlocal started
         kind = msg[0]
         if kind == "ready":
             if aborted:
@@ -199,18 +305,18 @@ def collect_results(system: System, procs, parent_conns, crash_grace: float):
             ready.add(rank)
             if len(ready) == nprocs and not started:
                 started = True
-                t_run0 = time.perf_counter()
+                out.t_run0 = time.perf_counter()
                 for r in range(nprocs):
                     wire.send(conn_of[r], ("go",))
         elif kind == "done":
             payload = msg[2]
-            returns[rank] = payload["return"]
-            overrides[rank] = payload["overrides"]
-            stats[rank] = payload["stats"]
+            out.returns[rank] = payload["return"]
+            out.overrides[rank] = payload["overrides"]
+            out.stats[rank] = payload["stats"]
             if payload["obs"] is not None:
-                observations[rank] = payload["obs"]
+                out.observations[rank] = payload["obs"]
             if payload.get("causal") is not None:
-                causal[rank] = payload["causal"]
+                out.causal[rank] = payload["causal"]
             terminal.add(rank)
         elif kind == "error":
             fail(rank, _rebuild_exception(msg[2]))
@@ -293,8 +399,8 @@ def collect_results(system: System, procs, parent_conns, crash_grace: float):
                         rank,
                         WorkerCrashError(rank, procs[rank].exitcode),
                     )
-        if started and len(terminal) == nprocs and t_run1 is None:
-            t_run1 = time.perf_counter()
+        if started and len(terminal) == nprocs:
+            out.t_run1 = time.perf_counter()
 
     if len(terminal) < nprocs:
         # Grace expired: the survivors are presumed wedged.
@@ -304,18 +410,9 @@ def collect_results(system: System, procs, parent_conns, crash_grace: float):
                     procs[rank].terminate()
                     procs[rank].join(timeout=5.0)
                 fail(rank, WorkerCrashError(rank, procs[rank].exitcode))
-    if t_run1 is None:
-        t_run1 = time.perf_counter()
-    return (
-        returns,
-        overrides,
-        stats,
-        observations,
-        causal,
-        errors,
-        t_run0,
-        t_run1,
-    )
+    if out.t_run1 is None:
+        out.t_run1 = time.perf_counter()
+    return out
 
 
 def build_channel_endpoints(
@@ -326,8 +423,8 @@ def build_channel_endpoints(
     Returns ``(w_specs, r_specs, parent_conns, segment_names)``:
     per-rank writer/reader :class:`EndpointSpec` lists, every parent-side
     pipe end (to close after the workers hold duplicates), and the names
-    of the arena segments created — so a per-job caller (the serving
-    layer) can recycle exactly these when the job completes.
+    of the arena segments created — so the run can recycle exactly
+    these when it completes.
     """
     nprocs = system.nprocs
     w_specs: list[list[EndpointSpec]] = [[] for _ in range(nprocs)]
@@ -365,6 +462,131 @@ def build_channel_endpoints(
     return w_specs, r_specs, conns, names
 
 
+def run_on_pool(
+    pool: WorkerPool,
+    system: System,
+    bodies: list | None = None,
+    *,
+    recv_timeout: float | None = None,
+    observe: bool = False,
+    shm_threshold: int = DEFAULT_THRESHOLD,
+    payload_slab: int = DEFAULT_SLAB,
+    crash_grace: float = 5.0,
+    affinity=None,
+    trace_causal: bool = False,
+    report_name: str | None = None,
+    timing_sink: dict | None = None,
+) -> RunResult:
+    """One run of ``system`` on ``pool``'s workers, start to finish.
+
+    One borrowed worker per rank, endpoints and stores into the pool's
+    arena, one result pipe per rank, dispatch, collection, readback;
+    workers and exactly this run's segments go back to the pool
+    whatever happens, so concurrent callers — engines, servers, threads
+    — share a pool freely.  ``bodies`` are the per-rank ``("image", digest,
+    bytes)`` payloads (default: the system's once-pickled images,
+    :func:`repro.dist.closures.body_payloads`); the remaining keywords
+    are :class:`MultiprocessEngine`'s.  ``report_name`` labels the
+    merged observation report (default: the engine's name).  ``timing_sink``, when given, receives
+    :meth:`Collected.timing` even when the run fails.
+    """
+    t_start = time.perf_counter()
+    nprocs = system.nprocs
+    arena = pool.arena
+    if bodies is None:
+        bodies = closures.body_payloads(system)
+    pins = _affinity_sets(affinity, nprocs)
+    payload_slab = max(0, int(payload_slab))
+    seg_names: list[str] = []
+    channel_conns: list[Any] = []
+    child_conns: list[Any] = []
+    parent_conns: dict[Any, int] = {}
+    slots: list = []
+    collected: Collected | None = None
+    try:
+        # Workers first: one forked now must not inherit this run's
+        # pipe ends, or a dead writer's reader would never see EOF.
+        slots = pool.checkout(nprocs)
+
+        # Channel pipes and per-rank endpoint specs; stores: large
+        # arrays into shared segments, the rest by value.
+        plans: list[dict[str, tuple]] = []
+        rests: list[dict[str, Any]] = []
+        with pool.arena_lock:
+            w_specs, r_specs, channel_conns, seg_names = (
+                build_channel_endpoints(system, pool.ctx, arena, payload_slab)
+            )
+            for p in system.processes:
+                plan, rest = arena.share_store(p.store, shm_threshold)
+                plans.append(plan)
+                rests.append(rest)
+                seg_names.extend(name for name, _dt, _sh in plan.values())
+
+        for rank in range(nprocs):
+            parent_conn, child_conn = pool.ctx.Pipe(duplex=True)
+            parent_conns[parent_conn] = rank
+            child_conns.append(child_conn)
+
+        # One control frame per rank, carrying duplicates of its pipe
+        # ends in-band.
+        for rank, slot in enumerate(slots):
+            pool.dispatch(
+                slot,
+                system,
+                rank,
+                child_conns[rank],
+                body=bodies[rank],
+                plan=plans[rank],
+                rest=rests[rank],
+                w_specs=w_specs[rank],
+                r_specs=r_specs[rank],
+                affinity=pins[rank],
+                recv_timeout=recv_timeout,
+                observe=bool(observe),
+                trace_causal=bool(trace_causal),
+            )
+        # The parent's copies must close so a dead writer's reader
+        # sees EOF rather than a silently-held-open pipe.
+        for conn in (*channel_conns, *child_conns):
+            conn.close()
+
+        collected = collect_results(
+            system, [slot.proc for slot in slots], parent_conns, crash_grace
+        )
+
+        # Workers are finished (or dead): the segments are quiescent.
+        # A failed rank reported no overrides: best-effort initial rest.
+        with pool.arena_lock:
+            stores = [
+                {
+                    **arena.readback(plans[rank]),
+                    **collected.overrides.get(rank, rests[rank]),
+                }
+                for rank in range(nprocs)
+            ]
+    finally:
+        # An abandoned setup still holds every end; closing the result
+        # pipes is what unwinds ranks already dispatched.
+        for conn in (*channel_conns, *child_conns, *parent_conns):
+            try:
+                conn.close()
+            except OSError:
+                pass
+        pool.checkin(slots)
+        # Segments are only recycled once every rank is known terminal
+        # — an abandoned setup may leave a worker briefly attached, and
+        # those segments must not be reused (they stay owned until pool
+        # shutdown).
+        if collected is not None:
+            with pool.arena_lock:
+                arena.recycle(seg_names)
+        if timing_sink is not None:
+            timing_sink.update((collected or Collected()).timing(t_start))
+    return collected.finish(
+        system, stores, "multiprocess", observe, report_name=report_name
+    )
+
+
 class MultiprocessEngine:
     """Run a :class:`~repro.runtime.system.System` on OS processes.
 
@@ -381,9 +603,9 @@ class MultiprocessEngine:
         address spaces, so unlike the in-process engines only the
         boolean form is accepted.
     start_method:
-        ``"spawn"`` (default, per the model: a pristine interpreter per
-        rank, bodies crossing by value) or ``"fork"`` (cheaper startup;
-        bodies pass by reference).
+        How workers are started: ``"spawn"`` (default, per the model: a
+        pristine interpreter per rank) or ``"fork"`` (cheaper startup).
+        Bodies cross by value either way.
     shm_threshold:
         Store arrays of at least this many bytes are placed in shared
         segments; smaller values ride the bootstrap pickle.
@@ -402,12 +624,13 @@ class MultiprocessEngine:
         CPU-id sets cycled over ranks.  Best effort; a no-op where
         ``os.sched_setaffinity`` is unavailable.
     pool:
-        ``False`` boots and tears down workers per run (one-shot).
-        ``True`` lazily creates an owned
-        :class:`~repro.dist.pool.WorkerPool` on first run, reused by
-        every subsequent run until :meth:`close`.  An existing
-        ``WorkerPool`` instance is used without being owned (the caller
-        shuts it down).  Pooled runs always ship bodies by value.
+        ``False`` boots fresh workers for every run — a
+        :class:`~repro.dist.pool.WorkerPool` scoped to the run, so
+        nothing outlives it.  ``True`` lazily creates an owned pool on
+        first run, reused by every subsequent run until :meth:`close`.
+        An existing ``WorkerPool`` instance is used without being owned
+        (the caller shuts it down) and may be shared with other engines
+        and servers.
     trace_causal:
         Per-rank Lamport-clock event logs (:mod:`repro.obs.causal`),
         shipped home in the done payload and merged into the result's
@@ -422,7 +645,8 @@ class MultiprocessEngine:
         ``{"startup_s", "run_s", "total_s"}`` for the most recent run —
         ``run_s`` covers the span from the post-barrier "go" to the
         last worker's terminal report, which is what the benchmark
-        harness compares across engines.
+        harness compares across engines.  After a run that failed
+        before the barrier, ``startup_s`` is ``None``.
     """
 
     name = "multiprocess"
@@ -450,14 +674,17 @@ class MultiprocessEngine:
             )
         if start_method not in ("spawn", "fork"):
             raise ValueError(f"unsupported start method {start_method!r}")
-        self._recv_timeout = recv_timeout
-        self._observe = bool(observe)
         self._start_method = start_method
-        self._shm_threshold = shm_threshold
-        self._crash_grace = crash_grace
-        self._payload_slab = max(0, int(payload_slab))
-        self._affinity = affinity
-        self._trace_causal = bool(trace_causal)
+        #: The per-run keywords of :func:`run_on_pool`.
+        self._run_opts = dict(
+            recv_timeout=recv_timeout,
+            observe=observe,
+            shm_threshold=shm_threshold,
+            payload_slab=payload_slab,
+            crash_grace=crash_grace,
+            affinity=affinity,
+            trace_causal=trace_causal,
+        )
         self._pool_opt = pool
         self._pool = None if isinstance(pool, bool) else pool
         self._owned_pool = None
@@ -465,10 +692,8 @@ class MultiprocessEngine:
 
     # -- pool plumbing -------------------------------------------------------
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> WorkerPool:
         if self._pool is None:
-            from repro.dist.pool import WorkerPool
-
             self._pool = self._owned_pool = WorkerPool(self._start_method)
         return self._pool
 
@@ -488,238 +713,18 @@ class MultiprocessEngine:
     # -- run ----------------------------------------------------------------
 
     def run(self, system: System) -> RunResult:
-        t_start = time.perf_counter()
-        pool = self._ensure_pool() if self._pool_opt else None
-        ctx = (
-            pool.ctx if pool is not None
-            else multiprocessing.get_context(self._start_method)
-        )
-        # Pool workers outlive the fork point, so their bodies must
-        # always cross by value; one-shot fork passes by reference.
-        by_value = pool is not None or self._start_method == "spawn"
-        nprocs = system.nprocs
-        arena = pool.arena if pool is not None else SharedStoreArena()
-        affinity = _affinity_sets(self._affinity, nprocs)
-        procs: list[Any] = []
-        parent_conns: dict[Any, int] = {}
-        all_channel_conns: list[Any] = []
-        child_conns: list[Any] = []
-        plans: list[dict[str, tuple]] = []
-        rests: list[dict[str, Any]] = []
-        collected = False
+        # ``is False``: an empty WorkerPool instance is falsy too.
+        scoped = self._pool_opt is False
+        pool = WorkerPool(self._start_method) if scoped else self._ensure_pool()
+        timing: dict[str, float] = {}
         try:
-            # Channel pipes and per-rank endpoint specs.
-            w_specs, r_specs, all_channel_conns, _seg_names = (
-                build_channel_endpoints(
-                    system, ctx, arena, self._payload_slab
-                )
+            return run_on_pool(
+                pool,
+                system,
+                **self._run_opts,
+                timing_sink=timing,
             )
-
-            # Stores: large arrays into shared segments, the rest by value.
-            for p in system.processes:
-                plan, rest = arena.share_store(p.store, self._shm_threshold)
-                plans.append(plan)
-                rests.append(rest)
-
-            # Result pipes and workers.
-            for p in system.processes:
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                parent_conns[parent_conn] = p.rank
-                child_conns.append(child_conn)
-            # Bodies cross by value from the once-per-System image.
-            bodies = closures.body_payloads(system) if by_value else None
-            if pool is not None:
-                # Parked workers: one control frame per rank, carrying
-                # duplicates of its pipe ends in-band, so the parent's
-                # copies can close below.
-                slots = pool.ensure(nprocs)
-                procs = [slot.proc for slot in slots]
-                for rank in range(nprocs):
-                    pool.dispatch(
-                        slots[rank],
-                        system,
-                        rank,
-                        child_conns[rank],
-                        body=bodies[rank],
-                        plan=plans[rank],
-                        rest=rests[rank],
-                        w_specs=w_specs[rank],
-                        r_specs=r_specs[rank],
-                        affinity=affinity[rank],
-                        recv_timeout=self._recv_timeout,
-                        observe=self._observe,
-                        trace_causal=self._trace_causal,
-                    )
-            else:
-                for p in system.processes:
-                    rank = p.rank
-                    if by_value:
-                        body_payload = bodies[rank]
-                        rest_payload = ("pickle", closures.dumps(rests[rank]))
-                        foreign = None
-                    else:
-                        body_payload = ("object", p.body)
-                        rest_payload = ("object", rests[rank])
-                        own = {
-                            id(s.conn) for s in (*w_specs[rank], *r_specs[rank])
-                        }
-                        own.add(id(child_conns[rank]))
-                        foreign = [
-                            c
-                            for c in (
-                                *all_channel_conns,
-                                *child_conns,
-                                *parent_conns,
-                            )
-                            if id(c) not in own
-                        ]
-                    proc = ctx.Process(
-                        target=worker_main,
-                        name=f"repro-{p.name}",
-                        args=(
-                            rank,
-                            p.name,
-                            nprocs,
-                            child_conns[rank],
-                            body_payload,
-                            plans[rank],
-                            rest_payload,
-                            w_specs[rank],
-                            r_specs[rank],
-                            self._recv_timeout,
-                            self._observe,
-                            foreign,
-                            affinity[rank],
-                            self._trace_causal,
-                        ),
-                        daemon=True,
-                    )
-                    proc.start()
-                    procs.append(proc)
-
-            # The parent's copies must close so a dead writer's reader
-            # sees EOF rather than a silently-held-open pipe.
-            for conn in all_channel_conns:
-                conn.close()
-            for conn in child_conns:
-                conn.close()
-
-            (
-                returns,
-                overrides,
-                stats,
-                observations,
-                causal_payloads,
-                errors,
-                t_run0,
-                t_run1,
-            ) = self._collect(system, procs, parent_conns)
-            collected = True
-
-            # Workers are finished (or dead): the segments are quiescent.
-            stores: list[dict[str, Any]] = []
-            for rank in range(nprocs):
-                store = arena.readback(plans[rank])
-                if rank in overrides:
-                    store.update(overrides[rank])
-                else:  # failed rank: best-effort initial remainder
-                    store.update(rests[rank])
-                stores.append(store)
         finally:
-            if pool is not None:
-                # Keep the workers parked and the segments mapped for
-                # the next run; dead slots are respawned by ensure().
-                # Segments are only recycled once every rank is known
-                # terminal — an abandoned setup may leave a worker
-                # briefly attached, and those segments must not be
-                # reused (they stay owned until pool shutdown).
-                if collected:
-                    arena.recycle()
-                pool.reap()
-            else:
-                arena.cleanup()
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.terminate()
-                for proc in procs:
-                    proc.join(timeout=5.0)
-            # An abandoned setup still holds every end; closing the
-            # result pipes is what unwinds ranks already dispatched.
-            for conn in (*all_channel_conns, *child_conns, *parent_conns):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-        t_end = time.perf_counter()
-        self.last_timing = {
-            "startup_s": (t_run0 or t_end) - t_start,
-            "run_s": (t_run1 or t_end) - (t_run0 or t_end),
-            "total_s": t_end - t_start,
-        }
-
-        if errors:
-            rank = min(errors)
-            raise wrap_process_failure(rank, errors[rank]) from errors[rank]
-
-        records = self._merge_channel_stats(system, stats)
-        report = None
-        if self._observe:
-            from repro.obs.report import merge_worker_observations
-
-            report = merge_worker_observations(
-                self.name, nprocs, observations, records
-            )
-        causal = None
-        if causal_payloads:
-            from repro.obs.causal import merge_causal_events
-
-            causal = merge_causal_events(
-                causal_payloads, nprocs, engine=self.name
-            )
-        return assemble_run_result(
-            stores=stores,
-            returns=[returns.get(r) for r in range(nprocs)],
-            engine=self.name,
-            channel_stats=records,
-            report=report,
-            causal=causal,
-        )
-
-    # -- collection loop -----------------------------------------------------
-
-    def _collect(self, system: System, procs, parent_conns):
-        return collect_results(system, procs, parent_conns, self._crash_grace)
-
-    # -- stats merge ---------------------------------------------------------
-
-    @staticmethod
-    def _merge_channel_stats(
-        system: System, stats: dict[int, dict]
-    ) -> list[ChannelStatsRecord]:
-        """Fuse the writer and reader endpoint halves per channel."""
-        records = []
-        for spec in system.channel_specs:
-            w = stats.get(spec.writer, {}).get(spec.name, _EMPTY_W)
-            r = stats.get(spec.reader, {}).get(spec.name, _EMPTY_R)
-            records.append(
-                ChannelStatsRecord(
-                    name=spec.name,
-                    writer=spec.writer,
-                    reader=spec.reader,
-                    sends=w["sends"],
-                    receives=r["receives"],
-                    bytes_sent=w["bytes_sent"],
-                    queue_hwm=w["queue_hwm"],
-                    frames=w.get("frames", 0),
-                    pipe_bytes=w.get("pipe_bytes", 0),
-                    shm_bytes=w.get("shm_bytes", 0),
-                    net_syscalls=w.get("net_syscalls", 0),
-                    net_syscalls_unvectored=w.get(
-                        "net_syscalls_unvectored", 0
-                    ),
-                    net_vectored=w.get("net_vectored", 0),
-                    coalesce_hwm=w.get("coalesce_hwm", 0),
-                )
-            )
-        return records
+            if scoped:
+                pool.shutdown()
+            self.last_timing = timing

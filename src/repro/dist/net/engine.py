@@ -56,15 +56,11 @@ import time
 from typing import Any
 
 from repro.dist import closures, wire
-from repro.dist.engine import MultiprocessEngine, collect_results
+from repro.dist.engine import Collected, collect_results
 from repro.dist.net import rendezvous
 from repro.dist.net.transport import NetEndpointSpec
-from repro.errors import (
-    RendezvousError,
-    RuntimeModelError,
-    wrap_process_failure,
-)
-from repro.runtime.system import RunResult, System, assemble_run_result
+from repro.errors import RendezvousError, RuntimeModelError
+from repro.runtime.system import RunResult, System
 
 __all__ = [
     "SocketEngine",
@@ -236,8 +232,8 @@ def run_assigned(
     store travels as a plain dict inside the job frame, so its arrays
     ride :func:`repro.dist.wire.send`'s raw-buffer frames instead of
     being pickled (and then pickled again inside the job header).
-    ``timing_sink``, when given, receives the
-    ``startup_s`` / ``run_s`` / ``total_s`` split even when the run
+    ``timing_sink``, when given, receives
+    :meth:`~repro.dist.engine.Collected.timing` even when the run
     fails.  Failures — body exceptions, rendezvous failures, or a
     daemon dying mid-run (control-stream EOF without the goodbye) —
     raise :class:`~repro.errors.ProcessFailedError` for the lowest
@@ -253,7 +249,7 @@ def run_assigned(
 
     procs: list[_RemoteRank] = []
     parent_conns: dict[Any, int] = {}
-    t_run0 = t_run1 = None
+    collected: Collected | None = None
     try:
         for p in system.processes:
             rank = p.rank
@@ -281,65 +277,22 @@ def run_assigned(
                 ),
             )
 
-        (
-            returns,
-            overrides,
-            stats,
-            observations,
-            causal_payloads,
-            errors,
-            t_run0,
-            t_run1,
-        ) = collect_results(system, procs, parent_conns, crash_grace)
-
-        # Stores travelled by value both ways: each rank's final
-        # store is exactly its overrides payload (flush_store with
-        # no shared handles returns the whole store).  A failed
-        # rank reports nothing — fall back to its initial store.
-        stores: list[dict[str, Any]] = []
-        for rank in range(nprocs):
-            if rank in overrides:
-                stores.append(dict(overrides[rank]))
-            else:
-                stores.append(dict(system.processes[rank].store))
+        collected = collect_results(system, procs, parent_conns, crash_grace)
     finally:
         for stream in parent_conns:
             stream.close()
         if timing_sink is not None:
-            t_end = time.perf_counter()
-            timing_sink.update(
-                startup_s=(t_run0 or t_end) - t_start,
-                run_s=(t_run1 or t_end) - (t_run0 or t_end),
-                total_s=t_end - t_start,
-            )
+            timing_sink.update((collected or Collected()).timing(t_start))
 
-    if errors:
-        rank = min(errors)
-        raise wrap_process_failure(rank, errors[rank]) from errors[rank]
-
-    records = MultiprocessEngine._merge_channel_stats(system, stats)
-    report = None
-    if observe:
-        from repro.obs.report import merge_worker_observations
-
-        report = merge_worker_observations(
-            engine_name, nprocs, observations, records
-        )
-    causal = None
-    if causal_payloads:
-        from repro.obs.causal import merge_causal_events
-
-        causal = merge_causal_events(
-            causal_payloads, nprocs, engine=engine_name
-        )
-    return assemble_run_result(
-        stores=stores,
-        returns=[returns.get(r) for r in range(nprocs)],
-        engine=engine_name,
-        channel_stats=records,
-        report=report,
-        causal=causal,
-    )
+    # Stores travelled by value both ways: each rank's final store is
+    # exactly its overrides payload (flush_store with no shared handles
+    # returns the whole store).  A failed rank reports nothing — fall
+    # back to its initial store.
+    stores = [
+        dict(collected.overrides.get(p.rank, p.store))
+        for p in system.processes
+    ]
+    return collected.finish(system, stores, engine_name, observe)
 
 
 class SocketEngine:
@@ -422,7 +375,6 @@ class SocketEngine:
         self._trace_causal = bool(trace_causal)
         self._addrs: list[rendezvous.Address] | None = None
         self._local_procs: list[Any] = []
-        self._seq = 0
         self.last_timing: dict[str, float] = {}
 
     # -- daemon plumbing -----------------------------------------------------
@@ -463,7 +415,6 @@ class SocketEngine:
     def run(self, system: System) -> RunResult:
         addrs = self._ensure_daemons()
         assign = rendezvous.assign_ranks(system.nprocs, addrs)
-        self._seq += 1
         timing: dict[str, float] = {}
         try:
             return run_assigned(

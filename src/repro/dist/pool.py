@@ -1,15 +1,18 @@
-"""Persistent worker pool: boot OS processes once, dispatch many runs.
+"""The worker pool: the one launcher of rank processes.
 
-The one-shot :class:`~repro.dist.engine.MultiprocessEngine` pays for a
-full process boot (interpreter, imports, shm attach) on every ``run``.
-A :class:`WorkerPool` keeps a set of long-lived worker processes parked
-on a *control socket*; each engine run ships per-run jobs — body, store
-plan, channel endpoints, a fresh result pipe — down that socket and the
-workers execute :func:`repro.dist.worker.run_job` exactly as a one-shot
-worker would, then park again.  The result-pipe protocol (ready / go /
-done / error) is unchanged, so the engine's collection loop, barrier
-timing, and crash reaping all work identically; only process boot is
-amortized.
+Every process-backed run on this host — a pooled engine's, an
+un-pooled engine's (a pool scoped to that one run), a served job's —
+puts its ranks on :class:`WorkerPool` workers.  A worker is a
+long-lived process parked on a *control socket*;
+:func:`repro.dist.engine.run_on_pool` borrows one per rank
+(:meth:`WorkerPool.checkout`), ships each its job — body, store plan,
+channel endpoints, a fresh result pipe — down that socket
+(:meth:`WorkerPool.dispatch`), and the worker executes
+:func:`repro.dist.worker.run_job`, then parks again.  Keeping the pool
+across runs amortizes process boot (interpreter, imports, shm attach)
+and nothing else: the result-pipe protocol (ready / go / done / error),
+barrier timing and crash reaping do not depend on how long the workers
+live.
 
 Mechanics worth noting:
 
@@ -26,25 +29,31 @@ Mechanics worth noting:
   flight when a worker dies are closed with its socket, and a worker
   found dead at dispatch fails that rank like a crash at any later
   point.
-* **Bodies by image.**  Pool workers outlive the fork point, so even
-  under ``fork`` bodies created later must cross by value: every job
-  carries its rank's once-per-``System`` image
+* **Bodies by image.**  A worker is forked (or spawned) before it knows
+  what it will run, so bodies always cross by value: every job carries
+  its rank's once-per-``System`` image
   (:func:`repro.dist.closures.body_payloads`), and the worker keeps the
   bodies it has unpickled resident by digest
   (:class:`repro.dist.worker.ResidentImages`) — a resubmitted system
   re-runs the closure it already has.  A respawned worker starts with
   none and unpickles each image it is sent once more.
+* **Exclusive borrowing.**  :meth:`WorkerPool.checkout` removes slots
+  from the parked list until :meth:`WorkerPool.checkin`, so any number
+  of engines and servers may share one pool from any number of threads.
+  Checkin re-parks at the *front*, in rank order: a serial client gets
+  the same workers for the same ranks next time, whatever ran between.
 * **Crash containment.**  A worker that dies mid-job is detected by the
-  engine via its process sentinel, exactly as in one-shot mode; the
-  engine then calls :meth:`WorkerPool.reap` so the dead slot is
-  discarded and the next :meth:`ensure` respawns a replacement.  A body
-  that merely *raises* reports an error frame and parks again — the
-  worker survives.
+  collection loop via its process sentinel; :meth:`WorkerPool.checkin`
+  discards the dead slot and the next checkout spawns a replacement.  A
+  body that merely *raises* reports an error frame and parks again —
+  the worker survives.
 * **Segment recycling.**  The pool owns a persistent
-  :class:`~repro.dist.shm.SharedStoreArena`; between runs the engine
-  calls ``arena.recycle()`` so same-shape grids reuse their segments.
-  :meth:`shutdown` unlinks everything — the pool holds the only
-  parent-side ownership, and the no-leak tests assert emptiness after.
+  :class:`~repro.dist.shm.SharedStoreArena` (guarded by
+  :attr:`WorkerPool.arena_lock` — the arena itself is not thread-safe);
+  a finished run recycles exactly its own segments so same-shape grids
+  reuse them.  :meth:`shutdown` unlinks everything — the pool holds the
+  only parent-side ownership, and the no-leak tests assert emptiness
+  after.
 """
 
 from __future__ import annotations
@@ -61,12 +70,11 @@ from multiprocessing.connection import Connection
 from typing import Any
 
 from repro.dist import closures
-from repro.dist.engine import WorkerCrashError
 from repro.dist.shm import SharedStoreArena
 from repro.dist.worker import ResidentImages, run_job
-from repro.errors import ProcessFailedError
+from repro.errors import wrap_process_failure
 
-__all__ = ["WorkerPool", "pool_worker_main"]
+__all__ = ["WorkerCrashError", "WorkerPool", "worker_loop"]
 
 #: Control frame header: payload bytes, descriptors that come with it.
 _HEADER = struct.Struct("!II")
@@ -154,7 +162,24 @@ def _recv_frame(sock: socket.socket) -> tuple:
     return _FdUnpickler(io.BytesIO(payload), fds).load()
 
 
-def pool_worker_main(slot: int, ctrl: socket.socket) -> None:
+class WorkerCrashError(RuntimeError):
+    """A worker process died without reporting a result.
+
+    Wrapped in :class:`~repro.errors.ProcessFailedError` like any other
+    body failure; ``exitcode`` is the process's exit code (negative =
+    killed by that signal number).
+    """
+
+    def __init__(self, rank: int, exitcode: int | None):
+        self.rank = rank
+        self.exitcode = exitcode
+        super().__init__(
+            f"worker process for rank {rank} died without reporting "
+            f"(exitcode {exitcode})"
+        )
+
+
+def worker_loop(slot: int, ctrl: socket.socket) -> None:
     """Long-lived worker loop: park on the control socket, run jobs."""
     images = ResidentImages()
     try:
@@ -195,20 +220,17 @@ def _send_stop(slot: _Slot) -> None:
 class WorkerPool:
     """A reusable set of parked worker processes plus their arena.
 
-    Usable as a context manager; :meth:`shutdown` is idempotent.  One
-    pool serves one engine at a time through :meth:`ensure` (slots are
-    assigned to ranks by position), but many consecutive runs — of
-    different systems and sizes — reuse it: :meth:`ensure` grows the
-    pool on demand and respawns any worker that died.
-
-    The serving layer instead borrows slots with :meth:`checkout` /
-    :meth:`checkin`, which are safe to call from multiple threads and
-    concurrently with :meth:`shutdown`: every mutation of the slot
-    lists happens under one lock, borrowed slots are tracked so a
-    shutdown racing a job terminates them too (a parked worker gets a
-    polite ``stop``; a borrowed one is mid-job and is terminated), and
-    a checkin after shutdown stops the returned workers instead of
-    re-parking them.
+    Usable as a context manager; :meth:`shutdown` is idempotent.  A
+    run borrows its slots with :meth:`checkout` / :meth:`checkin`
+    (assigned to ranks by position); consecutive and concurrent runs —
+    of different systems and sizes — reuse the pool, which grows on
+    demand and replaces any worker that died.  Both calls are safe from
+    multiple threads and concurrently with :meth:`shutdown`: every
+    mutation of the slot lists happens under one lock, borrowed slots
+    are tracked so a shutdown racing a job terminates them too (a
+    parked worker gets a polite ``stop``; a borrowed one is mid-job and
+    is terminated), and a checkin after shutdown stops the returned
+    workers instead of re-parking them.
     """
 
     def __init__(self, start_method: str = "fork"):
@@ -217,6 +239,7 @@ class WorkerPool:
         self.start_method = start_method
         self.ctx = multiprocessing.get_context(start_method)
         self.arena = SharedStoreArena()
+        self.arena_lock = threading.Lock()  # the arena is not thread-safe
         self._slots: list[_Slot] = []
         self._lent: list[_Slot] = []
         self._lock = threading.RLock()
@@ -251,7 +274,7 @@ class WorkerPool:
         resource_tracker.ensure_running()
         parent, child = socket.socketpair()
         proc = self.ctx.Process(
-            target=pool_worker_main,
+            target=worker_loop,
             name=f"repro-pool-{self.spawned}",
             args=(self.spawned, child),
             daemon=True,
@@ -283,41 +306,42 @@ class WorkerPool:
             self._discard(slot)
         return len(dead)
 
-    def ensure(self, n: int) -> list[_Slot]:
-        """At least ``n`` live parked workers; returns the first ``n``.
+    def _grow(self, n: int) -> None:
+        """At least ``n`` live parked workers (under :attr:`_lock`)."""
+        if self._closed:
+            raise RuntimeError("worker pool is shut down")
+        self.reap()
+        while len(self._slots) < n:
+            self._slots.append(self._spawn())
 
-        Whole-run engine path: the caller uses the slots and leaves
-        them parked (no checkin).  Do not mix with a concurrent
-        :meth:`checkout` on the same pool — use one or the other.
-        """
+    def ensure(self, n: int) -> list[_Slot]:
+        """Pre-spawn: at least ``n`` live parked workers; returns the
+        first ``n`` (still parked — running on them takes a
+        :meth:`checkout`).  A server calls this while its process is
+        still single-threaded, so no run ever forks from a live thread
+        pool."""
         with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is shut down")
-            self.reap()
-            while len(self._slots) < n:
-                self._slots.append(self._spawn())
+            self._grow(n)
             return self._slots[:n]
 
     def checkout(self, n: int) -> list[_Slot]:
-        """Borrow ``n`` live workers exclusively (serving path).
+        """Borrow ``n`` live workers exclusively, one per rank.
 
         The returned slots are removed from the parked list until
         :meth:`checkin`; concurrent checkouts never share a slot.
         """
         with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is shut down")
-            self.reap()
-            while len(self._slots) < n:
-                self._slots.append(self._spawn())
+            self._grow(n)
             taken = self._slots[:n]
             del self._slots[:n]
             self._lent.extend(taken)
             return taken
 
     def checkin(self, slots: list[_Slot]) -> None:
-        """Return borrowed slots: live ones park again, dead ones are
-        discarded.  After :meth:`shutdown` the returned workers are
+        """Return borrowed slots: live ones park again — at the front,
+        in the order given, so the next checkout hands the same workers
+        to the same ranks and finds their images resident — dead ones
+        are discarded.  After :meth:`shutdown` the returned workers are
         stopped instead — never re-parked on a closed pool."""
         with self._lock:
             for slot in slots:
@@ -328,7 +352,7 @@ class WorkerPool:
             else:
                 doomed = [s for s in slots if not s.proc.is_alive()]
                 parked = [s for s in slots if s.proc.is_alive()]
-                self._slots.extend(parked)
+                self._slots[:0] = parked
         for slot in doomed:
             _send_stop(slot)
             self._discard(slot)
@@ -378,7 +402,7 @@ class WorkerPool:
             _send_frame(slot.sock, ("job", job))
         except OSError as exc:
             slot.proc.join(timeout=1.0)
-            raise ProcessFailedError(
+            raise wrap_process_failure(
                 rank, WorkerCrashError(rank, slot.proc.exitcode)
             ) from exc
 

@@ -6,11 +6,10 @@ The whole-run :class:`~repro.dist.engine.MultiprocessEngine` maps one
 :class:`concurrent.futures.Future` immediately and the server keeps
 every pool slot busy: each admitted job is prepared (bodies pickled)
 *concurrently with* other jobs' execution, waits for enough free slots,
-borrows them exclusively via :meth:`~repro.dist.pool.WorkerPool.checkout`,
-runs through exactly the engine's dispatch/collect machinery
-(:func:`~repro.dist.engine.build_channel_endpoints` /
-:func:`~repro.dist.engine.collect_results`), and returns its slots and
-shared segments the moment it completes.
+runs as one :func:`~repro.dist.engine.run_on_pool` call — the same
+dispatch/collect path as an engine run, borrowing its workers
+exclusively — and returns its slots and shared segments the moment it
+completes.
 
 The submit/Future/backpressure machinery itself lives in
 :mod:`repro.dist.serving` (:class:`~repro.dist.serving.JobServerCore`)
@@ -47,17 +46,9 @@ throughput, p50/p95, and slot utilization.
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Any
-
 from repro.dist import closures
-from repro.dist.engine import (
-    MultiprocessEngine,
-    _affinity_sets,
-    build_channel_endpoints,
-    collect_results,
-)
+from repro.dist.engine import run_on_pool
+from repro.dist.pool import WorkerPool
 from repro.dist.serving import (
     JobServerCore,
     JobStats,
@@ -66,9 +57,8 @@ from repro.dist.serving import (
     _Job,
 )
 from repro.dist.shm import DEFAULT_SLAB, DEFAULT_THRESHOLD
-from repro.errors import ProcessFailedError
 from repro.obs.observer import Observer
-from repro.runtime.system import RunResult, System, assemble_run_result
+from repro.runtime.system import RunResult, System
 
 __all__ = ["JobServer", "ServerSaturatedError", "ServerClosedError", "JobStats"]
 
@@ -94,9 +84,8 @@ class JobServer(JobServerCore):
     pool:
         Use (but do not own) an existing
         :class:`~repro.dist.pool.WorkerPool`; by default the server
-        creates one and shuts it down on :meth:`close`.  Do not run a
-        pooled engine and a server on the same pool concurrently —
-        ``ensure`` and ``checkout`` hand out the same slots.
+        creates one and shuts it down on :meth:`close`.  Engines and
+        other servers may run on the same pool concurrently.
     observer:
         An :class:`~repro.obs.observer.Observer` to record into
         (default: a fresh one, exposed as :attr:`observer`).
@@ -133,25 +122,20 @@ class JobServer(JobServerCore):
             on_full=on_full,
             observer=observer,
         )
-        if pool is None:
-            from repro.dist.pool import WorkerPool
-
-            pool = WorkerPool(start_method)
-            self._owns_pool = True
-        else:
-            self._owns_pool = False
-        self.pool = pool
+        self._owns_pool = pool is None
+        self.pool = WorkerPool(start_method) if pool is None else pool
         self.pool_size = pool_size
-        self._recv_timeout = recv_timeout
-        self._observe = bool(observe)
-        self._shm_threshold = shm_threshold
-        self._payload_slab = max(0, int(payload_slab))
-        self._crash_grace = crash_grace
-        self._affinity = affinity
-        self._trace_causal = bool(trace_causal)
-
+        #: The per-job keywords of :func:`run_on_pool`.
+        self._run_opts = dict(
+            recv_timeout=recv_timeout,
+            observe=observe,
+            shm_threshold=shm_threshold,
+            payload_slab=payload_slab,
+            crash_grace=crash_grace,
+            affinity=affinity,
+            trace_causal=trace_causal,
+        )
         self._free_slots = pool_size  # scheduling capacity (not processes)
-        self._arena_lock = threading.Lock()  # arena is not thread-safe
 
         # Boot every worker NOW, while this process is single-threaded:
         # forking from a live serving thread-pool can copy another
@@ -201,139 +185,16 @@ class JobServer(JobServerCore):
         return closures.body_payloads(job.system)
 
     def _execute(self, job: _Job, prepared, grant) -> RunResult:
-        return self._run_job(job.system, prepared, job.stats)
-
-    def _run_job(
-        self, system: System, bodies: list, job_stats: JobStats
-    ) -> RunResult:
-        """One job through checkout → dispatch → collect → readback.
-
-        The same protocol as a pooled engine run; segment names are
-        tracked so exactly this job's segments recycle at the end.
-        """
-        t_start = time.perf_counter()
-        pool = self.pool
-        arena = pool.arena
-        nprocs = system.nprocs
-        affinity = _affinity_sets(self._affinity, nprocs)
-        seg_names: list[str] = []
-        parent_conns: dict[Any, int] = {}
-        channel_conns: list = []
-        child_conns: list = []
-        slots: list = []
-        collected = False
+        timing: dict[str, float] = {}
         try:
-            with self._arena_lock:
-                w_specs, r_specs, channel_conns, names = (
-                    build_channel_endpoints(
-                        system, pool.ctx, arena, self._payload_slab
-                    )
-                )
-                seg_names.extend(names)
-                plans, rests = [], []
-                for p in system.processes:
-                    plan, rest = arena.share_store(
-                        p.store, self._shm_threshold
-                    )
-                    plans.append(plan)
-                    rests.append(rest)
-                    seg_names.extend(
-                        name for name, _dt, _sh in plan.values()
-                    )
-
-            for p in system.processes:
-                parent_conn, child_conn = pool.ctx.Pipe(duplex=True)
-                parent_conns[parent_conn] = p.rank
-                child_conns.append(child_conn)
-
-            slots = pool.checkout(nprocs)
-            for rank in range(nprocs):
-                pool.dispatch(
-                    slots[rank],
-                    system,
-                    rank,
-                    child_conns[rank],
-                    body=bodies[rank],
-                    plan=plans[rank],
-                    rest=rests[rank],
-                    w_specs=w_specs[rank],
-                    r_specs=r_specs[rank],
-                    affinity=affinity[rank],
-                    recv_timeout=self._recv_timeout,
-                    observe=self._observe,
-                    trace_causal=self._trace_causal,
-                )
-            # Workers hold fd duplicates; close ours so EOF stays exact.
-            for conn in channel_conns:
-                conn.close()
-            for conn in child_conns:
-                conn.close()
-
-            procs = [slot.proc for slot in slots]
-            (
-                returns,
-                overrides,
-                stats,
-                observations,
-                causal_payloads,
-                errors,
-                t_run0,
-                _t_run1,
-            ) = collect_results(
-                system, procs, parent_conns, self._crash_grace
+            return run_on_pool(
+                self.pool,
+                job.system,
+                prepared,
+                **self._run_opts,
+                report_name="serve",
+                timing_sink=timing,
             )
-            collected = True
-            if t_run0 is not None:
-                job_stats.startup_s = t_run0 - t_start
-
-            stores: list[dict[str, Any]] = []
-            with self._arena_lock:
-                for rank in range(nprocs):
-                    store = arena.readback(plans[rank])
-                    if rank in overrides:
-                        store.update(overrides[rank])
-                    else:
-                        store.update(rests[rank])
-                    stores.append(store)
         finally:
-            if slots:
-                pool.checkin(slots)
-            if collected:
-                # Only quiescent segments recycle; an abandoned setup
-                # keeps its segments out of reuse until pool shutdown.
-                with self._arena_lock:
-                    arena.recycle(seg_names)
-            # An abandoned setup still holds every end; closing the
-            # result pipes is what unwinds ranks already dispatched.
-            for conn in (*channel_conns, *child_conns, *parent_conns):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-        if errors:
-            rank = min(errors)
-            raise ProcessFailedError(rank, errors[rank]) from errors[rank]
-        records = MultiprocessEngine._merge_channel_stats(system, stats)
-        report = None
-        if self._observe:
-            from repro.obs.report import merge_worker_observations
-
-            report = merge_worker_observations(
-                "serve", nprocs, observations, records
-            )
-        causal = None
-        if causal_payloads:
-            from repro.obs.causal import merge_causal_events
-
-            causal = merge_causal_events(
-                causal_payloads, nprocs, engine="multiprocess"
-            )
-        return assemble_run_result(
-            stores=stores,
-            returns=[returns.get(r) for r in range(nprocs)],
-            engine="multiprocess",
-            channel_stats=records,
-            report=report,
-            causal=causal,
-        )
+            # None unless the start barrier was reached.
+            job.stats.startup_s = timing.get("startup_s")

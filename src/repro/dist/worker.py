@@ -1,9 +1,8 @@
-"""What runs inside each worker OS process.
+"""What runs inside a worker for each rank it is given.
 
-:func:`worker_main` is the target of every one-shot
-``multiprocessing.Process`` the engine spawns; :func:`run_job` is the
-engine-facing core it shares with the persistent pool workers of
-:mod:`repro.dist.pool`.  A job rebuilds one rank's world — store
+:func:`run_job` is the one rank-side entry point, called by the pool
+workers of :mod:`repro.dist.pool` and by the worker daemons of
+:mod:`repro.dist.net.daemon`.  A job rebuilds one rank's world — store
 (attached to the parent's shared segments), channel endpoints, context,
 optional observer — runs the unmodified process body, and reports back
 over a dedicated duplex result pipe.
@@ -50,7 +49,6 @@ from repro.runtime.context import ProcessContext
 
 __all__ = [
     "ResidentImages",
-    "worker_main",
     "run_job",
     "apply_affinity",
     "report_error",
@@ -164,8 +162,10 @@ def apply_affinity(cpus) -> None:
 
 
 def _unpack(payload: tuple) -> Any:
-    """``("object", value)``, ``("pickle", bytes)`` or ``("image",
-    digest, bytes)`` to the value it carries."""
+    """The value a payload carries: ``("pickle", bytes)`` and
+    ``("image", digest, bytes)`` from a pool dispatch, ``("object",
+    value)`` where the job frame itself already carried the value (a
+    daemon's store, whose arrays ride raw-buffer wire frames)."""
     kind, data = payload[0], payload[-1]
     return data if kind == "object" else closures.loads(data)
 
@@ -231,8 +231,8 @@ def run_job(
     """Execute one dispatched rank: build, barrier, run body, report.
 
     Never raises: failures are shipped to the parent as ``("error", …)``
-    frames.  Does **not** close ``result_conn`` — one-shot workers close
-    it on exit, pool workers close it per job.  ``images`` is the
+    frames.  Does **not** close ``result_conn`` — the calling worker
+    loop closes it after each job.  ``images`` is the
     calling worker's :class:`ResidentImages`; an ``("image", digest,
     bytes)`` body is checked out of it for the run.
     """
@@ -332,54 +332,6 @@ def run_job(
         close_handles(handles)
         if resident and body is not None:
             images.checkin(body_payload[1], body)
-
-
-def worker_main(
-    rank: int,
-    name: str,
-    nprocs: int,
-    result_conn,
-    body_payload: tuple[str, Any],
-    plan: dict[str, tuple],
-    rest_payload: tuple[str, Any],
-    w_specs: list[EndpointSpec],
-    r_specs: list[EndpointSpec],
-    recv_timeout: float | None,
-    observe: bool,
-    foreign_conns,
-    affinity=None,
-    trace_causal: bool = False,
-) -> None:
-    # Under fork every child inherits every pipe fd; dropping the ends
-    # this rank does not own restores spawn's EOF semantics (a writer's
-    # death must surface as EOF at its reader, not as a silent hang).
-    if foreign_conns:
-        for conn in foreign_conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-    try:
-        run_job(
-            rank,
-            name,
-            nprocs,
-            result_conn,
-            body_payload,
-            plan,
-            rest_payload,
-            w_specs,
-            r_specs,
-            recv_timeout,
-            observe,
-            affinity,
-            trace_causal,
-        )
-    finally:
-        try:
-            result_conn.close()
-        except OSError:
-            pass
 
 
 def report_error(result_conn, rank: int, exc: BaseException) -> None:

@@ -6,6 +6,8 @@ dedicated tests.  Bodies are self-contained (imports inside) so they
 survive reconstruction in a pristine interpreter.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,39 @@ class TestFailures:
         assert isinstance(
             exc_info.value.original, (EmptyChannelError, WorkerCrashError)
         )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"start_method": "fork"},
+            {"start_method": "spawn"},
+            {"start_method": "fork", "pool": True},
+        ],
+        ids=["fork", "spawn", "fork+pool"],
+    )
+    def test_crashed_writer_eofs_its_reader_promptly(self, kwargs):
+        # Workers are borrowed before the run's pipes exist, so no
+        # worker holds a stray copy of the dead writer's end: the
+        # reader sees EOF at once instead of sitting out crash_grace.
+        def reader(ctx):
+            ctx.store["got"] = ctx.recv("c")
+
+        def crash(ctx):
+            import os as _os
+
+            _os._exit(3)
+
+        system = System([ProcessSpec(0, reader), ProcessSpec(1, crash)])
+        system.add_channel("c", 1, 0)
+        with MultiprocessEngine(crash_grace=30.0, **kwargs) as engine:
+            # Twice: a kept pool forks rank 1's replacement in run two.
+            for _ in range(2):
+                t0 = time.perf_counter()
+                with pytest.raises(ProcessFailedError) as exc_info:
+                    engine.run(system)
+                assert time.perf_counter() - t0 < 10.0
+                assert exc_info.value.rank == 0
+                assert isinstance(exc_info.value.original, EmptyChannelError)
 
     def test_recv_timeout_bounds_blocking(self):
         def stuck(ctx):

@@ -356,6 +356,21 @@ def test_body_errors_are_not_retried():
     assert sched.stats()["retries"] == 0
 
 
+def test_injected_fault_keeps_its_provenance():
+    from repro.explore import apply_faults, parse_fault_plan
+    from repro.explore.fixtures import prodcons_system
+
+    system = apply_faults(prodcons_system(), parse_fault_plan("kill:0@2"))
+    with FleetScheduler(
+        daemons=2, heartbeat_interval=0.2, crash_grace=2.0,
+    ) as sched:
+        with pytest.raises(ProcessFailedError) as failure:
+            sched.submit(system).result(timeout=120)
+        assert sched.job_stats()[0].attempts == 1
+    err = failure.value
+    assert (err.rank, err.step, err.fault_id) == (0, 2, "kill:0@2")
+
+
 def test_exhausted_retries_raise_process_failed():
     """Every attempt lands on a dying fleet: bounded attempts, then
     ProcessFailedError — no hang, no leaked reservation."""

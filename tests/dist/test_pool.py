@@ -112,16 +112,16 @@ class TestCrashRecovery:
         with MultiprocessEngine(start_method="fork", pool=True) as engine:
             good = engine.run(exchange_system())
             pool = engine._pool
-            real_ensure = pool.ensure
+            real_checkout = pool.checkout
 
-            def ensure_then_kill(n):
-                slots = real_ensure(n)
-                pool.ensure = real_ensure
+            def checkout_then_kill(n):
+                slots = real_checkout(n)
+                pool.checkout = real_checkout
                 slots[1].proc.kill()
                 slots[1].proc.join()
                 return slots
 
-            pool.ensure = ensure_then_kill
+            pool.checkout = checkout_then_kill
             # Rank 0 is already dispatched when rank 1's write fails.
             with pytest.raises(ProcessFailedError) as failure:
                 engine.run(exchange_system())

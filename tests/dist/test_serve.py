@@ -24,7 +24,9 @@ from repro.dist.serve import (
 )
 from repro.dist.shm import live_segment_names
 from repro.errors import ProcessFailedError
-from repro.runtime import ProcessSpec, System
+from repro.explore import apply_faults, parse_fault_plan
+from repro.explore.fixtures import prodcons_system
+from repro.runtime import ProcessSpec, System, ThreadedEngine, make_engine
 
 
 def sleeper_system(delay=0.3, nprocs=1):
@@ -162,6 +164,70 @@ class TestServing:
             )
             assert server.stats()["jobs_failed"] == 1
             assert pool.spawned == 3
+        assert live_segment_names() == frozenset()
+
+    def test_injected_fault_provenance_same_as_the_engine(self):
+        # One tail for both front ends: the planted kill comes back
+        # with its step and fault id, not as a bare (rank, exc).
+        system = apply_faults(prodcons_system(), parse_fault_plan("kill:0@2"))
+        failures = []
+        with JobServer(pool_size=2) as server:
+            with pytest.raises(ProcessFailedError) as failure:
+                server.submit(system).result(timeout=60)
+            failures.append(failure.value)
+        engine = make_engine("multiprocess+pool", start_method="fork")
+        try:
+            with pytest.raises(ProcessFailedError) as failure:
+                engine.run(system)
+            failures.append(failure.value)
+        finally:
+            engine.close()
+        for err in failures:
+            assert (err.rank, err.step, err.fault_id) == (0, 2, "kill:0@2")
+
+    def test_engine_and_server_share_one_pool_concurrently(self):
+        # Both borrow workers exclusively through run_on_pool, so they
+        # never hold the same slot; four pre-spawned workers cover both.
+        system = exchange_system(2, 64, 2.0)
+        reference = ThreadedEngine().run(system)
+        pool = WorkerPool("fork")
+        pool.ensure(4)
+        engine = MultiprocessEngine(pool=pool)
+        server = JobServer(pool_size=2, pool=pool)
+        results = {"engine": [], "server": []}
+
+        def drive(name, run):
+            for _ in range(40):
+                results[name].append(run())
+
+        threads = [
+            threading.Thread(
+                target=drive,
+                args=("engine", lambda: engine.run(system)),
+                daemon=True,
+            ),
+            threading.Thread(
+                target=drive,
+                args=(
+                    "server",
+                    lambda: server.submit(system).result(timeout=60),
+                ),
+                daemon=True,
+            ),
+        ]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=100)
+            assert not any(t.is_alive() for t in threads), "runs hung"
+            server.close()
+            for result in results["engine"] + results["server"]:
+                run_pair_equal(result, reference)
+            assert len(results["engine"]) == len(results["server"]) == 40
+            assert pool.spawned == 4
+        finally:
+            pool.shutdown()
         assert live_segment_names() == frozenset()
 
     def test_submit_after_close_raises(self):

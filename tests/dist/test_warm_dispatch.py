@@ -181,6 +181,21 @@ def test_body_unpickled_once_per_worker_and_again_when_rebound(image_loads):
         assert len(loads[old[0]]) == len(loads[old[1]]) == 1
 
 
+def test_images_stay_resident_across_runs_of_different_widths(image_loads):
+    # Checkin re-parks at the front in rank order: after a wider run,
+    # ranks 0 and 1 land on the workers that already hold their bodies.
+    system = scaling_system()
+    reference = ThreadedEngine().run(system)
+    with MultiprocessEngine(start_method="fork", pool=True) as engine:
+        engine.run(exchange_system(nprocs=3))
+        for _ in range(5):
+            run_pair_equal(engine.run(system), reference)
+        assert engine._pool.spawned == 3
+    loads = image_loads()
+    for image in closures.body_images(system):
+        assert len(loads[digest_of(image)]) == 1
+
+
 def test_raising_body_is_dropped_and_next_run_identical(image_loads):
     system = scaling_system()
     reference = ThreadedEngine().run(system)
@@ -364,11 +379,11 @@ def test_run_with_worker_killed_before_it_reads_its_job():
     ) as engine:
         good = engine.run(exchange_system())
         pool = engine._pool
-        real_ensure = pool.ensure
+        real_checkout = pool.checkout
 
-        def ensure_then_freeze(n):
-            slots = real_ensure(n)
-            pool.ensure = real_ensure
+        def checkout_then_freeze(n):
+            slots = real_checkout(n)
+            pool.checkout = real_checkout
             victim = slots[1].proc
             os.kill(victim.pid, signal.SIGSTOP)
             threading.Timer(
@@ -376,7 +391,7 @@ def test_run_with_worker_killed_before_it_reads_its_job():
             ).start()
             return slots
 
-        pool.ensure = ensure_then_freeze
+        pool.checkout = checkout_then_freeze
         with pytest.raises(ProcessFailedError) as failure:
             engine.run(exchange_system())
         assert failure.value.rank == 1
