@@ -30,35 +30,6 @@ AxBxC``, ``--engine NAME``, ``--hosts host:port,...``, ``--out FILE``
 (causal-trace JSON), ``--chrome FILE`` (Chrome trace with flow-event
 arrows), ``--limit N`` (timeline rows printed).
 
-``bench`` runs the engine-comparison benchmark harness (the three
-execution backends plus the ``multiprocess+pool`` and
-``multiprocess+batch`` fast-path variants over Versions A and C; see
-docs/ENGINES.md) and writes ``benchmarks/BENCH_engines.json``;
-``bench --smoke`` is the tiny CI variant.  ``bench`` options:
-``--repeat N``, ``--start-method fork|spawn``, ``--engines a,b,...``,
-``--affinity auto|0,1,...`` (pin multiprocess workers),
-``--payload-slab BYTES`` (zero-copy staging slab size; 0 disables),
-``--overlap off|on|both`` (compute/communication overlap rows; default
-both), ``--backend numpy|cupy`` (array backend), ``--out FILE``.
-
-``serve-bench`` benchmarks job-level serving on the worker pool (the
-:class:`~repro.dist.serve.JobServer`; see docs/ENGINES.md "Serving"):
-closed-loop serialized vs concurrent submission plus open-loop
-offered-load rows, writing ``benchmarks/BENCH_serve.json``.  Options:
-``--jobs N``, ``--max-inflight M``, ``--smoke``,
-``--start-method fork|spawn``, ``--affinity auto|0,1,...``,
-``--out FILE``.
-
-``fleet-bench`` benchmarks multi-host serving (the
-:class:`~repro.dist.fleet.FleetScheduler`; see docs/ENGINES.md "Fleet
-serving"): per fleet size, a closed-loop calibration row plus open-loop
-offered-load rows (offered load vs latency p50/p99 vs daemon count),
-merged into ``benchmarks/BENCH_serve.json`` under ``"fleet"``.
-Options: ``--jobs N``, ``--capacity R`` (ranks per daemon),
-``--daemons 1,2,3`` (loopback fleet sizes), ``--rates 0.5,1.0,2.0``
-(offered-load factors), ``--hosts host:port,...`` (external fleet),
-``--smoke``, ``--out FILE``.
-
 ``e1``, ``e2`` and ``stats`` accept ``--engine
 cooperative|threaded|multiprocess|multiprocess+pool|socket`` to choose
 the execution backend for their message-passing runs.  For the socket
@@ -112,20 +83,52 @@ def _engine_kwargs(engine_name: str | None, hosts: str | None) -> dict:
     return {}
 
 
-def run_e1(
-    out=print, engine_name: str | None = None, hosts: str | None = None
-) -> bool:
+def _e1_config():
+    """E1's problem (Version A): a lossy dielectric box, Mur boundary."""
     from repro.apps.fdtd import (
-        COMPONENTS,
         FDTDConfig,
         GaussianPulse,
         Material,
         MaterialGrid,
         PointSource,
-        VersionA,
         YeeGrid,
-        build_parallel_fdtd,
     )
+
+    grid = YeeGrid(shape=(17, 15, 13))
+    mats = MaterialGrid(grid).add_box(
+        (6, 5, 4), (11, 10, 8), Material(eps_r=4.0, sigma_e=0.02)
+    )
+    return FDTDConfig(
+        grid=grid,
+        steps=16,
+        boundary="mur1",
+        materials=mats,
+        sources=[PointSource("ez", (4, 7, 6), GaussianPulse(delay=10, spread=3))],
+    )
+
+
+def _e2_config():
+    """E2's problem (Version C): ``(FDTDConfig, NTFFConfig)``."""
+    from repro.apps.fdtd import (
+        FDTDConfig,
+        GaussianPulse,
+        NTFFConfig,
+        PointSource,
+        YeeGrid,
+    )
+
+    config = FDTDConfig(
+        grid=YeeGrid(shape=(16, 15, 14)),
+        steps=24,
+        sources=[PointSource("ez", (8, 7, 7), GaussianPulse(delay=10, spread=3))],
+    )
+    return config, NTFFConfig(gap=3)
+
+
+def run_e1(
+    out=print, engine_name: str | None = None, hosts: str | None = None
+) -> bool:
+    from repro.apps.fdtd import COMPONENTS, VersionA, build_parallel_fdtd
     from repro.runtime import make_engine
     from repro.util import bitwise_equal_arrays, format_table
 
@@ -135,17 +138,7 @@ def run_e1(
     _closing = getattr(engine, "close", lambda: None)
     out(_header("E1: near-field correctness (paper section 4.5)"))
     out(f"message-passing engine: {engine.name}\n")
-    grid = YeeGrid(shape=(17, 15, 13))
-    mats = MaterialGrid(grid).add_box(
-        (6, 5, 4), (11, 10, 8), Material(eps_r=4.0, sigma_e=0.02)
-    )
-    config = FDTDConfig(
-        grid=grid,
-        steps=16,
-        boundary="mur1",
-        materials=mats,
-        sources=[PointSource("ez", (4, 7, 6), GaussianPulse(delay=10, spread=3))],
-    )
+    config = _e1_config()
     seq = VersionA(config).run()
     rows = []
     all_ok = True
@@ -204,16 +197,7 @@ def run_e1(
 def run_e2(
     out=print, engine_name: str | None = None, hosts: str | None = None
 ) -> bool:
-    from repro.apps.fdtd import (
-        COMPONENTS,
-        FDTDConfig,
-        GaussianPulse,
-        NTFFConfig,
-        PointSource,
-        VersionC,
-        YeeGrid,
-        build_parallel_fdtd,
-    )
+    from repro.apps.fdtd import COMPONENTS, VersionC, build_parallel_fdtd
     from repro.runtime import make_engine
     from repro.numerics import (
         dynamic_range,
@@ -227,13 +211,7 @@ def run_e2(
     )
 
     out(_header("E2: far-field associativity failure (paper section 4.5)"))
-    grid = YeeGrid(shape=(16, 15, 14))
-    config = FDTDConfig(
-        grid=grid,
-        steps=24,
-        sources=[PointSource("ez", (8, 7, 7), GaussianPulse(delay=10, spread=3))],
-    )
-    ntff = NTFFConfig(gap=3)
+    config, ntff = _e2_config()
     seq = VersionC(config, ntff).run()
     engine = (
         make_engine(engine_name, **_engine_kwargs(engine_name, hosts))
@@ -726,48 +704,19 @@ def _stats_build(
     backend: str = "numpy",
 ):
     """Build the ParallelFDTD handle for one stats-able experiment."""
-    from repro.apps.fdtd import (
-        FDTDConfig,
-        GaussianPulse,
-        Material,
-        MaterialGrid,
-        NTFFConfig,
-        PointSource,
-        YeeGrid,
-        build_parallel_fdtd,
-    )
+    from repro.apps.fdtd import build_parallel_fdtd
 
     if experiment == "e1":
-        grid = YeeGrid(shape=(17, 15, 13))
-        mats = MaterialGrid(grid).add_box(
-            (6, 5, 4), (11, 10, 8), Material(eps_r=4.0, sigma_e=0.02)
-        )
-        config = FDTDConfig(
-            grid=grid,
-            steps=16,
-            boundary="mur1",
-            materials=mats,
-            sources=[
-                PointSource("ez", (4, 7, 6), GaussianPulse(delay=10, spread=3))
-            ],
-        )
         return build_parallel_fdtd(
-            config, pshape, version="A", overlap=overlap, backend=backend
+            _e1_config(), pshape, version="A", overlap=overlap, backend=backend
         )
     if experiment == "e2":
-        grid = YeeGrid(shape=(16, 15, 14))
-        config = FDTDConfig(
-            grid=grid,
-            steps=24,
-            sources=[
-                PointSource("ez", (8, 7, 7), GaussianPulse(delay=10, spread=3))
-            ],
-        )
+        config, ntff = _e2_config()
         return build_parallel_fdtd(
             config,
             pshape,
             version="C",
-            ntff=NTFFConfig(gap=3),
+            ntff=ntff,
             overlap=overlap,
             backend=backend,
         )
@@ -1085,18 +1034,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if run_stats(args[1:]) else 1
     if name == "trace":
         return 0 if run_trace(args[1:]) else 1
-    if name == "bench":
-        from repro.dist.bench import run_bench
-
-        return 0 if run_bench(args[1:]) else 1
-    if name == "serve-bench":
-        from repro.dist.bench import run_serve_bench
-
-        return 0 if run_serve_bench(args[1:]) else 1
-    if name == "fleet-bench":
-        from repro.dist.fleet.bench import run_fleet_bench
-
-        return 0 if run_fleet_bench(args[1:]) else 1
     if name == "worker-daemon":
         from repro.dist.net.daemon import run_daemon_cli
 

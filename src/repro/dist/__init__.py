@@ -37,10 +37,7 @@ Pieces:
 * :mod:`~repro.dist.serve` — :class:`JobServer`, job-level serving of
   many small systems concurrently on one
   :class:`~repro.dist.pool.WorkerPool`, with bounded backpressure and
-  per-job latency/throughput accounting;
-* :mod:`~repro.dist.bench` — the engine-comparison and serving
-  benchmark harnesses behind ``python -m repro bench`` and
-  ``python -m repro serve-bench``.
+  per-job latency/throughput accounting.
 """
 
 from repro.dist.engine import MultiprocessEngine

@@ -21,7 +21,7 @@ short writes cost extra syscalls, never corruption.  The stream counts
 ``send_syscalls`` (gather calls actually issued, retries included) next
 to ``send_syscalls_unvectored`` (what the historical
 one-``sendall``-per-piece sender would have issued for the same
-frames), which is how the bench's syscall-reduction check measures the
+frames), which is how the syscall-reduction test measures the
 fast path without re-running the slow one.  The same gather also comes
 in a never-blocking form (:meth:`FrameStream.try_send_frames`: one
 ``sendmsg`` with ``MSG_DONTWAIT`` that hands back the unsent tail), so

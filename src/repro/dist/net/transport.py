@@ -27,8 +27,8 @@ design constraints are identical and the solutions are shared:
 * **Statistics parity.**  ``sends`` / ``receives`` / ``bytes_sent``
   are exact and merge through the same
   :class:`~repro.runtime.system.ChannelStatsRecord` path as every other
-  backend.  Transport counters land where a reader of the bench JSON
-  expects them: ``frames`` counts wire frames, ``pipe_bytes`` counts
+  backend.  Transport counters land in the pipe transport's fields:
+  ``frames`` counts wire frames, ``pipe_bytes`` counts
   bytes that crossed the stream (header + array frames; the socket *is*
   this transport's pipe), ``shm_bytes`` is always zero — shared memory
   cannot span hosts, so there is no staging slab and no descriptor
@@ -45,8 +45,8 @@ design constraints are identical and the solutions are shared:
   through :meth:`stats` on the writer side: ``net_syscalls`` (send
   syscalls actually issued), ``net_syscalls_unvectored`` (what the
   historical one-``sendall``-per-piece sender would have issued for
-  the same frames — the denominatorless before/after pair the bench's
-  ≥2× syscall-reduction check divides), ``net_vectored`` (frames that
+  the same frames — the denominatorless before/after pair the ≥2×
+  syscall-reduction test divides), ``net_vectored`` (frames that
   left in a multi-frame gather batch), and ``coalesce_hwm`` (the most
   values one flush wrote: 1 while every send goes inline, more only
   when a backlog drained as one batch).

@@ -299,6 +299,13 @@ def test_two_jobs_in_flight_on_one_daemon_never_share_a_body():
             wave = [fleet.submit(system) for _ in range(2)]
             for fut in wave:
                 run_pair_equal(fut.result(timeout=60), reference)
+            # A rank reports ``done`` before the daemon checks its body
+            # back in, so wait for the check-ins before reading stats.
+            def checked_in():
+                snap = daemon.stats()
+                return snap["images_resident"] == snap["image_misses"]
+
+            assert wait_until(checked_in, timeout=2.0)
             stats = daemon.stats()
             # Two ranks of one job always run together, so one digest
             # needed at least two instances; none was shared.

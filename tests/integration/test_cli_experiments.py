@@ -205,6 +205,12 @@ class TestMainEntry:
         assert main(["nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["bench", "serve-bench", "fleet-bench"])
+    def test_retired_bench_subcommands_are_unknown(self, name, capsys):
+        # benchmarks/suite/run.py is the one harness; no stub remains.
+        assert main([name]) == 2
+        assert "unknown experiment" in capsys.readouterr().out
+
     def test_registry_complete(self):
         assert set(EXPERIMENTS) == {
             "e1",
