@@ -128,10 +128,12 @@ def split_mur_regions(regions, strips):
 
 @dataclass
 class _FaceState:
-    """Previous-step copies for one face update."""
+    """Previous-step copies for one face update and the plane ``apply``
+    computes into — allocated at the first ``record``, reused after."""
 
     face_old: np.ndarray
     inward_old: np.ndarray
+    work: np.ndarray
 
 
 class Mur1:
@@ -170,14 +172,21 @@ class Mur1:
         self._state: dict[tuple[str, int, int], _FaceState] = {}
         self._recorded = False
 
+    def __getstate__(self):
+        # Like KernelScratch, the planes never cross a pickle: a program
+        # image taken after a run is no larger than one taken before.
+        return {**self.__dict__, "_state": {}, "_recorded": False}
+
     def record(self, arrays) -> None:
         """Snapshot face and inward planes (call before the E update)."""
         for key, (face, inward) in self.regions.items():
-            comp = key[0]
-            arr = arrays[comp]
-            self._state[key] = _FaceState(
-                face_old=arr[face].copy(), inward_old=arr[inward].copy()
-            )
+            arr = arrays[key[0]]
+            state = self._state.get(key)
+            if state is None:
+                planes = np.empty((3,) + arr[face].shape, arr.dtype)
+                state = self._state[key] = _FaceState(*planes)
+            state.face_old[...] = arr[face]
+            state.inward_old[...] = arr[inward]
         self._recorded = True
 
     def apply(self, arrays) -> None:
@@ -188,7 +197,11 @@ class Mur1:
             comp, axis = key[0], key[1]
             arr = arrays[comp]
             state = self._state[key]
-            arr[face] = state.inward_old + self.coef[axis] * (
-                arr[inward] - state.face_old
-            )
+            # inward_old + coef * (arr[inward] - face_old), in place
+            work = state.work
+            work[...] = arr[inward]
+            work -= state.face_old
+            work *= self.coef[axis]
+            work += state.inward_old
+            arr[face] = work
         self._recorded = False

@@ -118,18 +118,29 @@ def shift_region(region: tuple[slice, ...], axis: int, delta: int) -> tuple[slic
     return tuple(out)
 
 
+#: Elements per scratch buffer (512 KB of float64): an x-slab of the
+#: flat kernel is as many whole planes as fit.  Fixed by the threaded
+#: engine, not by the bare loop: 16K elements is faster single-threaded
+#: (``near_large`` sequential 57 -> 49 ms), but every extra ufunc call
+#: costs two ranks sharing the GIL a cross-core hand-off (~3 us), and at
+#: 16K the threaded run goes 70 -> 107 ms.  64K keeps most of the
+#: sequential gain over unblocked (4.2 -> 3.4 ms per 49^3 step) at two
+#: slabs per call, which the threaded engine does not feel.
+_BLOCK = 65536
+
+
 class KernelScratch:
     """Preallocated scratch buffers for the allocation-free kernel path.
 
     One instance serves one caller (one rank, or the sequential driver):
     the buffers are reused across steps and components, so the instance
     must not be shared between concurrently running ranks.  Buffers are
-    keyed by ``(shape, dtype)``; the FDTD update regions are fixed for a
-    given grid and decomposition, so after the first step the cache is
-    warm and the leapfrog hot loop allocates no array memory at all —
-    not even numpy's buffered-iteration scratch, because the kernel
-    stages every strided region view through these contiguous buffers
-    with ``np.copyto`` and runs all arithmetic contiguous-only.
+    keyed by ``(shape, dtype)``, and :func:`curl_update` asks for one
+    flat shape only, its x-slab length — at most ``max(_BLOCK, one
+    plane)`` elements — so :meth:`nbytes` is bounded by three blocks
+    whatever the grid size and the number of distinct update regions,
+    and after the first call the leapfrog hot loop allocates no array
+    memory at all.
 
     Buffer contents are pure cache (fully overwritten before every
     read), so pickling drops them: a scratch captured in a process-body
@@ -199,26 +210,58 @@ def curl_update(
     partitioned array); ``backward=False`` uses ``f[x+1] - f[x]``
     (H updates, reading the high-side ghost).
 
-    With a :class:`KernelScratch` the update runs through preallocated
-    buffers and ``out=`` ufunc calls — zero array allocations per call,
-    and bitwise-identical results: the per-element operation dag is
-    unchanged (IEEE multiplication is commutative, so folding
-    ``cb*(...)`` as ``(...)*cb`` into a buffer alters nothing), only
-    where intermediates are stored.  Strided region views are staged
-    into the contiguous scratch with ``np.copyto`` (a pure strided
-    copy) before any arithmetic touches them; a ufunc handed a
-    non-contiguous operand would otherwise allocate its fixed
-    ``np.getbufsize()``-element iteration buffers on every call.
+    With a :class:`KernelScratch`, and ``dst, ca, cb, fa, fb`` all
+    C-contiguous of one shape and dtype (global arrays, scattered local
+    blocks and shm-backed stores always are), the update runs on *flat*
+    1-D views: a neighbour along an axis is a constant flat offset, so
+    over the contiguous span from the region's first cell to its last
+    the arithmetic is eight contiguous ``out=`` ufuncs straight from the
+    source arrays, and one strided ``copyto`` then writes only the
+    region's cells back into ``dst``.  Lanes of the span outside the
+    region are computed into scratch and discarded, never written; every
+    read stays in bounds because the span's reads lie between the first
+    and the last region cell's own reads.  The span is walked in x-slabs
+    (axis 0 is the slowest, so whole planes are one contiguous span) of
+    at most :data:`_BLOCK` elements, which keeps the scratch
+    cache-resident.  Zero array allocations per call, and
+    bitwise-identical results: the update is elementwise, so re-tiling
+    and extra lanes change no region cell's operation dag (nor does
+    folding ``cb*(...)`` as ``(...)*cb``: IEEE multiplication commutes).
+
+    Everything else takes the reference expression, the oracle the flat
+    path is tested against: no scratch, operands that fail the
+    precondition, and *low-fill* pieces whose flat span exceeds twice
+    their cell count (shell strips thin in y or z), where the discarded
+    lanes would cost more than the reference's temporaries.
 
     ``xp`` is the array namespace the ufunc calls go through (NumPy by
     default, CuPy for device arrays — both implement this exact
     ``copyto``/``subtract``/``multiply``/``add`` ``out=`` slice of the
     API).  It defaults to the scratch's own backend namespace, which
-    keeps buffers and arithmetic on the same device; the plain
-    (allocating) path needs no namespace at all because operators
-    dispatch on the array type.
+    keeps buffers and arithmetic on the same device; the reference
+    expression needs no namespace at all because operators dispatch on
+    the array type.
     """
-    if scratch is None:
+    shape, dtype = dst.shape, dst.dtype
+    flat = scratch is not None
+    for a in (dst, ca, cb, fa, fb):
+        flat = flat and (
+            a.shape == shape and a.dtype == dtype and a.flags.c_contiguous
+        )
+    if flat:
+        # Element strides and the flat positions of the region's first
+        # and last cell, in one pass from the fastest axis.
+        strides = [1] * len(shape)
+        stride, first, last, cells = 1, 0, 0, 1
+        for i in range(len(shape) - 1, -1, -1):
+            s = region[i]
+            strides[i] = stride
+            first += s.start * stride
+            last += (s.stop - 1) * stride
+            cells *= s.stop - s.start
+            stride *= shape[i]
+        flat = 0 < last - first + 1 <= 2 * cells
+    if not flat:
         if backward:
             da = fa[region] - fa[shift_region(region, axis_a, -1)]
             db = fb[region] - fb[shift_region(region, axis_b, -1)]
@@ -231,32 +274,40 @@ def curl_update(
         return
     if xp is None:
         xp = scratch.xp
-    view = dst[region]
-    s1, s2, s3 = scratch.trio(view.shape, view.dtype)
-    if backward:
-        xp.copyto(s1, fa[region])
-        xp.copyto(s2, fa[shift_region(region, axis_a, -1)])
-        xp.subtract(s1, s2, out=s1)  # da
-        xp.copyto(s2, fb[region])
-        xp.copyto(s3, fb[shift_region(region, axis_b, -1)])
-        xp.subtract(s2, s3, out=s2)  # db
-    else:
-        xp.copyto(s1, fa[shift_region(region, axis_a, 1)])
-        xp.copyto(s2, fa[region])
-        xp.subtract(s1, s2, out=s1)  # da
-        xp.copyto(s2, fb[shift_region(region, axis_b, 1)])
-        xp.copyto(s3, fb[region])
-        xp.subtract(s2, s3, out=s2)  # db
-    xp.multiply(s1, inv_da, out=s1)  # da * inv_da
-    xp.multiply(s2, inv_db, out=s2)  # db * inv_db
-    xp.subtract(s1, s2, out=s1)  # da*inv_da - db*inv_db
-    xp.copyto(s2, cb[region])
-    xp.multiply(s1, s2, out=s1)  # cb * (...)
-    xp.copyto(s2, ca[region])
-    xp.copyto(s3, view)
-    xp.multiply(s2, s3, out=s2)  # ca * dst
-    xp.add(s2, s1, out=s2)
-    xp.copyto(view, s2)
+    plane = strides[0]
+    step = min(shape[0], max(1, _BLOCK // plane))  # planes per slab
+    # Operands are read in place, so two buffers carry the whole dag;
+    # the trio's third is never touched and costs address space only.
+    s1, s2, _ = scratch.trio((step * plane,), dtype)
+    out = s2.reshape((step,) + shape[1:])
+    dstf, caf, cbf = dst.ravel(), ca.ravel(), cb.ravel()
+    faf, fbf = fa.ravel(), fb.ravel()
+    oa, ob = strides[axis_a], strides[axis_b]
+    # Minuend offsets; each subtrahend is one cell lower along its axis.
+    pa, pb = (0, 0) if backward else (oa, ob)
+    x0, x1 = region[0].start, region[0].stop
+    inner = region[1:]
+    # Within a plane: the region's first cell, and one past its last.
+    head = first - x0 * plane
+    tail = last - (x1 - 1) * plane + 1
+    for xa in range(x0, x1, step):
+        xb = min(xa + step, x1)
+        lo, hi = xa * plane + head, (xb - 1) * plane + tail
+        n = hi - lo
+        t1, t2 = s1[head : head + n], s2[head : head + n]
+        a, b = lo + pa, lo + pb
+        xp.subtract(faf[a : a + n], faf[a - oa : a - oa + n], out=t1)  # da
+        xp.subtract(fbf[b : b + n], fbf[b - ob : b - ob + n], out=t2)  # db
+        xp.multiply(t1, inv_da, out=t1)  # da * inv_da
+        xp.multiply(t2, inv_db, out=t2)  # db * inv_db
+        xp.subtract(t1, t2, out=t1)  # da*inv_da - db*inv_db
+        xp.multiply(t1, cbf[lo:hi], out=t1)  # cb * (...)
+        xp.multiply(caf[lo:hi], dstf[lo:hi], out=t2)  # ca * dst
+        xp.add(t2, t1, out=t2)
+        xp.copyto(
+            dst[(slice(xa, xb),) + inner],
+            out[(slice(0, xb - xa),) + inner],
+        )
 
 
 def _region_pieces(region) -> list[tuple[slice, ...]]:

@@ -5,11 +5,13 @@ not *what* is computed: the per-element operation dag is unchanged, so
 results must be bitwise identical to the original allocating path — on
 the sequential drivers (Versions A and C) and through the 4-rank
 parallelization alike.  The tracemalloc checks then pin down the perf
-claim itself: the steady-state leapfrog loop performs zero per-step
-array allocations with scratch, while the legacy path demonstrably
-allocates (so the check is known to be able to fail).
+claim itself: a steady-state leapfrog step — Mur record, E update, Mur
+apply, H update — performs zero array allocations with scratch, while
+the legacy path demonstrably allocates (so the check is known to be
+able to fail).
 """
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,8 @@ from repro.apps.fdtd import (
     YeeGrid,
     build_parallel_fdtd,
 )
+from repro.apps.fdtd import update as update_module
+from repro.apps.fdtd.boundary import Mur1
 from repro.apps.fdtd.update import KernelScratch, update_e, update_h
 from repro.util import bitwise_equal_arrays
 
@@ -102,7 +106,15 @@ def _bare_loop_arrays(n=40):
     driver = VersionA(config)
     arrays = dict(config.initial_fields().components())
     arrays.update(driver.coefs.arrays())
-    return arrays, driver._regions, driver._inv_spacing
+    return arrays, driver._regions, driver._inv_spacing, Mur1(config.grid)
+
+
+def _step(arrays, regions, inv, mur, scratch):
+    """What one leapfrog step runs: Mur record, E, Mur apply, H."""
+    mur.record(arrays)
+    update_e(arrays, regions, inv, scratch)
+    mur.apply(arrays)
+    update_h(arrays, regions, inv, scratch)
 
 
 class TestSteadyStateAllocations:
@@ -110,41 +122,59 @@ class TestSteadyStateAllocations:
     #: iterator objects) — far below one field-region temporary.
     NOISE = 64 * 1024
 
-    def _peak_over(self, arrays, regions, inv, scratch, steps=4):
-        # Warm the scratch cache first so only steady state is measured.
-        update_e(arrays, regions, inv, scratch)
-        update_h(arrays, regions, inv, scratch)
+    def _peak_over(self, arrays, regions, inv, mur, scratch, steps=4):
+        # Warm the scratch cache and the Mur planes first so only steady
+        # state is measured.
+        _step(arrays, regions, inv, mur, scratch)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
             for _ in range(steps):
-                update_e(arrays, regions, inv, scratch)
-                update_h(arrays, regions, inv, scratch)
+                _step(arrays, regions, inv, mur, scratch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak - base
 
     def test_scratch_loop_allocates_no_arrays(self):
-        arrays, regions, inv = _bare_loop_arrays()
+        arrays, regions, inv, mur = _bare_loop_arrays()
         scratch = KernelScratch()
-        assert self._peak_over(arrays, regions, inv, scratch) < self.NOISE
+        assert self._peak_over(arrays, regions, inv, mur, scratch) < self.NOISE
 
     def test_legacy_loop_detectably_allocates(self):
         # The same measurement must trip on the allocating path, or the
         # zero-allocation assertion above would be vacuous.
-        arrays, regions, inv = _bare_loop_arrays()
+        arrays, regions, inv, mur = _bare_loop_arrays()
         one_region = arrays["ex"][1:-1, 1:-1, 1:-1].nbytes
-        assert self._peak_over(arrays, regions, inv, None) > one_region
+        assert self._peak_over(arrays, regions, inv, mur, None) > one_region
 
     def test_scratch_cache_is_bounded_and_reused(self):
-        arrays, regions, inv = _bare_loop_arrays(n=12)
+        # 56^3 nodes in 3136-element planes: one array is several blocks.
+        arrays, regions, inv, mur = _bare_loop_arrays(n=55)
+        assert arrays["ex"].size > 2 * update_module._BLOCK
         scratch = KernelScratch()
-        update_e(arrays, regions, inv, scratch)
-        update_h(arrays, regions, inv, scratch)
+        _step(arrays, regions, inv, mur, scratch)
         warm = scratch.nbytes()
         for _ in range(3):
-            update_e(arrays, regions, inv, scratch)
-            update_h(arrays, regions, inv, scratch)
+            _step(arrays, regions, inv, mur, scratch)
         assert scratch.nbytes() == warm  # fixed regions: no cache growth
+        # three buffers of one block, whatever the grid and however many
+        # distinct update regions the six components have
+        assert warm <= 3 * update_module._BLOCK * arrays["ex"].itemsize
+
+    def test_mur_planes_do_not_cross_a_pickle(self):
+        # A body pickled after a run (the threaded engine ran it first)
+        # must not ship its Mur planes, and must work without them.
+        arrays, regions, inv, mur = _bare_loop_arrays(n=12)
+        rng = np.random.default_rng(0)
+        for comp in COMPONENTS:
+            arrays[comp][...] = rng.uniform(-1.0, 1.0, arrays[comp].shape)
+        fresh = len(pickle.dumps(mur))
+        _step(arrays, regions, inv, mur, KernelScratch())
+        assert len(pickle.dumps(mur)) == fresh
+        twin_arrays = {k: v.copy() for k, v in arrays.items()}
+        twin = pickle.loads(pickle.dumps(mur))
+        _step(arrays, regions, inv, mur, KernelScratch())
+        _step(twin_arrays, regions, inv, twin, KernelScratch())
+        assert _fields_equal(arrays, twin_arrays)
