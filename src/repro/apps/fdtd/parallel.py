@@ -298,7 +298,6 @@ class ParallelFDTD:
     ntff_config: NTFFConfig | None = None
     ntff_bins: int = 0
     overlap: bool = False
-    backend: str = "numpy"
 
     @property
     def host(self) -> int:
@@ -357,7 +356,6 @@ def build_parallel_fdtd(
     compensated_farfield: bool = False,
     batch_exchanges: bool = False,
     overlap: bool = False,
-    backend: str = "numpy",
 ) -> ParallelFDTD:
     """Parallelize an FDTD configuration over a 3-D process grid.
 
@@ -407,21 +405,12 @@ def build_parallel_fdtd(
     so the results are bitwise identical to ``overlap=False`` on every
     engine.  Overlap always coalesces each phase's components
     into one combined exchange (it subsumes ``batch_exchanges``).
-
-    ``backend`` names the array namespace
-    (:func:`repro.xp.get_backend`) the update kernels run on —
-    ``"numpy"`` (default) or ``"cupy"`` where installed; resolution
-    happens here so a missing backend fails at build time, not
-    mid-run.
     """
     version = version.upper()
     if version not in ("A", "C"):
         raise FDTDError(f"unknown FDTD version {version!r}")
     if version == "C" and ntff is None:
         ntff = NTFFConfig()
-    from repro.xp import get_backend
-
-    get_backend(backend)  # fail fast on an unknown/absent backend
 
     grid = config.grid
     decomp = BlockDecomposition(grid.node_shape, pshape, ghost=1)
@@ -482,7 +471,7 @@ def build_parallel_fdtd(
     # One scratch per rank: ranks may run concurrently (threaded engine)
     # or in separate processes (scratch crosses empty and refills there);
     # either way the steady-state step loop allocates no temporaries.
-    scratches = [KernelScratch(backend) for _ in range(decomp.nprocs)]
+    scratches = [KernelScratch() for _ in range(decomp.nprocs)]
 
     if overlap:
         _overlap_time_loop(
@@ -555,5 +544,4 @@ def build_parallel_fdtd(
         ntff_config=ntff,
         ntff_bins=nbins,
         overlap=overlap,
-        backend=backend,
     )

@@ -145,22 +145,11 @@ class KernelScratch:
     Buffer contents are pure cache (fully overwritten before every
     read), so pickling drops them: a scratch captured in a process-body
     closure crosses to a worker empty and refills on first use there.
-
-    The buffers live on an array *backend* (``backend="numpy"`` by
-    default, ``"cupy"`` for device memory): the scratch resolves the
-    backend name through :func:`repro.xp.get_backend` and exposes the
-    namespace as :attr:`xp` so kernels allocate and compute on whatever
-    module the caller chose.
     """
 
-    __slots__ = ("_bufs", "backend", "xp")
+    __slots__ = ("_bufs",)
 
-    def __init__(self, backend: str = "numpy") -> None:
-        from repro.xp import get_backend
-
-        self.backend = backend
-        #: the array namespace buffers are allocated on
-        self.xp = get_backend(backend).xp
+    def __init__(self) -> None:
         self._bufs: dict[
             tuple, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
@@ -173,9 +162,9 @@ class KernelScratch:
         got = self._bufs.get(key)
         if got is None:
             got = self._bufs[key] = (
-                self.xp.empty(shape, dtype),
-                self.xp.empty(shape, dtype),
-                self.xp.empty(shape, dtype),
+                np.empty(shape, dtype),
+                np.empty(shape, dtype),
+                np.empty(shape, dtype),
             )
         return got
 
@@ -185,7 +174,7 @@ class KernelScratch:
 
     def __reduce__(self):
         # Buffer contents never cross a pickle: rebuild empty.
-        return (KernelScratch, (self.backend,))
+        return (KernelScratch, ())
 
 
 def curl_update(
@@ -201,7 +190,6 @@ def curl_update(
     region: tuple[slice, ...],
     backward: bool,
     scratch: KernelScratch | None = None,
-    xp=None,
 ) -> None:
     """``dst[R] = ca[R]*dst[R] + cb[R]*(d_a*inv_da - d_b*inv_db)``.
 
@@ -233,14 +221,6 @@ def curl_update(
     precondition, and *low-fill* pieces whose flat span exceeds twice
     their cell count (shell strips thin in y or z), where the discarded
     lanes would cost more than the reference's temporaries.
-
-    ``xp`` is the array namespace the ufunc calls go through (NumPy by
-    default, CuPy for device arrays — both implement this exact
-    ``copyto``/``subtract``/``multiply``/``add`` ``out=`` slice of the
-    API).  It defaults to the scratch's own backend namespace, which
-    keeps buffers and arithmetic on the same device; the reference
-    expression needs no namespace at all because operators dispatch on
-    the array type.
     """
     shape, dtype = dst.shape, dst.dtype
     flat = scratch is not None
@@ -272,8 +252,6 @@ def curl_update(
             da * inv_da - db * inv_db
         )
         return
-    if xp is None:
-        xp = scratch.xp
     plane = strides[0]
     step = min(shape[0], max(1, _BLOCK // plane))  # planes per slab
     # Operands are read in place, so two buffers carry the whole dag;
@@ -296,15 +274,15 @@ def curl_update(
         n = hi - lo
         t1, t2 = s1[head : head + n], s2[head : head + n]
         a, b = lo + pa, lo + pb
-        xp.subtract(faf[a : a + n], faf[a - oa : a - oa + n], out=t1)  # da
-        xp.subtract(fbf[b : b + n], fbf[b - ob : b - ob + n], out=t2)  # db
-        xp.multiply(t1, inv_da, out=t1)  # da * inv_da
-        xp.multiply(t2, inv_db, out=t2)  # db * inv_db
-        xp.subtract(t1, t2, out=t1)  # da*inv_da - db*inv_db
-        xp.multiply(t1, cbf[lo:hi], out=t1)  # cb * (...)
-        xp.multiply(caf[lo:hi], dstf[lo:hi], out=t2)  # ca * dst
-        xp.add(t2, t1, out=t2)
-        xp.copyto(
+        np.subtract(faf[a : a + n], faf[a - oa : a - oa + n], out=t1)  # da
+        np.subtract(fbf[b : b + n], fbf[b - ob : b - ob + n], out=t2)  # db
+        np.multiply(t1, inv_da, out=t1)  # da * inv_da
+        np.multiply(t2, inv_db, out=t2)  # db * inv_db
+        np.subtract(t1, t2, out=t1)  # da*inv_da - db*inv_db
+        np.multiply(t1, cbf[lo:hi], out=t1)  # cb * (...)
+        np.multiply(caf[lo:hi], dstf[lo:hi], out=t2)  # ca * dst
+        np.add(t2, t1, out=t2)
+        np.copyto(
             dst[(slice(xa, xb),) + inner],
             out[(slice(0, xb - xa),) + inner],
         )
@@ -325,7 +303,6 @@ def update_e(
     regions: Mapping[str, tuple[slice, ...] | list | None],
     inv_spacing: tuple[float, float, float],
     scratch: KernelScratch | None = None,
-    xp=None,
 ) -> None:
     """One E half-step over the given per-component regions.
 
@@ -336,7 +313,7 @@ def update_e(
     *list* of regions (the overlap refinement's shell pieces) updates
     each piece in order — the pieces are disjoint, so any order gives
     bitwise the same fields.  ``scratch`` (one per caller) selects the
-    allocation-free path; ``xp`` the array namespace.
+    allocation-free path.
     """
     for comp in E_COMPONENTS:
         fa, axis_a, fb, axis_b = E_CURL[comp]
@@ -354,7 +331,6 @@ def update_e(
                 region,
                 backward=E_STENCIL_SIDE < 0,
                 scratch=scratch,
-                xp=xp,
             )
 
 
@@ -363,7 +339,6 @@ def update_h(
     regions: Mapping[str, tuple[slice, ...] | list | None],
     inv_spacing: tuple[float, float, float],
     scratch: KernelScratch | None = None,
-    xp=None,
 ) -> None:
     """One H half-step over the given per-component regions."""
     for comp in H_COMPONENTS:
@@ -382,7 +357,6 @@ def update_h(
                 region,
                 backward=H_STENCIL_SIDE < 0,
                 scratch=scratch,
-                xp=xp,
             )
 
 

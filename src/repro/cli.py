@@ -1,67 +1,21 @@
-"""Experiment runners: ``python -m repro <experiment>``.
+"""Experiment runners: ``python -m repro <command> [options]``.
 
-Each experiment regenerates one artifact of the paper's evaluation (see
-DESIGN.md's experiment index):
-
-* ``e1``       — correctness, near field (identical results)
-* ``e2``       — correctness, far field (reordered sums differ; Kahan fix)
-* ``table1``   — modeled Table 1 (Version C on the network of Suns)
-* ``figure2``  — modeled Figure 2 (Version A on the IBM SP)
-* ``theorem1`` — determinacy experiments (E5)
-* ``figure1``  — parallel vs simulated-parallel trace correspondence
-* ``effort``   — mechanical-edit counts vs the paper's person-days (E7)
-* ``ablations``— A1 ordering, A2 reduction topology, A3 decomposition
-* ``rcs``      — far-zone fields / RCS proxy derived from the potentials
-* ``all``      — everything above, in order
-
-``stats <e1|e2>`` runs one experiment's parallel program with the
-observability layer on (see docs/OBSERVABILITY.md): per-process
-compute/blocked time, per-channel traffic and queue high-water marks,
-rank x rank communication matrices, measured-vs-modeled comparison,
-and Chrome-trace + JSONL exports.  Both ``stats`` and ``trace`` accept
-``--overlap`` (instrument the overlapped shell/interior program; see
-docs/ENGINES.md "Overlap refinement") and ``--backend numpy|cupy``.
-
-``trace <e1|e2>`` runs one experiment with causal tracing on (Lamport
-clocks carried in every message; see docs/OBSERVABILITY.md "Causal
-tracing") and renders the merged happens-before timeline — the Figure 1
-picture recovered from a *real* distributed run.  Options: ``--pshape
-AxBxC``, ``--engine NAME``, ``--hosts host:port,...``, ``--out FILE``
-(causal-trace JSON), ``--chrome FILE`` (Chrome trace with flow-event
-arrows), ``--limit N`` (timeline rows printed).
-
-``e1``, ``e2`` and ``stats`` accept ``--engine
-cooperative|threaded|multiprocess|multiprocess+pool|socket`` to choose
-the execution backend for their message-passing runs.  For the socket
-engine, ``--hosts host:port,...`` points at externally started worker
-daemons (default: the engine spawns loopback daemons itself).
-
-``explore`` runs the schedule-space explorer (see docs/EXPLORATION.md):
-bounded DFS or seeded random walks over a named target's maximal
-interleavings, checking every explored schedule for the Theorem 1
-contract, optionally under an injected fault plan (``--faults
-kill:RANK@STEP,delay:CHANNEL#INDEX[~HOLD]``).  Key options:
-``--target NAME[,NAME...]`` (``--list`` shows them), ``--strategy
-dfs|walk``, ``--schedules N``, ``--max-steps N``, ``--engine
-multiprocess|socket`` (real-``SIGKILL`` fault sweep), ``--replay
-FILE`` (re-execute a violation artifact), ``--expect-violation``
-(conviction mode for the racy fixture).
-
-``worker-daemon`` runs the long-lived per-host daemon of the cross-host
-transport (see docs/ENGINES.md "Cross-host transport"): ``python -m
-repro worker-daemon --host 0.0.0.0 --port 9001`` on each machine, then
-``--engine socket --hosts hostA:9001,hostB:9001`` on the coordinator —
-or point a :class:`~repro.dist.fleet.FleetScheduler` at the same
-daemons.  ``--stats-interval S`` prints the daemon's telemetry
-counters (the same snapshot remote ``stats`` pollers see) every S
-seconds.
+One ``argparse`` parser (:func:`_build_parser`) defines every command
+and every option; what follows is its ``--help`` output, top level
+first and then each command that takes options (``e2`` takes ``e1``'s),
+appended at import so it cannot drift from the parsers.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
+import contextlib
+import inspect
+from pathlib import Path
 
 import numpy as np
+
+from repro.runtime import ENGINE_NAMES, make_engine
 
 __all__ = ["main"]
 
@@ -72,19 +26,13 @@ def _header(title: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# E1 — near-field correctness
+# The FDTD experiments' programs and engine, built from parsed options
 # ---------------------------------------------------------------------------
 
 
-def _engine_kwargs(engine_name: str | None, hosts: str | None) -> dict:
-    """``--hosts`` is only meaningful for the socket engine."""
-    if hosts and (engine_name or "").startswith("socket"):
-        return {"hosts": hosts}
-    return {}
-
-
-def _e1_config():
-    """E1's problem (Version A): a lossy dielectric box, Mur boundary."""
+def _e1_problem() -> dict:
+    """E1's problem (Version A): a lossy dielectric box, Mur boundary —
+    as :func:`~repro.apps.fdtd.build_parallel_fdtd` keywords."""
     from repro.apps.fdtd import (
         FDTDConfig,
         GaussianPulse,
@@ -98,17 +46,18 @@ def _e1_config():
     mats = MaterialGrid(grid).add_box(
         (6, 5, 4), (11, 10, 8), Material(eps_r=4.0, sigma_e=0.02)
     )
-    return FDTDConfig(
+    config = FDTDConfig(
         grid=grid,
         steps=16,
         boundary="mur1",
         materials=mats,
         sources=[PointSource("ez", (4, 7, 6), GaussianPulse(delay=10, spread=3))],
     )
+    return dict(config=config, version="A")
 
 
-def _e2_config():
-    """E2's problem (Version C): ``(FDTDConfig, NTFFConfig)``."""
+def _e2_problem() -> dict:
+    """E2's problem (Version C), likewise."""
     from repro.apps.fdtd import (
         FDTDConfig,
         GaussianPulse,
@@ -122,53 +71,85 @@ def _e2_config():
         steps=24,
         sources=[PointSource("ez", (8, 7, 7), GaussianPulse(delay=10, spread=3))],
     )
-    return config, NTFFConfig(gap=3)
+    return dict(config=config, version="C", ntff=NTFFConfig(gap=3))
 
 
-def run_e1(
-    out=print, engine_name: str | None = None, hosts: str | None = None
-) -> bool:
-    from repro.apps.fdtd import COMPONENTS, VersionA, build_parallel_fdtd
-    from repro.runtime import make_engine
-    from repro.util import bitwise_equal_arrays, format_table
+@contextlib.contextmanager
+def _build_run(args, grids, **engine_opts):
+    """What one ``e1`` / ``e2`` / ``stats`` / ``trace`` invocation runs:
+    ``(pars, engine)``.
 
-    engine = make_engine(
-        engine_name or "threaded", **_engine_kwargs(engine_name, hosts)
+    ``pars`` holds one :class:`~repro.apps.fdtd.ParallelFDTD` of
+    ``args.experiment`` per process grid — ``--pshape`` when given, else
+    the command's own ``grids``.  ``engine`` is ``--engine`` built with
+    ``engine_opts`` (``None`` for a command that defaults to no
+    message-passing run and was given none) and is closed on exit.
+    """
+    from repro.apps.fdtd import build_parallel_fdtd
+
+    problem = _e1_problem() if args.experiment == "e1" else _e2_problem()
+    pars = [
+        build_parallel_fdtd(pshape=pshape, overlap=args.overlap, **problem)
+        for pshape in ([args.pshape] if args.pshape else grids)
+    ]
+    engine = None
+    if args.engine:
+        if args.hosts and args.engine == "socket":
+            engine_opts["hosts"] = args.hosts
+        engine = make_engine(args.engine, **engine_opts)
+    try:
+        yield pars, engine
+    finally:
+        # Only the process-backed engines hold anything to release.
+        close = getattr(engine, "close", None)
+        if close is not None:
+            close()
+
+
+def _near_fields_identical(par, stores, reference) -> bool:
+    """Every field component on ``par``'s host rank bitwise equal to
+    ``reference`` (a component -> array mapping)."""
+    from repro.apps.fdtd import COMPONENTS
+    from repro.util import bitwise_equal_arrays
+
+    return all(
+        bitwise_equal_arrays(stores[par.host][c], reference[c])
+        for c in COMPONENTS
     )
-    _closing = getattr(engine, "close", lambda: None)
-    out(_header("E1: near-field correctness (paper section 4.5)"))
-    out(f"message-passing engine: {engine.name}\n")
-    config = _e1_config()
-    seq = VersionA(config).run()
+
+
+# ---------------------------------------------------------------------------
+# E1 — near-field correctness
+# ---------------------------------------------------------------------------
+
+_E1_GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)]
+
+
+def run_e1(args=None, out=print) -> bool:
+    from repro.apps.fdtd import VersionA
+    from repro.util import format_table
+
+    if args is None:
+        args = _PARSER.parse_args(["e1"])
     rows = []
     all_ok = True
-    try:
-        for pshape in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)]:
-            par = build_parallel_fdtd(config, pshape, version="A")
+    with _build_run(args, _E1_GRIDS) as (pars, engine):
+        out(_header("E1: near-field correctness (paper section 4.5)"))
+        out(f"message-passing engine: {engine.name}\n")
+        seq = VersionA(pars[0].config).run()
+        for par in pars:
             sim = par.run_simulated()
-            sim_fields = par.host_fields(sim)
-            sim_ok = all(
-                bitwise_equal_arrays(sim_fields[c], seq.fields[c])
-                for c in COMPONENTS
-            )
+            sim_ok = _near_fields_identical(par, sim, seq.fields)
             msg = engine.run(par.to_parallel())
-            msg_ok = all(
-                bitwise_equal_arrays(
-                    np.asarray(msg.stores[par.host][c]),
-                    np.asarray(sim[par.host][c]),
-                )
-                for c in COMPONENTS
-            )
+            msg_ok = _near_fields_identical(par, msg.stores, sim[par.host])
             all_ok &= sim_ok and msg_ok
             rows.append(
                 [
-                    f"{pshape}",
+                    f"{par.decomp.pgrid.shape}",
                     "identical" if sim_ok else "DIFFERS",
                     "identical" if msg_ok else "DIFFERS",
                 ]
             )
-    finally:
-        _closing()
     out(
         format_table(
             [
@@ -193,12 +174,11 @@ def run_e1(
 # E2 — far-field associativity
 # ---------------------------------------------------------------------------
 
+_E2_GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 
-def run_e2(
-    out=print, engine_name: str | None = None, hosts: str | None = None
-) -> bool:
-    from repro.apps.fdtd import COMPONENTS, VersionC, build_parallel_fdtd
-    from repro.runtime import make_engine
+
+def run_e2(args=None, out=print) -> bool:
+    from repro.apps.fdtd import VersionC
     from repro.numerics import (
         dynamic_range,
         reordering_report,
@@ -210,65 +190,47 @@ def run_e2(
         max_rel_diff,
     )
 
+    if args is None:
+        args = _PARSER.parse_args(["e2"])
     out(_header("E2: far-field associativity failure (paper section 4.5)"))
-    config, ntff = _e2_config()
-    seq = VersionC(config, ntff).run()
-    engine = (
-        make_engine(engine_name, **_engine_kwargs(engine_name, hosts))
-        if engine_name
-        else None
-    )
-    if engine is not None:
-        out(f"message-passing engine: {engine.name}\n")
-
     rows = []
     ok = True
-    for pshape in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]:
-        par = build_parallel_fdtd(config, pshape, version="C", ntff=ntff)
-        sim = par.run_simulated()
-        A, F = par.host_potentials(sim)
+    with _build_run(args, _E2_GRIDS) as (pars, engine):
         if engine is not None:
-            # The transform run on a real backend must agree with the
-            # simulated run bit-for-bit — near fields AND far-field
-            # potentials (the reduce order is fixed, so even the
-            # "wrong" reordered sum is reproducibly wrong).
-            msg = engine.run(par.to_parallel())
-            mA, mF = par.host_potentials(msg.stores)
-            msg_ok = all(
-                bitwise_equal_arrays(
-                    np.asarray(msg.stores[par.host][c]),
-                    np.asarray(sim[par.host][c]),
-                )
-                for c in COMPONENTS
+            out(f"message-passing engine: {engine.name}\n")
+        seq = VersionC(pars[0].config, pars[0].ntff_config).run()
+        for par in pars:
+            pshape = par.decomp.pgrid.shape
+            sim = par.run_simulated()
+            A, F = par.host_potentials(sim)
+            if engine is not None:
+                # The transform run on a real backend must agree with the
+                # simulated run bit-for-bit — near fields AND far-field
+                # potentials (the reduce order is fixed, so even the
+                # "wrong" reordered sum is reproducibly wrong).
+                msg = engine.run(par.to_parallel())
+                mA, mF = par.host_potentials(msg.stores)
+                msg_ok = _near_fields_identical(par, msg.stores, sim[par.host])
+                msg_ok &= bitwise_equal_arrays(mA, A)
+                msg_ok &= bitwise_equal_arrays(mF, F)
+                if not msg_ok:
+                    out(f"  {pshape}: {engine.name} run DIFFERS from simulated")
+                ok &= msg_ok
+            near_ok = _near_fields_identical(par, sim, seq.fields)
+            bitA = bitwise_equal_arrays(A, seq.vector_potential_A)
+            rel = max(
+                max_rel_diff(A, seq.vector_potential_A),
+                max_rel_diff(F, seq.vector_potential_F),
             )
-            msg_ok &= bitwise_equal_arrays(mA, A)
-            msg_ok &= bitwise_equal_arrays(mF, F)
-            if not msg_ok:
-                out(f"  {pshape}: {engine.name} run DIFFERS from simulated")
-            ok &= msg_ok
-        near_ok = all(
-            bitwise_equal_arrays(
-                np.asarray(sim[par.host][c]), seq.fields[c]
+            expect_identical = par.decomp.nprocs == 1
+            ok &= near_ok and (bitA == expect_identical)
+            rows.append(
+                [
+                    f"{pshape}",
+                    "identical" if near_ok else "DIFFERS",
+                    "identical" if bitA else f"differs (max rel {rel:.1e})",
+                ]
             )
-            for c in COMPONENTS
-        )
-        bitA = bitwise_equal_arrays(A, seq.vector_potential_A)
-        rel = max(
-            max_rel_diff(A, seq.vector_potential_A),
-            max_rel_diff(F, seq.vector_potential_F),
-        )
-        nprocs = int(np.prod(pshape))
-        expect_identical = nprocs == 1
-        ok &= near_ok and (bitA == expect_identical)
-        rows.append(
-            [
-                f"{pshape}",
-                "identical" if near_ok else "DIFFERS",
-                "identical" if bitA else f"differs (max rel {rel:.1e})",
-            ]
-        )
-    if engine is not None:
-        getattr(engine, "close", lambda: None)()
     out(
         format_table(
             ["process grid", "near field vs sequential", "far field vs sequential"],
@@ -692,40 +654,25 @@ def run_rcs(out=print) -> bool:
     return bool(ok)
 
 
+
+
 # ---------------------------------------------------------------------------
 # stats — instrumented run + observability report (see docs/OBSERVABILITY.md)
 # ---------------------------------------------------------------------------
 
+_STATS_GRIDS = [(2, 2, 1)]
 
-def _stats_build(
-    experiment: str,
-    pshape: tuple[int, ...],
-    overlap: bool = False,
-    backend: str = "numpy",
-):
-    """Build the ParallelFDTD handle for one stats-able experiment."""
-    from repro.apps.fdtd import build_parallel_fdtd
 
-    if experiment == "e1":
-        return build_parallel_fdtd(
-            _e1_config(), pshape, version="A", overlap=overlap, backend=backend
-        )
-    if experiment == "e2":
-        config, ntff = _e2_config()
-        return build_parallel_fdtd(
-            config,
-            pshape,
-            version="C",
-            ntff=ntff,
-            overlap=overlap,
-            backend=backend,
-        )
-    raise ValueError(
-        f"stats supports experiments 'e1' and 'e2', not {experiment!r}"
+def _describe_run(args, par, engine) -> str:
+    return (
+        f"experiment={args.experiment}  grid={par.config.grid.shape}  "
+        f"steps={par.config.steps}  pshape={par.decomp.pgrid.shape}  "
+        f"version={par.version}  engine={engine.name}  "
+        f"overlap={args.overlap}\n"
     )
 
 
-def run_stats(args: list[str], out=print) -> bool:
+def run_stats(args, out=print) -> bool:
     """``python -m repro stats <e1|e2> [options]`` — run the experiment's
     parallel program once with instrumentation on, print the run summary
     (per-process compute/blocked split, per-channel traffic and queue
@@ -733,84 +680,23 @@ def run_stats(args: list[str], out=print) -> bool:
     timings) and the measured-vs-modeled communication comparison, and
     export the run as Chrome trace JSON + JSONL.
 
-    Options: ``--pshape AxBxC`` (default 2x2x1), ``--engine
-    cooperative|threaded|multiprocess|multiprocess+pool|socket``
-    (default threaded), ``--hosts host:port,...`` (socket engine:
-    external worker daemons), ``--overlap`` (run the overlapped
-    shell/interior program — the measured-vs-modeled comparison is
-    skipped, as the per-variable message model does not describe the
-    combined split exchanges), ``--backend numpy|cupy`` (array
-    backend), ``--outdir DIR`` (default ``runs``), ``--bench FILE``
-    (also write a benchmark baseline JSON).
+    Under ``--overlap`` the measured-vs-modeled comparison is skipped:
+    the per-variable message model does not describe the combined split
+    exchanges.
     """
     import json
-    from pathlib import Path
 
     from repro.obs import fdtd_model_comparison, write_chrome_trace, write_jsonl
-    from repro.runtime import make_engine
 
-    experiment = "e1"
-    pshape = (2, 2, 1)
-    engine_name = "threaded"
-    hosts = None
-    outdir = Path("runs")
-    bench_path = None
-    overlap = False
-    backend = "numpy"
-    rest = list(args)
-    if rest and not rest[0].startswith("-"):
-        experiment = rest.pop(0)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--pshape" and rest:
-            pshape = tuple(int(p) for p in rest.pop(0).replace(",", "x").split("x"))
-        elif flag == "--engine" and rest:
-            engine_name = rest.pop(0)
-        elif flag == "--hosts" and rest:
-            hosts = rest.pop(0)
-        elif flag == "--overlap":
-            overlap = True
-        elif flag == "--backend" and rest:
-            backend = rest.pop(0)
-        elif flag == "--outdir" and rest:
-            outdir = Path(rest.pop(0))
-        elif flag == "--bench" and rest:
-            bench_path = Path(rest.pop(0))
-        else:
-            out(f"unknown or incomplete stats option {flag!r}")
-            return False
-
-    out(_header(f"stats: instrumented {experiment} run"))
-    try:
-        par = _stats_build(experiment, pshape, overlap=overlap, backend=backend)
-    except ValueError as exc:
-        out(str(exc))
-        return False
-    try:
-        engine = make_engine(
-            engine_name,
-            observe=True,
-            backend=backend,
-            **_engine_kwargs(engine_name, hosts),
-        )
-    except ValueError as exc:
-        out(str(exc))
-        return False
-
-    out(
-        f"experiment={experiment}  grid={par.config.grid.shape}  "
-        f"steps={par.config.steps}  pshape={pshape}  "
-        f"version={par.version}  engine={engine.name}  "
-        f"overlap={overlap}  backend={backend}\n"
-    )
-    try:
+    out(_header(f"stats: instrumented {args.experiment} run"))
+    with _build_run(args, _STATS_GRIDS, observe=True) as ((par,), engine):
+        out(_describe_run(args, par, engine))
         result = engine.run(par.to_parallel())
-    finally:
-        getattr(engine, "close", lambda: None)()
     report = result.report
     out(report.summary())
 
-    if overlap:
+    comparison_rows = []
+    if args.overlap:
         # The cost model counts one message per variable per exchange;
         # the overlapped program deliberately coalesces each phase's
         # components into one combined split exchange, so the
@@ -823,6 +709,7 @@ def run_stats(args: list[str], out=print) -> bool:
         agree = True
     else:
         comparison = fdtd_model_comparison(par, report)
+        comparison_rows = comparison.rows
         out("\nmeasured vs cost-model predictions (E3/E4 loop closure):")
         out(comparison.table())
         agree = comparison.agreement()
@@ -832,30 +719,30 @@ def run_stats(args: list[str], out=print) -> bool:
             else "agreement: MISMATCH — model and implementation have diverged"
         )
 
-    stem = f"stats_{experiment}_{'x'.join(map(str, pshape))}_{engine.name}"
-    if overlap:
+    pshape = par.decomp.pgrid.shape
+    stem = f"stats_{args.experiment}_{'x'.join(map(str, pshape))}_{engine.name}"
+    if args.overlap:
         stem += "_overlap"
-    trace_path = write_chrome_trace(report, outdir / f"{stem}.trace.json")
-    jsonl_path = write_jsonl(report, outdir / f"{stem}.jsonl")
+    trace_path = write_chrome_trace(report, args.outdir / f"{stem}.trace.json")
+    jsonl_path = write_jsonl(report, args.outdir / f"{stem}.jsonl")
     out(f"\nwrote {trace_path} (chrome://tracing / Perfetto)")
     out(f"wrote {jsonl_path} (JSONL event log)")
 
-    if bench_path is not None:
+    if args.bench is not None:
         bench = {
-            "experiment": experiment,
+            "experiment": args.experiment,
             "engine": engine.name,
             "grid_shape": list(par.config.grid.shape),
             "steps": par.config.steps,
             "pshape": list(pshape),
-            "overlap": overlap,
-            "backend": backend,
+            "overlap": args.overlap,
             "nprocs": report.nprocs,
             "total_messages": report.total_messages(),
             "total_bytes": report.total_bytes(),
             "model_agreement": agree,
             "model_comparison": [
                 {"quantity": q, "measured": m, "modeled": pred}
-                for q, m, pred in comparison.rows
+                for q, m, pred in comparison_rows
             ],
             "channels": {
                 ch.name: {
@@ -876,9 +763,9 @@ def run_stats(args: list[str], out=print) -> bool:
                 for p in report.processes
             ],
         }
-        bench_path.parent.mkdir(parents=True, exist_ok=True)
-        bench_path.write_text(json.dumps(bench, indent=2) + "\n")
-        out(f"wrote {bench_path} (benchmark baseline)")
+        args.bench.parent.mkdir(parents=True, exist_ok=True)
+        args.bench.write_text(json.dumps(bench, indent=2) + "\n")
+        out(f"wrote {args.bench} (benchmark baseline)")
     return agree
 
 
@@ -887,97 +774,29 @@ def run_stats(args: list[str], out=print) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_trace(args: list[str], out=print) -> bool:
+def run_trace(args, out=print) -> bool:
     """``python -m repro trace <e1|e2> [options]`` — run the
     experiment's parallel program once with causal tracing on, merge
     the per-rank Lamport-clocked event logs into one happens-before
     partial order, check it (every receive must causally follow its
     send), and render the Figure-1-style timeline.
-
-    Options: ``--pshape AxBxC`` (default 2x2x1), ``--engine
-    cooperative|threaded|multiprocess|multiprocess+pool|socket``
-    (default multiprocess), ``--hosts host:port,...`` (socket engine:
-    external worker daemons), ``--overlap`` (trace the overlapped
-    shell/interior program), ``--backend numpy|cupy`` (array backend),
-    ``--out FILE`` (write the causal trace as JSON), ``--chrome FILE``
-    (write a Chrome trace whose send→recv pairs become flow-event
-    arrows), ``--limit N`` (timeline rows printed; default 48,
-    0 = all).
     """
     import json
-    from pathlib import Path
 
     from repro.obs import write_chrome_trace
-    from repro.runtime import make_engine
 
-    experiment = "e1"
-    pshape = (2, 2, 1)
-    engine_name = "multiprocess"
-    hosts = None
-    out_path = None
-    chrome_path = None
-    limit = 48
-    overlap = False
-    backend = "numpy"
-    rest = list(args)
-    if rest and not rest[0].startswith("-"):
-        experiment = rest.pop(0)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--pshape" and rest:
-            pshape = tuple(int(p) for p in rest.pop(0).replace(",", "x").split("x"))
-        elif flag == "--engine" and rest:
-            engine_name = rest.pop(0)
-        elif flag == "--hosts" and rest:
-            hosts = rest.pop(0)
-        elif flag == "--overlap":
-            overlap = True
-        elif flag == "--backend" and rest:
-            backend = rest.pop(0)
-        elif flag == "--out" and rest:
-            out_path = Path(rest.pop(0))
-        elif flag == "--chrome" and rest:
-            chrome_path = Path(rest.pop(0))
-        elif flag == "--limit" and rest:
-            limit = int(rest.pop(0))
-        else:
-            out(f"unknown or incomplete trace option {flag!r}")
-            return False
-
-    out(_header(f"trace: causal {experiment} run"))
-    try:
-        par = _stats_build(experiment, pshape, overlap=overlap, backend=backend)
-    except ValueError as exc:
-        out(str(exc))
-        return False
-    try:
-        engine = make_engine(
-            engine_name,
-            observe=chrome_path is not None,
-            trace_causal=True,
-            backend=backend,
-            **_engine_kwargs(engine_name, hosts),
-        )
-    except (TypeError, ValueError) as exc:
-        out(str(exc))
-        return False
-
-    out(
-        f"experiment={experiment}  grid={par.config.grid.shape}  "
-        f"steps={par.config.steps}  pshape={pshape}  "
-        f"version={par.version}  engine={engine.name}  "
-        f"overlap={overlap}  backend={backend}\n"
-    )
-    try:
+    out(_header(f"trace: causal {args.experiment} run"))
+    with _build_run(
+        args, _STATS_GRIDS, observe=args.chrome is not None, trace_causal=True
+    ) as ((par,), engine):
+        out(_describe_run(args, par, engine))
         result = engine.run(par.to_parallel())
-    finally:
-        getattr(engine, "close", lambda: None)()
     causal = result.causal
     if causal is None:
         out("engine returned no causal trace")
         return False
 
-    out(causal.render(limit=limit or None))
+    out(causal.render(limit=args.limit or None))
     pairs = causal.send_recv_pairs()
     violations = causal.validate()
     out(
@@ -994,78 +813,303 @@ def run_trace(args: list[str], out=print) -> bool:
             "exceeds its matching send's"
         )
 
-    if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(causal.to_dict(), indent=2) + "\n")
-        out(f"wrote {out_path} (causal trace JSON)")
-    if chrome_path is not None:
+    if args.out is not None:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(json.dumps(causal.to_dict(), indent=2) + "\n")
+        out(f"wrote {args.out} (causal trace JSON)")
+    if args.chrome is not None:
         if result.report is None:
             out("--chrome needs an observed run; engine returned no report")
             return False
-        write_chrome_trace(result.report, chrome_path)
-        out(f"wrote {chrome_path} (Chrome trace with flow-event arrows)")
+        write_chrome_trace(result.report, args.chrome)
+        out(f"wrote {args.chrome} (Chrome trace with flow-event arrows)")
     return not violations
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# entry point: one parser for every command
 # ---------------------------------------------------------------------------
 
+#: name -> (runner, one-line help); ``all`` runs them in this order.
 EXPERIMENTS = {
-    "e1": run_e1,
-    "e2": run_e2,
-    "table1": run_table1,
-    "figure2": run_figure2,
-    "theorem1": run_theorem1,
-    "figure1": run_figure1,
-    "effort": run_effort,
-    "ablations": run_ablations,
-    "rcs": run_rcs,
+    "e1": (run_e1, "correctness, near field (identical results)"),
+    "e2": (run_e2, "correctness, far field (reordered sums differ; Kahan fix)"),
+    "table1": (run_table1, "modeled Table 1 (Version C on the network of Suns)"),
+    "figure2": (run_figure2, "modeled Figure 2 (Version A on the IBM SP)"),
+    "theorem1": (run_theorem1, "determinacy experiments (E5)"),
+    "figure1": (run_figure1, "parallel vs simulated-parallel trace correspondence"),
+    "effort": (run_effort, "mechanical-edit counts vs the paper's person-days (E7)"),
+    "ablations": (run_ablations, "A1 ordering, A2 reduction topology, A3 grid shape"),
+    "rcs": (run_rcs, "far-zone fields / RCS proxy derived from the potentials"),
 }
 
 
+def run_all(out=print) -> bool:
+    results = {key: fn() for key, (fn, _help) in EXPERIMENTS.items()}
+    out(_header("summary"))
+    for key, good in results.items():
+        out(f"  {key:10s} {'OK' if good else 'MISMATCH'}")
+    return all(results.values())
+
+
+def _pshape(text: str) -> tuple[int, ...]:
+    try:
+        shape = tuple(int(p) for p in text.replace(",", "x").split("x"))
+    except ValueError:
+        shape = ()
+    if len(shape) != 3 or min(shape) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected three positive integers AxBxC, got {text!r}"
+        )
+    return shape
+
+
+def _hosts(text: str) -> list[tuple[str, int]]:
+    from repro.dist.net.rendezvous import parse_hosts
+
+    try:
+        return parse_hosts(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _fault_plan(text: str):
+    from repro.errors import ReproError
+    from repro.explore.faults import parse_fault_plan
+
+    try:
+        return parse_fault_plan(text)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _run_options(default_engine: str | None) -> argparse.ArgumentParser:
+    """The parent parser of ``e1``, ``e2``, ``stats`` and ``trace``:
+    which program, on which engine.  Made per command — ``argparse``
+    shares a parent's actions by reference, so one parent could carry
+    only one ``--engine`` default."""
+    parent = argparse.ArgumentParser(add_help=False)
+    add = parent.add_argument
+    add("--pshape", type=_pshape, metavar="AxBxC", help="process grid")
+    add(
+        "--engine",
+        choices=ENGINE_NAMES,
+        default=default_engine,
+        help="backend of the message-passing run (default: %(default)s)",
+    )
+    add(
+        "--hosts",
+        type=_hosts,
+        metavar="HOST:PORT,...",
+        help="socket engine: external worker daemons (default: own loopback ones)",
+    )
+    add(
+        "--overlap",
+        action="store_true",
+        help="the overlapped shell/interior program (docs/ENGINES.md)",
+    )
+    return parent
+
+
+def _run_explore(args) -> int:
+    from repro.explore.cli import run_explore
+
+    return run_explore(args)
+
+
+def _run_daemon(args) -> int:
+    from repro.dist.net.daemon import run_daemon_cli
+
+    return run_daemon_cli(args)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The whole command line: ``(parser, {command: subparser})``.
+
+    Every command sets ``run``, a callable from the parsed namespace to
+    the exit status.  Malformed values are rejected by ``type=``
+    converters and ``choices=``, so every usage error exits 2.
+    """
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Regenerate the artifacts of the paper's evaluation "
+        "(see DESIGN.md's experiment index) and drive the runtime's tools.",
+    )
+    commands = parser.add_subparsers(
+        dest="command", metavar="command", required=True
+    )
+
+    def reproduced(fn):
+        """Exit status of a runner that answers "did it reproduce?"."""
+        return lambda args: 0 if fn(args) else 1
+
+    for name, (fn, text) in EXPERIMENTS.items():
+        if name in ("e1", "e2"):
+            parent = _run_options("threaded" if name == "e1" else None)
+            sub = commands.add_parser(name, help=text, parents=[parent])
+            sub.set_defaults(run=reproduced(fn), experiment=name)
+        else:
+            sub = commands.add_parser(name, help=text)
+            sub.set_defaults(run=reproduced(lambda args, fn=fn: fn()))
+    sub = commands.add_parser("all", help="every experiment above, in order")
+    sub.set_defaults(run=reproduced(lambda args: run_all()))
+
+    sub = commands.add_parser(
+        "stats",
+        parents=[_run_options("threaded")],
+        help="one experiment with the observability layer on",
+        description=inspect.getdoc(run_stats),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    add = sub.add_argument
+    add("experiment", nargs="?", choices=("e1", "e2"), default="e1")
+    add(
+        "--outdir",
+        type=Path,
+        default=Path("runs"),
+        metavar="DIR",
+        help="where the Chrome trace and JSONL go (default: runs)",
+    )
+    add("--bench", type=Path, metavar="FILE", help="also write a baseline JSON")
+    sub.set_defaults(run=reproduced(run_stats))
+
+    sub = commands.add_parser(
+        "trace",
+        parents=[_run_options("multiprocess")],
+        help="one experiment with causal tracing on",
+        description=inspect.getdoc(run_trace),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    add = sub.add_argument
+    add("experiment", nargs="?", choices=("e1", "e2"), default="e1")
+    add("--out", type=Path, metavar="FILE", help="write the causal trace as JSON")
+    add(
+        "--chrome",
+        type=Path,
+        metavar="FILE",
+        help="write a Chrome trace whose send->recv pairs are flow arrows",
+    )
+    add(
+        "--limit",
+        type=int,
+        default=48,
+        metavar="N",
+        help="timeline rows printed (default 48, 0 = all)",
+    )
+    sub.set_defaults(run=reproduced(run_trace))
+
+    sub = commands.add_parser(
+        "explore",
+        help="schedule-space explorer (docs/EXPLORATION.md)",
+        description="Explore named targets' maximal interleavings on the "
+        "cooperative engine, checking every schedule for the Theorem 1 "
+        "contract; with --engine, sweep a fault plan against a real process "
+        "engine; with --replay, re-execute a violation artifact.  Exit 0 "
+        "when the contract held (under --expect-violation: when a violation "
+        "was found and its artifact replays), 1 otherwise.",
+    )
+    add = sub.add_argument
+    add(
+        "--target",
+        dest="targets",
+        type=lambda text: [t for t in text.split(",") if t],
+        default=["ring3"],
+        metavar="NAME[,NAME...]",
+        help="targets to explore (see --list; default ring3)",
+    )
+    add("--strategy", choices=("dfs", "walk"), default="dfs", help="(default dfs)")
+    add(
+        "--schedules",
+        type=int,
+        default=200,
+        metavar="N",
+        help="distinct schedules per target (default 200)",
+    )
+    add("--max-steps", type=int, metavar="N", help="per-run action bound")
+    add("--max-depth", type=int, metavar="N", help="dfs: deepest branching index")
+    add("--seed", type=int, default=0, metavar="N", help="walk: base RNG seed")
+    add(
+        "--faults",
+        type=_fault_plan,
+        metavar="SPEC",
+        help="kill:RANK@STEP,delay:CHANNEL#INDEX[~HOLD],...",
+    )
+    add(
+        "--no-fingerprints",
+        dest="fingerprints",
+        action="store_false",
+        help="dfs: disable state-fingerprint pruning",
+    )
+    add(
+        "--no-sleep-sets",
+        dest="sleep_sets",
+        action="store_false",
+        help="dfs: disable sleep-set (POR) pruning",
+    )
+    add(
+        "--engine",
+        choices=ENGINE_NAMES,
+        help="a process engine: real-fault sweep mode (kills are SIGKILLs)",
+    )
+    add("--runs", type=int, default=3, metavar="N", help="sweep: runs per engine")
+    add("--replay", metavar="FILE", help="re-execute a violation artifact and exit")
+    add(
+        "--expect-violation",
+        action="store_true",
+        help="exit 0 iff a violation was found and replays (racy CI)",
+    )
+    add(
+        "--artifact-dir",
+        type=Path,
+        default=Path("artifacts/explore"),
+        metavar="DIR",
+        help="where violation artifacts go (default artifacts/explore)",
+    )
+    add("--json", type=Path, metavar="FILE", help="write the report(s) as JSON")
+    add("--list", action="store_true", help="list known targets and exit")
+    sub.set_defaults(run=_run_explore)
+
+    sub = commands.add_parser(
+        "worker-daemon",
+        help="per-host daemon of the cross-host transport (docs/ENGINES.md)",
+        description="Run one worker daemon in the foreground until "
+        "interrupted or told to shut down.  Point coordinators at it with "
+        "--engine socket --hosts H:P[,H2:P2,...], or a FleetScheduler at "
+        "the same addresses.",
+    )
+    add = sub.add_argument
+    add("--host", default="0.0.0.0")
+    add("--port", type=int, default=0)
+    add("--handshake-timeout", type=float, default=30.0, metavar="S")
+    add(
+        "--stats-interval",
+        type=float,
+        default=0.0,
+        metavar="S",
+        help="print a 'stats {json}' line (what remote pollers see) every S s",
+    )
+    sub.set_defaults(run=_run_daemon)
+    return parser, commands.choices
+
+
+_PARSER, _COMMANDS = _build_parser()
+
+# ``__doc__`` is None under ``python -OO``.
+__doc__ = (__doc__ or "") + "\n" + "\n".join(
+    [_PARSER.format_help()]
+    + [
+        _COMMANDS[name].format_help()
+        for name in ("e1", "stats", "trace", "explore", "worker-daemon")
+    ]
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not args or args[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-    name = args[0]
-    if name == "stats":
-        return 0 if run_stats(args[1:]) else 1
-    if name == "trace":
-        return 0 if run_trace(args[1:]) else 1
-    if name == "worker-daemon":
-        from repro.dist.net.daemon import run_daemon_cli
-
-        return run_daemon_cli(args[1:])
-    if name == "explore":
-        from repro.explore.cli import run_explore
-
-        return run_explore(args[1:])
-    if name in ("e1", "e2"):
-        engine_name = None
-        hosts = None
-        rest = args[1:]
-        while rest:
-            flag = rest.pop(0)
-            if flag == "--engine" and rest:
-                engine_name = rest.pop(0)
-            elif flag == "--hosts" and rest:
-                hosts = rest.pop(0)
-            else:
-                print(f"unknown or incomplete {name} option {flag!r}")
-                return 2
-        return 0 if EXPERIMENTS[name](engine_name=engine_name, hosts=hosts) else 1
-    if name == "all":
-        results = {key: fn() for key, fn in EXPERIMENTS.items()}
-        print(_header("summary"))
-        for key, good in results.items():
-            print(f"  {key:10s} {'OK' if good else 'MISMATCH'}")
-        return 0 if all(results.values()) else 1
-    if name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}; options: {', '.join(EXPERIMENTS)}, all")
-        return 2
-    return 0 if EXPERIMENTS[name]() else 1
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        return exc.code
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -129,7 +129,6 @@ class ProcChannel:
             spec.name,
             self._write_frames,
             self._end_stream,
-            write_many=self._batch_writer(),
             try_write=self._try_write_frames,
         )
         self._closed = False
@@ -167,16 +166,6 @@ class ProcChannel:
         )
 
     # -- write side --------------------------------------------------------
-
-    def _batch_writer(self):
-        """The feeder's optional coalescing drain, or ``None``.
-
-        Pipes gain nothing from batching (each frame is its own
-        ``Connection.send_bytes`` either way), so the base class opts
-        out; the socket transport overrides this to flush several
-        queued values as one vectored write.
-        """
-        return None
 
     def _try_write_frames(self, item: tuple):
         """Sender-thread write: the value's single small frame straight
@@ -285,17 +274,6 @@ class ProcChannel:
         if self._counter is not None:
             self._counter.value = self.receives
 
-    def _recv_value(self) -> Any:
-        """One value off the wire, plus receive/causal accounting."""
-        if self.causal is not None:
-            value, stamp = wire.recv_traced(self._conn, self._slab_r)
-            self._count_receive()
-            self.causal.on_recv(self.name, self.receives - 1, stamp)
-            return value
-        value = wire.recv(self._conn, self._slab_r)
-        self._count_receive()
-        return value
-
     def recv(self, *, rank: int, timeout: float | None = None) -> Any:
         """Blocking receive; mirrors ``Channel.recv`` failure modes."""
         if rank != self.reader:
@@ -309,26 +287,14 @@ class ProcChannel:
                 f"{timeout}s (likely deadlock)"
             )
         try:
-            return self._recv_value()
-        except EOFError:
-            raise EmptyChannelError(
-                f"receive on channel {self.name!r}: writer "
-                f"{self.writer} terminated with the channel empty"
-            ) from None
-
-    def recv_nowait(self, *, rank: int) -> Any:
-        """Non-blocking receive (cooperative-engine parity)."""
-        if rank != self.reader:
-            raise ChannelOwnershipError(
-                f"rank {rank} received on channel {self.name!r} "
-                f"owned by reader {self.reader}"
-            )
-        if not self._conn.poll(0):
-            raise EmptyChannelError(
-                f"receive on empty channel {self.name!r}"
-            )
-        try:
-            return self._recv_value()
+            if self.causal is not None:
+                value, stamp = wire.recv_traced(self._conn, self._slab_r)
+                self._count_receive()
+                self.causal.on_recv(self.name, self.receives - 1, stamp)
+                return value
+            value = wire.recv(self._conn, self._slab_r)
+            self._count_receive()
+            return value
         except EOFError:
             raise EmptyChannelError(
                 f"receive on channel {self.name!r}: writer "

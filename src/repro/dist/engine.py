@@ -57,7 +57,7 @@ from typing import Any
 from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec
 from repro.dist.pool import WorkerCrashError, WorkerPool
-from repro.dist.shm import DEFAULT_SLAB, DEFAULT_THRESHOLD, SharedStoreArena
+from repro.dist.shm import DEFAULT_SLAB, SharedStoreArena
 from repro.errors import (
     RuntimeModelError,
     TransportAbortError,
@@ -162,7 +162,6 @@ def merge_channel_stats(
                     "net_syscalls_unvectored", 0
                 ),
                 net_vectored=w.get("net_vectored", 0),
-                coalesce_hwm=w.get("coalesce_hwm", 0),
             )
         )
     return records
@@ -469,7 +468,6 @@ def run_on_pool(
     *,
     recv_timeout: float | None = None,
     observe: bool = False,
-    shm_threshold: int = DEFAULT_THRESHOLD,
     payload_slab: int = DEFAULT_SLAB,
     crash_grace: float = 5.0,
     affinity=None,
@@ -517,7 +515,7 @@ def run_on_pool(
                 build_channel_endpoints(system, pool.ctx, arena, payload_slab)
             )
             for p in system.processes:
-                plan, rest = arena.share_store(p.store, shm_threshold)
+                plan, rest = arena.share_store(p.store)
                 plans.append(plan)
                 rests.append(rest)
                 seg_names.extend(name for name, _dt, _sh in plan.values())
@@ -606,9 +604,6 @@ class MultiprocessEngine:
         How workers are started: ``"spawn"`` (default, per the model: a
         pristine interpreter per rank) or ``"fork"`` (cheaper startup).
         Bodies cross by value either way.
-    shm_threshold:
-        Store arrays of at least this many bytes are placed in shared
-        segments; smaller values ride the bootstrap pickle.
     crash_grace:
         After the first worker failure, how long to wait for the
         remaining workers to unwind on their own (via the EOF cascade)
@@ -657,7 +652,6 @@ class MultiprocessEngine:
         recv_timeout: float | None = None,
         observe=False,
         start_method: str = "spawn",
-        shm_threshold: int = DEFAULT_THRESHOLD,
         crash_grace: float = 5.0,
         payload_slab: int = DEFAULT_SLAB,
         affinity=None,
@@ -679,7 +673,6 @@ class MultiprocessEngine:
         self._run_opts = dict(
             recv_timeout=recv_timeout,
             observe=observe,
-            shm_threshold=shm_threshold,
             payload_slab=payload_slab,
             crash_grace=crash_grace,
             affinity=affinity,

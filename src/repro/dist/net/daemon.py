@@ -373,36 +373,15 @@ def daemon_process_main(host: str, port: int, ready_conn) -> None:
     daemon.serve_forever()
 
 
-def run_daemon_cli(args: list[str], out=print) -> int:
-    """``python -m repro worker-daemon [--host H] [--port P]
-    [--stats-interval S]``.
-
-    Runs one worker daemon in the foreground until interrupted (or a
-    shutdown hello arrives).  Point coordinators at it with
-    ``--engine socket --hosts H:P[,H2:P2,...]`` or a fleet scheduler
-    at it with ``--hosts``.  ``--stats-interval S`` prints a
-    ``stats {...}`` JSON line every S seconds — the same snapshot a
-    remote ``stats`` connection polls.
-    """
-    host = "0.0.0.0"
-    port = 0
-    handshake_timeout = 30.0
-    stats_interval = 0.0
-    rest = list(args)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--host" and rest:
-            host = rest.pop(0)
-        elif flag == "--port" and rest:
-            port = int(rest.pop(0))
-        elif flag == "--handshake-timeout" and rest:
-            handshake_timeout = float(rest.pop(0))
-        elif flag == "--stats-interval" and rest:
-            stats_interval = float(rest.pop(0))
-        else:
-            out(f"unknown or incomplete worker-daemon option {flag!r}")
-            return 2
-    daemon = WorkerDaemon(host, port, handshake_timeout=handshake_timeout)
+def run_daemon_cli(args, out=print) -> int:
+    """``python -m repro worker-daemon``: run one daemon in the
+    foreground until interrupted (or a shutdown hello arrives).
+    ``args`` is that subcommand's parsed namespace — the options and
+    their help are defined in :func:`repro.cli.main`'s parser."""
+    stats_interval = args.stats_interval
+    daemon = WorkerDaemon(
+        args.host, args.port, handshake_timeout=args.handshake_timeout
+    )
     addr = daemon.start()
     out(f"worker daemon listening on {addr[0]}:{addr[1]}")
     import sys

@@ -74,13 +74,6 @@ class SendFeeder:
         TransportError` stops the drain — the reader went away, and the
         undeliverable remainder is discarded (the threaded engine
         likewise leaves undrained values queued).
-    write_many:
-        Optional batch form: called with a *list* of queued items
-        whenever more than one is waiting when the feeder wakes — the
-        coalescing window.  Back-to-back sends that queued while a
-        previous write blocked on the kernel drain as one vectored
-        write instead of one syscall batch each.  When ``None``, items
-        always drain one at a time through ``write``.
     finish:
         Called exactly once, after the drain ends (flush, close, or
         broken transport): the transport's end-of-stream action —
@@ -92,7 +85,7 @@ class SendFeeder:
         thread while nothing is pending.  Returns ``None`` when the
         whole item entered the kernel, else what is left to write — the
         item itself, or the unsent tail of a partial write — which is
-        queued for ``write``/``write_many``.  Must never block.  A
+        queued for ``write``.  Must never block.  A
         broken transport is handled exactly as in the feeder thread:
         swallowed, later items discarded, finisher left to
         :meth:`close`.  When ``None``, every item is queued.
@@ -101,7 +94,6 @@ class SendFeeder:
     __slots__ = (
         "_name",
         "_write",
-        "_write_many",
         "_try_write",
         "_finish",
         "_queue",
@@ -111,7 +103,6 @@ class SendFeeder:
         "_broken",
         "_queued",
         "_written",
-        "coalesce_hwm",
     )
 
     def __init__(
@@ -119,12 +110,10 @@ class SendFeeder:
         name: str,
         write: Callable[[Any], None],
         finish: Callable[[], None],
-        write_many: Callable[[list], None] | None = None,
         try_write: Callable[[Any], Any] | None = None,
     ):
         self._name = name
         self._write = write
-        self._write_many = write_many
         self._try_write = try_write
         self._finish = finish
         self._queue: queue.Queue | None = None
@@ -137,10 +126,6 @@ class SendFeeder:
         # and the sender may write the transport itself.
         self._queued = 0
         self._written = 0
-        #: High-water mark of the coalescing window: the largest number
-        #: of items a single flush wrote (an inline write is a flush of
-        #: one; only a backlog makes ``write_many`` flush more).
-        self.coalesce_hwm = 0
 
     @property
     def closed(self) -> bool:
@@ -151,46 +136,20 @@ class SendFeeder:
         """Queued items the feeder thread has not finished writing."""
         return self._queued - self._written
 
-    def _drain_batch(self, q: queue.Queue, first: Any) -> tuple[int, bool]:
-        """Flush ``first`` plus everything else already queued in one
-        ``write_many`` call; returns the batch size and whether the
-        close sentinel was seen."""
-        batch = [first]
-        saw_close = False
-        while True:
-            try:
-                item = q.get_nowait()
-            except queue.Empty:
-                break
-            if item is _CLOSE:
-                saw_close = True
-                break
-            batch.append(item)
-        if len(batch) > self.coalesce_hwm:
-            self.coalesce_hwm = len(batch)
-        self._write_many(batch)
-        return len(batch), saw_close
-
     def _run(self) -> None:
         q = self._queue
         while True:
             item = q.get()
             if item is _CLOSE:
                 break
-            wrote, saw_close = 1, False
             try:
-                if self._write_many is not None:
-                    wrote, saw_close = self._drain_batch(q, item)
-                else:
-                    self._write(item)
+                self._write(item)
             except _BROKEN:
                 self._broken = True
                 break
             # Published only after the blocking write returned: from
             # here the sender may write inline again.
-            self._written += wrote
-            if saw_close:
-                break
+            self._written += 1
         self._do_finish()
 
     def _do_finish(self) -> None:
@@ -217,8 +176,6 @@ class SendFeeder:
                 self._broken = True
                 return
             if item is None:
-                if not self.coalesce_hwm:
-                    self.coalesce_hwm = 1
                 return
         if self._thread is None:
             with self._lock:

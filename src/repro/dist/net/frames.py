@@ -13,10 +13,9 @@ length prefix.
 but how they enter the kernel is not: every send gathers its pieces —
 length prefix, optional clock word, payload, and (via
 :meth:`FrameStream.send_frames`) *all* frames of one encoded channel
-value, or of several coalesced values — into a single
-``socket.sendmsg`` call.  Prefixes are packed into a per-stream
-reusable header scratch, so the hot path allocates no per-frame
-``bytes``.  Partial gather-writes resume from the exact byte offset, so
+value — into a single ``socket.sendmsg`` call.  Prefixes are packed
+into a per-stream reusable header scratch, so the hot path allocates no
+per-frame ``bytes``.  Partial gather-writes resume from the exact byte offset, so
 short writes cost extra syscalls, never corruption.  The stream counts
 ``send_syscalls`` (gather calls actually issued, retries included) next
 to ``send_syscalls_unvectored`` (what the historical
@@ -195,7 +194,7 @@ class FrameStream:
         #: before of the before/after syscall accounting.
         self.send_syscalls_unvectored = 0
         #: Frames that left the socket in a gather batch carrying more
-        #: than one frame (i.e. genuinely coalesced with siblings).
+        #: than one frame (i.e. genuinely gathered with siblings).
         self.vectored_frames = 0
         #: Receive-side recv_into syscalls (bulk fills + direct reads).
         self.recv_syscalls = 0
@@ -281,8 +280,7 @@ class FrameStream:
         Byte-identical to ``len(frames)`` separate :meth:`send_bytes`
         calls, minus the kernel round trips.  This is the blocking
         primitive whole-value sends (:func:`repro.dist.wire.send_encoded`:
-        header + all array frames at once) and the feeder's coalesced
-        flushes (several queued values at once) bottom out in.
+        header + all array frames at once) bottom out in.
         """
         self.send_views(self._pack(frames))
 

@@ -38,18 +38,15 @@ design constraints are identical and the solutions are shared:
   memory, which does not exist cross-host.
 
 * **Vectored fast path.**  The framing layer gathers a whole encoded
-  value — and, when back-pressure has queued several, the feeder's
-  coalescing window (:meth:`_write_frames_many`) gathers all of them —
-  into a single ``sendmsg`` syscall, and bulk-buffers small receives (see
-  :mod:`repro.dist.net.frames`).  Four counters measure it, surfaced
+  value into a single ``sendmsg`` syscall, inline or from the feeder
+  alike, and bulk-buffers small receives (see
+  :mod:`repro.dist.net.frames`).  Three counters measure it, surfaced
   through :meth:`stats` on the writer side: ``net_syscalls`` (send
   syscalls actually issued), ``net_syscalls_unvectored`` (what the
   historical one-``sendall``-per-piece sender would have issued for
   the same frames — the denominatorless before/after pair the ≥2×
-  syscall-reduction test divides), ``net_vectored`` (frames that
-  left in a multi-frame gather batch), and ``coalesce_hwm`` (the most
-  values one flush wrote: 1 while every send goes inline, more only
-  when a backlog drained as one batch).
+  syscall-reduction test divides), and ``net_vectored`` (frames that
+  left in a multi-frame gather batch).
 """
 
 from __future__ import annotations
@@ -116,10 +113,6 @@ class SocketChannel(ProcChannel):
             )
         super().__init__(spec)
 
-    def _batch_writer(self):
-        """Opt in to the feeder's coalescing window (see base class)."""
-        return self._write_frames_many
-
     def _try_write_frames(self, item: tuple):
         """Sender-thread write: the whole value in one non-blocking
         gather; ``None`` when the kernel took it all, else the unsent
@@ -130,28 +123,17 @@ class SocketChannel(ProcChannel):
         )
         return rest or None
 
-    def _write_frames_many(self, items: list) -> None:
-        """Feeder-thread batch write: every queued value's frames in
-        one gather syscall.
+    def _write_frames(self, item) -> None:
+        """Feeder-thread write: one queued value's frames in one gather
+        syscall, or the unsent tail of a partial inline write — already
+        framed, so its byte views go out as they are."""
+        if isinstance(item, list):
+            self._conn.send_views(item)
+        else:
+            super()._write_frames(item)
 
-        Sends that queued while a previous write blocked on the kernel
-        drain as a single vectored write — the frame bytes are
-        identical to draining them one value at a time.  The unsent
-        tail of a partial inline write is already framed and — queued
-        only when nothing else was pending — always heads its batch.
-        """
-        conn = self._conn
-        if isinstance(items[0], list):
-            conn.send_views(items[0])
-            items = items[1:]
-        frames: list = []
-        for header, buffers, clock in items:
-            frames.extend(wire.encoded_frames(conn, header, buffers, clock))
-        if frames:
-            conn.send_frames(frames)
-
-    # -- fast-path counters (writer side; live on the frame stream and
-    # feeder so they survive channel close) ---------------------------------
+    # -- fast-path counters (writer side; live on the frame stream so
+    # they survive channel close) -------------------------------------------
 
     @property
     def net_syscalls(self) -> int:
@@ -165,17 +147,12 @@ class SocketChannel(ProcChannel):
     def net_vectored(self) -> int:
         return self._conn.vectored_frames
 
-    @property
-    def coalesce_hwm(self) -> int:
-        return self._feeder.coalesce_hwm
-
     def stats(self) -> dict[str, int]:
         out = super().stats()
         if self.spec.role == "w":
             out["net_syscalls"] = self.net_syscalls
             out["net_syscalls_unvectored"] = self.net_syscalls_unvectored
             out["net_vectored"] = self.net_vectored
-            out["coalesce_hwm"] = self.coalesce_hwm
         return out
 
     def _end_stream(self) -> None:
@@ -202,11 +179,5 @@ class SocketChannel(ProcChannel):
     def recv(self, *, rank: int, timeout: float | None = None) -> Any:
         try:
             return super().recv(rank=rank, timeout=timeout)
-        except TransportAbortError as exc:
-            raise self._abort(exc) from exc
-
-    def recv_nowait(self, *, rank: int) -> Any:
-        try:
-            return super().recv_nowait(rank=rank)
         except TransportAbortError as exc:
             raise self._abort(exc) from exc

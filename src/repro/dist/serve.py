@@ -56,7 +56,7 @@ from repro.dist.serving import (
     ServerSaturatedError,
     _Job,
 )
-from repro.dist.shm import DEFAULT_SLAB, DEFAULT_THRESHOLD
+from repro.dist.shm import DEFAULT_SLAB
 from repro.obs.observer import Observer
 from repro.runtime.system import RunResult, System
 
@@ -89,8 +89,8 @@ class JobServer(JobServerCore):
     observer:
         An :class:`~repro.obs.observer.Observer` to record into
         (default: a fresh one, exposed as :attr:`observer`).
-    start_method / recv_timeout / observe / shm_threshold /
-    payload_slab / crash_grace / affinity / trace_causal:
+    start_method / recv_timeout / observe / payload_slab /
+    crash_grace / affinity / trace_causal:
         As on :class:`~repro.dist.engine.MultiprocessEngine`, applied
         per job.  With ``trace_causal=True`` each job's result carries
         its own :class:`~repro.obs.causal.CausalTrace` and the job's
@@ -109,7 +109,6 @@ class JobServer(JobServerCore):
         start_method: str = "fork",
         recv_timeout: float | None = None,
         observe: bool = False,
-        shm_threshold: int = DEFAULT_THRESHOLD,
         payload_slab: int = DEFAULT_SLAB,
         crash_grace: float = 5.0,
         affinity=None,
@@ -129,7 +128,6 @@ class JobServer(JobServerCore):
         self._run_opts = dict(
             recv_timeout=recv_timeout,
             observe=observe,
-            shm_threshold=shm_threshold,
             payload_slab=payload_slab,
             crash_grace=crash_grace,
             affinity=affinity,

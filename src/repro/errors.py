@@ -172,17 +172,6 @@ class CommunicatorError(RuntimeModelError):
     """Misuse of the tagged point-to-point communicator layer."""
 
 
-class BackendUnavailable(ReproError):
-    """A known array backend (e.g. CuPy) is not installed on this host.
-
-    The backend registry in :mod:`repro.xp` raises this instead of
-    letting an ``ImportError`` escape, so callers can distinguish "you
-    typo'd the backend name" (``ValueError``) from "that backend simply
-    isn't present here" and degrade gracefully (CLI error message,
-    skipped test) without guessing at import machinery failures.
-    """
-
-
 # ---------------------------------------------------------------------------
 # Refinement framework errors
 # ---------------------------------------------------------------------------

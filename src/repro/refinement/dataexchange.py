@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import DataExchangeViolation
 from repro.refinement.store import AddressSpace
-from repro.xp import is_array_like
+from repro.util import is_array_like
 
 __all__ = ["VarRef", "Assignment", "DataExchange"]
 

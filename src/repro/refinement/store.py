@@ -24,8 +24,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.errors import StoreError
-from repro.util import deep_copy_value
-from repro.xp import is_array_like
+from repro.util import deep_copy_value, is_array_like
 
 __all__ = ["AddressSpace", "make_stores"]
 

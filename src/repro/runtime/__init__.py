@@ -69,7 +69,7 @@ ENGINE_NAMES = (
 )
 
 
-def make_engine(name: str = "threaded", backend: str | None = None, **kwargs):
+def make_engine(name: str = "threaded", **kwargs):
     """Engine factory by name — the CLI's ``--engine`` values.
 
     ``kwargs`` are forwarded to the engine constructor (``observe``,
@@ -83,17 +83,7 @@ def make_engine(name: str = "threaded", backend: str | None = None, **kwargs):
     daemons it spawns itself by default, or external ones via
     ``hosts="hostA:9001,hostB:9002"`` — and likewise wants a
     ``close()`` when done.
-
-    ``backend`` names the array backend the caller's program was built
-    on (``"numpy"`` / ``"cupy"``, see :mod:`repro.xp`).  Engines move
-    bytes and never touch array arithmetic, so the name is only
-    *validated* here — an unknown or uninstalled backend fails at
-    engine creation instead of deep inside a run.
     """
-    if backend is not None:
-        from repro.xp import get_backend
-
-        get_backend(backend)
     if name == "threaded":
         return ThreadedEngine(**kwargs)
     if name == "cooperative":

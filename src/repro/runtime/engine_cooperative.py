@@ -89,16 +89,17 @@ class _CooperativeExecutor:
     the threaded engine's wait on the condition variable.
     """
 
-    def __init__(self, trace: Trace | None, observer=None, causal=None):
+    def __init__(self, trace: Trace | None):
         self.trace = trace
-        self.observer = observer
+        #: The run's observer, or ``None``; set by ``RunState``.
+        self.observer = None
         self.slots: list[_Slot] = []
         #: Per-rank :class:`~repro.obs.causal.CausalRecorder` list, or
-        #: ``None``.  Stamps travel out-of-band through a shared
-        #: ``(channel, seq) -> clock`` table, filled by the sender after
-        #: its grant but before the value is enqueued; one action runs
-        #: at a time, so no lock is needed.
-        self.causal = causal
+        #: ``None``; set by ``RunState``.  Stamps travel out-of-band
+        #: through a shared ``(channel, seq) -> clock`` table, filled by
+        #: the sender after its grant but before the value is enqueued;
+        #: one action runs at a time, so no lock is needed.
+        self.causal = None
         self._sent_clocks: dict[tuple[str, int], int] = {}
 
     def _await_grant(self, rank: int, request: _Request) -> None:
@@ -194,13 +195,6 @@ class CooperativeEngine:
         self._observe = observe
         self._trace_causal = trace_causal
 
-    def _make_observer(self):
-        if self._observe is True:
-            from repro.obs.observer import Observer
-
-            return Observer()
-        return self._observe or None
-
     # -- helpers -------------------------------------------------------------
 
     @staticmethod
@@ -258,15 +252,16 @@ class CooperativeEngine:
 
         waiting = self._blocked_map(slots)
         report = build_report(self._blocked_edges(slots), waiting)
-        # Snapshot the partial state without the observer: the run
-        # report builder assumes finished processes, and the abort that
-        # follows makes its numbers meaningless anyway.
-        saved_observer = state.observer
-        state.observer = None
+        # Snapshot the partial state without the observer or the causal
+        # recorders: the run report builder assumes finished processes,
+        # and the abort that follows makes its numbers meaningless
+        # anyway.
+        saved = state.observer, state.recorders
+        state.observer = state.recorders = None
         try:
             partial = state.result(self.name)
         finally:
-            state.observer = saved_observer
+            state.observer, state.recorders = saved
         partial.deadlock = report
         live = [s for s in slots if not s.finished]
         raise DeadlockError(
@@ -288,14 +283,11 @@ class CooperativeEngine:
 
     def run(self, system: System) -> RunResult:
         trace = Trace() if self._trace_enabled else None
-        observer = self._make_observer()
-        recorders = None
-        if self._trace_causal:
-            from repro.obs.causal import CausalRecorder
-
-            recorders = [CausalRecorder(p.rank) for p in system.processes]
-        executor = _CooperativeExecutor(trace, observer, recorders)
-        state = RunState(system, executor, trace, observer)
+        executor = _CooperativeExecutor(trace)
+        state = RunState(
+            system, executor, trace, self._observe, self._trace_causal
+        )
+        observer = state.observer
         slots = [_Slot(p.rank) for p in system.processes]
         executor.slots = slots
         self.policy.reset()
@@ -375,13 +367,4 @@ class CooperativeEngine:
 
         for t in threads:
             t.join()
-        causal = None
-        if recorders is not None:
-            from repro.obs.causal import merge_causal_events
-
-            causal = merge_causal_events(
-                {r.rank: r.payload() for r in recorders},
-                system.nprocs,
-                engine=self.name,
-            )
-        return state.result(self.name, causal)
+        return state.result(self.name)

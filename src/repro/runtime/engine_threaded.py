@@ -42,31 +42,27 @@ class _ThreadedExecutor:
     (the default) no clock is ever read.
     """
 
-    def __init__(
-        self,
-        trace: Trace | None,
-        recv_timeout: float | None,
-        observer=None,
-        causal=None,
-    ):
+    def __init__(self, trace: Trace | None, recv_timeout: float | None):
         self._trace = trace
         self._lock = threading.Lock()
         self._recv_timeout = recv_timeout
-        self._obs = observer
+        #: The run's observer, or ``None``; set by ``RunState``.
+        self.observer = None
         #: Per-rank :class:`~repro.obs.causal.CausalRecorder` list, or
-        #: ``None``.  In-process channels move references rather than
-        #: wire frames, so the Lamport stamp travels out-of-band: a
-        #: shared ``(channel, seq) -> clock`` table, written by the
-        #: sender *before* the value is enqueued (so it is always
-        #: present by the time the matching receive can complete).
-        self._causal = causal
+        #: ``None``; set by ``RunState``.  In-process channels move
+        #: references rather than wire frames, so the Lamport stamp
+        #: travels out-of-band: a shared ``(channel, seq) -> clock``
+        #: table, written by the sender *before* the value is enqueued
+        #: (so it is always present by the time the matching receive
+        #: can complete).
+        self.causal = None
         self._sent_clocks: dict[tuple[str, int], int] = {}
 
     def exec_send(self, rank: int, channel: Channel, value: Any) -> None:
-        if self._causal is not None:
+        if self.causal is not None:
             # SRSW: this thread is the only sender, so ``sends`` is the
             # seq the send below will return.
-            stamp = self._causal[rank].on_send(channel.name, channel.sends)
+            stamp = self.causal[rank].on_send(channel.name, channel.sends)
             with self._lock:
                 self._sent_clocks[(channel.name, channel.sends)] = stamp
         seq = channel.send(value, rank=rank)
@@ -75,19 +71,21 @@ class _ThreadedExecutor:
                 self._trace.record(rank, "send", channel.name, seq)
 
     def exec_recv(self, rank: int, channel: Channel) -> Any:
-        if self._obs is not None:
-            t0 = self._obs.clock()
+        if self.observer is not None:
+            t0 = self.observer.clock()
             value = channel.recv(rank=rank, timeout=self._recv_timeout)
-            self._obs.recv_blocked(rank, channel.name, t0, self._obs.clock())
+            self.observer.recv_blocked(
+                rank, channel.name, t0, self.observer.clock()
+            )
         else:
             value = channel.recv(rank=rank, timeout=self._recv_timeout)
         # SRSW: this thread is the only receiver, so ``receives`` is
         # stable between the recv above and the reads below.
-        if self._causal is not None:
+        if self.causal is not None:
             seq = channel.receives - 1
             with self._lock:
                 stamp = self._sent_clocks.pop((channel.name, seq), None)
-            self._causal[rank].on_recv(channel.name, seq, stamp)
+            self.causal[rank].on_recv(channel.name, seq, stamp)
         if self._trace is not None:
             seq = channel.receives - 1
             with self._lock:
@@ -95,8 +93,8 @@ class _ThreadedExecutor:
         return value
 
     def exec_step(self, rank: int, label: str) -> None:
-        if self._causal is not None:
-            self._causal[rank].on_step(label)
+        if self.causal is not None:
+            self.causal[rank].on_step(label)
         if self._trace is not None:
             with self._lock:
                 self._trace.record(rank, "step", None, -1, label=label)
@@ -142,25 +140,13 @@ class ThreadedEngine:
         self._observe = observe
         self._trace_causal = trace_causal
 
-    def _make_observer(self):
-        if self._observe is True:
-            from repro.obs.observer import Observer
-
-            return Observer()
-        return self._observe or None
-
     def run(self, system: System) -> RunResult:
         trace = Trace() if self._trace_enabled else None
-        observer = self._make_observer()
-        recorders = None
-        if self._trace_causal:
-            from repro.obs.causal import CausalRecorder
-
-            recorders = [CausalRecorder(p.rank) for p in system.processes]
-        executor = _ThreadedExecutor(
-            trace, self._recv_timeout, observer, recorders
+        executor = _ThreadedExecutor(trace, self._recv_timeout)
+        state = RunState(
+            system, executor, trace, self._observe, self._trace_causal
         )
-        state = RunState(system, executor, trace, observer)
+        observer = state.observer
         errors: dict[int, BaseException] = {}
         threads: list[threading.Thread] = []
 
@@ -193,13 +179,4 @@ class ThreadedEngine:
         if errors:
             rank = min(errors)
             raise wrap_process_failure(rank, errors[rank]) from errors[rank]
-        causal = None
-        if recorders is not None:
-            from repro.obs.causal import merge_causal_events
-
-            causal = merge_causal_events(
-                {r.rank: r.payload() for r in recorders},
-                system.nprocs,
-                engine=self.name,
-            )
-        return state.result(self.name, causal)
+        return state.result(self.name)

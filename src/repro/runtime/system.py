@@ -67,15 +67,14 @@ class RunResult:
     channel_shm_bytes: dict[str, int] = field(default_factory=dict)
     #: Socket-transport syscall accounting per channel (zero off the
     #: socket engine): send syscalls issued on the vectored fast path,
-    #: the unvectored sender's count for the same frames, frames that
-    #: left in multi-frame gather batches, and the feeder coalescing
-    #: high-water mark.  Engine-dependent, excluded from equivalence.
+    #: the unvectored sender's count for the same frames, and frames
+    #: that left in multi-frame gather batches.  Engine-dependent,
+    #: excluded from equivalence.
     channel_net_syscalls: dict[str, int] = field(default_factory=dict)
     channel_net_syscalls_unvectored: dict[str, int] = field(
         default_factory=dict
     )
     channel_net_vectored: dict[str, int] = field(default_factory=dict)
-    channel_coalesce_hwm: dict[str, int] = field(default_factory=dict)
     engine: str = ""
     report: Any = None
     #: Merged :class:`~repro.obs.causal.CausalTrace` when the engine ran
@@ -132,13 +131,11 @@ class ChannelStatsRecord:
     shm_bytes: int = 0
     # Socket-transport syscall accounting (zero everywhere else): send
     # syscalls issued on the vectored fast path, what the unvectored
-    # sender would have issued for the same frames, frames that left in
-    # a multi-frame gather batch, and the feeder's coalescing-window
-    # high-water mark (see :mod:`repro.dist.net.frames`).
+    # sender would have issued for the same frames, and frames that left
+    # in a multi-frame gather batch (see :mod:`repro.dist.net.frames`).
     net_syscalls: int = 0
     net_syscalls_unvectored: int = 0
     net_vectored: int = 0
-    coalesce_hwm: int = 0
 
     @classmethod
     def from_channel(cls, ch: Channel) -> "ChannelStatsRecord":
@@ -150,13 +147,6 @@ class ChannelStatsRecord:
             receives=ch.receives,
             bytes_sent=ch.bytes_sent,
             queue_hwm=ch.queue_hwm,
-            frames=getattr(ch, "frames", 0),
-            pipe_bytes=getattr(ch, "pipe_bytes", 0),
-            shm_bytes=getattr(ch, "shm_bytes", 0),
-            net_syscalls=getattr(ch, "net_syscalls", 0),
-            net_syscalls_unvectored=getattr(ch, "net_syscalls_unvectored", 0),
-            net_vectored=getattr(ch, "net_vectored", 0),
-            coalesce_hwm=getattr(ch, "coalesce_hwm", 0),
         )
 
 
@@ -193,7 +183,6 @@ def assemble_run_result(
             r.name: r.net_syscalls_unvectored for r in channel_stats
         },
         channel_net_vectored={r.name: r.net_vectored for r in channel_stats},
-        channel_coalesce_hwm={r.name: r.coalesce_hwm for r in channel_stats},
         engine=engine,
         report=report,
         causal=causal,
@@ -201,14 +190,39 @@ def assemble_run_result(
 
 
 class RunState:
-    """Fresh per-run mutable state: live channels, stores, contexts."""
+    """Fresh per-run mutable state: live channels, stores, contexts —
+    and the run's optional instruments, so the in-process engines share
+    one preamble and one tail.
+
+    ``observe`` is ``True`` (a fresh :class:`~repro.obs.observer.
+    Observer`), an ``Observer`` instance (used as given), or falsy;
+    ``trace_causal`` asks for one :class:`~repro.obs.causal.
+    CausalRecorder` per rank.  Both are handed to ``executor`` as its
+    ``observer`` / ``causal`` attributes before any context exists.
+    """
 
     def __init__(
-        self, system: "System", executor, trace: Trace | None, observer=None
+        self,
+        system: "System",
+        executor,
+        trace: Trace | None,
+        observe=False,
+        trace_causal: bool = False,
     ):
         self.system = system
         self.trace = trace
-        self.observer = observer
+        if observe is True:
+            from repro.obs.observer import Observer
+
+            observe = Observer()
+        self.observer = observe or None
+        self.recorders = None
+        if trace_causal:
+            from repro.obs.causal import CausalRecorder
+
+            self.recorders = [CausalRecorder(p.rank) for p in system.processes]
+        executor.observer = self.observer
+        executor.causal = self.recorders
         self.channels: dict[str, Channel] = {
             spec.name: system.make_channel(spec) for spec in system.channel_specs
         }
@@ -241,13 +255,21 @@ class RunState:
                 )
             )
 
-    def result(self, engine: str, causal: Any = None) -> RunResult:
-        report = None
+    def result(self, engine: str) -> RunResult:
+        report = causal = None
         if self.observer is not None:
             from repro.obs.report import build_run_report
 
             report = build_run_report(
                 self.observer, engine, self.system.nprocs, self.channels.values()
+            )
+        if self.recorders is not None:
+            from repro.obs.causal import merge_causal_events
+
+            causal = merge_causal_events(
+                {r.rank: r.payload() for r in self.recorders},
+                self.system.nprocs,
+                engine=engine,
             )
         return assemble_run_result(
             stores=self.stores,

@@ -28,6 +28,7 @@ __all__ = [
     "max_abs_diff",
     "max_rel_diff",
     "deep_copy_value",
+    "is_array_like",
     "payload_nbytes",
     "format_table",
     "Stopwatch",
@@ -119,6 +120,23 @@ def deep_copy_value(value: Any) -> Any:
     if isinstance(value, tuple):
         return tuple(deep_copy_value(v) for v in value)
     return value
+
+
+def is_array_like(value) -> bool:
+    """Duck-typed nd-array test shared by stores and kernels.
+
+    True for any object exposing ``shape``, ``dtype`` and item access —
+    NumPy arrays, CuPy arrays, and compatible third-party tensors —
+    without importing any backend to ask.  Scalars (including NumPy
+    0-d scalars, which have ``shape == ()`` but no ``__getitem__`` use
+    we rely on) with a ``shape`` attribute still count; stores treat
+    ``shape == ()`` values as whole-replacement scalars anyway.
+    """
+    return (
+        hasattr(value, "shape")
+        and hasattr(value, "dtype")
+        and hasattr(value, "__getitem__")
+    )
 
 
 def payload_nbytes(value: Any) -> int:

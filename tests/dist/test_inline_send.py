@@ -22,10 +22,11 @@ import pytest
 from repro.dist.channels import EndpointSpec, ProcChannel
 from repro.dist.engine import MultiprocessEngine
 from repro.dist.net.engine import SocketEngine
+from repro.dist.net.feeder import running_feeder_threads
 from repro.dist.net.frames import FrameStream
 from repro.dist.net.transport import NetEndpointSpec, SocketChannel
 from repro.errors import EmptyChannelError
-from repro.runtime import ProcessSpec, System
+from repro.runtime import ProcessSpec, System, make_engine
 
 KINDS = ["pipe", "socket"]
 _LEN = struct.Struct(">Q")  # the framing layer's length prefix
@@ -198,9 +199,6 @@ def test_partial_gather_write_resumes_at_the_exact_byte():
         w.close()  # into a stalled reader forever
     assert [i for i, _ in got] == [0, 1, 2, 3]
     assert all(same(a, b) for (_, a), (_, b) in zip(sent, got))
-    # Coalescing needs a backlog: the two values queued behind the tail
-    # drained together with it.
-    assert w.coalesce_hwm >= 2
 
 
 def test_try_send_frames_tail_survives_scratch_reuse():
@@ -403,3 +401,46 @@ def test_unpressured_exchange_runs_zero_feeder_threads(make):
             result = engine.run(exchange_system())
             assert result.returns == [[], []]
             assert result.channel_stats == {"c0": (60, 60), "c1": (60, 60)}
+
+
+def test_socket_engine_delivers_a_backlog_in_order_under_back_pressure():
+    """64 x 1 MiB sent before the reader's first ``recv``: far more than
+    the loopback socket buffers hold, so the writer's feeder drains the
+    backlog one value at a time behind a stalled reader."""
+    count, words = 64, 1 << 17  # 1 MiB of float64 each
+
+    def writer(ctx):
+        import numpy as _np
+
+        from repro.dist.net.feeder import running_feeder_threads as _running
+
+        for i in range(count):
+            ctx.send("data", _np.arange(words, dtype=_np.float64) + i)
+        pressured = _running()
+        ctx.send("go", count)  # on its own channel: overtakes the backlog
+        return pressured
+
+    def reader(ctx):
+        import numpy as _np
+
+        ctx.recv("go")  # every data send has returned by now
+        return [
+            ctx.recv("data").tobytes()
+            == (_np.arange(words, dtype=_np.float64) + i).tobytes()
+            for i in range(count)
+        ]
+
+    system = System([ProcessSpec(0, writer), ProcessSpec(1, reader)])
+    system.add_channel("data", 0, 1)
+    system.add_channel("go", 0, 1)
+    engine = make_engine("socket", daemons=2)
+    try:
+        result = engine.run(system)
+    finally:
+        engine.close()
+    pressured, in_order = result.returns
+    assert pressured >= 1  # the data channel's feeder was engaged
+    assert in_order == [True] * count
+    assert result.channel_stats["data"] == (count, count)
+    assert sum(result.channel_net_syscalls.values()) >= count
+    assert running_feeder_threads() == 0

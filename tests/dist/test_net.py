@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.dist import wire
-from repro.dist.net.daemon import WorkerDaemon, run_daemon_cli
+from repro.dist.net.daemon import WorkerDaemon
 from repro.dist.net.feeder import SendFeeder
 from repro.dist.net.frames import FrameStream
 from repro.dist.net.rendezvous import (
@@ -443,10 +444,9 @@ def test_daemon_feeder_threads_gauge_is_live():
     assert daemon.stats()["feeder_threads"] == 0
 
 
-def test_worker_daemon_cli_rejects_bad_flags():
-    lines = []
-    assert run_daemon_cli(["--bogus"], out=lines.append) == 2
-    assert "worker-daemon option" in lines[0]
+def test_worker_daemon_cli_rejects_bad_flags(capsys):
+    assert main(["worker-daemon", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_socket_engine_observe_merges_wire_counters():

@@ -1,5 +1,5 @@
 """Vectored/buffered socket fast path: wire-format compatibility,
-short-read fuzzing of the frame parser, truncation aborts, coalescing.
+short-read fuzzing of the frame parser, truncation aborts.
 
 The buffered reader parses frames out of a reusable scratch filled by
 bulk ``recv_into``; a stream socket may deliver those bytes in
@@ -14,13 +14,11 @@ empty.
 
 import socket
 import struct
-import threading
 
 import numpy as np
 import pytest
 
 from repro.dist import wire
-from repro.dist.net.feeder import SendFeeder
 from repro.dist.net.frames import GOODBYE, FrameStream
 from repro.errors import TransportAbortError
 
@@ -352,37 +350,6 @@ def test_send_to_closed_reader_is_transport_abort():
         w.close()
 
 
-# ---------------------------------------------------------------------------
-# Feeder coalescing: queued values drain as one batch
-# ---------------------------------------------------------------------------
-
-
-def test_feeder_coalesces_queued_items_into_one_batch():
-    gate = threading.Event()
-    first_flush = threading.Event()
-    batches = []
-
-    def write_many(items):
-        batches.append(list(items))
-        if len(batches) == 1:
-            first_flush.set()
-            gate.wait(5.0)  # hold the drain so later puts queue up
-
-    feeder = SendFeeder("test", lambda item: None, lambda: None, write_many)
-    feeder.put("a")  # starts the thread
-    assert first_flush.wait(5.0)
-    # These queue while the first flush is blocked on the gate...
-    feeder.put("b")
-    feeder.put("c")
-    feeder.put("d")
-    gate.set()
-    feeder.close()
-    assert [x for batch in batches for x in batch] == ["a", "b", "c", "d"]
-    # ...so the next flush drains them as one coalesced batch.
-    assert batches[1] == ["b", "c", "d"]
-    assert feeder.coalesce_hwm >= 3
-
-
 def test_socket_channel_reports_fastpath_stats():
     """The writer-side stats dict carries the vectored counters (and
     the reader side stays exactly {'receives': n})."""
@@ -407,9 +374,8 @@ def test_socket_channel_reports_fastpath_stats():
         assert stats["net_syscalls"] > 0
         assert stats["net_syscalls_unvectored"] >= 2 * stats["sends"]
         # Whole-value gather: header + array leave together, so every
-        # frame is vectored even without feeder coalescing.
+        # frame is vectored.
         assert stats["net_vectored"] >= 2 * 4
-        assert stats["coalesce_hwm"] >= 1
         assert (
             stats["net_syscalls_unvectored"] / stats["net_syscalls"] >= 2.0
         )

@@ -2,7 +2,11 @@
 
 import json
 
-from repro.explore.cli import run_explore
+from repro.cli import main
+
+
+def run_explore(argv):
+    return main(["explore", *argv])
 
 
 class TestBasics:
@@ -107,6 +111,30 @@ class TestExploreMode:
             ]
         )
         assert code == 1
+
+
+class TestSweepMode:
+    def test_sweep_needs_a_fault_plan(self, capsys):
+        assert run_explore(["--target", "exchange2", "--engine", "multiprocess"]) == 2
+        assert "needs --faults" in capsys.readouterr().out
+
+    def test_delay_sweep_on_a_process_engine_is_bitwise_identical(self, capsys):
+        code = run_explore(
+            [
+                "--target",
+                "exchange2",
+                "--engine",
+                "multiprocess",
+                "--faults",
+                "delay:c01#0~2",
+                "--runs",
+                "1",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sweep[multiprocess] exchange2" in out
+        assert "1 identical final state(s)" in out
 
 
 class TestReplayMode:

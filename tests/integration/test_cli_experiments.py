@@ -13,10 +13,8 @@ from repro.cli import (
     run_figure1,
     run_figure2,
     run_rcs,
-    run_stats,
     run_table1,
     run_theorem1,
-    run_trace,
 )
 
 
@@ -75,16 +73,12 @@ class TestExperimentRunners:
 
 
 class TestStatsCommand:
-    def test_stats_e1_summary_and_exports(self, tmp_path):
+    def test_stats_e1_summary_and_exports(self, tmp_path, capsys):
         import json
 
-        lines: list[str] = []
-        ok = run_stats(
-            ["e1", "--pshape", "2x1x1", "--outdir", str(tmp_path)],
-            out=lines.append,
-        )
-        text = "\n".join(str(x) for x in lines)
-        assert ok
+        code = main(["stats", "e1", "--pshape", "2x1x1", "--outdir", str(tmp_path)])
+        text = capsys.readouterr().out
+        assert code == 0
         # Per-process wall-time split.
         assert "compute ms" in text and "blocked ms" in text
         # Per-channel traffic with queue high-water mark.
@@ -106,35 +100,38 @@ class TestStatsCommand:
         import json
 
         bench_file = tmp_path / "BENCH_obs.json"
-        ok = run_stats(
-            [
-                "e1",
-                "--pshape",
-                "2x1x1",
-                "--outdir",
-                str(tmp_path),
-                "--bench",
-                str(bench_file),
-            ],
-            out=lambda *_: None,
-        )
-        assert ok
-        bench = json.loads(bench_file.read_text())
-        assert bench["model_agreement"] is True
-        assert bench["total_messages"] > 0
-        assert all(
-            row["wall_s"] >= row["blocked_s"] >= 0.0
-            for row in bench["wall_time_split"]
-        )
+        argv = [
+            "stats",
+            "e1",
+            "--pshape",
+            "2x1x1",
+            "--outdir",
+            str(tmp_path),
+            "--bench",
+            str(bench_file),
+        ]
+        # The per-variable message model does not describe the combined
+        # split exchanges, so --overlap records no comparison rows.
+        for extra, compared in ([], True), (["--overlap"], False):
+            assert main(argv + extra) == 0
+            bench = json.loads(bench_file.read_text())
+            assert bench["model_agreement"] is True
+            assert bool(bench["model_comparison"]) is compared
+            assert bench["total_messages"] > 0
+            assert all(
+                row["wall_s"] >= row["blocked_s"] >= 0.0
+                for row in bench["wall_time_split"]
+            )
 
-    def test_stats_rejects_unknown_experiment(self):
-        assert run_stats(["nope"], out=lambda *_: None) is False
+    def test_stats_rejects_unknown_experiment(self, capsys):
+        assert main(["stats", "nope"]) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     @pytest.mark.slow
-    def test_stats_accepts_socket_engine(self, tmp_path):
-        lines: list[str] = []
-        ok = run_stats(
+    def test_stats_accepts_socket_engine(self, tmp_path, capsys):
+        code = main(
             [
+                "stats",
                 "e1",
                 "--pshape",
                 "2x1x1",
@@ -142,25 +139,24 @@ class TestStatsCommand:
                 "socket",
                 "--outdir",
                 str(tmp_path),
-            ],
-            out=lines.append,
+            ]
         )
-        text = "\n".join(str(x) for x in lines)
-        assert ok
+        text = capsys.readouterr().out
+        assert code == 0
         assert "engine=socket" in text
         assert "agreement: exact" in text
         assert (tmp_path / "stats_e1_2x1x1_socket.trace.json").exists()
 
 
 class TestTraceCommand:
-    def test_trace_e1_renders_and_validates(self, tmp_path):
+    def test_trace_e1_renders_and_validates(self, tmp_path, capsys):
         import json
 
         out_file = tmp_path / "trace.json"
         chrome_file = tmp_path / "trace-chrome.json"
-        lines: list[str] = []
-        ok = run_trace(
+        code = main(
             [
+                "trace",
                 "e1",
                 "--pshape",
                 "2x1x1",
@@ -172,11 +168,10 @@ class TestTraceCommand:
                 str(chrome_file),
                 "--limit",
                 "10",
-            ],
-            out=lines.append,
+            ]
         )
-        text = "\n".join(str(x) for x in lines)
-        assert ok
+        text = capsys.readouterr().out
+        assert code == 0
         # The Figure-1-style timeline: rank columns and clocked events.
         assert " clock " in text and "P0" in text and "P1" in text
         assert "happens-before check: OK" in text
@@ -192,8 +187,36 @@ class TestTraceCommand:
         ]
         assert flows
 
-    def test_trace_rejects_unknown_flag(self):
-        assert run_trace(["e1", "--bogus"], out=lambda *_: None) is False
+    def test_trace_rejects_unknown_flag(self, capsys):
+        assert main(["trace", "e1", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Every malformed command line is a usage message on stderr and
+    exit status 2 — no traceback, no run started."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["e1", "--bogus"],
+            ["e2", "--engine", "fortran"],
+            ["stats", "e1", "--pshape", "2xa"],
+            ["stats", "e1", "--pshape", "2x0x1"],
+            ["stats", "e1", "--hosts", "nocolon"],
+            ["trace", "e1", "--limit", "x"],
+            ["explore", "--schedules", "many"],
+            ["explore", "--faults", "explode:now"],
+            ["worker-daemon", "--port", "http"],
+            ["worker-daemon", "--port"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_2_with_usage(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: python -m repro")
+        assert "Traceback" not in captured.err and not captured.out
 
 
 class TestMainEntry:
@@ -203,13 +226,13 @@ class TestMainEntry:
 
     def test_unknown(self, capsys):
         assert main(["nope"]) == 2
-        assert "unknown experiment" in capsys.readouterr().out
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["bench", "serve-bench", "fleet-bench"])
     def test_retired_bench_subcommands_are_unknown(self, name, capsys):
         # benchmarks/suite/run.py is the one harness; no stub remains.
         assert main([name]) == 2
-        assert "unknown experiment" in capsys.readouterr().out
+        assert f"invalid choice: {name!r}" in capsys.readouterr().err
 
     def test_registry_complete(self):
         assert set(EXPERIMENTS) == {

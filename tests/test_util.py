@@ -12,6 +12,7 @@ from repro.util import (
     bitwise_equal_stores,
     deep_copy_value,
     format_table,
+    is_array_like,
     max_abs_diff,
     max_rel_diff,
     product,
@@ -115,6 +116,13 @@ class TestMisc:
         assert lines[0] == "T"
         assert "-+-" in lines[2]
         assert all(len(l) == len(lines[1]) for l in lines[1:2])
+
+    def test_is_array_like(self):
+        assert is_array_like(np.zeros(3))
+        # numpy scalars reach stores and must keep passing
+        assert is_array_like(np.float64(3.0))
+        assert not is_array_like(3.0)
+        assert not is_array_like([1, 2, 3])
 
     def test_stopwatch(self):
         with Stopwatch() as sw:
