@@ -64,7 +64,10 @@ class CoefficientSet:
     """Per-component update coefficient arrays (all node-shaped).
 
     ``ca[c]``/``cb[c]`` for the E components, ``da[c]``/``db[c]`` for
-    the H components.
+    the H components.  :meth:`MaterialGrid.coefficients` hands the
+    twelve arrays out *read-only*: they are computed once and never
+    assigned again, which is what makes them constants
+    (:func:`repro.util.is_constant`) that no engine copies per run.
     """
 
     ca: dict[str, np.ndarray] = field(default_factory=dict)
@@ -199,4 +202,6 @@ class MaterialGrid:
         for comp in H_COMPONENTS:
             out.da[comp] = da.copy()
             out.db[comp] = db.copy()
+        for arr in out.arrays().values():
+            arr.flags.writeable = False
         return out

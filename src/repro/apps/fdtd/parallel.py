@@ -8,8 +8,10 @@ This module is the application of the whole methodology:
 * :func:`build_parallel_fdtd` performs the transformation of section
   4.4: partition the data into simulated address spaces (all six field
   arrays plus the twelve coefficient arrays, block-decomposed with a
-  one-cell ghost ring), restructure the time loop into local blocks
-  alternating with archetype data-exchange operations, and specialise
+  one-cell ghost ring; the coefficients are *constants* — read-only,
+  so no engine copies them per run), restructure the time loop into
+  local blocks alternating with archetype data-exchange operations,
+  and specialise
   per-process computation where needed (physical-boundary trims, Mur
   faces, the source-owning process, each rank's share of the far-field
   surface);
@@ -363,7 +365,10 @@ def build_parallel_fdtd(
     host process for I/O and reductions).  ``include_io_stages`` adds
     explicit distribute stages at the start (the "host reads the file
     then redistributes" flow); initial stores are pre-scattered either
-    way, so the stages are semantically idempotent.
+    way, so the stages are semantically idempotent.  Those stages assign
+    the coefficient sections, so on that path the coefficients are
+    declared as writable copies — variables, copied per run like the
+    fields — instead of the constants they otherwise are.
 
     ``batch_exchanges`` coalesces each phase's per-component ghost
     exchanges into one combined stage, so a rank sends one message per
@@ -422,9 +427,13 @@ def build_parallel_fdtd(
     fields0 = config.initial_fields()
     for comp in COMPONENTS:
         builder.declare_distributed(comp, fields0[comp])
+    # The coefficients are constants (read-only, never copied per run)
+    # unless the explicit I/O stages below assign their sections.
     coef_arrays = config.coefficient_set().arrays()
     for name, arr in coef_arrays.items():
-        builder.declare_distributed(name, arr)
+        builder.declare_distributed(
+            name, arr.copy() if include_io_stages else arr
+        )
 
     # ---- per-rank specialisation (plan step 2) ----------------------------
     inv_spacing = tuple(1.0 / d for d in grid.spacing)

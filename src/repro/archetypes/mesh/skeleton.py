@@ -47,7 +47,7 @@ from repro.refinement.program import LocalBlock, SimulatedParallelProgram
 from repro.refinement.store import AddressSpace
 from repro.refinement.transform import to_parallel_system
 from repro.runtime.system import System
-from repro.util import deep_copy_value
+from repro.util import copy_unless_constant, is_constant
 
 __all__ = ["MeshProgramBuilder"]
 
@@ -94,6 +94,14 @@ class MeshProgramBuilder:
         Grid rank ``r`` holds the ghosted local section; the host (when
         present) holds the global array.  ``global_init`` defaults to
         zeros over the decomposition's grid shape.
+
+        A *read-only* ``global_init`` declares a constant
+        (:func:`repro.util.is_constant`; section 4.4 step 1's "never
+        assigned again"): every rank's section is read-only too, the
+        host holds the global itself rather than a copy, and no engine
+        copies any of it per run.  A stage that would assign it
+        (distribute, collect, boundary exchange, reduction result) is
+        refused when it is appended.
         """
         if global_init is None:
             global_init = np.zeros(self.decomp.grid_shape)
@@ -128,7 +136,7 @@ class MeshProgramBuilder:
     def _grid_only_value(self, name: str, rank: int) -> Any:
         decl = self._decls[name]
         value = decl.payload
-        return value(rank) if callable(value) else deep_copy_value(value)
+        return value(rank) if callable(value) else copy_unless_constant(value)
 
     # -- stages ---------------------------------------------------------------
 
@@ -195,7 +203,7 @@ class MeshProgramBuilder:
                 "corners=True (the corner-filling exchange needs every face)"
             )
         for var in variables:
-            self._check_kind(var, "distributed")
+            self._check_target(var, "distributed")
         if corners:
             for var in variables:
                 self._stages.extend(
@@ -226,7 +234,7 @@ class MeshProgramBuilder:
         uniformly, and the program degenerates to the unsplit form.
         """
         for var in variables:
-            self._check_kind(var, "distributed")
+            self._check_target(var, "distributed")
         check_faces(self.decomp, variables, faces)
         begin, end = boundary_exchange_split(
             self.decomp, variables, faces=faces
@@ -256,7 +264,7 @@ class MeshProgramBuilder:
         """Host -> grid redistribution of distributed arrays."""
         self._need_host()
         for var in variables:
-            self._check_kind(var, "distributed")
+            self._check_target(var, "distributed")
             self._stages.append(distribute_stage(self.decomp, var, self.host))
         return self
 
@@ -264,7 +272,7 @@ class MeshProgramBuilder:
         """Grid -> host redistribution of distributed arrays."""
         self._need_host()
         for var in variables:
-            self._check_kind(var, "distributed")
+            self._check_target(var, "distributed")
             self._stages.append(collect_stage(self.decomp, var, self.host))
         return self
 
@@ -279,7 +287,7 @@ class MeshProgramBuilder:
         program can process different inputs.
         """
         self._need_host()
-        self._check_kind(var, "distributed")
+        self._check_target(var, "distributed")
         path = str(path)
         shape = self.decomp.grid_shape
 
@@ -314,6 +322,7 @@ class MeshProgramBuilder:
         the archetype's 'broadcast of global data' (copy-consistency
         re-establishment for duplicated variables)."""
         root = self.host if self.host is not None else 0
+        self._check_target(dst_var)
         self._stages.append(
             broadcast_stage(range(self.grid_size), src_var, dst_var, root)
         )
@@ -337,6 +346,8 @@ class MeshProgramBuilder:
         receives the combined value everywhere.
         """
         root = self.host if self.host is not None else 0
+        for target in (result_var, broadcast_to):
+            self._check_target(target)
         # Keyed by the result variable: the same source may be reduced
         # many times (e.g. a periodic convergence check).
         buf_var = f"_redbuf_{result_var}"
@@ -394,14 +405,16 @@ class MeshProgramBuilder:
             if decl.kind == "distributed":
                 locals_ = scatter_array(self.decomp, decl.payload)
                 for rank in range(self.grid_size):
+                    # A constant's sections are constants.
+                    locals_[rank].flags.writeable = decl.payload.flags.writeable
                     stores[rank][name] = locals_[rank]
                 if self.host is not None:
-                    stores[self.host][name] = decl.payload.copy()
+                    stores[self.host][name] = copy_unless_constant(decl.payload)
             elif decl.kind == "duplicated":
                 for rank in range(self.nprocs):
-                    stores[rank][name] = deep_copy_value(decl.payload)
+                    stores[rank][name] = copy_unless_constant(decl.payload)
             elif decl.kind == "host_only":
-                stores[self.host][name] = deep_copy_value(decl.payload)
+                stores[self.host][name] = copy_unless_constant(decl.payload)
             elif decl.kind == "grid_only":
                 for rank in range(self.grid_size):
                     stores[rank][name] = self._grid_only_value(name, rank)
@@ -445,4 +458,19 @@ class MeshProgramBuilder:
         if decl.kind != kind:
             raise ArchetypeError(
                 f"variable {var!r} is {decl.kind}, stage needs {kind}"
+            )
+
+    def _check_target(self, var: str | None, kind: str | None = None) -> None:
+        """``var`` is about to become the target of a stage: it must be
+        of ``kind`` (when given) and must not be a constant — the run
+        would die at its first assignment on whichever rank got there
+        first, so refuse it while the program is being written."""
+        if kind is not None:
+            self._check_kind(var, kind)
+        decl = self._decls.get(var)
+        if decl is not None and is_constant(decl.payload):
+            raise ArchetypeError(
+                f"variable {var!r} is a constant (its initial value is a "
+                "read-only array) and cannot be the target of a stage; "
+                "declare a writable copy"
             )

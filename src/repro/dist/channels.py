@@ -32,6 +32,10 @@ Statistics parity: ``sends``/``receives``/``bytes_sent`` are exact.
 between the local queue, the pipe, and the reader — computed as
 ``sends - receiver's receive counter`` (a :class:`~repro.dist.shm.SharedCounter`)
 sampled at each send, which bounds true occupancy from above.
+
+Everything the two ends share besides the pipe — that receive counter,
+the slab and the slab's consumed-watermark — is **one** shared segment
+(:class:`~repro.dist.shm.ChannelSegment`), so an endpoint attaches once.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Any
 
 from repro.dist import wire
 from repro.dist.net.feeder import SendFeeder
-from repro.dist.shm import SharedCounter
+from repro.dist.shm import ChannelSegment
 from repro.errors import ChannelError, ChannelOwnershipError, EmptyChannelError
 from repro.util import payload_nbytes
 
@@ -59,11 +63,12 @@ class EndpointSpec:
 
     Shippable to a worker inside ``Process`` args (the ``conn`` handle
     is duplicated across the boundary by multiprocessing's reduction).
-    ``counter_name`` names the shared receive counter, or ``""`` when
-    high-water-mark tracking is off.  ``slab_name``/``slab_size``/
-    ``slab_counter`` describe the channel's payload-staging slab (see
-    :class:`repro.dist.wire.SlabWriter`), or are empty/zero when array
-    payloads always ride the pipe.
+    ``segment`` names the channel's shared segment
+    (:class:`~repro.dist.shm.ChannelSegment`: receive counter, slab
+    consumed-watermark, slab), or is ``""`` when high-water-mark
+    tracking is off; ``slab_size`` is the size of the payload-staging
+    slab in it (see :class:`repro.dist.wire.SlabWriter`), ``0`` when
+    array payloads always ride the pipe.
     """
 
     name: str
@@ -71,10 +76,8 @@ class EndpointSpec:
     reader: int
     role: str  # "w" | "r"
     conn: Any
-    counter_name: str = ""
-    slab_name: str = ""
+    segment: str = ""
     slab_size: int = 0
-    slab_counter: str = ""
 
 
 class ProcChannel:
@@ -94,6 +97,7 @@ class ProcChannel:
     __slots__ = (
         "spec",
         "_conn",
+        "_segment",
         "_counter",
         "_slab_w",
         "_slab_r",
@@ -113,17 +117,19 @@ class ProcChannel:
     def __init__(self, spec: EndpointSpec):
         self.spec = spec
         self._conn = spec.conn
+        # One attach: the slab halves *are* the segment, extended.
+        self._segment = self._slab_w = self._slab_r = None
+        if spec.segment and not spec.slab_size:
+            self._segment = ChannelSegment(spec.segment)
+        elif spec.segment and spec.role == "w":
+            self._segment = self._slab_w = wire.SlabWriter(
+                spec.segment, spec.slab_size
+            )
+        elif spec.segment:
+            self._segment = self._slab_r = wire.SlabReader(spec.segment)
         self._counter = (
-            SharedCounter.attach(spec.counter_name) if spec.counter_name else None
+            self._segment.received if self._segment is not None else None
         )
-        self._slab_w = self._slab_r = None
-        if spec.slab_name:
-            if spec.role == "w":
-                self._slab_w = wire.SlabWriter(
-                    spec.slab_name, spec.slab_size, spec.slab_counter
-                )
-            else:
-                self._slab_r = wire.SlabReader(spec.slab_name, spec.slab_counter)
         self._pollout = None  # select.poll() on the write fd, made lazily
         self._feeder = SendFeeder(
             spec.name,
@@ -260,12 +266,8 @@ class ProcChannel:
                 self._conn.close()
             except OSError:
                 pass
-        if self._counter is not None:
-            self._counter.close()
-        if self._slab_w is not None:
-            self._slab_w.close()
-        if self._slab_r is not None:
-            self._slab_r.close()
+        if self._segment is not None:
+            self._segment.close()
 
     # -- read side ---------------------------------------------------------
 

@@ -15,10 +15,13 @@ is what :meth:`MultiprocessEngine.run` (on a pool it keeps, or one
 scoped to the run) and :class:`~repro.dist.serve.JobServer` both call.
 Per run, it:
 
-1. places each rank's large store arrays in shared segments of the
-   pool's :class:`~repro.dist.shm.SharedStoreArena` (the FDTD Yee-grid
-   blocks cross the process boundary exactly twice: written once at
-   setup, read once at readback);
+1. places each rank's large store arrays in two shared segments of
+   the pool's :class:`~repro.dist.shm.SharedStoreArena`: its constants
+   (read-only arrays — the FDTD coefficient blocks) in a *resident
+   pack* written once per ``System`` and never read back, its variables
+   (the Yee-grid field blocks) in a *run pack* that crosses the process
+   boundary exactly twice: written once at setup, read once at
+   readback;
 2. builds one OS pipe per channel and one duplex *result pipe* per
    rank, borrows one worker per rank and ships it its job — the body as
    its once-per-System image (:mod:`repro.dist.closures`), the pipe
@@ -417,7 +420,7 @@ def collect_results(
 def build_channel_endpoints(
     system: System, ctx, arena: SharedStoreArena, payload_slab: int
 ) -> tuple[list, list, list, list[str]]:
-    """One OS pipe + shm counters/slab per channel, split per rank.
+    """One OS pipe + one shared segment per channel, split per rank.
 
     Returns ``(w_specs, r_specs, parent_conns, segment_names)``:
     per-rank writer/reader :class:`EndpointSpec` lists, every parent-side
@@ -433,13 +436,8 @@ def build_channel_endpoints(
     for spec in system.channel_specs:
         r_conn, w_conn = ctx.Pipe(duplex=False)
         conns.extend((r_conn, w_conn))
-        counter = arena.new_counter()
-        names.append(counter)
-        slab_name, slab_counter = "", ""
-        if payload_slab:
-            slab_name = arena.new_slab(payload_slab)
-            slab_counter = arena.new_counter()
-            names.extend((slab_name, slab_counter))
+        segment = arena.new_channel(payload_slab)
+        names.append(segment)
         for mode, rank, conn in (
             ("w", spec.writer, w_conn),
             ("r", spec.reader, r_conn),
@@ -452,10 +450,8 @@ def build_channel_endpoints(
                     spec.reader,
                     mode,
                     conn,
-                    counter,
-                    slab_name,
+                    segment,
                     payload_slab,
-                    slab_counter,
                 )
             )
     return w_specs, r_specs, conns, names
@@ -481,7 +477,10 @@ def run_on_pool(
     arena, one result pipe per rank, dispatch, collection, readback;
     workers and exactly this run's segments go back to the pool
     whatever happens, so concurrent callers — engines, servers, threads
-    — share a pool freely.  ``bodies`` are the per-rank ``("image", digest,
+    — share a pool freely.  (The resident packs holding the system's
+    constants are not "this run's": they stay with the arena for as
+    long as the system lives, and a concurrent or later run of it maps
+    the same ones.)  ``bodies`` are the per-rank ``("image", digest,
     bytes)`` payloads (default: the system's once-pickled images,
     :func:`repro.dist.closures.body_payloads`); the remaining keywords
     are :class:`MultiprocessEngine`'s.  ``report_name`` labels the
@@ -507,7 +506,7 @@ def run_on_pool(
         slots = pool.checkout(nprocs)
 
         # Channel pipes and per-rank endpoint specs; stores: large
-        # arrays into shared segments, the rest by value.
+        # arrays into a resident and a run pack, the rest by value.
         plans: list[dict[str, tuple]] = []
         rests: list[dict[str, Any]] = []
         with pool.arena_lock:
@@ -518,7 +517,9 @@ def run_on_pool(
                 plan, rest = arena.share_store(p.store)
                 plans.append(plan)
                 rests.append(rest)
-                seg_names.extend(name for name, _dt, _sh in plan.values())
+                # Every pack a plan names; recycle() knows which of
+                # them are run packs.
+                seg_names.extend({entry[0] for entry in plan.values()})
 
         for rank in range(nprocs):
             parent_conn, child_conn = pool.ctx.Pipe(duplex=True)

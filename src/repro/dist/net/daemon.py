@@ -340,7 +340,9 @@ class WorkerDaemon:
                 job["nprocs"],
                 stream,
                 job["body"],
-                {},  # no shm plan: stores cross the wire by value
+                # Stores cross the wire by value; the plan only names
+                # the constants, whose read-only flag the wire drops.
+                job.get("plan", {}),
                 job["rest"],
                 w_specs,
                 r_specs,

@@ -59,8 +59,10 @@ from repro.dist import closures, wire
 from repro.dist.engine import Collected, collect_results
 from repro.dist.net import rendezvous
 from repro.dist.net.transport import NetEndpointSpec
+from repro.dist.shm import BY_VALUE_CONSTANT
 from repro.errors import RendezvousError, RuntimeModelError
 from repro.runtime.system import RunResult, System
+from repro.util import is_constant
 
 __all__ = [
     "SocketEngine",
@@ -232,6 +234,9 @@ def run_assigned(
     store travels as a plain dict inside the job frame, so its arrays
     ride :func:`repro.dist.wire.send`'s raw-buffer frames instead of
     being pickled (and then pickled again inside the job header).
+    Constants travel with it, by value, every run — a daemon keeps no
+    resident pack — and the frame's ``plan`` names them, so the daemon
+    can mark them read-only again (the wire carries no flags).
     ``timing_sink``, when given, receives
     :meth:`~repro.dist.engine.Collected.timing` even when the run
     fails.  Failures — body exceptions, rendezvous failures, or a
@@ -267,6 +272,11 @@ def run_assigned(
                         "nprocs": nprocs,
                         "body": bodies[rank],
                         "rest": rests[rank],
+                        "plan": {
+                            key: BY_VALUE_CONSTANT
+                            for key, value in p.store.items()
+                            if is_constant(value)
+                        },
                         "w_specs": w_specs[rank],
                         "r_specs": r_specs[rank],
                         "recv_timeout": recv_timeout,

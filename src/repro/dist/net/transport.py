@@ -71,8 +71,7 @@ class NetEndpointSpec:
     (writer side) or claims the matching accepted stream (reader side)
     during job setup and fills ``conn`` with the connected
     :class:`~repro.dist.net.frames.FrameStream` before channels are
-    built.  ``counter_name``/``slab_name``/``slab_size``/``slab_counter``
-    exist for structural parity with
+    built.  ``segment``/``slab_size`` exist for structural parity with
     :class:`~repro.dist.channels.EndpointSpec` and are always empty:
     no shared memory crosses hosts.
     """
@@ -84,10 +83,8 @@ class NetEndpointSpec:
     job_id: str = ""
     peer: tuple | None = None  # (host, port) of the reader's daemon
     conn: Any = None  # FrameStream once connected
-    counter_name: str = ""
-    slab_name: str = ""
+    segment: str = ""
     slab_size: int = 0
-    slab_counter: str = ""
     transport: str = field(default="socket", repr=False)
 
 

@@ -50,8 +50,11 @@ Mechanics worth noting:
 * **Segment recycling.**  The pool owns a persistent
   :class:`~repro.dist.shm.SharedStoreArena` (guarded by
   :attr:`WorkerPool.arena_lock` — the arena itself is not thread-safe);
-  a finished run recycles exactly its own segments so same-shape grids
-  reuse them.  :meth:`shutdown` unlinks everything — the pool holds the
+  a finished run recycles exactly its own segments (run packs, channel
+  segments) so same-shape grids reuse them, while the resident packs
+  holding a system's constants stay with the arena for as long as that
+  system lives — every later or concurrent run of it maps the same
+  ones.  :meth:`shutdown` unlinks everything — the pool holds the
   only parent-side ownership, and the no-leak tests assert emptiness
   after.
 """

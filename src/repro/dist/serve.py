@@ -20,10 +20,12 @@ slots.
 
 **Why concurrent jobs are safe** (the determinacy argument): each job
 is a closed system in the paper's model — its ranks talk only over that
-job's own SRSW channels, its store arrays live in that job's own shared
-segments, and its workers hold no state between jobs (a parked pool
+job's own SRSW channels, its store *variables* live in that job's own
+run packs, and its workers hold no state between jobs (a parked pool
 worker runs one ``run_job`` at a time and touches nothing global).  Two
-jobs in flight therefore share *no* channel, segment, or rank, so by
+jobs in flight therefore share no channel, rank or writable segment —
+two jobs of one ``System`` do map the same resident pack of its
+constants (:mod:`repro.dist.shm`), which nobody can write — so by
 Theorem 1 every interleaving of their steps — including any schedule
 the OS picks across the pool — leaves each job's final state exactly
 what its sequential specification says.  Serving adds throughput, not

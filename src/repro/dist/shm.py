@@ -1,11 +1,30 @@
-"""Shared-memory backing for process stores.
+"""Shared-memory backing for process stores and channels.
 
-The multiprocess engine places every sufficiently large array of every
-rank's initial store into a ``multiprocessing.shared_memory`` segment.
-Workers attach the segments and run their bodies *in place*: the
-block-decomposed FDTD field and coefficient arrays are written once by
-the parent and read once at the end, instead of being pickled through
-a pipe in each direction.
+**Stores cross as packs.**  A rank's store reaches its worker through at
+most two ``multiprocessing.shared_memory`` segments, whatever it holds:
+
+* its *constants* — read-only arrays, :func:`repro.util.is_constant`;
+  in the FDTD codes the twelve coefficient arrays, two thirds of the
+  data — lie back to back in one **resident pack**, written the first
+  time those arrays reach an arena and never again.  The pack lives
+  exactly as long as the arrays do (hence as long as their ``System``):
+  the arena holds them through weak references only, and gives the
+  segment back to its free list at the first :meth:`~SharedStoreArena.
+  share_store` or :meth:`~SharedStoreArena.cleanup` after one of them
+  died.  Concurrent jobs of one ``System`` share one resident pack —
+  safe precisely because nobody can write it;
+* its *variables* lie in one **run pack**, drawn from and returned to
+  the arena's size-keyed free list around every run, written at setup
+  and copied back out at readback.
+
+Workers attach each pack once and run their bodies *in place*; views of
+the resident pack are marked read-only, so a body that assigns a
+constant fails there exactly as it does on the in-process engines.
+Everything else (small arrays, scalars, objects) rides the job's
+pickle.
+
+**A channel is one segment** (:class:`ChannelSegment`): its receive
+counter, its slab's consumed-watermark and the slab bytes themselves.
 
 Ownership and lifecycle are deliberately asymmetric:
 
@@ -30,16 +49,19 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 from multiprocessing import shared_memory
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
-from repro.util import deep_copy_value
+from repro.util import is_constant
 
 __all__ = [
     "DEFAULT_THRESHOLD",
     "DEFAULT_SLAB",
+    "BY_VALUE_CONSTANT",
+    "ChannelSegment",
     "SharedStoreArena",
     "SharedCounter",
     "attach_store",
@@ -48,8 +70,7 @@ __all__ = [
 ]
 
 #: Arrays below this many bytes ride in the worker bootstrap pickle
-#: instead of a shared segment (a segment costs a file descriptor and
-#: a 4 KiB page; tiny scalars are not worth one).
+#: instead of a pack (tiny scalars are not worth a cache line of one).
 DEFAULT_THRESHOLD = 256
 
 #: Default per-channel payload-staging slab size (bytes).  Sized so one
@@ -57,6 +78,16 @@ DEFAULT_THRESHOLD = 256
 #: face strips) plus a couple of in-flight predecessors fit without
 #: triggering the copy-on-send pipe fallback.
 DEFAULT_SLAB = 1 << 20
+
+#: Every array in a pack starts on a multiple of this many bytes: a
+#: cache line, and enough for any SIMD load the kernels' ufuncs issue.
+PACK_ALIGN = 64
+
+#: The plan entry of a constant that crosses by value (inside ``rest``:
+#: too small or not of a raw-buffer dtype, or the store crossed a
+#: socket): no segment to map, only the read-only flag to restore,
+#: which neither pickling nor the wire carries.
+BY_VALUE_CONSTANT = (None, 0, None, None, True)
 
 #: Segment names created by this process and not yet unlinked.
 _LIVE_SEGMENTS: set[str] = set()
@@ -77,32 +108,57 @@ def _shareable(value: Any, threshold: int) -> bool:
 
 
 class SharedCounter:
-    """One 8-byte integer in a named shared segment.
+    """One 8-byte integer at an offset of a shared buffer.
 
-    Used as a channel's cross-process *receive counter*: written only
-    by the reader, read only by the writer (to compute the queue
-    occupancy high-water mark), so a plain aligned store/load suffices
-    — the value is monotone and only feeds statistics.
+    A channel's cross-process *receive counter* and its slab's
+    *consumed* watermark are each one: written only by the reader, read
+    only by the writer, so a plain aligned store/load suffices — the
+    value is monotone.  Borrows the buffer; whoever attached the
+    segment closes it.
     """
 
-    __slots__ = ("_seg",)
+    __slots__ = ("_buf", "_offset")
 
     SIZE = 8
 
-    def __init__(self, seg: shared_memory.SharedMemory):
-        self._seg = seg
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedCounter":
-        return cls(shared_memory.SharedMemory(name=name))
+    def __init__(self, buf, offset: int):
+        self._buf = buf
+        self._offset = offset
 
     @property
     def value(self) -> int:
-        return struct.unpack_from("q", self._seg.buf, 0)[0]
+        return struct.unpack_from("q", self._buf, self._offset)[0]
 
     @value.setter
     def value(self, v: int) -> None:
-        struct.pack_into("q", self._seg.buf, 0, v)
+        struct.pack_into("q", self._buf, self._offset, v)
+
+
+class ChannelSegment:
+    """One channel's shared segment, attached by name.
+
+    Layout: ``[receive counter | slab consumed | pad | slab bytes]`` —
+    the two counters in the first :attr:`HEADER` bytes, the
+    payload-staging slab (:class:`repro.dist.wire.SlabWriter` /
+    :class:`~repro.dist.wire.SlabReader`, which extend this class)
+    after it; a channel without a slab has the header only.  One
+    attach per endpoint gives it all three.
+    """
+
+    __slots__ = ("_seg", "received", "consumed")
+
+    HEADER = 64
+
+    def __init__(self, name: str):
+        self._seg = shared_memory.SharedMemory(name=name)
+        self.received = SharedCounter(self._seg.buf, 0)
+        self.consumed = SharedCounter(self._seg.buf, SharedCounter.SIZE)
+
+    def slab_view(self, shape: tuple, dtype, offset: int) -> np.ndarray:
+        """The array of ``shape`` and ``dtype`` at ``offset`` of the slab."""
+        return np.ndarray(
+            shape, dtype=dtype, buffer=self._seg.buf, offset=self.HEADER + offset
+        )
 
     def close(self) -> None:
         try:
@@ -111,27 +167,74 @@ class SharedCounter:
             pass
 
 
-class SharedStoreArena:
-    """Parent-side owner of every shared segment backing one run.
+def _pack_offsets(arrays: Iterable[np.ndarray]) -> tuple[list[int], int]:
+    """Back-to-back, :data:`PACK_ALIGN`-aligned offsets and their end."""
+    offsets, end = [], 0
+    for arr in arrays:
+        offsets.append(end)
+        end += -(-arr.nbytes // PACK_ALIGN) * PACK_ALIGN
+    return offsets, end
 
-    A pooled engine keeps one arena alive across runs: :meth:`recycle`
-    parks every in-use segment on a size-keyed free list instead of
-    unlinking it, and :meth:`_new_segment` satisfies a later request of
-    the same size from that list — so repeated runs over matching grid
-    shapes reuse their segments (and fds) instead of re-creating them.
-    :meth:`cleanup` remains the only unlinker, reclaiming free and
-    in-use segments alike.
+
+class _ResidentPack(NamedTuple):
+    """One store's constants in one segment, plus what finds them again:
+    the plan entries handed out for them and a weak reference to each
+    array (so :meth:`SharedStoreArena.readback` can return the parent's
+    own, and so the pack dies with them)."""
+
+    seg: shared_memory.SharedMemory
+    key: tuple
+    plan: dict[str, tuple]
+    refs: dict[str, weakref.ref]
+
+
+class SharedStoreArena:
+    """Parent-side owner of every shared segment backing its runs.
+
+    :meth:`share_store` turns one rank's store into a *plan* — per
+    shared key ``(segment, offset, dtype, shape, constant)`` — over two
+    packs (module docstring) plus the by-value remainder;
+    :meth:`readback` turns a plan back into arrays after the run.
+
+    A pooled engine keeps one arena alive across runs.  Run packs and
+    channel segments are *in use* between :meth:`share_store` /
+    :meth:`new_channel` and :meth:`recycle`, which parks them on a
+    size-keyed free list instead of unlinking them;
+    :meth:`_new_segment` satisfies a later request of the same size
+    from that list — so repeated runs over matching grid shapes reuse
+    their segments (and fds) instead of re-creating them.  A resident
+    pack is never parked by :meth:`recycle` — a run pack of equal size
+    would overwrite live constants — only by the sweep that finds its
+    arrays dead.  :meth:`cleanup` remains the only unlinker, reclaiming
+    free, in-use and resident segments alike.
+
+    Not thread-safe: a pool serialises its callers with
+    :attr:`~repro.dist.pool.WorkerPool.arena_lock`.  The one thing
+    that may happen on any thread at any time is a constant array being
+    collected; its weak-reference callback only appends the pack's name
+    to a list (no lock — the collector may run it on a thread that
+    holds the arena lock already), and the next :meth:`share_store` or
+    :meth:`cleanup` does the releasing.
     """
 
     def __init__(self, tag: str = ""):
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._free: dict[int, list[shared_memory.SharedMemory]] = {}
+        #: resident packs by segment name, and by what they hold
+        self._resident: dict[str, _ResidentPack] = {}
+        self._resident_of: dict[tuple, _ResidentPack] = {}
+        #: names of resident packs one of whose arrays has died
+        self._dead: list[str] = []
         self._counter = 0
-        self.recycled = 0  # segments served from the free list (stats)
+        # Counted, so tests need not time anything:
+        self.created = 0  # segments created (not served from the free list)
+        self.recycled = 0  # segments served from the free list
+        self.constant_bytes = 0  # bytes written into resident packs
         self._tag = tag or f"{os.getpid():x}_{os.urandom(4).hex()}"
 
     def __len__(self) -> int:
-        return len(self._segments)
+        """Segments in use: run packs, channel segments, resident packs."""
+        return len(self._segments) + len(self._resident)
 
     # -- creation ----------------------------------------------------------
 
@@ -148,84 +251,151 @@ class SharedStoreArena:
         seg = shared_memory.SharedMemory(name=name, create=True, size=size)
         self._segments[name] = seg
         _LIVE_SEGMENTS.add(name)
+        self.created += 1
         return seg
 
-    def share_array(self, arr: np.ndarray) -> tuple[str, str, tuple]:
-        """Copy ``arr`` into a fresh segment; returns its attach spec."""
-        arr = np.ascontiguousarray(arr)
-        seg = self._new_segment(arr.nbytes)
-        if arr.nbytes:
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-            view[...] = arr
-        return (seg.name, arr.dtype.str, tuple(arr.shape))
+    def _write_pack(
+        self, arrays: dict[str, np.ndarray], constant: bool
+    ) -> tuple[shared_memory.SharedMemory, dict[str, tuple]]:
+        """Copy ``arrays`` back to back into one segment; the segment
+        and the plan entry of each."""
+        offsets, end = _pack_offsets(arrays.values())
+        seg = self._new_segment(end)
+        plan: dict[str, tuple] = {}
+        for (key, arr), offset in zip(arrays.items(), offsets):
+            if arr.nbytes:
+                # Element-wise into a C-ordered view: any input layout.
+                np.ndarray(
+                    arr.shape, dtype=arr.dtype, buffer=seg.buf, offset=offset
+                )[...] = arr
+            plan[key] = (seg.name, offset, arr.dtype.str, arr.shape, constant)
+        return seg, plan
+
+    def _resident_pack(self, arrays: dict[str, np.ndarray]) -> _ResidentPack:
+        """The resident pack holding exactly ``arrays``, written now if
+        this arena has not seen them before.  Keyed by identity: the
+        sweep has just released every pack with a dead array, so an
+        ``id`` that matches belongs to the very array that was packed."""
+        key = tuple((name, id(arr)) for name, arr in arrays.items())
+        pack = self._resident_of.get(key)
+        if pack is None:
+            seg, plan = self._write_pack(arrays, constant=True)
+            del self._segments[seg.name]  # not recyclable: see recycle()
+            died = self._dead.append
+            refs = {
+                name: weakref.ref(arr, lambda _ref, _n=seg.name: died(_n))
+                for name, arr in arrays.items()
+            }
+            pack = _ResidentPack(seg, key, plan, refs)
+            self._resident[seg.name] = self._resident_of[key] = pack
+            self.constant_bytes += sum(a.nbytes for a in arrays.values())
+        return pack
+
+    def _sweep(self) -> None:
+        """Park every resident pack one of whose arrays has died."""
+        while self._dead:
+            pack = self._resident.pop(self._dead.pop(), None)
+            if pack is not None:
+                del self._resident_of[pack.key]
+                self._free.setdefault(pack.seg.size, []).append(pack.seg)
 
     def share_store(
         self, store: dict[str, Any], threshold: int = DEFAULT_THRESHOLD
     ) -> tuple[dict[str, tuple], dict[str, Any]]:
-        """Split one rank's store into ``(shm_plan, pickled_rest)``."""
+        """Split one rank's store into ``(plan, rest)``.
+
+        ``plan`` maps each shared key to ``(segment, offset, dtype,
+        shape, constant)``: shareable constants in the resident pack
+        (found, or written now), shareable variables in a fresh run
+        pack.  ``rest`` holds every other value, to cross by value; a
+        constant among them is listed in ``plan`` as
+        :data:`BY_VALUE_CONSTANT` so the worker can restore its flag.
+        """
+        self._sweep()
         plan: dict[str, tuple] = {}
         rest: dict[str, Any] = {}
+        constants: dict[str, np.ndarray] = {}
+        variables: dict[str, np.ndarray] = {}
         for key, value in store.items():
-            if _shareable(value, threshold):
-                plan[key] = self.share_array(value)
-            else:
+            if not _shareable(value, threshold):
                 rest[key] = value
+                if is_constant(value):
+                    plan[key] = BY_VALUE_CONSTANT
+            elif is_constant(value):
+                constants[key] = value
+            else:
+                variables[key] = value
+        if constants:
+            plan.update(self._resident_pack(constants).plan)
+        if variables:
+            plan.update(self._write_pack(variables, constant=False)[1])
         return plan, rest
 
-    def new_counter(self) -> str:
-        """A zeroed :class:`SharedCounter` segment; returns its name."""
-        seg = self._new_segment(SharedCounter.SIZE)
-        struct.pack_into("q", seg.buf, 0, 0)
+    def new_channel(self, slab_bytes: int) -> str:
+        """A zeroed :class:`ChannelSegment` with room for a
+        ``slab_bytes`` payload slab (``0``: counters only); returns its
+        name.  Slab contents are never zeroed: a slab region is only
+        read after being written for the same message."""
+        seg = self._new_segment(ChannelSegment.HEADER + slab_bytes)
+        struct.pack_into("qq", seg.buf, 0, 0, 0)
         return seg.name
-
-    def new_slab(self, nbytes: int) -> str:
-        """A payload-staging slab segment (see :mod:`repro.dist.wire`);
-        returns its name.  Contents are never zeroed: a slab region is
-        only read after being written for the same message."""
-        return self._new_segment(nbytes).name
 
     # -- readback and teardown ---------------------------------------------
 
     def readback(self, plan: dict[str, tuple]) -> dict[str, np.ndarray]:
-        """Copy a rank's shared arrays back out (before :meth:`cleanup`)."""
+        """A rank's shared arrays after its run (before :meth:`recycle`):
+        variables copied out of the run pack, constants as *the
+        parent's own arrays* — nobody could write them, so there is
+        nothing to copy.  (The caller holds the store it shared, so
+        they are alive.)  By-value constants come home as overrides."""
         out: dict[str, np.ndarray] = {}
-        for key, (name, dtype_str, shape) in plan.items():
-            seg = self._segments[name]
-            out[key] = np.ndarray(
-                shape, dtype=np.dtype(dtype_str), buffer=seg.buf
-            ).copy()
+        for key, (name, offset, dtype_str, shape, constant) in plan.items():
+            if name is None:
+                continue
+            if constant:
+                out[key] = self._resident[name].refs[key]()
+            else:
+                out[key] = np.ndarray(
+                    shape,
+                    dtype=np.dtype(dtype_str),
+                    buffer=self._segments[name].buf,
+                    offset=offset,
+                ).copy()
         return out
 
-    def recycle(self, names: "list[str] | None" = None) -> None:
+    def recycle(self, names: "Iterable[str] | None" = None) -> None:
         """Park in-use segments on the size-keyed free list.
 
         Called between pooled runs *after* :meth:`readback`: the
         segments stay mapped and owned (still counted by
         :func:`live_segment_names`), ready for same-size reuse.
 
-        ``names=None`` parks everything (the whole-run engine path);
-        an explicit list parks only those segments — the serving layer
-        recycles each job's segments as that job completes, while other
-        jobs' segments are still live.  Unknown names are ignored (the
-        job may have failed before sharing anything).
+        ``names=None`` parks every run pack and channel segment (the
+        whole-run engine path); an explicit collection parks only those
+        — the serving layer recycles each job's segments as that job
+        completes, while other jobs' segments are still live.  Resident
+        packs are not in-use segments in this sense and are never
+        parked here, named or not; other unknown names are ignored too
+        (the job may have failed before sharing anything).
         """
-        if names is None:
-            targets = list(self._segments.values())
-        else:
-            targets = [
-                seg
-                for name in names
-                if (seg := self._segments.get(name)) is not None
-            ]
-        for seg in targets:
-            del self._segments[seg.name]
-            self._free.setdefault(seg.size, []).append(seg)
+        for name in list(self._segments) if names is None else names:
+            seg = self._segments.pop(name, None)
+            if seg is not None:
+                self._free.setdefault(seg.size, []).append(seg)
 
     def cleanup(self) -> None:
         """Close and unlink every segment; idempotent, crash-tolerant."""
-        freed = [s for bucket in self._free.values() for s in bucket]
+        segments = [
+            *self._segments.values(),
+            *(pack.seg for pack in self._resident.values()),
+            *(seg for bucket in self._free.values() for seg in bucket),
+        ]
+        self._segments.clear()
+        self._resident.clear()
+        self._resident_of.clear()
         self._free.clear()
-        for seg in list(self._segments.values()) + freed:
+        del self._dead[:]
+        for seg in segments:
             try:
                 seg.close()
             except Exception:
@@ -237,7 +407,6 @@ class SharedStoreArena:
             except Exception:
                 pass
             _LIVE_SEGMENTS.discard(seg.name)
-        self._segments.clear()
 
 
 # -- worker side --------------------------------------------------------------
@@ -246,7 +415,16 @@ class SharedStoreArena:
 def attach_store(
     plan: dict[str, tuple], rest: dict[str, Any]
 ) -> tuple[dict[str, Any], dict[str, tuple]]:
-    """Build a live store from an attach plan plus the pickled remainder.
+    """Build a live store from an attach plan plus the by-value remainder.
+
+    Each segment the plan names is mapped once, however many arrays lie
+    in it; views of constants are marked read-only, and so are the
+    by-value constants the plan lists (:data:`BY_VALUE_CONSTANT`).
+    ``rest`` values are stored *as received*, not copied: the caller has
+    just unpickled them (a pool worker) or decoded them off the wire (a
+    daemon), so they are fresh objects nothing else refers to — a copy
+    would only be a second allocation of the whole store on the socket
+    path.
 
     Returns ``(store, handles)`` where ``handles`` maps each shm-backed
     key to its ``(segment, array)`` pair — needed by :func:`flush_store`
@@ -254,13 +432,23 @@ def attach_store(
     """
     store: dict[str, Any] = {}
     handles: dict[str, tuple] = {}
-    for key, (name, dtype_str, shape) in plan.items():
-        seg = shared_memory.SharedMemory(name=name)
-        arr = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=seg.buf)
+    segments: dict[str, shared_memory.SharedMemory] = {}
+    for key, (name, offset, dtype_str, shape, constant) in plan.items():
+        if name is None:
+            arr = rest[key]
+        else:
+            seg = segments.get(name)
+            if seg is None:
+                seg = segments[name] = shared_memory.SharedMemory(name=name)
+            arr = np.ndarray(
+                shape, dtype=np.dtype(dtype_str), buffer=seg.buf, offset=offset
+            )
+            handles[key] = (seg, arr)
+        if constant:
+            arr.flags.writeable = False
         store[key] = arr
-        handles[key] = (seg, arr)
     for key, value in rest.items():
-        store[key] = deep_copy_value(value)
+        store.setdefault(key, value)
     return store, handles
 
 
@@ -271,9 +459,12 @@ def flush_store(
 
     In-place mutation of a shm-backed array needs nothing.  A store
     entry *rebound* to a new array of the same shape/dtype is copied
-    back into its segment; any other rebinding — and every entry that
-    was never shm-backed — is returned as an override for the parent to
-    apply on top of the segment readback.
+    back into its segment — unless the entry was a constant, whose
+    read-only view (and the resident pack behind it, shared with every
+    other run of the ``System``) is never written through; that
+    rebinding, any other, and every entry that was never shm-backed
+    are returned as overrides for the parent to apply on top of the
+    segment readback.
     """
     overrides: dict[str, Any] = {}
     for key, value in store.items():
@@ -285,7 +476,8 @@ def flush_store(
         if value is arr:
             continue
         if (
-            isinstance(value, np.ndarray)
+            arr.flags.writeable
+            and isinstance(value, np.ndarray)
             and value.shape == arr.shape
             and value.dtype == arr.dtype
         ):
@@ -296,8 +488,10 @@ def flush_store(
 
 
 def close_handles(handles: dict[str, tuple]) -> None:
-    """Worker-side detach (never unlinks: the parent owns the segments)."""
-    for seg, _arr in handles.values():
+    """Worker-side detach (never unlinks: the parent owns the segments).
+    Each distinct segment is closed once; ``handles`` may be empty (a
+    daemon's store crossed by value)."""
+    for seg in {id(seg): seg for seg, _arr in handles.values()}.values():
         try:
             seg.close()
         except Exception:

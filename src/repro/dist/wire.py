@@ -18,14 +18,15 @@ uses :mod:`repro.dist.closures` so even function-valued payloads (rare,
 but legal on in-process channels) survive the crossing.
 
 **Zero-copy shm payloads.**  When a channel carries a payload-staging
-*slab* — a shared-memory ring written by a :class:`SlabWriter` and read
-by a :class:`SlabReader` — eligible arrays skip the pipe entirely: the
+*slab* — a ring in the channel's one shared segment
+(:class:`~repro.dist.shm.ChannelSegment`), written by a
+:class:`SlabWriter` and read by a :class:`SlabReader` — eligible arrays skip the pipe entirely: the
 sender copies the array into the slab *at send time* (freezing its
 value, which is what keeps the model's single-assignment semantics — a
 body may mutate its store right after sending) and the header's meta
 becomes a four-tuple ``(dtype, shape, offset, watermark)`` descriptor.
 The receiver copies the region out and publishes ``watermark`` through
-a shared consumed-counter, releasing slab space back to the writer.
+the segment's consumed-counter, releasing slab space back to the writer.
 When an array is larger than the slab, or the reader has fallen a full
 slab behind, the array falls back to an ordinary pipe frame — the
 *copy-on-send fallback* — so slack stays infinite and nothing blocks.
@@ -48,12 +49,12 @@ identical to before: tracing is a pure refinement of the transport.
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
 from typing import Any
 
 import numpy as np
 
 from repro.dist import closures
+from repro.dist.shm import ChannelSegment
 
 __all__ = [
     "send",
@@ -75,29 +76,27 @@ _FAST_KINDS = frozenset("biufcSU")
 _SLAB_ALIGN = 16
 
 
-class SlabWriter:
+class SlabWriter(ChannelSegment):
     """Sender half of a channel's payload-staging slab.
 
-    A bump allocator over a shared ring: ``allocated`` is the monotone
-    byte watermark of everything ever staged (alignment padding and
-    wrap-around skips included); the paired reader publishes its own
-    monotone ``consumed`` watermark through a :class:`SharedCounter`.
-    Free space is exactly ``size - (allocated - consumed)``, sampled at
-    each stage attempt — an over-estimate never happens because the
-    reader only ever advances.
+    A bump allocator over the slab of the channel's one shared segment
+    (:class:`~repro.dist.shm.ChannelSegment`, attached here by name):
+    ``allocated`` is the monotone byte watermark of everything ever
+    staged (alignment padding and wrap-around skips included); the
+    paired reader publishes its own monotone ``consumed`` watermark in
+    the segment's header.  Free space is exactly ``size - (allocated -
+    consumed)``, sampled at each stage attempt — an over-estimate never
+    happens because the reader only ever advances.
     """
 
-    __slots__ = ("_seg", "size", "allocated", "_consumed")
+    __slots__ = ("size", "allocated")
 
-    def __init__(self, name: str, size: int, counter_name: str):
-        from repro.dist.shm import SharedCounter
-
-        self._seg = shared_memory.SharedMemory(name=name)
+    def __init__(self, name: str, size: int):
+        super().__init__(name)
         # Rounding the ring size down to the alignment keeps every
         # offset handed out a multiple of _SLAB_ALIGN, wrap included.
         self.size = max(_SLAB_ALIGN, size // _SLAB_ALIGN * _SLAB_ALIGN)
         self.allocated = 0
-        self._consumed = SharedCounter.attach(counter_name)
 
     def stage(self, arr: np.ndarray) -> tuple[int, int] | None:
         """Copy ``arr`` into the slab; ``(offset, watermark)`` or ``None``.
@@ -116,49 +115,25 @@ class SlabWriter:
             alloc += self.size - offset
             offset = 0
         watermark = alloc + padded
-        if watermark - self._consumed.value > self.size:
+        if watermark - self.consumed.value > self.size:
             return None
-        np.ndarray(arr.shape, dtype=arr.dtype, buffer=self._seg.buf, offset=offset)[
-            ...
-        ] = arr
+        self.slab_view(arr.shape, arr.dtype, offset)[...] = arr
         self.allocated = watermark
         return offset, watermark
 
-    def close(self) -> None:
-        try:
-            self._seg.close()
-        except OSError:
-            pass
-        self._consumed.close()
 
-
-class SlabReader:
+class SlabReader(ChannelSegment):
     """Receiver half of a channel's payload-staging slab."""
 
-    __slots__ = ("_seg", "_consumed")
-
-    def __init__(self, name: str, counter_name: str):
-        from repro.dist.shm import SharedCounter
-
-        self._seg = shared_memory.SharedMemory(name=name)
-        self._consumed = SharedCounter.attach(counter_name)
+    __slots__ = ()
 
     def fetch(
         self, dtype_str: str, shape: tuple, offset: int, watermark: int
     ) -> np.ndarray:
         """Copy one staged array out and release its slab space."""
-        out = np.ndarray(
-            shape, dtype=np.dtype(dtype_str), buffer=self._seg.buf, offset=offset
-        ).copy()
-        self._consumed.value = watermark
+        out = self.slab_view(shape, np.dtype(dtype_str), offset).copy()
+        self.consumed.value = watermark
         return out
-
-    def close(self) -> None:
-        try:
-            self._seg.close()
-        except OSError:
-            pass
-        self._consumed.close()
 
 
 class _ArrayRef:

@@ -3,7 +3,7 @@
 :func:`run_job` is the one rank-side entry point, called by the pool
 workers of :mod:`repro.dist.pool` and by the worker daemons of
 :mod:`repro.dist.net.daemon`.  A job rebuilds one rank's world — store
-(attached to the parent's shared segments), channel endpoints, context,
+(attached to the parent's two shared packs), channel endpoints, context,
 optional observer — runs the unmodified process body, and reports back
 over a dedicated duplex result pipe.
 

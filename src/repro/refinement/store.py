@@ -14,6 +14,10 @@ The class is a thin, checked wrapper over a dict so that
   unchanged in both worlds;
 * misspelled variables fail loudly (:class:`~repro.errors.StoreError`)
   instead of silently creating state;
+* an assignment to a *constant* (a read-only array,
+  :func:`repro.util.is_constant`) fails the same way, naming the
+  variable and its owner, where NumPy alone would say only "assignment
+  destination is read-only";
 * snapshots are deep copies, suitable for bitwise comparison.
 """
 
@@ -24,7 +28,12 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.errors import StoreError
-from repro.util import deep_copy_value, is_array_like
+from repro.util import (
+    copy_unless_constant,
+    deep_copy_value,
+    is_array_like,
+    is_constant,
+)
 
 __all__ = ["AddressSpace", "make_stores"]
 
@@ -105,9 +114,18 @@ class AddressSpace:
                 f"(owner {self.owner}); declare it with define()"
             )
         current = self._vars[name]
+        self._check_assignable(name, current)
         if is_array_like(current) and is_array_like(value) and value.shape:
             _check_compatible(name, current, value, self.owner)
         self._vars[name] = value
+
+    def _check_assignable(self, name: str, current: Any) -> None:
+        if is_constant(current):
+            raise StoreError(
+                f"assignment to constant {name!r} (owner {self.owner}): its "
+                "initial value is a read-only array, which no stage or "
+                "local block may write"
+            )
 
     def __contains__(self, name: str) -> bool:
         return name in self._vars
@@ -148,8 +166,9 @@ class AddressSpace:
 
     def write_region(self, name: str, region: tuple | None, value: Any) -> None:
         """Write ``value`` to ``name`` or a sub-region of it."""
+        current = self[name]
+        self._check_assignable(name, current)
         if region is None:
-            current = self[name]
             if is_array_like(current) and current.shape:
                 incoming = value if is_array_like(value) else np.asarray(value)
                 if not incoming.shape:
@@ -162,7 +181,7 @@ class AddressSpace:
             else:
                 self._vars[name] = value
             return
-        target = self[name]
+        target = current
         if not is_array_like(target) or not target.shape:
             raise StoreError(
                 f"region write to non-array variable {name!r}"
@@ -183,7 +202,8 @@ class AddressSpace:
 def make_stores(
     nprocs: int, initial: dict[str, Any] | None = None
 ) -> list[AddressSpace]:
-    """N fresh address spaces, each seeded with a deep copy of ``initial``.
+    """N fresh address spaces, each seeded with a deep copy of ``initial``
+    (constants — read-only arrays — are shared, not copied).
 
     This is the "duplicate all data across all processes" starting point
     of transformation step 1; later steps narrow each space to its local
@@ -191,7 +211,8 @@ def make_stores(
     """
     return [
         AddressSpace(
-            {k: deep_copy_value(v) for k, v in (initial or {}).items()}, owner=i
+            {k: copy_unless_constant(v) for k, v in (initial or {}).items()},
+            owner=i,
         )
         for i in range(nprocs)
     ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.util import deep_copy_value
+from repro.util import copy_unless_constant
 
 __all__ = ["ProcessSpec"]
 
@@ -49,9 +49,18 @@ class ProcessSpec:
         To change a rank's program, bind a new callable to ``body``
         (noticed by identity); per-run inputs belong in ``store``.
     store:
-        Initial local variables.  Deep-copied at every run start so that
-        (a) repeated runs are independent and (b) no mutable state is
-        shared between processes (the model's "no shared variables").
+        Initial local data.  Every *variable* is deep-copied at every
+        run start so that (a) repeated runs are independent and (b) no
+        mutable state is shared between processes (the model's "no
+        shared variables").  A *constant* — a read-only array,
+        :func:`repro.util.is_constant`, and nothing else declares one —
+        is handed to every run by reference instead: it cannot be
+        assigned, so sharing it breaks neither property, and a body
+        that tries fails with NumPy's own refusal wrapped in a
+        :class:`~repro.errors.ProcessFailedError` on every engine.  The
+        process engines do the same across address spaces (one resident
+        shared segment per rank, written once per ``System``; see
+        :class:`repro.dist.shm.SharedStoreArena`).
     name:
         Optional human-readable name used in traces and diagnostics.
     """
@@ -70,5 +79,6 @@ class ProcessSpec:
             self.name = f"P{self.rank}"
 
     def fresh_store(self) -> dict[str, Any]:
-        """An isolated copy of the initial store for one run."""
-        return {k: deep_copy_value(v) for k, v in self.store.items()}
+        """The initial store for one run: variables copied, constants
+        shared."""
+        return {k: copy_unless_constant(v) for k, v in self.store.items()}

@@ -28,6 +28,8 @@ __all__ = [
     "max_abs_diff",
     "max_rel_diff",
     "deep_copy_value",
+    "is_constant",
+    "copy_unless_constant",
     "is_array_like",
     "payload_nbytes",
     "format_table",
@@ -109,7 +111,8 @@ def deep_copy_value(value: Any) -> Any:
     NumPy arrays are copied; immutable scalars are returned as-is; lists,
     tuples and dicts are copied recursively.  Processes in the paper's
     model share *nothing* but channels, so system construction copies all
-    initial data through this function.
+    initial *variables* through this function (a constant —
+    :func:`is_constant` — cannot be written and is shared instead).
     """
     if isinstance(value, np.ndarray):
         return value.copy()
@@ -120,6 +123,28 @@ def deep_copy_value(value: Any) -> Any:
     if isinstance(value, tuple):
         return tuple(deep_copy_value(v) for v in value)
     return value
+
+
+def is_constant(value: Any) -> bool:
+    """True iff ``value`` is a *constant* of the paper's section 4.4
+    step 1: an array nobody can assign again.
+
+    The read-only flag is the whole declaration — there is no separate
+    marker anywhere.  Every layer that would copy an initial-store value
+    (``ProcessSpec.fresh_store``, the mesh skeleton's initial stores, the
+    shared-store arena) asks this one predicate and shares a constant by
+    reference instead: Theorem 1 forbids shared *variables*, and a value
+    NumPy refuses to write is not one.  The flag is taken at its word: a
+    read-only *view* of memory somebody still writes through another
+    array is the caller's lie, not a constant.
+    """
+    return isinstance(value, np.ndarray) and not value.flags.writeable
+
+
+def copy_unless_constant(value: Any) -> Any:
+    """One address space's own instance of an initial-store value:
+    :func:`deep_copy_value` of a variable, a constant itself."""
+    return value if is_constant(value) else deep_copy_value(value)
 
 
 def is_array_like(value) -> bool:

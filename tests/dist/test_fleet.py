@@ -132,14 +132,19 @@ def test_daemon_drains_inflight_job_before_closing():
         engine = make_engine("socket", hosts=f"{addr[0]}:{addr[1]}")
         result_box = {}
 
+        system = stencil_ring(sleep=0.15)
+
         def run():
-            result_box["result"] = engine.run(stencil_ring(sleep=0.15))
+            result_box["result"] = engine.run(system)
 
         runner = threading.Thread(target=run)
         runner.start()
         try:
+            # Every rank, not just the first: the coordinator dials one
+            # control connection per rank, and a daemon that is already
+            # draining refuses the ones still to come.
             deadline = time.monotonic() + 10.0
-            while daemon.stats()["ranks_active"] == 0:
+            while daemon.stats()["ranks_active"] != system.nprocs:
                 assert time.monotonic() < deadline, "job never started"
                 time.sleep(0.01)
             daemon.stop(drain=True)  # mid-job: must drain, not abort

@@ -79,10 +79,9 @@ def test_wire_descriptor_meta_fallback_over_socket():
 
     arena = SharedStoreArena()
     try:
-        slab = arena.new_slab(64)  # tiny: only the small array fits
-        counter = arena.new_counter()
-        writer = wire.SlabWriter(slab, 64, counter)
-        reader = wire.SlabReader(slab, counter)
+        slab = arena.new_channel(64)  # tiny: only the small array fits
+        writer = wire.SlabWriter(slab, 64)
+        reader = wire.SlabReader(slab)
         small = np.arange(4.0)  # 32 bytes: staged
         big = np.arange(100.0)  # 800 bytes: falls back to the stream
         w, r = frame_pair()

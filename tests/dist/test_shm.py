@@ -5,7 +5,7 @@ import pytest
 
 from repro.dist import shm
 from repro.dist.shm import (
-    SharedCounter,
+    ChannelSegment,
     SharedStoreArena,
     attach_store,
     close_handles,
@@ -25,6 +25,13 @@ def arena():
 
 def big(value, shape=(64,)):
     return np.full(shape, float(value))  # 512 B — above the threshold
+
+
+def share_one(arena, arr):
+    """One array through ``share_store``: the name of the run pack it
+    landed in and its plan."""
+    plan, _rest = arena.share_store({"u": arr})
+    return plan["u"][0], plan
 
 
 class TestShareStore:
@@ -77,13 +84,15 @@ class TestAttachFlushReadback:
         close_handles(handles)
         assert set(overrides) == {"u"} and overrides["u"].shape == (3, 3)
 
-    def test_rest_entries_are_deep_copied(self, arena):
+    def test_rest_entries_are_stored_as_received(self, arena):
+        # ``rest`` reaches attach_store freshly unpickled (pool worker)
+        # or freshly decoded (daemon): nothing else refers to it, so it
+        # is not copied a second time.
         payload = {"nested": [1, 2]}
         plan, rest = arena.share_store({"cfg": payload})
         store, handles = attach_store(plan, rest)
-        store["cfg"]["nested"].append(3)
         close_handles(handles)
-        assert payload["nested"] == [1, 2]
+        assert store["cfg"] is payload
 
 
 class TestLifecycle:
@@ -96,17 +105,19 @@ class TestLifecycle:
         assert live_segment_names() == frozenset()
 
     def test_segment_names_are_namespaced(self, arena):
-        (name, _, _) = arena.share_array(big(1.0))
+        name, _plan = share_one(arena, big(1.0))
         assert name.startswith("repro_")
 
     def test_counter_roundtrip(self, arena):
-        name = arena.new_counter()
-        counter = SharedCounter.attach(name)
-        assert counter.value == 0
-        counter.value = 123456789
-        other = SharedCounter.attach(name)
-        assert other.value == 123456789
-        counter.close()
+        name = arena.new_channel(0)
+        one = ChannelSegment(name)
+        assert one.received.value == 0 and one.consumed.value == 0
+        one.received.value = 123456789
+        one.consumed.value = 987654321
+        other = ChannelSegment(name)
+        assert other.received.value == 123456789
+        assert other.consumed.value == 987654321
+        one.close()
         other.close()
 
     def test_shareable_threshold_is_configurable(self):
@@ -125,19 +136,20 @@ class TestRecycling:
     def test_recycle_reuses_same_size_segment(self):
         arena = SharedStoreArena()
         try:
-            name1, _, _ = arena.share_array(big(1.0))
+            name1, _ = share_one(arena, big(1.0))
             arena.recycle()
-            name2, _, _ = arena.share_array(big(2.0))
+            name2, _ = share_one(arena, big(2.0))
             assert name2 == name1  # same segment, served from the free list
             assert arena.recycled == 1
-            assert (arena.readback({"u": (name2, "<f8", (64,))})["u"] == 2.0).all()
+            plan = {"u": (name2, 0, "<f8", (64,), False)}
+            assert (arena.readback(plan)["u"] == 2.0).all()
         finally:
             arena.cleanup()
 
     def test_recycle_keeps_segments_owned(self):
         arena = SharedStoreArena()
         try:
-            arena.share_array(big(1.0))
+            share_one(arena, big(1.0))
             arena.recycle()
             # Parked segments still belong to this process: they must
             # stay registered so cleanup() can unlink them.
@@ -149,9 +161,9 @@ class TestRecycling:
     def test_different_size_is_not_recycled(self):
         arena = SharedStoreArena()
         try:
-            name1, _, _ = arena.share_array(big(1.0, shape=(64,)))
+            name1, _ = share_one(arena, big(1.0, shape=(64,)))
             arena.recycle()
-            name2, _, _ = arena.share_array(np.zeros(4096))
+            name2, _ = share_one(arena, np.zeros(4096))
             assert name2 != name1
             assert arena.recycled == 0
         finally:
@@ -159,14 +171,14 @@ class TestRecycling:
 
     def test_cleanup_after_recycle_unlinks_everything(self):
         arena = SharedStoreArena()
-        arena.share_array(big(1.0))
-        arena.share_array(big(2.0, shape=(128,)))
+        share_one(arena, big(1.0))
+        share_one(arena, big(2.0, shape=(128,)))
         arena.recycle()
-        arena.share_array(big(3.0))  # one recycled, one still parked
+        share_one(arena, big(3.0))  # one recycled, one still parked
         arena.cleanup()
         assert live_segment_names() == frozenset()
 
-    def test_new_slab_allocates_named_segment(self, arena):
-        name = arena.new_slab(1024)
+    def test_new_channel_allocates_named_segment(self, arena):
+        name = arena.new_channel(1024)
         assert name.startswith("repro_")
         assert name in live_segment_names()

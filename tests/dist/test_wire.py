@@ -106,10 +106,9 @@ def slab():
     from repro.dist.shm import SharedStoreArena
 
     arena = SharedStoreArena()
-    name = arena.new_slab(SLAB_SIZE)
-    counter = arena.new_counter()
-    writer = wire.SlabWriter(name, SLAB_SIZE, counter)
-    reader = wire.SlabReader(name, counter)
+    name = arena.new_channel(SLAB_SIZE)
+    writer = wire.SlabWriter(name, SLAB_SIZE)
+    reader = wire.SlabReader(name)
     yield writer, reader
     writer.close()
     reader.close()

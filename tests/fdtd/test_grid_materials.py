@@ -107,6 +107,17 @@ class TestMaterialGrid:
         assert np.allclose(coefs.da["hx"], 1.0)
         assert np.allclose(coefs.db["hx"], grid.dt / MU0)
 
+    def test_coefficient_arrays_are_constants(self):
+        # Computed once, never assigned again: handed out read-only, one
+        # array per name (nothing aliases, so freezing one freezes one).
+        arrays = MaterialGrid(YeeGrid(shape=(4, 4, 4))).coefficients().arrays()
+        assert len(arrays) == 12
+        assert len({id(a) for a in arrays.values()}) == 12
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 0.0
+
     def test_lossy_dielectric_coefficients(self):
         grid = YeeGrid(shape=(4, 4, 4))
         mats = MaterialGrid(grid).fill(Material(eps_r=4.0, sigma_e=0.02))

@@ -218,3 +218,52 @@ def test_precondition_failure_takes_reference_path(which, spoil):
     assert scratch.nbytes() == 0
     assert bitwise_equal_arrays(ref[region], got[region])
     assert np.isfinite(got[region]).all()
+
+
+def test_shared_pack_views_take_the_flat_path():
+    """What a pool worker computes on: views at aligned offsets of two
+    shared segments, the coefficients read-only.  They are C-contiguous,
+    so the flat path applies exactly as to private arrays."""
+    from repro.dist.shm import (
+        PACK_ALIGN,
+        SharedStoreArena,
+        attach_store,
+        close_handles,
+    )
+
+    shape, axes, backward = (6, 5, 7), (1, 2), True
+    region = widest_region(shape, axes, backward)
+    names = ("dst", "ca", "cb", "fa", "fb")
+    store = dict(
+        zip(names, operands(shape, np.float64, region, axes, backward, seed=3))
+    )
+    for name in ("ca", "cb"):
+        store[name].flags.writeable = False
+
+    def update(dst, ops, scratch=None):
+        curl_update(
+            dst, ops["ca"], ops["cb"], ops["fa"], axes[0], INV_DA,
+            ops["fb"], axes[1], INV_DB, region, backward, scratch=scratch,
+        )
+
+    ref = store["dst"].copy()
+    update(ref, store)
+
+    arena = SharedStoreArena()
+    try:
+        plan, rest = arena.share_store(store)
+        assert rest == {} and len({entry[0] for entry in plan.values()}) == 2
+        shared, handles = attach_store(plan, rest)
+        for name in names:
+            view = shared[name]
+            assert view.flags.c_contiguous and view.shape == shape
+            assert view.ctypes.data % PACK_ALIGN == 0
+            assert view.flags.writeable == (name not in ("ca", "cb"))
+        scratch = KernelScratch()
+        update(shared["dst"], shared, scratch)
+        assert scratch.nbytes() > 0  # the flat branch ran
+        assert bitwise_equal_arrays(shared["dst"], ref)
+        del view, shared
+        close_handles(handles)
+    finally:
+        arena.cleanup()

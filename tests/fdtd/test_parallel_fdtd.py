@@ -116,6 +116,37 @@ class TestNearFieldIdentity:
         assert fields_identical(par.host_fields(stores), seq.fields)
 
 
+class TestCoefficientsAreConstants:
+    """Section 4.4 step 1: the twelve coefficient arrays are never
+    assigned after setup, so no run copies them."""
+
+    COEFS = [f"{p}_{c}" for p, c in (
+        ("ca", "ex"), ("cb", "ex"), ("ca", "ey"), ("cb", "ey"),
+        ("ca", "ez"), ("cb", "ez"), ("da", "hx"), ("db", "hx"),
+        ("da", "hy"), ("db", "hy"), ("da", "hz"), ("db", "hz"),
+    )]
+
+    def test_every_run_gets_the_systems_own_coefficients(self):
+        par = build_parallel_fdtd(small_config(steps=3), (2, 1, 1))
+        system = par.to_parallel()
+        result = ThreadedEngine().run(system)
+        for rank, spec in enumerate(system.processes):
+            for name in self.COEFS:
+                assert not spec.store[name].flags.writeable
+                assert result.stores[rank][name] is spec.store[name]
+            for comp in COMPONENTS:
+                assert spec.store[comp].flags.writeable
+                assert result.stores[rank][comp] is not spec.store[comp]
+
+    def test_io_stages_assign_them_so_there_they_are_variables(self):
+        par = build_parallel_fdtd(
+            small_config(steps=2), (2, 1, 1), include_io_stages=True
+        )
+        for store in par.builder.initial_stores():
+            for name in self.COEFS:
+                assert store[name].flags.writeable
+
+
 class TestParallelEqualsSimulated:
     """E1 second half: message-passing == simulated, every execution."""
 

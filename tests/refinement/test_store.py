@@ -133,3 +133,42 @@ class TestSnapshotsAndFactories:
         space["x"] = 5
         assert raw["x"] == 5
         assert space.owner == 2
+
+
+class TestConstants:
+    """A read-only array is a constant: assignment is a StoreError that
+    names the variable and its owner, not NumPy's bare ValueError."""
+
+    def space(self):
+        c = np.arange(6.0)
+        c.flags.writeable = False
+        return AddressSpace({"c": c, "v": np.zeros(6)}, owner=3), c
+
+    def test_setitem_raises_naming_variable_and_owner(self):
+        space, c = self.space()
+        with pytest.raises(StoreError, match=r"constant 'c' \(owner 3\)"):
+            space["c"] = np.ones(6)
+        assert space["c"] is c
+
+    @pytest.mark.parametrize("region", [None, (slice(1, 3),)])
+    def test_write_region_raises_naming_variable_and_owner(self, region):
+        space, c = self.space()
+        value = np.ones(6 if region is None else 2)
+        with pytest.raises(StoreError, match=r"constant 'c' \(owner 3\)"):
+            space.write_region("c", region, value)
+        assert (c == np.arange(6.0)).all()
+
+    def test_reads_and_variables_are_unaffected(self):
+        space, c = self.space()
+        assert (space.read_region("c", (slice(0, 2),)) == c[:2]).all()
+        assert space.read_region("c", None).flags.writeable  # a copy
+        space.write_region("v", (slice(0, 2),), np.ones(2))
+        space["v"] = np.full(6, 2.0)
+        assert (space["v"] == 2.0).all()
+
+    def test_make_stores_shares_constants_and_copies_variables(self):
+        _space, c = self.space()
+        v = np.zeros(3)
+        spaces = make_stores(3, {"c": c, "v": v})
+        assert all(s["c"] is c for s in spaces)
+        assert len({id(s["v"]) for s in spaces} | {id(v)}) == 4

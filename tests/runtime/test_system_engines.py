@@ -253,3 +253,58 @@ class TestSchedulerVariety:
         switches = sum(1 for a, b in zip(schedule, schedule[1:]) if a != b)
         # Perfect ping-pong needs one switch per round boundary at most.
         assert switches <= 2 * 4 + 2
+
+
+class TestConstantsInStores:
+    """A read-only array in an initial store is a constant: every run
+    gets the System's own array, never a copy, and cannot write it."""
+
+    @staticmethod
+    def system(write: bool = False):
+        import numpy as np
+
+        const = np.arange(8.0)
+        const.flags.writeable = False
+
+        def body(ctx):
+            if write and ctx.rank == 1:
+                ctx.store["c"][0] = -1.0
+            ctx.store["v"] += ctx.store["c"]
+            return float(ctx.store["v"].sum())
+
+        return System(
+            [
+                ProcessSpec(r, body, store={"c": const, "v": np.zeros(8)})
+                for r in range(2)
+            ]
+        )
+
+    def test_fresh_store_shares_constants_and_copies_variables(self):
+        spec = self.system().processes[0]
+        fresh = spec.fresh_store()
+        assert fresh["c"] is spec.store["c"]
+        assert fresh["v"] is not spec.store["v"]
+
+    @pytest.mark.parametrize(
+        "engine", [ThreadedEngine, lambda: CooperativeEngine(RoundRobinPolicy())]
+    )
+    def test_result_holds_the_systems_own_constant(self, engine):
+        system = self.system()
+        for _ in range(2):  # runs stay independent
+            result = engine().run(system)
+            assert result.returns == [28.0, 28.0]
+            for rank, spec in enumerate(system.processes):
+                assert result.stores[rank]["c"] is spec.store["c"]
+                assert result.stores[rank]["v"] is not spec.store["v"]
+                assert (spec.store["v"] == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "engine", [ThreadedEngine, lambda: CooperativeEngine(RoundRobinPolicy())]
+    )
+    def test_writing_a_constant_is_an_attributed_failure(self, engine):
+        system = self.system(write=True)
+        with pytest.raises(ProcessFailedError) as info:
+            engine().run(system)
+        assert info.value.rank == 1
+        assert "read-only" in str(info.value.original)
+        assert (system.processes[0].store["c"] == range(8)).all()

@@ -162,3 +162,28 @@ class TestErrorHierarchy:
     def test_deadlock_carries_waiting(self):
         e = errors.DeadlockError("stuck", waiting={1: "recv on 'c'"})
         assert e.waiting == {1: "recv on 'c'"}
+
+
+class TestConstants:
+    def test_is_constant_is_the_read_only_flag_of_an_array(self):
+        from repro.util import is_constant
+
+        arr = np.arange(4.0)
+        assert not is_constant(arr)
+        arr.flags.writeable = False
+        assert is_constant(arr)
+        assert not is_constant(arr.copy())
+        for other in (3, 2.5, "s", (1, 2), [arr], {"a": arr}, None):
+            assert not is_constant(other)
+
+    def test_copy_unless_constant(self):
+        from repro.util import copy_unless_constant
+
+        var = np.arange(4.0)
+        const = np.arange(4.0)
+        const.flags.writeable = False
+        assert copy_unless_constant(const) is const
+        copied = copy_unless_constant(var)
+        assert copied is not var and (copied == var).all()
+        nested = {"k": [var]}
+        assert copy_unless_constant(nested)["k"][0] is not var
