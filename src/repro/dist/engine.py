@@ -60,10 +60,11 @@ from typing import Any
 from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec
 from repro.dist.pool import WorkerCrashError, WorkerPool
-from repro.dist.shm import DEFAULT_SLAB, SharedStoreArena
+from repro.dist.shm import DEFAULT_SLAB, SharedStoreArena, by_value_constants
 from repro.errors import (
     RuntimeModelError,
     TransportAbortError,
+    TransportError,
     wrap_process_failure,
 )
 from repro.runtime.system import (
@@ -258,7 +259,7 @@ class Collected:
 
 
 def collect_results(
-    system: System, procs, parent_conns, crash_grace: float
+    system: System, procs, parent_conns, crash_grace: float, needs=None
 ) -> Collected:
     """Multiplex result pipes + sentinels until every rank is terminal.
 
@@ -266,6 +267,12 @@ def collect_results(
     over TCP: ready/go barrier, done/error frames, sentinel reaping
     into :class:`WorkerCrashError`, and the post-first-failure grace
     window (``crash_grace`` seconds) before survivors are terminated.
+
+    ``needs`` is the TCP coordinator's: per rank, the frame that
+    answers a daemon's ``("need", rank)`` — sent before ``ready`` by a
+    daemon that does not hold the rank's constants
+    (:func:`repro.dist.net.engine.run_assigned`).  A pool worker never
+    asks.
 
     ``procs`` entries need not be local processes: the socket engine
     passes proxies for ranks living in remote daemons, with
@@ -310,6 +317,14 @@ def collect_results(
                 out.t_run0 = time.perf_counter()
                 for r in range(nprocs):
                     wire.send(conn_of[r], ("go",))
+        elif kind == "need":
+            conn = conn_of[rank]
+            try:
+                wire.send(conn, needs[rank])
+            except (OSError, TransportError) as exc:
+                # The daemon died between asking and being answered.
+                live_conns.pop(conn, None)
+                fail(rank, exc)
         elif kind == "done":
             payload = msg[2]
             out.returns[rank] = payload["return"]
@@ -554,10 +569,12 @@ def run_on_pool(
         )
 
         # Workers are finished (or dead): the segments are quiescent.
-        # A failed rank reported no overrides: best-effort initial rest.
+        # Constants are the system's own arrays, packed or by value; a
+        # failed rank reported no overrides: best-effort initial rest.
         with pool.arena_lock:
             stores = [
                 {
+                    **by_value_constants(plans[rank], rests[rank]),
                     **arena.readback(plans[rank]),
                     **collected.overrides.get(rank, rests[rank]),
                 }

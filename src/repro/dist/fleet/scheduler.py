@@ -34,9 +34,10 @@ the tests assert exactly this (mid-job daemon kill → bitwise-identical
 result).
 
 Jobs run on the daemons through exactly the socket engine's dispatch
-path (:func:`~repro.dist.net.engine.run_assigned`) — bodies and stores
-travel by value, channels rendezvous peer-to-peer between daemons —
-so every transport/goodbye/crash semantic is shared, not re-implemented.
+path (:func:`~repro.dist.net.engine.run_assigned`) — bodies and
+variables travel by value, constants once per daemon, channels
+rendezvous peer-to-peer between daemons — so every
+transport/goodbye/crash semantic is shared, not re-implemented.
 """
 
 from __future__ import annotations
@@ -305,12 +306,13 @@ class FleetScheduler(JobServerCore):
     # -- execution with retry ------------------------------------------------
 
     def _prepare(self, job: _Job):
-        bodies = closures.body_payloads(job.system)
-        rests = [("object", dict(p.store)) for p in job.system.processes]
-        return bodies, rests
+        # Body pickling is pure CPU on this side and needs no capacity.
+        # Stores need no preparing: every attempt ships the variables
+        # and names the constants by token, so a retry placed on a
+        # daemon that already holds them sends them no second time.
+        return closures.body_payloads(job.system)
 
-    def _execute(self, job: _Job, prepared, grant) -> RunResult:
-        bodies, rests = prepared
+    def _execute(self, job: _Job, bodies, grant) -> RunResult:
         attempt = 0
         while True:
             attempt += 1
@@ -338,7 +340,6 @@ class FleetScheduler(JobServerCore):
                         trace_causal=self._trace_causal,
                         engine_name="fleet",
                         bodies=bodies,
-                        rests=rests,
                     )
             except BaseException as exc:  # noqa: BLE001 - classified below
                 if not _retryable(exc):

@@ -35,7 +35,18 @@ run genuinely in parallel; ranks sharing a daemon are GIL-bound like
 the threaded engine — correctness is engine-independent either way by
 Theorem 1, which is exactly what the equivalence tests assert.
 
-Job setup resolves each rank's channel endpoints: writer specs dial the
+A daemon shares no memory with its coordinator, so what a pool gets
+from its arena a daemon keeps itself: each rank's *constants* (read-only
+store arrays) stay in a :class:`~repro.dist.worker.ResidentConstants`
+table under the token the job frame names, shared by every rank that
+names it, least recently used sets dropped beyond
+:data:`~repro.dist.worker.MAX_RESIDENT_CONSTANT_BYTES`.  The job frame
+carries only the variables; a daemon that does not hold the token says
+``("need", rank)`` before ``("ready", rank)`` and is sent the arrays.
+The daemon's own table is the only authority — restarted, evicted or
+newly placed, it simply asks — and a hit adds no frame.
+
+Job setup then resolves each rank's channel endpoints: writer specs dial the
 reader's daemon (retry + exponential backoff), reader specs claim from
 the broker — both bounded by the job's handshake timeout, so a peer
 daemon that never appears fails the rank with a rendezvous error frame
@@ -50,10 +61,19 @@ import threading
 import time
 from typing import Any
 
+import numpy as np
+
+from repro.dist import wire
 from repro.dist.net import rendezvous
 from repro.dist.net.feeder import running_feeder_threads
 from repro.dist.net.frames import FrameStream
-from repro.dist.worker import ResidentImages
+from repro.dist.shm import BY_VALUE_CONSTANT
+from repro.dist.worker import (
+    ResidentConstants,
+    ResidentImages,
+    report_error,
+    run_job,
+)
 from repro.errors import RendezvousError, TransportError
 
 __all__ = ["WorkerDaemon", "daemon_process_main", "run_daemon_cli"]
@@ -101,6 +121,9 @@ class WorkerDaemon:
         #: Bodies this daemon has unpickled, shared by its rank threads
         #: (each run checks its body out exclusively).
         self._images = ResidentImages()
+        #: Constant sets this daemon has been sent, shared by its rank
+        #: threads (nobody can write them, so nothing is checked out).
+        self._constants = ResidentConstants()
         # Drain state: ranks currently executing, guarded by the same
         # condition stop() waits on.  _draining flips before _stopped
         # so new control hellos are refused while in-flight ranks (and
@@ -123,7 +146,11 @@ class WorkerDaemon:
         live load (``ranks_active``; ``feeder_threads``, the channels
         whose sends are queued behind back-pressure right now),
         resident program images (``images_resident`` idle bodies,
-        ``image_hits`` / ``image_misses`` per rank run) and identity
+        ``image_hits`` / ``image_misses`` per rank run), resident
+        constants (``constants_resident`` sets of
+        ``constant_bytes_resident`` bytes; ``constant_hits`` /
+        ``constant_misses`` per rank run that named a token — a miss is
+        a set that crossed the wire; ``constant_evictions``) and identity
         (``pid``, ``uptime_s``) — the dict a fleet scheduler's placement
         policy and heartbeat monitor consume, locally or over a
         ``stats`` connection
@@ -135,6 +162,7 @@ class WorkerDaemon:
             out["draining"] = self._draining
         out["feeder_threads"] = running_feeder_threads()
         out.update(self._images.stats())
+        out.update(self._constants.stats())
         out["pid"] = os.getpid()
         out["uptime_s"] = time.monotonic() - self._t_start
         return out
@@ -217,8 +245,6 @@ class WorkerDaemon:
 
     def _handle(self, sock: socket.socket) -> None:
         """Read one connection's hello and route it."""
-        from repro.dist import wire
-
         stream = FrameStream(sock)
         try:
             if not stream.poll(self.handshake_timeout):
@@ -269,8 +295,6 @@ class WorkerDaemon:
     def _serve_stats(self, stream: FrameStream) -> None:
         """One stats connection: answer each ``("ping", seq)`` with
         ``("pong", seq, stats)`` until the peer hangs up or we stop."""
-        from repro.dist import wire
-
         try:
             while not self._stopped.is_set():
                 if not stream.poll(0.25):
@@ -292,9 +316,6 @@ class WorkerDaemon:
 
     def _serve_rank(self, stream: FrameStream) -> None:
         """One control connection: receive the job, run the rank."""
-        from repro.dist import wire
-        from repro.dist.worker import run_job
-
         job: dict[str, Any] | None = None
         w_specs: list = []
         r_specs: list = []
@@ -309,6 +330,11 @@ class WorkerDaemon:
                 return
             job = msg[1]
             timeout = job.get("handshake_timeout") or self.handshake_timeout
+            try:
+                constants = self._rank_constants(stream, job, timeout)
+            except (EOFError, TransportError, OSError) as exc:
+                report_error(stream, job["rank"], exc)
+                return
             try:
                 # Writers dial out; readers claim accepted streams.
                 # Either side of a pair may arrive first — dials retry
@@ -325,8 +351,6 @@ class WorkerDaemon:
                     )
                     r_specs.append(spec)
             except (RendezvousError, OSError) as exc:
-                from repro.dist.worker import report_error
-
                 self._count("rendezvous_failures")
                 report_error(stream, job["rank"], exc)
                 self._broker.drop_job(job["job_id"])
@@ -340,10 +364,10 @@ class WorkerDaemon:
                 job["nprocs"],
                 stream,
                 job["body"],
-                # Stores cross the wire by value; the plan only names
-                # the constants, whose read-only flag the wire drops.
-                job.get("plan", {}),
-                job["rest"],
+                # No segment to map: the plan only names the constants,
+                # so that run_job leaves them out of its overrides.
+                dict.fromkeys(constants, BY_VALUE_CONSTANT),
+                ("object", {**constants, **job["variables"]}),
                 w_specs,
                 r_specs,
                 job["recv_timeout"],
@@ -360,6 +384,45 @@ class WorkerDaemon:
             except (OSError, TransportError):
                 pass
             stream.close()
+
+    def _rank_constants(
+        self, stream: FrameStream, job: dict[str, Any], timeout: float
+    ) -> dict[str, Any]:
+        """The constants of ``job``'s rank: the resident set its token
+        names, asked for over ``stream`` when this daemon does not hold
+        it (``("need", rank)`` out, ``("constants", token, arrays)``
+        back).  Any other answer, or none within ``timeout``, is a
+        :class:`~repro.errors.TransportError`."""
+        token = job.get("constants")
+        if token is None:
+            return {}
+        held = self._constants.get(token)
+        if held is not None:
+            return held
+        rank = job["rank"]
+        wire.send(stream, ("need", rank))
+        if not stream.poll(timeout):
+            raise TransportError(
+                f"rank {rank}: no constants from the coordinator within "
+                f"{timeout:.1f}s of asking"
+            )
+        reply = wire.recv(stream)
+        kind, got, arrays = (
+            reply
+            if isinstance(reply, tuple) and len(reply) == 3
+            else (None, None, None)
+        )
+        if (
+            kind != "constants"
+            or got != token
+            or not isinstance(arrays, dict)
+            or not all(isinstance(v, np.ndarray) for v in arrays.values())
+        ):
+            raise TransportError(
+                f"rank {rank}: asked the coordinator for its constants and "
+                "was sent something else (stream out of sync)"
+            )
+        return self._constants.put(token, arrays)
 
 
 def daemon_process_main(host: str, port: int, ready_conn) -> None:

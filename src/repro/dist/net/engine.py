@@ -27,10 +27,11 @@ Per run, the coordinator:
    coordinator);
 3. opens one control connection per rank, sends the job (the body
    travels by value as its once-per-System image from
-   :mod:`repro.dist.closures`, the store as raw-buffer
-   :mod:`repro.dist.wire` frames — shared memory cannot span hosts,
-   so there is no segment plan), and hands
-   the connections to the same
+   :mod:`repro.dist.closures`, the store's *variables* as raw-buffer
+   :mod:`repro.dist.wire` frames, its *constants* as a token the
+   daemon either holds already or asks about once —
+   :func:`constant_sets`; shared memory cannot span hosts, so there is
+   no segment plan), and hands the connections to the same
    :func:`~repro.dist.engine.collect_results` barrier/collection loop
    the multiprocess engine uses, with proxies standing in for the
    remote processes;
@@ -53,13 +54,13 @@ import multiprocessing
 import os
 import threading
 import time
+import weakref
 from typing import Any
 
 from repro.dist import closures, wire
 from repro.dist.engine import Collected, collect_results
 from repro.dist.net import rendezvous
 from repro.dist.net.transport import NetEndpointSpec
-from repro.dist.shm import BY_VALUE_CONSTANT
 from repro.errors import RendezvousError, RuntimeModelError
 from repro.runtime.system import RunResult, System
 from repro.util import is_constant
@@ -67,6 +68,7 @@ from repro.util import is_constant
 __all__ = [
     "SocketEngine",
     "build_net_endpoints",
+    "constant_sets",
     "fresh_job_id",
     "run_assigned",
     "spawn_loopback_daemons",
@@ -151,6 +153,46 @@ def fresh_job_id(tag: str = "") -> str:
     return f"{os.getpid():x}-{seq}{suffix}-{os.urandom(4).hex()}"
 
 
+#: ``System`` -> ``[(token, {key: constant}), ...]`` by rank: the cache
+#: shape of :func:`repro.dist.closures.body_payloads`.  Weak on the
+#: system, strong on the arrays, so a token lives exactly as long as the
+#: program it belongs to and an ``is`` below compares live objects.
+_constant_sets: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_constant_sets_lock = threading.Lock()  # a fleet dispatches on many threads
+
+
+def constant_sets(system: System) -> list[tuple[bytes | None, dict[str, Any]]]:
+    """Each rank's constants (:func:`repro.util.is_constant`) and the
+    token a daemon keeps them under, minted once per ``System``.
+
+    A token says "the same arrays as last time", decided by identity:
+    an entry is revalidated key by key (``store[k] is cached[k]``), so
+    rebinding a constant in a :class:`~repro.runtime.process
+    .ProcessSpec`'s store mints a new token for that rank, and nothing
+    ever reads — let alone hashes — the bytes.  A rank without
+    constants has token ``None``.  Which daemon holds which token is
+    not recorded here: a daemon that lacks one asks
+    (:func:`run_assigned`).
+    """
+    with _constant_sets_lock:
+        cached = _constant_sets.get(system, ())
+    fresh = []
+    for rank, spec in enumerate(system.processes):
+        constants = {k: v for k, v in spec.store.items() if is_constant(v)}
+        held = cached[rank][1] if rank < len(cached) else None
+        if held is not None and _same_objects(held, constants):
+            fresh.append(cached[rank])
+        else:
+            fresh.append((os.urandom(16) if constants else None, constants))
+    with _constant_sets_lock:
+        _constant_sets[system] = fresh
+    return fresh
+
+
+def _same_objects(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(a[k] is b[k] for k in a)
+
+
 def spawn_loopback_daemons(
     n: int, handshake_timeout: float = 30.0
 ) -> tuple[list[rendezvous.Address], list[Any]]:
@@ -217,7 +259,6 @@ def run_assigned(
     trace_causal: bool = False,
     engine_name: str = "socket",
     bodies: list | None = None,
-    rests: list | None = None,
     timing_sink: dict | None = None,
 ) -> RunResult:
     """Dispatch one system onto an explicit rank→daemon assignment and
@@ -225,21 +266,30 @@ def run_assigned(
     shared by :class:`SocketEngine` (round-robin assignment) and the
     fleet scheduler (policy-driven placement with retry).
 
-    ``bodies`` / ``rests`` accept ready ``("image", digest, bytes)`` /
-    ``("pickle", bytes)`` / ``("object", value)`` payloads per rank (a
-    scheduler prepares once and re-dispatches the same payloads on
-    retry).  By default bodies come from the system's once-pickled
-    images (:func:`repro.dist.closures.body_payloads`), which a daemon
-    keeps resident by digest, and each rank's initial
-    store travels as a plain dict inside the job frame, so its arrays
-    ride :func:`repro.dist.wire.send`'s raw-buffer frames instead of
-    being pickled (and then pickled again inside the job header).
-    Constants travel with it, by value, every run — a daemon keeps no
-    resident pack — and the frame's ``plan`` names them, so the daemon
-    can mark them read-only again (the wire carries no flags).
+    ``bodies`` accepts ready ``("image", digest, bytes)`` payloads per
+    rank; by default they are the system's once-pickled images
+    (:func:`repro.dist.closures.body_payloads`), which a daemon keeps
+    resident by digest.  Each rank's *variables* travel as a plain dict
+    inside the job frame, so their arrays ride
+    :func:`repro.dist.wire.send`'s raw-buffer frames instead of being
+    pickled (and then pickled again inside the job header).  Its
+    *constants* do not travel: the frame names their token
+    (:func:`constant_sets`), and only a daemon that answers ``("need",
+    rank)`` — it never held the token, evicted it, was restarted, or is
+    a retry's new placement — is sent the arrays, by the collection
+    loop.  Nobody keeps a list of what was sent where, so there is
+    nothing to go stale; a daemon that holds the token adds no frame.
+    Nor do constants come back: a rank's final store is this side's own
+    constant arrays (``result.stores[r][k] is
+    system.processes[r].store[k]``, as on a pool) under whatever the
+    rank reported — its variables, and any constant key it rebound.
+
     ``timing_sink``, when given, receives
-    :meth:`~repro.dist.engine.Collected.timing` even when the run
-    fails.  Failures — body exceptions, rendezvous failures, or a
+    :meth:`~repro.dist.engine.Collected.timing` plus the bytes this
+    run's control streams carried (``control_bytes_out`` /
+    ``control_bytes_in``: hellos, job frames, constants, barrier and
+    reports — everything but the peer-to-peer channels), even when the
+    run fails.  Failures — body exceptions, rendezvous failures, or a
     daemon dying mid-run (control-stream EOF without the goodbye) —
     raise :class:`~repro.errors.ProcessFailedError` for the lowest
     failed rank.
@@ -249,8 +299,7 @@ def run_assigned(
     w_specs, r_specs = build_net_endpoints(system, assign, job_id)
     if bodies is None:
         bodies = closures.body_payloads(system)
-    if rests is None:
-        rests = [("object", dict(p.store)) for p in system.processes]
+    sets = constant_sets(system)
 
     procs: list[_RemoteRank] = []
     parent_conns: dict[Any, int] = {}
@@ -258,6 +307,7 @@ def run_assigned(
     try:
         for p in system.processes:
             rank = p.rank
+            token, constants = sets[rank]
             stream = rendezvous.dial_control(assign[rank], handshake_timeout)
             parent_conns[stream] = rank
             procs.append(_RemoteRank(rank, assign[rank]))
@@ -271,12 +321,12 @@ def run_assigned(
                         "name": p.name,
                         "nprocs": nprocs,
                         "body": bodies[rank],
-                        "rest": rests[rank],
-                        "plan": {
-                            key: BY_VALUE_CONSTANT
+                        "variables": {
+                            key: value
                             for key, value in p.store.items()
-                            if is_constant(value)
+                            if key not in constants
                         },
+                        "constants": token,
                         "w_specs": w_specs[rank],
                         "r_specs": r_specs[rank],
                         "recv_timeout": recv_timeout,
@@ -287,22 +337,35 @@ def run_assigned(
                 ),
             )
 
-        collected = collect_results(system, procs, parent_conns, crash_grace)
+        collected = collect_results(
+            system,
+            procs,
+            parent_conns,
+            crash_grace,
+            needs=[("constants", token, held) for token, held in sets],
+        )
     finally:
         for stream in parent_conns:
             stream.close()
+        control_out = sum(stream.bytes_sent for stream in parent_conns)
+        control_in = sum(stream.bytes_received for stream in parent_conns)
         if timing_sink is not None:
             timing_sink.update((collected or Collected()).timing(t_start))
+            timing_sink["control_bytes_out"] = control_out
+            timing_sink["control_bytes_in"] = control_in
 
-    # Stores travelled by value both ways: each rank's final store is
-    # exactly its overrides payload (flush_store with no shared handles
-    # returns the whole store).  A failed rank reports nothing — fall
-    # back to its initial store.
+    # This side's own constants under what each rank reported.  A
+    # failed rank reports nothing — fall back to its initial store.
     stores = [
-        dict(collected.overrides.get(p.rank, p.store))
+        {**sets[p.rank][1], **collected.overrides.get(p.rank, p.store)}
         for p in system.processes
     ]
-    return collected.finish(system, stores, engine_name, observe)
+    result = collected.finish(system, stores, engine_name, observe)
+    if result.report is not None:
+        result.report.metrics["wire/net_control_bytes"] = (
+            control_out + control_in
+        )
+    return result
 
 
 class SocketEngine:
@@ -348,7 +411,9 @@ class SocketEngine:
         ``{"startup_s", "run_s", "total_s"}`` for the most recent run,
         split at the ready/go barrier exactly like the multiprocess
         engine — so engine-comparison benches read transport cost out
-        of ``run_s`` directly.
+        of ``run_s`` directly — plus ``control_bytes_out`` /
+        ``control_bytes_in``, the bytes its control streams carried
+        (:func:`run_assigned`).
     """
 
     name = "socket"

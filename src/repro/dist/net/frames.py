@@ -21,7 +21,11 @@ short writes cost extra syscalls, never corruption.  The stream counts
 to ``send_syscalls_unvectored`` (what the historical
 one-``sendall``-per-piece sender would have issued for the same
 frames), which is how the syscall-reduction test measures the
-fast path without re-running the slow one.  The same gather also comes
+fast path without re-running the slow one.  It also counts the bytes
+the kernel took and handed over (``bytes_sent`` / ``bytes_received``,
+prefixes included): what a connection cost on the wire, which is how a
+coordinator reports its control streams
+(:func:`repro.dist.net.engine.run_assigned`).  The same gather also comes
 in a never-blocking form (:meth:`FrameStream.try_send_frames`: one
 ``sendmsg`` with ``MSG_DONTWAIT`` that hands back the unsent tail), so
 a channel's sending thread can write the socket itself and leave only
@@ -160,6 +164,8 @@ class FrameStream:
         "send_syscalls_unvectored",
         "vectored_frames",
         "recv_syscalls",
+        "bytes_sent",
+        "bytes_received",
     )
 
     #: :func:`repro.dist.wire.send_encoded` checks this before passing a
@@ -198,6 +204,11 @@ class FrameStream:
         self.vectored_frames = 0
         #: Receive-side recv_into syscalls (bulk fills + direct reads).
         self.recv_syscalls = 0
+        #: Bytes the kernel took from / handed to this stream, length
+        #: prefixes, clock words and the goodbye included: what the
+        #: connection cost on the wire, whatever was framed inside.
+        self.bytes_sent = 0
+        self.bytes_received = 0
 
     def fileno(self) -> int:
         """Expose the fd so ``multiprocessing.connection.wait`` (and any
@@ -226,6 +237,7 @@ class FrameStream:
             while pending:
                 sent = self._sock.sendmsg(pending[:_IOV_CAP])
                 self.send_syscalls += 1
+                self.bytes_sent += sent
                 pending = _unsent(pending, sent)
         except (BrokenPipeError, ConnectionResetError) as exc:
             raise _peer_hung_up() from exc
@@ -238,6 +250,7 @@ class FrameStream:
         except (BrokenPipeError, ConnectionResetError) as exc:
             raise _peer_hung_up() from exc
         self.send_syscalls += 1
+        self.bytes_sent += len(data)
 
     def _pack(self, frames: list) -> list:
         """``(payload, clock)`` frames as the byte views of their wire
@@ -315,6 +328,7 @@ class FrameStream:
         except (BrokenPipeError, ConnectionResetError) as exc:
             raise _peer_hung_up() from exc
         self.send_syscalls += 1
+        self.bytes_sent += sent
         hdr = self._hdr
         return [
             bytes(v) if v.obj is hdr else v for v in _unsent(views, sent)
@@ -361,6 +375,7 @@ class FrameStream:
                 "stream reset with a receive outstanding (peer killed?)"
             ) from exc
         self.recv_syscalls += 1
+        self.bytes_received += n
         self._rend += n
         return n
 
@@ -397,6 +412,7 @@ class FrameStream:
                 raise TransportAbortError(
                     f"stream ended mid-frame ({got} of {total} bytes)"
                 )
+            self.bytes_received += n
             got += n
 
     def _read_payload(self, view: memoryview, length: int) -> None:

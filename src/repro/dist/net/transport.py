@@ -158,10 +158,13 @@ class SocketChannel(ProcChannel):
         Runs after the queue drained — so by the time the reader sees
         the goodbye, every value this writer sent is on the stream —
         or after the stream broke, in which case the goodbye write
-        fails harmlessly (the feeder swallows transport errors).
+        fails harmlessly (the feeder swallows transport errors) and the
+        socket is closed all the same.
         """
-        self._conn.send_goodbye()
-        self._conn.close()
+        try:
+            self._conn.send_goodbye()
+        finally:
+            self._conn.close()
 
     def _abort(self, exc: TransportAbortError) -> ProcessFailedError:
         return ProcessFailedError(

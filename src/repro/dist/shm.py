@@ -65,6 +65,7 @@ __all__ = [
     "SharedStoreArena",
     "SharedCounter",
     "attach_store",
+    "by_value_constants",
     "flush_store",
     "live_segment_names",
 ]
@@ -83,10 +84,14 @@ DEFAULT_SLAB = 1 << 20
 #: cache line, and enough for any SIMD load the kernels' ufuncs issue.
 PACK_ALIGN = 64
 
-#: The plan entry of a constant that crosses by value (inside ``rest``:
-#: too small or not of a raw-buffer dtype, or the store crossed a
-#: socket): no segment to map, only the read-only flag to restore,
-#: which neither pickling nor the wire carries.
+#: The plan entry of a constant that sits in ``rest`` instead of a pack:
+#: one too small for a pack or not of a raw-buffer dtype, which crossed
+#: in the job's pickle, or — in a worker daemon, which maps no segment —
+#: one of the daemon's resident constants
+#: (:class:`repro.dist.worker.ResidentConstants`), which did not cross
+#: at all this run.  Nothing to map, only the read-only flag to restore
+#: (neither pickling nor the wire carries it) and the array to remember,
+#: so that :func:`flush_store` does not send it home.
 BY_VALUE_CONSTANT = (None, 0, None, None, True)
 
 #: Segment names created by this process and not yet unlinked.
@@ -347,7 +352,9 @@ class SharedStoreArena:
         variables copied out of the run pack, constants as *the
         parent's own arrays* — nobody could write them, so there is
         nothing to copy.  (The caller holds the store it shared, so
-        they are alive.)  By-value constants come home as overrides."""
+        they are alive.)  By-value constants lie in no pack and do not
+        come home either: the caller takes them from the ``rest`` it
+        shared (:func:`by_value_constants`)."""
         out: dict[str, np.ndarray] = {}
         for key, (name, offset, dtype_str, shape, constant) in plan.items():
             if name is None:
@@ -409,6 +416,16 @@ class SharedStoreArena:
             _LIVE_SEGMENTS.discard(seg.name)
 
 
+def by_value_constants(
+    plan: dict[str, tuple], rest: dict[str, Any]
+) -> dict[str, np.ndarray]:
+    """The parent's own arrays for the constants of ``plan`` that
+    crossed inside ``rest``: like the packed ones
+    (:meth:`SharedStoreArena.readback`), a worker does not send them
+    back unless it rebound them."""
+    return {key: rest[key] for key, entry in plan.items() if entry[0] is None}
+
+
 # -- worker side --------------------------------------------------------------
 
 
@@ -419,23 +436,26 @@ def attach_store(
 
     Each segment the plan names is mapped once, however many arrays lie
     in it; views of constants are marked read-only, and so are the
-    by-value constants the plan lists (:data:`BY_VALUE_CONSTANT`).
-    ``rest`` values are stored *as received*, not copied: the caller has
-    just unpickled them (a pool worker) or decoded them off the wire (a
-    daemon), so they are fresh objects nothing else refers to — a copy
-    would only be a second allocation of the whole store on the socket
-    path.
+    constants the plan lists as :data:`BY_VALUE_CONSTANT`, which are
+    taken from ``rest``.  ``rest`` values are stored *as received*, not
+    copied: the caller has just unpickled them (a pool worker), decoded
+    them off the wire or found them in its resident table (a daemon),
+    so they are fresh objects nothing else refers to, or constants
+    nobody can write — a copy would only be a second allocation of the
+    whole store on the socket path.
 
-    Returns ``(store, handles)`` where ``handles`` maps each shm-backed
-    key to its ``(segment, array)`` pair — needed by :func:`flush_store`
-    and for closing the segments on worker exit.
+    Returns ``(store, handles)`` where ``handles`` maps every planned
+    key to its ``(segment, array)`` pair, ``segment`` being ``None`` for
+    a by-value constant: the entries the parent can restore without
+    being sent anything, which is what :func:`flush_store` needs to
+    know, and the segments to close on worker exit.
     """
     store: dict[str, Any] = {}
     handles: dict[str, tuple] = {}
     segments: dict[str, shared_memory.SharedMemory] = {}
     for key, (name, offset, dtype_str, shape, constant) in plan.items():
         if name is None:
-            arr = rest[key]
+            seg, arr = None, rest[key]
         else:
             seg = segments.get(name)
             if seg is None:
@@ -443,9 +463,9 @@ def attach_store(
             arr = np.ndarray(
                 shape, dtype=np.dtype(dtype_str), buffer=seg.buf, offset=offset
             )
-            handles[key] = (seg, arr)
         if constant:
             arr.flags.writeable = False
+        handles[key] = (seg, arr)
         store[key] = arr
     for key, value in rest.items():
         store.setdefault(key, value)
@@ -455,16 +475,19 @@ def attach_store(
 def flush_store(
     store: dict[str, Any], handles: dict[str, tuple]
 ) -> dict[str, Any]:
-    """Reconcile a finished store with its shared segments.
+    """Reconcile a finished store with what the parent already holds.
 
-    In-place mutation of a shm-backed array needs nothing.  A store
-    entry *rebound* to a new array of the same shape/dtype is copied
-    back into its segment — unless the entry was a constant, whose
+    An entry still bound to the array it started as needs nothing: an
+    in-place mutation of a shm-backed variable is in the run pack
+    already, and a constant — in the resident pack or by value — could
+    not have been written, so the parent puts its own array into the
+    result.  An entry *rebound* to a new array of the same shape/dtype
+    is copied back into its segment — unless it was a constant, whose
     read-only view (and the resident pack behind it, shared with every
     other run of the ``System``) is never written through; that
-    rebinding, any other, and every entry that was never shm-backed
-    are returned as overrides for the parent to apply on top of the
-    segment readback.
+    rebinding, any other, and every entry the plan did not name (the
+    by-value variables: on a daemon, all of them) are returned as
+    overrides for the parent to apply on top.
     """
     overrides: dict[str, Any] = {}
     for key, value in store.items():
@@ -489,9 +512,12 @@ def flush_store(
 
 def close_handles(handles: dict[str, tuple]) -> None:
     """Worker-side detach (never unlinks: the parent owns the segments).
-    Each distinct segment is closed once; ``handles`` may be empty (a
-    daemon's store crossed by value)."""
-    for seg in {id(seg): seg for seg, _arr in handles.values()}.values():
+    Each distinct segment is closed once; a daemon's ``handles`` name no
+    segment at all."""
+    segments = {
+        id(seg): seg for seg, _arr in handles.values() if seg is not None
+    }
+    for seg in segments.values():
         try:
             seg.close()
         except Exception:

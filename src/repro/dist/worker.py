@@ -3,18 +3,26 @@
 :func:`run_job` is the one rank-side entry point, called by the pool
 workers of :mod:`repro.dist.pool` and by the worker daemons of
 :mod:`repro.dist.net.daemon`.  A job rebuilds one rank's world — store
-(attached to the parent's two shared packs), channel endpoints, context,
+(attached to the parent's two shared packs, or put together from a
+daemon's resident constants and the variables off the wire), channel
+endpoints, context,
 optional observer — runs the unmodified process body, and reports back
 over a dedicated duplex result pipe.
 
 Result-pipe protocol (all frames via :mod:`repro.dist.wire`):
 
+* daemon → coordinator ``("need", rank)`` and coordinator → daemon
+  ``("constants", token, arrays)`` — TCP only, and only when the
+  daemon does not hold the rank's constants (:class:`ResidentConstants`,
+  :mod:`repro.dist.net.daemon`): before anything below, so a hit adds
+  no frame;
 * worker → parent ``("ready", rank)`` once fully constructed;
 * parent → worker ``("go",)`` — the start barrier, so engine timing
   can separate process startup from the run proper — or ``("abort",)``
   to unwind without running (a sibling failed during startup);
 * worker → parent ``("done", rank, payload)`` with the body's return
-  value, store overrides (entries not backed by shared memory, see
+  value, store overrides (by-value variables and whatever the body
+  rebound — never a constant it left alone, see
   :func:`repro.dist.shm.flush_store`), per-endpoint channel statistics,
   and the observation payload when observing;
 * worker → parent ``("error", rank, exc_info)`` when the body raised.
@@ -48,6 +56,7 @@ from repro.errors import TransportError
 from repro.runtime.context import ProcessContext
 
 __all__ = [
+    "ResidentConstants",
     "ResidentImages",
     "run_job",
     "apply_affinity",
@@ -58,6 +67,16 @@ __all__ = [
 #: holds its kernels' scratch buffers, so this bounds what residency
 #: adds to a worker's memory; the least recently run body goes first.
 MAX_RESIDENT_IMAGES = 16
+
+
+#: Most bytes of constants one worker daemon keeps between runs; the
+#: least recently used set goes first.  A daemon hosting the host rank
+#: and one grid rank of a 49^3 Version A system holds 19 MB for it (12
+#: global coefficient arrays, 12 MB, and 12 ghosted half-grid sections,
+#: 7 MB), so this is room for six such systems per daemon — and what
+#: residency may add to a daemon's memory, beyond the sets of ranks
+#: running now.
+MAX_RESIDENT_CONSTANT_BYTES = 128 << 20
 
 
 class ResidentImages:
@@ -100,6 +119,80 @@ class ResidentImages:
                 "image_hits": self.hits,
                 "image_misses": self.misses,
             }
+
+
+class ResidentConstants:
+    """The constant sets one worker daemon keeps between runs, by token.
+
+    What the resident pack of a :class:`~repro.dist.shm.SharedStoreArena`
+    is to a pool, for a daemon that shares no memory with its
+    coordinator: a rank's constants (read-only arrays,
+    :func:`repro.util.is_constant`) cross TCP the first time a daemon
+    sees their token and stay here, ``token -> {key: array}``, every
+    array read-only.  Unlike :class:`ResidentImages` a set is **shared,
+    not checked out**: concurrent ranks of one daemon run on the same
+    arrays, which is safe precisely because nobody can write them.
+
+    Bounded by bytes (:data:`MAX_RESIDENT_CONSTANT_BYTES`), least
+    recently used first.  A rank keeps its own reference for the run,
+    so evicting a set in use only means the next run asks again — as
+    does a daemon restart: the table is the only record of what this
+    daemon holds, and a miss is always answered
+    (:func:`repro.dist.net.engine.run_assigned`).
+    """
+
+    def __init__(self) -> None:
+        #: least recently used first
+        self._sets: dict[bytes, dict[str, Any]] = {}
+        self._nbytes = 0
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get(self, token: bytes) -> dict[str, Any] | None:
+        """The set held under ``token``, or ``None`` (a miss)."""
+        with self._lock:
+            held = self._sets.pop(token, None)
+            if held is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._sets[token] = held  # most recently used last
+            return held
+
+    def put(self, token: bytes, arrays: dict[str, Any]) -> dict[str, Any]:
+        """Keep ``arrays`` (just off the wire: marked read-only here)
+        under ``token``; returns the resident set — the one already
+        there when a concurrent rank asked for the same token and got
+        in first, so a daemon holds one copy per token."""
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        with self._lock:
+            held = self._sets.pop(token, None)
+            if held is None:
+                held = arrays
+                self._nbytes += _set_nbytes(held)
+            self._sets[token] = held
+            while self._nbytes > MAX_RESIDENT_CONSTANT_BYTES and self._sets:
+                oldest = next(iter(self._sets))
+                self._nbytes -= _set_nbytes(self._sets.pop(oldest))
+                self.evictions += 1
+            return held
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "constants_resident": len(self._sets),
+                "constant_bytes_resident": self._nbytes,
+                "constant_hits": self.hits,
+                "constant_misses": self.misses,
+                "constant_evictions": self.evictions,
+            }
+
+
+def _set_nbytes(arrays: dict[str, Any]) -> int:
+    return sum(arr.nbytes for arr in arrays.values())
 
 
 def _open_channel(spec) -> ProcChannel:
@@ -164,8 +257,9 @@ def apply_affinity(cpus) -> None:
 def _unpack(payload: tuple) -> Any:
     """The value a payload carries: ``("pickle", bytes)`` and
     ``("image", digest, bytes)`` from a pool dispatch, ``("object",
-    value)`` where the job frame itself already carried the value (a
-    daemon's store, whose arrays ride raw-buffer wire frames)."""
+    value)`` where the caller already holds the value (a daemon's
+    store: resident constants plus the variables of the job frame,
+    whose arrays rode raw-buffer wire frames)."""
     kind, data = payload[0], payload[-1]
     return data if kind == "object" else closures.loads(data)
 

@@ -14,6 +14,13 @@ space and the one way it doesn't:
   victim had already finished its actions) or a clean
   :class:`~repro.errors.ProcessFailedError` carrying rank + step +
   fault id — never a hang, never a corrupted result.
+  One kill point lies *before* the body's first action and exists only
+  on the process engines: ``kill:R@need`` plants a constant in rank
+  ``R``'s store whose arrival kills the process that unpickles it — on
+  the socket engine the worker daemon, in the middle of the
+  ``need``/``constants`` exchange that ships a rank's constants to a
+  daemon that does not hold them (:mod:`repro.dist.net.daemon`); on the
+  multiprocess engine the pool worker, unpacking its job.
 * **delay faults** (:class:`DelayFault`) — the ``i``-th delivery on a
   channel is held back.  A delay *within slack* is just another legal
   interleaving, so Theorem 1 predicts bitwise-identical results; under
@@ -38,6 +45,8 @@ import signal
 import time
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from repro.errors import ReproError
 from repro.runtime.process import ProcessSpec
@@ -77,20 +86,49 @@ class InjectedKill(ReproError):
         return (InjectedKill, (self.rank, self.inject_step, self.fault_id))
 
 
+#: The ``step`` of a kill at the ``need``/``constants`` exchange, before
+#: the body's action 0 (spelled ``kill:R@need``).
+AT_NEED = -1
+
+
 @dataclass(frozen=True)
 class KillFault:
     """Kill ``rank`` immediately before its ``step``-th action (0-based,
     counting that rank's sends + receives + steps).  A rank that
     finishes earlier never triggers the fault — the run then completes
     with the fault-free final state, which is the expected benign
-    outcome."""
+    outcome.  ``step`` :data:`AT_NEED` kills the process hosting the
+    rank while its constants arrive (process engines only)."""
 
     rank: int
     step: int
 
     @property
     def fault_id(self) -> str:
-        return f"kill:{self.rank}@{self.step}"
+        step = "need" if self.step == AT_NEED else self.step
+        return f"kill:{self.rank}@{step}"
+
+
+def _die() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _KillOnArrival:
+    """Pickles as a call of :func:`_die`: the process that unpickles it
+    is killed mid-decode."""
+
+    def __reduce__(self):
+        return (_die, ())
+
+
+def _poisoned_constant() -> np.ndarray:
+    """A constant (read-only array) that kills whoever receives it.  An
+    object array rides the header pickle of its wire frame, so a daemon
+    dies decoding the ``constants`` frame it asked for."""
+    arr = np.empty(1, dtype=object)
+    arr[0] = _KillOnArrival()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -166,8 +204,8 @@ class FaultPlan:
 
 
 def parse_fault_plan(spec: str) -> FaultPlan:
-    """Parse a CLI fault spec: comma-separated ``kill:RANK@STEP`` and
-    ``delay:CHANNEL#INDEX[~HOLD]`` entries, e.g.
+    """Parse a CLI fault spec: comma-separated ``kill:RANK@STEP`` (or
+    ``kill:RANK@need``) and ``delay:CHANNEL#INDEX[~HOLD]`` entries, e.g.
     ``kill:1@3,delay:c0#0~6``."""
     kills: list[KillFault] = []
     delays: list[DelayFault] = []
@@ -176,7 +214,11 @@ def parse_fault_plan(spec: str) -> FaultPlan:
         try:
             if kind == "kill":
                 rank, _, step = rest.partition("@")
-                kills.append(KillFault(int(rank), int(step)))
+                kills.append(
+                    KillFault(
+                        int(rank), AT_NEED if step == "need" else int(step)
+                    )
+                )
             elif kind == "delay":
                 channel, _, idx = rest.partition("#")
                 if not channel or not idx:
@@ -190,8 +232,8 @@ def parse_fault_plan(spec: str) -> FaultPlan:
                 raise ValueError(part)
         except ValueError as exc:
             raise ReproError(
-                f"bad fault spec {part!r} (expected kill:RANK@STEP or "
-                "delay:CHANNEL#INDEX[~HOLD])"
+                f"bad fault spec {part!r} (expected kill:RANK@STEP, "
+                "kill:RANK@need or delay:CHANNEL#INDEX[~HOLD])"
             ) from exc
     return FaultPlan(kills=tuple(kills), delays=tuple(delays))
 
@@ -306,6 +348,12 @@ def apply_faults(
                 f"{fault.fault_id}: rank {fault.rank} does not exist "
                 f"(nprocs={system.nprocs})"
             )
+        if fault.step == AT_NEED and not real_kill:
+            raise ReproError(
+                f"{fault.fault_id}: constants arrive nowhere inside one "
+                "address space; this kill point needs a process engine "
+                "(--engine socket)"
+            )
     names = {spec.name for spec in system.channel_specs}
     for fault in plan.delays:
         if fault.channel not in names:
@@ -320,12 +368,12 @@ def apply_faults(
             d for d in plan.delays if writer_of[d.channel] == p.rank
         )
         kill = plan.kill_for(p.rank)
-        body = p.body
-        if kill is not None or (delays and real_delay):
+        body, store = p.body, p.store
+        if kill is not None and kill.step == AT_NEED:
+            store = {**store, "_kill_at_need": _poisoned_constant()}
+        elif kill is not None or (delays and real_delay):
             body = FaultingBody(p.body, kill, delays, real_kill, real_delay)
-        processes.append(
-            ProcessSpec(p.rank, body, store=p.store, name=p.name)
-        )
+        processes.append(ProcessSpec(p.rank, body, store=store, name=p.name))
     return System(processes, system.channel_specs)
 
 

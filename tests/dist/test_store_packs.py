@@ -32,6 +32,7 @@ from repro.dist.shm import (
     PACK_ALIGN,
     SharedStoreArena,
     attach_store,
+    by_value_constants,
     close_handles,
     flush_store,
     live_segment_names,
@@ -311,7 +312,8 @@ def test_round_trip_share_attach_flush_readback(store, threshold):
                 assert entry == BY_VALUE_CONSTANT
 
         worker, handles = attach_store(plan, rest)
-        assert set(worker) == set(store) and set(handles) == shared
+        assert set(worker) == set(store) and set(handles) == set(plan)
+        assert {k for k, (seg, _) in handles.items() if seg} == shared
         expected = {}
         for key, value in store.items():
             assert same_value(value, worker[key]), key
@@ -327,11 +329,16 @@ def test_round_trip_share_attach_flush_readback(store, threshold):
                     flip_bits(worker[key])
 
         overrides = flush_store(worker, handles)
-        assert set(overrides) == set(rest)  # exactly the non-shared keys
+        # Exactly the by-value variables: no constant travels back.
+        assert set(overrides) == set(rest) - set(plan)
         del worker
         close_handles(handles)
 
-        final = {**arena.readback(plan), **overrides}
+        final = {
+            **by_value_constants(plan, rest),
+            **arena.readback(plan),
+            **overrides,
+        }
         assert set(final) == set(store)
         for key, value in store.items():
             assert same_value(expected[key], final[key]), key

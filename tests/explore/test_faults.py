@@ -45,6 +45,12 @@ class TestParsing:
         plan = parse_fault_plan("kill:0@2,delay:stream#1~3")
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
+    def test_kill_at_the_need_exchange(self):
+        plan = parse_fault_plan("kill:1@need")
+        assert plan.describe() == "kill:1@need"
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert plan.kills[0].step < 0  # before the body's action 0
+
     def test_describe(self):
         assert parse_fault_plan("kill:0@2").describe() == "kill:0@2"
         assert FaultPlan().describe() == "none"
@@ -55,6 +61,20 @@ class TestValidation:
     def test_unknown_rank_rejected(self):
         with pytest.raises(ReproError, match="rank 9 does not exist"):
             apply_faults(prodcons_system(), FaultPlan(kills=(KillFault(9, 0),)))
+
+    def test_kill_at_need_exists_on_process_engines_only(self):
+        plan = parse_fault_plan("kill:1@need")
+        with pytest.raises(ReproError, match="needs a process engine"):
+            apply_faults(prodcons_system(), plan)
+        system = prodcons_system()
+        faulted = apply_faults(system, plan, real_kill=True)
+        # A planted constant, not a wrapped body; the caller's store is
+        # left as it was.
+        victim, original = faulted.processes[1], system.processes[1]
+        assert victim.body is original.body
+        (planted,) = set(victim.store) - set(original.store)
+        assert not victim.store[planted].flags.writeable
+        assert faulted.processes[0].store is system.processes[0].store
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ReproError, match="does not exist"):

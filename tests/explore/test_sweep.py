@@ -67,3 +67,21 @@ class TestSocketSweep:
         assert outcome.kind == "crash"
         assert outcome.rank == 1
         assert outcome.fault_id == "kill:1@3"
+
+    def test_sigkill_inside_the_need_constants_exchange(
+        self, prodcons_baseline
+    ):
+        """The daemon hosting rank 1 dies decoding the constants it
+        asked for; the first failure surfaced may be its peer's."""
+        plan = parse_fault_plan("kill:1@need")
+        (outcome,) = fault_sweep_engine(
+            build_target("prodcons"),
+            plan,
+            "socket",
+            runs=1,
+            baseline_digest=prodcons_baseline,
+            target="prodcons",
+        )
+        assert outcome.kind == "crash"
+        if outcome.rank == 1:
+            assert outcome.fault_id == "kill:1@need"
