@@ -320,8 +320,8 @@ class ParallelFDTD:
     def run_parallel(self, engine=None):
         """Run the message-passing transform on an execution backend.
 
-        ``engine`` is an engine instance, an engine name
-        (``"cooperative"`` / ``"threaded"`` / ``"multiprocess"``), or
+        ``engine`` is an engine instance, an engine name (one of
+        :data:`repro.runtime.ENGINE_NAMES`), or
         ``None`` for the threaded default; returns the engine's
         :class:`~repro.runtime.system.RunResult`.
         """

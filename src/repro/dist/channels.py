@@ -33,6 +33,13 @@ between the local queue, the pipe, and the reader — computed as
 ``sends - receiver's receive counter`` (a :class:`~repro.dist.shm.SharedCounter`)
 sampled at each send, which bounds true occupancy from above.
 
+The contract — who may send and receive, what a closed, timed-out or
+drained channel says, the counters — is
+:class:`~repro.runtime.channel.ChannelCore`'s, shared with every other
+kind of channel; :class:`ProcChannel` is only the storage described
+above.  A causal stamp, when the run is traced, rides in the wire header
+of its value (:mod:`repro.dist.wire`).
+
 Everything the two ends share besides the pipe — that receive counter,
 the slab and the slab's consumed-watermark — is **one** shared segment
 (:class:`~repro.dist.shm.ChannelSegment`), so an endpoint attaches once.
@@ -47,8 +54,7 @@ from typing import Any
 from repro.dist import wire
 from repro.dist.net.feeder import SendFeeder
 from repro.dist.shm import ChannelSegment
-from repro.errors import ChannelError, ChannelOwnershipError, EmptyChannelError
-from repro.util import payload_nbytes
+from repro.runtime.channel import ChannelCore
 
 __all__ = ["EndpointSpec", "ProcChannel"]
 
@@ -79,23 +85,39 @@ class EndpointSpec:
     segment: str = ""
     slab_size: int = 0
 
+    def open(self) -> "ProcChannel":
+        """The live endpoint this spec describes."""
+        return ProcChannel(self)
 
-class ProcChannel:
-    """One endpoint of a cross-process SRSW channel.
 
-    Duck-types the :class:`repro.runtime.channel.Channel` operations a
-    process body (or the layers above: communicator, collectives,
-    mechanically transformed programs) can reach through its
-    :class:`~repro.runtime.context.ProcessContext`.  Unlike ``Channel``,
-    an instance lives in *one* process and serves *one* role — the
-    other end is a different ``ProcChannel`` in a different process.
+class ProcChannel(ChannelCore):
+    """One endpoint of a cross-process SRSW channel: the contract of
+    :class:`~repro.runtime.channel.ChannelCore` over a pipe, a slab and
+    a :class:`~repro.dist.net.feeder.SendFeeder`.
+
+    Unlike the in-memory ``Channel``, an instance lives in *one* process
+    and serves *one* role — the other end is a different ``ProcChannel``
+    in a different process.
     """
 
-    #: Which wire this channel type speaks (obs counters key off this).
-    transport = "pipe"
+    #: ``metric -> counter attribute``: what this kind of channel adds
+    #: to an observed run's wire metrics (:func:`repro.dist.worker.run_job`).
+    wire_metrics = {
+        "wire/frames": "frames",
+        "wire/pipe_bytes": "pipe_bytes",
+        "wire/shm_bytes": "shm_bytes",
+    }
+
+    _writer_stats: tuple[str, ...] = (
+        "sends",
+        "bytes_sent",
+        "queue_hwm",
+        "frames",
+        "pipe_bytes",
+        "shm_bytes",
+    )
 
     __slots__ = (
-        "spec",
         "_conn",
         "_segment",
         "_counter",
@@ -103,19 +125,13 @@ class ProcChannel:
         "_slab_r",
         "_feeder",
         "_pollout",
-        "_closed",
-        "sends",
-        "receives",
-        "bytes_sent",
-        "queue_hwm",
         "frames",
         "pipe_bytes",
         "shm_bytes",
-        "causal",
     )
 
     def __init__(self, spec: EndpointSpec):
-        self.spec = spec
+        super().__init__(spec)
         self._conn = spec.conn
         # One attach: the slab halves *are* the segment, extended.
         self._segment = self._slab_w = self._slab_r = None
@@ -137,39 +153,13 @@ class ProcChannel:
             self._end_stream,
             try_write=self._try_write_frames,
         )
-        self._closed = False
-        self.sends = 0
-        self.receives = 0
-        self.bytes_sent = 0
-        self.queue_hwm = 0
         self.frames = 0  # pipe frames written (header + inline arrays)
         self.pipe_bytes = 0  # bytes actually crossing the pipe
         self.shm_bytes = 0  # payload bytes staged through the slab
-        #: Optional :class:`~repro.obs.causal.CausalRecorder` attached by
-        #: the worker when causal tracing is on; sends then stamp the
-        #: wire and receives max-merge the delivered stamp.  Recording
-        #: never alters what crosses the channel (pure refinement).
-        self.causal = None
-
-    # -- identity ----------------------------------------------------------
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def writer(self) -> int:
-        return self.spec.writer
-
-    @property
-    def reader(self) -> int:
-        return self.spec.reader
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcChannel({self.name!r}, {self.writer}->{self.reader}, "
-            f"role={self.spec.role!r})"
-        )
+    def _stat_fields(self) -> tuple[str, ...]:
+        return self._writer_stats if self.spec.role == "w" else ("receives",)
 
     # -- write side --------------------------------------------------------
 
@@ -182,7 +172,7 @@ class ProcChannel:
         being the pipe's only writer — a pipe that polls writable has
         room for it, so the write cannot block.
         """
-        header, buffers, _clock = item
+        header, buffers = item
         if buffers or _PIPE_PREFIX + len(header) > select.PIPE_BUF:
             return item
         pollout = self._pollout
@@ -201,62 +191,36 @@ class ProcChannel:
         reader that exits early breaks the pipe and the feeder discards
         the undeliverable remainder.
         """
-        header, buffers, clock = item
-        wire.send_encoded(self._conn, header, buffers, clock)
+        wire.send_encoded(self._conn, *item)
 
     def _end_stream(self) -> None:
         """Feeder finisher: drop the write end so the reader sees EOF."""
         self._conn.close()
 
-    def send(self, value: Any, *, rank: int) -> int:
-        """Append ``value``; returns this send's 0-based sequence number.
-
-        Never blocks (infinite slack): the value is encoded here — so
+    def _put(self, value: Any, clock: int | None) -> int:
+        """Never blocks (infinite slack): the value is encoded here — so
         slab staging freezes array payloads at send time, preserving
         single-assignment semantics — then written inline when the
         transport can take it without blocking; otherwise the header
         and any fallback pipe frames land on the local unbounded queue
         and the feeder thread owns the pipe write.
         """
-        if rank != self.writer:
-            raise ChannelOwnershipError(
-                f"rank {rank} sent on channel {self.name!r} "
-                f"owned by writer {self.writer}"
-            )
-        if self._closed:
-            raise ChannelError(
-                f"send on closed channel {self.name!r} (writer already "
-                "finished once; a channel is closed exactly when its "
-                "writer terminates)"
-            )
-        seq = self.sends
-        clock = None
-        if self.causal is not None:
-            clock = self.causal.on_send(self.name, seq)
         header, buffers, slab_bytes = wire.encode(value, self._slab_w, clock)
-        self._feeder.put((header, buffers, clock))
-        self.sends += 1
-        self.bytes_sent += payload_nbytes(value)
+        self._feeder.put((header, buffers))
         self.frames += 1 + sum(1 for a in buffers if a.nbytes)
         self.pipe_bytes += len(header) + sum(a.nbytes for a in buffers)
         self.shm_bytes += slab_bytes
-        if self._counter is not None:
-            depth = self.sends - self._counter.value
-            if depth > self.queue_hwm:
-                self.queue_hwm = depth
-        return seq
+        if self._counter is None:
+            return 0
+        return self.sends + 1 - self._counter.value
 
-    def close(self) -> None:
-        """Flush any queued values and close the write end (EOF downstream).
+    def _shut(self) -> None:
+        """Flush any queued values and close the write end (EOF
+        downstream); reader-side close just drops the receive end.
 
-        Reader-side close just drops the receive end.  Idempotent —
-        including concurrently: the feeder's own lock ensures the flush
-        and fd close happen exactly once no matter how many times (or
-        from how many threads) close is called.
+        Safe concurrently: the feeder's own lock ensures the flush and
+        fd close happen exactly once no matter how many threads close.
         """
-        if self._closed:
-            return
-        self._closed = True
         if self.spec.role == "w":
             # Waits for the flush; a dead reader breaks the pipe rather
             # than blocking the join forever.
@@ -271,37 +235,13 @@ class ProcChannel:
 
     # -- read side ---------------------------------------------------------
 
-    def _count_receive(self) -> None:
-        self.receives += 1
-        if self._counter is not None:
-            self._counter.value = self.receives
-
-    def recv(self, *, rank: int, timeout: float | None = None) -> Any:
-        """Blocking receive; mirrors ``Channel.recv`` failure modes."""
-        if rank != self.reader:
-            raise ChannelOwnershipError(
-                f"rank {rank} received on channel {self.name!r} "
-                f"owned by reader {self.reader}"
-            )
+    def _get(self, timeout: float | None):
         if timeout is not None and not self._conn.poll(timeout):
-            raise EmptyChannelError(
-                f"receive on channel {self.name!r} timed out after "
-                f"{timeout}s (likely deadlock)"
-            )
-        try:
-            if self.causal is not None:
-                value, stamp = wire.recv_traced(self._conn, self._slab_r)
-                self._count_receive()
-                self.causal.on_recv(self.name, self.receives - 1, stamp)
-                return value
-            value = wire.recv(self._conn, self._slab_r)
-            self._count_receive()
-            return value
-        except EOFError:
-            raise EmptyChannelError(
-                f"receive on channel {self.name!r}: writer "
-                f"{self.writer} terminated with the channel empty"
-            ) from None
+            return None
+        item = wire.recv_traced(self._conn, self._slab_r)
+        if self._counter is not None:
+            self._counter.value = self.receives + 1
+        return item
 
     def poll(self) -> bool:
         """True iff a receive would find data (or pending EOF) now."""
@@ -309,18 +249,3 @@ class ProcChannel:
             return self._conn.poll(0)
         except OSError:
             return False
-
-    # -- stats handoff -----------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        """This endpoint's contribution to the merged channel stats."""
-        if self.spec.role == "w":
-            return {
-                "sends": self.sends,
-                "bytes_sent": self.bytes_sent,
-                "queue_hwm": self.queue_hwm,
-                "frames": self.frames,
-                "pipe_bytes": self.pipe_bytes,
-                "shm_bytes": self.shm_bytes,
-            }
-        return {"receives": self.receives}

@@ -40,9 +40,10 @@ Per run, it:
    no-leak tests exercise precisely this).
 
 What was collected is a :class:`Collected` record, and
-:meth:`Collected.finish` is the one tail — failure wrapping, channel
-statistics, report, causal trace, ``RunResult`` — shared with the TCP
-coordinator (:func:`repro.dist.net.engine.run_assigned`).
+:meth:`Collected.finish` — failure wrapping, then the same
+:func:`~repro.runtime.system.assemble_run_result` the in-process
+engines end in — is shared with the TCP coordinator
+(:func:`repro.dist.net.engine.run_assigned`).
 
 Tracing is unsupported: a trace is a single observation order, and
 separate address spaces have none to offer.  Requesting one raises
@@ -82,17 +83,6 @@ __all__ = [
     "collect_results",
     "run_on_pool",
 ]
-
-_EMPTY_W = {
-    "sends": 0,
-    "bytes_sent": 0,
-    "queue_hwm": 0,
-    "frames": 0,
-    "pipe_bytes": 0,
-    "shm_bytes": 0,
-}
-_EMPTY_R = {"receives": 0}
-
 
 def _affinity_sets(affinity, nprocs: int) -> list:
     """Normalize the ``affinity=`` knob to one CPU set per rank.
@@ -144,31 +134,18 @@ def _rebuild_exception(exc_info: tuple[str, Any, str]) -> BaseException:
 def merge_channel_stats(
     system: System, stats: dict[int, dict]
 ) -> list[ChannelStatsRecord]:
-    """Fuse the writer and reader endpoint halves per channel."""
-    records = []
-    for spec in system.channel_specs:
-        w = stats.get(spec.writer, {}).get(spec.name, _EMPTY_W)
-        r = stats.get(spec.reader, {}).get(spec.name, _EMPTY_R)
-        records.append(
-            ChannelStatsRecord(
-                name=spec.name,
-                writer=spec.writer,
-                reader=spec.reader,
-                sends=w["sends"],
-                receives=r["receives"],
-                bytes_sent=w["bytes_sent"],
-                queue_hwm=w["queue_hwm"],
-                frames=w.get("frames", 0),
-                pipe_bytes=w.get("pipe_bytes", 0),
-                shm_bytes=w.get("shm_bytes", 0),
-                net_syscalls=w.get("net_syscalls", 0),
-                net_syscalls_unvectored=w.get(
-                    "net_syscalls_unvectored", 0
-                ),
-                net_vectored=w.get("net_vectored", 0),
-            )
+    """Fuse the writer and reader endpoint halves per channel (a half
+    whose rank never reported stays zero)."""
+    return [
+        ChannelStatsRecord(
+            spec.name,
+            spec.writer,
+            spec.reader,
+            **stats.get(spec.writer, {}).get(spec.name, {}),
+            **stats.get(spec.reader, {}).get(spec.name, {}),
         )
-    return records
+        for spec in system.channel_specs
+    ]
 
 
 @dataclass
@@ -220,8 +197,9 @@ class Collected:
     ) -> RunResult:
         """The tail of every process-backed run: raise the lowest failed
         rank's :class:`~repro.errors.ProcessFailedError`, else fuse the
-        channel statistics, merge worker observations (``observe``) and
-        causal payloads, and assemble the :class:`RunResult`.  The
+        channel statistics and hand them, the worker observations
+        (``observe``) and the causal payloads to the one assembly
+        (:func:`~repro.runtime.system.assemble_run_result`).  The
         observation report is labelled ``report_name`` (default: the
         engine's name)."""
         if self.errors:
@@ -229,32 +207,14 @@ class Collected:
             raise wrap_process_failure(
                 rank, self.errors[rank]
             ) from self.errors[rank]
-        nprocs = system.nprocs
-        records = merge_channel_stats(system, self.stats)
-        report = None
-        if observe:
-            from repro.obs.report import merge_worker_observations
-
-            report = merge_worker_observations(
-                report_name or engine_name,
-                nprocs,
-                self.observations,
-                records,
-            )
-        causal = None
-        if self.causal:
-            from repro.obs.causal import merge_causal_events
-
-            causal = merge_causal_events(
-                self.causal, nprocs, engine=engine_name
-            )
         return assemble_run_result(
             stores=stores,
-            returns=[self.returns.get(r) for r in range(nprocs)],
+            returns=[self.returns.get(r) for r in range(system.nprocs)],
             engine=engine_name,
-            channel_stats=records,
-            report=report,
-            causal=causal,
+            channel_stats=merge_channel_stats(system, self.stats),
+            observations=self.observations if observe else None,
+            causal=self.causal,
+            report_name=report_name,
         )
 
 

@@ -401,8 +401,9 @@ class SocketEngine:
         Per-rank Lamport-clock event logs (:mod:`repro.obs.causal`),
         merged into the result's ``causal``
         :class:`~repro.obs.causal.CausalTrace`.  Stamps cross hosts in
-        the TCP frame headers (:mod:`repro.dist.net.frames`), so even a
-        fleet-spanning run is traced end-to-end; pure refinement —
+        the wire header of the value they belong to
+        (:mod:`repro.dist.wire`), so even a fleet-spanning run is traced
+        end-to-end; pure refinement —
         final field state is bitwise identical on/off.
 
     Attributes

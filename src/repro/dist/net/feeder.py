@@ -5,7 +5,9 @@ ProcChannel`) and TCP sockets (:class:`~repro.dist.net.transport.
 SocketChannel`) — have finite kernel buffers, so a raw write could
 block once the reader falls behind, and a balanced exchange pattern
 that is deadlock-free in the paper's infinite-slack model could then
-deadlock in practice.  The cure is identical for both and lives here:
+deadlock in practice.  The cure is identical for both and lives here —
+the never-blocking half of both channels' storage (their ``_put``; the
+contract above it is :class:`repro.runtime.channel.ChannelCore`'s):
 
 * **Fast path — the sender's own thread is the data plane.**  Channels
   are single-writer and Theorem 1 makes the final state independent of

@@ -11,7 +11,7 @@ length prefix.
 
 **Vectored fast path (send).**  The bytes on the wire are unchanged,
 but how they enter the kernel is not: every send gathers its pieces —
-length prefix, optional clock word, payload, and (via
+length prefix, payload, and (via
 :meth:`FrameStream.send_frames`) *all* frames of one encoded channel
 value — into a single ``socket.sendmsg`` call.  Prefixes are packed
 into a per-stream reusable header scratch, so the hot path allocates no
@@ -33,7 +33,7 @@ back-pressure to the feeder thread (:mod:`repro.dist.net.feeder`).
 
 **Buffered fast path (receive).**  Reads land in a reusable 64 KiB
 scratch via bulk ``recv_into``, so one syscall can deliver many small
-frames (prefixes, clock words, headers, ghost strips) which are then
+frames (prefixes, headers, ghost strips) which are then
 parsed out of user memory.  Frames at or above
 :data:`_DIRECT_THRESHOLD` fall through to the original zero-copy path:
 any prefetched prefix is copied out of the scratch and the remainder is
@@ -64,16 +64,14 @@ every write method maps to :class:`~repro.errors.TransportAbortError`
 so a killed reader fails the writer with transport semantics rather
 than a raw ``ConnectionError`` escaping a feeder thread.
 
-**Causal clock field.**  With causal tracing on, a frame's length
-prefix may set the top bit (:data:`_CLOCK_FLAG`) to announce one extra
-8-byte word between the prefix and the payload: the sender's Lamport
-clock (see :mod:`repro.obs.causal`), exposed to the decoder as
-:attr:`FrameStream.last_clock`.  The flag cannot collide with real
-lengths (a frame of 2^63 bytes is not a thing) nor with the goodbye
-sentinel, which is all-ones and is checked first.  Untraced frames are
-byte-identical to the original format either way — vectoring changes
-the syscall packaging, never the stream — so a fast-path sender
-remains readable by the original unbuffered decoder and vice versa.
+**No frame is longer than** :data:`_MAX_FRAME`.  A length prefix above
+it is not a frame but a stream out of sync (or a peer speaking something
+else), and is refused as :class:`~repro.errors.TransportAbortError`
+before anything is allocated for it.  Vectoring changes the syscall
+packaging, never the stream — so a fast-path sender remains readable by
+the original unbuffered decoder and vice versa — and a causal stamp,
+when there is one, rides inside the header frame's payload
+(:mod:`repro.dist.wire`), never in the framing.
 """
 
 from __future__ import annotations
@@ -91,13 +89,14 @@ _LEN = struct.Struct(">Q")
 #: Length-prefix sentinel announcing a clean writer close.
 GOODBYE = (1 << 64) - 1
 
-#: Length-prefix bit announcing a causal-clock word after the prefix.
-_CLOCK_FLAG = 1 << 63
-
 #: Per-read chunk bound on the direct path; recv_into is called with at
 #: most this many bytes outstanding so a huge frame cannot force one
 #: giant syscall.
 _CHUNK = 1 << 20
+
+#: Longest frame a reader accepts: 2 GiB, the bound the pipe transport's
+#: ``Connection.send_bytes`` already implies with its 4-byte prefix.
+_MAX_FRAME = 1 << 31
 
 #: Size of the reusable receive scratch: one bulk recv_into can deliver
 #: this many bytes' worth of small frames to parse from user memory.
@@ -159,7 +158,6 @@ class FrameStream:
         "_rview",
         "_rpos",
         "_rend",
-        "last_clock",
         "send_syscalls",
         "send_syscalls_unvectored",
         "vectored_frames",
@@ -167,10 +165,6 @@ class FrameStream:
         "bytes_sent",
         "bytes_received",
     )
-
-    #: :func:`repro.dist.wire.send_encoded` checks this before passing a
-    #: causal stamp into :meth:`send_bytes`/:meth:`send_frames`.
-    supports_clock = True
 
     def __init__(self, sock: socket.socket):
         try:
@@ -180,18 +174,15 @@ class FrameStream:
         sock.settimeout(None)  # blocking; timeouts go through poll()
         self._sock = sock
         self._closed = False
-        # Reusable header scratch: prefixes (+ clock words) of a whole
-        # gather batch are packed here, so steady-state sends allocate
-        # nothing per frame.  Grown on demand, never shrunk.
-        self._hdr = bytearray(2 * _LEN.size)
+        # Reusable header scratch: prefixes of a whole gather batch are
+        # packed here, so steady-state sends allocate nothing per
+        # frame.  Grown on demand, never shrunk.
+        self._hdr = bytearray(_LEN.size)
         # Receive scratch ring: [._rpos, ._rend) holds unparsed bytes.
         self._rbuf = bytearray(_RECV_BUF)
         self._rview = memoryview(self._rbuf)
         self._rpos = 0
         self._rend = 0
-        #: Causal stamp carried by the most recent clock-flagged frame;
-        #: consumed (reset to None) by :func:`repro.dist.wire.recv_traced`.
-        self.last_clock: int | None = None
         #: Send-side syscalls actually issued (gather calls, retries
         #: after short writes, and the goodbye included).
         self.send_syscalls = 0
@@ -205,7 +196,7 @@ class FrameStream:
         #: Receive-side recv_into syscalls (bulk fills + direct reads).
         self.recv_syscalls = 0
         #: Bytes the kernel took from / handed to this stream, length
-        #: prefixes, clock words and the goodbye included: what the
+        #: prefixes and the goodbye included: what the
         #: connection cost on the wire, whatever was framed inside.
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -253,31 +244,24 @@ class FrameStream:
         self.bytes_sent += len(data)
 
     def _pack(self, frames: list) -> list:
-        """``(payload, clock)`` frames as the byte views of their wire
-        image: per frame a length prefix, an optional 8-byte clock word
-        (``clock`` non-``None`` sets the prefix's clock flag), and the
-        payload.  Prefixes live in the reusable header scratch, so the
-        views are only good until the next call."""
+        """Frame payloads as the byte views of their wire image: per
+        frame a length prefix and the payload.  Prefixes live in the
+        reusable header scratch, so the views are only good until the
+        next call."""
         hdr = self._hdr
-        need = 2 * _LEN.size * len(frames)
+        need = _LEN.size * len(frames)
         if len(hdr) < need:
             hdr = self._hdr = bytearray(need)
         hview = memoryview(hdr)
         views: list = []
         off = 0
         unvectored = 0
-        for payload, clock in frames:
+        for payload in frames:
             view = memoryview(payload).cast("B")
-            if clock is None:
-                _LEN.pack_into(hdr, off, len(view))
-                hlen = _LEN.size
-            else:
-                _LEN.pack_into(hdr, off, len(view) | _CLOCK_FLAG)
-                _LEN.pack_into(hdr, off + _LEN.size, clock)
-                hlen = 2 * _LEN.size
-            views.append(hview[off : off + hlen])
-            off += hlen
-            unvectored += 1  # the prefix (+ clock) sendall
+            _LEN.pack_into(hdr, off, len(view))
+            views.append(hview[off : off + _LEN.size])
+            off += _LEN.size
+            unvectored += 1  # the prefix sendall
             if len(view):
                 views.append(view)
                 unvectored += 1  # the payload sendall
@@ -287,8 +271,8 @@ class FrameStream:
         return views
 
     def send_frames(self, frames: list) -> None:
-        """Write a batch of ``(payload, clock)`` frames in (ideally) one
-        gather syscall.
+        """Write a batch of frame payloads in (ideally) one gather
+        syscall.
 
         Byte-identical to ``len(frames)`` separate :meth:`send_bytes`
         calls, minus the kernel round trips.  This is the blocking
@@ -334,14 +318,10 @@ class FrameStream:
             bytes(v) if v.obj is hdr else v for v in _unsent(views, sent)
         ]
 
-    def send_bytes(self, data, clock: int | None = None) -> None:
-        """Write one frame: length prefix then payload, short-write safe.
-
-        A non-``None`` ``clock`` sets the prefix's clock flag and
-        inserts the 8-byte clock word before the payload.  Prefix and
-        payload leave in a single gather syscall.
-        """
-        self.send_frames([(data, clock)])
+    def send_bytes(self, data) -> None:
+        """Write one frame: length prefix then payload, short-write
+        safe; both leave in a single gather syscall."""
+        self.send_frames([data])
 
     def send_goodbye(self) -> None:
         """Announce a clean close: the reader's next receive EOFs."""
@@ -441,13 +421,13 @@ class FrameStream:
         self._require(_LEN.size, mid_frame=False)
         (length,) = _LEN.unpack_from(self._rbuf, self._rpos)
         self._rpos += _LEN.size
-        if length == GOODBYE:  # all-ones: must test before flag masking
+        if length == GOODBYE:
             raise EOFError("clean close")
-        if length & _CLOCK_FLAG:
-            self._require(_LEN.size, mid_frame=True)
-            (self.last_clock,) = _LEN.unpack_from(self._rbuf, self._rpos)
-            self._rpos += _LEN.size
-            length &= _CLOCK_FLAG - 1
+        if length > _MAX_FRAME:
+            raise TransportAbortError(
+                f"frame length {length} exceeds the {_MAX_FRAME}-byte "
+                "frame bound (stream out of sync)"
+            )
         return length
 
     def recv_bytes(self) -> bytes:

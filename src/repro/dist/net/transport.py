@@ -3,7 +3,9 @@
 :class:`SocketChannel` is the cross-host sibling of
 :class:`~repro.dist.channels.ProcChannel`: one endpoint of one channel,
 living in one process, speaking :mod:`repro.dist.wire` frames over a
-:class:`~repro.dist.net.frames.FrameStream` instead of an OS pipe.  The
+:class:`~repro.dist.net.frames.FrameStream` instead of an OS pipe.  What
+a rank may do with it is :class:`~repro.runtime.channel.ChannelCore`'s
+contract, as for every kind of channel; this module is the storage.  The
 design constraints are identical and the solutions are shared:
 
 * **Infinite slack.**  Kernel TCP buffers are finite, so a raw send
@@ -47,11 +49,14 @@ design constraints are identical and the solutions are shared:
   the same frames — the denominatorless before/after pair the ≥2×
   syscall-reduction test divides), and ``net_vectored`` (frames that
   left in a multi-frame gather batch).
+* **Causal stamps** ride in the wire header of their value
+  (:mod:`repro.dist.wire`), exactly as over a pipe; the framing layer
+  knows nothing of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.dist import wire
@@ -85,20 +90,35 @@ class NetEndpointSpec:
     conn: Any = None  # FrameStream once connected
     segment: str = ""
     slab_size: int = 0
-    transport: str = field(default="socket", repr=False)
+
+    def open(self) -> "SocketChannel":
+        """The live endpoint this spec describes."""
+        return SocketChannel(self)
 
 
 class SocketChannel(ProcChannel):
     """One endpoint of a cross-host SRSW channel (see module docstring).
 
-    Subclasses :class:`~repro.dist.channels.ProcChannel`: the send path
-    (encode in the caller, write inline or queue to the feeder), the
-    ownership checks, and the stats contract are inherited unchanged —
-    only the write primitives and the end-of-stream actions differ
-    (goodbye frame on clean close, abort mapping on receive).
+    Subclasses :class:`~repro.dist.channels.ProcChannel`: the contract
+    is :class:`~repro.runtime.channel.ChannelCore`'s and the send path
+    (encode in the caller, write inline or queue to the feeder) the pipe
+    channel's — only the write primitives and the end-of-stream actions
+    differ (goodbye frame on clean close, abort mapping on receive).
     """
 
-    transport = "socket"
+    wire_metrics = {
+        "wire/net_frames": "frames",
+        "wire/net_bytes": "pipe_bytes",
+        "wire/net_syscalls": "net_syscalls",
+        "wire/net_syscalls_unvectored": "net_syscalls_unvectored",
+        "wire/net_vectored": "net_vectored",
+    }
+
+    _writer_stats = ProcChannel._writer_stats + (
+        "net_syscalls",
+        "net_syscalls_unvectored",
+        "net_vectored",
+    )
 
     __slots__ = ()
 
@@ -114,10 +134,7 @@ class SocketChannel(ProcChannel):
         """Sender-thread write: the whole value in one non-blocking
         gather; ``None`` when the kernel took it all, else the unsent
         byte views (a list, where a queued value is a tuple)."""
-        header, buffers, clock = item
-        rest = self._conn.try_send_frames(
-            wire.encoded_frames(self._conn, header, buffers, clock)
-        )
+        rest = self._conn.try_send_frames(wire.encoded_frames(*item))
         return rest or None
 
     def _write_frames(self, item) -> None:
@@ -144,14 +161,6 @@ class SocketChannel(ProcChannel):
     def net_vectored(self) -> int:
         return self._conn.vectored_frames
 
-    def stats(self) -> dict[str, int]:
-        out = super().stats()
-        if self.spec.role == "w":
-            out["net_syscalls"] = self.net_syscalls
-            out["net_syscalls_unvectored"] = self.net_syscalls_unvectored
-            out["net_vectored"] = self.net_vectored
-        return out
-
     def _end_stream(self) -> None:
         """Feeder finisher: goodbye frame (clean close), then close.
 
@@ -166,18 +175,15 @@ class SocketChannel(ProcChannel):
         finally:
             self._conn.close()
 
-    def _abort(self, exc: TransportAbortError) -> ProcessFailedError:
-        return ProcessFailedError(
-            self.writer,
-            TransportAbortError(
-                f"channel {self.name!r}: the stream from writer rank "
-                f"{self.writer} aborted without a clean close "
-                f"({exc}) — its host process or daemon died"
-            ),
-        )
-
-    def recv(self, *, rank: int, timeout: float | None = None) -> Any:
+    def _get(self, timeout: float | None):
         try:
-            return super().recv(rank=rank, timeout=timeout)
+            return super()._get(timeout)
         except TransportAbortError as exc:
-            raise self._abort(exc) from exc
+            raise ProcessFailedError(
+                self.writer,
+                TransportAbortError(
+                    f"channel {self.name!r}: the stream from writer rank "
+                    f"{self.writer} aborted without a clean close "
+                    f"({exc}) — its host process or daemon died"
+                ),
+            ) from exc

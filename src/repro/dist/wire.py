@@ -37,14 +37,11 @@ FIFO pipe order plus in-order descriptor consumption is what makes the
 single consumed-counter sufficient.
 
 **Causal stamps.**  With causal tracing on (see :mod:`repro.obs.causal`)
-every value additionally carries its sender's Lamport clock: the header
-pickle grows a third element ``(skeleton, metas, clock)`` and slab
-descriptor metas a fifth ``(dtype, shape, offset, watermark, clock)``;
-:func:`recv_traced` returns ``(value, clock)``, max-merging the stamps
-found in the header, the descriptors, and — on clock-aware connections
-like :class:`~repro.dist.net.frames.FrameStream` — the frame header
-itself.  With tracing off (the default) every byte on the wire is
-identical to before: tracing is a pure refinement of the transport.
+a value carries its sender's Lamport clock in one place, whatever the
+wire: the header pickle grows a third element ``(skeleton, metas,
+clock)``, and :func:`recv_traced` returns ``(value, clock)``.  With
+tracing off (the default) every byte on the wire is identical to
+before: tracing is a pure refinement of the transport.
 """
 
 from __future__ import annotations
@@ -192,34 +189,25 @@ def encode(
     here — at encode time, in the sender's main thread — and travels as
     a descriptor meta; the returned frames list holds only the arrays
     that fell back to the pipe.  ``slab_bytes`` counts the staged bytes.
-    With a ``clock``, the header pickle carries it as a third element
-    and slab descriptors as a fifth; ``None`` (tracing off) keeps the
-    legacy two-element header byte-for-byte.
+    With a ``clock``, the header pickle carries it as a third element;
+    ``None`` (tracing off) keeps the two-element header byte-for-byte.
     """
     buffers: list[np.ndarray] = []
     metas: list[tuple] = []
     skeleton = _extract(value, buffers, metas)
-    if slab is None:
-        if clock is None:
-            return closures.dumps((skeleton, metas)), buffers, 0
-        return closures.dumps((skeleton, metas, clock)), buffers, 0
-    pipe_buffers: list[np.ndarray] = []
-    out_metas: list[tuple] = []
     slab_bytes = 0
-    for arr, meta in zip(buffers, metas):
-        staged = slab.stage(arr)
-        if staged is None:
-            out_metas.append(meta)
-            pipe_buffers.append(arr)
-        elif clock is None:
-            out_metas.append((meta[0], meta[1], staged[0], staged[1]))
-            slab_bytes += arr.nbytes
-        else:
-            out_metas.append((meta[0], meta[1], staged[0], staged[1], clock))
-            slab_bytes += arr.nbytes
-    if clock is None:
-        return closures.dumps((skeleton, out_metas)), pipe_buffers, slab_bytes
-    return closures.dumps((skeleton, out_metas, clock)), pipe_buffers, slab_bytes
+    if slab is not None:
+        pipe_buffers: list[np.ndarray] = []
+        for i, arr in enumerate(buffers):
+            staged = slab.stage(arr)
+            if staged is None:
+                pipe_buffers.append(arr)
+            else:
+                metas[i] = (*metas[i], *staged)
+                slab_bytes += arr.nbytes
+        buffers = pipe_buffers
+    head = (skeleton, metas) if clock is None else (skeleton, metas, clock)
+    return closures.dumps(head), buffers, slab_bytes
 
 
 def decode(header: bytes, arrays: list[np.ndarray]) -> Any:
@@ -228,31 +216,19 @@ def decode(header: bytes, arrays: list[np.ndarray]) -> Any:
     return _inflate(skeleton, arrays)
 
 
-def encoded_frames(
-    conn, header: bytes, buffers: list[np.ndarray], clock: int | None = None
-) -> list[tuple]:
-    """One encoded value as a ``(payload, clock)`` frame list.
-
-    The shape :meth:`FrameStream.send_frames` gathers into a single
-    syscall: the header frame first (carrying the causal stamp on
-    clock-aware connections), then every non-empty array frame.
-    """
-    hdr_clock = (
-        clock if clock is not None and getattr(conn, "supports_clock", False) else None
-    )
-    frames: list[tuple] = [(header, hdr_clock)]
-    for arr in buffers:
-        if arr.nbytes:
-            # Always flatten to a 1-D byte view: send_bytes only casts
-            # when itemsize > 1, so a multi-dimensional int8/bool array
-            # passed directly would be truncated to its first axis.
-            frames.append((memoryview(arr).cast("B"), None))
-    return frames
+def encoded_frames(header: bytes, buffers: list[np.ndarray]) -> list:
+    """One encoded value as a frame list: the header first, then every
+    non-empty array frame — the shape
+    :meth:`FrameStream.send_frames` gathers into a single syscall."""
+    # Always flatten to a 1-D byte view: send_bytes only casts when
+    # itemsize > 1, so a multi-dimensional int8/bool array passed
+    # directly would be truncated to its first axis.
+    return [header] + [
+        memoryview(arr).cast("B") for arr in buffers if arr.nbytes
+    ]
 
 
-def send_encoded(
-    conn, header: bytes, buffers: list[np.ndarray], clock: int | None = None
-) -> None:
+def send_encoded(conn, header: bytes, buffers: list[np.ndarray]) -> None:
     """Write one pre-encoded value's frames to a connection.
 
     On vectored connections (``send_frames``, i.e. the TCP framing
@@ -260,24 +236,14 @@ def send_encoded(
     a single gather syscall; on plain connections each frame is its own
     ``send_bytes`` call.  The bytes on the wire are identical either
     way.
-
-    On clock-aware connections (``supports_clock``) a non-``None``
-    clock also rides in the header frame's own length-prefix extension,
-    so the stamp survives even transports that never open the header
-    pickle.
     """
+    frames = encoded_frames(header, buffers)
     send_frames = getattr(conn, "send_frames", None)
     if send_frames is not None:
-        send_frames(encoded_frames(conn, header, buffers, clock))
+        send_frames(frames)
         return
-    if clock is not None and getattr(conn, "supports_clock", False):
-        conn.send_bytes(header, clock=clock)
-    else:
-        conn.send_bytes(header)
-    for arr in buffers:
-        if arr.nbytes:
-            # See encoded_frames: flatten to a 1-D byte view.
-            conn.send_bytes(memoryview(arr).cast("B"))
+    for frame in frames:
+        conn.send_bytes(frame)
 
 
 def send(conn, value: Any) -> None:
@@ -302,32 +268,19 @@ def recv(conn, slab: SlabReader | None = None) -> Any:
 def recv_traced(
     conn, slab: SlabReader | None = None
 ) -> tuple[Any, int | None]:
-    """Like :func:`recv`, but also return the sender's causal stamp.
-
-    The stamp is the max over every place the sender may have put it —
-    the connection's frame header (``last_clock`` on clock-aware
-    streams), the header pickle's third element, and any slab
-    descriptor's fifth — or ``None`` when the message carried no stamp
-    (tracing off at the sender).
-    """
-    header = conn.recv_bytes()
-    clock: int | None = getattr(conn, "last_clock", None)
-    if clock is not None:
-        conn.last_clock = None  # consumed: one stamp per message
-    loaded = closures.loads(header)
+    """Like :func:`recv`, but also return the sender's causal stamp —
+    the header pickle's third element, ``None`` when the message carried
+    none (tracing off at the sender)."""
+    loaded = closures.loads(conn.recv_bytes())
     skeleton, metas = loaded[0], loaded[1]
-    if len(loaded) > 2 and loaded[2] is not None:
-        clock = loaded[2] if clock is None else max(clock, loaded[2])
     arrays: list[np.ndarray] = []
     for meta in metas:
-        if len(meta) >= 4:
-            arrays.append(slab.fetch(*meta[:4]))
-            if len(meta) > 4 and meta[4] is not None:
-                clock = meta[4] if clock is None else max(clock, meta[4])
+        if len(meta) == 4:
+            arrays.append(slab.fetch(*meta))
             continue
         dtype_str, shape = meta
         arr = np.empty(shape, dtype=np.dtype(dtype_str))
         if arr.nbytes:
             conn.recv_bytes_into(memoryview(arr).cast("B"))
         arrays.append(arr)
-    return _inflate(skeleton, arrays), clock
+    return _inflate(skeleton, arrays), loaded[2] if len(loaded) > 2 else None

@@ -53,7 +53,7 @@ from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec, ProcChannel
 from repro.dist.shm import attach_store, close_handles, flush_store
 from repro.errors import TransportError
-from repro.runtime.context import ProcessContext
+from repro.runtime.context import Executor, ProcessContext
 
 __all__ = [
     "ResidentConstants",
@@ -195,55 +195,6 @@ def _set_nbytes(arrays: dict[str, Any]) -> int:
     return sum(arr.nbytes for arr in arrays.values())
 
 
-def _open_channel(spec) -> ProcChannel:
-    """Build the channel endpoint a spec describes.
-
-    Pipe specs (:class:`~repro.dist.channels.EndpointSpec`) are the
-    default; specs tagged ``transport="socket"`` come from the network
-    engine and get a :class:`~repro.dist.net.transport.SocketChannel`.
-    The import is lazy so pipe-only runs never load the net package.
-    """
-    if getattr(spec, "transport", "pipe") == "socket":
-        from repro.dist.net.transport import SocketChannel
-
-        return SocketChannel(spec)
-    return ProcChannel(spec)
-
-
-class _ProcExecutor:
-    """Immediate-execution executor for one worker process.
-
-    Like the threaded executor minus total-order tracing (a global
-    trace needs a global observation order, which separate address
-    spaces do not have); *causal* tracing needs only the local
-    Lamport clock, so a :class:`~repro.obs.causal.CausalRecorder` can
-    be attached — sends/receives tick it through the channels, local
-    steps through :meth:`exec_step`.  With an observer attached,
-    blocked-receive intervals are timed exactly as the threaded
-    engine times them.
-    """
-
-    def __init__(self, recv_timeout: float | None, observer=None, causal=None):
-        self._recv_timeout = recv_timeout
-        self._obs = observer
-        self._causal = causal
-
-    def exec_send(self, rank: int, channel: ProcChannel, value: Any) -> None:
-        channel.send(value, rank=rank)
-
-    def exec_recv(self, rank: int, channel: ProcChannel) -> Any:
-        if self._obs is not None:
-            t0 = self._obs.clock()
-            value = channel.recv(rank=rank, timeout=self._recv_timeout)
-            self._obs.recv_blocked(rank, channel.name, t0, self._obs.clock())
-            return value
-        return channel.recv(rank=rank, timeout=self._recv_timeout)
-
-    def exec_step(self, rank: int, label: str) -> None:
-        if self._causal is not None:
-            self._causal.on_step(label)
-
-
 def apply_affinity(cpus) -> None:
     """Pin the calling process to ``cpus`` (best effort, Linux only)."""
     if not cpus or not hasattr(os, "sched_setaffinity"):
@@ -274,36 +225,16 @@ def _exc_info(exc: BaseException) -> tuple[str, Any, str]:
 
 
 def _wire_metrics(observer, channels) -> None:
-    """Fold this rank's pipe/slab traffic into the observer's registry.
+    """Fold this rank's wire traffic into the observer's registry, under
+    the metric names each kind of channel declares (``wire_metrics``).
 
     Merged across workers by summing (``merge_worker_observations``),
     so the report carries run-total wire counters next to the modelled
     message counts.
     """
-    frames = pipe_bytes = shm_bytes = net_frames = net_bytes = 0
-    net_syscalls = net_unvectored = net_vectored = 0
     for ch in channels:
-        if getattr(ch, "transport", "pipe") == "socket":
-            net_frames += ch.frames
-            net_bytes += ch.pipe_bytes
-            net_syscalls += ch.net_syscalls
-            net_unvectored += ch.net_syscalls_unvectored
-            net_vectored += ch.net_vectored
-        else:
-            frames += ch.frames
-            pipe_bytes += ch.pipe_bytes
-            shm_bytes += ch.shm_bytes
-    registry = observer.registry
-    registry.counter("wire/frames").inc(frames)
-    registry.counter("wire/pipe_bytes").inc(pipe_bytes)
-    registry.counter("wire/shm_bytes").inc(shm_bytes)
-    if net_frames or net_bytes:
-        registry.counter("wire/net_frames").inc(net_frames)
-        registry.counter("wire/net_bytes").inc(net_bytes)
-    if net_syscalls:
-        registry.counter("wire/net_syscalls").inc(net_syscalls)
-        registry.counter("wire/net_syscalls_unvectored").inc(net_unvectored)
-        registry.counter("wire/net_vectored").inc(net_vectored)
+        for metric, counter in ch.wire_metrics.items():
+            observer.registry.counter(metric).inc(getattr(ch, counter))
 
 
 def run_job(
@@ -344,8 +275,8 @@ def run_job(
             body = _unpack(body_payload)
         rest = _unpack(rest_payload)
         store, handles = attach_store(plan, rest)
-        out = {spec.name: _open_channel(spec) for spec in w_specs}
-        inc = {spec.name: _open_channel(spec) for spec in r_specs}
+        out = {spec.name: spec.open() for spec in w_specs}
+        inc = {spec.name: spec.open() for spec in r_specs}
 
         observer = None
         if observe:
@@ -354,14 +285,13 @@ def run_job(
             observer = Observer()
 
         recorder = None
+        executor = Executor(recv_timeout)
+        executor.observer = observer
         if trace_causal:
             from repro.obs.causal import CausalRecorder
 
             recorder = CausalRecorder(rank)
-            for ch in (*out.values(), *inc.values()):
-                ch.causal = recorder
-
-        executor = _ProcExecutor(recv_timeout, observer, recorder)
+            executor.causal = {rank: recorder}
         ctx = ProcessContext(
             rank=rank,
             nprocs=nprocs,

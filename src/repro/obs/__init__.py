@@ -51,11 +51,9 @@ from repro.obs.observer import (
     observer_of,
 )
 from repro.obs.report import (
-    ChannelTraffic,
     ProcessTimes,
     RunReport,
     StreamTraffic,
-    build_run_report,
 )
 from repro.obs.causal import (
     CausalEvent,
@@ -98,11 +96,9 @@ __all__ = [
     "NullObserver",
     "NULL_OBSERVER",
     "observer_of",
-    "ChannelTraffic",
     "ProcessTimes",
     "RunReport",
     "StreamTraffic",
-    "build_run_report",
     "CausalEvent",
     "CausalRecorder",
     "CausalTrace",

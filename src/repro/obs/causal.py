@@ -14,16 +14,14 @@ construction (Lamport 1978):
 * each rank keeps a :class:`LamportClock`; every local event (send,
   receive, explicit step) *ticks* it;
 * every sent message is stamped with the sender's post-tick clock —
-  piggybacked in the wire header for pipes, the slab descriptor metas
-  for shm payloads, and the frame-header clock word for TCP
-  (:mod:`repro.dist.net.frames`);
+  riding with the value in one place: the queue entry in process, the
+  wire header pickle over pipes and TCP (:mod:`repro.dist.wire`);
 * a receiver *max-merges*: ``c = max(c_local, c_message) + 1`` — so a
   receive's clock **strictly exceeds** its matching send's clock, and
   clock order is a linear extension of happens-before.
 
-Per-rank logs are bounded ring buffers (oldest events spill to a JSONL
-file when a spill path is configured, else they are counted as
-dropped); each rank ships its log home through the engine's existing
+Per-rank logs are bounded ring buffers (events pushed out are counted
+as dropped); each rank ships its log home through the engine's existing
 result-pipe path and :func:`merge_causal_events` fuses them into a
 :class:`CausalTrace` — a happens-before-consistent event sequence with
 explicit send→recv edges, a validator for the clock invariant, and a
@@ -37,11 +35,10 @@ identical final states (asserted by the engine-equivalence tests).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "LamportClock",
@@ -50,6 +47,9 @@ __all__ = [
     "CausalTrace",
     "merge_causal_events",
 ]
+
+#: Events one rank's ring holds; older ones are dropped (and counted).
+RING_CAPACITY = 1 << 16
 
 
 class LamportClock:
@@ -107,33 +107,24 @@ class CausalRecorder:
     """One rank's event log: a Lamport clock plus a bounded ring.
 
     The engine (or :func:`repro.dist.worker.run_job`) creates one per
-    rank and attaches it to the rank's channels; the channel send/recv
-    paths call :meth:`on_send` / :meth:`on_recv`, executors call
-    :meth:`on_step`.  The ring holds the newest ``capacity`` events;
-    when it overflows, the oldest events either spill to a JSONL file
-    (``spill_path`` set) or are discarded and counted in ``dropped`` —
-    either way recording never blocks and never grows without bound.
+    rank and hands it to the run's
+    :class:`~repro.runtime.context.Executor`, which calls
+    :meth:`on_send` / :meth:`on_recv` / :meth:`on_step` as it performs
+    each action.  The ring holds the newest :data:`RING_CAPACITY`
+    events; when it overflows, the oldest are discarded and counted in
+    ``dropped`` — recording never blocks and never grows without bound.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        capacity: int = 1 << 16,
-        spill_path: str | None = None,
-    ):
+    def __init__(self, rank: int):
         self.rank = rank
         self.clock = LamportClock()
-        self.capacity = max(1, int(capacity))
-        self.spill_path = spill_path
         self.events: deque[CausalEvent] = deque()
         self.dropped = 0
-        self.spilled = 0
-        self._spill_fh = None
 
     # -- recording hooks ---------------------------------------------------
 
     def on_send(self, channel: str, seq: int) -> int:
-        """Tick for a send; returns the stamp to piggyback on the wire."""
+        """Tick for a send; returns the stamp that rides with the value."""
         c = self.clock.tick()
         self._record(CausalEvent(self.rank, c, "send", channel, seq, perf_counter()))
         return c
@@ -158,24 +149,9 @@ class CausalRecorder:
 
     def _record(self, event: CausalEvent) -> None:
         self.events.append(event)
-        if len(self.events) > self.capacity:
-            oldest = self.events.popleft()
-            if self.spill_path is not None:
-                self._spill(oldest)
-            else:
-                self.dropped += 1
-
-    def _spill(self, event: CausalEvent) -> None:
-        if self._spill_fh is None:
-            self._spill_fh = open(self.spill_path, "a")
-        json.dump(_event_record(event), self._spill_fh)
-        self._spill_fh.write("\n")
-        self.spilled += 1
-
-    def close(self) -> None:
-        if self._spill_fh is not None:
-            self._spill_fh.close()
-            self._spill_fh = None
+        if len(self.events) > RING_CAPACITY:
+            self.events.popleft()
+            self.dropped += 1
 
     # -- handoff -----------------------------------------------------------
 
@@ -185,7 +161,6 @@ class CausalRecorder:
             "rank": self.rank,
             "clock": self.clock.value,
             "dropped": self.dropped,
-            "spilled": self.spilled,
             "events": [
                 (e.kind, e.channel, e.seq, e.clock, e.sent_clock, e.t)
                 for e in self.events
@@ -387,22 +362,3 @@ def merge_causal_events(
     return CausalTrace(
         nprocs=nprocs, events=events, engine=engine, dropped=dropped
     )
-
-
-def iter_spill(path) -> Iterable[CausalEvent]:
-    """Read back events spilled by a :class:`CausalRecorder` (JSONL)."""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            r = json.loads(line)
-            yield CausalEvent(
-                int(r["rank"]),
-                int(r["clock"]),
-                r["kind"],
-                r["channel"],
-                int(r["seq"]),
-                float(r.get("t", 0.0)),
-                int(r["sent_clock"]) if r.get("sent_clock") is not None else None,
-            )

@@ -4,8 +4,9 @@ An :class:`Observer` is created for (at most) one run and threaded
 through it: engines call the lifecycle and blocked-receive hooks, the
 communicator reports tagged streams, and any layer may open
 :meth:`Observer.span` intervals or touch :attr:`Observer.registry`
-metrics.  After the run, :func:`repro.obs.report.build_run_report`
-freezes everything into a :class:`~repro.obs.report.RunReport`.
+metrics.  After the run its :func:`repro.obs.report.worker_observation`
+payload is frozen into a :class:`~repro.obs.report.RunReport` by the
+one run tail (:func:`repro.runtime.system.assemble_run_result`).
 
 Design rules:
 

@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.obs.spans import Span
+from repro.runtime.system import ChannelStatsRecord
 from repro.util import format_table
 
 __all__ = [
-    "ChannelTraffic",
     "ProcessTimes",
     "StreamTraffic",
     "RunReport",
-    "build_run_report",
     "worker_observation",
     "merge_worker_observations",
 ]
@@ -58,19 +57,6 @@ class ProcessTimes:
 
 
 @dataclass(frozen=True)
-class ChannelTraffic:
-    """One channel's lifetime traffic and peak occupancy."""
-
-    name: str
-    writer: int
-    reader: int
-    sends: int
-    receives: int
-    bytes_sent: int
-    queue_hwm: int
-
-
-@dataclass(frozen=True)
 class StreamTraffic:
     """One tagged logical stream (communicator layer)."""
 
@@ -79,6 +65,18 @@ class StreamTraffic:
     tag: int
     messages: int
     nbytes: int
+
+
+#: The :class:`ChannelStatsRecord` fields only a wire fills in; JSONL
+#: ``channel`` records written before reports carried them read as zero.
+_TRANSPORT_COUNTERS = (
+    "frames",
+    "pipe_bytes",
+    "shm_bytes",
+    "net_syscalls",
+    "net_syscalls_unvectored",
+    "net_vectored",
+)
 
 
 def _phase_key(name: str) -> str:
@@ -93,7 +91,8 @@ class RunReport:
     engine: str
     nprocs: int
     processes: list[ProcessTimes] = field(default_factory=list)
-    channels: list[ChannelTraffic] = field(default_factory=list)
+    #: Per channel: lifetime traffic, peak occupancy, transport counters.
+    channels: list[ChannelStatsRecord] = field(default_factory=list)
     streams: list[StreamTraffic] = field(default_factory=list)
     spans: list[Span] = field(default_factory=list)
     metrics: dict[str, int | float] = field(default_factory=dict)
@@ -260,6 +259,7 @@ class RunReport:
                     "receives": c.receives,
                     "bytes": c.bytes_sent,
                     "queue_hwm": c.queue_hwm,
+                    **{k: getattr(c, k) for k in _TRANSPORT_COUNTERS},
                 }
             )
         for s in self.streams:
@@ -309,7 +309,7 @@ class RunReport:
                 )
             elif kind == "channel":
                 report.channels.append(
-                    ChannelTraffic(
+                    ChannelStatsRecord(
                         ev["name"],
                         int(ev["writer"]),
                         int(ev["reader"]),
@@ -317,6 +317,7 @@ class RunReport:
                         int(ev["receives"]),
                         int(ev["bytes"]),
                         int(ev["queue_hwm"]),
+                        **{k: int(ev.get(k, 0)) for k in _TRANSPORT_COUNTERS},
                     )
                 )
             elif kind == "stream":
@@ -350,56 +351,14 @@ class RunReport:
         return report
 
 
-def build_run_report(observer, engine: str, nprocs: int, channels) -> RunReport:
-    """Freeze an observer plus live channel objects into a report.
-
-    ``channels`` is any iterable of objects exposing the
-    :class:`~repro.runtime.channel.Channel` statistics attributes
-    (``spec``-free duck typing keeps this module import-light).
-    """
-    procs = [
-        ProcessTimes(rank, name, wall, blocked)
-        for rank, (name, wall, blocked) in sorted(
-            observer.process_times().items()
-        )
-    ]
-    chans = [
-        ChannelTraffic(
-            ch.name,
-            ch.writer,
-            ch.reader,
-            ch.sends,
-            ch.receives,
-            ch.bytes_sent,
-            ch.queue_hwm,
-        )
-        for ch in channels
-    ]
-    streams = [
-        StreamTraffic(src, dst, tag, count, nbytes)
-        for (src, dst, tag), (count, nbytes) in sorted(
-            observer.stream_stats().items()
-        )
-    ]
-    epoch = observer.epoch
-    spans = [s.shifted(epoch) for s in observer.spans.spans]
-    return RunReport(
-        engine=engine,
-        nprocs=nprocs,
-        processes=procs,
-        channels=chans,
-        streams=streams,
-        spans=spans,
-        metrics=observer.registry.snapshot(),
-    )
-
-
 def worker_observation(observer) -> dict[str, Any]:
-    """One worker process's observer, flattened for the result pipe.
+    """One observer, flattened: the payload of the run tail.
 
-    The multiprocess engine runs an independent observer per worker
-    (observers cannot span address spaces); this is the payload each
-    worker ships home, merged by :func:`merge_worker_observations`.
+    An in-process run has one observer and so one payload; the
+    process-backed engines run an independent observer per worker
+    (observers cannot span address spaces) and each worker ships its
+    payload home over the result pipe.  Either way
+    :func:`merge_worker_observations` makes the report.
     Timestamps stay absolute ``perf_counter`` values — on Linux that
     clock is system-wide (CLOCK_MONOTONIC), so one worker's epoch is
     comparable with another's.
@@ -420,9 +379,10 @@ def merge_worker_observations(
     engine: str,
     nprocs: int,
     observations: Mapping[int, Mapping[str, Any]],
-    channels: Iterable[Any],
+    channels: Iterable[ChannelStatsRecord],
 ) -> RunReport:
-    """Fuse per-worker observation payloads into one :class:`RunReport`.
+    """Fuse observation payloads into one :class:`RunReport`;
+    ``channels`` are the run's records, which the report holds as given.
 
     The merged run epoch is the earliest worker epoch, so span and
     process timestamps from different workers land on one timeline.
@@ -451,18 +411,6 @@ def merge_worker_observations(
             )
         for name, value in obs["metrics"].items():
             metrics[name] = metrics.get(name, 0) + value
-    chans = [
-        ChannelTraffic(
-            ch.name,
-            ch.writer,
-            ch.reader,
-            ch.sends,
-            ch.receives,
-            ch.bytes_sent,
-            ch.queue_hwm,
-        )
-        for ch in channels
-    ]
     streams = [
         StreamTraffic(src, dst, tag, count, nbytes)
         for (src, dst, tag), (count, nbytes) in sorted(stream_acc.items())
@@ -475,7 +423,7 @@ def merge_worker_observations(
         engine=engine,
         nprocs=nprocs,
         processes=procs,
-        channels=chans,
+        channels=list(channels),
         streams=streams,
         spans=spans,
         metrics=metrics,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
 
 from repro.errors import (
     DeadlockError,
@@ -40,6 +39,7 @@ from repro.errors import (
     wrap_process_failure,
 )
 from repro.runtime.channel import Channel
+from repro.runtime.context import Executor
 from repro.runtime.schedulers import (
     PendingAction,
     RoundRobinPolicy,
@@ -61,8 +61,6 @@ class _AbortExecution(BaseException):
 class _Request:
     kind: str  # 'send' | 'recv' | 'step'
     channel: Channel | None
-    value: Any = None
-    label: str = ""
 
 
 class _Slot:
@@ -78,74 +76,31 @@ class _Slot:
         self.aborted = False
 
 
-class _CooperativeExecutor:
-    """Runs inside process threads; parks before every action.
+class _CooperativeExecutor(Executor):
+    """The shared executor plus park-before-act; runs inside process
+    threads.
 
-    With an observer attached, each receive's park-to-grant interval is
-    recorded as its blocked time: under the simulation a process is
+    A granted receive is made with ``timeout=0``: the engine grants it
+    only after verifying the channel non-empty, so it must succeed at
+    once.  With an observer attached, each receive's park-to-grant
+    interval is its blocked time: under the simulation a process is
     "blocked on recv" exactly while it waits for the scheduler to grant
-    the receive (which the scheduler does only once the channel is
-    non-empty), so the measured interval is the simulated analogue of
+    the receive, so the measured interval is the simulated analogue of
     the threaded engine's wait on the condition variable.
     """
 
     def __init__(self, trace: Trace | None):
-        self.trace = trace
-        #: The run's observer, or ``None``; set by ``RunState``.
-        self.observer = None
+        super().__init__(recv_timeout=0, trace=trace)
         self.slots: list[_Slot] = []
-        #: Per-rank :class:`~repro.obs.causal.CausalRecorder` list, or
-        #: ``None``; set by ``RunState``.  Stamps travel out-of-band
-        #: through a shared ``(channel, seq) -> clock`` table, filled by
-        #: the sender after its grant but before the value is enqueued;
-        #: one action runs at a time, so no lock is needed.
-        self.causal = None
-        self._sent_clocks: dict[tuple[str, int], int] = {}
 
-    def _await_grant(self, rank: int, request: _Request) -> None:
+    def _park(self, rank: int, kind: str, channel: Channel | None) -> None:
         slot = self.slots[rank]
-        slot.pending = request
+        slot.pending = _Request(kind, channel)
         slot.parked.set()
         slot.go.wait()
         slot.go.clear()
         if slot.aborted:
             raise _AbortExecution()
-
-    def exec_send(self, rank: int, channel: Channel, value: Any) -> None:
-        self._await_grant(rank, _Request("send", channel, value=value))
-        if self.causal is not None:
-            stamp = self.causal[rank].on_send(channel.name, channel.sends)
-            self._sent_clocks[(channel.name, channel.sends)] = stamp
-        seq = channel.send(value, rank=rank)
-        if self.trace is not None:
-            self.trace.record(rank, "send", channel.name, seq)
-
-    def exec_recv(self, rank: int, channel: Channel) -> Any:
-        if self.observer is not None:
-            t0 = self.observer.clock()
-            self._await_grant(rank, _Request("recv", channel))
-            self.observer.recv_blocked(
-                rank, channel.name, t0, self.observer.clock()
-            )
-        else:
-            self._await_grant(rank, _Request("recv", channel))
-        # The engine granted this receive only after verifying the
-        # channel non-empty, so a non-blocking pop must succeed.
-        value = channel.recv_nowait(rank=rank)
-        if self.causal is not None:
-            seq = channel.receives - 1
-            stamp = self._sent_clocks.pop((channel.name, seq), None)
-            self.causal[rank].on_recv(channel.name, seq, stamp)
-        if self.trace is not None:
-            self.trace.record(rank, "recv", channel.name, channel.receives - 1)
-        return value
-
-    def exec_step(self, rank: int, label: str) -> None:
-        self._await_grant(rank, _Request("step", None, label=label))
-        if self.causal is not None:
-            self.causal[rank].on_step(label)
-        if self.trace is not None:
-            self.trace.record(rank, "step", None, -1, label=label)
 
 
 class CooperativeEngine:

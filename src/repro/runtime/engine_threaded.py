@@ -22,82 +22,13 @@ Practical deviations from the idealised model, handled explicitly:
 from __future__ import annotations
 
 import threading
-from typing import Any
 
 from repro.errors import wrap_process_failure
-from repro.runtime.channel import Channel
+from repro.runtime.context import Executor
 from repro.runtime.system import RunResult, RunState, System
 from repro.runtime.trace import Trace
 
 __all__ = ["ThreadedEngine"]
-
-
-class _ThreadedExecutor:
-    """Performs actions immediately; optionally records them.
-
-    Trace recording takes a lock (the trace list is shared); per-channel
-    sequence numbers are race-free without extra locking because each
-    channel has exactly one writer and one reader.  With an observer
-    attached, each receive's blocked interval is timed; without one
-    (the default) no clock is ever read.
-    """
-
-    def __init__(self, trace: Trace | None, recv_timeout: float | None):
-        self._trace = trace
-        self._lock = threading.Lock()
-        self._recv_timeout = recv_timeout
-        #: The run's observer, or ``None``; set by ``RunState``.
-        self.observer = None
-        #: Per-rank :class:`~repro.obs.causal.CausalRecorder` list, or
-        #: ``None``; set by ``RunState``.  In-process channels move
-        #: references rather than wire frames, so the Lamport stamp
-        #: travels out-of-band: a shared ``(channel, seq) -> clock``
-        #: table, written by the sender *before* the value is enqueued
-        #: (so it is always present by the time the matching receive
-        #: can complete).
-        self.causal = None
-        self._sent_clocks: dict[tuple[str, int], int] = {}
-
-    def exec_send(self, rank: int, channel: Channel, value: Any) -> None:
-        if self.causal is not None:
-            # SRSW: this thread is the only sender, so ``sends`` is the
-            # seq the send below will return.
-            stamp = self.causal[rank].on_send(channel.name, channel.sends)
-            with self._lock:
-                self._sent_clocks[(channel.name, channel.sends)] = stamp
-        seq = channel.send(value, rank=rank)
-        if self._trace is not None:
-            with self._lock:
-                self._trace.record(rank, "send", channel.name, seq)
-
-    def exec_recv(self, rank: int, channel: Channel) -> Any:
-        if self.observer is not None:
-            t0 = self.observer.clock()
-            value = channel.recv(rank=rank, timeout=self._recv_timeout)
-            self.observer.recv_blocked(
-                rank, channel.name, t0, self.observer.clock()
-            )
-        else:
-            value = channel.recv(rank=rank, timeout=self._recv_timeout)
-        # SRSW: this thread is the only receiver, so ``receives`` is
-        # stable between the recv above and the reads below.
-        if self.causal is not None:
-            seq = channel.receives - 1
-            with self._lock:
-                stamp = self._sent_clocks.pop((channel.name, seq), None)
-            self.causal[rank].on_recv(channel.name, seq, stamp)
-        if self._trace is not None:
-            seq = channel.receives - 1
-            with self._lock:
-                self._trace.record(rank, "recv", channel.name, seq)
-        return value
-
-    def exec_step(self, rank: int, label: str) -> None:
-        if self.causal is not None:
-            self.causal[rank].on_step(label)
-        if self._trace is not None:
-            with self._lock:
-                self._trace.record(rank, "step", None, -1, label=label)
 
 
 class ThreadedEngine:
@@ -142,7 +73,7 @@ class ThreadedEngine:
 
     def run(self, system: System) -> RunResult:
         trace = Trace() if self._trace_enabled else None
-        executor = _ThreadedExecutor(trace, self._recv_timeout)
+        executor = Executor(self._recv_timeout, trace)
         state = RunState(
             system, executor, trace, self._observe, self._trace_causal
         )

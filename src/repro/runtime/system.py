@@ -18,7 +18,7 @@ Wiring rules enforced here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ChannelError, RuntimeModelError
 from repro.runtime.channel import Channel, ChannelSpec
@@ -109,21 +109,21 @@ class ChannelStatsRecord:
     Every engine reduces its channels to these records and hands them
     to :func:`assemble_run_result`, so ``channel_stats`` /
     ``channel_bytes`` / ``channel_hwm`` are populated by exactly one
-    code path.  In-process engines build them straight off live
-    :class:`~repro.runtime.channel.Channel` objects; the multiprocess
-    engine merges the two endpoint halves reported by the worker
-    processes.  The field set deliberately matches
-    :class:`~repro.obs.report.ChannelTraffic`, so records also feed
-    report building directly.
+    code path, and the run's :class:`~repro.obs.report.RunReport` holds
+    the same records.  The counters are what a channel's
+    :meth:`~repro.runtime.channel.ChannelCore.stats` yields: all of them
+    from an in-process channel, the writer's and the reader's halves
+    from the two endpoints of a cross-process one (a half that never
+    reported — its rank failed — stays zero).
     """
 
     name: str
     writer: int
     reader: int
-    sends: int
-    receives: int
-    bytes_sent: int
-    queue_hwm: int
+    sends: int = 0
+    receives: int = 0
+    bytes_sent: int = 0
+    queue_hwm: int = 0
     # Transport-level counters (zero for in-process channels, which
     # move references rather than frames).
     frames: int = 0
@@ -137,18 +137,6 @@ class ChannelStatsRecord:
     net_syscalls_unvectored: int = 0
     net_vectored: int = 0
 
-    @classmethod
-    def from_channel(cls, ch: Channel) -> "ChannelStatsRecord":
-        return cls(
-            name=ch.name,
-            writer=ch.writer,
-            reader=ch.reader,
-            sends=ch.sends,
-            receives=ch.receives,
-            bytes_sent=ch.bytes_sent,
-            queue_hwm=ch.queue_hwm,
-        )
-
 
 def assemble_run_result(
     *,
@@ -157,17 +145,38 @@ def assemble_run_result(
     engine: str,
     channel_stats: Sequence[ChannelStatsRecord],
     trace: Trace | None = None,
-    report: Any = None,
-    causal: Any = None,
+    observations: Mapping[int, Mapping[str, Any]] | None = None,
+    causal: Mapping[int, Mapping[str, Any]] | None = None,
+    report_name: str | None = None,
 ) -> RunResult:
-    """The single point where a :class:`RunResult` is populated.
+    """The single tail of every run: where a :class:`RunResult` is
+    populated, observation payloads become its report and causal
+    payloads its happens-before trace.
 
+    ``observations`` are :func:`~repro.obs.report.worker_observation`
+    payloads keyed by reporter (one per worker of a process-backed run;
+    an in-process run is a run with one), ``None`` when the run was not
+    observed; ``causal`` are per-rank
+    :meth:`~repro.obs.causal.CausalRecorder.payload` logs.  The report
+    is labelled ``report_name`` (default: the engine's name).
     Centralising this (rather than each engine filling the stats dicts
     ad hoc) keeps the per-channel fields uniform across backends — the
     engine-equivalence tests compare them directly.
     """
-    if report is not None and causal is not None:
-        report.causal = causal
+    nprocs = len(stores)
+    report = causal_trace = None
+    if observations is not None:
+        from repro.obs.report import merge_worker_observations
+
+        report = merge_worker_observations(
+            report_name or engine, nprocs, observations, channel_stats
+        )
+    if causal:
+        from repro.obs.causal import merge_causal_events
+
+        causal_trace = merge_causal_events(causal, nprocs, engine=engine)
+        if report is not None:
+            report.causal = causal_trace
     return RunResult(
         stores=stores,
         returns=returns,
@@ -185,7 +194,7 @@ def assemble_run_result(
         channel_net_vectored={r.name: r.net_vectored for r in channel_stats},
         engine=engine,
         report=report,
-        causal=causal,
+        causal=causal_trace,
     )
 
 
@@ -256,31 +265,23 @@ class RunState:
             )
 
     def result(self, engine: str) -> RunResult:
-        report = causal = None
+        observations = causal = None
         if self.observer is not None:
-            from repro.obs.report import build_run_report
+            from repro.obs.report import worker_observation
 
-            report = build_run_report(
-                self.observer, engine, self.system.nprocs, self.channels.values()
-            )
+            observations = {0: worker_observation(self.observer)}
         if self.recorders is not None:
-            from repro.obs.causal import merge_causal_events
-
-            causal = merge_causal_events(
-                {r.rank: r.payload() for r in self.recorders},
-                self.system.nprocs,
-                engine=engine,
-            )
+            causal = {r.rank: r.payload() for r in self.recorders}
         return assemble_run_result(
             stores=self.stores,
             returns=self.returns,
             engine=engine,
             channel_stats=[
-                ChannelStatsRecord.from_channel(ch)
+                ChannelStatsRecord(ch.name, ch.writer, ch.reader, **ch.stats())
                 for ch in self.channels.values()
             ],
             trace=self.trace,
-            report=report,
+            observations=observations,
             causal=causal,
         )
 

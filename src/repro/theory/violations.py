@@ -103,13 +103,12 @@ class UnsafeMultiWriterChannel(Channel):
     def writer(self):  # type: ignore[override]
         return _AnyRank()
 
-    def send(self, value: Any, *, rank: int) -> int:
-        # Re-implement without the ownership check.
+    def send(self, value: Any, *, rank: int, clock: int | None = None) -> int:
+        # Re-implement without the ownership check (and with the count
+        # under the lock: here the writers really are concurrent).
         with self._lock:
-            if self._closed:
-                raise ChannelError(f"send on closed channel {self.name!r}")
             seq = self.sends
-            self._queue.append(value)
+            self._queue.append((value, clock))
             self.sends += 1
             self._nonempty.notify()
         return seq
@@ -198,14 +197,14 @@ class BoundedChannel(Channel):
 
     CAPACITY = 2
 
-    def send(self, value: Any, *, rank: int) -> int:
+    def send(self, value: Any, *, rank: int, clock: int | None = None) -> int:
         with self._lock:
             if len(self._queue) >= self.CAPACITY:
                 raise ChannelError(
                     f"channel {self.name!r} full (capacity "
                     f"{self.CAPACITY}); finite slack violated the model"
                 )
-        return super().send(value, rank=rank)
+        return super().send(value, rank=rank, clock=clock)
 
 
 class _BoundedSystem(System):

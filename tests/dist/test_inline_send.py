@@ -212,17 +212,17 @@ def test_try_send_frames_tail_survives_scratch_reuse():
     try:
         rest = []
         while not rest:  # fill the socket buffer to the brim
-            rest = w.try_send_frames([(filler, None)])
+            rest = w.try_send_frames([filler])
             expected += _LEN.pack(len(filler)) + filler
         # Full buffer: the next try places nothing and hands the whole
-        # frame back — prefix and clock word copied out of the scratch.
+        # frame back — prefix copied out of the scratch.
         marker = b"m" * 1000
-        image = _LEN.pack(len(marker) | 1 << 63) + _LEN.pack(9) + marker
+        image = _LEN.pack(len(marker)) + marker
         syscalls = w.send_syscalls
-        tail = w.try_send_frames([(marker, 9)])
+        tail = w.try_send_frames([marker])
         assert w.send_syscalls == syscalls + 1  # the EAGAIN is counted
         assert type(tail[0]) is bytes and b"".join(tail) == image
-        w._pack([(b"zzzz", 1), (b"", None)])  # scribble over the scratch
+        w._pack([b"zzzz", b""])  # scribble over the scratch
         assert b"".join(tail) == image
         expected += image
 
@@ -247,10 +247,10 @@ def test_try_send_frames_bytes_match_blocking_send():
     """Inline try-sends (tails finished by send_views) put the same
     bytes on the wire as blocking send_frames."""
     frames = [
-        (b"", None),
-        (b"header", 7),
-        (memoryview(np.arange(300_000, dtype=np.float64)).cast("B"), None),
-        (b"tail", 1 << 40),
+        b"",
+        b"header",
+        memoryview(np.arange(300_000, dtype=np.float64)).cast("B"),
+        b"tail",
     ]
 
     def capture(send):

@@ -282,7 +282,7 @@ def test_socket_channel_roundtrip_stats_and_clean_close():
     assert got[1:] == payloads[1:]
     with pytest.raises(EmptyChannelError):
         r.recv(rank=1, timeout=1.0)
-    assert w.transport == "socket" and r.transport == "socket"
+    assert "wire/net_bytes" in w.wire_metrics  # reported as socket traffic
     assert w.stats()["sends"] == 3
     assert w.stats()["shm_bytes"] == 0  # no shared memory across hosts
     assert w.stats()["pipe_bytes"] > 0  # the socket is this wire

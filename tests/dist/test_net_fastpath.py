@@ -5,8 +5,8 @@ The buffered reader parses frames out of a reusable scratch filled by
 bulk ``recv_into``; a stream socket may deliver those bytes in
 fragments of any size at any offset.  These tests replay valid frame
 streams through a mock socket returning 1..k-byte short reads at every
-split offset — goodbye, clock-flagged, zero-length, and oversized
-(direct-path) frames included — and assert the decode is identical to
+split offset — goodbye, zero-length, and oversized (direct-path)
+frames included — and assert the decode is identical to
 a reference unbuffered parse, and that every truncation point raises
 :class:`~repro.errors.TransportAbortError`, never a hang or a silent
 empty.
@@ -19,54 +19,51 @@ import numpy as np
 import pytest
 
 from repro.dist import wire
-from repro.dist.net.frames import GOODBYE, FrameStream
+from repro.dist.net.frames import _MAX_FRAME, GOODBYE, FrameStream
 from repro.errors import TransportAbortError
 
 # The published framing constants (kept in lockstep with
 # repro.dist.net.frames by the format-compatibility test below).
 _LEN = struct.Struct(">Q")
-_CLOCK_FLAG = 1 << 63
 # Past the buffered reader's direct-read threshold (16 KiB): exercises
 # the zero-copy fall-through and the scratch-drain handoff before it.
 _BIG = 20_000
 
 
-def frame_bytes(payload: bytes, clock: int | None = None) -> bytes:
+def frame_bytes(payload: bytes) -> bytes:
     """One frame exactly as the framing layer puts it on the wire."""
-    if clock is None:
-        return _LEN.pack(len(payload)) + payload
-    return _LEN.pack(len(payload) | _CLOCK_FLAG) + _LEN.pack(clock) + payload
+    return _LEN.pack(len(payload)) + payload
 
 
 def goodbye_bytes() -> bytes:
     return _LEN.pack(GOODBYE)
 
 
-#: (payload, clock) sequence covering the parser's branches: empty
-#: frame, tiny frames (parsed from the scratch), clock-flagged frames
-#: (empty and not), and an oversized frame taking the direct path.
+#: Payload sequence covering the parser's branches: empty frames, tiny
+#: frames (parsed from the scratch), and an oversized frame taking the
+#: direct path.
 FUZZ_FRAMES = [
-    (b"", None),
-    (b"x", None),
-    (b"hello-frame", None),
-    (b"", 7),
-    (b"stamped", 1 << 40),
-    (bytes(range(256)) * 8, None),  # 2 KiB: buffered, spans fills
-    (b"B" * _BIG, 3),  # direct path, clock word prefetched
-    (b"tail", None),
+    b"",
+    b"x",
+    b"hello-frame",
+    b"",
+    b"stamped",
+    bytes(range(256)) * 8,  # 2 KiB: buffered, spans fills
+    b"B" * _BIG,  # direct path, prefix prefetched
+    b"tail",
 ]
 
 
 def stream_bytes(frames, *, goodbye: bool) -> bytes:
-    data = b"".join(frame_bytes(p, c) for p, c in frames)
+    data = b"".join(frame_bytes(p) for p in frames)
     return data + (goodbye_bytes() if goodbye else b"")
 
 
 def reference_decode(data: bytes):
     """The unbuffered parse: straight cursor walk over the byte stream,
     mirroring the original one-read-per-piece decoder.  Returns the
-    ``(payload, clock)`` list up to the goodbye; raises ``ValueError``
-    on truncation."""
+    payload list up to the goodbye; raises ``ValueError`` on
+    truncation."""
     out, pos = [], 0
     while True:
         if pos + _LEN.size > len(data):
@@ -75,16 +72,9 @@ def reference_decode(data: bytes):
         pos += _LEN.size
         if length == GOODBYE:
             return out
-        clock = None
-        if length & _CLOCK_FLAG:
-            if pos + _LEN.size > len(data):
-                raise ValueError("truncated at a clock word")
-            (clock,) = _LEN.unpack_from(data, pos)
-            pos += _LEN.size
-            length &= _CLOCK_FLAG - 1
         if pos + length > len(data):
             raise ValueError("truncated mid-payload")
-        out.append((data[pos : pos + length], clock))
+        out.append(data[pos : pos + length])
         pos += length
 
 
@@ -128,16 +118,14 @@ class ShortReadSocket:
 
 def buffered_decode(data: bytes, pattern=(1,)):
     """Parse ``data`` through a FrameStream over a short-reading mock
-    socket; returns the ``(payload, clock)`` list up to the goodbye."""
+    socket; returns the payload list up to the goodbye."""
     stream = FrameStream(ShortReadSocket(data, pattern))
     out = []
     while True:
         try:
-            payload = stream.recv_bytes()
+            out.append(stream.recv_bytes())
         except EOFError:
             return out
-        out.append((payload, stream.last_clock))
-        stream.last_clock = None
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +135,12 @@ def buffered_decode(data: bytes, pattern=(1,)):
 
 def test_vectored_sender_bytes_match_frame_format():
     """A send_frames gather batch puts byte-identical data on the wire
-    to the documented prefix[/clock]/payload layout — so the fast-path
+    to the documented prefix/payload layout — so the fast-path
     sender stays readable by the original unbuffered decoder."""
     a, b = socket.socketpair()
     w = FrameStream(a)
     try:
-        w.send_frames([(p, c) for p, c in FUZZ_FRAMES])
+        w.send_frames(list(FUZZ_FRAMES))
         w.send_goodbye()
         expected = stream_bytes(FUZZ_FRAMES, goodbye=True)
         got = bytearray()
@@ -192,7 +180,7 @@ def test_send_frames_equals_sequential_send_bytes():
 
     batched = capture(lambda w: w.send_frames(list(FUZZ_FRAMES)))
     sequential = capture(
-        lambda w: [w.send_bytes(p, clock=c) for p, c in FUZZ_FRAMES]
+        lambda w: [w.send_bytes(p) for p in FUZZ_FRAMES]
     )
     assert batched == sequential
 
@@ -218,13 +206,12 @@ def test_short_read_decode_into_arrays():
     handoff must land every byte of a large frame in the right place."""
     arr = np.arange(_BIG // 8, dtype=np.float64)
     raw = memoryview(arr).cast("B").tobytes()
-    data = frame_bytes(b"hdr") + frame_bytes(raw, clock=9) + goodbye_bytes()
+    data = frame_bytes(b"hdr") + frame_bytes(raw) + goodbye_bytes()
     stream = FrameStream(ShortReadSocket(data, (1,)))
     assert stream.recv_bytes() == b"hdr"
     out = np.empty_like(arr)
     n = stream.recv_bytes_into(memoryview(out).cast("B"))
     assert n == len(raw)
-    assert stream.last_clock == 9
     assert np.array_equal(out, arr)
     with pytest.raises(EOFError):
         stream.recv_bytes()
@@ -248,13 +235,11 @@ def _collect_until_abort(data: bytes, pattern):
     got = []
     while True:
         try:
-            payload = stream.recv_bytes()
+            got.append(stream.recv_bytes())
         except TransportAbortError:
             return got, True
         except EOFError:  # pragma: no cover - would be a test bug
             return got, False
-        got.append((payload, stream.last_clock))
-        stream.last_clock = None
 
 
 def test_every_truncation_offset_aborts():
@@ -263,7 +248,7 @@ def test_every_truncation_offset_aborts():
     reference, and the parse then raises TransportAbortError — EOF at
     a boundary without the goodbye is a writer death, not an empty
     channel."""
-    frames = [(b"", None), (b"ab", 5), (b"payload", None), (b"", 1)]
+    frames = [b"", b"ab", b"payload", b""]
     data = stream_bytes(frames, goodbye=False)
     full = reference_decode(data + goodbye_bytes())
     for cut in range(len(data) + 1):
@@ -276,18 +261,56 @@ def test_every_truncation_offset_aborts():
 @pytest.mark.parametrize("cut_from_end", [1, _BIG // 2, _BIG - 1, _BIG])
 def test_truncation_inside_direct_path_frame_aborts(cut_from_end):
     """Cuts inside an oversized frame abort on the zero-copy path too."""
-    data = frame_bytes(b"B" * _BIG, clock=2)
+    data = frame_bytes(b"B" * _BIG)
     stream = FrameStream(ShortReadSocket(data[:-cut_from_end], (1 << 16,)))
     with pytest.raises(TransportAbortError, match="mid-frame"):
         stream.recv_bytes()
 
 
-def test_truncated_clock_word_aborts():
-    data = frame_bytes(b"x", clock=5)
-    # Cut inside the clock word: prefix complete, clock truncated.
-    stream = FrameStream(ShortReadSocket(data[: _LEN.size + 3], (2,)))
-    with pytest.raises(TransportAbortError, match="mid-frame"):
-        stream.recv_bytes()
+# ---------------------------------------------------------------------------
+# The frame bound: an impossible length is a desync, not an allocation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "length",
+    [
+        1 << 63,  # top bit: what announced a clock word before PR 22
+        (1 << 63) | 5,
+        1 << 46,  # raised MemoryError in the reader before the bound
+        1 << 40,
+        _MAX_FRAME + 1,
+    ],
+)
+def test_length_prefix_above_the_frame_bound_aborts(length):
+    data = _LEN.pack(length) + b"x" * 64
+    for receive in (
+        lambda s: s.recv_bytes(),
+        lambda s: s.recv_bytes_into(memoryview(bytearray(8))),
+    ):
+        stream = FrameStream(ShortReadSocket(data, (3,)))
+        with pytest.raises(TransportAbortError, match="out of sync"):
+            receive(stream)
+
+
+def test_length_prefix_at_the_frame_bound_is_a_frame():
+    """The bound itself passes the length check (and then fails the
+    expected-size check, which never allocates)."""
+    stream = FrameStream(ShortReadSocket(_LEN.pack(_MAX_FRAME), (8,)))
+    with pytest.raises(TransportAbortError, match="does not match"):
+        stream.recv_bytes_into(memoryview(bytearray(8)))
+
+
+def test_oversized_prefix_on_a_real_socket_aborts_without_allocating():
+    a, b = socket.socketpair()
+    r = FrameStream(b)
+    try:
+        a.sendall(_LEN.pack(1 << 46))
+        with pytest.raises(TransportAbortError, match="frame bound"):
+            r.recv_bytes()
+    finally:
+        a.close()
+        r.close()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +322,7 @@ def test_poll_and_has_buffered_see_scratch_frames():
     """A bulk fill can pull several frames into user space in one
     syscall; poll/has_buffered must report progress even though the
     mock fd would never select readable."""
-    frames = [(b"one", None), (b"two", None), (b"three", 4)]
+    frames = [b"one", b"two", b"three"]
     data = stream_bytes(frames, goodbye=True)
     stream = FrameStream(ShortReadSocket(data, (1 << 16,)))
     assert stream.recv_bytes() == b"one"
@@ -308,13 +331,12 @@ def test_poll_and_has_buffered_see_scratch_frames():
     assert stream.poll(0.0) is True
     assert stream.recv_bytes() == b"two"
     assert stream.recv_bytes() == b"three"
-    assert stream.last_clock == 4
     with pytest.raises(EOFError):
         stream.recv_bytes()
 
 
 def test_syscall_counters_and_vectoring():
-    data_frames = [(b"header", None), (b"payload-a", None), (b"", None)]
+    data_frames = [b"header", b"payload-a", b""]
     a, b = socket.socketpair()
     w, r = FrameStream(a), FrameStream(b)
     try:
@@ -327,9 +349,7 @@ def test_syscall_counters_and_vectoring():
         # the empty one, one for the goodbye.
         assert w.send_syscalls_unvectored == 2 + 2 + 1 + 1
         assert w.vectored_frames == len(data_frames)
-        assert [r.recv_bytes() for _ in data_frames] == [
-            p for p, _ in data_frames
-        ]
+        assert [r.recv_bytes() for _ in data_frames] == data_frames
         with pytest.raises(EOFError):
             r.recv_bytes()
         assert r.recv_syscalls >= 1

@@ -492,7 +492,16 @@ def job_frame(system, token):
 
 
 @pytest.mark.parametrize(
-    "answer", ["wrong-token", "wrong-kind", "not-arrays", "truncated", "silence"]
+    "answer",
+    [
+        "wrong-token",
+        "wrong-kind",
+        "not-arrays",
+        "truncated",
+        "oversized",
+        "clock-bit",
+        "silence",
+    ],
 )
 def test_a_coordinator_answering_need_wrongly_fails_the_rank_only(answer):
     system = one_rank_system(64)
@@ -515,6 +524,13 @@ def test_a_coordinator_answering_need_wrongly_fails_the_rank_only(answer):
             elif answer == "truncated":
                 stream._sock.sendall(struct.pack(">Q", 4096) + b"half a frame")
                 stream._sock.shutdown(socket.SHUT_WR)
+            elif answer == "oversized":
+                # No frame is this long: refused before 64 TiB are
+                # reserved for it (a MemoryError in the handler once).
+                stream._sock.sendall(struct.pack(">Q", 1 << 46))
+            elif answer == "clock-bit":
+                # The retired clock-word framing: top bit, then a word.
+                stream._sock.sendall(struct.pack(">QQ", 1 << 63 | 16, 7))
             kind, rank, (how, data, _tb) = wire.recv(stream)
             assert (kind, rank, how) == ("error", 0, "pickle")
             assert isinstance(closures.loads(data), TransportError)

@@ -75,15 +75,20 @@ class TestServing:
         assert live_segment_names() == frozenset()
 
     def test_jobs_overlap_on_the_pool(self):
-        # Two one-rank sleepers on two slots must co-run: total wall
-        # clock well under the serialized sum.
+        # Two one-rank sleepers on two slots must co-run, by the
+        # server's own record (no wall-clock bound): both were in
+        # flight at once, and their dispatch-to-done intervals
+        # intersect.
         with JobServer(pool_size=2, max_inflight=2) as server:
-            t0 = time.perf_counter()
             futs = [server.submit(sleeper_system(0.4)) for _ in range(2)]
             for fut in futs:
                 fut.result(timeout=60)
-            elapsed = time.perf_counter() - t0
-        assert elapsed < 0.75  # two serialized sleeps would be >= 0.8
+            first, second = server.job_stats()
+            stats = server.stats()
+        assert stats["inflight_hwm"] == 2
+        assert max(first.t_dispatch, second.t_dispatch) < min(
+            first.t_done, second.t_done
+        )
 
     def test_reject_policy_raises_when_saturated(self):
         with JobServer(

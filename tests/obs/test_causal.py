@@ -9,7 +9,6 @@ from repro.obs.causal import (
     CausalRecorder,
     CausalTrace,
     LamportClock,
-    iter_spill,
     merge_causal_events,
 )
 from repro.obs.export import chrome_trace_dict
@@ -53,26 +52,15 @@ def test_recorder_records_sends_recvs_steps():
     assert recv.sent_clock == 7 and recv.clock == 8
 
 
-def test_recorder_ring_drops_oldest_without_spill_path():
-    rec = CausalRecorder(rank=0, capacity=3)
+def test_recorder_ring_drops_oldest(monkeypatch):
+    monkeypatch.setattr("repro.obs.causal.RING_CAPACITY", 3)
+    rec = CausalRecorder(rank=0)
     for i in range(5):
         rec.on_send("c", i)
     assert len(rec.events) == 3
     assert rec.dropped == 2
     # Newest events survive.
     assert [e.seq for e in rec.events] == [2, 3, 4]
-
-
-def test_recorder_spills_oldest_to_jsonl(tmp_path):
-    spill = tmp_path / "spill.jsonl"
-    rec = CausalRecorder(rank=1, capacity=2, spill_path=str(spill))
-    for i in range(5):
-        rec.on_send("c", i)
-    rec.close()
-    assert rec.dropped == 0 and rec.spilled == 3
-    spilled = list(iter_spill(spill))
-    assert [e.seq for e in spilled] == [0, 1, 2]
-    assert all(e.rank == 1 and e.kind == "send" for e in spilled)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import json
 
 from repro.obs import (
-    ChannelTraffic,
     ProcessTimes,
     RunReport,
     StreamTraffic,
@@ -14,6 +13,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.spans import Span
+from repro.runtime.system import ChannelStatsRecord
 
 
 def sample_report() -> RunReport:
@@ -25,8 +25,8 @@ def sample_report() -> RunReport:
             ProcessTimes(1, "P1", wall=1.5, blocked=1.0),
         ],
         channels=[
-            ChannelTraffic("c0", 0, 1, sends=3, receives=3, bytes_sent=24, queue_hwm=2),
-            ChannelTraffic("c1", 1, 0, sends=3, receives=3, bytes_sent=24, queue_hwm=1),
+            ChannelStatsRecord("c0", 0, 1, sends=3, receives=3, bytes_sent=24, queue_hwm=2),
+            ChannelStatsRecord("c1", 1, 0, sends=3, receives=3, bytes_sent=24, queue_hwm=1),
         ],
         streams=[StreamTraffic(0, 1, 7, messages=3, nbytes=24)],
         spans=[

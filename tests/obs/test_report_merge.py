@@ -5,17 +5,13 @@ order, which races)."""
 import json
 
 from repro.obs.report import merge_worker_observations
+from repro.runtime.system import ChannelStatsRecord
 
 
-class FakeChannel:
-    def __init__(self, name, writer, reader):
-        self.name = name
-        self.writer = writer
-        self.reader = reader
-        self.sends = 3
-        self.receives = 3
-        self.bytes_sent = 96
-        self.queue_hwm = 1
+def record(name, writer, reader):
+    return ChannelStatsRecord(
+        name, writer, reader, sends=3, receives=3, bytes_sent=96, queue_hwm=1
+    )
 
 
 def observation(rank, epoch):
@@ -35,7 +31,7 @@ def observation(rank, epoch):
 
 
 def test_merge_is_deterministic_across_payload_arrival_orders():
-    channels = [FakeChannel("c0", 0, 1), FakeChannel("c1", 1, 0)]
+    channels = [record("c0", 0, 1), record("c1", 1, 0)]
     # Same epoch for both ranks: every span t0 ties across ranks, so
     # only the tiebreak chain keeps the merged order deterministic.
     payloads = {0: observation(0, 10.0), 1: observation(1, 10.0)}

@@ -1,0 +1,224 @@
+"""The channel contract, once, over every kind of channel.
+
+:class:`~repro.runtime.channel.ChannelCore` owns what a rank may do
+with a channel and what it is told when it may not; the in-memory
+channel, the pipe channel (with and without a staging slab) and the
+socket channel supply only storage.  One parametrised body therefore
+checks all four: the same exception type *and message* for every
+misuse, FIFO order, exact counters, and a causal stamp that comes out
+with the value it went in with — whether that value rode the slab, fell
+back to the pipe, or was header-only.
+
+Both ends of every pair live in this process (a pipe and a socketpair
+need no fork), so the reader can be stalled, closed or never started at
+will.
+"""
+
+import multiprocessing
+import socket
+
+import numpy as np
+import pytest
+
+from repro.dist.channels import EndpointSpec, ProcChannel
+from repro.dist.net.frames import FrameStream
+from repro.dist.net.transport import NetEndpointSpec, SocketChannel
+from repro.dist.shm import SharedStoreArena
+from repro.errors import (
+    ChannelError,
+    ChannelOwnershipError,
+    EmptyChannelError,
+)
+from repro.runtime import ENGINE_NAMES, Channel, ChannelSpec, make_engine
+from repro.runtime.system import ChannelStatsRecord
+from repro.util import bitwise_equal_arrays, payload_nbytes
+
+KINDS = ["memory", "pipe+slab", "pipe", "socket"]
+SLAB = 256  # bytes: an 8-float array rides it, a 64-float one cannot
+
+
+@pytest.fixture(params=KINDS)
+def ends(request):
+    """``(writer_end, reader_end)`` of channel ``'c'``, rank 0 -> rank 1
+    (one object twice for the in-memory kind)."""
+    kind = request.param
+    arena = None
+    if kind == "memory":
+        w = r = Channel(ChannelSpec("c", 0, 1))
+    elif kind == "socket":
+        a, b = socket.socketpair()
+        w = SocketChannel(NetEndpointSpec("c", 0, 1, "w", conn=FrameStream(a)))
+        r = SocketChannel(NetEndpointSpec("c", 0, 1, "r", conn=FrameStream(b)))
+    else:
+        r_conn, w_conn = multiprocessing.Pipe(duplex=False)
+        segment, slab = "", 0
+        if kind == "pipe+slab":
+            arena = SharedStoreArena()
+            segment, slab = arena.new_channel(SLAB), SLAB
+        w = ProcChannel(EndpointSpec("c", 0, 1, "w", w_conn, segment, slab))
+        r = ProcChannel(EndpointSpec("c", 0, 1, "r", r_conn, segment, slab))
+    yield w, r
+    r.close()  # first: the writer's flush must not wait on a reader
+    w.close()
+    if arena is not None:
+        arena.cleanup()
+
+
+def same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return bitwise_equal_arrays(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+# ---------------------------------------------------------------------------
+# Misuse: identical type and text on every kind
+# ---------------------------------------------------------------------------
+
+
+def test_wrong_rank_send(ends):
+    w, _ = ends
+    with pytest.raises(ChannelOwnershipError) as err:
+        w.send(1, rank=5)
+    assert str(err.value) == "rank 5 sent on channel 'c' owned by writer 0"
+    assert w.sends == 0
+
+
+def test_wrong_rank_recv(ends):
+    w, r = ends
+    w.send(1, rank=0)
+    with pytest.raises(ChannelOwnershipError) as err:
+        r.recv(rank=5, timeout=1.0)
+    assert str(err.value) == (
+        "rank 5 received on channel 'c' owned by reader 1"
+    )
+    assert r.receives == 0
+    assert r.recv(rank=1, timeout=5.0) == 1  # nothing was consumed
+
+
+def test_send_after_close(ends):
+    w, _ = ends
+    w.close()
+    with pytest.raises(ChannelError) as err:
+        w.send(1, rank=0)
+    assert str(err.value) == (
+        "send on closed channel 'c' (writer already finished once; a "
+        "channel is closed exactly when its writer terminates)"
+    )
+
+
+def test_recv_timeout(ends):
+    _, r = ends
+    with pytest.raises(EmptyChannelError) as err:
+        r.recv(rank=1, timeout=0.05)
+    assert str(err.value) == (
+        "receive on channel 'c' timed out after 0.05s (likely deadlock)"
+    )
+
+
+def test_recv_after_writer_close_drains_then_reports_eof(ends):
+    w, r = ends
+    w.send("last", rank=0)
+    w.close()
+    assert r.recv(rank=1, timeout=5.0) == "last"
+    with pytest.raises(EmptyChannelError) as err:
+        r.recv(rank=1, timeout=5.0)
+    assert str(err.value) == (
+        "receive on channel 'c': writer 0 terminated with the channel empty"
+    )
+
+
+def test_receive_that_may_not_wait_on_an_empty_channel(ends):
+    _, r = ends
+    with pytest.raises(EmptyChannelError, match="not known to be non-empty"):
+        r.recv_nowait(rank=1)
+
+
+# ---------------------------------------------------------------------------
+# FIFO, counters, stamps
+# ---------------------------------------------------------------------------
+
+
+def values():
+    """Header-only values, arrays that fit the slab, arrays that do not
+    (those cross the pipe, through the feeder thread), and a mix."""
+    return [
+        0,
+        "text",
+        np.arange(8.0),
+        np.arange(64.0),
+        {"small": np.arange(4.0), "big": np.ones((16, 16)), "n": 3},
+        None,
+        np.arange(8.0) * 2,
+        (1, 2, 3),
+    ]
+
+
+def test_fifo_order_and_exact_counters(ends):
+    w, r = ends
+    sent = values()
+    assert [w.send(v, rank=0) for v in sent] == list(range(len(sent)))
+    got = [r.recv(rank=1, timeout=10.0) for _ in sent]
+    assert all(same(a, b) for a, b in zip(sent, got))
+    assert w.sends == len(sent)
+    assert r.receives == len(sent)
+    assert w.bytes_sent == sum(payload_nbytes(v) for v in sent)
+    assert not r.poll()
+    # The two ends' reports make one record, whatever the kind.
+    record = ChannelStatsRecord("c", 0, 1, **{**w.stats(), **r.stats()})
+    assert (record.sends, record.receives) == (len(sent), len(sent))
+    assert record.bytes_sent == w.bytes_sent
+
+
+def test_kth_stamp_in_is_kth_stamp_out(ends):
+    w, r = ends
+    sent = values()
+    # None in, None out — interleaved with real stamps.
+    clocks = [None if k % 3 == 2 else 7 * k + 1 for k in range(len(sent))]
+    for v, c in zip(sent, clocks):
+        w.send(v, rank=0, clock=c)
+    got = [r.recv_stamped(rank=1, timeout=10.0) for _ in sent]
+    assert [c for _, c in got] == clocks
+    assert all(same(a, b) for a, (b, _) in zip(sent, got))
+    if getattr(w.spec, "slab_size", 0):
+        # ... and on this kind some stamped arrays really rode the slab
+        # while the 64-float ones really fell back to the pipe.
+        assert w.shm_bytes > 0
+        assert w.pipe_bytes > 2 * 64 * 8
+
+
+# ---------------------------------------------------------------------------
+# One executor: the same stamps on every engine
+# ---------------------------------------------------------------------------
+
+
+def test_e1_send_clocks_equal_on_all_engines():
+    """Lamport stamps are a function of the (determinate) history, so
+    per ``(channel, seq)`` every engine must record the same send clock
+    — the in-memory queue entry and both wire headers carry one stamp
+    the same way — and every merged trace must validate."""
+    from repro.apps.fdtd import build_parallel_fdtd
+    from repro.cli import _e1_problem
+
+    system = build_parallel_fdtd(
+        pshape=(2, 1, 1), **_e1_problem()
+    ).to_parallel()
+    clocks = {}
+    for name in ENGINE_NAMES:
+        engine = make_engine(name, trace_causal=True)
+        try:
+            causal = engine.run(system).causal
+        finally:
+            getattr(engine, "close", lambda: None)()
+        assert causal.validate() == [], name
+        assert causal.dropped == 0, name
+        clocks[name] = {
+            (e.channel, e.seq): e.clock
+            for e in causal.events
+            if e.kind == "send"
+        }
+    reference = clocks["cooperative"]
+    assert reference
+    for name in ENGINE_NAMES:
+        assert clocks[name] == reference, name
