@@ -777,8 +777,8 @@ def run_stats(args, out=print) -> bool:
 def run_trace(args, out=print) -> bool:
     """``python -m repro trace <e1|e2> [options]`` — run the
     experiment's parallel program once with causal tracing on, merge
-    the per-rank Lamport-clocked event logs into one happens-before
-    partial order, check it (every receive must causally follow its
+    the per-rank event logs by Lamport clock into one happens-before
+    order, check it (every receive must causally follow its
     send), and render the Figure-1-style timeline.
     """
     import json
@@ -796,7 +796,7 @@ def run_trace(args, out=print) -> bool:
         out("engine returned no causal trace")
         return False
 
-    out(causal.render(limit=args.limit or None))
+    out(causal.render_columns(limit=args.limit or None))
     pairs = causal.send_recv_pairs()
     violations = causal.validate()
     out(

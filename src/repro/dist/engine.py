@@ -45,9 +45,10 @@ What was collected is a :class:`Collected` record, and
 engines end in — is shared with the TCP coordinator
 (:func:`repro.dist.net.engine.run_assigned`).
 
-Tracing is unsupported: a trace is a single observation order, and
-separate address spaces have none to offer.  Requesting one raises
-:class:`~repro.errors.RuntimeModelError` up front.
+``trace=True`` is refused: it asks for the observed order, and separate
+address spaces have none to offer (:class:`~repro.errors.
+RuntimeModelError` up front).  ``trace_causal=True`` gives the same
+events in happens-before order, which is all :mod:`repro.theory` needs.
 """
 
 from __future__ import annotations
@@ -153,9 +154,9 @@ class Collected:
     """What one run's ranks reported, keyed by rank.
 
     Filled by :func:`collect_results`; a rank is in ``errors`` or in
-    ``returns``/``overrides``/``stats``, never both.  ``causal`` holds a
-    rank's :meth:`~repro.obs.causal.CausalRecorder.payload` when the job
-    ran with causal tracing.  ``t_run0`` is the "go" of the start
+    ``returns``/``overrides``/``stats``, never both.  ``logs`` holds a
+    rank's :meth:`~repro.runtime.trace.EventLog.payload` when the job
+    ran observed or causally traced.  ``t_run0`` is the "go" of the start
     barrier (``None`` if it was never reached), ``t_run1`` the last
     terminal report.
     """
@@ -164,7 +165,7 @@ class Collected:
     overrides: dict[int, dict] = field(default_factory=dict)
     stats: dict[int, dict] = field(default_factory=dict)
     observations: dict[int, dict] = field(default_factory=dict)
-    causal: dict[int, dict] = field(default_factory=dict)
+    logs: dict[int, dict] = field(default_factory=dict)
     errors: dict[int, BaseException] = field(default_factory=dict)
     t_run0: float | None = None
     t_run1: float | None = None
@@ -192,13 +193,13 @@ class Collected:
         stores: list[dict[str, Any]],
         engine_name: str,
         observe: bool,
-        *,
+        trace_causal: bool = False,
         report_name: str | None = None,
     ) -> RunResult:
         """The tail of every process-backed run: raise the lowest failed
         rank's :class:`~repro.errors.ProcessFailedError`, else fuse the
         channel statistics and hand them, the worker observations
-        (``observe``) and the causal payloads to the one assembly
+        (``observe``) and the event logs to the one assembly
         (:func:`~repro.runtime.system.assemble_run_result`).  The
         observation report is labelled ``report_name`` (default: the
         engine's name)."""
@@ -212,8 +213,9 @@ class Collected:
             returns=[self.returns.get(r) for r in range(system.nprocs)],
             engine=engine_name,
             channel_stats=merge_channel_stats(system, self.stats),
+            logs=self.logs,
             observations=self.observations if observe else None,
-            causal=self.causal,
+            causal=trace_causal,
             report_name=report_name,
         )
 
@@ -292,8 +294,8 @@ def collect_results(
             out.stats[rank] = payload["stats"]
             if payload["obs"] is not None:
                 out.observations[rank] = payload["obs"]
-            if payload.get("causal") is not None:
-                out.causal[rank] = payload["causal"]
+            if payload["log"] is not None:
+                out.logs[rank] = payload["log"]
             terminal.add(rank)
         elif kind == "error":
             fail(rank, _rebuild_exception(msg[2]))
@@ -559,7 +561,7 @@ def run_on_pool(
         if timing_sink is not None:
             timing_sink.update((collected or Collected()).timing(t_start))
     return collected.finish(
-        system, stores, "multiprocess", observe, report_name=report_name
+        system, stores, "multiprocess", observe, trace_causal, report_name
     )
 
 
@@ -605,9 +607,10 @@ class MultiprocessEngine:
         (the caller shuts it down) and may be shared with other engines
         and servers.
     trace_causal:
-        Per-rank Lamport-clock event logs (:mod:`repro.obs.causal`),
-        shipped home in the done payload and merged into the result's
-        ``causal`` :class:`~repro.obs.causal.CausalTrace`.  This is the
+        Lamport stamps on every message; the per-rank event logs
+        (:mod:`repro.runtime.trace`), shipped home in the done payload,
+        are merged by clock into the result's ``causal``
+        :class:`~repro.runtime.trace.Trace`.  This is the
         tracing the process engines *can* do — a happens-before partial
         order needs no global observation order — and it is a pure
         refinement: final field state is bitwise identical on/off.
@@ -638,11 +641,11 @@ class MultiprocessEngine:
     ):
         if trace:
             raise RuntimeModelError(
-                "the multiprocess engine cannot trace: a trace is a single "
-                "observation order, and separate address spaces have none; "
-                "use trace_causal=True for the happens-before partial "
-                "order, or the threaded/cooperative engine for total-order "
-                "traces"
+                "the multiprocess engine cannot trace: trace=True asks for "
+                "the observed order, and separate address spaces have none; "
+                "use trace_causal=True for the same events in "
+                "happens-before order, or the threaded/cooperative engine "
+                "for an observed one"
             )
         if start_method not in ("spawn", "fork"):
             raise ValueError(f"unsupported start method {start_method!r}")

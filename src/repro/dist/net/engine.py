@@ -360,7 +360,9 @@ def run_assigned(
         {**sets[p.rank][1], **collected.overrides.get(p.rank, p.store)}
         for p in system.processes
     ]
-    result = collected.finish(system, stores, engine_name, observe)
+    result = collected.finish(
+        system, stores, engine_name, observe, trace_causal
+    )
     if result.report is not None:
         result.report.metrics["wire/net_control_bytes"] = (
             control_out + control_in
@@ -398,9 +400,10 @@ class SocketEngine:
         After the first rank failure, how long to wait for the rest to
         unwind via the EOF/abort cascade before giving up on them.
     trace_causal:
-        Per-rank Lamport-clock event logs (:mod:`repro.obs.causal`),
-        merged into the result's ``causal``
-        :class:`~repro.obs.causal.CausalTrace`.  Stamps cross hosts in
+        Lamport stamps on every message; the per-rank event logs
+        (:mod:`repro.runtime.trace`) are merged by clock into the
+        result's ``causal`` :class:`~repro.runtime.trace.Trace`, which
+        :mod:`repro.theory` reads like any other.  Stamps cross hosts in
         the wire header of the value they belong to
         (:mod:`repro.dist.wire`), so even a fleet-spanning run is traced
         end-to-end; pure refinement —
@@ -432,11 +435,11 @@ class SocketEngine:
     ):
         if trace:
             raise RuntimeModelError(
-                "the socket engine cannot trace: a trace is a single "
-                "observation order, and ranks on separate hosts have none; "
-                "use trace_causal=True for the happens-before partial "
-                "order, or the threaded/cooperative engine for total-order "
-                "traces"
+                "the socket engine cannot trace: trace=True asks for the "
+                "observed order, and ranks on separate hosts have none; "
+                "use trace_causal=True for the same events in "
+                "happens-before order, or the threaded/cooperative engine "
+                "for an observed one"
             )
         self._recv_timeout = recv_timeout
         self._observe = bool(observe)

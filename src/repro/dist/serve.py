@@ -95,8 +95,8 @@ class JobServer(JobServerCore):
     crash_grace / affinity / trace_causal:
         As on :class:`~repro.dist.engine.MultiprocessEngine`, applied
         per job.  With ``trace_causal=True`` each job's result carries
-        its own :class:`~repro.obs.causal.CausalTrace` and the job's
-        :class:`JobStats` summarises it (event count, causal depth) —
+        its own happens-before :class:`~repro.runtime.trace.Trace` and
+        the job's :class:`JobStats` summarises it (event count, causal depth) —
         the per-job span trees the fleet-serving telemetry builds on.
     """
 

@@ -36,7 +36,7 @@ single-writer and each endpoint performs one send/receive at a time.
 FIFO pipe order plus in-order descriptor consumption is what makes the
 single consumed-counter sufficient.
 
-**Causal stamps.**  With causal tracing on (see :mod:`repro.obs.causal`)
+**Causal stamps.**  With causal tracing on (see :mod:`repro.runtime.trace`)
 a value carries its sender's Lamport clock in one place, whatever the
 wire: the header pickle grows a third element ``(skeleton, metas,
 clock)``, and :func:`recv_traced` returns ``(value, clock)``.  With

@@ -54,6 +54,7 @@ from repro.dist.channels import EndpointSpec, ProcChannel
 from repro.dist.shm import attach_store, close_handles, flush_store
 from repro.errors import TransportError
 from repro.runtime.context import Executor, ProcessContext
+from repro.runtime.trace import EventLog
 
 __all__ = [
     "ResidentConstants",
@@ -284,14 +285,9 @@ def run_job(
 
             observer = Observer()
 
-        recorder = None
         executor = Executor(recv_timeout)
-        executor.observer = observer
-        if trace_causal:
-            from repro.obs.causal import CausalRecorder
-
-            recorder = CausalRecorder(rank)
-            executor.causal = {rank: recorder}
+        if observe or trace_causal:
+            executor.log = {rank: EventLog(rank, trace_causal)}
         ctx = ProcessContext(
             rank=rank,
             nprocs=nprocs,
@@ -330,7 +326,7 @@ def run_job(
             from repro.obs.report import worker_observation
 
             _wire_metrics(observer, out.values())
-            obs_payload = worker_observation(observer)
+            obs_payload = worker_observation(observer, executor.log)
 
         wire.send(
             result_conn,
@@ -342,7 +338,7 @@ def run_job(
                     "overrides": overrides,
                     "stats": stats,
                     "obs": obs_payload,
-                    "causal": recorder.payload() if recorder else None,
+                    "log": executor.log and executor.log[rank].payload(),
                 },
             ),
         )

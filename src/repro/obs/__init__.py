@@ -14,10 +14,9 @@ the instrumentation that makes those things measurable:
 * :mod:`~repro.obs.report` — the frozen :class:`RunReport`: per-process
   compute/blocked wall time, per-channel traffic and queue high-water
   marks, the rank × rank communication matrix, per-tag streams, spans
-  and metrics, rendered as tables;
-* :mod:`~repro.obs.causal` — Lamport clocks, per-rank causal event
-  logs, and the merged happens-before :class:`CausalTrace` — the
-  tracing that works on every engine, including across hosts;
+  and metrics, rendered as tables (what a rank did with its channels,
+  and so its blocked time, is read from the run's one event log,
+  :mod:`repro.runtime.trace`);
 * :mod:`~repro.obs.export` — JSONL event log (lossless round trip) and
   Chrome trace-event JSON for ``chrome://tracing`` / Perfetto;
 * :mod:`~repro.obs.validate` — measured traffic vs
@@ -54,13 +53,6 @@ from repro.obs.report import (
     ProcessTimes,
     RunReport,
     StreamTraffic,
-)
-from repro.obs.causal import (
-    CausalEvent,
-    CausalRecorder,
-    CausalTrace,
-    LamportClock,
-    merge_causal_events,
 )
 from repro.obs.export import (
     chrome_trace_dict,
@@ -99,11 +91,6 @@ __all__ = [
     "ProcessTimes",
     "RunReport",
     "StreamTraffic",
-    "CausalEvent",
-    "CausalRecorder",
-    "CausalTrace",
-    "LamportClock",
-    "merge_causal_events",
     "chrome_trace_dict",
     "read_chrome_trace",
     "read_jsonl",

@@ -73,67 +73,29 @@ def _lane_map(report: RunReport) -> dict[int, tuple[int, int]]:
     return lanes
 
 
+def _meta(pid: int, tid: int, what: str, **args: Any) -> dict[str, Any]:
+    """One metadata (``"ph": "M"``) event: a lane's name or sort key."""
+    return {"ph": "M", "pid": pid, "tid": tid, "name": what, "args": args}
+
+
 def chrome_trace_dict(report: RunReport) -> dict[str, Any]:
     """The report's spans (and causal edges) as a Trace Event Format
     object."""
     lanes = _lane_map(report)
     names = {p.rank: p.name for p in report.processes}
     events: list[dict[str, Any]] = [
-        {
-            "ph": "M",
-            "pid": _PID,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": f"repro run ({report.engine})"},
-        },
-        {
-            "ph": "M",
-            "pid": _PID,
-            "tid": 0,
-            "name": "process_sort_index",
-            "args": {"sort_index": _PID},
-        },
+        _meta(_PID, 0, "process_name", name=f"repro run ({report.engine})"),
+        _meta(_PID, 0, "process_sort_index", sort_index=_PID),
     ]
     if any(pid == _AUX_PID for pid, _tid in lanes.values()):
-        events.append(
-            {
-                "ph": "M",
-                "pid": _AUX_PID,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": f"repro aux spans ({report.engine})"},
-            }
-        )
-        events.append(
-            {
-                "ph": "M",
-                "pid": _AUX_PID,
-                "tid": 0,
-                "name": "process_sort_index",
-                "args": {"sort_index": _AUX_PID},
-            }
-        )
+        aux = f"repro aux spans ({report.engine})"
+        events.append(_meta(_AUX_PID, 0, "process_name", name=aux))
+        events.append(_meta(_AUX_PID, 0, "process_sort_index", sort_index=_AUX_PID))
     for rank in sorted(lanes):
         pid, tid = lanes[rank]
         label = names.get(rank, f"P{rank}" if pid == _PID else f"span-{rank}")
-        events.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "name": "thread_name",
-                "args": {"name": label},
-            }
-        )
-        events.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "name": "thread_sort_index",
-                "args": {"sort_index": tid},
-            }
-        )
+        events.append(_meta(pid, tid, "thread_name", name=label))
+        events.append(_meta(pid, tid, "thread_sort_index", sort_index=tid))
     for span in report.spans:
         pid, tid = lanes[span.rank]
         event: dict[str, Any] = {

@@ -1,12 +1,15 @@
 """The per-run observer: the single collection point for instrumentation.
 
 An :class:`Observer` is created for (at most) one run and threaded
-through it: engines call the lifecycle and blocked-receive hooks, the
+through it: engines call the lifecycle hooks, the
 communicator reports tagged streams, and any layer may open
 :meth:`Observer.span` intervals or touch :attr:`Observer.registry`
 metrics.  After the run its :func:`repro.obs.report.worker_observation`
 payload is frozen into a :class:`~repro.obs.report.RunReport` by the
-one run tail (:func:`repro.runtime.system.assemble_run_result`).
+one run tail (:func:`repro.runtime.system.assemble_run_result`), which
+joins it with the run's event log (:mod:`repro.runtime.trace`): what a
+rank did with its channels — and so how long it sat blocked on each
+receive — is recorded there, once, not here.
 
 Design rules:
 
@@ -57,7 +60,7 @@ class Observer:
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder(clock)
         self._lock = threading.Lock()
-        # rank -> [name, start, wall, blocked]
+        # rank -> [name, start, wall]
         self._procs: dict[int, list] = {}
         # (src, dst, tag) -> [messages, bytes]
         self._streams: dict[tuple[int, int, int], list] = {}
@@ -66,7 +69,7 @@ class Observer:
 
     def process_started(self, rank: int, name: str = "") -> None:
         with self._lock:
-            self._procs[rank] = [name or f"P{rank}", self.clock(), 0.0, 0.0]
+            self._procs[rank] = [name or f"P{rank}", self.clock(), 0.0]
 
     def process_finished(self, rank: int) -> None:
         now = self.clock()
@@ -74,16 +77,6 @@ class Observer:
             entry = self._procs.get(rank)
             if entry is not None:
                 entry[2] = now - entry[1]
-
-    def recv_blocked(
-        self, rank: int, channel_name: str, t0: float, t1: float
-    ) -> None:
-        """One receive's blocked interval, timed by the engine."""
-        with self._lock:
-            entry = self._procs.get(rank)
-            if entry is not None:
-                entry[3] += t1 - t0
-        self.spans.add(rank, f"recv {channel_name}", "blocked", t0, t1)
 
     # -- communicator hook ---------------------------------------------------
 
@@ -106,18 +99,18 @@ class Observer:
 
     # -- frozen views --------------------------------------------------------
 
-    def process_times(self) -> dict[int, tuple[str, float, float]]:
-        """``rank -> (name, wall, blocked)`` for every observed process.
+    def process_times(self) -> dict[int, tuple[str, float]]:
+        """``rank -> (name, wall)`` for every observed process.
 
         A process still running (finish hook not yet called) reports its
         wall time as elapsed-so-far.
         """
         now = self.clock()
         with self._lock:
-            out = {}
-            for rank, (name, start, wall, blocked) in self._procs.items():
-                out[rank] = (name, wall if wall else now - start, blocked)
-            return out
+            return {
+                rank: (name, wall if wall else now - start)
+                for rank, (name, start, wall) in self._procs.items()
+            }
 
     def stream_stats(self) -> dict[tuple[int, int, int], tuple[int, int]]:
         """``(src, dst, tag) -> (messages, bytes)`` for tagged streams."""
@@ -150,18 +143,13 @@ class NullObserver(Observer):
     def process_finished(self, rank: int) -> None:
         pass
 
-    def recv_blocked(
-        self, rank: int, channel_name: str, t0: float, t1: float
-    ) -> None:
-        pass
-
     def message(self, src: int, dst: int, tag: int, nbytes: int) -> None:
         pass
 
     def span(self, rank: int, name: str, cat: str = "phase", **args: Any):
         return _NULL_CM
 
-    def process_times(self) -> dict[int, tuple[str, float, float]]:
+    def process_times(self) -> dict[int, tuple[str, float]]:
         return {}
 
     def stream_stats(self) -> dict[tuple[int, int, int], tuple[int, int]]:

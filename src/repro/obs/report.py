@@ -25,11 +25,13 @@ tests check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.obs.spans import Span
 from repro.runtime.system import ChannelStatsRecord
+from repro.runtime.trace import Trace
 from repro.util import format_table
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "RunReport",
     "worker_observation",
     "merge_worker_observations",
+    "blocked_spans",
 ]
 
 
@@ -96,10 +99,10 @@ class RunReport:
     streams: list[StreamTraffic] = field(default_factory=list)
     spans: list[Span] = field(default_factory=list)
     metrics: dict[str, int | float] = field(default_factory=dict)
-    #: Merged :class:`~repro.obs.causal.CausalTrace` when the run was
-    #: causally traced (``trace_causal=True``), else ``None``.  Feeds
-    #: the Chrome exporter's send→recv flow events.
-    causal: Any = None
+    #: The run's happens-before :class:`~repro.runtime.trace.Trace`
+    #: when it was causally traced (``trace_causal=True``), else
+    #: ``None``.  Feeds the Chrome exporter's send→recv flow events.
+    causal: Trace | None = None
 
     # -- aggregations --------------------------------------------------------
 
@@ -239,15 +242,7 @@ class RunReport:
             {"type": "run", "engine": self.engine, "nprocs": self.nprocs}
         ]
         for p in self.processes:
-            events.append(
-                {
-                    "type": "process",
-                    "rank": p.rank,
-                    "name": p.name,
-                    "wall": p.wall,
-                    "blocked": p.blocked,
-                }
-            )
+            events.append({"type": "process", **asdict(p)})
         for c in self.channels:
             events.append(
                 {
@@ -274,18 +269,7 @@ class RunReport:
                 }
             )
         for sp in self.spans:
-            events.append(
-                {
-                    "type": "span",
-                    "name": sp.name,
-                    "cat": sp.cat,
-                    "rank": sp.rank,
-                    "t0": sp.t0,
-                    "t1": sp.t1,
-                    "depth": sp.depth,
-                    "args": dict(sp.args),
-                }
-            )
+            events.append({"type": "span", **asdict(sp)})
         for name, value in sorted(self.metrics.items()):
             events.append({"type": "metric", "name": name, "value": value})
         if self.causal is not None:
@@ -345,14 +329,14 @@ class RunReport:
             elif kind == "metric":
                 report.metrics[ev["name"]] = ev["value"]
             elif kind == "causal":
-                from repro.obs.causal import CausalTrace
-
-                report.causal = CausalTrace.from_dict(ev)
+                report.causal = Trace.from_dict(ev)
         return report
 
 
-def worker_observation(observer) -> dict[str, Any]:
-    """One observer, flattened: the payload of the run tail.
+def worker_observation(observer, log) -> dict[str, Any]:
+    """One observer, flattened: the payload of the run tail.  A rank's
+    blocked time is its :class:`~repro.runtime.trace.EventLog`'s running
+    sum (``log[rank]``), which no ring overflow can lose.
 
     An in-process run has one observer and so one payload; the
     process-backed engines run an independent observer per worker
@@ -365,7 +349,10 @@ def worker_observation(observer) -> dict[str, Any]:
     """
     return {
         "epoch": observer.epoch,
-        "procs": observer.process_times(),
+        "procs": {
+            rank: (name, wall, log[rank].blocked)
+            for rank, (name, wall) in observer.process_times().items()
+        },
         "streams": observer.stream_stats(),
         "spans": [
             (s.name, s.cat, s.rank, s.t0, s.t1, s.depth, dict(s.args))
@@ -380,9 +367,12 @@ def merge_worker_observations(
     nprocs: int,
     observations: Mapping[int, Mapping[str, Any]],
     channels: Iterable[ChannelStatsRecord],
+    trace: Trace | None = None,
 ) -> RunReport:
     """Fuse observation payloads into one :class:`RunReport`;
-    ``channels`` are the run's records, which the report holds as given.
+    ``channels`` are the run's records, which the report holds as given,
+    and ``trace`` its merged event log (on the same epoch), whose
+    receives become the report's ``"blocked"`` spans.
 
     The merged run epoch is the earliest worker epoch, so span and
     process timestamps from different workers land on one timeline.
@@ -415,6 +405,8 @@ def merge_worker_observations(
         StreamTraffic(src, dst, tag, count, nbytes)
         for (src, dst, tag), (count, nbytes) in sorted(stream_acc.items())
     ]
+    if trace is not None:
+        spans += blocked_spans(trace, spans)
     # Full tiebreak chain: worker payloads arrive in completion order,
     # and same-timestamp spans (coarse clocks, symmetric ranks) must
     # still land in one deterministic merged order.
@@ -428,3 +420,27 @@ def merge_worker_observations(
         spans=spans,
         metrics=metrics,
     )
+
+
+def blocked_spans(trace: Trace, spans: list[Span]) -> list[Span]:
+    """One ``"blocked"`` span per receive event of ``trace``, from its
+    request to the value in hand.
+
+    ``depth`` is the nesting level of the receive: the number of its
+    rank's ``spans`` begun and not yet ended at the request (a rank is
+    one thread, so each of them contains it; other ranks' cancel out).
+    """
+    begun = sorted((s.rank, s.t0) for s in spans)
+    ended = sorted((s.rank, s.t1) for s in spans)
+    return [
+        Span(
+            f"recv {e.channel}",
+            "blocked",
+            e.rank,
+            e.t0,
+            e.t1,
+            bisect_right(begun, (e.rank, e.t0)) - bisect_left(ended, (e.rank, e.t0)),
+        )
+        for e in trace
+        if e.kind == "recv"
+    ]

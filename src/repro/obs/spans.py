@@ -2,7 +2,10 @@
 
 A :class:`Span` is one closed interval of one process's execution — a
 program stage, a collective operation, a blocked receive — with a name,
-a category, and optional key/value arguments.  Spans are what the
+a category, and optional key/value arguments.  The layers above
+channels open theirs through a :class:`SpanRecorder`; a blocked
+receive's is made at the run tail from the receive's event
+(:func:`repro.obs.report.blocked_spans`).  Spans are what the
 Chrome trace-event export turns into the bars of a
 ``chrome://tracing`` / Perfetto timeline (process = the run, thread =
 the rank).
@@ -94,19 +97,6 @@ class SpanRecorder:
             t1 = self._clock()
             self._depths[rank] = depth
             self.record(Span(name, cat, rank, t0, t1, depth, args))
-
-    def add(
-        self,
-        rank: int,
-        name: str,
-        cat: str,
-        t0: float,
-        t1: float,
-        **args: Any,
-    ) -> None:
-        """Record a span whose endpoints the caller already measured
-        (used for blocked-receive intervals timed inside engines)."""
-        self.record(Span(name, cat, rank, t0, t1, self._depths.get(rank, 0), args))
 
     @property
     def spans(self) -> list[Span]:

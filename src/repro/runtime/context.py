@@ -15,8 +15,8 @@ legally do in the paper's model flows through the
   draws it.
 
 The context is engine-agnostic: it forwards each action to the run's
-:class:`Executor`, which performs it and feeds whatever instruments the
-run carries — once, for every engine.  The free-running engines
+:class:`Executor`, which performs it and records it in the run's
+event log — once, for every engine.  The free-running engines
 (threaded, multiprocess, socket) use the class as it is (receives
 block); the cooperative engine's subclass first asks its scheduler for
 permission, which is how controlled interleavings are produced from
@@ -25,12 +25,10 @@ unmodified process bodies.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from repro.errors import ChannelError
 from repro.runtime.channel import Channel
-from repro.runtime.trace import Trace
 
 __all__ = ["ProcessContext", "Executor"]
 
@@ -39,81 +37,61 @@ class Executor:
     """Performs a rank's actions on its channels and records them.
 
     Recording is the executor's job, not the channel's: each action
-    feeds the run's :class:`~repro.runtime.trace.Trace` (total order;
-    in-process engines only), its observer's blocked-receive timing and
-    its :class:`~repro.obs.causal.CausalRecorder` — every one optional,
-    and with none attached no clock is read and no lock taken.
+    makes one call into the rank's
+    :class:`~repro.runtime.trace.EventLog` — the one record the
+    observed-order trace, the happens-before trace and the
+    blocked/compute split are all read from — and with no log attached
+    no clock is read and no lock taken.
 
-    Trace recording takes a lock (the trace list is shared); per-channel
-    sequence numbers are race-free without extra locking because each
+    Nothing here locks: a rank's log is written by that rank's thread
+    alone, and per-channel sequence numbers are race-free because each
     channel has exactly one writer and one reader.
     """
 
-    def __init__(
-        self, recv_timeout: float | None = None, trace: Trace | None = None
-    ):
+    def __init__(self, recv_timeout: float | None = None):
         self.recv_timeout = recv_timeout
-        self.trace = trace
-        self._trace_lock = threading.Lock()
-        #: The run's observer, or ``None``.
-        self.observer = None
-        #: ``rank -> CausalRecorder`` (a list or a dict) for the ranks
-        #: this executor serves, or ``None``.  A send's Lamport stamp
-        #: goes into the channel with the value and comes out with it.
-        self.causal = None
+        #: ``rank -> EventLog`` (a list or a dict) for the ranks this
+        #: executor serves, or ``None``.  A send's Lamport stamp goes
+        #: into the channel with the value and comes out with it.
+        self.log = None
 
     def _park(self, rank: int, kind: str, channel: Channel | None) -> None:
         """Called before every action; free-running engines act at once."""
-
-    def _record(self, rank: int, kind: str, channel, seq: int, label="") -> None:
-        with self._trace_lock:
-            self.trace.record(rank, kind, channel, seq, label=label)
 
     def exec_send(self, rank: int, channel: Channel, value: Any) -> None:
         """Perform (or schedule and perform) a send."""
         self._park(rank, "send", channel)
         stamp = None
-        if self.causal is not None:
+        if self.log is not None:
             # SRSW: this thread is the only sender, so ``sends`` is the
-            # seq the send below will return.
-            stamp = self.causal[rank].on_send(channel.name, channel.sends)
-        seq = channel.send(value, rank=rank, clock=stamp)
-        if self.trace is not None:
-            self._record(rank, "send", channel.name, seq)
+            # seq the send below will return.  Recorded *before* the
+            # value enters the channel (and its receive after the value
+            # is in hand), so no receive is observed ahead of its send.
+            stamp = self.log[rank].record("send", channel.name, channel.sends)
+        channel.send(value, rank=rank, clock=stamp)
 
     def exec_recv(self, rank: int, channel: Channel) -> Any:
         """Perform a blocking receive; returns the received value.
 
-        With an observer attached the receive's blocked interval is
-        timed from the request to the value in hand — the wait on the
-        channel under a free-running engine, the park-to-grant wait
-        under the cooperative one (whose scheduler grants a receive
-        only once the channel is non-empty).
+        With a log attached the receive's blocked interval is timed
+        from the request to the value in hand — the wait on the channel
+        under a free-running engine, the park-to-grant wait under the
+        cooperative one (whose scheduler grants a receive only once the
+        channel is non-empty).
         """
-        observer = self.observer
-        if observer is not None:
-            t0 = observer.clock()
+        if self.log is not None:
+            return self.log[rank].receive(channel, self._recv)
+        return self._recv(rank, channel)[0]
+
+    def _recv(self, rank: int, channel: Channel) -> tuple[Any, int | None]:
         self._park(rank, "recv", channel)
-        value, stamp = channel.recv_stamped(
-            rank=rank, timeout=self.recv_timeout
-        )
-        if observer is not None:
-            observer.recv_blocked(rank, channel.name, t0, observer.clock())
-        # SRSW: this thread is the only receiver, so ``receives`` is
-        # stable between the receive above and the reads below.
-        if self.causal is not None:
-            self.causal[rank].on_recv(channel.name, channel.receives - 1, stamp)
-        if self.trace is not None:
-            self._record(rank, "recv", channel.name, channel.receives - 1)
-        return value
+        return channel.recv_stamped(rank=rank, timeout=self.recv_timeout)
 
     def exec_step(self, rank: int, label: str) -> None:
         """Mark a local-computation step."""
         self._park(rank, "step", None)
-        if self.causal is not None:
-            self.causal[rank].on_step(label)
-        if self.trace is not None:
-            self._record(rank, "step", None, -1, label)
+        if self.log is not None:
+            self.log[rank].record("step", label=label)
 
 
 class ProcessContext:

@@ -46,7 +46,6 @@ from repro.runtime.schedulers import (
     SchedulingPolicy,
 )
 from repro.runtime.system import RunResult, RunState, System
-from repro.runtime.trace import Trace
 
 __all__ = ["CooperativeEngine"]
 
@@ -82,15 +81,15 @@ class _CooperativeExecutor(Executor):
 
     A granted receive is made with ``timeout=0``: the engine grants it
     only after verifying the channel non-empty, so it must succeed at
-    once.  With an observer attached, each receive's park-to-grant
+    once.  With a log attached, each receive's park-to-grant
     interval is its blocked time: under the simulation a process is
     "blocked on recv" exactly while it waits for the scheduler to grant
     the receive, so the measured interval is the simulated analogue of
     the threaded engine's wait on the condition variable.
     """
 
-    def __init__(self, trace: Trace | None):
-        super().__init__(recv_timeout=0, trace=trace)
+    def __init__(self):
+        super().__init__(recv_timeout=0)
         self.slots: list[_Slot] = []
 
     def _park(self, rank: int, kind: str, channel: Channel | None) -> None:
@@ -127,11 +126,11 @@ class CooperativeEngine:
         serialisation the scheduler imposes, so the split describes the
         *simulated* schedule, not hardware parallelism.
     trace_causal:
-        Record per-rank Lamport-clock event logs and merge them into a
-        happens-before :class:`~repro.obs.causal.CausalTrace` on the
-        result's ``causal`` field — the engine-independent counterpart
-        of ``trace``.  Pure refinement: recording cannot change what
-        any body computes.
+        Stamp every sent value with its sender's Lamport clock and
+        merge the event log by clock into the result's ``causal``
+        :class:`~repro.runtime.trace.Trace` — the engine-independent
+        counterpart of ``trace``.  Pure refinement: recording cannot
+        change what any body computes.
     """
 
     name = "cooperative"
@@ -145,10 +144,9 @@ class CooperativeEngine:
         trace_causal: bool = False,
     ):
         self.policy = policy or RoundRobinPolicy()
-        self._trace_enabled = trace
         self._max_actions = max_actions
-        self._observe = observe
-        self._trace_causal = trace_causal
+        #: What a run's :class:`RunState` is told to record.
+        self._instruments = (trace, observe, trace_causal)
 
     # -- helpers -------------------------------------------------------------
 
@@ -173,23 +171,9 @@ class CooperativeEngine:
         return out
 
     @staticmethod
-    def _blocked_map(slots: list[_Slot]) -> dict[int, str]:
-        waiting = {}
-        for slot in slots:
-            if slot.finished or slot.pending is None:
-                continue
-            req = slot.pending
-            if req.kind == "recv" and req.channel is not None:
-                waiting[slot.rank] = (
-                    f"recv on empty channel {req.channel.name!r} "
-                    f"(writer {req.channel.writer})"
-                )
-        return waiting
-
-    @staticmethod
     def _blocked_edges(slots: list[_Slot]) -> dict[int, tuple[str, int]]:
-        """Structured form of :meth:`_blocked_map`:
-        rank -> (channel name, peer rank waited on)."""
+        """Who waits for whom: rank -> (channel name, peer rank), for
+        every rank parked on a receive."""
         blocked = {}
         for slot in slots:
             if slot.finished or slot.pending is None:
@@ -205,18 +189,16 @@ class CooperativeEngine:
         the cycle report on its ``deadlock`` field."""
         from repro.runtime.deadlock import build_report
 
-        waiting = self._blocked_map(slots)
-        report = build_report(self._blocked_edges(slots), waiting)
-        # Snapshot the partial state without the observer or the causal
-        # recorders: the run report builder assumes finished processes,
-        # and the abort that follows makes its numbers meaningless
-        # anyway.
-        saved = state.observer, state.recorders
-        state.observer = state.recorders = None
-        try:
-            partial = state.result(self.name)
-        finally:
-            state.observer, state.recorders = saved
+        edges = self._blocked_edges(slots)
+        waiting = {
+            rank: f"recv on empty channel {name!r} (writer {peer})"
+            for rank, (name, peer) in edges.items()
+        }
+        report = build_report(edges, waiting)
+        # Snapshot the partial state without the observer: the run
+        # report builder assumes finished processes, and the abort that
+        # follows makes its numbers meaningless anyway.
+        partial = state.result(self.name, report=False)
         partial.deadlock = report
         live = [s for s in slots if not s.finished]
         raise DeadlockError(
@@ -237,32 +219,21 @@ class CooperativeEngine:
     # -- main entry ------------------------------------------------------------
 
     def run(self, system: System) -> RunResult:
-        trace = Trace() if self._trace_enabled else None
-        executor = _CooperativeExecutor(trace)
-        state = RunState(
-            system, executor, trace, self._observe, self._trace_causal
-        )
-        observer = state.observer
+        executor = _CooperativeExecutor()
+        state = RunState(system, executor, *self._instruments)
         slots = [_Slot(p.rank) for p in system.processes]
         executor.slots = slots
         self.policy.reset()
 
         def runner(rank: int) -> None:
             slot = slots[rank]
-            ctx = state.contexts[rank]
-            if observer is not None:
-                observer.process_started(rank, ctx.name)
             try:
-                state.returns[rank] = system.processes[rank].body(ctx)
+                state.run_body(rank)
             except _AbortExecution:
                 pass
             except BaseException as exc:  # noqa: BLE001 - reported below
                 slot.error = exc
             finally:
-                for ch in ctx.out_channels.values():
-                    ch.close()
-                if observer is not None:
-                    observer.process_finished(rank)
                 slot.finished = True
                 slot.pending = None
                 slot.parked.set()

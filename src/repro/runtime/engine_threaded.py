@@ -26,7 +26,6 @@ import threading
 from repro.errors import wrap_process_failure
 from repro.runtime.context import Executor
 from repro.runtime.system import RunResult, RunState, System
-from repro.runtime.trace import Trace
 
 __all__ = ["ThreadedEngine"]
 
@@ -38,7 +37,7 @@ class ThreadedEngine:
     ----------
     trace:
         Record an execution trace (observation order).  Off by default:
-        tracing serialises on a lock and perturbs timing.
+        recording reads a clock per action and perturbs timing.
     recv_timeout:
         Optional upper bound, in seconds, on any single blocking
         receive.  ``None`` (default) waits indefinitely.
@@ -49,12 +48,12 @@ class ThreadedEngine:
         Off by default — the un-observed path never reads a clock.
         The result's ``report`` carries the per-run summary.
     trace_causal:
-        Record per-rank Lamport-clock event logs and merge them into a
-        happens-before :class:`~repro.obs.causal.CausalTrace` on the
-        result's ``causal`` field.  Unlike ``trace`` this never imposes
-        an observation order, so it is also available on the process
-        engines; recording is a pure refinement — it cannot change what
-        any body computes.
+        Stamp every sent value with its sender's Lamport clock and
+        merge the event log by clock into the result's ``causal``
+        :class:`~repro.runtime.trace.Trace`.  Unlike ``trace`` this
+        needs no observation order, so it is also available on the
+        process engines; recording is a pure refinement — it cannot
+        change what any body computes.
     """
 
     name = "threaded"
@@ -66,36 +65,21 @@ class ThreadedEngine:
         observe=False,
         trace_causal: bool = False,
     ):
-        self._trace_enabled = trace
         self._recv_timeout = recv_timeout
-        self._observe = observe
-        self._trace_causal = trace_causal
+        #: What a run's :class:`RunState` is told to record.
+        self._instruments = (trace, observe, trace_causal)
 
     def run(self, system: System) -> RunResult:
-        trace = Trace() if self._trace_enabled else None
-        executor = Executor(self._recv_timeout, trace)
-        state = RunState(
-            system, executor, trace, self._observe, self._trace_causal
-        )
-        observer = state.observer
+        executor = Executor(self._recv_timeout)
+        state = RunState(system, executor, *self._instruments)
         errors: dict[int, BaseException] = {}
         threads: list[threading.Thread] = []
 
         def runner(rank: int) -> None:
-            ctx = state.contexts[rank]
-            if observer is not None:
-                observer.process_started(rank, ctx.name)
             try:
-                state.returns[rank] = system.processes[rank].body(ctx)
+                state.run_body(rank)
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors[rank] = exc
-            finally:
-                # Closing write channels wakes readers blocked on queues
-                # this process will never fill again.
-                for ch in ctx.out_channels.values():
-                    ch.close()
-                if observer is not None:
-                    observer.process_finished(rank)
 
         for p in system.processes:
             t = threading.Thread(

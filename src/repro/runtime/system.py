@@ -17,6 +17,7 @@ Wiring rules enforced here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -24,7 +25,7 @@ from repro.errors import ChannelError, RuntimeModelError
 from repro.runtime.channel import Channel, ChannelSpec
 from repro.runtime.context import ProcessContext
 from repro.runtime.process import ProcessSpec
-from repro.runtime.trace import Trace
+from repro.runtime.trace import EventLog, Trace
 
 __all__ = [
     "System",
@@ -42,7 +43,8 @@ class RunResult:
     The *final state* in the sense of Theorem 1 is ``(stores, returns)``:
     the contents of every process's address space at termination plus
     the value returned by each body.  ``trace`` is populated when the
-    engine ran with tracing enabled; ``schedule`` is the interleaving as
+    engine ran with tracing enabled — the run's events in observed
+    order; ``schedule`` is the interleaving as
     a rank sequence (replayable), and ``channel_stats`` maps channel
     name to ``(sends, receives)``.  ``channel_hwm`` maps channel name to
     the queue-occupancy high-water mark, and ``report`` is the full
@@ -77,11 +79,11 @@ class RunResult:
     channel_net_vectored: dict[str, int] = field(default_factory=dict)
     engine: str = ""
     report: Any = None
-    #: Merged :class:`~repro.obs.causal.CausalTrace` when the engine ran
-    #: with ``trace_causal=True``, else ``None``.  Unlike ``trace`` (a
-    #: total order, in-process engines only) this is the happens-before
-    #: partial order and exists on every engine.
-    causal: Any = None
+    #: The run's events merged by Lamport clock when the engine ran
+    #: with ``trace_causal=True``, else ``None``.  Unlike ``trace`` (the
+    #: observed order, in-process engines only) this linear extension of
+    #: the happens-before partial order exists on every engine.
+    causal: Trace | None = None
     #: :class:`~repro.runtime.deadlock.DeadlockReport` when this result
     #: is the *partial* state snapshotted by the cooperative engine at
     #: deadlock detection (attached to the raised ``DeadlockError``);
@@ -144,43 +146,47 @@ def assemble_run_result(
     returns: list[Any],
     engine: str,
     channel_stats: Sequence[ChannelStatsRecord],
-    trace: Trace | None = None,
+    logs: Mapping[int, Mapping[str, Any]] | None = None,
     observations: Mapping[int, Mapping[str, Any]] | None = None,
-    causal: Mapping[int, Mapping[str, Any]] | None = None,
+    trace: bool = False,
+    causal: bool = False,
     report_name: str | None = None,
 ) -> RunResult:
     """The single tail of every run: where a :class:`RunResult` is
-    populated, observation payloads become its report and causal
-    payloads its happens-before trace.
+    populated, the per-rank event logs are merged once and read as its
+    observed-order ``trace``, its happens-before ``causal`` trace and
+    its report's blocked spans.
 
-    ``observations`` are :func:`~repro.obs.report.worker_observation`
+    ``logs`` are per-rank :meth:`~repro.runtime.trace.EventLog.payload`
+    logs (none when nothing asked for them), ``trace`` / ``causal`` the
+    orders asked for.  ``observations`` are
+    :func:`~repro.obs.report.worker_observation`
     payloads keyed by reporter (one per worker of a process-backed run;
     an in-process run is a run with one), ``None`` when the run was not
-    observed; ``causal`` are per-rank
-    :meth:`~repro.obs.causal.CausalRecorder.payload` logs.  The report
+    observed.  The report
     is labelled ``report_name`` (default: the engine's name).
     Centralising this (rather than each engine filling the stats dicts
     ad hoc) keeps the per-channel fields uniform across backends — the
     engine-equivalence tests compare them directly.
     """
     nprocs = len(stores)
-    report = causal_trace = None
+    report = merged = None
+    if logs:
+        # An observed run's events share its report's epoch.
+        epochs = [obs["epoch"] for obs in (observations or {}).values()]
+        merged = Trace.merge(logs, nprocs, engine, min(epochs, default=None))
     if observations is not None:
         from repro.obs.report import merge_worker_observations
 
         report = merge_worker_observations(
-            report_name or engine, nprocs, observations, channel_stats
+            report_name or engine, nprocs, observations, channel_stats, merged
         )
-    if causal:
-        from repro.obs.causal import merge_causal_events
-
-        causal_trace = merge_causal_events(causal, nprocs, engine=engine)
-        if report is not None:
-            report.causal = causal_trace
+        if causal:
+            report.causal = merged
     return RunResult(
         stores=stores,
         returns=returns,
-        trace=trace,
+        trace=merged.by_index() if trace and merged else None,
         channel_stats={r.name: (r.sends, r.receives) for r in channel_stats},
         channel_bytes={r.name: r.bytes_sent for r in channel_stats},
         channel_hwm={r.name: r.queue_hwm for r in channel_stats},
@@ -194,7 +200,7 @@ def assemble_run_result(
         channel_net_vectored={r.name: r.net_vectored for r in channel_stats},
         engine=engine,
         report=report,
-        causal=causal_trace,
+        causal=merged if causal else None,
     )
 
 
@@ -204,34 +210,36 @@ class RunState:
     one preamble and one tail.
 
     ``observe`` is ``True`` (a fresh :class:`~repro.obs.observer.
-    Observer`), an ``Observer`` instance (used as given), or falsy;
-    ``trace_causal`` asks for one :class:`~repro.obs.causal.
-    CausalRecorder` per rank.  Both are handed to ``executor`` as its
-    ``observer`` / ``causal`` attributes before any context exists.
+    Observer`), an ``Observer`` instance (used as given), or falsy.
+    Any of ``trace`` / ``observe`` / ``trace_causal`` switches on one
+    :class:`~repro.runtime.trace.EventLog` per rank, sharing one
+    observation counter; they are handed to ``executor`` as its ``log``
+    attribute before any context exists.
     """
 
     def __init__(
         self,
         system: "System",
         executor,
-        trace: Trace | None,
+        trace: bool = False,
         observe=False,
         trace_causal: bool = False,
     ):
         self.system = system
         self.trace = trace
+        self.trace_causal = trace_causal
         if observe is True:
             from repro.obs.observer import Observer
 
             observe = Observer()
         self.observer = observe or None
-        self.recorders = None
-        if trace_causal:
-            from repro.obs.causal import CausalRecorder
-
-            self.recorders = [CausalRecorder(p.rank) for p in system.processes]
-        executor.observer = self.observer
-        executor.causal = self.recorders
+        self.log = None
+        if trace or trace_causal or self.observer is not None:
+            order = itertools.count()
+            self.log = [
+                EventLog(p.rank, trace_causal, order) for p in system.processes
+            ]
+        executor.log = self.log
         self.channels: dict[str, Channel] = {
             spec.name: system.make_channel(spec) for spec in system.channel_specs
         }
@@ -264,14 +272,28 @@ class RunState:
                 )
             )
 
-    def result(self, engine: str) -> RunResult:
-        observations = causal = None
+    def run_body(self, rank: int) -> None:
+        """Run one rank's body between its lifecycle hooks; what it
+        raises propagates."""
+        ctx = self.contexts[rank]
         if self.observer is not None:
+            self.observer.process_started(rank, ctx.name)
+        try:
+            self.returns[rank] = self.system.processes[rank].body(ctx)
+        finally:
+            # Closing write channels wakes readers blocked on queues
+            # this process will never fill again.
+            for ch in ctx.out_channels.values():
+                ch.close()
+            if self.observer is not None:
+                self.observer.process_finished(rank)
+
+    def result(self, engine: str, report: bool = True) -> RunResult:
+        observations = None
+        if self.observer is not None and report:
             from repro.obs.report import worker_observation
 
-            observations = {0: worker_observation(self.observer)}
-        if self.recorders is not None:
-            causal = {r.rank: r.payload() for r in self.recorders}
+            observations = {0: worker_observation(self.observer, self.log)}
         return assemble_run_result(
             stores=self.stores,
             returns=self.returns,
@@ -280,9 +302,10 @@ class RunState:
                 ChannelStatsRecord(ch.name, ch.writer, ch.reader, **ch.stats())
                 for ch in self.channels.values()
             ],
-            trace=self.trace,
+            logs={log.rank: log.payload() for log in self.log or ()},
             observations=observations,
-            causal=causal,
+            trace=self.trace,
+            causal=self.trace_causal,
         )
 
 

@@ -38,7 +38,10 @@ __all__ = ["state_digest", "DeterminacyReport", "check_determinacy"]
 
 def _canonical_bytes(value: Any, out: list[bytes]) -> None:
     """Serialise a store value into a canonical byte stream."""
-    if isinstance(value, np.ndarray):
+    # bool first: it is an int subclass, and ``True`` must not read as 1.
+    if isinstance(value, (bool, np.bool_)):
+        out.append(b"b1" if value else b"b0")
+    elif isinstance(value, np.ndarray):
         out.append(b"A")
         out.append(str(value.dtype).encode())
         out.append(str(value.shape).encode())
@@ -57,8 +60,6 @@ def _canonical_bytes(value: Any, out: list[bytes]) -> None:
         out.append(value)
     elif value is None:
         out.append(b"N")
-    elif isinstance(value, bool):
-        out.append(b"b1" if value else b"b0")
     elif isinstance(value, dict):
         out.append(b"D")
         for k in sorted(value, key=repr):
@@ -164,7 +165,9 @@ def check_determinacy(
             continue
         digest = state_digest(result)
         report.digests[digest] = report.digests.get(digest, 0) + 1
+        # Only a run that got this far produced a schedule to count.
         schedules.add(tuple(result.schedule))
+        report.schedules_seen += 1
 
     for k in range(threaded_runs):
         report.runs += 1
@@ -179,8 +182,5 @@ def check_determinacy(
         digest = state_digest(result)
         report.digests[digest] = report.digests.get(digest, 0) + 1
 
-    report.schedules_seen = len(schedules) and report.engine_breakdown.get(
-        "cooperative", 0
-    )
     report.distinct_schedules = len(schedules)
     return report

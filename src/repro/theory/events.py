@@ -2,7 +2,9 @@
 
 The engine-side definitions of :class:`~repro.runtime.trace.Event` and
 :class:`~repro.runtime.trace.Trace` live in :mod:`repro.runtime.trace`
-(re-exported here for convenience).  What the theory layer adds is a
+(re-exported here for convenience); a trace is any engine's — the
+observed order of an in-process run or the clock-order merge of a
+process or socket one.  What the theory layer adds is a
 notion of *event identity that survives reordering*: the same logical
 action of the same process occupies different global positions in
 different interleavings, so comparing interleavings requires a
@@ -12,7 +14,8 @@ For the deterministic processes of the paper's model, a process's own
 action sequence is the same in every maximal interleaving (its k-th
 action is determined by its program and the values it has received,
 which are determined by channel FIFO order).  Hence
-``(rank, local_index)`` identifies an action across interleavings, and
+``(rank, local_index)`` — recorded with every event — identifies an
+action across interleavings, and
 ``(kind, channel, seq)`` must agree wherever the key agrees — a
 consistency condition :func:`check_same_action_sequences` verifies on
 recorded trace pairs.
@@ -36,20 +39,12 @@ EventKey = tuple[int, int]
 
 def event_key(trace: Trace, index: int) -> EventKey:
     """Key of the event at global position ``index`` of ``trace``."""
-    ev = trace[index]
-    local = sum(1 for e in trace.events[:index] if e.rank == ev.rank)
-    return (ev.rank, local)
+    return (trace[index].rank, trace[index].local_index)
 
 
 def trace_keys(trace: Trace) -> list[EventKey]:
     """Keys of all events, in the trace's interleaving order."""
-    counters: dict[int, int] = {}
-    keys: list[EventKey] = []
-    for ev in trace:
-        k = counters.get(ev.rank, 0)
-        keys.append((ev.rank, k))
-        counters[ev.rank] = k + 1
-    return keys
+    return [(ev.rank, ev.local_index) for ev in trace]
 
 
 def check_same_action_sequences(a: Trace, b: Trace) -> bool:

@@ -1,4 +1,6 @@
-"""The happens-before (dependence) relation over a trace.
+"""The happens-before (dependence) relation over a trace — any
+engine's: the observed order of an in-process run (``result.trace``) or
+the clock-order merge every engine produces (``result.causal``).
 
 Two sources of ordering exist in the paper's model:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import RuntimeModelError
 from repro.runtime.trace import Trace
 
 __all__ = ["HappensBefore"]
@@ -43,20 +46,23 @@ class HappensBefore:
         self.trace = trace
         n = len(trace)
         self._n = n
-        # Direct edges i -> j (i precedes j).
-        edges: list[tuple[int, int]] = []
+        # Direct edges i -> j (i precedes j).  A send that is merely
+        # absent (ring overflow, a deadlock's partial trace) leaves its
+        # receive unmatched; one recorded *after* its receive would be
+        # an edge the forward sweep below silently loses.
+        pos = {ev: i for i, ev in enumerate(trace)}
+        edges = [(pos[s], pos[r]) for s, r in trace.send_recv_pairs()]
+        for i, j in edges:
+            if i > j:
+                raise RuntimeModelError(
+                    f"{trace[j].brief()} at position {j} precedes its send at "
+                    f"position {i}: not a linear extension of happens-before"
+                )
         last_by_rank: dict[int, int] = {}
-        send_pos: dict[tuple[str, int], int] = {}
         for i, ev in enumerate(trace):
             if ev.rank in last_by_rank:
                 edges.append((last_by_rank[ev.rank], i))
             last_by_rank[ev.rank] = i
-            if ev.kind == "send":
-                send_pos[(ev.channel, ev.seq)] = i
-            elif ev.kind == "recv":
-                j = send_pos.get((ev.channel, ev.seq))
-                if j is not None:
-                    edges.append((j, i))
         # Reachability via boolean matrix closure in topological
         # (trace) order: every edge goes forward in the recorded
         # interleaving, so one forward sweep suffices.

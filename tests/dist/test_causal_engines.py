@@ -9,6 +9,11 @@ Two properties, on every backend:
    frame headers intact).
 2. **Tracing is a pure refinement** — running with ``trace_causal=True``
    produces bitwise identical final state to the untraced run.
+
+And one consequence of both being readings of one event log: a process
+or socket run's ``causal`` trace is an ordinary
+:class:`~repro.runtime.trace.Trace`, so :mod:`repro.theory` reads it —
+Foata form, action sequences, replay — like a cooperative run's.
 """
 
 import socket
@@ -169,6 +174,81 @@ def test_chrome_trace_has_flow_events_for_every_matched_pair():
         if e.get("cat") == "causal" and e["ph"] == "s"
     ]
     assert len(starts) == len(report.causal.send_recv_pairs()) == 12
+
+
+# ---------------------------------------------------------------------------
+# The theory layer reads every engine's trace
+# ---------------------------------------------------------------------------
+
+
+def e1_system():
+    from repro.apps.fdtd import build_parallel_fdtd
+    from repro.cli import _e1_problem
+
+    return build_parallel_fdtd(pshape=(2, 1, 1), **_e1_problem()).to_parallel()
+
+
+def run_once(name, system, **kwargs):
+    engine = make_engine(name, **kwargs)
+    try:
+        return engine.run(system)
+    finally:
+        getattr(engine, "close", lambda: None)()
+
+
+def test_e1_is_one_mazurkiewicz_class_on_all_five_engines():
+    """Theorem 1 made visible: whatever engine ran it and whichever
+    order its events were merged in, E1 has one Foata normal form and
+    one action sequence per process."""
+    from repro.runtime import ENGINE_NAMES
+    from repro.theory import foata_normal_form
+    from repro.theory.events import check_same_action_sequences
+
+    system = e1_system()
+    observed = CooperativeEngine(trace=True).run(system).trace
+    reference = foata_normal_form(observed)
+    assert reference.total_events == 152
+    for name in ENGINE_NAMES:
+        causal = run_once(name, system, trace_causal=True).causal
+        assert type(causal) is type(observed), name
+        assert foata_normal_form(causal) == reference, name
+        assert check_same_action_sequences(causal, observed), name
+        if name in ("multiprocess", "multiprocess+pool", "socket"):
+            assert {e.index for e in causal} == {-1}, name
+
+
+def test_cooperative_engine_replays_a_pooled_multiprocess_causal_order():
+    from repro.runtime import ReplayPolicy
+    from repro.theory import state_digest
+
+    system = e1_system()
+    pooled = run_once("multiprocess+pool", system, trace_causal=True)
+    replayed = CooperativeEngine(
+        ReplayPolicy(pooled.causal.schedule())
+    ).run(system)
+    assert replayed.schedule == pooled.causal.schedule()
+    assert state_digest(replayed) == state_digest(pooled)
+
+
+@pytest.mark.parametrize("name", ["multiprocess", "socket"])
+def test_blocked_split_is_a_reading_of_the_receive_events(name):
+    """Events cross the result pipe once; the report's blocked column
+    and its "blocked" spans are made from them at the run tail."""
+    result = run_once(name, stencil_ring(), observe=True, trace_causal=True)
+    report = result.report
+    recvs = [e for e in result.causal if e.kind == "recv"]
+    assert len(recvs) == 12
+    for p in report.processes:
+        mine = [e.t1 - e.t0 for e in recvs if e.rank == p.rank]
+        assert p.blocked == pytest.approx(sum(mine))
+    blocked = [s for s in report.spans if s.cat == "blocked"]
+    assert sorted((s.rank, s.name, s.t0, s.t1) for s in blocked) == sorted(
+        (e.rank, f"recv {e.channel}", e.t0, e.t1) for e in recvs
+    )
+    # Observed alone, the same log is kept, and no stamp rides.
+    plain = run_once(name, stencil_ring(), observe=True)
+    assert plain.causal is None and plain.trace is None
+    assert len([s for s in plain.report.spans if s.cat == "blocked"]) == 12
 
 
 # ---------------------------------------------------------------------------

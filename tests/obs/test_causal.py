@@ -1,19 +1,13 @@
-"""Causal-tracing unit tests: Lamport clocks, the per-rank recorder
+"""Causal-tracing unit tests: Lamport clocks, the per-rank event-log
 ring, the happens-before merge, validation, rendering, serialisation,
 and the Chrome exporter's lane assignment + flow events."""
 
 import json
 
-from repro.obs.causal import (
-    CausalEvent,
-    CausalRecorder,
-    CausalTrace,
-    LamportClock,
-    merge_causal_events,
-)
 from repro.obs.export import chrome_trace_dict
 from repro.obs.report import ProcessTimes, RunReport
 from repro.obs.spans import Span
+from repro.runtime.trace import Event, EventLog, Trace
 
 
 # ---------------------------------------------------------------------------
@@ -22,16 +16,18 @@ from repro.obs.spans import Span
 
 
 def test_lamport_tick_is_strictly_increasing():
-    clock = LamportClock()
-    seen = [clock.tick() for _ in range(5)]
+    log = EventLog(0, stamps=True)
+    seen = [log.record("step") for _ in range(5)]
     assert seen == [1, 2, 3, 4, 5]
 
 
 def test_lamport_merge_strictly_exceeds_both_operands():
-    clock = LamportClock(3)
-    assert clock.merge(10) == 11  # message ahead of us
-    assert clock.merge(2) == 12  # message behind us
-    assert clock.value == 12
+    log = EventLog(0, stamps=True)
+    for _ in range(3):
+        log.record("step")
+    assert log.record("recv", "c", 0, sent_clock=10) == 11  # message ahead
+    assert log.record("recv", "c", 1, sent_clock=2) == 12  # message behind
+    assert log.clock == 12
 
 
 # ---------------------------------------------------------------------------
@@ -39,28 +35,39 @@ def test_lamport_merge_strictly_exceeds_both_operands():
 # ---------------------------------------------------------------------------
 
 
+def events_of(log):
+    return Trace.merge({log.rank: log.payload()}, 1, epoch=0.0).events
+
+
 def test_recorder_records_sends_recvs_steps():
-    rec = CausalRecorder(rank=0)
-    stamp = rec.on_send("c0", 0)
+    rec = EventLog(rank=0, stamps=True)
+    stamp = rec.record("send", "c0", 0)
     assert stamp == 1
-    rec.on_step("compute")
-    got = rec.on_recv("c1", 0, sent_clock=7)
+    rec.record("step", label="compute")
+    got = rec.record("recv", "c1", 0, sent_clock=7)
     assert got == 8  # max(2, 7) + 1
-    kinds = [e.kind for e in rec.events]
+    events = events_of(rec)
+    kinds = [e.kind for e in events]
     assert kinds == ["send", "step", "recv"]
-    recv = rec.events[-1]
+    recv = events[-1]
     assert recv.sent_clock == 7 and recv.clock == 8
 
 
+def test_stamp_rides_only_when_asked():
+    assert EventLog(rank=0).record("send", "c0", 0) is None
+
+
 def test_recorder_ring_drops_oldest(monkeypatch):
-    monkeypatch.setattr("repro.obs.causal.RING_CAPACITY", 3)
-    rec = CausalRecorder(rank=0)
+    monkeypatch.setattr("repro.runtime.trace.RING_CAPACITY", 3)
+    rec = EventLog(rank=0)
     for i in range(5):
-        rec.on_send("c", i)
-    assert len(rec.events) == 3
+        rec.record("send", "c", i)
+    events = events_of(rec)
+    assert len(events) == 3
     assert rec.dropped == 2
-    # Newest events survive.
-    assert [e.seq for e in rec.events] == [2, 3, 4]
+    # Newest events survive, and keep their place in the rank's sequence.
+    assert [e.seq for e in events] == [2, 3, 4]
+    assert [e.local_index for e in events] == [2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +77,17 @@ def test_recorder_ring_drops_oldest(monkeypatch):
 
 def two_rank_payloads():
     """Rank 0 sends c0#0; rank 1 receives it then sends c1#0 back."""
-    r0 = CausalRecorder(0)
-    r1 = CausalRecorder(1)
-    stamp = r0.on_send("c0", 0)
-    r1.on_recv("c0", 0, stamp)
-    back = r1.on_send("c1", 0)
-    r0.on_recv("c1", 0, back)
+    r0 = EventLog(0, stamps=True)
+    r1 = EventLog(1, stamps=True)
+    stamp = r0.record("send", "c0", 0)
+    r1.record("recv", "c0", 0, sent_clock=stamp)
+    back = r1.record("send", "c1", 0)
+    r0.record("recv", "c1", 0, sent_clock=back)
     return {0: r0.payload(), 1: r1.payload()}
 
 
 def test_merge_produces_validated_happens_before_order():
-    trace = merge_causal_events(two_rank_payloads(), nprocs=2, engine="test")
+    trace = Trace.merge(two_rank_payloads(), nprocs=2, engine="test")
     assert trace.validate() == []
     pairs = trace.send_recv_pairs()
     assert len(pairs) == 2
@@ -93,13 +100,13 @@ def test_merge_produces_validated_happens_before_order():
 def test_merge_order_independent_of_payload_arrival_order():
     payloads = two_rank_payloads()
     shuffled = dict(sorted(payloads.items(), reverse=True))
-    a = merge_causal_events(payloads, nprocs=2, epoch=0.0)
-    b = merge_causal_events(shuffled, nprocs=2, epoch=0.0)
+    a = Trace.merge(payloads, nprocs=2, epoch=0.0)
+    b = Trace.merge(shuffled, nprocs=2, epoch=0.0)
     assert a.events == b.events
 
 
 def test_merge_shifts_wall_timestamps_to_run_start():
-    trace = merge_causal_events(two_rank_payloads(), nprocs=2)
+    trace = Trace.merge(two_rank_payloads(), nprocs=2)
     assert min(e.t for e in trace.events) == 0.0
 
 
@@ -110,15 +117,15 @@ def test_merge_shifts_wall_timestamps_to_run_start():
 
 def test_validate_flags_missing_send_stale_clock_and_bad_stamp():
     events = [
-        CausalEvent(0, 5, "send", "c0", 0),
+        Event(0, "send", "c0", 0, clock=5),
         # Clock does not exceed the send's.
-        CausalEvent(1, 5, "recv", "c0", 0, sent_clock=5),
+        Event(1, "recv", "c0", 0, clock=5, sent_clock=5),
         # No matching send at all.
-        CausalEvent(1, 9, "recv", "ghost", 3, sent_clock=8),
+        Event(1, "recv", "ghost", 3, clock=9, sent_clock=8),
         # Carried stamp disagrees with the sender's record.
-        CausalEvent(1, 11, "recv", "c0", 0, sent_clock=4),
+        Event(1, "recv", "c0", 0, clock=11, sent_clock=4),
     ]
-    trace = CausalTrace(nprocs=2, events=events)
+    trace = Trace(events, nprocs=2)
     violations = trace.validate()
     assert len(violations) == 3
     assert any("no" in v and "matching send" in v for v in violations)
@@ -132,25 +139,25 @@ def test_validate_flags_missing_send_stale_clock_and_bad_stamp():
 
 
 def test_render_one_column_per_rank_with_limit():
-    trace = merge_causal_events(two_rank_payloads(), nprocs=2)
-    text = trace.render()
+    trace = Trace.merge(two_rank_payloads(), nprocs=2)
+    text = trace.render_columns()
     assert "P0" in text and "P1" in text
     assert "send(c0#0)" in text and "recv(c1#0)" in text
-    short = trace.render(limit=2)
+    short = trace.render_columns(limit=2)
     assert "... and 2 more event(s)" in short
 
 
 def test_trace_dict_round_trip():
-    trace = merge_causal_events(two_rank_payloads(), nprocs=2, engine="threaded")
+    trace = Trace.merge(two_rank_payloads(), nprocs=2, engine="threaded")
     data = json.loads(json.dumps(trace.to_dict()))
     assert data["violations"] == []
-    back = CausalTrace.from_dict(data)
+    back = Trace.from_dict(data)
     assert back.events == trace.events
     assert back.nprocs == trace.nprocs and back.engine == trace.engine
 
 
 def test_report_jsonl_events_round_trip_the_causal_trace():
-    causal = merge_causal_events(two_rank_payloads(), nprocs=2, engine="e")
+    causal = Trace.merge(two_rank_payloads(), nprocs=2, engine="e")
     report = RunReport(engine="e", nprocs=2, causal=causal)
     events = json.loads(json.dumps(report.to_events()))
     back = RunReport.from_events(events)
@@ -198,7 +205,7 @@ def test_chrome_lanes_are_unique_and_stably_sorted():
 
 def test_chrome_flow_events_cover_every_send_recv_pair():
     report = spans_report([0, 1], [0, 1])
-    report.causal = merge_causal_events(two_rank_payloads(), nprocs=2)
+    report.causal = Trace.merge(two_rank_payloads(), nprocs=2)
     trace = chrome_trace_dict(report)
     starts = [
         e

@@ -4,7 +4,9 @@ A fake monotonically advancing clock makes every duration deterministic.
 """
 
 from repro.obs import NULL_OBSERVER, NullObserver, Observer, observer_of
+from repro.obs.report import blocked_spans, worker_observation
 from repro.obs.spans import Span, SpanRecorder
+from repro.runtime.trace import EventLog, Trace
 
 
 class FakeClock:
@@ -51,8 +53,8 @@ class TestSpanRecorder:
 
     def test_spans_sorted_by_start(self):
         rec = SpanRecorder(FakeClock())
-        rec.add(0, "late", "phase", 10.0, 11.0)
-        rec.add(0, "early", "phase", 1.0, 2.0)
+        rec.record(Span("late", "phase", 0, 10.0, 11.0))
+        rec.record(Span("early", "phase", 0, 1.0, 2.0))
         assert [s.name for s in rec.spans] == ["early", "late"]
 
     def test_shifted(self):
@@ -64,24 +66,30 @@ class TestSpanRecorder:
 
 
 class TestObserver:
-    def test_process_wall_and_blocked_split(self):
+    def test_process_wall_and_blocked_split(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.trace.perf_counter", lambda: 8.0)
         obs = Observer(clock=FakeClock())
+        log = EventLog(0)
         obs.process_started(0)  # start at t=2 (epoch consumed t=1)
-        obs.recv_blocked(0, "c", 5.0, 8.0)
+        log.record("recv", "c", 0, t0=5.0)
         obs.process_finished(0)  # finish at t=3
-        (name, wall, blocked) = obs.process_times()[0]
+        (name, wall, blocked) = worker_observation(obs, [log])["procs"][0]
         assert name == "P0"
         assert wall == 1.0
         assert blocked == 3.0
 
-    def test_blocked_recv_recorded_as_span(self):
-        obs = Observer(clock=FakeClock())
-        obs.process_started(0)
-        obs.recv_blocked(0, "ping", 5.0, 8.0)
-        (s,) = obs.spans.spans
+    def test_blocked_recv_recorded_as_span(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.trace.perf_counter", lambda: 8.0)
+        log = EventLog(0)
+        log.record("send", "pong", 0)
+        log.record("recv", "ping", 0, t0=5.0)
+        trace = Trace.merge({0: log.payload()}, 1, epoch=0.0)
+        outer = Span("stage", "phase", 0, 4.0, 9.0)
+        (s,) = blocked_spans(trace, [outer])
         assert s.cat == "blocked"
         assert s.name == "recv ping"
         assert s.duration == 3.0
+        assert s.depth == 1
 
     def test_stream_accumulation(self):
         obs = Observer(clock=FakeClock())
@@ -95,7 +103,6 @@ class TestNullObserver:
     def test_records_nothing(self):
         obs = NullObserver()
         obs.process_started(0)
-        obs.recv_blocked(0, "c", 0.0, 9.0)
         obs.message(0, 1, 0, 64)
         with obs.span(0, "anything"):
             pass
