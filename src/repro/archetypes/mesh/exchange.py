@@ -32,7 +32,6 @@ import numpy as np
 from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.archetypes.mesh.ghost import ghost_face_region, owned_face_region
 from repro.errors import ArchetypeError
-from repro.obs.observer import observer_of
 from repro.refinement.dataexchange import DataExchange, VarRef
 from repro.refinement.split import ExchangeBegin, ExchangeEnd, split_exchange
 from repro.runtime.communicator import Communicator
@@ -265,9 +264,8 @@ def exchange_boundaries_msg(
     def wanted(axis: int, side: int) -> bool:
         return faces is None or (var, axis, side) in faces
 
-    obs = observer_of(comm.ctx)
     # Phase 1: copy out and send every face strip.
-    with obs.span(comm.rank, "exchange:send", cat="exchange"):
+    with comm.ctx.span("exchange:send", cat="exchange"):
         for axis in range(decomp.ndim):
             for direction in (-1, 1):
                 nb = decomp.pgrid.neighbor(grid_rank, axis, direction)
@@ -280,7 +278,7 @@ def exchange_boundaries_msg(
                 tag = tag_base + 4 * axis + (0 if direction == -1 else 1)
                 comm.send(strip.copy(), dest=nb + rank_offset, tag=tag)
     # Phase 2: receive every ghost strip.
-    with obs.span(comm.rank, "exchange:recv", cat="exchange"):
+    with comm.ctx.span("exchange:recv", cat="exchange"):
         for axis in range(decomp.ndim):
             for direction in (-1, 1):
                 nb = decomp.pgrid.neighbor(grid_rank, axis, direction)

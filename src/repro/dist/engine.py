@@ -54,7 +54,6 @@ events in happens-before order, which is all :mod:`repro.theory` needs.
 from __future__ import annotations
 
 import multiprocessing.connection as mp_connection
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -84,32 +83,6 @@ __all__ = [
     "collect_results",
     "run_on_pool",
 ]
-
-def _affinity_sets(affinity, nprocs: int) -> list:
-    """Normalize the ``affinity=`` knob to one CPU set per rank.
-
-    ``None`` → no pinning; ``"auto"`` → ranks round-robin over the CPUs
-    this process may use; otherwise a sequence (cycled over ranks) of
-    CPU ids or CPU-id iterables.
-    """
-    if affinity is None:
-        return [None] * nprocs
-    if not hasattr(os, "sched_getaffinity"):  # non-Linux: knob is a no-op
-        return [None] * nprocs
-    if affinity == "auto":
-        cpus = sorted(os.sched_getaffinity(0))
-        return [{cpus[r % len(cpus)]} for r in range(nprocs)]
-    items = list(affinity)
-    if not items:
-        return [None] * nprocs
-    sets = []
-    for r in range(nprocs):
-        item = items[r % len(items)]
-        if isinstance(item, int):
-            sets.append({item})
-        else:
-            sets.append({int(c) for c in item})
-    return sets
 
 
 class _RemoteError(RuntimeError):
@@ -443,7 +416,6 @@ def run_on_pool(
     observe: bool = False,
     payload_slab: int = DEFAULT_SLAB,
     crash_grace: float = 5.0,
-    affinity=None,
     trace_causal: bool = False,
     report_name: str | None = None,
     timing_sink: dict | None = None,
@@ -469,7 +441,6 @@ def run_on_pool(
     arena = pool.arena
     if bodies is None:
         bodies = closures.body_payloads(system)
-    pins = _affinity_sets(affinity, nprocs)
     payload_slab = max(0, int(payload_slab))
     seg_names: list[str] = []
     channel_conns: list[Any] = []
@@ -516,7 +487,6 @@ def run_on_pool(
                 rest=rests[rank],
                 w_specs=w_specs[rank],
                 r_specs=r_specs[rank],
-                affinity=pins[rank],
                 recv_timeout=recv_timeout,
                 observe=bool(observe),
                 trace_causal=bool(trace_causal),
@@ -593,11 +563,6 @@ class MultiprocessEngine:
         array payloads that fit cross via shared memory descriptors
         instead of pipe frames (see :mod:`repro.dist.wire`).  ``0``
         disables slabs: every array rides the pipe.
-    affinity:
-        CPU pinning per rank: ``None`` (no pinning), ``"auto"``
-        (round-robin over available CPUs), or a sequence of CPU ids /
-        CPU-id sets cycled over ranks.  Best effort; a no-op where
-        ``os.sched_setaffinity`` is unavailable.
     pool:
         ``False`` boots fresh workers for every run — a
         :class:`~repro.dist.pool.WorkerPool` scoped to the run, so
@@ -635,7 +600,6 @@ class MultiprocessEngine:
         start_method: str = "spawn",
         crash_grace: float = 5.0,
         payload_slab: int = DEFAULT_SLAB,
-        affinity=None,
         pool=False,
         trace_causal: bool = False,
     ):
@@ -656,7 +620,6 @@ class MultiprocessEngine:
             observe=observe,
             payload_slab=payload_slab,
             crash_grace=crash_grace,
-            affinity=affinity,
             trace_causal=trace_causal,
         )
         self._pool_opt = pool

@@ -17,11 +17,7 @@ from repro.dist.fleet.membership import (
     elastic_capacity,
     probe_stats,
 )
-from repro.dist.fleet.placement import (
-    LeastLoadedPolicy,
-    PackedPolicy,
-    make_policy,
-)
+from repro.dist.fleet.placement import least_loaded
 from repro.dist.fleet.scheduler import (
     FleetScheduler,
     JobStats,
@@ -38,7 +34,5 @@ __all__ = [
     "HeartbeatMonitor",
     "elastic_capacity",
     "probe_stats",
-    "LeastLoadedPolicy",
-    "PackedPolicy",
-    "make_policy",
+    "least_loaded",
 ]

@@ -161,7 +161,6 @@ class HeartbeatMonitor:
         elastic: bool = True,
         notify=None,
         on_death=None,
-        on_update=None,
     ):
         self.daemons = daemons
         self._lock = lock
@@ -172,7 +171,6 @@ class HeartbeatMonitor:
         self.elastic = elastic
         self._notify = notify or (lambda: None)
         self._on_death = on_death or (lambda d: None)
-        self._on_update = on_update or (lambda d: None)
         self._streams: dict[rendezvous.Address, FrameStream] = {}
         self._seq = 0
         self._stopped = threading.Event()
@@ -223,7 +221,6 @@ class HeartbeatMonitor:
                         daemon.floor,
                         self.max_capacity,
                     )
-                self._on_update(daemon)
                 if revived:
                     self._notify()
 

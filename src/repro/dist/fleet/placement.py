@@ -1,87 +1,43 @@
-"""Placement policies: which daemon hosts which rank.
+"""Placement: which daemon hosts which rank.
 
-A policy sees the live :class:`~repro.dist.fleet.membership.DaemonState`
-list (aliveness, elastic capacity, current reservations) and must
-return a *gang* placement — every rank of the job placed at once, or
-``None`` if the fleet cannot host the whole job right now (the job
-keeps waiting in the ready queue; a completion, revival, or capacity
-growth re-asks).  Gang placement is what makes waiting safe: a job
-never holds some daemons while blocking on others, so the fleet cannot
-deadlock on partially-placed jobs.
+:func:`least_loaded` sees the live
+:class:`~repro.dist.fleet.membership.DaemonState` list (aliveness,
+elastic capacity, current reservations) and returns a *gang* placement
+— every rank of the job placed at once, or ``None`` if the fleet cannot
+host the whole job right now (the job keeps waiting in the ready queue;
+a completion, revival, or capacity growth re-asks).  Gang placement is
+what makes waiting safe: a job never holds some daemons while blocking
+on others, so the fleet cannot deadlock on partially-placed jobs.
 
-Two policies ship:
-
-* :class:`LeastLoadedPolicy` (default) — each rank goes to the alive
-  daemon with the most free capacity at that instant, ties broken by
-  address order.  Spreads load evenly and maximises the parallelism of
-  multi-rank jobs across hosts.
-* :class:`PackedPolicy` — fill one daemon before touching the next.
-  Co-located ranks ride loopback instead of the network, so packing
-  minimises cross-host channel traffic at the cost of less parallelism.
+Each rank goes to the alive daemon with the most free capacity at that
+instant, ties broken by address order: load spreads evenly and a
+multi-rank job gets the most parallelism across hosts.
 
 Determinacy note: placement *never* affects results — by Theorem 1 a
-job's final state is schedule- and host-independent — so policies are
-pure performance knobs, swappable per scheduler via
-``FleetScheduler(policy="least-loaded" | "packed")``.
+job's final state is schedule- and host-independent — so placement is
+a pure performance matter.
 """
 
 from __future__ import annotations
 
 from repro.dist.fleet.membership import DaemonState
 
-__all__ = ["LeastLoadedPolicy", "PackedPolicy", "make_policy"]
+__all__ = ["least_loaded"]
 
 
-class LeastLoadedPolicy:
+def least_loaded(
+    nprocs: int, daemons: list[DaemonState]
+) -> list[DaemonState] | None:
     """Rank → alive daemon with the most free capacity (greedy)."""
-
-    name = "least-loaded"
-
-    def place(
-        self, nprocs: int, daemons: list[DaemonState]
-    ) -> list[DaemonState] | None:
-        free = {id(d): d.free for d in daemons if d.alive}
-        if sum(free.values()) < nprocs:
-            return None
-        alive = [d for d in daemons if d.alive]
-        assign: list[DaemonState] = []
-        for _rank in range(nprocs):
-            best = max(alive, key=lambda d: free[id(d)])
-            if free[id(best)] <= 0:
-                return None
-            free[id(best)] -= 1
-            assign.append(best)
-        return assign
-
-
-class PackedPolicy:
-    """Fill daemons in address order — fewest hosts per job."""
-
-    name = "packed"
-
-    def place(
-        self, nprocs: int, daemons: list[DaemonState]
-    ) -> list[DaemonState] | None:
-        assign: list[DaemonState] = []
-        for d in sorted(
-            (d for d in daemons if d.alive), key=lambda d: d.address
-        ):
-            take = min(d.free, nprocs - len(assign))
-            assign.extend([d] * take)
-            if len(assign) == nprocs:
-                return assign
+    free = {id(d): d.free for d in daemons if d.alive}
+    if sum(free.values()) < nprocs:
         return None
-
-
-_POLICIES = {p.name: p for p in (LeastLoadedPolicy, PackedPolicy)}
-
-
-def make_policy(name: str):
-    """``"least-loaded"`` or ``"packed"`` → a policy instance."""
-    try:
-        return _POLICIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown placement policy {name!r} "
-            f"(choose from {sorted(_POLICIES)})"
-        ) from None
+    alive = [d for d in daemons if d.alive]
+    assign: list[DaemonState] = []
+    for _rank in range(nprocs):
+        best = max(alive, key=lambda d: free[id(d)])
+        if free[id(best)] <= 0:
+            return None
+        free[id(best)] -= 1
+        assign.append(best)
+    return assign

@@ -7,9 +7,9 @@ control, ready queue, futures, accounting), with "capacity" redefined
 from pool slots to *per-daemon rank reservations* across a fleet of
 :class:`~repro.dist.net.daemon.WorkerDaemon`\\ s:
 
-* **placement** — a policy (:mod:`repro.dist.fleet.placement`) gang-
-  places every rank of a job onto alive daemons with free capacity,
-  least-loaded by default, fed by the daemons' own heartbeat stats;
+* **placement** — :func:`~repro.dist.fleet.placement.least_loaded`
+  gang-places every rank of a job onto the alive daemons with the most
+  free capacity, fed by the daemons' own heartbeat stats;
 * **membership** — a :class:`~repro.dist.fleet.membership
   .HeartbeatMonitor` pings every daemon; ``miss_threshold`` missed
   beats mark it dead (excluded from placement, queued jobs re-woken),
@@ -42,7 +42,6 @@ transport/goodbye/crash semantic is shared, not re-implemented.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from repro.dist import closures
@@ -52,7 +51,7 @@ from repro.dist.fleet.membership import (
     HeartbeatMonitor,
     probe_stats,
 )
-from repro.dist.fleet.placement import make_policy
+from repro.dist.fleet.placement import least_loaded
 from repro.dist.net import rendezvous
 from repro.dist.net.engine import (
     fresh_job_id,
@@ -130,8 +129,6 @@ class FleetScheduler(JobServerCore):
         The liveness knobs: a daemon missing ``miss_threshold``
         consecutive pings (every ``heartbeat_interval`` seconds) is
         dead until a ping answers again.
-    policy:
-        ``"least-loaded"`` (default) or ``"packed"``.
     elastic:
         Enable the per-daemon elastic capacity controller.
     recv_timeout / observe / crash_grace / trace_causal /
@@ -154,7 +151,6 @@ class FleetScheduler(JobServerCore):
         heartbeat_interval: float = 0.5,
         miss_threshold: int = 3,
         ping_timeout: float = 2.0,
-        policy: str = "least-loaded",
         elastic: bool = True,
         observer: Observer | None = None,
         recv_timeout: float | None = None,
@@ -194,7 +190,6 @@ class FleetScheduler(JobServerCore):
         self._trace_causal = bool(trace_causal)
         self._handshake_timeout = handshake_timeout
         self._ping_timeout = ping_timeout
-        self._policy = make_policy(policy)
         self._elastic = bool(elastic)
         self._rank_ceiling = len(addrs) * (
             max_capacity if elastic else capacity
@@ -227,7 +222,6 @@ class FleetScheduler(JobServerCore):
             elastic=self._elastic,
             notify=self._cv.notify_all,
             on_death=self._record_death,
-            on_update=lambda d: None,
         )
         self._monitor.start()
 
@@ -283,7 +277,7 @@ class FleetScheduler(JobServerCore):
             raise ProcessFailedError(
                 0, RendezvousError("no alive daemons in the fleet")
             )
-        assign = self._policy.place(job.system.nprocs, self._daemons)
+        assign = least_loaded(job.system.nprocs, self._daemons)
         if assign is None:
             return None
         self._reserve(assign)
@@ -318,29 +312,21 @@ class FleetScheduler(JobServerCore):
             attempt += 1
             with self._cv:
                 assign = list(grant.assign)
-            hosts = [d.host for d in assign]
             job.stats.attempts = attempt
-            job.stats.placed_on = hosts
+            job.stats.placed_on = [d.host for d in assign]
             try:
-                with self.observer.span(
-                    job.stats.job_id,
-                    f"{job.stats.label}#a{attempt}",
-                    cat="fleet-place",
-                    attempt=attempt,
-                    hosts=",".join(sorted(set(hosts))),
-                ):
-                    return run_assigned(
-                        job.system,
-                        [d.address for d in assign],
-                        fresh_job_id("fleet"),
-                        handshake_timeout=self._handshake_timeout,
-                        recv_timeout=self._recv_timeout,
-                        observe=self._observe,
-                        crash_grace=self._crash_grace,
-                        trace_causal=self._trace_causal,
-                        engine_name="fleet",
-                        bodies=bodies,
-                    )
+                return run_assigned(
+                    job.system,
+                    [d.address for d in assign],
+                    fresh_job_id("fleet"),
+                    handshake_timeout=self._handshake_timeout,
+                    recv_timeout=self._recv_timeout,
+                    observe=self._observe,
+                    crash_grace=self._crash_grace,
+                    trace_causal=self._trace_causal,
+                    engine_name="fleet",
+                    bodies=bodies,
+                )
             except BaseException as exc:  # noqa: BLE001 - classified below
                 if not _retryable(exc):
                     raise
@@ -379,7 +365,7 @@ class FleetScheduler(JobServerCore):
                             "no alive daemons left to re-place the job on"
                         ),
                     )
-                assign = self._policy.place(job.system.nprocs, self._daemons)
+                assign = least_loaded(job.system.nprocs, self._daemons)
                 if assign is not None:
                     self._reserve(assign)
                     grant.assign = assign

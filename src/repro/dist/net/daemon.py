@@ -372,7 +372,6 @@ class WorkerDaemon:
                 r_specs,
                 job["recv_timeout"],
                 job["observe"],
-                job.get("affinity"),
                 job.get("trace_causal", False),
                 self._images,
             )

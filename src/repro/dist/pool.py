@@ -372,7 +372,6 @@ class WorkerPool:
         rest: dict[str, Any],
         w_specs: list,
         r_specs: list,
-        affinity,
         recv_timeout: float | None,
         observe: bool,
         trace_causal: bool,
@@ -398,7 +397,6 @@ class WorkerPool:
             "r_specs": r_specs,
             "recv_timeout": recv_timeout,
             "observe": observe,
-            "affinity": affinity,
             "trace_causal": trace_causal,
         }
         try:

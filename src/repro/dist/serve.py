@@ -38,12 +38,12 @@ At the bound, ``on_full="block"`` makes :meth:`submit` wait for a slot
 load).  Admitted jobs that need more slots than are currently free wait
 in an internal ready queue ordered by admission.
 
-**Observability**: the server owns an
-:class:`~repro.obs.observer.Observer`; every job becomes a span
-(queued + service phases), counters track submissions / completions /
-failures / rejections, gauges track in-flight and queued depth (with
-high-water marks), and :meth:`stats` aggregates per-job latencies into
-throughput, p50/p95, and slot utilization.
+**Observability**: every job has one :class:`JobStats` record (label,
+ranks, submit/dispatch/done times, start-up share); the server owns an
+:class:`~repro.obs.observer.Observer` whose counters track submissions
+/ completions / failures / rejections and whose gauges track in-flight
+and queued depth (with high-water marks), and :meth:`stats` aggregates
+per-job latencies into throughput, p50/p95, and slot utilization.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class JobServer(JobServerCore):
         An :class:`~repro.obs.observer.Observer` to record into
         (default: a fresh one, exposed as :attr:`observer`).
     start_method / recv_timeout / observe / payload_slab /
-    crash_grace / affinity / trace_causal:
+    crash_grace / trace_causal:
         As on :class:`~repro.dist.engine.MultiprocessEngine`, applied
         per job.  With ``trace_causal=True`` each job's result carries
         its own happens-before :class:`~repro.runtime.trace.Trace` and
@@ -113,7 +113,6 @@ class JobServer(JobServerCore):
         observe: bool = False,
         payload_slab: int = DEFAULT_SLAB,
         crash_grace: float = 5.0,
-        affinity=None,
         trace_causal: bool = False,
     ):
         if pool_size < 1:
@@ -132,7 +131,6 @@ class JobServer(JobServerCore):
             observe=observe,
             payload_slab=payload_slab,
             crash_grace=crash_grace,
-            affinity=affinity,
             trace_causal=trace_causal,
         )
         self._free_slots = pool_size  # scheduling capacity (not processes)

@@ -20,9 +20,11 @@ runs behind ``submit() -> Future``: the single-host
 * **the future protocol** — cancellation before dispatch, exceptions
   contained to their own future, ``close(drain=...)`` settling every
   admitted job;
-* **accounting** — per-job :class:`JobStats` records, counters/gauges
-  in the owner's :class:`~repro.obs.observer.Observer`, and the
-  aggregate :meth:`JobServerCore.stats` summary (throughput, latency
+* **accounting** — per-job :class:`JobStats` records (a job's one
+  record: label, ranks, submit/dispatch/done times, attempts,
+  placement), counters/gauges in the owner's
+  :class:`~repro.obs.observer.Observer`, and the aggregate
+  :meth:`JobServerCore.stats` summary (throughput, latency
   percentiles, queue waits).
 
 Subclasses implement four hooks: ``_check_admissible`` (reject jobs
@@ -36,6 +38,7 @@ condition variable), and ``_execute`` (run the job to a
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any
@@ -155,7 +158,6 @@ class JobServerCore:
         self._records: list[JobStats] = []
         self._queued: list[_Job] = []  # admitted, waiting for capacity
         self._seq = 0
-        self._clock = self.observer.clock
 
         reg = self.observer.registry
         p = self.metric_prefix
@@ -260,7 +262,7 @@ class JobServerCore:
                 job_id=self._seq,
                 label=label or f"job-{self._seq}",
                 nprocs=system.nprocs,
-                t_submit=self._clock(),
+                t_submit=time.perf_counter(),
             )
             job = _Job(stats=stats, system=system)
             self._records.append(stats)
@@ -318,20 +320,14 @@ class JobServerCore:
                     self._cv.notify_all()
                 return
 
-            stats.t_dispatch = self._clock()
+            stats.t_dispatch = time.perf_counter()
             try:
-                with self.observer.span(
-                    stats.job_id,
-                    stats.label,
-                    cat=self.metric_prefix,
-                    nprocs=stats.nprocs,
-                ):
-                    result = self._execute(job, prepared, grant)
+                result = self._execute(job, prepared, grant)
                 if result.causal is not None:
                     stats.causal_events = len(result.causal)
                     stats.causal_depth = result.causal.depth
             finally:
-                stats.t_done = self._clock()
+                stats.t_done = time.perf_counter()
                 with self._cv:
                     self._release(job, grant)
                     self._cv.notify_all()

@@ -44,7 +44,6 @@ the process sentinel.
 
 from __future__ import annotations
 
-import os
 import threading
 import traceback
 from typing import Any
@@ -53,14 +52,13 @@ from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec, ProcChannel
 from repro.dist.shm import attach_store, close_handles, flush_store
 from repro.errors import TransportError
-from repro.runtime.context import Executor, ProcessContext
+from repro.runtime.context import Executor, ProcessContext, run_rank
 from repro.runtime.trace import EventLog
 
 __all__ = [
     "ResidentConstants",
     "ResidentImages",
     "run_job",
-    "apply_affinity",
     "report_error",
 ]
 
@@ -196,16 +194,6 @@ def _set_nbytes(arrays: dict[str, Any]) -> int:
     return sum(arr.nbytes for arr in arrays.values())
 
 
-def apply_affinity(cpus) -> None:
-    """Pin the calling process to ``cpus`` (best effort, Linux only)."""
-    if not cpus or not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass  # cpu set not permitted/offline: run unpinned
-
-
 def _unpack(payload: tuple) -> Any:
     """The value a payload carries: ``("pickle", bytes)`` and
     ``("image", digest, bytes)`` from a pool dispatch, ``("object",
@@ -250,7 +238,6 @@ def run_job(
     r_specs: list[EndpointSpec],
     recv_timeout: float | None,
     observe: bool,
-    affinity=None,
     trace_causal: bool = False,
     images: ResidentImages | None = None,
 ) -> None:
@@ -269,7 +256,6 @@ def run_job(
     resident = images is not None and body_payload[0] == "image"
     body = None
     try:
-        apply_affinity(affinity)
         if resident:
             body = images.checkout(*body_payload[1:])
         else:
@@ -304,20 +290,11 @@ def run_job(
         if msg[0] != "go":
             return
 
-        if observer is not None:
-            observer.process_started(rank, name)
         try:
-            ret = body(ctx)
+            ret = run_rank(ctx, body)
         except BaseException:
             resident = False  # it may have stopped mid-bookkeeping
             raise
-        finally:
-            if observer is not None:
-                observer.process_finished(rank)
-            # Flush-and-close before reporting: once the parent sees
-            # "done", every value this rank sent is in its pipe.
-            for ch in out.values():
-                ch.close()
 
         overrides = flush_store(store, handles)
         stats = {ch.name: ch.stats() for ch in (*out.values(), *inc.values())}
@@ -326,7 +303,7 @@ def run_job(
             from repro.obs.report import worker_observation
 
             _wire_metrics(observer, out.values())
-            obs_payload = worker_observation(observer, executor.log)
+            obs_payload = worker_observation(observer)
 
         wire.send(
             result_conn,

@@ -14,14 +14,11 @@ Two output formats, two audiences:
   timeline as program phases, which makes waiting time visually obvious
   — the Figure 1 interleaving picture, but with real durations.
 
-Lane assignment: ranks named by the report's process list are the run's
-real ranks — they get the run's trace process (pid 0) with one thread
-lane each, dense tids in sorted-rank order plus explicit
-``thread_sort_index`` metadata so multiprocess and multi-host ranks
-render as unique, stably-ordered lanes.  Span ranks *outside* the
-process list (e.g. the serving layer's per-job spans, whose "rank" is a
-job id) land in a separate auxiliary trace process (pid 1) instead of
-colliding with rank lanes.
+Lane assignment: the run is one trace process (pid 0), and every rank
+of the report's process list or its spans gets one thread lane — dense
+tids in sorted-rank order plus explicit ``thread_sort_index`` metadata,
+so multiprocess and multi-host ranks render as unique, stably-ordered
+lanes.
 
 When the report carries a causal trace (``report.causal``), every
 matched send→recv pair additionally becomes a Chrome *flow* event pair
@@ -48,29 +45,19 @@ __all__ = [
     "read_jsonl",
 ]
 
-#: The run's ranks live in this trace process...
+#: The run's one trace process.
 _PID = 0
-#: ...and non-rank span owners (serving-layer job spans) in this one.
-_AUX_PID = 1
 
 
-def _lane_map(report: RunReport) -> dict[int, tuple[int, int]]:
-    """``rank -> (pid, tid)``: unique, stably-sorted lanes.
+def _lane_map(report: RunReport) -> dict[int, int]:
+    """``rank -> tid``: unique, stably-sorted lanes.
 
-    Real ranks (the report's process list; every span rank when the
-    list is empty) get dense tids in sorted-rank order under pid 0;
-    any remaining span ranks are auxiliary ids under pid 1.  Dense
-    tids — rather than the raw rank — keep lanes unique even when
-    local rank ids repeat across hosts.
+    Every rank of the report's processes and spans gets a dense tid in
+    sorted-rank order.  Dense tids — rather than the raw rank — keep
+    lanes unique even when local rank ids repeat across hosts.
     """
-    real = sorted(p.rank for p in report.processes)
-    span_ranks = sorted({s.rank for s in report.spans})
-    if not real:
-        real = span_ranks
-    lanes = {rank: (_PID, tid) for tid, rank in enumerate(real)}
-    aux = [r for r in span_ranks if r not in lanes]
-    lanes.update({rank: (_AUX_PID, tid) for tid, rank in enumerate(aux)})
-    return lanes
+    ranks = {p.rank for p in report.processes} | {s.rank for s in report.spans}
+    return {rank: tid for tid, rank in enumerate(sorted(ranks))}
 
 
 def _meta(pid: int, tid: int, what: str, **args: Any) -> dict[str, Any]:
@@ -87,25 +74,19 @@ def chrome_trace_dict(report: RunReport) -> dict[str, Any]:
         _meta(_PID, 0, "process_name", name=f"repro run ({report.engine})"),
         _meta(_PID, 0, "process_sort_index", sort_index=_PID),
     ]
-    if any(pid == _AUX_PID for pid, _tid in lanes.values()):
-        aux = f"repro aux spans ({report.engine})"
-        events.append(_meta(_AUX_PID, 0, "process_name", name=aux))
-        events.append(_meta(_AUX_PID, 0, "process_sort_index", sort_index=_AUX_PID))
-    for rank in sorted(lanes):
-        pid, tid = lanes[rank]
-        label = names.get(rank, f"P{rank}" if pid == _PID else f"span-{rank}")
-        events.append(_meta(pid, tid, "thread_name", name=label))
-        events.append(_meta(pid, tid, "thread_sort_index", sort_index=tid))
+    for rank, tid in sorted(lanes.items()):
+        label = names.get(rank, f"P{rank}")
+        events.append(_meta(_PID, tid, "thread_name", name=label))
+        events.append(_meta(_PID, tid, "thread_sort_index", sort_index=tid))
     for span in report.spans:
-        pid, tid = lanes[span.rank]
         event: dict[str, Any] = {
             "name": span.name,
             "cat": span.cat,
             "ph": "X",
             "ts": span.t0 * 1e6,
             "dur": span.duration * 1e6,
-            "pid": pid,
-            "tid": tid,
+            "pid": _PID,
+            "tid": lanes[span.rank],
         }
         if span.args:
             event["args"] = dict(span.args)
@@ -115,21 +96,20 @@ def chrome_trace_dict(report: RunReport) -> dict[str, Any]:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def _flow_events(causal, lanes: dict[int, tuple[int, int]]) -> list[dict]:
+def _flow_events(causal, lanes: dict[int, int]) -> list[dict]:
     """One flow-event pair (``"s"`` start / ``"f"`` finish) per matched
     send→recv edge in the causal trace — the happens-before arrows."""
     events: list[dict[str, Any]] = []
     for k, (send, recv) in enumerate(causal.send_recv_pairs()):
         for ev, ph in ((send, "s"), (recv, "f")):
-            pid, tid = lanes.get(ev.rank, (_PID, ev.rank))
             flow: dict[str, Any] = {
                 "name": f"{ev.channel}#{ev.seq}",
                 "cat": "causal",
                 "ph": ph,
                 "id": k,
                 "ts": ev.t * 1e6,
-                "pid": pid,
-                "tid": tid,
+                "pid": _PID,
+                "tid": lanes.get(ev.rank, ev.rank),
                 "args": {"clock": ev.clock},
             }
             if ph == "f":

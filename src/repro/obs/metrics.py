@@ -14,26 +14,16 @@ Two disciplines shape the implementation:
 * **thread safety** — the threaded engine's processes update metrics
   concurrently, so every mutation takes the instrument's lock (the
   cooperative engine serialises actions and pays nothing for it);
-* **zero cost when off** — :data:`NULL_REGISTRY` is a shared, stateless
-  registry whose instruments discard every update.  Library code that
-  wants to record unconditionally can hold a null instrument instead of
-  branching; code on genuinely hot paths (the engines) branches on
-  ``observer is None`` instead and never touches this module.
+* **zero cost when off** — a registry belongs to an observer, and code
+  that records into one branches on ``observer is None`` first, so an
+  un-observed run never touches this module.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "NullCounter",
-    "NullGauge",
-    "NullRegistry",
-    "NULL_REGISTRY",
-]
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 
 class Counter:
@@ -146,50 +136,3 @@ class MetricsRegistry:
                 out[name] = g.value
                 out[f"{name}/hwm"] = g.high_water
             return out
-
-
-class NullCounter(Counter):
-    """A counter that discards every increment."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int | float = 1) -> None:
-        pass
-
-
-class NullGauge(Gauge):
-    """A gauge that discards every write."""
-
-    __slots__ = ()
-
-    def set(self, value: int | float) -> None:
-        pass
-
-    def update_max(self, value: int | float) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry handing out shared no-op instruments.
-
-    Safe to share globally: it holds no per-run state, so "recording"
-    into it from any number of runs or threads is free and harmless.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = NullCounter("null")
-        self._null_gauge = NullGauge("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._null_gauge
-
-    def snapshot(self) -> dict[str, int | float]:
-        return {}
-
-
-#: Shared stateless no-op registry (the default when instrumentation is off).
-NULL_REGISTRY = NullRegistry()

@@ -12,9 +12,19 @@ A :class:`RunReport` is a plain-data summary of one execution:
 * the **rank × rank communication matrix** (messages and bytes),
   aggregated from channel endpoints;
 * per-tag logical **stream** statistics from the communicator layer;
-* all recorded :class:`~repro.obs.spans.Span` intervals (timestamps
-  shifted so the run starts at ~0);
+* every :class:`Span` — a named interval of one rank's timeline: a
+  program stage, an exchange, a collective, a blocked receive —
+  with timestamps shifted so the run starts at ~0;
 * a snapshot of the run's metrics registry.
+
+The processes and spans are readings of the ranks' event logs
+(:class:`~repro.runtime.trace.EventLog`): a rank's lifetime and the
+spans it opened through ``ctx.span`` are rows of its log, and its
+``"blocked"`` spans are made from its receive events
+(:func:`blocked_spans`).  Spans may nest (a collective inside a program
+stage); ``depth`` records the nesting, so consumers reconstruct the
+hierarchy without a parent pointer — as Chrome's ``X`` events do, by
+interval inclusion.
 
 The report renders itself as fixed-width tables (matching the
 experiment reports elsewhere in this repository) and serialises to a
@@ -29,19 +39,40 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.obs.spans import Span
 from repro.runtime.system import ChannelStatsRecord
 from repro.runtime.trace import Trace
 from repro.util import format_table
 
 __all__ = [
     "ProcessTimes",
+    "Span",
     "StreamTraffic",
     "RunReport",
     "worker_observation",
     "merge_worker_observations",
     "blocked_spans",
 ]
+
+
+@dataclass(frozen=True)
+class Span:
+    """One finished interval of one process.
+
+    ``depth`` is the nesting level at which the span was opened (0 for
+    top-level), letting consumers indent or aggregate hierarchically.
+    """
+
+    name: str
+    cat: str
+    rank: int
+    t0: float
+    t1: float
+    depth: int = 0
+    args: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def duration(self) -> float:
+        return self.t1 - self.t0
 
 
 @dataclass(frozen=True)
@@ -333,10 +364,9 @@ class RunReport:
         return report
 
 
-def worker_observation(observer, log) -> dict[str, Any]:
-    """One observer, flattened: the payload of the run tail.  A rank's
-    blocked time is its :class:`~repro.runtime.trace.EventLog`'s running
-    sum (``log[rank]``), which no ring overflow can lose.
+def worker_observation(observer) -> dict[str, Any]:
+    """One observer, flattened: the run-wide part of the run tail's
+    input (what each rank did is its event log's payload).
 
     An in-process run has one observer and so one payload; the
     process-backed engines run an independent observer per worker
@@ -349,15 +379,7 @@ def worker_observation(observer, log) -> dict[str, Any]:
     """
     return {
         "epoch": observer.epoch,
-        "procs": {
-            rank: (name, wall, log[rank].blocked)
-            for rank, (name, wall) in observer.process_times().items()
-        },
         "streams": observer.stream_stats(),
-        "spans": [
-            (s.name, s.cat, s.rank, s.t0, s.t1, s.depth, dict(s.args))
-            for s in observer.spans.spans
-        ],
         "metrics": observer.registry.snapshot(),
     }
 
@@ -367,15 +389,19 @@ def merge_worker_observations(
     nprocs: int,
     observations: Mapping[int, Mapping[str, Any]],
     channels: Iterable[ChannelStatsRecord],
+    logs: Mapping[int, Mapping[str, Any]],
     trace: Trace | None = None,
 ) -> RunReport:
-    """Fuse observation payloads into one :class:`RunReport`;
-    ``channels`` are the run's records, which the report holds as given,
-    and ``trace`` its merged event log (on the same epoch), whose
-    receives become the report's ``"blocked"`` spans.
+    """Fuse observation payloads and the ranks' event-log payloads
+    (:meth:`~repro.runtime.trace.EventLog.payload`, by rank) into one
+    :class:`RunReport`; ``channels`` are the run's records, which the
+    report holds as given, and ``trace`` its merged event log (on the
+    same epoch), whose receives become the report's ``"blocked"`` spans.
 
-    The merged run epoch is the earliest worker epoch, so span and
-    process timestamps from different workers land on one timeline.
+    A rank's process row is its lifetime and its log's blocked sum,
+    which no ring overflow can lose.  The merged run epoch is the
+    earliest worker epoch, so span and process timestamps from
+    different workers land on one timeline.
     Stream counts are summed per ``(src, dst, tag)``; metrics are
     summed per name (the registry's counters dominate; a clash of
     same-named gauges across workers has no single right answer, and
@@ -388,17 +414,20 @@ def merge_worker_observations(
     stream_acc: dict[tuple[int, int, int], list[int]] = {}
     spans: list[Span] = []
     metrics: dict[str, int | float] = {}
+    for rank, log in sorted(logs.items()):
+        if log["process"] is not None:
+            name, start, finish = log["process"]
+            wall = finish - start
+            procs.append(ProcessTimes(rank, name, wall, log["blocked"]))
+        for name, cat, t0, t1, depth, args in log["spans"]:
+            spans.append(
+                Span(name, cat, rank, t0 - epoch, t1 - epoch, depth, args)
+            )
     for _rank, obs in sorted(observations.items()):
-        for rank, (name, wall, blocked) in sorted(obs["procs"].items()):
-            procs.append(ProcessTimes(rank, name, wall, blocked))
         for key, (count, nbytes) in obs["streams"].items():
             entry = stream_acc.setdefault(tuple(key), [0, 0])
             entry[0] += count
             entry[1] += nbytes
-        for name, cat, rank, t0, t1, depth, args in obs["spans"]:
-            spans.append(
-                Span(name, cat, rank, t0 - epoch, t1 - epoch, depth, args)
-            )
         for name, value in obs["metrics"].items():
             metrics[name] = metrics.get(name, 0) + value
     streams = [

@@ -138,8 +138,8 @@ def _make_body(program: SimulatedParallelProgram, rank: int):
     recorded as a span named after the stage (``exchange:hx``,
     ``E-phase[3]``, ``gather:ffA``, ...), category ``stage`` for local
     blocks and ``exchange`` for data exchanges — the per-phase timeline
-    of the transformed program.  Un-observed runs take a loop with no
-    instrumentation at all.
+    of the transformed program.  Un-observed, ``ctx.span`` is a shared
+    no-op that reads no clock.
 
     Split exchange pairs map onto the two halves of the unsplit body:
     the begin stage runs phases 1-2 (pre-state reads + sends), the end
@@ -162,45 +162,26 @@ def _make_body(program: SimulatedParallelProgram, rank: int):
 
     def body(ctx) -> None:
         space = AddressSpace.wrap(ctx.store, owner=rank)
-        obs = ctx.observer
         pending: dict[int, list[tuple[Any, Any]]] = {}
-        if obs is None:
-            for stage_index, stage in enumerate(program.stages):
-                if isinstance(stage, LocalBlock):
-                    fn = stage.fn_for(rank)
-                    if fn is not None:
-                        fn(space)
-                elif isinstance(stage, ExchangeBegin):
-                    pending[stage_index] = _begin_exchange(
-                        ctx, space, stage_index, stage.op
-                    )
-                elif isinstance(stage, ExchangeEnd):
-                    token = end_to_begin[stage_index]
-                    _finish_exchange(
-                        ctx, space, token, stage.op, pending.pop(token)
-                    )
-                else:
-                    _perform_exchange(ctx, space, stage_index, stage)
-            return
         for stage_index, stage in enumerate(program.stages):
             if isinstance(stage, LocalBlock):
                 fn = stage.fn_for(rank)
                 if fn is not None:
-                    with obs.span(rank, stage.name, cat="stage"):
+                    with ctx.span(stage.name, cat="stage"):
                         fn(space)
             elif isinstance(stage, ExchangeBegin):
-                with obs.span(rank, stage.name, cat="exchange"):
+                with ctx.span(stage.name, cat="exchange"):
                     pending[stage_index] = _begin_exchange(
                         ctx, space, stage_index, stage.op
                     )
             elif isinstance(stage, ExchangeEnd):
                 token = end_to_begin[stage_index]
-                with obs.span(rank, stage.name, cat="exchange"):
+                with ctx.span(stage.name, cat="exchange"):
                     _finish_exchange(
                         ctx, space, token, stage.op, pending.pop(token)
                     )
             else:
-                with obs.span(rank, stage.name, cat="exchange"):
+                with ctx.span(stage.name, cat="exchange"):
                     _perform_exchange(ctx, space, stage_index, stage)
 
     return body

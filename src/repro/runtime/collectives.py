@@ -32,7 +32,6 @@ import functools
 from typing import Any, Callable
 
 from repro.errors import CommunicatorError
-from repro.obs.observer import observer_of
 from repro.runtime.communicator import Communicator
 
 __all__ = ["Collectives"]
@@ -51,15 +50,13 @@ def _timed(op_name: str):
     Composite collectives (reduce_one_to_all, allgather) produce nested
     spans — the composite and its constituent operations — which is the
     intended reading of the timeline.  With instrumentation off the
-    observer is the null observer and the span is a shared no-op.
+    span is a shared no-op (``ctx.span``).
     """
 
     def deco(fn):
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            with self._obs.span(
-                self.rank, f"collective:{op_name}", cat="collective"
-            ):
+            with self.comm.ctx.span(f"collective:{op_name}", cat="collective"):
                 return fn(self, *args, **kwargs)
 
         return wrapper
@@ -80,7 +77,6 @@ class Collectives:
         self.rank = comm.rank
         self.size = comm.size
         self._op_counter = 0
-        self._obs = observer_of(comm.ctx)
 
     def _tags(self) -> int:
         base = self._op_counter * _TAG_SPAN

@@ -12,7 +12,10 @@ legally do in the paper's model flows through the
   processes always commute) but makes traces legible and, under the
   cooperative engine, gives the scheduler an extra preemption point so
   interleavings can split computation the way Figure 1 of the paper
-  draws it.
+  draws it;
+* ``with ctx.span(name, cat):`` — times a block as a named interval of
+  this rank (a program stage, an exchange, a collective), recorded in
+  the rank's event log when the run is observed and free otherwise.
 
 The context is engine-agnostic: it forwards each action to the run's
 :class:`Executor`, which performs it and records it in the run's
@@ -25,12 +28,16 @@ unmodified process bodies.
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import nullcontext
+from typing import Any, Callable
 
 from repro.errors import ChannelError
 from repro.runtime.channel import Channel
 
-__all__ = ["ProcessContext", "Executor"]
+__all__ = ["ProcessContext", "Executor", "run_rank"]
+
+#: What ``ctx.span`` returns in an unobserved run: one shared no-op.
+_NO_SPAN = nullcontext()
 
 
 class Executor:
@@ -131,8 +138,8 @@ class ProcessContext:
         self.store = store
         self.name = name or f"P{rank}"
         #: the run's :class:`~repro.obs.observer.Observer`, or ``None``
-        #: when the run is not instrumented (the default); layers above
-        #: raw channels record through it (see repro.obs.observer_of)
+        #: when the run is not instrumented (the default); the
+        #: communicator records its tagged streams through it
         self.observer = observer
         self._out = out_channels
         self._in = in_channels
@@ -189,5 +196,34 @@ class ProcessContext:
         """Mark a local-computation step (trace/preemption point only)."""
         self._executor.exec_step(self.rank, label)
 
+    def span(self, name: str, cat: str = "phase", **args: Any):
+        """Time the ``with`` block as a span of this rank: a row of its
+        event log when the run is observed; otherwise nothing is
+        recorded and no clock is read."""
+        if self.observer is None:
+            return _NO_SPAN
+        return self._executor.log[self.rank].span(name, cat, args)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessContext(rank={self.rank}, nprocs={self.nprocs})"
+
+
+def run_rank(ctx: ProcessContext, body: Callable[[ProcessContext], Any]) -> Any:
+    """Run ``body(ctx)`` as the rank's program and return what it
+    returns; in an observed run the rank's event log records when it
+    began and ended.
+
+    However the body ends, the rank's write channels close: that wakes
+    readers blocked on queues this rank will never fill again, and in a
+    worker it flushes them first, so that by the time the rank reports
+    every value it sent is in its pipe.
+    """
+    lifetime = _NO_SPAN
+    if ctx.observer is not None:
+        lifetime = ctx._executor.log[ctx.rank].lifetime(ctx.name)
+    try:
+        with lifetime:
+            return body(ctx)
+    finally:
+        for ch in ctx._out.values():
+            ch.close()

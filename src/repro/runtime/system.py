@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.errors import ChannelError, RuntimeModelError
 from repro.runtime.channel import Channel, ChannelSpec
-from repro.runtime.context import ProcessContext
+from repro.runtime.context import ProcessContext, run_rank
 from repro.runtime.process import ProcessSpec
 from repro.runtime.trace import EventLog, Trace
 
@@ -155,7 +155,7 @@ def assemble_run_result(
     """The single tail of every run: where a :class:`RunResult` is
     populated, the per-rank event logs are merged once and read as its
     observed-order ``trace``, its happens-before ``causal`` trace and
-    its report's blocked spans.
+    its report's processes and spans.
 
     ``logs`` are per-rank :meth:`~repro.runtime.trace.EventLog.payload`
     logs (none when nothing asked for them), ``trace`` / ``causal`` the
@@ -179,7 +179,8 @@ def assemble_run_result(
         from repro.obs.report import merge_worker_observations
 
         report = merge_worker_observations(
-            report_name or engine, nprocs, observations, channel_stats, merged
+            report_name or engine, nprocs, observations, channel_stats,
+            logs, merged,
         )
         if causal:
             report.causal = merged
@@ -273,27 +274,17 @@ class RunState:
             )
 
     def run_body(self, rank: int) -> None:
-        """Run one rank's body between its lifecycle hooks; what it
-        raises propagates."""
-        ctx = self.contexts[rank]
-        if self.observer is not None:
-            self.observer.process_started(rank, ctx.name)
-        try:
-            self.returns[rank] = self.system.processes[rank].body(ctx)
-        finally:
-            # Closing write channels wakes readers blocked on queues
-            # this process will never fill again.
-            for ch in ctx.out_channels.values():
-                ch.close()
-            if self.observer is not None:
-                self.observer.process_finished(rank)
+        """Run one rank's body (:func:`~repro.runtime.context.run_rank`);
+        what it raises propagates."""
+        body = self.system.processes[rank].body
+        self.returns[rank] = run_rank(self.contexts[rank], body)
 
     def result(self, engine: str, report: bool = True) -> RunResult:
         observations = None
         if self.observer is not None and report:
             from repro.obs.report import worker_observation
 
-            observations = {0: worker_observation(self.observer, self.log)}
+            observations = {0: worker_observation(self.observer)}
         return assemble_run_result(
             stores=self.stores,
             returns=self.returns,

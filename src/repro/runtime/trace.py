@@ -20,6 +20,12 @@ sequence of those events.  The run tail reads the logs three ways:
 * the receives' ``t1 - t0``: the **blocked/compute split** and the
   ``"blocked"`` spans of a :class:`~repro.obs.report.RunReport`.
 
+An observed run's log also holds the rank's named spans (``stage``,
+``exchange``, ``collective:*``; opened through ``ctx.span``) and the
+instants its body began and ended — the rest of the report's
+per-rank timeline.  They sit beside the events, not among them: the
+orders above cover actions only.
+
 Both orders are linear extensions of happens-before, so either is what
 :mod:`repro.theory` analyses — building the relation, permuting
 interleavings into one another (the proof technique of Theorem 1), and
@@ -61,6 +67,7 @@ identical final states (asserted by the engine-equivalence tests).
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterator, Mapping, NamedTuple
@@ -121,7 +128,8 @@ class Event(NamedTuple):
 
 class EventLog:
     """One rank's recorder: its Lamport clock, a bounded ring of events
-    and the running sum of its blocked time.
+    and the running sum of its blocked time — and, when the run is
+    observed, its spans and its lifetime.
 
     Any of ``trace=`` / ``observe=`` / ``trace_causal=`` makes the
     engine (or :func:`repro.dist.worker.run_job`) create one per rank.
@@ -132,6 +140,12 @@ class EventLog:
     :class:`Event` field order; when it overflows, the oldest are
     discarded and counted in ``dropped`` — recording never blocks and
     never grows without bound — while ``blocked`` keeps counting.
+
+    ``spans`` holds one ``(name, cat, t0, t1, depth, args)`` row per
+    finished :meth:`span`, ``depth`` the number of the rank's spans open
+    around it; ``process`` is ``(name, start, finish)`` once
+    :meth:`lifetime` has ended.  Only the rank's own thread writes
+    either, so neither takes a lock.
     """
 
     def __init__(self, rank: int, stamps: bool = False, order=None):
@@ -141,6 +155,9 @@ class EventLog:
         self.clock = self.count = 0
         self.blocked = 0.0
         self.rows: deque[tuple] = deque(maxlen=RING_CAPACITY)
+        self.spans: list[tuple] = []
+        self.depth = 0
+        self.process: tuple[str, float, float] | None = None
 
     @property
     def dropped(self) -> int:
@@ -179,9 +196,37 @@ class EventLog:
         self.record("recv", channel.name, channel.receives - 1, "", stamp, t0)
         return value
 
+    @contextmanager
+    def span(self, name: str, cat: str, args: dict[str, Any]) -> Iterator[None]:
+        """Time the ``with`` block as one of this rank's spans."""
+        depth = self.depth
+        self.depth = depth + 1
+        t0 = perf_counter()
+        try:
+            yield
+        finally:
+            self.depth = depth
+            self.spans.append((name, cat, t0, perf_counter(), depth, args))
+
+    @contextmanager
+    def lifetime(self, name: str) -> Iterator[None]:
+        """Time the ``with`` block as the life of this rank's body,
+        which is called ``name``."""
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.process = (name, start, perf_counter())
+
     def payload(self) -> dict[str, Any]:
         """This rank's log, flattened for the result pipe."""
-        return {"dropped": self.dropped, "events": list(self.rows)}
+        return {
+            "dropped": self.dropped,
+            "events": list(self.rows),
+            "blocked": self.blocked,
+            "spans": self.spans,
+            "process": self.process,
+        }
 
 
 @dataclass

@@ -217,6 +217,32 @@ def test_e1_is_one_mazurkiewicz_class_on_all_five_engines():
             assert {e.index for e in causal} == {-1}, name
 
 
+def test_e1_spans_read_the_same_on_all_five_engines():
+    """Spans are rows of each rank's event log, read at the one run
+    tail: the same stages, exchanges and receives, at the same depths,
+    whatever engine ran the ranks."""
+    from collections import Counter
+
+    from repro.runtime import ENGINE_NAMES
+
+    system = e1_system()
+    shapes = {}
+    for name in ENGINE_NAMES:
+        spans = run_once(name, system, observe=True).report.spans
+        shapes[name] = Counter((s.rank, s.name, s.cat, s.depth) for s in spans)
+        outer = [s for s in spans if s.cat in ("stage", "exchange")]
+        for s in (s for s in spans if s.cat == "blocked"):
+            assert s.depth >= 1, (name, s)
+            assert any(
+                o.rank == s.rank and o.t0 <= s.t0 and s.t1 <= o.t1
+                for o in outer
+            ), (name, s)
+    reference = shapes["cooperative"]
+    assert sum(reference.values()) == 350
+    for name, shape in shapes.items():
+        assert shape == reference, name
+
+
 def test_cooperative_engine_replays_a_pooled_multiprocess_causal_order():
     from repro.runtime import ReplayPolicy
     from repro.theory import state_digest

@@ -14,12 +14,10 @@ from repro.dist.engine import WorkerCrashError
 from repro.dist.fleet import (
     DaemonState,
     FleetScheduler,
-    LeastLoadedPolicy,
-    PackedPolicy,
     ServerClosedError,
     ServerSaturatedError,
     elastic_capacity,
-    make_policy,
+    least_loaded,
     probe_stats,
 )
 from repro.dist.net.daemon import WorkerDaemon
@@ -188,31 +186,19 @@ def _daemons(*free):
 
 def test_least_loaded_spreads_and_respects_capacity():
     daemons = _daemons((2, 0), (2, 1))
-    assign = LeastLoadedPolicy().place(3, daemons)
+    assign = least_loaded(3, daemons)
     # d0 has 2 free, d1 has 1: greedy takes d0, d0 (tie -> first), d1.
     assert [d.address[1] for d in assign] == [9000, 9000, 9001]
-    assert LeastLoadedPolicy().place(4, daemons) is None  # only 3 free
+    assert least_loaded(4, daemons) is None  # only 3 free
 
 
 def test_least_loaded_skips_dead_daemons():
     daemons = _daemons((4, 0), (4, 0))
     daemons[0].alive = False
-    assign = LeastLoadedPolicy().place(2, daemons)
+    assign = least_loaded(2, daemons)
     assert all(d is daemons[1] for d in assign)
     daemons[1].alive = False
-    assert LeastLoadedPolicy().place(1, daemons) is None
-
-
-def test_packed_fills_one_daemon_first():
-    daemons = _daemons((4, 0), (4, 0))
-    assign = PackedPolicy().place(3, daemons)
-    assert all(d is daemons[0] for d in assign)
-
-
-def test_make_policy_rejects_unknown():
-    assert make_policy("least-loaded").name == "least-loaded"
-    with pytest.raises(ValueError):
-        make_policy("psychic")
+    assert least_loaded(1, daemons) is None
 
 
 def test_elastic_capacity_controller():

@@ -194,28 +194,3 @@ class TestWorkerPoolDirect:
         assert all(not p.is_alive() for p in procs)
         assert live_segment_names() == frozenset()
 
-
-class TestAffinity:
-    def test_pinned_run_identical_to_unpinned(self):
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("no CPU affinity on this platform")
-        cpu = min(os.sched_getaffinity(0))
-        plain = MultiprocessEngine(start_method="fork").run(exchange_system())
-        pinned = MultiprocessEngine(
-            start_method="fork", affinity=[cpu]
-        ).run(exchange_system())
-        run_pair_equal(plain, pinned)
-
-    def test_auto_affinity_round_robins(self):
-        def where(ctx):
-            return sorted(os.sched_getaffinity(0))
-
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("no CPU affinity on this platform")
-        system = System([ProcessSpec(r, where) for r in range(2)])
-        result = MultiprocessEngine(
-            start_method="fork", affinity="auto"
-        ).run(system)
-        available = sorted(os.sched_getaffinity(0))
-        for pins in result.returns:
-            assert len(pins) == 1 and pins[0] in available

@@ -357,7 +357,6 @@ def test_sigkill_with_fds_in_flight_releases_them():
             rest={},
             w_specs=[EndpointSpec("c", 0, 0, "w", writer)],
             r_specs=[],
-            affinity=None,
             recv_timeout=None,
             observe=False,
             trace_causal=False,

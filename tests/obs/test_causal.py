@@ -5,8 +5,7 @@ and the Chrome exporter's lane assignment + flow events."""
 import json
 
 from repro.obs.export import chrome_trace_dict
-from repro.obs.report import ProcessTimes, RunReport
-from repro.obs.spans import Span
+from repro.obs.report import ProcessTimes, RunReport, Span
 from repro.runtime.trace import Event, EventLog, Trace
 
 
@@ -180,27 +179,26 @@ def spans_report(proc_ranks, span_ranks):
 
 
 def test_chrome_lanes_are_unique_and_stably_sorted():
-    # Ranks deliberately unsorted; rank 9 is a non-process span owner
-    # (the serving layer's job-id spans) and must not collide.
-    report = spans_report([2, 0, 1], [0, 1, 2, 9])
+    # Ranks deliberately unsorted and sparse (as local rank ids of
+    # several hosts can be).
+    report = spans_report([7, 0, 3], [0, 3, 7, 7])
     trace = chrome_trace_dict(report)
     x_lanes = {
         (e["pid"], e["tid"]) for e in trace["traceEvents"] if e["ph"] == "X"
     }
-    assert len(x_lanes) == 4  # one lane per span owner, no collisions
+    assert x_lanes == {(0, 0), (0, 1), (0, 2)}  # one lane per rank
     sort_meta = [
         e for e in trace["traceEvents"] if e["name"] == "thread_sort_index"
     ]
-    assert len(sort_meta) == 4
-    # Real ranks live in pid 0 with dense tids in rank order; the job
-    # span owner lands in the auxiliary pid.
+    assert len(sort_meta) == 3
+    # One trace process; dense tids in rank order.
+    assert {e["pid"] for e in trace["traceEvents"]} == {0}
     names = {
-        (e["pid"], e["tid"]): e["args"]["name"]
+        e["tid"]: e["args"]["name"]
         for e in trace["traceEvents"]
         if e["name"] == "thread_name"
     }
-    assert names[(0, 0)] == "P0" and names[(0, 2)] == "P2"
-    assert (1, 0) in names  # aux lane for rank 9
+    assert names == {0: "P0", 1: "P3", 2: "P7"}
 
 
 def test_chrome_flow_events_cover_every_send_recv_pair():

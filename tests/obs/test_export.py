@@ -5,6 +5,7 @@ import json
 from repro.obs import (
     ProcessTimes,
     RunReport,
+    Span,
     StreamTraffic,
     chrome_trace_dict,
     read_chrome_trace,
@@ -12,7 +13,6 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.spans import Span
 from repro.runtime.system import ChannelStatsRecord
 
 

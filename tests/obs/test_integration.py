@@ -5,10 +5,13 @@ import numpy as np
 
 from repro.obs import Observer
 from repro.runtime import (
+    Collectives,
+    Communicator,
     CooperativeEngine,
     ProcessSpec,
     System,
     ThreadedEngine,
+    make_full_mesh_channels,
 )
 from repro.util import payload_nbytes
 
@@ -95,7 +98,24 @@ class TestObserverInstance:
         obs = Observer()
         result = ThreadedEngine(observe=obs).run(ring_system())
         assert result.report is not None
-        assert len(obs.process_times()) == 3
+        assert [p.rank for p in result.report.processes] == [0, 1, 2]
+
+    def test_reused_observer_reports_each_run_separately(self):
+        def body(ctx):
+            return Collectives(Communicator(ctx)).broadcast(ctx.rank * 10)
+
+        system = System([ProcessSpec(r, body) for r in range(3)])
+        make_full_mesh_channels(system)
+        obs = Observer()
+        engines = [ThreadedEngine(observe=obs)] * 2
+        engines.append(CooperativeEngine(observe=obs))
+        for engine in engines:
+            report = engine.run(system).report
+            named = [s for s in report.spans if s.cat != "blocked"]
+            assert sorted((s.rank, s.name) for s in named) == [
+                (r, "collective:broadcast") for r in range(3)
+            ]
+            assert [p.rank for p in report.processes] == [0, 1, 2]
 
 
 class TestModelValidation:

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs import NULL_REGISTRY, Counter, Gauge, MetricsRegistry
+from repro.obs import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -86,13 +86,3 @@ class TestRegistry:
         assert snap == {"a/depth": 4, "a/depth/hwm": 4, "b/msgs": 2}
         # Deterministic order: counters sorted by name, then gauges.
         assert list(snap) == ["b/msgs", "a/depth", "a/depth/hwm"]
-
-
-class TestNullRegistry:
-    def test_discards_everything(self):
-        NULL_REGISTRY.counter("anything").inc(100)
-        NULL_REGISTRY.gauge("anything").set(100)
-        assert NULL_REGISTRY.snapshot() == {}
-
-    def test_shared_instruments(self):
-        assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")

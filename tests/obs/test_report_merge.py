@@ -15,33 +15,46 @@ def record(name, writer, reader):
 
 
 def observation(rank, epoch):
-    """One worker's payload with spans that collide on t0 across ranks
-    (coarse clocks on symmetric ranks make exact ties realistic)."""
+    """One worker's run-wide payload."""
     return {
         "epoch": epoch,
-        "procs": {rank: (f"P{rank}", 1.5, 0.25)},
         "streams": {(rank, 1 - rank, 0): (3, 96)},
-        "spans": [
-            ("E-phase[0]", "phase", rank, epoch + 0.1, epoch + 0.2, 0, {}),
-            ("E-phase[1]", "phase", rank, epoch + 0.1, epoch + 0.3, 0, {}),
-            ("recv", "blocked", rank, epoch + 0.1, epoch + 0.2, 1, {}),
-        ],
         "metrics": {"wire/pipe_bytes": 96},
     }
 
 
-def test_merge_is_deterministic_across_payload_arrival_orders():
-    channels = [record("c0", 0, 1), record("c1", 1, 0)]
-    # Same epoch for both ranks: every span t0 ties across ranks, so
-    # only the tiebreak chain keeps the merged order deterministic.
-    payloads = {0: observation(0, 10.0), 1: observation(1, 10.0)}
-    forward = merge_worker_observations("multiprocess", 2, payloads, channels)
-    backward = merge_worker_observations(
+def log(rank, epoch):
+    """One rank's event-log payload with spans that collide on t0 across
+    ranks (coarse clocks on symmetric ranks make exact ties realistic)."""
+    return {
+        "dropped": 0,
+        "events": [],
+        "blocked": 0.25,
+        "spans": [
+            ("E-phase[0]", "phase", epoch + 0.1, epoch + 0.2, 0, {}),
+            ("E-phase[1]", "phase", epoch + 0.1, epoch + 0.3, 0, {}),
+            ("recv", "blocked", epoch + 0.1, epoch + 0.2, 1, {}),
+        ],
+        "process": (f"P{rank}", epoch, epoch + 1.5),
+    }
+
+
+def merge(ranks, epoch, reverse=False):
+    order = sorted(ranks, reverse=reverse)
+    return merge_worker_observations(
         "multiprocess",
         2,
-        dict(sorted(payloads.items(), reverse=True)),
-        channels,
+        {r: observation(r, epoch) for r in order},
+        [record("c0", 0, 1), record("c1", 1, 0)],
+        {r: log(r, epoch) for r in order},
     )
+
+
+def test_merge_is_deterministic_across_payload_arrival_orders():
+    # Same epoch for both ranks: every span t0 ties across ranks, so
+    # only the tiebreak chain keeps the merged order deterministic.
+    forward = merge([0, 1], 10.0)
+    backward = merge([0, 1], 10.0, reverse=True)
     assert forward.spans == backward.spans
     assert forward.processes == backward.processes
     assert forward.streams == backward.streams
@@ -53,10 +66,16 @@ def test_merge_is_deterministic_across_payload_arrival_orders():
 
 
 def test_merge_orders_same_t0_spans_by_rank_then_extent():
-    channels = []
-    payloads = {1: observation(1, 5.0), 0: observation(0, 5.0)}
-    report = merge_worker_observations("multiprocess", 2, payloads, channels)
+    report = merge([0, 1], 5.0, reverse=True)
     ties = [s for s in report.spans if abs(s.t0 - 0.1) < 1e-12]
     assert [(s.rank, s.t1, s.depth) for s in ties] == sorted(
         (s.rank, s.t1, s.depth) for s in ties
     )
+
+
+def test_processes_are_the_logs_lifetimes():
+    report = merge([0, 1], 5.0)
+    assert [(p.rank, p.name, p.wall, p.blocked) for p in report.processes] == [
+        (0, "P0", 1.5, 0.25),
+        (1, "P1", 1.5, 0.25),
+    ]
