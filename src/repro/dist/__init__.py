@@ -17,20 +17,20 @@ Pieces:
   buffer-protocol frames (no pickle of array data);
 * :mod:`~repro.dist.shm` — ``multiprocessing.shared_memory`` backing
   for process stores, so block-decomposed grid arrays are placed in
-  shared segments once instead of being copied through pipes, with
+  shared segments once instead of being copied through streams, with
   deterministic parent-owned cleanup;
-* :mod:`~repro.dist.channels` — SRSW channels over OS pipes that keep
-  the model's *infinite slack* (sends never block: the sender writes
-  the pipe itself when that cannot block, and otherwise a per-writer
-  feeder thread drains an unbounded local queue into it);
+* :mod:`~repro.dist.channels` — SRSW channels over connected stream
+  sockets that keep the model's *infinite slack* (sends never block:
+  the sender writes the socket itself when that cannot block, and
+  otherwise a per-writer feeder thread drains an unbounded local queue
+  into it) — one class for a pool's socketpairs and a daemon's TCP
+  connections;
 * :mod:`~repro.dist.engine` — :class:`MultiprocessEngine`, the third
   execution backend, honouring the same ``System``/``RunResult``
   contract as the threaded and cooperative engines;
-* :mod:`~repro.dist.net` — the cross-host transport: length-prefixed
-  socket framing of the same wire format, TCP
-  :class:`~repro.dist.net.transport.SocketChannel` endpoints sharing
-  the pipe transport's inline-write+feeder core, rank rendezvous, the
-  ``python -m repro worker-daemon`` per-host daemon, and
+* :mod:`~repro.dist.net` — length-prefixed socket framing of the wire
+  format (the one byte stream every process-backed engine uses), rank
+  rendezvous, the ``python -m repro worker-daemon`` per-host daemon, and
   :class:`~repro.dist.net.engine.SocketEngine`
   (``make_engine("socket")``) — the only backend whose ranks can live
   on different machines;

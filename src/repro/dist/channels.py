@@ -1,251 +1,223 @@
-"""SRSW channels over OS pipes, with the model's infinite slack intact.
+"""SRSW channels across processes: one connected stream socket each.
 
-A cross-process channel is one OS pipe (``multiprocessing.Pipe``,
-non-duplex): the writer rank holds the send end, the reader rank holds
-the receive end, and values cross via :mod:`repro.dist.wire` frames.
+A cross-process channel is one connected stream socket, framed by
+:class:`~repro.dist.net.frames.FrameStream`: an ``AF_UNIX`` socketpair
+made by the pool's coordinator (:func:`repro.dist.engine.
+build_channel_endpoints`) or a TCP connection a worker daemon dials or
+claims at rendezvous (:mod:`repro.dist.net.daemon`).  Either way the
+writer rank holds one end, the reader rank the other, and values cross
+as :mod:`repro.dist.wire` frames.  What a rank may do with a channel is
+:class:`~repro.runtime.channel.ChannelCore`'s contract, as for every
+kind of channel; :class:`SocketChannel` is only the storage:
 
-The one place a pipe *cannot* imitate the paper's channel directly is
-slack: a pipe has finite kernel capacity (~64 KiB on Linux), so a raw
-``send`` would block once the reader falls that far behind — and a
-balanced exchange pattern that is deadlock-free in the model could then
-deadlock in practice.  :class:`ProcChannel` therefore never makes a
-pipe write that could block from the sending thread.  A value whose
-arrays all rode the slab is one frame of at most ``PIPE_BUF`` bytes —
-which POSIX writes atomically, and which cannot block once the fd
-polls writable — so the sender writes it *inline*: no queue, no thread
-hop.  Anything else (an array frame that fell back to the pipe, an
-oversized header, a full pipe, and then every later value until the
-backlog drains) appends to an unbounded in-process queue — exactly the
-semantics of :class:`repro.runtime.channel.Channel` — and a per-channel
-*feeder thread*, started on that first back-pressure, drains the queue
-into the pipe, blocking where the sender must not.  That
-inline-write-plus-feeder core is shared with the TCP transport as
-:class:`repro.dist.net.feeder.SendFeeder`.
-
-Close/EOF mirrors the threaded engine's cascade: a writer closes its
-channels when its body finishes (or its process dies, which closes the
-fd either way); the reader's next receive on the emptied pipe raises
-:class:`~repro.errors.EmptyChannelError` instead of hanging.
-
-Statistics parity: ``sends``/``receives``/``bytes_sent`` are exact.
-``queue_hwm`` is necessarily an estimate — occupancy is distributed
-between the local queue, the pipe, and the reader — computed as
-``sends - receiver's receive counter`` (a :class:`~repro.dist.shm.SharedCounter`)
-sampled at each send, which bounds true occupancy from above.
-
-The contract — who may send and receive, what a closed, timed-out or
-drained channel says, the counters — is
-:class:`~repro.runtime.channel.ChannelCore`'s, shared with every other
-kind of channel; :class:`ProcChannel` is only the storage described
-above.  A causal stamp, when the run is traced, rides in the wire header
-of its value (:mod:`repro.dist.wire`).
-
-Everything the two ends share besides the pipe — that receive counter,
-the slab and the slab's consumed-watermark — is **one** shared segment
-(:class:`~repro.dist.shm.ChannelSegment`), so an endpoint attaches once.
+* **Infinite slack.**  Kernel socket buffers are finite, so a raw send
+  could block on a slow reader — and a balanced exchange pattern that
+  is deadlock-free in the model could then deadlock in practice.  Sends
+  are therefore encoded in the sending thread and offered to the kernel
+  right there in one *non-blocking* gather (``sendmsg`` with
+  ``MSG_DONTWAIT``) — the common case, which costs no queue and no
+  thread.  Whatever the kernel would not take (all of a value, or the
+  tail of a partial write, and then every later value until that
+  backlog drains) goes to a :class:`~repro.dist.net.feeder.SendFeeder`,
+  whose feeder thread is the only one ever to block on the socket.
+  Array frames are written from the value's own buffers, so — as on
+  the in-memory channel, which queues a reference — a sent value is not
+  mutated afterwards (the refinement transform and the archetype
+  library send fresh copies).
+* **Close/EOF cascade.**  A finishing writer flushes its queue, sends
+  the framing layer's *goodbye* frame, and closes; the reader's next
+  receive on the drained stream raises
+  :class:`~repro.errors.EmptyChannelError`.  A writer that *dies* — a
+  killed pool worker or a dead daemon, whose descriptors the kernel
+  closes — never sends the goodbye, so the reader gets
+  :class:`~repro.errors.TransportAbortError` from the framing layer,
+  surfaced here as :class:`~repro.errors.ProcessFailedError` naming the
+  writer rank: the run's error attributes the death instead of blaming
+  the reader for an empty channel.
+* **Statistics.**  ``sends`` / ``receives`` / ``bytes_sent`` are exact.
+  The writer also counts ``frames`` (wire frames: a header per value
+  plus its non-empty array frames), ``pipe_bytes`` (those frames' bytes)
+  and ``net_syscalls`` (send syscalls issued: one gather per value
+  without back-pressure, plus the goodbye).  ``queue_hwm`` is zero: how
+  far the writer ran ahead of the reader is spread over the local queue,
+  two kernel buffers and the reader, and nothing reads it across them.
+* **Causal stamps** ride in the wire header of their value
+  (:mod:`repro.dist.wire`); the framing layer knows nothing of them.
 """
 
 from __future__ import annotations
 
-import select
 from dataclasses import dataclass
 from typing import Any
 
 from repro.dist import wire
 from repro.dist.net.feeder import SendFeeder
-from repro.dist.shm import ChannelSegment
+from repro.dist.net.frames import FrameStream
+from repro.errors import ProcessFailedError, TransportAbortError
 from repro.runtime.channel import ChannelCore
 
-__all__ = ["EndpointSpec", "ProcChannel"]
-
-#: ``Connection.send_bytes`` puts a 4-byte length before every payload
-#: below 2 GiB and writes both with one ``write`` when they are small.
-_PIPE_PREFIX = 4
+__all__ = ["EndpointSpec", "SocketChannel"]
 
 
 @dataclass
 class EndpointSpec:
     """One rank's end of one cross-process channel.
 
-    Shippable to a worker inside ``Process`` args (the ``conn`` handle
-    is duplicated across the boundary by multiprocessing's reduction).
-    ``segment`` names the channel's shared segment
-    (:class:`~repro.dist.shm.ChannelSegment`: receive counter, slab
-    consumed-watermark, slab), or is ``""`` when high-water-mark
-    tracking is off; ``slab_size`` is the size of the payload-staging
-    slab in it (see :class:`repro.dist.wire.SlabWriter`), ``0`` when
-    array payloads always ride the pipe.
+    ``conn`` is the connected end: a pool's coordinator fills it at
+    setup with its end of a socketpair, which crosses to the worker as
+    ``SCM_RIGHTS`` and arrives there as a
+    :class:`~repro.dist.net.frames.FrameStream`
+    (:meth:`repro.dist.pool.WorkerPool.dispatch`).  A daemon's spec
+    travels with ``conn=None`` and ``peer`` naming the *reader's* daemon
+    address; the daemon dials (writer side) or claims the matching
+    accepted stream (reader side) under ``job_id`` and fills ``conn``
+    before channels are built.
     """
 
     name: str
     writer: int
     reader: int
     role: str  # "w" | "r"
-    conn: Any
-    segment: str = ""
-    slab_size: int = 0
+    conn: Any = None
+    job_id: str = ""
+    peer: tuple | None = None  # (host, port) of the reader's daemon
 
-    def open(self) -> "ProcChannel":
+    def open(self) -> "SocketChannel":
         """The live endpoint this spec describes."""
-        return ProcChannel(self)
+        return SocketChannel(self)
 
 
-class ProcChannel(ChannelCore):
-    """One endpoint of a cross-process SRSW channel: the contract of
-    :class:`~repro.runtime.channel.ChannelCore` over a pipe, a slab and
-    a :class:`~repro.dist.net.feeder.SendFeeder`.
+class SocketChannel(ChannelCore):
+    """One endpoint of a cross-process SRSW channel (module docstring).
 
     Unlike the in-memory ``Channel``, an instance lives in *one* process
-    and serves *one* role — the other end is a different ``ProcChannel``
-    in a different process.
+    and serves *one* role — the other end is a different
+    ``SocketChannel`` in a different process (or, in tests, the same
+    one).
     """
 
-    #: ``metric -> counter attribute``: what this kind of channel adds
-    #: to an observed run's wire metrics (:func:`repro.dist.worker.run_job`).
+    #: ``metric -> counter attribute``: what a channel adds to an
+    #: observed run's wire metrics (:func:`repro.dist.worker.run_job`).
     wire_metrics = {
         "wire/frames": "frames",
-        "wire/pipe_bytes": "pipe_bytes",
-        "wire/shm_bytes": "shm_bytes",
+        "wire/bytes": "pipe_bytes",
+        "wire/syscalls": "net_syscalls",
     }
 
-    _writer_stats: tuple[str, ...] = (
+    _writer_stats = (
         "sends",
         "bytes_sent",
-        "queue_hwm",
         "frames",
         "pipe_bytes",
-        "shm_bytes",
+        "net_syscalls",
     )
 
-    __slots__ = (
-        "_conn",
-        "_segment",
-        "_counter",
-        "_slab_w",
-        "_slab_r",
-        "_feeder",
-        "_pollout",
-        "frames",
-        "pipe_bytes",
-        "shm_bytes",
-    )
+    __slots__ = ("_conn", "_feeder", "frames", "pipe_bytes")
 
     def __init__(self, spec: EndpointSpec):
+        if not isinstance(spec.conn, FrameStream):
+            raise TypeError(
+                f"EndpointSpec for channel {spec.name!r} has no connected "
+                "FrameStream (rendezvous incomplete?)"
+            )
         super().__init__(spec)
         self._conn = spec.conn
-        # One attach: the slab halves *are* the segment, extended.
-        self._segment = self._slab_w = self._slab_r = None
-        if spec.segment and not spec.slab_size:
-            self._segment = ChannelSegment(spec.segment)
-        elif spec.segment and spec.role == "w":
-            self._segment = self._slab_w = wire.SlabWriter(
-                spec.segment, spec.slab_size
-            )
-        elif spec.segment:
-            self._segment = self._slab_r = wire.SlabReader(spec.segment)
-        self._counter = (
-            self._segment.received if self._segment is not None else None
-        )
-        self._pollout = None  # select.poll() on the write fd, made lazily
         self._feeder = SendFeeder(
             spec.name,
             self._write_frames,
             self._end_stream,
             try_write=self._try_write_frames,
         )
-        self.frames = 0  # pipe frames written (header + inline arrays)
-        self.pipe_bytes = 0  # bytes actually crossing the pipe
-        self.shm_bytes = 0  # payload bytes staged through the slab
+        self.frames = 0  # wire frames written (header + array frames)
+        self.pipe_bytes = 0  # bytes in those frames
 
     @property
     def _stat_fields(self) -> tuple[str, ...]:
         return self._writer_stats if self.spec.role == "w" else ("receives",)
 
+    @property
+    def net_syscalls(self) -> int:
+        """Send syscalls issued; lives on the stream, so it survives
+        channel close."""
+        return self._conn.send_syscalls
+
     # -- write side --------------------------------------------------------
 
     def _try_write_frames(self, item: tuple):
-        """Sender-thread write: the value's single small frame straight
-        to the pipe, or ``item`` back for the feeder.
+        """Sender-thread write: the whole value in one non-blocking
+        gather; ``None`` when the kernel took it all, else the unsent
+        byte views (a list, where a queued value is a tuple)."""
+        rest = self._conn.try_send_frames(wire.encoded_frames(*item))
+        return rest or None
 
-        Only a header-only value of at most ``PIPE_BUF`` bytes
-        qualifies: the kernel takes such a write whole, and — this
-        being the pipe's only writer — a pipe that polls writable has
-        room for it, so the write cannot block.
+    def _write_frames(self, item) -> None:
+        """Feeder-thread write: one queued value's frames in one gather
+        syscall, or the unsent tail of a partial inline write — already
+        framed, so its byte views go out as they are.
+
+        Kernel back-pressure blocks *here*, never in the sending body; a
+        reader that exits early breaks the stream and the feeder
+        discards the undeliverable remainder.
         """
-        header, buffers = item
-        if buffers or _PIPE_PREFIX + len(header) > select.PIPE_BUF:
-            return item
-        pollout = self._pollout
-        if pollout is None:
-            pollout = self._pollout = select.poll()
-            pollout.register(self._conn.fileno(), select.POLLOUT)
-        if not pollout.poll(0):
-            return item
-        self._write_frames(item)
-        return None
-
-    def _write_frames(self, item: tuple) -> None:
-        """Feeder-thread write: one encoded value's frames to the pipe.
-
-        Kernel backpressure blocks *here*, never in the sending body; a
-        reader that exits early breaks the pipe and the feeder discards
-        the undeliverable remainder.
-        """
-        wire.send_encoded(self._conn, *item)
+        if isinstance(item, list):
+            self._conn.send_views(item)
+        else:
+            self._conn.send_frames(wire.encoded_frames(*item))
 
     def _end_stream(self) -> None:
-        """Feeder finisher: drop the write end so the reader sees EOF."""
-        self._conn.close()
+        """Feeder finisher: goodbye frame (clean close), then close.
+
+        Runs after the queue drained — so by the time the reader sees
+        the goodbye, every value this writer sent is on the stream —
+        or after the stream broke, in which case the goodbye write
+        fails harmlessly (the feeder swallows transport errors) and the
+        socket is closed all the same.
+        """
+        try:
+            self._conn.send_goodbye()
+        finally:
+            self._conn.close()
 
     def _put(self, value: Any, clock: int | None) -> int:
-        """Never blocks (infinite slack): the value is encoded here — so
-        slab staging freezes array payloads at send time, preserving
-        single-assignment semantics — then written inline when the
-        transport can take it without blocking; otherwise the header
-        and any fallback pipe frames land on the local unbounded queue
-        and the feeder thread owns the pipe write.
-        """
-        header, buffers, slab_bytes = wire.encode(value, self._slab_w, clock)
+        """Never blocks (infinite slack): encoded here, then written
+        inline when the kernel takes it, else queued for the feeder."""
+        header, buffers, nbytes = wire.encode(value, clock)
         self._feeder.put((header, buffers))
         self.frames += 1 + sum(1 for a in buffers if a.nbytes)
-        self.pipe_bytes += len(header) + sum(a.nbytes for a in buffers)
-        self.shm_bytes += slab_bytes
-        if self._counter is None:
-            return 0
-        return self.sends + 1 - self._counter.value
+        self.pipe_bytes += nbytes
+        return 0
 
     def _shut(self) -> None:
-        """Flush any queued values and close the write end (EOF
-        downstream); reader-side close just drops the receive end.
+        """Flush any queued values and say goodbye (writer), or drop the
+        receive end (reader).
 
         Safe concurrently: the feeder's own lock ensures the flush and
-        fd close happen exactly once no matter how many threads close.
+        the goodbye happen exactly once no matter how many threads
+        close; a dead reader breaks the stream rather than blocking the
+        flush forever.
         """
         if self.spec.role == "w":
-            # Waits for the flush; a dead reader breaks the pipe rather
-            # than blocking the join forever.
             self._feeder.close()
         else:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-        if self._segment is not None:
-            self._segment.close()
+            self._conn.close()
 
     # -- read side ---------------------------------------------------------
 
     def _get(self, timeout: float | None):
-        if timeout is not None and not self._conn.poll(timeout):
-            return None
-        item = wire.recv_traced(self._conn, self._slab_r)
-        if self._counter is not None:
-            self._counter.value = self.receives + 1
-        return item
+        try:
+            if timeout is not None and not self._conn.poll(timeout):
+                return None
+            return wire.recv_traced(self._conn)
+        except TransportAbortError as exc:
+            raise ProcessFailedError(
+                self.writer,
+                TransportAbortError(
+                    f"channel {self.name!r}: the stream from writer rank "
+                    f"{self.writer} aborted without a clean close "
+                    f"({exc}) — its host process or daemon died"
+                ),
+            ) from exc
 
     def poll(self) -> bool:
         """True iff a receive would find data (or pending EOF) now."""
-        try:
-            return self._conn.poll(0)
-        except OSError:
-            return False
+        return self._conn.poll(0)

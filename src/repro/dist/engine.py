@@ -22,13 +22,15 @@ Per run, it:
    (the Yee-grid field blocks) in a *run pack* that crosses the process
    boundary exactly twice: written once at setup, read once at
    readback;
-2. builds one OS pipe per channel and one duplex *result pipe* per
-   rank, borrows one worker per rank and ships it its job — the body as
-   its once-per-System image (:mod:`repro.dist.closures`), the pipe
-   ends in-band;
+2. builds one ``AF_UNIX`` socketpair per channel and one per rank's
+   *result stream*, borrows one worker per rank and ships it its job —
+   the body as its once-per-System image (:mod:`repro.dist.closures`),
+   the socket ends in-band; each is a
+   :class:`~repro.dist.net.frames.FrameStream` from then on, the stream
+   a daemon's channels and control connections are too;
 3. holds all workers at a start barrier until every one reports ready,
    so the timing split can separate startup from the run proper;
-4. multiplexes result pipes and process sentinels
+4. multiplexes result streams and process sentinels
    (:func:`collect_results`): ``done`` payloads carry returns, store
    overrides, channel statistics, and observation payloads; a worker
    that dies without reporting is reaped via its sentinel into
@@ -54,14 +56,16 @@ events in happens-before order, which is all :mod:`repro.theory` needs.
 from __future__ import annotations
 
 import multiprocessing.connection as mp_connection
+import socket
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec
+from repro.dist.net.frames import FrameStream
 from repro.dist.pool import WorkerCrashError, WorkerPool
-from repro.dist.shm import DEFAULT_SLAB, SharedStoreArena, by_value_constants
+from repro.dist.shm import by_value_constants
 from repro.errors import (
     RuntimeModelError,
     TransportAbortError,
@@ -196,10 +200,11 @@ class Collected:
 def collect_results(
     system: System, procs, parent_conns, crash_grace: float, needs=None
 ) -> Collected:
-    """Multiplex result pipes + sentinels until every rank is terminal.
+    """Multiplex result streams + sentinels until every rank is terminal.
 
-    The one collection loop of every process-backed run, over pipes and
-    over TCP: ready/go barrier, done/error frames, sentinel reaping
+    The one collection loop of every process-backed run, over a pool's
+    socketpairs and over TCP: ready/go barrier, done/error frames,
+    sentinel reaping
     into :class:`WorkerCrashError`, and the post-first-failure grace
     window (``crash_grace`` seconds) before survivors are terminated.
 
@@ -343,7 +348,7 @@ def collect_results(
                 try:
                     while conn in live_conns and conn.poll(0):
                         handle(rank, wire.recv(conn))
-                except (EOFError, OSError):
+                except (EOFError, OSError, TransportAbortError):
                     live_conns.pop(conn, None)
                 if rank not in terminal:
                     procs[rank].join(timeout=1.0)
@@ -367,44 +372,29 @@ def collect_results(
     return out
 
 
-def build_channel_endpoints(
-    system: System, ctx, arena: SharedStoreArena, payload_slab: int
-) -> tuple[list, list, list, list[str]]:
-    """One OS pipe + one shared segment per channel, split per rank.
+def build_channel_endpoints(system: System) -> tuple[list, list, list]:
+    """One ``AF_UNIX`` socketpair per channel, split per rank.
 
-    Returns ``(w_specs, r_specs, parent_conns, segment_names)``:
-    per-rank writer/reader :class:`EndpointSpec` lists, every parent-side
-    pipe end (to close after the workers hold duplicates), and the names
-    of the arena segments created — so the run can recycle exactly
-    these when it completes.
+    Returns ``(w_specs, r_specs, socks)``: per-rank writer/reader
+    :class:`EndpointSpec` lists whose ``conn`` is the raw socket end —
+    it crosses :meth:`~repro.dist.pool.WorkerPool.dispatch` as
+    ``SCM_RIGHTS`` and the worker wraps it — and every end, for the
+    parent to close once the workers hold duplicates.
     """
     nprocs = system.nprocs
     w_specs: list[list[EndpointSpec]] = [[] for _ in range(nprocs)]
     r_specs: list[list[EndpointSpec]] = [[] for _ in range(nprocs)]
-    conns: list[Any] = []
-    names: list[str] = []
+    socks: list[socket.socket] = []
     for spec in system.channel_specs:
-        r_conn, w_conn = ctx.Pipe(duplex=False)
-        conns.extend((r_conn, w_conn))
-        segment = arena.new_channel(payload_slab)
-        names.append(segment)
-        for mode, rank, conn in (
-            ("w", spec.writer, w_conn),
-            ("r", spec.reader, r_conn),
-        ):
-            specs = w_specs if mode == "w" else r_specs
-            specs[rank].append(
-                EndpointSpec(
-                    spec.name,
-                    spec.writer,
-                    spec.reader,
-                    mode,
-                    conn,
-                    segment,
-                    payload_slab,
-                )
-            )
-    return w_specs, r_specs, conns, names
+        w_sock, r_sock = socket.socketpair()
+        socks += (w_sock, r_sock)
+        w_specs[spec.writer].append(
+            EndpointSpec(spec.name, spec.writer, spec.reader, "w", w_sock)
+        )
+        r_specs[spec.reader].append(
+            EndpointSpec(spec.name, spec.writer, spec.reader, "r", r_sock)
+        )
+    return w_specs, r_specs, socks
 
 
 def run_on_pool(
@@ -414,7 +404,6 @@ def run_on_pool(
     *,
     recv_timeout: float | None = None,
     observe: bool = False,
-    payload_slab: int = DEFAULT_SLAB,
     crash_grace: float = 5.0,
     trace_causal: bool = False,
     report_name: str | None = None,
@@ -422,8 +411,8 @@ def run_on_pool(
 ) -> RunResult:
     """One run of ``system`` on ``pool``'s workers, start to finish.
 
-    One borrowed worker per rank, endpoints and stores into the pool's
-    arena, one result pipe per rank, dispatch, collection, readback;
+    One borrowed worker per rank, endpoints, stores into the pool's
+    arena, one result stream per rank, dispatch, collection, readback;
     workers and exactly this run's segments go back to the pool
     whatever happens, so concurrent callers — engines, servers, threads
     — share a pool freely.  (The resident packs holding the system's
@@ -441,26 +430,22 @@ def run_on_pool(
     arena = pool.arena
     if bodies is None:
         bodies = closures.body_payloads(system)
-    payload_slab = max(0, int(payload_slab))
     seg_names: list[str] = []
-    channel_conns: list[Any] = []
-    child_conns: list[Any] = []
+    child_socks: list[socket.socket] = []
     parent_conns: dict[Any, int] = {}
     slots: list = []
     collected: Collected | None = None
     try:
         # Workers first: one forked now must not inherit this run's
-        # pipe ends, or a dead writer's reader would never see EOF.
+        # socket ends, or a dead writer's reader would never see EOF.
         slots = pool.checkout(nprocs)
 
-        # Channel pipes and per-rank endpoint specs; stores: large
+        # Channel sockets and per-rank endpoint specs; stores: large
         # arrays into a resident and a run pack, the rest by value.
+        w_specs, r_specs, child_socks = build_channel_endpoints(system)
         plans: list[dict[str, tuple]] = []
         rests: list[dict[str, Any]] = []
         with pool.arena_lock:
-            w_specs, r_specs, channel_conns, seg_names = (
-                build_channel_endpoints(system, pool.ctx, arena, payload_slab)
-            )
             for p in system.processes:
                 plan, rest = arena.share_store(p.store)
                 plans.append(plan)
@@ -469,19 +454,17 @@ def run_on_pool(
                 # them are run packs.
                 seg_names.extend({entry[0] for entry in plan.values()})
 
-        for rank in range(nprocs):
-            parent_conn, child_conn = pool.ctx.Pipe(duplex=True)
-            parent_conns[parent_conn] = rank
-            child_conns.append(child_conn)
-
-        # One control frame per rank, carrying duplicates of its pipe
-        # ends in-band.
+        # One control frame per rank, carrying duplicates of its socket
+        # ends in-band: its channels' and its result stream's.
         for rank, slot in enumerate(slots):
+            parent_sock, child_sock = socket.socketpair()
+            parent_conns[FrameStream(parent_sock)] = rank
+            child_socks.append(child_sock)
             pool.dispatch(
                 slot,
                 system,
                 rank,
-                child_conns[rank],
+                child_sock,
                 body=bodies[rank],
                 plan=plans[rank],
                 rest=rests[rank],
@@ -492,9 +475,9 @@ def run_on_pool(
                 trace_causal=bool(trace_causal),
             )
         # The parent's copies must close so a dead writer's reader
-        # sees EOF rather than a silently-held-open pipe.
-        for conn in (*channel_conns, *child_conns):
-            conn.close()
+        # sees EOF rather than a silently-held-open socket.
+        for sock in child_socks:
+            sock.close()
 
         collected = collect_results(
             system, [slot.proc for slot in slots], parent_conns, crash_grace
@@ -514,12 +497,9 @@ def run_on_pool(
             ]
     finally:
         # An abandoned setup still holds every end; closing the result
-        # pipes is what unwinds ranks already dispatched.
-        for conn in (*channel_conns, *child_conns, *parent_conns):
-            try:
-                conn.close()
-            except OSError:
-                pass
+        # streams is what unwinds ranks already dispatched.
+        for conn in (*child_socks, *parent_conns):
+            conn.close()
         pool.checkin(slots)
         # Segments are only recycled once every rank is known terminal
         # — an abandoned setup may leave a worker briefly attached, and
@@ -558,11 +538,6 @@ class MultiprocessEngine:
         After the first worker failure, how long to wait for the
         remaining workers to unwind on their own (via the EOF cascade)
         before terminating them.
-    payload_slab:
-        Per-channel payload-staging slab size in bytes (default 1 MiB);
-        array payloads that fit cross via shared memory descriptors
-        instead of pipe frames (see :mod:`repro.dist.wire`).  ``0``
-        disables slabs: every array rides the pipe.
     pool:
         ``False`` boots fresh workers for every run — a
         :class:`~repro.dist.pool.WorkerPool` scoped to the run, so
@@ -599,7 +574,6 @@ class MultiprocessEngine:
         observe=False,
         start_method: str = "spawn",
         crash_grace: float = 5.0,
-        payload_slab: int = DEFAULT_SLAB,
         pool=False,
         trace_causal: bool = False,
     ):
@@ -618,7 +592,6 @@ class MultiprocessEngine:
         self._run_opts = dict(
             recv_timeout=recv_timeout,
             observe=observe,
-            payload_slab=payload_slab,
             crash_grace=crash_grace,
             trace_causal=trace_causal,
         )

@@ -1,18 +1,19 @@
-"""Cross-host transport: TCP channels, rank rendezvous, worker daemons.
+"""Cross-host transport: stream framing, rank rendezvous, worker daemons.
 
 This package lets a :class:`~repro.runtime.system.System` span machines
 while preserving the paper's channel semantics exactly:
 
 * :mod:`repro.dist.net.frames` — length-prefixed framing of the
-  :mod:`repro.dist.wire` format over stream sockets, with an explicit
-  goodbye frame so clean writer close and writer death are
-  distinguishable (TCP FIN alone cannot tell them apart);
-* :mod:`repro.dist.net.feeder` — the send core shared by the pipe and
-  socket transports: non-blocking writes from the sending thread, an
-  unbounded queue and a feeder thread only under back-pressure, which
-  is what keeps channel slack infinite when kernel buffers are not;
-* :mod:`repro.dist.net.transport` — :class:`SocketChannel`, the
-  cross-host sibling of :class:`~repro.dist.channels.ProcChannel`;
+  :mod:`repro.dist.wire` format over stream sockets — the one
+  cross-process byte stream, a pool's socketpairs and a daemon's TCP
+  connections alike — with an explicit goodbye frame so clean writer
+  close and writer death are distinguishable (EOF alone cannot tell
+  them apart);
+* :mod:`repro.dist.net.feeder` — the send core of
+  :class:`~repro.dist.channels.SocketChannel`: non-blocking writes from
+  the sending thread, an unbounded queue and a feeder thread only under
+  back-pressure, which is what keeps channel slack infinite when kernel
+  buffers are not;
 * :mod:`repro.dist.net.rendezvous` — rank→daemon assignment and the
   hello-frame handshake that connects each channel's writer to its
   reader, with retry/backoff and hard timeouts;
@@ -23,7 +24,7 @@ while preserving the paper's channel semantics exactly:
   collects results over control connections.
 
 Imports here are deliberately lazy-friendly: nothing in this package is
-loaded unless a socket engine, daemon, or socket channel is actually
+loaded unless a socket engine, daemon, or channel stream is actually
 used.
 """
 
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 __all__ = [
     "FrameStream",
-    "NetEndpointSpec",
-    "SocketChannel",
     "SocketEngine",
     "WorkerDaemon",
 ]
@@ -43,10 +42,6 @@ def __getattr__(name: str):
         from repro.dist.net.frames import FrameStream
 
         return FrameStream
-    if name in ("NetEndpointSpec", "SocketChannel"):
-        from repro.dist.net import transport
-
-        return getattr(transport, name)
     if name == "SocketEngine":
         from repro.dist.net.engine import SocketEngine
 

@@ -3,10 +3,12 @@
 :class:`SocketEngine` is the fourth execution backend, honouring the
 same ``run(System) -> RunResult`` contract as the cooperative,
 threaded, and multiprocess engines.  Where the multiprocess engine
-spawns its own workers and wires them with OS pipes, this engine ships
-each rank as a *job* to a long-lived per-host worker daemon
-(:mod:`repro.dist.net.daemon`) and wires the channels with TCP sockets
-— the only backend whose ranks can live on different machines.
+puts ranks on its own pool workers and wires them with socketpairs,
+this engine ships each rank as a *job* to a long-lived per-host worker
+daemon (:mod:`repro.dist.net.daemon`) and wires the channels with TCP
+connections — the same :class:`~repro.dist.channels.SocketChannel`
+over the same :class:`~repro.dist.net.frames.FrameStream`, and the only
+backend whose ranks can live on different machines.
 
 By default the engine spawns ``daemons`` loopback daemons on this box
 and reuses them run after run until :meth:`close` — so tests and CI
@@ -21,7 +23,7 @@ Per run, the coordinator:
 1. assigns ranks to daemons round-robin
    (:func:`~repro.dist.net.rendezvous.assign_ranks`) under a fresh
    ``job_id`` so back-to-back runs cannot cross-match streams;
-2. builds per-rank :class:`~repro.dist.net.transport.NetEndpointSpec`
+2. builds per-rank :class:`~repro.dist.channels.EndpointSpec`
    lists — each naming the *reader's* daemon, so writer daemons dial
    data connections peer-to-peer (values never relay through the
    coordinator);
@@ -58,9 +60,9 @@ import weakref
 from typing import Any
 
 from repro.dist import closures, wire
+from repro.dist.channels import EndpointSpec
 from repro.dist.engine import Collected, collect_results
 from repro.dist.net import rendezvous
-from repro.dist.net.transport import NetEndpointSpec
 from repro.errors import RendezvousError, RuntimeModelError
 from repro.runtime.system import RunResult, System
 from repro.util import is_constant
@@ -108,7 +110,7 @@ class _RemoteRank:
 def build_net_endpoints(
     system: System, assign: list[rendezvous.Address], job_id: str
 ) -> tuple[list, list]:
-    """Per-rank writer/reader :class:`NetEndpointSpec` lists.
+    """Per-rank writer/reader :class:`EndpointSpec` lists.
 
     Every spec carries the *reader's* daemon address as ``peer``: the
     writer's daemon dials it, the reader's daemon claims the accepted
@@ -117,14 +119,14 @@ def build_net_endpoints(
     rides loopback.
     """
     nprocs = system.nprocs
-    w_specs: list[list[NetEndpointSpec]] = [[] for _ in range(nprocs)]
-    r_specs: list[list[NetEndpointSpec]] = [[] for _ in range(nprocs)]
+    w_specs: list[list[EndpointSpec]] = [[] for _ in range(nprocs)]
+    r_specs: list[list[EndpointSpec]] = [[] for _ in range(nprocs)]
     for spec in system.channel_specs:
         peer = assign[spec.reader]
         for role, rank in (("w", spec.writer), ("r", spec.reader)):
             target = w_specs if role == "w" else r_specs
             target[rank].append(
-                NetEndpointSpec(
+                EndpointSpec(
                     spec.name,
                     spec.writer,
                     spec.reader,

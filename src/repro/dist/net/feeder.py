@@ -1,13 +1,12 @@
 """The shared inline-write-plus-feeder core of infinite-slack senders.
 
-Both cross-process transports — OS pipes (:class:`~repro.dist.channels.
-ProcChannel`) and TCP sockets (:class:`~repro.dist.net.transport.
-SocketChannel`) — have finite kernel buffers, so a raw write could
-block once the reader falls behind, and a balanced exchange pattern
-that is deadlock-free in the paper's infinite-slack model could then
-deadlock in practice.  The cure is identical for both and lives here —
-the never-blocking half of both channels' storage (their ``_put``; the
-contract above it is :class:`repro.runtime.channel.ChannelCore`'s):
+A cross-process channel (:class:`~repro.dist.channels.SocketChannel`)
+writes a stream socket with a finite kernel buffer, so a raw write
+could block once the reader falls behind, and a balanced exchange
+pattern that is deadlock-free in the paper's infinite-slack model could
+then deadlock in practice.  The cure lives here — the never-blocking
+half of the channel's storage (its ``_put``; the contract above it is
+:class:`repro.runtime.channel.ChannelCore`'s):
 
 * **Fast path — the sender's own thread is the data plane.**  Channels
   are single-writer and Theorem 1 makes the final state independent of
@@ -31,7 +30,7 @@ write returned.
 Shutdown is idempotent and thread-safe: however many times (and from
 however many threads) :meth:`close` is called, the close sentinel is
 enqueued once, the feeder is joined once, and the transport's finisher
-(close the pipe fd / send the TCP goodbye frame) runs exactly once —
+(send the goodbye frame, close the socket) runs exactly once —
 including when every send went inline and the thread never started.
 """
 
@@ -79,8 +78,8 @@ class SendFeeder:
     finish:
         Called exactly once, after the drain ends (flush, close, or
         broken transport): the transport's end-of-stream action —
-        closing a pipe fd, or sending the clean-close goodbye frame and
-        closing a socket.  Errors are swallowed; by this point the
+        sending the clean-close goodbye frame and closing the socket.
+        Errors are swallowed; by this point the
         peer may already be gone.
     try_write:
         Optional non-blocking form of ``write``, called in the *sending*

@@ -1,28 +1,22 @@
 """Length-prefixed framing of the wire format over a stream socket.
 
-:mod:`repro.dist.wire` speaks to a ``Connection``-shaped object through
-exactly three methods — ``send_bytes``, ``recv_bytes``,
-``recv_bytes_into`` — plus ``poll`` for timeouts.  :class:`FrameStream`
-implements that surface over a TCP (or Unix/socketpair) stream socket,
-so the *same* encoder/decoder that serves the pipe transport serves the
-network: a channel value is still a header frame plus zero or more raw
-array frames, only now each frame rides behind an 8-byte big-endian
-length prefix.
+:class:`FrameStream` is the one cross-process byte stream: every
+channel (a pool's ``AF_UNIX`` socketpair or a daemon's TCP connection),
+every result and control stream, every rendezvous hello.
+:mod:`repro.dist.wire` speaks to it through ``send_frames``,
+``recv_bytes`` and ``recv_bytes_into``, plus ``poll`` for timeouts: a
+channel value is a header frame plus zero or more raw array frames,
+each behind an 8-byte big-endian length prefix.
 
-**Vectored fast path (send).**  The bytes on the wire are unchanged,
-but how they enter the kernel is not: every send gathers its pieces —
-length prefix, payload, and (via
-:meth:`FrameStream.send_frames`) *all* frames of one encoded channel
-value — into a single ``socket.sendmsg`` call.  Prefixes are packed
-into a per-stream reusable header scratch, so the hot path allocates no
-per-frame ``bytes``.  Partial gather-writes resume from the exact byte offset, so
-short writes cost extra syscalls, never corruption.  The stream counts
-``send_syscalls`` (gather calls actually issued, retries included) next
-to ``send_syscalls_unvectored`` (what the historical
-one-``sendall``-per-piece sender would have issued for the same
-frames), which is how the syscall-reduction test measures the
-fast path without re-running the slow one.  It also counts the bytes
-the kernel took and handed over (``bytes_sent`` / ``bytes_received``,
+**Vectored send.**  Every send gathers its pieces — length prefix,
+payload, and (via :meth:`FrameStream.send_frames`) *all* frames of one
+encoded channel value — into a single ``socket.sendmsg`` call.
+Prefixes are packed into a per-stream reusable header scratch, so the
+hot path allocates no per-frame ``bytes``.  Partial gather-writes
+resume from the exact byte offset, so short writes cost extra
+syscalls, never corruption.  The stream counts ``send_syscalls``
+(gather calls actually issued, retries included) and the bytes the
+kernel took and handed over (``bytes_sent`` / ``bytes_received``,
 prefixes included): what a connection cost on the wire, which is how a
 coordinator reports its control streams
 (:func:`repro.dist.net.engine.run_assigned`).  The same gather also comes
@@ -41,17 +35,19 @@ any prefetched prefix is copied out of the scratch and the remainder is
 answers from the scratch first, so a frame already buffered in user
 space is never mistaken for "no data"; :attr:`FrameStream.has_buffered`
 exposes the same fact to multiplexers that wait on raw fds
-(:func:`repro.dist.engine.collect_results`).
+(:func:`repro.dist.engine.collect_results`).  The fd itself is waited on
+with ``poll(2)``, which has no ``FD_SETSIZE`` bound: a process holding
+more than 1,024 descriptors polls its streams like any other.
 
 Stream sockets guarantee neither whole reads nor whole writes, so both
 directions loop until the frame is complete.
 
-End-of-stream is where sockets need more care than pipes.  A pipe's
-closed write end always means "writer finished"; a TCP FIN cannot
-distinguish a writer that finished cleanly from one that was killed
-after its last complete frame.  The framing layer therefore makes the
-clean case explicit: a finishing writer sends a *goodbye* frame (the
-all-ones length prefix) before closing, and the reader maps
+End-of-stream needs care: a bare EOF cannot distinguish a writer that
+finished cleanly from one that was killed after its last complete frame
+(the kernel closes a dead process's descriptors either way).  The
+framing layer therefore makes the clean case explicit: a finishing
+writer sends a *goodbye* frame (the all-ones length prefix) before
+closing, and the reader maps
 
 * goodbye frame            → ``EOFError``   (clean close: channel empty),
 * EOF without goodbye,
@@ -76,6 +72,7 @@ when there is one, rides inside the header frame's payload
 
 from __future__ import annotations
 
+import math
 import select
 import socket
 import struct
@@ -94,8 +91,7 @@ GOODBYE = (1 << 64) - 1
 #: giant syscall.
 _CHUNK = 1 << 20
 
-#: Longest frame a reader accepts: 2 GiB, the bound the pipe transport's
-#: ``Connection.send_bytes`` already implies with its 4-byte prefix.
+#: Longest frame a reader accepts: 2 GiB.
 _MAX_FRAME = 1 << 31
 
 #: Size of the reusable receive scratch: one bulk recv_into can deliver
@@ -141,13 +137,12 @@ def _peer_hung_up() -> TransportAbortError:
 class FrameStream:
     """One length-prefixed frame stream over a connected socket.
 
-    Duck-types the ``Connection`` surface :mod:`repro.dist.wire` and the
-    engine's collection loop use: ``send_bytes`` / ``recv_bytes`` /
-    ``recv_bytes_into`` / ``poll`` / ``fileno`` / ``close`` — plus the
-    vectored extensions ``send_frames`` (a list of frames in one
-    syscall) and its non-blocking twin ``try_send_frames``.  Instances
-    are SRSW like everything above them: one thread sends at a time,
-    one thread receives.
+    The surface :mod:`repro.dist.wire` and the engine's collection loop
+    use: ``send_frames`` (a list of frames in one syscall) and its
+    non-blocking twin ``try_send_frames``, ``send_bytes`` /
+    ``recv_bytes`` / ``recv_bytes_into`` / ``poll`` / ``fileno`` /
+    ``close``.  Instances are SRSW like everything above them: one
+    thread sends at a time, one thread receives.
     """
 
     __slots__ = (
@@ -158,9 +153,8 @@ class FrameStream:
         "_rview",
         "_rpos",
         "_rend",
+        "_poller",
         "send_syscalls",
-        "send_syscalls_unvectored",
-        "vectored_frames",
         "recv_syscalls",
         "bytes_sent",
         "bytes_received",
@@ -183,16 +177,10 @@ class FrameStream:
         self._rview = memoryview(self._rbuf)
         self._rpos = 0
         self._rend = 0
+        self._poller = None  # select.poll() on the fd, made on first wait
         #: Send-side syscalls actually issued (gather calls, retries
         #: after short writes, and the goodbye included).
         self.send_syscalls = 0
-        #: Syscalls the unvectored sender (one ``sendall`` per prefix,
-        #: one per payload) would have issued for the same frames — the
-        #: before of the before/after syscall accounting.
-        self.send_syscalls_unvectored = 0
-        #: Frames that left the socket in a gather batch carrying more
-        #: than one frame (i.e. genuinely gathered with siblings).
-        self.vectored_frames = 0
         #: Receive-side recv_into syscalls (bulk fills + direct reads).
         self.recv_syscalls = 0
         #: Bytes the kernel took from / handed to this stream, length
@@ -203,7 +191,7 @@ class FrameStream:
 
     def fileno(self) -> int:
         """Expose the fd so ``multiprocessing.connection.wait`` (and any
-        selector) can multiplex frame streams next to pipes/sentinels.
+        selector) can multiplex frame streams next to process sentinels.
         Callers multiplexing on the fd must also consult
         :attr:`has_buffered` — a complete frame may already sit in the
         user-space scratch while the fd shows idle."""
@@ -255,19 +243,13 @@ class FrameStream:
         hview = memoryview(hdr)
         views: list = []
         off = 0
-        unvectored = 0
         for payload in frames:
             view = memoryview(payload).cast("B")
             _LEN.pack_into(hdr, off, len(view))
             views.append(hview[off : off + _LEN.size])
             off += _LEN.size
-            unvectored += 1  # the prefix sendall
             if len(view):
                 views.append(view)
-                unvectored += 1  # the payload sendall
-        self.send_syscalls_unvectored += unvectored
-        if len(frames) > 1:
-            self.vectored_frames += len(frames)
         return views
 
     def send_frames(self, frames: list) -> None:
@@ -276,7 +258,7 @@ class FrameStream:
 
         Byte-identical to ``len(frames)`` separate :meth:`send_bytes`
         calls, minus the kernel round trips.  This is the blocking
-        primitive whole-value sends (:func:`repro.dist.wire.send_encoded`:
+        primitive whole-value sends (:func:`repro.dist.wire.send`:
         header + all array frames at once) bottom out in.
         """
         self.send_views(self._pack(frames))
@@ -325,7 +307,6 @@ class FrameStream:
 
     def send_goodbye(self) -> None:
         """Announce a clean close: the reader's next receive EOFs."""
-        self.send_syscalls_unvectored += 1
         self.send_views([_LEN.pack(GOODBYE)])
 
     # -- read side ----------------------------------------------------------
@@ -462,11 +443,16 @@ class FrameStream:
             return False
         if self._rend > self._rpos:
             return True
+        poller = self._poller
+        if poller is None:
+            poller = self._poller = select.poll()
+            poller.register(self._sock, select.POLLIN)
+        ms = None if timeout is None else max(0, math.ceil(timeout * 1e3))
         try:
-            ready, _, _ = select.select([self._sock], [], [], timeout)
-        except (OSError, ValueError):
+            ready = poller.poll(ms)
+        except OSError:
             return False
-        return bool(ready)
+        return bool(ready) and not ready[0][1] & select.POLLNVAL
 
     # -- lifecycle ----------------------------------------------------------
 

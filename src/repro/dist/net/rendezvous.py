@@ -17,7 +17,7 @@ to a daemon, tagging what the connection is::
     ("control",)                      coordinator -> daemon, one per rank;
                                       the job frame follows, then the
                                       connection becomes the rank's
-                                      result pipe (ready/go/done/error)
+                                      result stream (ready/go/done/error)
     ("data", job_id, channel_name)    writer daemon -> reader daemon;
                                       the connection becomes the
                                       channel's byte stream

@@ -6,11 +6,11 @@ puts its ranks on :class:`WorkerPool` workers.  A worker is a
 long-lived process parked on a *control socket*;
 :func:`repro.dist.engine.run_on_pool` borrows one per rank
 (:meth:`WorkerPool.checkout`), ships each its job — body, store plan,
-channel endpoints, a fresh result pipe — down that socket
+channel endpoints, a fresh result stream — down that socket
 (:meth:`WorkerPool.dispatch`), and the worker executes
 :func:`repro.dist.worker.run_job`, then parks again.  Keeping the pool
 across runs amortizes process boot (interpreter, imports, shm attach)
-and nothing else: the result-pipe protocol (ready / go / done / error),
+and nothing else: the result-stream protocol (ready / go / done / error),
 barrier timing and crash reaping do not depend on how long the workers
 live.
 
@@ -18,11 +18,13 @@ Mechanics worth noting:
 
 * **One control message per rank.**  A parked worker's control channel
   is an ``AF_UNIX`` socketpair.  :meth:`WorkerPool.dispatch` pickles
-  the job with every embedded ``Connection`` (the rank's channel ends
-  and its result pipe) replaced by an index, writes it as one
-  length-prefixed frame, and the descriptors themselves ride the same
-  ``sendmsg`` as ``SCM_RIGHTS`` ancillary data — the kernel installs
-  duplicates in the worker as it reads the frame.  No listener, helper
+  the job with every embedded socket (the rank's channel ends and its
+  result stream, each one end of a socketpair) replaced by an index,
+  writes it as one length-prefixed frame, and the descriptors
+  themselves ride the same ``sendmsg`` as ``SCM_RIGHTS`` ancillary
+  data — the kernel installs duplicates in the worker as it reads the
+  frame, and the worker wraps each in a
+  :class:`~repro.dist.net.frames.FrameStream`.  No listener, helper
   thread, connect or authentication round trip per descriptor, under
   ``fork`` and ``spawn`` alike; the parent closes its copies right
   after dispatch and EOF semantics stay exact.  Descriptors still in
@@ -50,8 +52,8 @@ Mechanics worth noting:
 * **Segment recycling.**  The pool owns a persistent
   :class:`~repro.dist.shm.SharedStoreArena` (guarded by
   :attr:`WorkerPool.arena_lock` — the arena itself is not thread-safe);
-  a finished run recycles exactly its own segments (run packs, channel
-  segments) so same-shape grids reuse them, while the resident packs
+  a finished run recycles exactly its own segments (its run packs) so
+  same-shape grids reuse them, while the resident packs
   holding a system's constants stay with the arena for as long as that
   system lives — every later or concurrent run of it maps the same
   ones.  :meth:`shutdown` unlinks everything — the pool holds the
@@ -69,10 +71,10 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from multiprocessing.connection import Connection
 from typing import Any
 
 from repro.dist import closures
+from repro.dist.net.frames import FrameStream
 from repro.dist.shm import SharedStoreArena
 from repro.dist.worker import ResidentImages, run_job
 from repro.errors import wrap_process_failure
@@ -86,31 +88,31 @@ _MAX_FDS = 253
 
 
 class _FdPickler(pickle.Pickler):
-    """Pickles a control message, replacing each ``Connection`` in it
-    by its index into :attr:`fds`."""
+    """Pickles a control message, replacing each socket in it by its
+    index into :attr:`fds`."""
 
     def __init__(self, file):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self.fds: list[int] = []
 
     def persistent_id(self, obj):
-        if isinstance(obj, Connection):
+        if isinstance(obj, socket.socket):
             self.fds.append(obj.fileno())
-            return (len(self.fds) - 1, obj.readable, obj.writable)
+            return len(self.fds) - 1
         return None
 
 
 class _FdUnpickler(pickle.Unpickler):
-    """The receiving half: an index becomes a ``Connection`` that owns
+    """The receiving half: an index becomes a
+    :class:`~repro.dist.net.frames.FrameStream` over a socket that owns
     the descriptor received in that position."""
 
     def __init__(self, file, fds: list[int]):
         super().__init__(file)
         self._fds = fds
 
-    def persistent_load(self, pid):
-        index, readable, writable = pid
-        return Connection(self._fds[index], readable, writable)
+    def persistent_load(self, index):
+        return FrameStream(socket.socket(fileno=self._fds[index]))
 
 
 def _rights(fds: list[int]) -> list[tuple]:
@@ -118,7 +120,7 @@ def _rights(fds: list[int]) -> list[tuple]:
 
 
 def _send_frame(sock: socket.socket, msg: tuple) -> None:
-    """Write ``msg`` and the descriptors of every ``Connection`` in it.
+    """Write ``msg`` and the descriptors of every socket in it.
 
     Header, pickle and the first :data:`_MAX_FDS` descriptors are one
     ``sendmsg``; each further chunk of descriptors rides one pad byte
@@ -199,10 +201,11 @@ def worker_loop(slot: int, ctrl: socket.socket) -> None:
             try:
                 run_job(**job, images=images)
             finally:
-                try:
-                    job["result_conn"].close()
-                except OSError:
-                    pass
+                # Streams of channels the job never opened close too
+                # (bare: their readers learn this rank failed).
+                specs = (*job["w_specs"], *job["r_specs"])
+                for conn in (job["result_conn"], *(s.conn for s in specs)):
+                    conn.close()
     finally:
         ctrl.close()
 
@@ -383,7 +386,7 @@ class WorkerPool:
         A worker that died while parked fails the write; that surfaces as
         the rank's :class:`~repro.errors.ProcessFailedError`, like a crash
         at any later point.  Ranks already dispatched unwind when the
-        caller closes their result pipes.
+        caller closes their result streams.
         """
         job = {
             "rank": rank,

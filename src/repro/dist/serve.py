@@ -58,7 +58,6 @@ from repro.dist.serving import (
     ServerSaturatedError,
     _Job,
 )
-from repro.dist.shm import DEFAULT_SLAB
 from repro.obs.observer import Observer
 from repro.runtime.system import RunResult, System
 
@@ -91,8 +90,7 @@ class JobServer(JobServerCore):
     observer:
         An :class:`~repro.obs.observer.Observer` to record into
         (default: a fresh one, exposed as :attr:`observer`).
-    start_method / recv_timeout / observe / payload_slab /
-    crash_grace / trace_causal:
+    start_method / recv_timeout / observe / crash_grace / trace_causal:
         As on :class:`~repro.dist.engine.MultiprocessEngine`, applied
         per job.  With ``trace_causal=True`` each job's result carries
         its own happens-before :class:`~repro.runtime.trace.Trace` and
@@ -111,7 +109,6 @@ class JobServer(JobServerCore):
         start_method: str = "fork",
         recv_timeout: float | None = None,
         observe: bool = False,
-        payload_slab: int = DEFAULT_SLAB,
         crash_grace: float = 5.0,
         trace_causal: bool = False,
     ):
@@ -129,7 +126,6 @@ class JobServer(JobServerCore):
         self._run_opts = dict(
             recv_timeout=recv_timeout,
             observe=observe,
-            payload_slab=payload_slab,
             crash_grace=crash_grace,
             trace_causal=trace_causal,
         )

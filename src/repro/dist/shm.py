@@ -1,4 +1,4 @@
-"""Shared-memory backing for process stores and channels.
+"""Shared-memory backing for process stores.
 
 **Stores cross as packs.**  A rank's store reaches its worker through at
 most two ``multiprocessing.shared_memory`` segments, whatever it holds:
@@ -23,9 +23,6 @@ constant fails there exactly as it does on the in-process engines.
 Everything else (small arrays, scalars, objects) rides the job's
 pickle.
 
-**A channel is one segment** (:class:`ChannelSegment`): its receive
-counter, its slab's consumed-watermark and the slab bytes themselves.
-
 Ownership and lifecycle are deliberately asymmetric:
 
 * the **parent** creates every segment inside a
@@ -48,7 +45,6 @@ tests assert it is empty after both clean and crashing runs.
 from __future__ import annotations
 
 import os
-import struct
 import weakref
 from multiprocessing import shared_memory
 from typing import Any, Iterable, NamedTuple
@@ -59,11 +55,8 @@ from repro.util import is_constant
 
 __all__ = [
     "DEFAULT_THRESHOLD",
-    "DEFAULT_SLAB",
     "BY_VALUE_CONSTANT",
-    "ChannelSegment",
     "SharedStoreArena",
-    "SharedCounter",
     "attach_store",
     "by_value_constants",
     "flush_store",
@@ -73,12 +66,6 @@ __all__ = [
 #: Arrays below this many bytes ride in the worker bootstrap pickle
 #: instead of a pack (tiny scalars are not worth a cache line of one).
 DEFAULT_THRESHOLD = 256
-
-#: Default per-channel payload-staging slab size (bytes).  Sized so one
-#: batched ghost exchange on the full benchmark grid (three ~120 KiB
-#: face strips) plus a couple of in-flight predecessors fit without
-#: triggering the copy-on-send pipe fallback.
-DEFAULT_SLAB = 1 << 20
 
 #: Every array in a pack starts on a multiple of this many bytes: a
 #: cache line, and enough for any SIMD load the kernels' ufuncs issue.
@@ -112,66 +99,6 @@ def _shareable(value: Any, threshold: int) -> bool:
     )
 
 
-class SharedCounter:
-    """One 8-byte integer at an offset of a shared buffer.
-
-    A channel's cross-process *receive counter* and its slab's
-    *consumed* watermark are each one: written only by the reader, read
-    only by the writer, so a plain aligned store/load suffices — the
-    value is monotone.  Borrows the buffer; whoever attached the
-    segment closes it.
-    """
-
-    __slots__ = ("_buf", "_offset")
-
-    SIZE = 8
-
-    def __init__(self, buf, offset: int):
-        self._buf = buf
-        self._offset = offset
-
-    @property
-    def value(self) -> int:
-        return struct.unpack_from("q", self._buf, self._offset)[0]
-
-    @value.setter
-    def value(self, v: int) -> None:
-        struct.pack_into("q", self._buf, self._offset, v)
-
-
-class ChannelSegment:
-    """One channel's shared segment, attached by name.
-
-    Layout: ``[receive counter | slab consumed | pad | slab bytes]`` —
-    the two counters in the first :attr:`HEADER` bytes, the
-    payload-staging slab (:class:`repro.dist.wire.SlabWriter` /
-    :class:`~repro.dist.wire.SlabReader`, which extend this class)
-    after it; a channel without a slab has the header only.  One
-    attach per endpoint gives it all three.
-    """
-
-    __slots__ = ("_seg", "received", "consumed")
-
-    HEADER = 64
-
-    def __init__(self, name: str):
-        self._seg = shared_memory.SharedMemory(name=name)
-        self.received = SharedCounter(self._seg.buf, 0)
-        self.consumed = SharedCounter(self._seg.buf, SharedCounter.SIZE)
-
-    def slab_view(self, shape: tuple, dtype, offset: int) -> np.ndarray:
-        """The array of ``shape`` and ``dtype`` at ``offset`` of the slab."""
-        return np.ndarray(
-            shape, dtype=dtype, buffer=self._seg.buf, offset=self.HEADER + offset
-        )
-
-    def close(self) -> None:
-        try:
-            self._seg.close()
-        except Exception:
-            pass
-
-
 def _pack_offsets(arrays: Iterable[np.ndarray]) -> tuple[list[int], int]:
     """Back-to-back, :data:`PACK_ALIGN`-aligned offsets and their end."""
     offsets, end = [], 0
@@ -201,10 +128,9 @@ class SharedStoreArena:
     packs (module docstring) plus the by-value remainder;
     :meth:`readback` turns a plan back into arrays after the run.
 
-    A pooled engine keeps one arena alive across runs.  Run packs and
-    channel segments are *in use* between :meth:`share_store` /
-    :meth:`new_channel` and :meth:`recycle`, which parks them on a
-    size-keyed free list instead of unlinking them;
+    A pooled engine keeps one arena alive across runs.  Run packs are
+    *in use* between :meth:`share_store` and :meth:`recycle`, which
+    parks them on a size-keyed free list instead of unlinking them;
     :meth:`_new_segment` satisfies a later request of the same size
     from that list — so repeated runs over matching grid shapes reuse
     their segments (and fds) instead of re-creating them.  A resident
@@ -238,7 +164,7 @@ class SharedStoreArena:
         self._tag = tag or f"{os.getpid():x}_{os.urandom(4).hex()}"
 
     def __len__(self) -> int:
-        """Segments in use: run packs, channel segments, resident packs."""
+        """Segments in use: run packs and resident packs."""
         return len(self._segments) + len(self._resident)
 
     # -- creation ----------------------------------------------------------
@@ -336,15 +262,6 @@ class SharedStoreArena:
             plan.update(self._write_pack(variables, constant=False)[1])
         return plan, rest
 
-    def new_channel(self, slab_bytes: int) -> str:
-        """A zeroed :class:`ChannelSegment` with room for a
-        ``slab_bytes`` payload slab (``0``: counters only); returns its
-        name.  Slab contents are never zeroed: a slab region is only
-        read after being written for the same message."""
-        seg = self._new_segment(ChannelSegment.HEADER + slab_bytes)
-        struct.pack_into("qq", seg.buf, 0, 0, 0)
-        return seg.name
-
     # -- readback and teardown ---------------------------------------------
 
     def readback(self, plan: dict[str, tuple]) -> dict[str, np.ndarray]:
@@ -377,7 +294,7 @@ class SharedStoreArena:
         segments stay mapped and owned (still counted by
         :func:`live_segment_names`), ready for same-size reuse.
 
-        ``names=None`` parks every run pack and channel segment (the
+        ``names=None`` parks every run pack (the
         whole-run engine path); an explicit collection parks only those
         — the serving layer recycles each job's segments as that job
         completes, while other jobs' segments are still live.  Resident

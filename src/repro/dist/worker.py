@@ -7,9 +7,11 @@ workers of :mod:`repro.dist.pool` and by the worker daemons of
 daemon's resident constants and the variables off the wire), channel
 endpoints, context,
 optional observer — runs the unmodified process body, and reports back
-over a dedicated duplex result pipe.
+over a dedicated result stream (a
+:class:`~repro.dist.net.frames.FrameStream`: one end of a socketpair in
+a pool worker, the control connection in a daemon).
 
-Result-pipe protocol (all frames via :mod:`repro.dist.wire`):
+Result-stream protocol (all frames via :mod:`repro.dist.wire`):
 
 * daemon → coordinator ``("need", rank)`` and coordinator → daemon
   ``("constants", token, arrays)`` — TCP only, and only when the
@@ -35,11 +37,12 @@ unpickled, so a resubmitted system re-runs the resident closure — as
 the threaded engine always has — instead of unpickling it again.
 
 Whatever happens, the ``finally`` block closes the rank's write
-endpoints — flushing queued values and signalling EOF downstream, the
+endpoints — flushing queued values and saying goodbye downstream, the
 cross-process analogue of the threaded engine's close-wakes-readers
 cascade — and detaches from shared memory.  A hard crash (the process
-dying without reporting) closes every fd anyway; the parent notices via
-the process sentinel.
+dying without reporting) closes every fd anyway, with no goodbye, so
+its readers fail naming it; the parent notices via the process
+sentinel.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import traceback
 from typing import Any
 
 from repro.dist import closures, wire
-from repro.dist.channels import EndpointSpec, ProcChannel
+from repro.dist.channels import EndpointSpec, SocketChannel
 from repro.dist.shm import attach_store, close_handles, flush_store
 from repro.errors import TransportError
 from repro.runtime.context import Executor, ProcessContext, run_rank
@@ -215,7 +218,7 @@ def _exc_info(exc: BaseException) -> tuple[str, Any, str]:
 
 def _wire_metrics(observer, channels) -> None:
     """Fold this rank's wire traffic into the observer's registry, under
-    the metric names each kind of channel declares (``wire_metrics``).
+    the metric names the channel declares (``wire_metrics``).
 
     Merged across workers by summing (``merge_worker_observations``),
     so the report carries run-total wire counters next to the modelled
@@ -249,8 +252,8 @@ def run_job(
     calling worker's :class:`ResidentImages`; an ``("image", digest,
     bytes)`` body is checked out of it for the run.
     """
-    out: dict[str, ProcChannel] = {}
-    inc: dict[str, ProcChannel] = {}
+    out: dict[str, SocketChannel] = {}
+    inc: dict[str, SocketChannel] = {}
     handles: dict[str, tuple] = {}
     # Checked out of ``images`` for this run; back in on the way out.
     resident = images is not None and body_payload[0] == "image"

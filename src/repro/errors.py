@@ -87,8 +87,8 @@ class ProcessFailedError(RuntimeModelError):
     the schedule explorer's fault plans (:mod:`repro.explore.faults`):
     ``step`` is the 0-based action index at which the rank was killed
     and ``fault_id`` names the fault (e.g. ``"kill:1@3"``).  Both ride
-    :meth:`__reduce__` so fault provenance survives the pipe/socket
-    wire from a worker daemon.
+    :meth:`__reduce__` so fault provenance survives the wire from a
+    pool worker or a worker daemon.
     """
 
     def __init__(
@@ -131,7 +131,7 @@ def wrap_process_failure(
     by :mod:`repro.explore.faults`, which stamps ``inject_step`` /
     ``fault_id`` attributes on it — every engine funnels body failures
     through here so the provenance survives uniformly, including across
-    the pipe/socket wire (see :meth:`ProcessFailedError.__reduce__`).
+    the wire (see :meth:`ProcessFailedError.__reduce__`).
     """
     return ProcessFailedError(
         rank,

@@ -70,7 +70,7 @@ class InjectedKill(ReproError):
 
     Carries ``inject_step`` and ``fault_id`` so the engine-level
     :class:`~repro.errors.ProcessFailedError` reports full fault
-    provenance, including across the pipe/socket wire.
+    provenance, including across the wire.
     """
 
     def __init__(self, rank: int, step: int, fault_id: str):

@@ -106,10 +106,7 @@ class StreamTraffic:
 _TRANSPORT_COUNTERS = (
     "frames",
     "pipe_bytes",
-    "shm_bytes",
     "net_syscalls",
-    "net_syscalls_unvectored",
-    "net_vectored",
 )
 
 
@@ -371,7 +368,7 @@ def worker_observation(observer) -> dict[str, Any]:
     An in-process run has one observer and so one payload; the
     process-backed engines run an independent observer per worker
     (observers cannot span address spaces) and each worker ships its
-    payload home over the result pipe.  Either way
+    payload home over the result stream.  Either way
     :func:`merge_worker_observations` makes the report.
     Timestamps stay absolute ``perf_counter`` values — on Linux that
     clock is system-wide (CLOCK_MONOTONIC), so one worker's epoch is

@@ -73,8 +73,8 @@ def make_engine(name: str = "threaded", **kwargs):
     """Engine factory by name — the CLI's ``--engine`` values.
 
     ``kwargs`` are forwarded to the engine constructor (``observe``,
-    ``recv_timeout``, ...; ``start_method``, ``pool`` and
-    ``payload_slab`` for the multiprocess backend).  The variant name
+    ``recv_timeout``, ...; ``start_method`` and ``pool`` for the
+    multiprocess backend).  The variant name
     ``"multiprocess+pool"`` is shorthand for ``("multiprocess",
     pool=True)`` — workers boot once and are reused across every
     subsequent ``run()`` on the same engine (close with

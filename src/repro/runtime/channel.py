@@ -13,10 +13,9 @@ statement about *all* of them).
 What a rank may do with a channel — and what it is told when it may
 not — is written once, in :class:`ChannelCore`, for every kind of
 channel: this module's in-memory :class:`Channel` (threaded and
-cooperative engines), the pipe-backed
-:class:`~repro.dist.channels.ProcChannel` and the TCP-backed
-:class:`~repro.dist.net.transport.SocketChannel`.  A kind supplies only
-its storage.  The two in-process engines differ in how they wait:
+cooperative engines) and the stream-socket-backed
+:class:`~repro.dist.channels.SocketChannel` (every process-backed
+engine).  A kind supplies only its storage.  The two in-process engines differ in how they wait:
 
 * under the threaded engine a receive blocks on a condition variable
   until a value (or channel close) arrives;

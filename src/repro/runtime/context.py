@@ -182,7 +182,7 @@ class ProcessContext:
 
         Dispatch is on the *name* type so that any channel-shaped
         endpoint object (in-process :class:`Channel`, cross-process
-        ``ProcChannel``) passes through untouched.
+        ``SocketChannel``) passes through untouched.
         """
         ch = self.out_channel(channel) if isinstance(channel, str) else channel
         self._executor.exec_send(self.rank, ch, value)
@@ -216,7 +216,7 @@ def run_rank(ctx: ProcessContext, body: Callable[[ProcessContext], Any]) -> Any:
     However the body ends, the rank's write channels close: that wakes
     readers blocked on queues this rank will never fill again, and in a
     worker it flushes them first, so that by the time the rank reports
-    every value it sent is in its pipe.
+    every value it sent is on its stream.
     """
     lifetime = _NO_SPAN
     if ctx.observer is not None:

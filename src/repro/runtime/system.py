@@ -47,7 +47,8 @@ class RunResult:
     order; ``schedule`` is the interleaving as
     a rank sequence (replayable), and ``channel_stats`` maps channel
     name to ``(sends, receives)``.  ``channel_hwm`` maps channel name to
-    the queue-occupancy high-water mark, and ``report`` is the full
+    the queue-occupancy high-water mark (in-process channels only: a
+    cross-process channel reports 0), and ``report`` is the full
     :class:`~repro.obs.report.RunReport` when the engine ran with an
     observer (``observe=True``), else ``None``.
     """
@@ -58,25 +59,18 @@ class RunResult:
     channel_stats: dict[str, tuple[int, int]] = field(default_factory=dict)
     channel_bytes: dict[str, int] = field(default_factory=dict)
     channel_hwm: dict[str, int] = field(default_factory=dict)
-    #: Transport-level traffic, populated meaningfully only by the
-    #: multiprocess engine: pipe frames written, bytes crossing the
-    #: pipe, and payload bytes staged through shared-memory slabs.
-    #: In-process engines move references, so theirs are all zero —
-    #: unlike ``channel_bytes`` (logical payload size), these are
+    #: Transport-level traffic, populated by every process-backed
+    #: engine (pooled or booted multiprocess, socket): wire frames
+    #: written, bytes in those frames, and send syscalls issued, per
+    #: channel.  In-process engines move references, so theirs are all
+    #: zero — unlike ``channel_bytes`` (logical payload size), these are
     #: engine-dependent by design and excluded from equivalence checks.
+    #: ``channel_shm_bytes`` is 0 on every engine: no channel stages
+    #: payloads through shared memory.
     channel_frames: dict[str, int] = field(default_factory=dict)
     channel_pipe_bytes: dict[str, int] = field(default_factory=dict)
     channel_shm_bytes: dict[str, int] = field(default_factory=dict)
-    #: Socket-transport syscall accounting per channel (zero off the
-    #: socket engine): send syscalls issued on the vectored fast path,
-    #: the unvectored sender's count for the same frames, and frames
-    #: that left in multi-frame gather batches.  Engine-dependent,
-    #: excluded from equivalence.
     channel_net_syscalls: dict[str, int] = field(default_factory=dict)
-    channel_net_syscalls_unvectored: dict[str, int] = field(
-        default_factory=dict
-    )
-    channel_net_vectored: dict[str, int] = field(default_factory=dict)
     engine: str = ""
     report: Any = None
     #: The run's events merged by Lamport clock when the engine ran
@@ -127,17 +121,11 @@ class ChannelStatsRecord:
     bytes_sent: int = 0
     queue_hwm: int = 0
     # Transport-level counters (zero for in-process channels, which
-    # move references rather than frames).
+    # move references rather than frames): wire frames, their bytes,
+    # and send syscalls (see :mod:`repro.dist.channels`).
     frames: int = 0
     pipe_bytes: int = 0
-    shm_bytes: int = 0
-    # Socket-transport syscall accounting (zero everywhere else): send
-    # syscalls issued on the vectored fast path, what the unvectored
-    # sender would have issued for the same frames, and frames that left
-    # in a multi-frame gather batch (see :mod:`repro.dist.net.frames`).
     net_syscalls: int = 0
-    net_syscalls_unvectored: int = 0
-    net_vectored: int = 0
 
 
 def assemble_run_result(
@@ -193,12 +181,8 @@ def assemble_run_result(
         channel_hwm={r.name: r.queue_hwm for r in channel_stats},
         channel_frames={r.name: r.frames for r in channel_stats},
         channel_pipe_bytes={r.name: r.pipe_bytes for r in channel_stats},
-        channel_shm_bytes={r.name: r.shm_bytes for r in channel_stats},
+        channel_shm_bytes={r.name: 0 for r in channel_stats},
         channel_net_syscalls={r.name: r.net_syscalls for r in channel_stats},
-        channel_net_syscalls_unvectored={
-            r.name: r.net_syscalls_unvectored for r in channel_stats
-        },
-        channel_net_vectored={r.name: r.net_vectored for r in channel_stats},
         engine=engine,
         report=report,
         causal=merged if causal else None,

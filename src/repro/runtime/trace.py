@@ -53,7 +53,7 @@ Three action kinds are recorded:
   clock;
 * under ``trace_causal=True`` every sent message is stamped with the
   sender's post-tick clock — riding with the value in one place: the
-  queue entry in process, the wire header pickle over pipes and TCP
+  queue entry in process, the wire header pickle over a stream
   (:mod:`repro.dist.wire`);
 * a receiver *max-merges*: ``c = max(c_local, c_message) + 1`` — so a
   receive's clock **strictly exceeds** its matching send's clock, and
@@ -219,7 +219,7 @@ class EventLog:
             self.process = (name, start, perf_counter())
 
     def payload(self) -> dict[str, Any]:
-        """This rank's log, flattened for the result pipe."""
+        """This rank's log, flattened for the result stream."""
         return {
             "dropped": self.dropped,
             "events": list(self.rows),

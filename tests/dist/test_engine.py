@@ -13,8 +13,13 @@ import pytest
 
 from repro.dist.engine import MultiprocessEngine, WorkerCrashError
 from repro.dist.shm import live_segment_names
-from repro.errors import EmptyChannelError, ProcessFailedError, RuntimeModelError
-from repro.runtime import ProcessSpec, System
+from repro.errors import (
+    EmptyChannelError,
+    ProcessFailedError,
+    RuntimeModelError,
+    TransportAbortError,
+)
+from repro.runtime import ProcessSpec, System, make_engine
 from repro.util import bitwise_equal_arrays
 
 
@@ -137,39 +142,25 @@ class TestFailures:
         assert isinstance(exc_info.value.original, WorkerCrashError)
         assert exc_info.value.original.exitcode == 17
 
-    def test_crash_closes_peer_channels(self):
-        # The crashed writer's pipe EOFs, so the blocked reader fails
-        # with an empty-channel error instead of hanging forever.
-        def reader(ctx):
-            ctx.store["got"] = ctx.recv("c")
-
-        def crash(ctx):
-            import os as _os
-
-            _os._exit(3)
-
-        system = System([ProcessSpec(0, reader), ProcessSpec(1, crash)])
-        system.add_channel("c", 1, 0)
-        with pytest.raises(ProcessFailedError) as exc_info:
-            MultiprocessEngine(start_method="fork", crash_grace=10.0).run(system)
-        # Rank 0's EmptyChannelError is the lowest-rank failure reported.
-        assert isinstance(
-            exc_info.value.original, (EmptyChannelError, WorkerCrashError)
-        )
-
     @pytest.mark.parametrize(
-        "kwargs",
+        "name, kwargs, runs",
         [
-            {"start_method": "fork"},
-            {"start_method": "spawn"},
-            {"start_method": "fork", "pool": True},
+            ("multiprocess", {"start_method": "fork"}, 1),
+            ("multiprocess", {"start_method": "spawn"}, 1),
+            # Twice: a kept pool forks rank 1's replacement in run two.
+            ("multiprocess+pool", {"start_method": "fork"}, 2),
+            # Once: the dead rank took its whole daemon with it.
+            ("socket", {"daemons": 2}, 1),
         ],
-        ids=["fork", "spawn", "fork+pool"],
+        ids=["multiprocess-fork", "multiprocess-spawn", "multiprocess+pool",
+             "socket"],
     )
-    def test_crashed_writer_eofs_its_reader_promptly(self, kwargs):
-        # Workers are borrowed before the run's pipes exist, so no
-        # worker holds a stray copy of the dead writer's end: the
-        # reader sees EOF at once instead of sitting out crash_grace.
+    def test_crashed_writer_fails_its_reader_promptly(self, name, kwargs, runs):
+        # The writer dies without its stream's goodbye, so the blocked
+        # reader fails at once — not after crash_grace — and its error
+        # names the writer's rank, not an empty channel.  (Workers are
+        # borrowed before the run's sockets exist, so no worker holds a
+        # stray copy of the dead writer's end.)
         def reader(ctx):
             ctx.store["got"] = ctx.recv("c")
 
@@ -180,15 +171,20 @@ class TestFailures:
 
         system = System([ProcessSpec(0, reader), ProcessSpec(1, crash)])
         system.add_channel("c", 1, 0)
-        with MultiprocessEngine(crash_grace=30.0, **kwargs) as engine:
-            # Twice: a kept pool forks rank 1's replacement in run two.
-            for _ in range(2):
+        engine = make_engine(name, crash_grace=30.0, **kwargs)
+        try:
+            for _ in range(runs):
                 t0 = time.perf_counter()
                 with pytest.raises(ProcessFailedError) as exc_info:
                     engine.run(system)
                 assert time.perf_counter() - t0 < 10.0
                 assert exc_info.value.rank == 0
-                assert isinstance(exc_info.value.original, EmptyChannelError)
+                original = exc_info.value.original
+                assert isinstance(original, ProcessFailedError)
+                assert original.rank == 1
+                assert isinstance(original.original, TransportAbortError)
+        finally:
+            engine.close()
 
     def test_recv_timeout_bounds_blocking(self):
         def stuck(ctx):

@@ -158,12 +158,13 @@ def test_version_a_fdtd_identical_across_engines():
             assert bitwise_equal_arrays(fields[c], reference[c]), (label, c)
 
 
-def ghost_exchange_frames(frames, host):
-    """Wire frames on rank-to-rank ``dx_{src}_{dst}`` channels.  The
-    transform also routes the end-of-run collect over ``dx_*`` channels
-    with the host rank at one end; batching does not coalesce those."""
+def ghost_exchange_counts(counts, host):
+    """Sum of ``counts`` over rank-to-rank ``dx_{src}_{dst}`` channels.
+    The transform also routes the end-of-run collect over ``dx_*``
+    channels with the host rank at one end; batching does not coalesce
+    those."""
     total = 0
-    for name, n in frames.items():
+    for name, n in counts.items():
         if name.startswith("dx_"):
             src, dst = map(int, name[len("dx_"):].split("_"))
             if host not in (src, dst):
@@ -173,12 +174,12 @@ def ghost_exchange_frames(frames, host):
 
 @pytest.mark.slow
 def test_batched_exchanges_identical_across_fast_paths():
-    """The batched ghost exchange and every fast-path configuration of
-    the multiprocess engine (zero-copy slab on/off, persistent pool)
-    must reproduce the threaded result of the *unbatched* program
-    bitwise — batching and transport are pure plumbing — in exactly
-    half the ghost-exchange frames: each phase ships two footprint
-    components per inter-rank face, batched into one frame."""
+    """The batched ghost exchange, on threads and on booted and pooled
+    OS processes, must reproduce the threaded result of the *unbatched*
+    program bitwise — batching and transport are pure plumbing — in
+    exactly half the ghost-exchange messages: each phase ships two
+    footprint components per inter-rank face, batched into one message.
+    On the wire the same array frames cross behind half the headers."""
     from repro.apps.fdtd import (
         COMPONENTS,
         FDTDConfig,
@@ -209,15 +210,19 @@ def test_batched_exchanges_identical_across_fast_paths():
         host = result.stores[par.host]
         return {c: np.asarray(host[c]) for c in COMPONENTS}
 
+    def dx(result, par):
+        """(messages, wire frames) on the ghost-exchange channels."""
+        sends = {k: v[0] for k, v in result.channel_stats.items()}
+        return (
+            ghost_exchange_counts(sends, par.host),
+            ghost_exchange_counts(result.channel_frames, par.host),
+        )
+
     reference = host_fields(plain, ThreadedEngine().run(plain.to_parallel()))
 
     variants = [
         ("threaded/batched", ThreadedEngine()),
-        ("mp/batched+slab", make_engine("multiprocess", start_method="fork")),
-        (
-            "mp/batched no slab",
-            make_engine("multiprocess", start_method="fork", payload_slab=0),
-        ),
+        ("mp/batched", make_engine("multiprocess", start_method="fork")),
         (
             "mp/batched pooled",
             make_engine("multiprocess+pool", start_method="fork"),
@@ -229,23 +234,13 @@ def test_batched_exchanges_identical_across_fast_paths():
         for c in COMPONENTS:
             assert bitwise_equal_arrays(fields[c], reference[c]), (label, c)
         if label.startswith("mp"):
-            if "no slab" in label:
-                # Everything went through the pipe, each array as its
-                # own frame behind the header — so no 1:1 frame:message.
-                assert sum(result.channel_shm_bytes.values()) == 0
-                assert sum(result.channel_pipe_bytes.values()) > 0
-            else:
-                assert sum(result.channel_shm_bytes.values()) > 0
-                # Payloads ride the slab, one wire frame per message.
-                unbatched = engine.run(plain.to_parallel())
-                dx_frames = ghost_exchange_frames(
-                    result.channel_frames, batched.host
-                )
-                assert dx_frames > 0, label
-                assert (
-                    ghost_exchange_frames(
-                        unbatched.channel_frames, plain.host
-                    )
-                    == 2 * dx_frames
-                ), label
+            assert sum(result.channel_shm_bytes.values()) == 0
+            msgs, frames = dx(result, batched)
+            plain_msgs, plain_frames = dx(
+                engine.run(plain.to_parallel()), plain
+            )
+            assert msgs > 0, label
+            assert plain_msgs == 2 * msgs, label
+            # A header per message, then the same array frames.
+            assert plain_frames - plain_msgs == frames - msgs > 0, label
         getattr(engine, "close", lambda: None)()

@@ -1,16 +1,16 @@
 """Inline non-blocking channel sends: the sender's thread is the data
 plane, the feeder thread only absorbs back-pressure.
 
-Pipe and socket endpoints are built in-process so the tests can stall,
-resume and kill the reader at will.  The invariants, for both
-transports: ``send`` never blocks (infinite slack) and never raises
-because the *reader* went away; values arrive in the order sent across
-every inline → queued → inline transition, partial gather-writes
-included; a ``feed-<name>`` thread exists only once the kernel pushed
-back; and the finisher (fd close / goodbye) runs exactly once.
+Endpoints over a socketpair (a pool's channel) and over a loopback TCP
+connection (a daemon's) are built in-process so the tests can stall,
+resume and kill the reader at will.  The invariants, for both streams:
+``send`` never blocks (infinite slack) and never raises because the
+*reader* went away; values arrive in the order sent across every inline
+→ queued → inline transition, partial gather-writes included; a
+``feed-<name>`` thread exists only once the kernel pushed back; and the
+finisher (goodbye, then close) runs exactly once.
 """
 
-import multiprocessing
 import socket
 import struct
 import threading
@@ -19,51 +19,34 @@ import time
 import numpy as np
 import pytest
 
-from repro.dist.channels import EndpointSpec, ProcChannel
+from repro.dist.channels import EndpointSpec, SocketChannel
 from repro.dist.engine import MultiprocessEngine
 from repro.dist.net.engine import SocketEngine
 from repro.dist.net.feeder import running_feeder_threads
 from repro.dist.net.frames import FrameStream
-from repro.dist.net.transport import NetEndpointSpec, SocketChannel
 from repro.errors import EmptyChannelError
 from repro.runtime import ProcessSpec, System, make_engine
+from tests.runtime.test_channel_contract import tcp_pair
 
-KINDS = ["pipe", "socket"]
+KINDS = ["unix stream", "tcp stream"]
 _LEN = struct.Struct(">Q")  # the framing layer's length prefix
 
 
-class _CountsFinisher:
+class CountingSocket(SocketChannel):
     """Counts how often the transport's end-of-stream action ran."""
 
-    __slots__ = ()
+    __slots__ = ("finished",)
 
     def _end_stream(self):
         self.finished += 1
         super()._end_stream()
 
 
-class CountingPipe(_CountsFinisher, ProcChannel):
-    __slots__ = ("finished",)
-
-
-class CountingSocket(_CountsFinisher, SocketChannel):
-    __slots__ = ("finished",)
-
-
 def make_pair(kind, name):
     """(writer, reader) endpoints of one channel, both in this process."""
-    if kind == "pipe":
-        r_conn, w_conn = multiprocessing.Pipe(duplex=False)
-        w = CountingPipe(EndpointSpec(name, 0, 1, "w", w_conn))
-        r = ProcChannel(EndpointSpec(name, 0, 1, "r", r_conn))
-    else:
-        a, b = socket.socketpair()
-        w = CountingSocket(
-            NetEndpointSpec(name, 0, 1, "w", conn=FrameStream(a))
-        )
-        r = SocketChannel(
-            NetEndpointSpec(name, 0, 1, "r", conn=FrameStream(b))
-        )
+    a, b = socket.socketpair() if kind == "unix stream" else tcp_pair()
+    w = CountingSocket(EndpointSpec(name, 0, 1, "w", FrameStream(a)))
+    r = SocketChannel(EndpointSpec(name, 0, 1, "r", FrameStream(b)))
     w.finished = 0
     return w, r
 
@@ -173,7 +156,7 @@ def test_partial_gather_write_resumes_at_the_exact_byte():
     a prefix of it, the feeder finishes the tail, and values queued
     behind the tail stay behind it."""
     name = "partial"
-    w, r = make_pair("socket", name)
+    w, r = make_pair("unix stream", name)
     big = np.arange(1 << 19, dtype=np.float64)  # 4 MiB
     sent = [(0, big), (1, b"after"), (2, np.arange(5.0))]
     got = []
@@ -270,7 +253,7 @@ def test_try_send_frames_bytes_match_blocking_send():
             w.close()
             reader.join(30.0)
             b.close()
-        return bytes(data), w
+        return bytes(data)
 
     def inline(w):
         for frame in frames:
@@ -286,11 +269,7 @@ def test_try_send_frames_bytes_match_blocking_send():
             w.send_frames([frame])
         w.send_frames(frames)
 
-    got, w_inline = capture(inline)
-    expected, w_block = capture(blocking)
-    assert got == expected
-    for counter in ("send_syscalls_unvectored", "vectored_frames"):
-        assert getattr(w_inline, counter) == getattr(w_block, counter)
+    assert capture(inline) == capture(blocking)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -347,10 +326,8 @@ def test_draining_reader_needs_no_feeder_thread(kind):
     reader.start()
     try:
         for i in range(200):
-            # Pipes write header-only values inline (in an engine run
-            # arrays ride the shm slab); sockets gather arrays too.
-            ghost = [float(i)] * 8 if kind == "pipe" else np.arange(8.0) + i
-            w.send({"i": i, "ghost": ghost}, rank=0)
+            # Header and array frames leave in one inline gather.
+            w.send({"i": i, "ghost": np.arange(8.0) + i}, rank=0)
             assert w._feeder.pending == 0
         assert set(feed_threads()) <= before
         w.close()

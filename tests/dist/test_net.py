@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.dist import wire
+from repro.dist.channels import EndpointSpec, SocketChannel
 from repro.dist.net.daemon import WorkerDaemon
 from repro.dist.net.feeder import SendFeeder
 from repro.dist.net.frames import FrameStream
@@ -20,7 +21,6 @@ from repro.dist.net.rendezvous import (
     connect_retry,
     parse_hosts,
 )
-from repro.dist.net.transport import NetEndpointSpec, SocketChannel
 from repro.errors import (
     EmptyChannelError,
     ProcessFailedError,
@@ -69,39 +69,6 @@ def test_wire_roundtrip_over_socketpair():
     finally:
         w.close()
         r.close()
-
-
-def test_wire_descriptor_meta_fallback_over_socket():
-    """Arrays that do not fit the staging slab fall back to stream
-    frames (copy-on-send); the descriptor metas that did fit resolve
-    through the reader's slab.  Both kinds must cross a socket."""
-    from repro.dist.shm import SharedStoreArena
-
-    arena = SharedStoreArena()
-    try:
-        slab = arena.new_channel(64)  # tiny: only the small array fits
-        writer = wire.SlabWriter(slab, 64)
-        reader = wire.SlabReader(slab)
-        small = np.arange(4.0)  # 32 bytes: staged
-        big = np.arange(100.0)  # 800 bytes: falls back to the stream
-        w, r = frame_pair()
-        try:
-            header, buffers, slab_bytes = wire.encode(
-                {"small": small, "big": big}, writer
-            )
-            assert slab_bytes == small.nbytes
-            assert len(buffers) == 1  # only the fallback array
-            wire.send_encoded(w, header, buffers)
-            got = wire.recv(r, reader)
-            assert bitwise_equal_arrays(got["small"], small)
-            assert bitwise_equal_arrays(got["big"], big)
-        finally:
-            w.close()
-            r.close()
-            writer.close()
-            reader.close()
-    finally:
-        arena.cleanup()
 
 
 def test_goodbye_is_clean_eof():
@@ -260,14 +227,14 @@ def test_broker_drop_job_closes_leftovers():
 
 
 # ---------------------------------------------------------------------------
-# SocketChannel: ProcChannel semantics over a stream
+# SocketChannel over a stream
 # ---------------------------------------------------------------------------
 
 
 def channel_pair(name="c", writer=0, reader=1):
     ws, rs = frame_pair()
-    w_spec = NetEndpointSpec(name, writer, reader, "w", conn=ws)
-    r_spec = NetEndpointSpec(name, writer, reader, "r", conn=rs)
+    w_spec = EndpointSpec(name, writer, reader, "w", ws)
+    r_spec = EndpointSpec(name, writer, reader, "r", rs)
     return SocketChannel(w_spec), SocketChannel(r_spec)
 
 
@@ -282,10 +249,14 @@ def test_socket_channel_roundtrip_stats_and_clean_close():
     assert got[1:] == payloads[1:]
     with pytest.raises(EmptyChannelError):
         r.recv(rank=1, timeout=1.0)
-    assert "wire/net_bytes" in w.wire_metrics  # reported as socket traffic
-    assert w.stats()["sends"] == 3
-    assert w.stats()["shm_bytes"] == 0  # no shared memory across hosts
-    assert w.stats()["pipe_bytes"] > 0  # the socket is this wire
+    stats = w.stats()
+    assert set(stats) == {
+        "sends", "bytes_sent", "frames", "pipe_bytes", "net_syscalls"
+    }
+    assert stats["sends"] == 3
+    assert stats["frames"] == 3 + 1  # a header each, one array frame
+    assert stats["pipe_bytes"] > payloads[0].nbytes  # the socket is the wire
+    assert stats["net_syscalls"] == 3 + 1  # a gather each, the goodbye
     assert r.stats() == {"receives": 3}
     r.close()
 
@@ -456,7 +427,13 @@ def test_socket_engine_observe_merges_wire_counters():
         engine.close()
     report = result.report
     assert report is not None
-    # Socket traffic lands on the net counters, not the pipe ones.
-    assert report.metrics["wire/net_frames"] > 0
-    assert report.metrics["wire/net_bytes"] > 0
-    assert report.metrics.get("wire/pipe_bytes", 0) == 0
+    # The run-total counters are the channels' own, summed.
+    assert report.metrics["wire/frames"] == sum(
+        result.channel_frames.values()
+    ) > 0
+    assert report.metrics["wire/bytes"] == sum(
+        result.channel_pipe_bytes.values()
+    ) > 0
+    assert report.metrics["wire/syscalls"] == sum(
+        result.channel_net_syscalls.values()
+    ) > 0

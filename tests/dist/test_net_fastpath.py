@@ -12,6 +12,8 @@ a reference unbuffered parse, and that every truncation point raises
 empty.
 """
 
+import os
+import resource
 import socket
 import struct
 
@@ -335,7 +337,7 @@ def test_poll_and_has_buffered_see_scratch_frames():
         stream.recv_bytes()
 
 
-def test_syscall_counters_and_vectoring():
+def test_syscall_counters():
     data_frames = [b"header", b"payload-a", b""]
     a, b = socket.socketpair()
     w, r = FrameStream(a), FrameStream(b)
@@ -345,10 +347,6 @@ def test_syscall_counters_and_vectoring():
         # Gather batch: one syscall for the lot (loopback socketpair
         # never short-writes a few dozen bytes), goodbye is one more.
         assert w.send_syscalls == 2
-        # Old path: prefix+payload per non-empty frame, prefix only for
-        # the empty one, one for the goodbye.
-        assert w.send_syscalls_unvectored == 2 + 2 + 1 + 1
-        assert w.vectored_frames == len(data_frames)
         assert [r.recv_bytes() for _ in data_frames] == data_frames
         with pytest.raises(EOFError):
             r.recv_bytes()
@@ -371,17 +369,14 @@ def test_send_to_closed_reader_is_transport_abort():
 
 
 def test_socket_channel_reports_fastpath_stats():
-    """The writer-side stats dict carries the vectored counters (and
-    the reader side stays exactly {'receives': n})."""
-    from repro.dist.net.transport import NetEndpointSpec, SocketChannel
+    """The writer-side stats dict carries the syscall counter — one
+    gather per value — and the reader side stays exactly
+    {'receives': n}."""
+    from repro.dist.channels import EndpointSpec, SocketChannel
 
     a, b = socket.socketpair()
-    w = SocketChannel(
-        NetEndpointSpec("c", 0, 1, "w", conn=FrameStream(a))
-    )
-    r = SocketChannel(
-        NetEndpointSpec("c", 0, 1, "r", conn=FrameStream(b))
-    )
+    w = SocketChannel(EndpointSpec("c", 0, 1, "w", FrameStream(a)))
+    r = SocketChannel(EndpointSpec("c", 0, 1, "r", FrameStream(b)))
     try:
         for i in range(4):
             w.send({"i": i, "u": np.arange(8.0)}, rank=0)
@@ -391,14 +386,44 @@ def test_socket_channel_reports_fastpath_stats():
             assert got["i"] == i
         stats = w.stats()
         assert stats["sends"] == 4
-        assert stats["net_syscalls"] > 0
-        assert stats["net_syscalls_unvectored"] >= 2 * stats["sends"]
-        # Whole-value gather: header + array leave together, so every
-        # frame is vectored.
-        assert stats["net_vectored"] >= 2 * 4
-        assert (
-            stats["net_syscalls_unvectored"] / stats["net_syscalls"] >= 2.0
-        )
+        # Whole-value gather: header + array leave together, one
+        # syscall per value, plus the goodbye.
+        assert stats["frames"] == 2 * 4
+        assert stats["net_syscalls"] == 4 + 1
         assert r.stats() == {"receives": 4}
     finally:
         r.close()
+
+
+# ---------------------------------------------------------------------------
+# poll past FD_SETSIZE
+# ---------------------------------------------------------------------------
+
+
+def test_poll_sees_data_on_a_descriptor_past_1024():
+    """``select.select`` refuses descriptors >= 1024; a stream there
+    must still poll ready when a frame is waiting (and idle when not)."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    want = 1200
+    if hard != resource.RLIM_INFINITY and hard < want:
+        pytest.skip(f"RLIMIT_NOFILE hard limit {hard} is below {want}")
+    resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, want), hard))
+    filler = []
+    try:
+        while not filler or filler[-1] < 1100:
+            filler.append(os.open(os.devnull, os.O_RDONLY))
+        a, b = socket.socketpair()
+        w, r = FrameStream(a), FrameStream(b)
+        try:
+            assert r.fileno() >= 1024
+            assert r.poll(0.05) is False
+            w.send_bytes(b"past FD_SETSIZE")
+            assert r.poll(0.5) is True
+            assert r.recv_bytes() == b"past FD_SETSIZE"
+        finally:
+            w.close()
+            r.close()
+    finally:
+        for fd in filler:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.dist import shm
 from repro.dist.shm import (
-    ChannelSegment,
     SharedStoreArena,
     attach_store,
     close_handles,
@@ -108,18 +107,6 @@ class TestLifecycle:
         name, _plan = share_one(arena, big(1.0))
         assert name.startswith("repro_")
 
-    def test_counter_roundtrip(self, arena):
-        name = arena.new_channel(0)
-        one = ChannelSegment(name)
-        assert one.received.value == 0 and one.consumed.value == 0
-        one.received.value = 123456789
-        one.consumed.value = 987654321
-        other = ChannelSegment(name)
-        assert other.received.value == 123456789
-        assert other.consumed.value == 987654321
-        one.close()
-        other.close()
-
     def test_shareable_threshold_is_configurable(self):
         arena = SharedStoreArena()
         try:
@@ -177,8 +164,3 @@ class TestRecycling:
         share_one(arena, big(3.0))  # one recycled, one still parked
         arena.cleanup()
         assert live_segment_names() == frozenset()
-
-    def test_new_channel_allocates_named_segment(self, arena):
-        name = arena.new_channel(1024)
-        assert name.startswith("repro_")
-        assert name in live_segment_names()

@@ -114,8 +114,8 @@ def test_pooled_run_attaches_two_store_segments_and_constants_cross_once():
         assert second.returns == [2, 2, 2]
         assert arena.created == created  # 0 segments created ...
         assert arena.constant_bytes == constant_bytes  # ... 0 constant bytes
-        # Per rank one run pack, per channel one segment, all recycled.
-        assert arena.recycled - recycled == 3 + len(system.channel_specs)
+        # Per rank one run pack, recycled; channels map no segment.
+        assert arena.recycled - recycled == 3
 
         for result in (first, second):
             assert_matches_sequential(config, par, result)

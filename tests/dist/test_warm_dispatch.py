@@ -7,7 +7,7 @@ mechanism: no ``multiprocessing.resource_sharer`` is ever started, no
 descriptor accumulates over hundreds of runs, a body is unpickled once
 per (worker, image) and never run by two ranks at once, and a worker
 killed with a job's descriptors still in flight surfaces as an
-attributed failure with every pipe end released.
+attributed failure with every socket end released.
 """
 
 import hashlib
@@ -18,7 +18,6 @@ import socket
 import threading
 import time
 from multiprocessing import resource_sharer
-from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -29,11 +28,12 @@ from repro.dist.channels import EndpointSpec
 from repro.dist.engine import MultiprocessEngine, WorkerCrashError
 from repro.dist.fleet import FleetScheduler
 from repro.dist.net.daemon import WorkerDaemon
+from repro.dist.net.frames import FrameStream
 from repro.dist.pool import WorkerPool, _recv_frame, _send_frame
 from repro.dist.serve import JobServer
 from repro.dist.shm import live_segment_names
 from repro.dist.worker import ResidentImages
-from repro.errors import ProcessFailedError
+from repro.errors import ProcessFailedError, TransportAbortError
 from repro.runtime import ProcessSpec, System, ThreadedEngine
 
 
@@ -344,8 +344,8 @@ def test_sigkill_with_fds_in_flight_releases_them():
     try:
         (slot,) = pool.ensure(1)
         os.kill(slot.proc.pid, signal.SIGSTOP)
-        reader, writer = pool.ctx.Pipe(duplex=False)
-        parent_conn, child_conn = pool.ctx.Pipe(duplex=True)
+        writer, reader = socket.socketpair()
+        child_conn, parent_conn = socket.socketpair()
         system = System([ProcessSpec(0, lambda ctx: None)])
         pool.dispatch(
             slot,
@@ -363,14 +363,16 @@ def test_sigkill_with_fds_in_flight_releases_them():
         )
         writer.close()
         child_conn.close()
-        # The in-flight duplicates keep both pipes open ...
+        reader, parent_conn = FrameStream(reader), FrameStream(parent_conn)
+        # The in-flight duplicates keep both streams open ...
         assert not reader.poll(0.2) and not parent_conn.poll(0)
         os.kill(slot.proc.pid, signal.SIGKILL)
         slot.proc.join(timeout=5.0)
-        # ... and die with the worker's socket: both readers see EOF.
+        # ... and die with the worker's socket: both readers see the
+        # writer's death (EOF without a goodbye).
         for conn in (reader, parent_conn):
             assert conn.poll(5.0)
-            with pytest.raises(EOFError):
+            with pytest.raises(TransportAbortError):
                 conn.recv_bytes()
             conn.close()
         assert pool.reap() == 1
@@ -413,29 +415,25 @@ def test_run_with_worker_killed_before_it_reads_its_job():
 
 def test_frame_with_600_descriptors_arrives_whole():
     a, b = socket.socketpair()
-    pipes = [os.pipe() for _ in range(300)]
-    conns = [
-        Connection(fd, readable=(i == 0), writable=(i == 1))
-        for pair in pipes
-        for i, fd in enumerate(pair)
-    ]
+    socks = [end for _ in range(300) for end in socket.socketpair()]
     try:
-        _send_frame(a, ("job", {"conns": conns, "pad": b"x" * 100_000}))
+        _send_frame(a, ("job", {"conns": socks, "pad": b"x" * 100_000}))
         kind, job = _recv_frame(b)
         assert kind == "job" and len(job["conns"]) == 600
         assert len(job["pad"]) == 100_000
-        # Every received end is a duplicate of the end sent in its place.
+        # Every received end is a stream over a duplicate of the end
+        # sent in its place.
+        assert all(isinstance(c, FrameStream) for c in job["conns"])
         for i in range(0, 600, 2):
             job["conns"][i + 1].send_bytes(b"%d" % i)
-            assert conns[i].recv_bytes() == b"%d" % i
-            assert job["conns"][i].readable and not job["conns"][i].writable
+            assert FrameStream(socks[i]).recv_bytes() == b"%d" % i
         _send_frame(a, ("stop",))
         assert _recv_frame(b) == ("stop",)
         a.close()
         with pytest.raises(EOFError):
             _recv_frame(b)
     finally:
-        for conn in (*conns, *job["conns"]):
+        for conn in (*socks, *job["conns"]):
             conn.close()
         b.close()
 
@@ -456,9 +454,7 @@ def test_rank_with_more_than_253_channel_ends_dispatches():
     system = System([ProcessSpec(r, body) for r in range(2)])
     for i in range(nchan):
         system.add_channel(f"c{i}", 0, 1)
-    with MultiprocessEngine(
-        start_method="fork", pool=True, payload_slab=0
-    ) as engine:
+    with MultiprocessEngine(start_method="fork", pool=True) as engine:
         for _ in range(2):
             result = engine.run(system)
             assert result.returns == [0.0, float(sum(range(nchan)))]

@@ -19,7 +19,7 @@ def observation(rank, epoch):
     return {
         "epoch": epoch,
         "streams": {(rank, 1 - rank, 0): (3, 96)},
-        "metrics": {"wire/pipe_bytes": 96},
+        "metrics": {"wire/bytes": 96},
     }
 
 

@@ -2,28 +2,26 @@
 
 :class:`~repro.runtime.channel.ChannelCore` owns what a rank may do
 with a channel and what it is told when it may not; the in-memory
-channel, the pipe channel (with and without a staging slab) and the
-socket channel supply only storage.  One parametrised body therefore
-checks all four: the same exception type *and message* for every
-misuse, FIFO order, exact counters, and a causal stamp that comes out
-with the value it went in with — whether that value rode the slab, fell
-back to the pipe, or was header-only.
+channel and the stream channel supply only storage.  One parametrised
+body therefore checks the in-memory channel and the stream channel over
+both streams the engines use — a pool's ``AF_UNIX`` socketpair and a
+daemon's TCP connection: the same exception type *and message* for
+every misuse, FIFO order, exact counters, and a causal stamp that comes
+out with the value it went in with — whether that value carried arrays
+or was header-only.
 
-Both ends of every pair live in this process (a pipe and a socketpair
-need no fork), so the reader can be stalled, closed or never started at
-will.
+Both ends of every pair live in this process (a socketpair and a
+loopback TCP connection need no fork), so the reader can be stalled,
+closed or never started at will.
 """
 
-import multiprocessing
 import socket
 
 import numpy as np
 import pytest
 
-from repro.dist.channels import EndpointSpec, ProcChannel
+from repro.dist.channels import EndpointSpec, SocketChannel
 from repro.dist.net.frames import FrameStream
-from repro.dist.net.transport import NetEndpointSpec, SocketChannel
-from repro.dist.shm import SharedStoreArena
 from repro.errors import (
     ChannelError,
     ChannelOwnershipError,
@@ -33,8 +31,15 @@ from repro.runtime import ENGINE_NAMES, Channel, ChannelSpec, make_engine
 from repro.runtime.system import ChannelStatsRecord
 from repro.util import bitwise_equal_arrays, payload_nbytes
 
-KINDS = ["memory", "pipe+slab", "pipe", "socket"]
-SLAB = 256  # bytes: an 8-float array rides it, a 64-float one cannot
+KINDS = ["memory", "unix stream", "tcp stream"]
+
+
+def tcp_pair():
+    """Both ends of one loopback TCP connection."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        a = socket.create_connection(listener.getsockname())
+        b, _ = listener.accept()
+    return a, b
 
 
 @pytest.fixture(params=KINDS)
@@ -42,26 +47,15 @@ def ends(request):
     """``(writer_end, reader_end)`` of channel ``'c'``, rank 0 -> rank 1
     (one object twice for the in-memory kind)."""
     kind = request.param
-    arena = None
     if kind == "memory":
         w = r = Channel(ChannelSpec("c", 0, 1))
-    elif kind == "socket":
-        a, b = socket.socketpair()
-        w = SocketChannel(NetEndpointSpec("c", 0, 1, "w", conn=FrameStream(a)))
-        r = SocketChannel(NetEndpointSpec("c", 0, 1, "r", conn=FrameStream(b)))
     else:
-        r_conn, w_conn = multiprocessing.Pipe(duplex=False)
-        segment, slab = "", 0
-        if kind == "pipe+slab":
-            arena = SharedStoreArena()
-            segment, slab = arena.new_channel(SLAB), SLAB
-        w = ProcChannel(EndpointSpec("c", 0, 1, "w", w_conn, segment, slab))
-        r = ProcChannel(EndpointSpec("c", 0, 1, "r", r_conn, segment, slab))
+        a, b = socket.socketpair() if kind == "unix stream" else tcp_pair()
+        w = SocketChannel(EndpointSpec("c", 0, 1, "w", FrameStream(a)))
+        r = SocketChannel(EndpointSpec("c", 0, 1, "r", FrameStream(b)))
     yield w, r
     r.close()  # first: the writer's flush must not wait on a reader
     w.close()
-    if arena is not None:
-        arena.cleanup()
 
 
 def same(a, b) -> bool:
@@ -141,8 +135,7 @@ def test_receive_that_may_not_wait_on_an_empty_channel(ends):
 
 
 def values():
-    """Header-only values, arrays that fit the slab, arrays that do not
-    (those cross the pipe, through the feeder thread), and a mix."""
+    """Header-only values, small and larger arrays, and a mix."""
     return [
         0,
         "text",
@@ -181,11 +174,13 @@ def test_kth_stamp_in_is_kth_stamp_out(ends):
     got = [r.recv_stamped(rank=1, timeout=10.0) for _ in sent]
     assert [c for _, c in got] == clocks
     assert all(same(a, b) for a, (b, _) in zip(sent, got))
-    if getattr(w.spec, "slab_size", 0):
-        # ... and on this kind some stamped arrays really rode the slab
-        # while the 64-float ones really fell back to the pipe.
-        assert w.shm_bytes > 0
-        assert w.pipe_bytes > 2 * 64 * 8
+    if isinstance(w, SocketChannel):
+        # ... and the stamped arrays really crossed the stream, each as
+        # its own frame behind its value's header.
+        arrays = [np.arange(8.0), np.arange(64.0), np.arange(4.0),
+                  np.ones((16, 16)), np.arange(8.0)]
+        assert w.frames == len(sent) + len(arrays)
+        assert w.pipe_bytes > sum(a.nbytes for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +191,7 @@ def test_kth_stamp_in_is_kth_stamp_out(ends):
 def test_e1_send_clocks_equal_on_all_engines():
     """Lamport stamps are a function of the (determinate) history, so
     per ``(channel, seq)`` every engine must record the same send clock
-    — the in-memory queue entry and both wire headers carry one stamp
+    — the in-memory queue entry and the wire header carry one stamp
     the same way — and every merged trace must validate."""
     from repro.apps.fdtd import build_parallel_fdtd
     from repro.cli import _e1_problem
