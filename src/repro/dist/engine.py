@@ -19,9 +19,9 @@ Per run, it:
    the pool's :class:`~repro.dist.shm.SharedStoreArena`: its constants
    (read-only arrays — the FDTD coefficient blocks) in a *resident
    pack* written once per ``System`` and never read back, its variables
-   (the Yee-grid field blocks) in a *run pack* that crosses the process
-   boundary exactly twice: written once at setup, read once at
-   readback;
+   (the Yee-grid field blocks) in a *run pack* written once at setup
+   and never copied out: readback lends it to the result, whose
+   variables are views into it;
 2. builds one ``AF_UNIX`` socketpair per channel and one per rank's
    *result stream*, borrows one worker per rank and ships it its job —
    the body as its once-per-System image (:mod:`repro.dist.closures`),
@@ -36,10 +36,13 @@ Per run, it:
    that dies without reporting is reaped via its sentinel into
    :class:`~repro.errors.ProcessFailedError`, exactly as a raising body
    is;
-5. reads the shared segments back and **always** returns workers and
-   segments to the pool in a ``finally`` — and the pool's shutdown
-   unlinks every segment, even when a worker crashed mid-step (the
-   no-leak tests exercise precisely this).
+5. on success reads the stores back as views — the run packs go back
+   to the pool's free list when the result's arrays die, not before —
+   and **always** returns workers to the pool in a ``finally``, with
+   the run packs of a failed run, which lends nothing; the pool's
+   shutdown unlinks every segment, even when a worker crashed
+   mid-step or a result is still held (the no-leak tests exercise
+   precisely this).
 
 What was collected is a :class:`Collected` record, and
 :meth:`Collected.finish` — failure wrapping, then the same
@@ -413,17 +416,20 @@ def run_on_pool(
 
     One borrowed worker per rank, endpoints, stores into the pool's
     arena, one result stream per rank, dispatch, collection, readback;
-    workers and exactly this run's segments go back to the pool
-    whatever happens, so concurrent callers — engines, servers, threads
-    — share a pool freely.  (The resident packs holding the system's
+    workers go back to the pool whatever happens, so concurrent callers
+    — engines, servers, threads — share a pool freely.  The run packs
+    are lent to the result and go back when its arrays die; a failed
+    run's go back at once.  (The resident packs holding the system's
     constants are not "this run's": they stay with the arena for as
     long as the system lives, and a concurrent or later run of it maps
     the same ones.)  ``bodies`` are the per-rank ``("image", digest,
     bytes)`` payloads (default: the system's once-pickled images,
     :func:`repro.dist.closures.body_payloads`); the remaining keywords
     are :class:`MultiprocessEngine`'s.  ``report_name`` labels the
-    merged observation report (default: the engine's name).  ``timing_sink``, when given, receives
-    :meth:`Collected.timing` even when the run fails.
+    merged observation report (default: the engine's name).
+    ``timing_sink``, when given, receives :meth:`Collected.timing` and
+    the coordinator's ``share_s`` / ``dispatch_s`` / ``readback_s``
+    (0.0 for a phase not reached) even when the run fails.
     """
     t_start = time.perf_counter()
     nprocs = system.nprocs
@@ -435,14 +441,16 @@ def run_on_pool(
     parent_conns: dict[Any, int] = {}
     slots: list = []
     collected: Collected | None = None
+    stores: list[dict[str, Any]] | None = None
+    phases = dict.fromkeys(("share_s", "dispatch_s", "readback_s"), 0.0)
     try:
         # Workers first: one forked now must not inherit this run's
         # socket ends, or a dead writer's reader would never see EOF.
         slots = pool.checkout(nprocs)
 
-        # Channel sockets and per-rank endpoint specs; stores: large
-        # arrays into a resident and a run pack, the rest by value.
-        w_specs, r_specs, child_socks = build_channel_endpoints(system)
+        # Stores: large arrays into a resident and a run pack, the rest
+        # by value.
+        t0 = time.perf_counter()
         plans: list[dict[str, tuple]] = []
         rests: list[dict[str, Any]] = []
         with pool.arena_lock:
@@ -453,9 +461,13 @@ def run_on_pool(
                 # Every pack a plan names; recycle() knows which of
                 # them are run packs.
                 seg_names.extend({entry[0] for entry in plan.values()})
+        t1 = time.perf_counter()
+        phases["share_s"] = t1 - t0
 
-        # One control frame per rank, carrying duplicates of its socket
-        # ends in-band: its channels' and its result stream's.
+        # Channel sockets and per-rank endpoint specs, then one control
+        # frame per rank, carrying duplicates of its socket ends
+        # in-band: its channels' and its result stream's.
+        w_specs, r_specs, child_socks = build_channel_endpoints(system)
         for rank, slot in enumerate(slots):
             parent_sock, child_sock = socket.socketpair()
             parent_conns[FrameStream(parent_sock)] = rank
@@ -478,38 +490,46 @@ def run_on_pool(
         # sees EOF rather than a silently-held-open socket.
         for sock in child_socks:
             sock.close()
+        phases["dispatch_s"] = time.perf_counter() - t1
 
         collected = collect_results(
             system, [slot.proc for slot in slots], parent_conns, crash_grace
         )
 
-        # Workers are finished (or dead): the segments are quiescent.
-        # Constants are the system's own arrays, packed or by value; a
-        # failed rank reported no overrides: best-effort initial rest.
-        with pool.arena_lock:
-            stores = [
-                {
-                    **by_value_constants(plans[rank], rests[rank]),
-                    **arena.readback(plans[rank]),
-                    **collected.overrides.get(rank, rests[rank]),
-                }
-                for rank in range(nprocs)
-            ]
+        # Workers are finished: no process writes the run packs again
+        # until the pool reuses them, and it reuses none before the
+        # result's arrays die.  Constants are the system's own arrays,
+        # packed or by value.  A failed run lends nothing (finish()
+        # raises below).
+        if not collected.errors:
+            t2 = time.perf_counter()
+            with pool.arena_lock:
+                stores = [
+                    {
+                        **by_value_constants(plans[rank], rests[rank]),
+                        **arena.readback(plans[rank]),
+                        **collected.overrides[rank],
+                    }
+                    for rank in range(nprocs)
+                ]
+            phases["readback_s"] = time.perf_counter() - t2
     finally:
         # An abandoned setup still holds every end; closing the result
         # streams is what unwinds ranks already dispatched.
         for conn in (*child_socks, *parent_conns):
             conn.close()
         pool.checkin(slots)
-        # Segments are only recycled once every rank is known terminal
-        # — an abandoned setup may leave a worker briefly attached, and
-        # those segments must not be reused (they stay owned until pool
-        # shutdown).
-        if collected is not None:
+        # A failed run's packs are recycled once every rank is known
+        # terminal — an abandoned setup may leave a worker briefly
+        # attached, and those segments must not be reused (they stay
+        # owned until pool shutdown).
+        if collected is not None and stores is None:
             with pool.arena_lock:
                 arena.recycle(seg_names)
         if timing_sink is not None:
-            timing_sink.update((collected or Collected()).timing(t_start))
+            timing_sink.update(
+                (collected or Collected()).timing(t_start), **phases
+            )
     return collected.finish(
         system, stores, "multiprocess", observe, trace_causal, report_name
     )
@@ -562,7 +582,14 @@ class MultiprocessEngine:
         ``run_s`` covers the span from the post-barrier "go" to the
         last worker's terminal report, which is what the benchmark
         harness compares across engines.  After a run that failed
-        before the barrier, ``startup_s`` is ``None``.
+        before the barrier, ``startup_s`` is ``None``.  Beside them,
+        the coordinator's own phases: ``share_s`` (stores into the
+        arena) and ``dispatch_s`` (sockets and control frames), both
+        inside ``startup_s``, and ``readback_s`` (the result's stores),
+        after ``run_s``; 0.0 for a phase the run did not reach.
+
+    A result's variables are views into shared memory that stay valid
+    after the engine is closed (:class:`~repro.runtime.system.RunResult`).
     """
 
     name = "multiprocess"

@@ -52,13 +52,14 @@ Mechanics worth noting:
 * **Segment recycling.**  The pool owns a persistent
   :class:`~repro.dist.shm.SharedStoreArena` (guarded by
   :attr:`WorkerPool.arena_lock` — the arena itself is not thread-safe);
-  a finished run recycles exactly its own segments (its run packs) so
+  a finished run lends its run packs to its result, and they are
+  recycled once the result's arrays die (a failed run's at once), so
   same-shape grids reuse them, while the resident packs
   holding a system's constants stay with the arena for as long as that
   system lives — every later or concurrent run of it maps the same
   ones.  :meth:`shutdown` unlinks everything — the pool holds the
   only parent-side ownership, and the no-leak tests assert emptiness
-  after.
+  after; a pack still lent then stays mapped until its result dies.
 """
 
 from __future__ import annotations

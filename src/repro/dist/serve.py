@@ -8,8 +8,8 @@ every pool slot busy: each admitted job is prepared (bodies pickled)
 *concurrently with* other jobs' execution, waits for enough free slots,
 runs as one :func:`~repro.dist.engine.run_on_pool` call — the same
 dispatch/collect path as an engine run, borrowing its workers
-exclusively — and returns its slots and shared segments the moment it
-completes.
+exclusively — and returns its slots the moment it completes, and its
+run packs once the caller drops its result.
 
 The submit/Future/backpressure machinery itself lives in
 :mod:`repro.dist.serving` (:class:`~repro.dist.serving.JobServerCore`)

@@ -13,9 +13,16 @@ most two ``multiprocessing.shared_memory`` segments, whatever it holds:
   share_store` or :meth:`~SharedStoreArena.cleanup` after one of them
   died.  Concurrent jobs of one ``System`` share one resident pack —
   safe precisely because nobody can write it;
-* its *variables* lie in one **run pack**, drawn from and returned to
-  the arena's size-keyed free list around every run, written at setup
-  and copied back out at readback.
+* its *variables* lie in one **run pack**, drawn from the arena's
+  size-keyed free list and written at setup.  Readback copies nothing
+  out of it: the result's variables are views into the pack, which is
+  *lent* to them — held through a weak reference to the views' common
+  base, and given back to the free list by the first
+  :meth:`~SharedStoreArena.share_store` after the last of them died.
+
+So one rule covers both kinds of pack: a pack lives exactly as long as
+the arrays that view it — the ``System``'s constants, or a result's
+variables.
 
 Workers attach each pack once and run their bodies *in place*; views of
 the resident pack are marked read-only, so a body that assigns a
@@ -28,7 +35,10 @@ Ownership and lifecycle are deliberately asymmetric:
 * the **parent** creates every segment inside a
   :class:`SharedStoreArena` and is the only unlinker —
   :meth:`SharedStoreArena.cleanup` runs in a ``finally`` around the
-  run, so segments are reclaimed even when a worker crashed mid-step;
+  run, so segments are reclaimed even when a worker crashed mid-step.
+  A pack still lent to a live result is unlinked with the rest and
+  closed when its last view dies (the views hold it, :class:`_Lease`),
+  so a result may outlive its pool;
 * **workers** attach by name and only ever ``close()``.  (CPython's
   ``resource_tracker`` also registers on attach, but the tracker
   process — and its per-type name *set* — is inherited by workers
@@ -119,6 +129,30 @@ class _ResidentPack(NamedTuple):
     plan: dict[str, tuple]
     refs: dict[str, weakref.ref]
 
+    def in_use(self) -> bool:
+        return all(ref() is not None for ref in self.refs.values())
+
+
+class _Lease(np.ndarray):
+    """A lent run pack as one byte array: the base of every array
+    :meth:`SharedStoreArena.readback` returns from it (NumPy collapses a
+    view's base to it, however the view was sliced), so it dies with
+    the last of them.  It holds the segment, which therefore cannot be
+    closed under a live view: an arena cleaned up while a result is
+    still held leaves the closing to the lease's death."""
+
+    __slots__ = ("seg",)
+
+
+class _Loan(NamedTuple):
+    """A run pack lent to a result, and a weak reference to its lease."""
+
+    seg: shared_memory.SharedMemory
+    lease: weakref.ref
+
+    def in_use(self) -> bool:
+        return self.lease() is not None
+
 
 class SharedStoreArena:
     """Parent-side owner of every shared segment backing its runs.
@@ -128,24 +162,25 @@ class SharedStoreArena:
     packs (module docstring) plus the by-value remainder;
     :meth:`readback` turns a plan back into arrays after the run.
 
-    A pooled engine keeps one arena alive across runs.  Run packs are
-    *in use* between :meth:`share_store` and :meth:`recycle`, which
-    parks them on a size-keyed free list instead of unlinking them;
-    :meth:`_new_segment` satisfies a later request of the same size
-    from that list — so repeated runs over matching grid shapes reuse
-    their segments (and fds) instead of re-creating them.  A resident
-    pack is never parked by :meth:`recycle` — a run pack of equal size
-    would overwrite live constants — only by the sweep that finds its
-    arrays dead.  :meth:`cleanup` remains the only unlinker, reclaiming
-    free, in-use and resident segments alike.
+    A pooled engine keeps one arena alive across runs.  A run pack is
+    *in use* from :meth:`share_store` until :meth:`readback` lends it to
+    the result, and lent until the result's arrays die; the next
+    :meth:`share_store` then parks it on a size-keyed free list instead
+    of unlinking it, and :meth:`_new_segment` satisfies a later request
+    of the same size from that list — so repeated runs over matching
+    grid shapes reuse their segments (and fds, and page tables) instead
+    of re-creating them.  A resident pack is parked by the same sweep,
+    once one of its arrays died.  :meth:`recycle` parks run packs that
+    were shared and never read back (a failed run's).  :meth:`cleanup`
+    remains the only unlinker, reclaiming every segment alike.
 
     Not thread-safe: a pool serialises its callers with
     :attr:`~repro.dist.pool.WorkerPool.arena_lock`.  The one thing
-    that may happen on any thread at any time is a constant array being
-    collected; its weak-reference callback only appends the pack's name
-    to a list (no lock — the collector may run it on a thread that
-    holds the arena lock already), and the next :meth:`share_store` or
-    :meth:`cleanup` does the releasing.
+    that may happen on any thread at any time is a constant array or a
+    lease being collected; its weak-reference callback only appends the
+    pack's name to a list (no lock — the collector may run it on a
+    thread that holds the arena lock already), and the next
+    :meth:`share_store` or :meth:`cleanup` does the releasing.
     """
 
     def __init__(self, tag: str = ""):
@@ -154,7 +189,9 @@ class SharedStoreArena:
         #: resident packs by segment name, and by what they hold
         self._resident: dict[str, _ResidentPack] = {}
         self._resident_of: dict[tuple, _ResidentPack] = {}
-        #: names of resident packs one of whose arrays has died
+        #: run packs lent to results, by segment name
+        self._lent: dict[str, _Loan] = {}
+        #: names of resident or lent packs whose arrays (some) have died
         self._dead: list[str] = []
         self._counter = 0
         # Counted, so tests need not time anything:
@@ -164,8 +201,11 @@ class SharedStoreArena:
         self._tag = tag or f"{os.getpid():x}_{os.urandom(4).hex()}"
 
     def __len__(self) -> int:
-        """Segments in use: run packs and resident packs."""
-        return len(self._segments) + len(self._resident)
+        """Packs in use: run packs not yet read back, and resident or
+        lent packs whose arrays are all alive — one whose arrays died
+        is not in use, swept or not."""
+        packs = (*self._resident.values(), *self._lent.values())
+        return len(self._segments) + sum(pack.in_use() for pack in packs)
 
     # -- creation ----------------------------------------------------------
 
@@ -223,12 +263,20 @@ class SharedStoreArena:
         return pack
 
     def _sweep(self) -> None:
-        """Park every resident pack one of whose arrays has died."""
+        """Park every resident or lent pack one of whose arrays has
+        died.  A noted name is checked again, not trusted: the segment
+        may have been parked and handed out anew since its note."""
         while self._dead:
-            pack = self._resident.pop(self._dead.pop(), None)
-            if pack is not None:
-                del self._resident_of[pack.key]
-                self._free.setdefault(pack.seg.size, []).append(pack.seg)
+            name = self._dead.pop()
+            resident = self._resident.get(name)
+            pack = resident or self._lent.get(name)
+            if pack is None or pack.in_use():
+                continue
+            if resident:
+                del self._resident[name], self._resident_of[resident.key]
+            else:
+                del self._lent[name]
+            self._free.setdefault(pack.seg.size, []).append(pack.seg)
 
     def share_store(
         self, store: dict[str, Any], threshold: int = DEFAULT_THRESHOLD
@@ -265,13 +313,14 @@ class SharedStoreArena:
     # -- readback and teardown ---------------------------------------------
 
     def readback(self, plan: dict[str, tuple]) -> dict[str, np.ndarray]:
-        """A rank's shared arrays after its run (before :meth:`recycle`):
-        variables copied out of the run pack, constants as *the
-        parent's own arrays* — nobody could write them, so there is
-        nothing to copy.  (The caller holds the store it shared, so
-        they are alive.)  By-value constants lie in no pack and do not
-        come home either: the caller takes them from the ``rest`` it
-        shared (:func:`by_value_constants`)."""
+        """A rank's shared arrays after its run, once every rank is
+        terminal: variables as views into the run pack, which is lent to
+        them from now on (:meth:`_lend`), constants as *the parent's own
+        arrays* — nobody could write them, so there is nothing to copy.
+        (The caller holds the store it shared, so they are alive.)
+        By-value constants lie in no pack and do not come home either:
+        the caller takes them from the ``rest`` it shared
+        (:func:`by_value_constants`)."""
         out: dict[str, np.ndarray] = {}
         for key, (name, offset, dtype_str, shape, constant) in plan.items():
             if name is None:
@@ -282,25 +331,42 @@ class SharedStoreArena:
                 out[key] = np.ndarray(
                     shape,
                     dtype=np.dtype(dtype_str),
-                    buffer=self._segments[name].buf,
+                    buffer=self._lend(name),
                     offset=offset,
-                ).copy()
+                )
         return out
 
-    def recycle(self, names: "Iterable[str] | None" = None) -> None:
-        """Park in-use segments on the size-keyed free list.
+    def _lend(self, name: str) -> _Lease:
+        """The lease on run pack ``name``: the live one if the pack is
+        lent already, else a new one — the pack leaves the in-use set
+        and its lease's death notes the name for the sweep."""
+        seg = self._segments.pop(name, None)
+        if seg is None:
+            seg, ref = self._lent[name]
+            lease = ref()
+            if lease is not None:
+                return lease
+        lease = _Lease((seg.size,), np.uint8, buffer=seg.buf)
+        lease.seg = seg
+        died = self._dead.append
+        self._lent[name] = _Loan(
+            seg, weakref.ref(lease, lambda _ref, _n=name: died(_n))
+        )
+        return lease
 
-        Called between pooled runs *after* :meth:`readback`: the
+    def recycle(self, names: "Iterable[str] | None" = None) -> None:
+        """Park in-use run packs on the size-keyed free list: the
         segments stay mapped and owned (still counted by
         :func:`live_segment_names`), ready for same-size reuse.
 
-        ``names=None`` parks every run pack (the
-        whole-run engine path); an explicit collection parks only those
-        — the serving layer recycles each job's segments as that job
-        completes, while other jobs' segments are still live.  Resident
-        packs are not in-use segments in this sense and are never
-        parked here, named or not; other unknown names are ignored too
-        (the job may have failed before sharing anything).
+        In use means shared and not read back — a run that failed
+        lends nothing, and its caller recycles its packs once every
+        rank is terminal.  ``names=None`` parks every such pack; an
+        explicit collection parks only those, while other runs' packs
+        stay live.  Resident and lent packs are never parked here,
+        named or not — the sweep parks them once their arrays died —
+        and other unknown names are ignored too (the run may have
+        failed before sharing anything).
         """
         for name in list(self._segments) if names is None else names:
             seg = self._segments.pop(name, None)
@@ -308,26 +374,30 @@ class SharedStoreArena:
                 self._free.setdefault(seg.size, []).append(seg)
 
     def cleanup(self) -> None:
-        """Close and unlink every segment; idempotent, crash-tolerant."""
+        """Unlink every segment at once and close it — except one still
+        lent to live arrays, whose lease closes it when the last of them
+        dies.  Idempotent, crash-tolerant."""
+        viewed = {name for name, loan in self._lent.items() if loan.in_use()}
         segments = [
             *self._segments.values(),
             *(pack.seg for pack in self._resident.values()),
+            *(loan.seg for loan in self._lent.values()),
             *(seg for bucket in self._free.values() for seg in bucket),
         ]
         self._segments.clear()
         self._resident.clear()
         self._resident_of.clear()
+        self._lent.clear()
         self._free.clear()
         del self._dead[:]
         for seg in segments:
-            try:
-                seg.close()
-            except Exception:
-                pass
+            if seg.name not in viewed:
+                try:
+                    seg.close()
+                except Exception:
+                    pass
             try:
                 seg.unlink()
-            except FileNotFoundError:
-                pass
             except Exception:
                 pass
             _LIVE_SEGMENTS.discard(seg.name)

@@ -51,6 +51,12 @@ class RunResult:
     cross-process channel reports 0), and ``report`` is the full
     :class:`~repro.obs.report.RunReport` when the engine ran with an
     observer (``observe=True``), else ``None``.
+
+    On the process engines (``multiprocess``, ``multiprocess+pool``, a
+    ``JobServer`` job) a store's large variables are views into the
+    run's shared-memory pack rather than copies of it; they stay valid
+    after the pool shuts down, and the pack is reused only once the last
+    of them is gone — so holding N results holds N packs.
     """
 
     stores: list[dict[str, Any]]

@@ -102,8 +102,15 @@ class TestContract:
         engine = MultiprocessEngine(start_method="fork")
         run_exchange(engine)
         t = engine.last_timing
-        assert set(t) == {"startup_s", "run_s", "total_s"}
+        assert set(t) == {
+            "startup_s", "run_s", "total_s",
+            "share_s", "dispatch_s", "readback_s",
+        }
         assert 0 <= t["run_s"] <= t["total_s"]
+        # The coordinator's phases: share and dispatch before the go
+        # barrier, readback after the last terminal report.
+        assert 0 < t["share_s"] + t["dispatch_s"] <= t["startup_s"]
+        assert 0 < t["readback_s"] <= t["total_s"] - t["startup_s"] - t["run_s"]
 
     def test_trace_refused_up_front(self):
         with pytest.raises(RuntimeModelError, match="trace"):

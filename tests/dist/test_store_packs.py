@@ -95,6 +95,16 @@ def count_store_segments(body):
 # ---------------------------------------------------------------------------
 
 
+def assert_constants_are_the_systems_own(system, result):
+    for rank, spec in enumerate(system.processes):
+        assert len(constant_keys(spec.store)) == 12
+        for key, value in spec.store.items():
+            if is_constant(value):
+                assert result.stores[rank][key] is value
+            else:
+                assert result.stores[rank][key] is not value
+
+
 def test_pooled_run_attaches_two_store_segments_and_constants_cross_once():
     config, par = version_a()
     system = par.to_parallel()
@@ -107,7 +117,12 @@ def test_pooled_run_attaches_two_store_segments_and_constants_cross_once():
         first = run_on_pool(pool, system)
         assert first.returns == [2, 2, 2]  # resident pack + run pack
         assert arena.constant_bytes == constant_bytes
-        assert len(arena) == 3  # one resident pack per rank stays in use
+        # Per rank one resident pack, and one run pack lent to `first`.
+        assert len(arena) == 6
+        assert_matches_sequential(config, par, first)
+        assert_constants_are_the_systems_own(system, first)
+        del first
+        assert len(arena) == 3  # the resident packs stay in use
         created, recycled = arena.created, arena.recycled
 
         second = run_on_pool(pool, system)
@@ -116,16 +131,8 @@ def test_pooled_run_attaches_two_store_segments_and_constants_cross_once():
         assert arena.constant_bytes == constant_bytes  # ... 0 constant bytes
         # Per rank one run pack, recycled; channels map no segment.
         assert arena.recycled - recycled == 3
-
-        for result in (first, second):
-            assert_matches_sequential(config, par, result)
-            for rank, spec in enumerate(system.processes):
-                assert len(constant_keys(spec.store)) == 12
-                for key, value in spec.store.items():
-                    if is_constant(value):
-                        assert result.stores[rank][key] is value
-                    else:
-                        assert result.stores[rank][key] is not value
+        assert_matches_sequential(config, par, second)
+        assert_constants_are_the_systems_own(system, second)
     assert live_segment_names() == frozenset()
 
 
@@ -170,12 +177,15 @@ def test_two_inflight_jobs_of_one_system_share_one_resident_pack():
         arena = server.pool.arena
         assert server.stats()["inflight_hwm"] == 2
         assert arena.constant_bytes == constant_bytes  # written once
-        assert len(arena) == 3  # three resident packs, nothing else in use
-    for result in results:
-        assert_matches_sequential(config, par, result)
-        for rank, spec in enumerate(system.processes):
-            for key in constant_keys(spec.store):
-                assert result.stores[rank][key] is spec.store[key]
+        # Three resident packs, and three run packs per held result.
+        assert len(arena) == 3 + 3 * len(results)
+        for result in results:
+            assert_matches_sequential(config, par, result)
+            for rank, spec in enumerate(system.processes):
+                for key in constant_keys(spec.store):
+                    assert result.stores[rank][key] is spec.store[key]
+        del futures, results, result
+        assert len(arena) == 3  # the resident packs, nothing else in use
     assert live_segment_names() == frozenset()
 
 
@@ -206,11 +216,14 @@ def test_recycle_between_shares_never_serves_a_resident_pack():
         worker["v"][...] = np.nan
         assert bitwise_equal_arrays(worker["c"], store["c"])
         assert arena.readback(plan2)["c"] is store["c"]
-        assert np.isnan(arena.readback(plan2)["v"]).all()
+        back = arena.readback(plan2)  # lends the run pack to `back`
+        assert np.isnan(back["v"]).all()
         del worker
         close_handles(handles)
-        arena.recycle([resident])  # not even when named
-        assert len(arena) == 2
+        arena.recycle([resident, run1])  # not even when named
+        assert len(arena) == 2  # the resident pack, the lent run pack
+        del back
+        assert len(arena) == 1
     finally:
         arena.cleanup()
     assert live_segment_names() == frozenset()
@@ -348,6 +361,7 @@ def test_round_trip_share_attach_flush_readback(store, threshold):
                 assert final[key] is value
             elif key in shared:
                 assert final[key] is not value
+        del final  # the last views of the run pack lent at readback
         arena.recycle()
         assert len(arena) == bool(shared and any(plan[k][4] for k in shared))
     finally:
@@ -484,9 +498,9 @@ def test_killed_worker_and_abandoned_setup_leave_no_segment():
 
 def test_arrays_dying_on_other_threads_never_corrupt_the_arena():
     """The only thing that touches an arena without its lock is a dying
-    constant noting its pack's name.  Threads share, read back and drop
-    stores under a short switch interval; every pack must be found,
-    hold its own arrays, and be parked once they are gone."""
+    constant or lease noting its pack's name.  Threads share, read back
+    and drop stores under a short switch interval; every pack must be
+    found, hold its own arrays, and be parked once they are gone."""
     import sys
     import threading
     import time
@@ -502,6 +516,7 @@ def test_arrays_dying_on_other_threads_never_corrupt_the_arena():
                 store = equal_size_store(64 + 8 * seed)
                 store["c"] = store["c"] + float(n)  # a new array ...
                 store["c"].flags.writeable = False  # ... and a constant
+                store["v"][...] = 1000 * seed + n  # only this round's
                 with lock:
                     plan, rest = arena.share_store(store)
                     worker, handles = attach_store(plan, rest)
@@ -510,7 +525,13 @@ def test_arrays_dying_on_other_threads_never_corrupt_the_arena():
                     close_handles(handles)
                     back = arena.readback(plan)
                     arena.recycle({entry[0] for entry in plan.values()})
-                if not same or back["c"] is not store["c"]:
+                # Outside the lock, while other threads share: the run
+                # pack `back` views is lent, so none of them reuses it.
+                if (
+                    not same
+                    or back["c"] is not store["c"]
+                    or not (back["v"] == 1000 * seed + n).all()
+                ):
                     errors.append((seed, n))
                 del store, back  # dies here, outside the lock
                 n += 1
