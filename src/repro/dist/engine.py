@@ -28,14 +28,19 @@ Per run, it:
    the socket ends in-band; each is a
    :class:`~repro.dist.net.frames.FrameStream` from then on, the stream
    a daemon's channels and control connections are too;
-3. holds all workers at a start barrier until every one reports ready,
-   so the timing split can separate startup from the run proper;
+3. lets every rank run its body as soon as it is built: a rank that
+   starts before its peers only blocks on its first receive (Theorem
+   1), so there is no start barrier — each rank's one-way ``ready``
+   notice only places the timing split between startup and the run
+   proper;
 4. multiplexes result streams and process sentinels
    (:func:`collect_results`): ``done`` payloads carry returns, store
    overrides, channel statistics, and observation payloads; a worker
    that dies without reporting is reaped via its sentinel into
    :class:`~repro.errors.ProcessFailedError`, exactly as a raising body
-   is;
+   is — a rank that fails during setup included: its peers are already
+   running and unwind through the same EOF cascade, or are terminated
+   when ``crash_grace`` runs out;
 5. on success reads the stores back as views — the run packs go back
    to the pool's free list when the result's arrays die, not before —
    and **always** returns workers to the pool in a ``finally``, with
@@ -70,6 +75,7 @@ from repro.dist.net.frames import FrameStream
 from repro.dist.pool import WorkerCrashError, WorkerPool
 from repro.dist.shm import by_value_constants
 from repro.errors import (
+    ProcessFailedError,
     RuntimeModelError,
     TransportAbortError,
     TransportError,
@@ -136,9 +142,10 @@ class Collected:
     Filled by :func:`collect_results`; a rank is in ``errors`` or in
     ``returns``/``overrides``/``stats``, never both.  ``logs`` holds a
     rank's :meth:`~repro.runtime.trace.EventLog.payload` when the job
-    ran observed or causally traced.  ``t_run0`` is the "go" of the start
-    barrier (``None`` if it was never reached), ``t_run1`` the last
-    terminal report.
+    ran observed or causally traced.  ``t_run0`` is the arrival of the
+    last ``ready`` notice (``None`` if some rank never sent one),
+    ``t_run1`` the last terminal report.  Ranks do not wait for each
+    other, so a rank may start — even finish — before ``t_run0``.
     """
 
     returns: dict[int, Any] = field(default_factory=dict)
@@ -152,9 +159,11 @@ class Collected:
 
     def timing(self, t_start: float) -> dict[str, float | None]:
         """The ``startup_s`` / ``run_s`` / ``total_s`` split of a run
-        that began at ``t_start`` and ends now.  A run that never
-        reached the start barrier has no startup to report:
-        ``startup_s`` is ``None`` and ``run_s`` 0.0."""
+        that began at ``t_start`` and ends now: ``startup_s`` up to the
+        last ``ready`` (``t_run0``), ``run_s`` from there to the last
+        terminal report.  A run in which some rank never reported ready
+        has no startup to report: ``startup_s`` is ``None`` and
+        ``run_s`` 0.0."""
         t_end = time.perf_counter()
         if self.t_run0 is None:
             startup_s, run_s = None, 0.0
@@ -167,6 +176,24 @@ class Collected:
             "total_s": t_end - t_start,
         }
 
+    def blamed_rank(self) -> int:
+        """The failed rank a run's error names: the lowest, unless its
+        error only echoes another failed rank's — a receive that found
+        its writer dead raises a ProcessFailedError naming the writer —
+        in which case the writer, followed to a rank whose failure is
+        its own.  Ranks do not wait for each other to start, so a rank
+        that fails while being built leaves its running peers such
+        echoes; the error still names the rank and the cause."""
+        rank = min(self.errors)
+        seen = {rank}
+        while True:
+            exc = self.errors[rank]
+            writer = exc.rank if isinstance(exc, ProcessFailedError) else None
+            if writer in seen or writer not in self.errors:
+                return rank
+            seen.add(writer)
+            rank = writer
+
     def finish(
         self,
         system: System,
@@ -176,15 +203,16 @@ class Collected:
         trace_causal: bool = False,
         report_name: str | None = None,
     ) -> RunResult:
-        """The tail of every process-backed run: raise the lowest failed
-        rank's :class:`~repro.errors.ProcessFailedError`, else fuse the
+        """The tail of every process-backed run: raise the
+        :class:`~repro.errors.ProcessFailedError` of the rank to blame
+        (:meth:`blamed_rank`), else fuse the
         channel statistics and hand them, the worker observations
         (``observe``) and the event logs to the one assembly
         (:func:`~repro.runtime.system.assemble_run_result`).  The
         observation report is labelled ``report_name`` (default: the
         engine's name)."""
         if self.errors:
-            rank = min(self.errors)
+            rank = self.blamed_rank()
             raise wrap_process_failure(
                 rank, self.errors[rank]
             ) from self.errors[rank]
@@ -206,10 +234,13 @@ def collect_results(
     """Multiplex result streams + sentinels until every rank is terminal.
 
     The one collection loop of every process-backed run, over a pool's
-    socketpairs and over TCP: ready/go barrier, done/error frames,
-    sentinel reaping
-    into :class:`WorkerCrashError`, and the post-first-failure grace
-    window (``crash_grace`` seconds) before survivors are terminated.
+    socketpairs and over TCP: ready notices (timing only — nothing is
+    sent back), done/error frames, sentinel reaping into
+    :class:`WorkerCrashError`, and the post-first-failure grace window
+    (``crash_grace`` seconds) before survivors are terminated.  It
+    waits for the ranks ``parent_conns`` names — every rank of a run,
+    or those dispatched before its setup was abandoned
+    (:func:`run_on_pool`); ``procs`` is indexed by rank.
 
     ``needs`` is the TCP coordinator's: per rank, the frame that
     answers a daemon's ``("need", rank)`` — sent before ``ready`` by a
@@ -225,17 +256,15 @@ def collect_results(
     EOF, stream abort, or reset — is therefore treated as that rank's
     crash unless the local process object is demonstrably still alive.
     """
-    nprocs = system.nprocs
+    ranks = sorted(parent_conns.values())
     sentinels = {
-        proc.sentinel: rank
-        for rank, proc in enumerate(procs)
-        if proc.sentinel is not None
+        procs[rank].sentinel: rank
+        for rank in ranks
+        if procs[rank].sentinel is not None
     }
     conn_of = {rank: conn for conn, rank in parent_conns.items()}
     terminal: set[int] = set()
     ready: set[int] = set()
-    started = False
-    aborted = False
     out = Collected()
     deadline: float | None = None
 
@@ -247,19 +276,11 @@ def collect_results(
             deadline = time.perf_counter() + crash_grace
 
     def handle(rank: int, msg: tuple) -> None:
-        nonlocal started
         kind = msg[0]
         if kind == "ready":
-            if aborted:
-                wire.send(conn_of[rank], ("abort",))
-                terminal.add(rank)
-                return
             ready.add(rank)
-            if len(ready) == nprocs and not started:
-                started = True
+            if len(ready) == system.nprocs:
                 out.t_run0 = time.perf_counter()
-                for r in range(nprocs):
-                    wire.send(conn_of[r], ("go",))
         elif kind == "need":
             conn = conn_of[rank]
             try:
@@ -282,20 +303,7 @@ def collect_results(
             fail(rank, _rebuild_exception(msg[2]))
 
     live_conns = dict(parent_conns)
-    while len(terminal) < nprocs:
-        if deadline is not None and not aborted and not started:
-            # Startup failed: release ranks already at the barrier.
-            # They unwind without running, so they are done with — a
-            # parked pool worker must not be waited out and terminated.
-            aborted = True
-            for r in ready - terminal:
-                try:
-                    wire.send(conn_of[r], ("abort",))
-                except (OSError, TransportAbortError):
-                    pass
-                terminal.add(r)
-            continue
-
+    while len(terminal) < len(ranks):
         timeout = None
         if deadline is not None:
             timeout = deadline - time.perf_counter()
@@ -359,19 +367,15 @@ def collect_results(
                         rank,
                         WorkerCrashError(rank, procs[rank].exitcode),
                     )
-        if started and len(terminal) == nprocs:
-            out.t_run1 = time.perf_counter()
 
-    if len(terminal) < nprocs:
-        # Grace expired: the survivors are presumed wedged.
-        for rank in range(nprocs):
-            if rank not in terminal:
-                if procs[rank].is_alive():
-                    procs[rank].terminate()
-                    procs[rank].join(timeout=5.0)
-                fail(rank, WorkerCrashError(rank, procs[rank].exitcode))
-    if out.t_run1 is None:
-        out.t_run1 = time.perf_counter()
+    # Grace expired: the survivors are presumed wedged.
+    for rank in ranks:
+        if rank not in terminal:
+            if procs[rank].is_alive():
+                procs[rank].terminate()
+                procs[rank].join(timeout=5.0)
+            fail(rank, WorkerCrashError(rank, procs[rank].exitcode))
+    out.t_run1 = time.perf_counter()
     return out
 
 
@@ -417,9 +421,13 @@ def run_on_pool(
     One borrowed worker per rank, endpoints, stores into the pool's
     arena, one result stream per rank, dispatch, collection, readback;
     workers go back to the pool whatever happens, so concurrent callers
-    — engines, servers, threads — share a pool freely.  The run packs
-    are lent to the result and go back when its arrays die; a failed
-    run's go back at once.  (The resident packs holding the system's
+    — engines, servers, threads — share a pool freely.  They go back
+    idle: a run that fails — during setup too, even when a
+    :meth:`~repro.dist.pool.WorkerPool.dispatch` raises — first waits
+    for every rank it dispatched, as :func:`collect_results` does for
+    any failure.  The run packs are lent to the result and go back when
+    its arrays die; a failed run's go back once its ranks are
+    terminal.  (The resident packs holding the system's
     constants are not "this run's": they stay with the arena for as
     long as the system lives, and a concurrent or later run of it maps
     the same ones.)  ``bodies`` are the per-rank ``("image", digest,
@@ -468,26 +476,37 @@ def run_on_pool(
         # frame per rank, carrying duplicates of its socket ends
         # in-band: its channels' and its result stream's.
         w_specs, r_specs, child_socks = build_channel_endpoints(system)
+        abandoned: Exception | None = None
         for rank, slot in enumerate(slots):
             parent_sock, child_sock = socket.socketpair()
-            parent_conns[FrameStream(parent_sock)] = rank
             child_socks.append(child_sock)
-            pool.dispatch(
-                slot,
-                system,
-                rank,
-                child_sock,
-                body=bodies[rank],
-                plan=plans[rank],
-                rest=rests[rank],
-                w_specs=w_specs[rank],
-                r_specs=r_specs[rank],
-                recv_timeout=recv_timeout,
-                observe=bool(observe),
-                trace_causal=bool(trace_causal),
-            )
+            try:
+                pool.dispatch(
+                    slot,
+                    system,
+                    rank,
+                    child_sock,
+                    body=bodies[rank],
+                    plan=plans[rank],
+                    rest=rests[rank],
+                    w_specs=w_specs[rank],
+                    r_specs=r_specs[rank],
+                    recv_timeout=recv_timeout,
+                    observe=bool(observe),
+                    trace_causal=bool(trace_causal),
+                )
+            except Exception as exc:
+                # Setup is abandoned, but the ranks dispatched so far
+                # are running: they are collected below like the ranks
+                # of any failed run, then the error is raised.
+                parent_sock.close()
+                abandoned = exc
+                break
+            parent_conns[FrameStream(parent_sock)] = rank
         # The parent's copies must close so a dead writer's reader
-        # sees EOF rather than a silently-held-open socket.
+        # sees EOF rather than a silently-held-open socket — the EOF
+        # cascade that unwinds the peers of a rank that failed, or was
+        # never dispatched.
         for sock in child_socks:
             sock.close()
         phases["dispatch_s"] = time.perf_counter() - t1
@@ -495,6 +514,8 @@ def run_on_pool(
         collected = collect_results(
             system, [slot.proc for slot in slots], parent_conns, crash_grace
         )
+        if abandoned is not None:
+            raise abandoned
 
         # Workers are finished: no process writes the run packs again
         # until the pool reuses them, and it reuses none before the
@@ -514,15 +535,13 @@ def run_on_pool(
                 ]
             phases["readback_s"] = time.perf_counter() - t2
     finally:
-        # An abandoned setup still holds every end; closing the result
-        # streams is what unwinds ranks already dispatched.
         for conn in (*child_socks, *parent_conns):
             conn.close()
+        # Every dispatched rank is terminal once collected, so the
+        # workers go back idle and a failed run's packs are written by
+        # nobody: they are recycled.  A run cut short before collection
+        # leaves its packs in use, owned until pool shutdown.
         pool.checkin(slots)
-        # A failed run's packs are recycled once every rank is known
-        # terminal — an abandoned setup may leave a worker briefly
-        # attached, and those segments must not be reused (they stay
-        # owned until pool shutdown).
         if collected is not None and stores is None:
             with pool.arena_lock:
                 arena.recycle(seg_names)
@@ -579,10 +598,13 @@ class MultiprocessEngine:
     ----------
     last_timing:
         ``{"startup_s", "run_s", "total_s"}`` for the most recent run —
-        ``run_s`` covers the span from the post-barrier "go" to the
-        last worker's terminal report, which is what the benchmark
-        harness compares across engines.  After a run that failed
-        before the barrier, ``startup_s`` is ``None``.  Beside them,
+        ``startup_s`` ends at the last rank's ``ready`` notice and
+        ``run_s`` covers the span from there to the last worker's
+        terminal report, which is what the benchmark harness compares
+        across engines.  No rank waits for that notice: an early rank
+        starts its body, and may even finish, inside ``startup_s``.
+        After a run in which some rank never reported ready,
+        ``startup_s`` is ``None``.  Beside them,
         the coordinator's own phases: ``share_s`` (stores into the
         arena) and ``dispatch_s`` (sockets and control frames), both
         inside ``startup_s``, and ``readback_s`` (the result's stores),

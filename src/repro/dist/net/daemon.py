@@ -9,7 +9,7 @@ connection opens with a rendezvous *hello* frame
 
 * a **control** connection — the coordinator follows with one
   ``("job", …)`` frame, and the connection then becomes that rank's
-  result stream, speaking the exact ready/go/done/error protocol of
+  result stream, speaking the exact ready/done/error protocol of
   :func:`repro.dist.worker.run_job` (which the daemon reuses verbatim);
 * a **data** connection — a peer daemon dialling one channel's stream
   for a writer rank it hosts; the acceptor parks it in the

@@ -34,9 +34,10 @@ Per run, the coordinator:
    daemon either holds already or asks about once —
    :func:`constant_sets`; shared memory cannot span hosts, so there is
    no segment plan), and hands the connections to the same
-   :func:`~repro.dist.engine.collect_results` barrier/collection loop
-   the multiprocess engine uses, with proxies standing in for the
-   remote processes;
+   :func:`~repro.dist.engine.collect_results` collection loop the
+   multiprocess engine uses, with proxies standing in for the remote
+   processes — a rank runs as soon as its daemon has built it, with no
+   start barrier;
 4. a daemon that dies mid-run drops its control streams without the
    clean-close goodbye — surfaced by the collection loop as a worker
    crash, hence :class:`~repro.errors.ProcessFailedError`, within the
@@ -289,12 +290,12 @@ def run_assigned(
     ``timing_sink``, when given, receives
     :meth:`~repro.dist.engine.Collected.timing` plus the bytes this
     run's control streams carried (``control_bytes_out`` /
-    ``control_bytes_in``: hellos, job frames, constants, barrier and
-    reports — everything but the peer-to-peer channels), even when the
-    run fails.  Failures — body exceptions, rendezvous failures, or a
+    ``control_bytes_in``: hellos, job frames, constants, ready notices
+    and reports — everything but the peer-to-peer channels), even when
+    the run fails.  Failures — body exceptions, rendezvous failures, or a
     daemon dying mid-run (control-stream EOF without the goodbye) —
-    raise :class:`~repro.errors.ProcessFailedError` for the lowest
-    failed rank.
+    raise :class:`~repro.errors.ProcessFailedError` for the rank to
+    blame (:meth:`~repro.dist.engine.Collected.blamed_rank`).
     """
     t_start = time.perf_counter()
     nprocs = system.nprocs
@@ -415,11 +416,11 @@ class SocketEngine:
     ----------
     last_timing:
         ``{"startup_s", "run_s", "total_s"}`` for the most recent run,
-        split at the ready/go barrier exactly like the multiprocess
-        engine — so engine-comparison benches read transport cost out
-        of ``run_s`` directly — plus ``control_bytes_out`` /
-        ``control_bytes_in``, the bytes its control streams carried
-        (:func:`run_assigned`).
+        split at the last rank's ready notice exactly like the
+        multiprocess engine — so engine-comparison benches read
+        transport cost out of ``run_s`` directly — plus
+        ``control_bytes_out`` / ``control_bytes_in``, the bytes its
+        control streams carried (:func:`run_assigned`).
     """
 
     name = "socket"

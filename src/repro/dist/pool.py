@@ -9,10 +9,11 @@ long-lived process parked on a *control socket*;
 channel endpoints, a fresh result stream — down that socket
 (:meth:`WorkerPool.dispatch`), and the worker executes
 :func:`repro.dist.worker.run_job`, then parks again.  Keeping the pool
-across runs amortizes process boot (interpreter, imports, shm attach)
-and nothing else: the result-stream protocol (ready / go / done / error),
-barrier timing and crash reaping do not depend on how long the workers
-live.
+across runs amortizes process boot (interpreter, imports) and the
+workers' shared-memory mappings — a worker maps each segment once and
+keeps it, so a warm run maps nothing — and nothing else: the
+result-stream protocol (ready / done / error), the timing split and
+crash reaping do not depend on how long the workers live.
 
 Mechanics worth noting:
 
@@ -53,7 +54,8 @@ Mechanics worth noting:
   :class:`~repro.dist.shm.SharedStoreArena` (guarded by
   :attr:`WorkerPool.arena_lock` — the arena itself is not thread-safe);
   a finished run lends its run packs to its result, and they are
-  recycled once the result's arrays die (a failed run's at once), so
+  recycled once the result's arrays die (a failed run's once every rank
+  it dispatched is terminal), so
   same-shape grids reuse them, while the resident packs
   holding a system's constants stay with the arena for as long as that
   system lives — every later or concurrent run of it maps the same
@@ -65,6 +67,7 @@ Mechanics worth noting:
 from __future__ import annotations
 
 import array
+import ctypes
 import io
 import multiprocessing
 import pickle
@@ -188,6 +191,11 @@ class WorkerCrashError(RuntimeError):
 def worker_loop(slot: int, ctrl: socket.socket) -> None:
     """Long-lived worker loop: park on the control socket, run jobs."""
     images = ResidentImages()
+    # Every segment this worker has mapped, by name, kept for its whole
+    # life (repro.dist.shm.attach_store).  No bound: it can only name
+    # segments of the pool's arena, which unlinks none of them until
+    # pool shutdown — and shutdown stops the workers first.
+    mapped: dict[str, ctypes.Array] = {}
     try:
         while True:
             try:
@@ -200,7 +208,7 @@ def worker_loop(slot: int, ctrl: socket.socket) -> None:
                 continue
             job = msg[1]
             try:
-                run_job(**job, images=images)
+                run_job(**job, images=images, mapped=mapped)
             finally:
                 # Streams of channels the job never opened close too
                 # (bare: their readers learn this rank failed).
@@ -270,15 +278,6 @@ class WorkerPool:
     # -- lifecycle ----------------------------------------------------------
 
     def _spawn(self) -> _Slot:
-        # Workers must inherit the parent's resource tracker.  A worker
-        # forked before the tracker exists (no shared segment created
-        # yet — e.g. a pre-sized serving pool) would lazily boot its
-        # own private tracker on first attach; its registrations then
-        # never see the parent's unlinks, and that orphan tracker
-        # "cleans up" already-unlinked segments at exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
         parent, child = socket.socketpair()
         proc = self.ctx.Process(
             target=worker_loop,

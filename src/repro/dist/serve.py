@@ -190,5 +190,5 @@ class JobServer(JobServerCore):
                 timing_sink=timing,
             )
         finally:
-            # None unless the start barrier was reached.
+            # None unless every rank reported ready.
             job.stats.startup_s = timing.get("startup_s")

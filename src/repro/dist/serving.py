@@ -86,8 +86,9 @@ class JobStats:
     causal_events: int | None = None
     causal_depth: int | None = None
     #: Start-up share of the service time: from the job's dispatch to
-    #: its go barrier (endpoints built, stores shipped, every rank
-    #: constructed and ready).  None when the barrier was never reached.
+    #: its last rank's ready notice (endpoints built, stores shipped,
+    #: every rank constructed; an early rank is running already).  None
+    #: when some rank never reported ready.
     startup_s: float | None = None
 
     @property

@@ -24,11 +24,14 @@ So one rule covers both kinds of pack: a pack lives exactly as long as
 the arrays that view it — the ``System``'s constants, or a result's
 variables.
 
-Workers attach each pack once and run their bodies *in place*; views of
-the resident pack are marked read-only, so a body that assigns a
-constant fails there exactly as it does on the in-process engines.
-Everything else (small arrays, scalars, objects) rides the job's
-pickle.
+A pool worker maps a segment the first time a plan names it and keeps
+the mapping for as long as it lives (:func:`attach_store`): a later run
+handed the same pack builds its views from the kept mapping — no
+``shm_open``, no ``mmap``, no page faulted in a second time — and runs
+its body *in place*.  Views of the resident pack are marked read-only,
+so a body that assigns a constant fails there exactly as it does on the
+in-process engines.  Everything else (small arrays, scalars, objects)
+rides the job's pickle.
 
 Ownership and lifecycle are deliberately asymmetric:
 
@@ -39,13 +42,12 @@ Ownership and lifecycle are deliberately asymmetric:
   A pack still lent to a live result is unlinked with the rest and
   closed when its last view dies (the views hold it, :class:`_Lease`),
   so a result may outlive its pool;
-* **workers** attach by name and only ever ``close()``.  (CPython's
-  ``resource_tracker`` also registers on attach, but the tracker
-  process — and its per-type name *set* — is inherited by workers
-  under both start methods, so the attach-side register is a no-op
-  and the parent's unlink unregisters exactly once.  Sending an
-  explicit unregister from a worker would remove the parent's entry
-  early — do not.)
+* **workers** hold mappings, not descriptors: :func:`map_segment`
+  closes the fd as soon as the segment is mapped, never unlinks, and
+  tells the ``resource_tracker`` nothing — the parent is each
+  segment's sole owner.  A kept mapping can only show a worker the
+  pack it was dispatched with: the arena hands each run pack to one
+  run at a time and unlinks no segment while its pool lives.
 
 A module-level registry (:func:`live_segment_names`) records which
 segment names this process has created and not yet unlinked; the leak
@@ -54,11 +56,14 @@ tests assert it is empty after both clean and crashing runs.
 
 from __future__ import annotations
 
+import ctypes
+import mmap
 import os
 import weakref
 from multiprocessing import shared_memory
 from typing import Any, Iterable, NamedTuple
 
+import _posixshmem
 import numpy as np
 
 from repro.util import is_constant
@@ -71,6 +76,7 @@ __all__ = [
     "by_value_constants",
     "flush_store",
     "live_segment_names",
+    "map_segment",
 ]
 
 #: Arrays below this many bytes ride in the worker bootstrap pickle
@@ -90,6 +96,18 @@ PACK_ALIGN = 64
 #: (neither pickling nor the wire carries it) and the array to remember,
 #: so that :func:`flush_store` does not send it home.
 BY_VALUE_CONSTANT = (None, 0, None, None, True)
+
+#: ``mmap(2)`` / ``munmap(2)``, for :func:`map_segment`, and the
+#: former's failure value.
+_libc = ctypes.CDLL(None, use_errno=True)
+_libc.mmap.restype = ctypes.c_void_p
+_libc.mmap.argtypes = (
+    ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
+    ctypes.c_int, ctypes.c_long,
+)
+_libc.munmap.restype = ctypes.c_int
+_libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+_MAP_FAILED = ctypes.c_void_p(-1).value
 
 #: Segment names created by this process and not yet unlinked.
 _LIVE_SEGMENTS: set[str] = set()
@@ -168,9 +186,10 @@ class SharedStoreArena:
     :meth:`share_store` then parks it on a size-keyed free list instead
     of unlinking it, and :meth:`_new_segment` satisfies a later request
     of the same size from that list — so repeated runs over matching
-    grid shapes reuse their segments (and fds, and page tables) instead
-    of re-creating them.  A resident pack is parked by the same sweep,
-    once one of its arrays died.  :meth:`recycle` parks run packs that
+    grid shapes reuse their segments (and fds, mappings and page tables
+    — the workers' too, which keep theirs) instead of re-creating them.
+    A resident pack is parked by the same sweep, once one of its arrays
+    died.  :meth:`recycle` parks run packs that
     were shared and never read back (a failed run's).  :meth:`cleanup`
     remains the only unlinker, reclaiming every segment alike.
 
@@ -416,51 +435,78 @@ def by_value_constants(
 # -- worker side --------------------------------------------------------------
 
 
+def map_segment(name: str) -> ctypes.Array:
+    """Map segment ``name`` read-write as one byte buffer, unmapped when
+    the buffer and every view of it have died, and close its descriptor
+    at once: the mapping alone keeps the memory reachable.
+    (``mmap.mmap`` would keep a duplicate of the descriptor for as long
+    as the mapping lives, hence ``mmap(2)`` itself.)  Nothing is sent to
+    the resource tracker — the parent that created the segment is its
+    sole owner and the only one to unlink it."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDWR)
+    try:
+        size = os.fstat(fd).st_size
+        addr = _libc.mmap(
+            None, size, mmap.PROT_READ | mmap.PROT_WRITE, mmap.MAP_SHARED, fd, 0
+        )
+    finally:
+        os.close(fd)
+    if addr == _MAP_FAILED:
+        err = ctypes.get_errno()
+        raise OSError(err, os.strerror(err), name)
+    buf = (ctypes.c_char * size).from_address(addr)
+    weakref.finalize(buf, _libc.munmap, addr, size)
+    return buf
+
+
 def attach_store(
-    plan: dict[str, tuple], rest: dict[str, Any]
-) -> tuple[dict[str, Any], dict[str, tuple]]:
+    plan: dict[str, tuple],
+    rest: dict[str, Any],
+    mapped: dict[str, ctypes.Array] | None,
+) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     """Build a live store from an attach plan plus the by-value remainder.
 
-    Each segment the plan names is mapped once, however many arrays lie
-    in it; views of constants are marked read-only, and so are the
-    constants the plan lists as :data:`BY_VALUE_CONSTANT`, which are
-    taken from ``rest``.  ``rest`` values are stored *as received*, not
-    copied: the caller has just unpickled them (a pool worker), decoded
-    them off the wire or found them in its resident table (a daemon),
-    so they are fresh objects nothing else refers to, or constants
-    nobody can write — a copy would only be a second allocation of the
-    whole store on the socket path.
+    ``mapped`` is the caller's table of kept mappings, by segment name:
+    a segment the plan names is mapped (:func:`map_segment`) and entered
+    there the first time, and every later plan naming it builds its
+    views from that mapping.  Nothing is ever unmapped here.  (A worker
+    daemon, whose plans name no segment, passes ``None``.)  Views of
+    constants are marked read-only, and so are the constants the plan
+    lists as :data:`BY_VALUE_CONSTANT`, which are taken from ``rest``.
+    ``rest`` values are stored *as received*, not copied: the caller has
+    just unpickled them (a pool worker), decoded them off the wire or
+    found them in its resident table (a daemon), so they are fresh
+    objects nothing else refers to, or constants nobody can write — a
+    copy would only be a second allocation of the whole store on the
+    socket path.
 
     Returns ``(store, handles)`` where ``handles`` maps every planned
-    key to its ``(segment, array)`` pair, ``segment`` being ``None`` for
-    a by-value constant: the entries the parent can restore without
-    being sent anything, which is what :func:`flush_store` needs to
-    know, and the segments to close on worker exit.
+    key to the array it starts the run as: the entries the parent can
+    restore without being sent anything, which is what
+    :func:`flush_store` needs to know.
     """
     store: dict[str, Any] = {}
-    handles: dict[str, tuple] = {}
-    segments: dict[str, shared_memory.SharedMemory] = {}
+    handles: dict[str, np.ndarray] = {}
     for key, (name, offset, dtype_str, shape, constant) in plan.items():
         if name is None:
-            seg, arr = None, rest[key]
+            arr = rest[key]
         else:
-            seg = segments.get(name)
-            if seg is None:
-                seg = segments[name] = shared_memory.SharedMemory(name=name)
+            buf = mapped.get(name)
+            if buf is None:
+                buf = mapped[name] = map_segment(name)
             arr = np.ndarray(
-                shape, dtype=np.dtype(dtype_str), buffer=seg.buf, offset=offset
+                shape, dtype=np.dtype(dtype_str), buffer=buf, offset=offset
             )
         if constant:
             arr.flags.writeable = False
-        handles[key] = (seg, arr)
-        store[key] = arr
+        handles[key] = store[key] = arr
     for key, value in rest.items():
         store.setdefault(key, value)
     return store, handles
 
 
 def flush_store(
-    store: dict[str, Any], handles: dict[str, tuple]
+    store: dict[str, Any], handles: dict[str, np.ndarray]
 ) -> dict[str, Any]:
     """Reconcile a finished store with what the parent already holds.
 
@@ -478,11 +524,10 @@ def flush_store(
     """
     overrides: dict[str, Any] = {}
     for key, value in store.items():
-        handle = handles.get(key)
-        if handle is None:
+        arr = handles.get(key)
+        if arr is None:
             overrides[key] = value
             continue
-        _seg, arr = handle
         if value is arr:
             continue
         if (
@@ -495,17 +540,3 @@ def flush_store(
         else:
             overrides[key] = value
     return overrides
-
-
-def close_handles(handles: dict[str, tuple]) -> None:
-    """Worker-side detach (never unlinks: the parent owns the segments).
-    Each distinct segment is closed once; a daemon's ``handles`` name no
-    segment at all."""
-    segments = {
-        id(seg): seg for seg, _arr in handles.values() if seg is not None
-    }
-    for seg in segments.values():
-        try:
-            seg.close()
-        except Exception:
-            pass

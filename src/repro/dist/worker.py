@@ -18,10 +18,12 @@ Result-stream protocol (all frames via :mod:`repro.dist.wire`):
   daemon does not hold the rank's constants (:class:`ResidentConstants`,
   :mod:`repro.dist.net.daemon`): before anything below, so a hit adds
   no frame;
-* worker → parent ``("ready", rank)`` once fully constructed;
-* parent → worker ``("go",)`` — the start barrier, so engine timing
-  can separate process startup from the run proper — or ``("abort",)``
-  to unwind without running (a sibling failed during startup);
+* worker → parent ``("ready", rank)`` once fully constructed — a
+  one-way notice, so engine timing can separate startup from the run
+  proper.  The rank runs its body at once: it does not wait for its
+  peers, because a rank that starts first only blocks on its first
+  receive (Theorem 1), and a peer that failed during setup reaches it
+  through the same EOF cascade as a failure mid-run;
 * worker → parent ``("done", rank, payload)`` with the body's return
   value, store overrides (by-value variables and whatever the body
   rebound — never a constant it left alone, see
@@ -39,21 +41,23 @@ the threaded engine always has — instead of unpickling it again.
 Whatever happens, the ``finally`` block closes the rank's write
 endpoints — flushing queued values and saying goodbye downstream, the
 cross-process analogue of the threaded engine's close-wakes-readers
-cascade — and detaches from shared memory.  A hard crash (the process
-dying without reporting) closes every fd anyway, with no goodbye, so
-its readers fail naming it; the parent notices via the process
-sentinel.
+cascade.  Shared memory stays mapped: a pool worker keeps each segment
+it has mapped for its next runs (:func:`repro.dist.shm.attach_store`).
+A hard crash (the process dying without reporting) closes every fd
+anyway, with no goodbye, so its readers fail naming it; the parent
+notices via the process sentinel.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import traceback
 from typing import Any
 
 from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec, SocketChannel
-from repro.dist.shm import attach_store, close_handles, flush_store
+from repro.dist.shm import attach_store, flush_store
 from repro.errors import TransportError
 from repro.runtime.context import Executor, ProcessContext, run_rank
 from repro.runtime.trace import EventLog
@@ -243,18 +247,20 @@ def run_job(
     observe: bool,
     trace_causal: bool = False,
     images: ResidentImages | None = None,
+    mapped: dict[str, ctypes.Array] | None = None,
 ) -> None:
-    """Execute one dispatched rank: build, barrier, run body, report.
+    """Execute one dispatched rank: build, report ready, run body, report.
 
     Never raises: failures are shipped to the parent as ``("error", …)``
     frames.  Does **not** close ``result_conn`` — the calling worker
     loop closes it after each job.  ``images`` is the
     calling worker's :class:`ResidentImages`; an ``("image", digest,
-    bytes)`` body is checked out of it for the run.
+    bytes)`` body is checked out of it for the run.  ``mapped`` is its
+    table of kept segment mappings (:func:`repro.dist.shm.attach_store`);
+    a caller whose plans name no segment — a worker daemon — passes none.
     """
     out: dict[str, SocketChannel] = {}
     inc: dict[str, SocketChannel] = {}
-    handles: dict[str, tuple] = {}
     # Checked out of ``images`` for this run; back in on the way out.
     resident = images is not None and body_payload[0] == "image"
     body = None
@@ -264,7 +270,7 @@ def run_job(
         else:
             body = _unpack(body_payload)
         rest = _unpack(rest_payload)
-        store, handles = attach_store(plan, rest)
+        store, handles = attach_store(plan, rest, mapped)
         out = {spec.name: spec.open() for spec in w_specs}
         inc = {spec.name: spec.open() for spec in r_specs}
 
@@ -289,10 +295,6 @@ def run_job(
         )
 
         wire.send(result_conn, ("ready", rank))
-        msg = wire.recv(result_conn)
-        if msg[0] != "go":
-            return
-
         try:
             ret = run_rank(ctx, body)
         except BaseException:
@@ -329,7 +331,6 @@ def run_job(
             ch.close()
         for ch in inc.values():
             ch.close()
-        close_handles(handles)
         if resident and body is not None:
             images.checkin(body_payload[1], body)
 

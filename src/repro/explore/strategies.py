@@ -351,12 +351,13 @@ def fault_sweep_engine(
     like a cooperative one; crash outcomes are annotated with the
     plan's step/fault-id when the wire lost them (a SIGKILLed worker
     reports nothing, so provenance comes from the plan, which is the
-    only party that knows it).  The first failure the engine surfaces
-    may belong to a *peer* of the victim — a reader failing fast with
-    "writer terminated" — rather than the victim's own crash record;
-    that is still the clean-failure outcome the contract demands, and
-    the annotation is added only when the reported rank matches a
-    planned kill.
+    only party that knows it).  A reader failing fast with "writer
+    terminated" only echoes the victim, and the engine then reports the
+    victim (:meth:`~repro.dist.engine.Collected.blamed_rank`); the
+    failure it surfaces may still belong to a *peer* that failed on its
+    own account.  That is still the clean-failure outcome the contract
+    demands, and the annotation is added only when the reported rank
+    matches a planned kill.
 
     ``engine`` is an engine *name* (``"multiprocess"`` / ``"socket"``)
     or an engine instance.  Under a kill plan pass the name: the sweep

@@ -17,7 +17,6 @@ from repro.errors import (
     EmptyChannelError,
     ProcessFailedError,
     RuntimeModelError,
-    TransportAbortError,
 )
 from repro.runtime import ProcessSpec, System, make_engine
 from repro.util import bitwise_equal_arrays
@@ -107,8 +106,9 @@ class TestContract:
             "share_s", "dispatch_s", "readback_s",
         }
         assert 0 <= t["run_s"] <= t["total_s"]
-        # The coordinator's phases: share and dispatch before the go
-        # barrier, readback after the last terminal report.
+        # The coordinator's phases: share and dispatch before the last
+        # rank's ready notice (the end of startup_s; no rank waits for
+        # it), readback after the last terminal report.
         assert 0 < t["share_s"] + t["dispatch_s"] <= t["startup_s"]
         assert 0 < t["readback_s"] <= t["total_s"] - t["startup_s"] - t["run_s"]
 
@@ -165,9 +165,11 @@ class TestFailures:
     def test_crashed_writer_fails_its_reader_promptly(self, name, kwargs, runs):
         # The writer dies without its stream's goodbye, so the blocked
         # reader fails at once — not after crash_grace — and its error
-        # names the writer's rank, not an empty channel.  (Workers are
-        # borrowed before the run's sockets exist, so no worker holds a
-        # stray copy of the dead writer's end.)
+        # names the writer's rank, not an empty channel: an echo, so the
+        # run's error blames the writer (an empty channel would blame
+        # the reader).  (Workers are borrowed before the run's sockets
+        # exist, so no worker holds a stray copy of the dead writer's
+        # end.)
         def reader(ctx):
             ctx.store["got"] = ctx.recv("c")
 
@@ -185,11 +187,8 @@ class TestFailures:
                 with pytest.raises(ProcessFailedError) as exc_info:
                     engine.run(system)
                 assert time.perf_counter() - t0 < 10.0
-                assert exc_info.value.rank == 0
-                original = exc_info.value.original
-                assert isinstance(original, ProcessFailedError)
-                assert original.rank == 1
-                assert isinstance(original.original, TransportAbortError)
+                assert exc_info.value.rank == 1
+                assert isinstance(exc_info.value.original, WorkerCrashError)
         finally:
             engine.close()
 

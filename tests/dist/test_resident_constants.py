@@ -549,8 +549,7 @@ def test_a_coordinator_answering_need_wrongly_fails_the_rank_only(answer):
             wire.send(stream, job_frame(system, token))
             assert wire.recv(stream) == ("need", 0)
             wire.send(stream, ("constants", token, {"c": np.zeros(8)}))
-            assert wire.recv(stream) == ("ready", 0)
-            wire.send(stream, ("go",))
+            assert wire.recv(stream) == ("ready", 0)  # and it runs at once
             kind, rank, payload = wire.recv(stream)
             assert (kind, rank, payload["return"]) == ("done", 0, 1)
             assert set(payload["overrides"]) == {"v"}

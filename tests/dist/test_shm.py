@@ -7,7 +7,6 @@ from repro.dist import shm
 from repro.dist.shm import (
     SharedStoreArena,
     attach_store,
-    close_handles,
     flush_store,
     live_segment_names,
 )
@@ -59,28 +58,25 @@ class TestShareStore:
 class TestAttachFlushReadback:
     def test_in_place_mutation_visible_at_readback(self, arena):
         plan, rest = arena.share_store({"u": big(0.0), "k": 3})
-        store, handles = attach_store(plan, rest)
+        store, handles = attach_store(plan, rest, {})
         store["u"][...] = 42.0
         overrides = flush_store(store, handles)
-        close_handles(handles)
         assert overrides == {"k": 3}
         assert (arena.readback(plan)["u"] == 42.0).all()
 
     def test_same_shape_rebind_copied_back(self, arena):
         plan, rest = arena.share_store({"u": big(0.0)})
-        store, handles = attach_store(plan, rest)
+        store, handles = attach_store(plan, rest, {})
         store["u"] = big(7.0)  # rebinding, not in-place mutation
         overrides = flush_store(store, handles)
-        close_handles(handles)
         assert overrides == {}
         assert (arena.readback(plan)["u"] == 7.0).all()
 
     def test_incompatible_rebind_becomes_override(self, arena):
         plan, rest = arena.share_store({"u": big(0.0)})
-        store, handles = attach_store(plan, rest)
+        store, handles = attach_store(plan, rest, {})
         store["u"] = np.zeros((3, 3))
         overrides = flush_store(store, handles)
-        close_handles(handles)
         assert set(overrides) == {"u"} and overrides["u"].shape == (3, 3)
 
     def test_rest_entries_are_stored_as_received(self, arena):
@@ -89,9 +85,30 @@ class TestAttachFlushReadback:
         # is not copied a second time.
         payload = {"nested": [1, 2]}
         plan, rest = arena.share_store({"cfg": payload})
-        store, handles = attach_store(plan, rest)
-        close_handles(handles)
+        store, handles = attach_store(plan, rest, {})
         assert store["cfg"] is payload
+
+    def test_a_kept_mapping_serves_every_later_plan(self, arena, monkeypatch):
+        mapped = {}
+        plan, rest = arena.share_store({"u": big(0.0)})
+        first, _ = attach_store(plan, rest, mapped)
+        (name,) = mapped
+        kept = mapped[name]
+
+        def refuse(name):
+            raise AssertionError(f"{name} mapped a second time")
+
+        monkeypatch.setattr(shm, "map_segment", refuse)
+        del first
+        arena.recycle([name])  # the same pack, handed to the next run
+        plan2, rest2 = arena.share_store({"u": big(5.0)})
+        assert plan2["u"][0] == name
+        second, handles = attach_store(plan2, rest2, mapped)
+        assert mapped == {name: kept} and second["u"].base is kept
+        assert (second["u"] == 5.0).all()  # the parent's write, seen
+        second["u"][...] = 9.0
+        assert flush_store(second, handles) == {}
+        assert (arena.readback(plan2)["u"] == 9.0).all()
 
 
 class TestLifecycle:

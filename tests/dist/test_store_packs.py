@@ -33,7 +33,6 @@ from repro.dist.shm import (
     SharedStoreArena,
     attach_store,
     by_value_constants,
-    close_handles,
     flush_store,
     live_segment_names,
 )
@@ -78,12 +77,12 @@ def count_store_segments(body):
 
     def counted(ctx, _body=body):
         _body(ctx)
-        import mmap
+        import ctypes
 
         mappings = set()
         for value in ctx.store.values():
             base = getattr(value, "base", None)
-            if isinstance(base, mmap.mmap):  # a view into a mapped segment
+            if isinstance(base, ctypes.Array):  # a view into a kept mapping
                 mappings.add(id(base))
         return len(mappings)
 
@@ -212,14 +211,13 @@ def test_recycle_between_shares_never_serves_a_resident_pack():
         plan2, rest = arena.share_store(store)
         assert plan2["c"] == plan1["c"]  # found, not rewritten
         assert plan2["v"][0] == run1 != resident  # the parked run pack
-        worker, handles = attach_store(plan2, rest)
+        worker, handles = attach_store(plan2, rest, {})
         worker["v"][...] = np.nan
         assert bitwise_equal_arrays(worker["c"], store["c"])
         assert arena.readback(plan2)["c"] is store["c"]
         back = arena.readback(plan2)  # lends the run pack to `back`
         assert np.isnan(back["v"]).all()
         del worker
-        close_handles(handles)
         arena.recycle([resident, run1])  # not even when named
         assert len(arena) == 2  # the resident pack, the lent run pack
         del back
@@ -324,9 +322,12 @@ def test_round_trip_share_attach_flush_readback(store, threshold):
             else:
                 assert entry == BY_VALUE_CONSTANT
 
-        worker, handles = attach_store(plan, rest)
+        mapped = {}
+        worker, handles = attach_store(plan, rest, mapped)
         assert set(worker) == set(store) and set(handles) == set(plan)
-        assert {k for k, (seg, _) in handles.items() if seg} == shared
+        assert set(mapped) == {plan[k][0] for k in shared}
+        kept = {id(buf) for buf in mapped.values()}
+        assert {k for k, arr in handles.items() if id(arr.base) in kept} == shared
         expected = {}
         for key, value in store.items():
             assert same_value(value, worker[key]), key
@@ -345,7 +346,6 @@ def test_round_trip_share_attach_flush_readback(store, threshold):
         # Exactly the by-value variables: no constant travels back.
         assert set(overrides) == set(rest) - set(plan)
         del worker
-        close_handles(handles)
 
         final = {
             **by_value_constants(plan, rest),
@@ -374,16 +374,15 @@ def test_rebound_constant_comes_home_as_an_override():
     try:
         store = equal_size_store()
         plan, rest = arena.share_store(store)
-        worker, handles = attach_store(plan, rest)
+        worker, handles = attach_store(plan, rest, {})
         worker["c"] = np.full(512, 7.0)  # same shape and dtype, rebound
         overrides = flush_store(worker, handles)
         assert set(overrides) == {"c"}
         del worker
-        close_handles(handles)
         final = {**arena.readback(plan), **overrides}
         assert (final["c"] == 7.0).all()
         # The resident pack was not written through.
-        again, _ = attach_store(*arena.share_store(store))
+        again, _ = attach_store(*arena.share_store(store), {})
         assert bitwise_equal_arrays(again["c"], store["c"])
     finally:
         del again
@@ -481,14 +480,15 @@ def test_killed_worker_and_abandoned_setup_leave_no_segment():
             run_on_pool(pool, system, crash_grace=0.5)
         system.processes[0].store["die"] = 0
 
-        # Abandoned setup: the dispatch itself fails, nothing is
-        # collected, so the run's segments are not recycled.
+        # Abandoned setup: the dispatch itself fails.  No rank was
+        # dispatched, so none can write the run's segments: they are
+        # recycled, not left in use until shutdown.
         dispatch = pool.dispatch
         pool.dispatch = lambda *a, **k: (_ for _ in ()).throw(OSError("gone"))
         in_use = len(pool.arena)
         with pytest.raises(OSError, match="gone"):
             run_on_pool(pool, system)
-        assert len(pool.arena) > in_use
+        assert len(pool.arena) == in_use
         pool.dispatch = dispatch
 
         assert run_on_pool(pool, system).returns == [expected]
@@ -519,10 +519,9 @@ def test_arrays_dying_on_other_threads_never_corrupt_the_arena():
                 store["v"][...] = 1000 * seed + n  # only this round's
                 with lock:
                     plan, rest = arena.share_store(store)
-                    worker, handles = attach_store(plan, rest)
+                    worker, handles = attach_store(plan, rest, {})
                     same = bitwise_equal_arrays(worker["c"], store["c"])
                     del worker
-                    close_handles(handles)
                     back = arena.readback(plan)
                     arena.recycle({entry[0] for entry in plan.values()})
                 # Outside the lock, while other threads share: the run

@@ -228,7 +228,6 @@ def test_shared_pack_views_take_the_flat_path():
         PACK_ALIGN,
         SharedStoreArena,
         attach_store,
-        close_handles,
     )
 
     shape, axes, backward = (6, 5, 7), (1, 2), True
@@ -253,7 +252,7 @@ def test_shared_pack_views_take_the_flat_path():
     try:
         plan, rest = arena.share_store(store)
         assert rest == {} and len({entry[0] for entry in plan.values()}) == 2
-        shared, handles = attach_store(plan, rest)
+        shared, handles = attach_store(plan, rest, {})
         for name in names:
             view = shared[name]
             assert view.flags.c_contiguous and view.shape == shape
@@ -264,6 +263,5 @@ def test_shared_pack_views_take_the_flat_path():
         assert scratch.nbytes() > 0  # the flat branch ran
         assert bitwise_equal_arrays(shared["dst"], ref)
         del view, shared
-        close_handles(handles)
     finally:
         arena.cleanup()
