@@ -776,10 +776,9 @@ def run_stats(args, out=print) -> bool:
 
 def run_trace(args, out=print) -> bool:
     """``python -m repro trace <e1|e2> [options]`` — run the
-    experiment's parallel program once with causal tracing on, merge
-    the per-rank event logs by Lamport clock into one happens-before
-    order, check it (every receive must causally follow its
-    send), and render the Figure-1-style timeline.
+    experiment's parallel program once traced, read its events in
+    Lamport-clock order, check it (every receive must causally follow
+    its send), and render the Figure-1-style timeline.
     """
     import json
 
@@ -787,14 +786,11 @@ def run_trace(args, out=print) -> bool:
 
     out(_header(f"trace: causal {args.experiment} run"))
     with _build_run(
-        args, _STATS_GRIDS, observe=args.chrome is not None, trace_causal=True
+        args, _STATS_GRIDS, observe=args.chrome is not None, trace=True
     ) as ((par,), engine):
         out(_describe_run(args, par, engine))
         result = engine.run(par.to_parallel())
-    causal = result.causal
-    if causal is None:
-        out("engine returned no causal trace")
-        return False
+    causal = result.trace.by_clock()
 
     out(causal.render_columns(limit=args.limit or None))
     pairs = causal.send_recv_pairs()

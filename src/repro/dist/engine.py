@@ -55,10 +55,12 @@ What was collected is a :class:`Collected` record, and
 engines end in — is shared with the TCP coordinator
 (:func:`repro.dist.net.engine.run_assigned`).
 
-``trace=True`` is refused: it asks for the observed order, and separate
-address spaces have none to offer (:class:`~repro.errors.
-RuntimeModelError` up front).  ``trace_causal=True`` gives the same
-events in happens-before order, which is all :mod:`repro.theory` needs.
+``trace=True`` records the run's event log as on every engine: each
+rank's log rides home in its done payload, and separate address spaces
+observe no global order, so the result's trace is the logs merged by
+Lamport clock — a happens-before order, which is all
+:mod:`repro.theory` needs, and a schedule the cooperative engine
+replays.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from repro.dist.pool import WorkerCrashError, WorkerPool
 from repro.dist.shm import by_value_constants
 from repro.errors import (
     ProcessFailedError,
-    RuntimeModelError,
     TransportAbortError,
     TransportError,
     wrap_process_failure,
@@ -142,7 +143,7 @@ class Collected:
     Filled by :func:`collect_results`; a rank is in ``errors`` or in
     ``returns``/``overrides``/``stats``, never both.  ``logs`` holds a
     rank's :meth:`~repro.runtime.trace.EventLog.payload` when the job
-    ran observed or causally traced.  ``t_run0`` is the arrival of the
+    ran observed or traced.  ``t_run0`` is the arrival of the
     last ``ready`` notice (``None`` if some rank never sent one),
     ``t_run1`` the last terminal report.  Ranks do not wait for each
     other, so a rank may start — even finish — before ``t_run0``.
@@ -200,7 +201,7 @@ class Collected:
         stores: list[dict[str, Any]],
         engine_name: str,
         observe: bool,
-        trace_causal: bool = False,
+        trace: bool = False,
         report_name: str | None = None,
     ) -> RunResult:
         """The tail of every process-backed run: raise the
@@ -223,7 +224,7 @@ class Collected:
             channel_stats=merge_channel_stats(system, self.stats),
             logs=self.logs,
             observations=self.observations if observe else None,
-            causal=trace_causal,
+            trace=trace,
             report_name=report_name,
         )
 
@@ -412,7 +413,7 @@ def run_on_pool(
     recv_timeout: float | None = None,
     observe: bool = False,
     crash_grace: float = 5.0,
-    trace_causal: bool = False,
+    trace: bool = False,
     report_name: str | None = None,
     timing_sink: dict | None = None,
 ) -> RunResult:
@@ -493,7 +494,7 @@ def run_on_pool(
                     r_specs=r_specs[rank],
                     recv_timeout=recv_timeout,
                     observe=bool(observe),
-                    trace_causal=bool(trace_causal),
+                    trace=bool(trace),
                 )
             except Exception as exc:
                 # Setup is abandoned, but the ranks dispatched so far
@@ -550,7 +551,7 @@ def run_on_pool(
                 (collected or Collected()).timing(t_start), **phases
             )
     return collected.finish(
-        system, stores, "multiprocess", observe, trace_causal, report_name
+        system, stores, "multiprocess", observe, trace, report_name
     )
 
 
@@ -559,6 +560,12 @@ class MultiprocessEngine:
 
     Parameters
     ----------
+    trace:
+        Lamport stamps on every message; the per-rank event logs
+        (:mod:`repro.runtime.trace`), shipped home in the done payload,
+        are merged by clock into the result's
+        :class:`~repro.runtime.trace.Trace`.  Pure refinement: final
+        field state is bitwise identical on/off.
     recv_timeout:
         Optional upper bound, in seconds, on any single blocking
         receive inside a worker (same semantics as the threaded
@@ -585,14 +592,6 @@ class MultiprocessEngine:
         An existing ``WorkerPool`` instance is used without being owned
         (the caller shuts it down) and may be shared with other engines
         and servers.
-    trace_causal:
-        Lamport stamps on every message; the per-rank event logs
-        (:mod:`repro.runtime.trace`), shipped home in the done payload,
-        are merged by clock into the result's ``causal``
-        :class:`~repro.runtime.trace.Trace`.  This is the
-        tracing the process engines *can* do — a happens-before partial
-        order needs no global observation order — and it is a pure
-        refinement: final field state is bitwise identical on/off.
 
     Attributes
     ----------
@@ -624,16 +623,7 @@ class MultiprocessEngine:
         start_method: str = "spawn",
         crash_grace: float = 5.0,
         pool=False,
-        trace_causal: bool = False,
     ):
-        if trace:
-            raise RuntimeModelError(
-                "the multiprocess engine cannot trace: trace=True asks for "
-                "the observed order, and separate address spaces have none; "
-                "use trace_causal=True for the same events in "
-                "happens-before order, or the threaded/cooperative engine "
-                "for an observed one"
-            )
         if start_method not in ("spawn", "fork"):
             raise ValueError(f"unsupported start method {start_method!r}")
         self._start_method = start_method
@@ -642,7 +632,7 @@ class MultiprocessEngine:
             recv_timeout=recv_timeout,
             observe=observe,
             crash_grace=crash_grace,
-            trace_causal=trace_causal,
+            trace=trace,
         )
         self._pool_opt = pool
         self._pool = None if isinstance(pool, bool) else pool

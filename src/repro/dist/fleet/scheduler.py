@@ -131,8 +131,7 @@ class FleetScheduler(JobServerCore):
         dead until a ping answers again.
     elastic:
         Enable the per-daemon elastic capacity controller.
-    recv_timeout / observe / crash_grace / trace_causal /
-    handshake_timeout:
+    recv_timeout / observe / crash_grace / handshake_timeout:
         Per-job run knobs, as on the socket engine.
     """
 
@@ -156,7 +155,6 @@ class FleetScheduler(JobServerCore):
         recv_timeout: float | None = None,
         observe: bool = False,
         crash_grace: float = 5.0,
-        trace_causal: bool = False,
         handshake_timeout: float = 30.0,
     ):
         if capacity < 1:
@@ -187,7 +185,6 @@ class FleetScheduler(JobServerCore):
         self._recv_timeout = recv_timeout
         self._observe = bool(observe)
         self._crash_grace = crash_grace
-        self._trace_causal = bool(trace_causal)
         self._handshake_timeout = handshake_timeout
         self._ping_timeout = ping_timeout
         self._elastic = bool(elastic)
@@ -323,7 +320,6 @@ class FleetScheduler(JobServerCore):
                     recv_timeout=self._recv_timeout,
                     observe=self._observe,
                     crash_grace=self._crash_grace,
-                    trace_causal=self._trace_causal,
                     engine_name="fleet",
                     bodies=bodies,
                 )

@@ -372,7 +372,7 @@ class WorkerDaemon:
                 r_specs,
                 job["recv_timeout"],
                 job["observe"],
-                job.get("trace_causal", False),
+                job["trace"],
                 self._images,
             )
         finally:

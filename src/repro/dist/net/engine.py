@@ -64,7 +64,7 @@ from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec
 from repro.dist.engine import Collected, collect_results
 from repro.dist.net import rendezvous
-from repro.errors import RendezvousError, RuntimeModelError
+from repro.errors import RendezvousError
 from repro.runtime.system import RunResult, System
 from repro.util import is_constant
 
@@ -259,7 +259,7 @@ def run_assigned(
     recv_timeout: float | None = None,
     observe: bool = False,
     crash_grace: float = 5.0,
-    trace_causal: bool = False,
+    trace: bool = False,
     engine_name: str = "socket",
     bodies: list | None = None,
     timing_sink: dict | None = None,
@@ -335,7 +335,7 @@ def run_assigned(
                         "recv_timeout": recv_timeout,
                         "observe": observe,
                         "handshake_timeout": handshake_timeout,
-                        "trace_causal": trace_causal,
+                        "trace": trace,
                     },
                 ),
             )
@@ -364,7 +364,7 @@ def run_assigned(
         for p in system.processes
     ]
     result = collected.finish(
-        system, stores, engine_name, observe, trace_causal
+        system, stores, engine_name, observe, trace
     )
     if result.report is not None:
         result.report.metrics["wire/net_control_bytes"] = (
@@ -378,6 +378,15 @@ class SocketEngine:
 
     Parameters
     ----------
+    trace:
+        Lamport stamps on every message; the per-rank event logs
+        (:mod:`repro.runtime.trace`) are merged by clock into the
+        result's :class:`~repro.runtime.trace.Trace`, which
+        :mod:`repro.theory` reads like any other.  Stamps cross hosts in
+        the wire header of the value they belong to
+        (:mod:`repro.dist.wire`), so even a fleet-spanning run is traced
+        end-to-end; pure refinement — final field state is bitwise
+        identical on/off.
     recv_timeout:
         Optional upper bound, in seconds, on any single blocking
         receive inside a rank (same semantics as every other engine).
@@ -402,15 +411,6 @@ class SocketEngine:
     crash_grace:
         After the first rank failure, how long to wait for the rest to
         unwind via the EOF/abort cascade before giving up on them.
-    trace_causal:
-        Lamport stamps on every message; the per-rank event logs
-        (:mod:`repro.runtime.trace`) are merged by clock into the
-        result's ``causal`` :class:`~repro.runtime.trace.Trace`, which
-        :mod:`repro.theory` reads like any other.  Stamps cross hosts in
-        the wire header of the value they belong to
-        (:mod:`repro.dist.wire`), so even a fleet-spanning run is traced
-        end-to-end; pure refinement —
-        final field state is bitwise identical on/off.
 
     Attributes
     ----------
@@ -434,16 +434,8 @@ class SocketEngine:
         hosts=None,
         handshake_timeout: float = 30.0,
         crash_grace: float = 5.0,
-        trace_causal: bool = False,
     ):
-        if trace:
-            raise RuntimeModelError(
-                "the socket engine cannot trace: trace=True asks for the "
-                "observed order, and ranks on separate hosts have none; "
-                "use trace_causal=True for the same events in "
-                "happens-before order, or the threaded/cooperative engine "
-                "for an observed one"
-            )
+        self._trace = bool(trace)
         self._recv_timeout = recv_timeout
         self._observe = bool(observe)
         self._ndaemons = max(1, int(daemons))
@@ -454,7 +446,6 @@ class SocketEngine:
         )
         self._handshake_timeout = handshake_timeout
         self._crash_grace = crash_grace
-        self._trace_causal = bool(trace_causal)
         self._addrs: list[rendezvous.Address] | None = None
         self._local_procs: list[Any] = []
         self.last_timing: dict[str, float] = {}
@@ -507,7 +498,7 @@ class SocketEngine:
                 recv_timeout=self._recv_timeout,
                 observe=self._observe,
                 crash_grace=self._crash_grace,
-                trace_causal=self._trace_causal,
+                trace=self._trace,
                 engine_name=self.name,
                 timing_sink=timing,
             )

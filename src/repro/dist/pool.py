@@ -377,7 +377,7 @@ class WorkerPool:
         r_specs: list,
         recv_timeout: float | None,
         observe: bool,
-        trace_causal: bool,
+        trace: bool,
     ) -> None:
         """Ship ``rank``'s job for one run of ``system`` to the parked
         worker in ``slot``: the keyword arguments of
@@ -400,7 +400,7 @@ class WorkerPool:
             "r_specs": r_specs,
             "recv_timeout": recv_timeout,
             "observe": observe,
-            "trace_causal": trace_causal,
+            "trace": trace,
         }
         try:
             _send_frame(slot.sock, ("job", job))

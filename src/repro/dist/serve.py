@@ -90,12 +90,9 @@ class JobServer(JobServerCore):
     observer:
         An :class:`~repro.obs.observer.Observer` to record into
         (default: a fresh one, exposed as :attr:`observer`).
-    start_method / recv_timeout / observe / crash_grace / trace_causal:
+    start_method / recv_timeout / observe / crash_grace:
         As on :class:`~repro.dist.engine.MultiprocessEngine`, applied
-        per job.  With ``trace_causal=True`` each job's result carries
-        its own happens-before :class:`~repro.runtime.trace.Trace` and
-        the job's :class:`JobStats` summarises it (event count, causal depth) —
-        the per-job span trees the fleet-serving telemetry builds on.
+        per job.
     """
 
     def __init__(
@@ -110,7 +107,6 @@ class JobServer(JobServerCore):
         recv_timeout: float | None = None,
         observe: bool = False,
         crash_grace: float = 5.0,
-        trace_causal: bool = False,
     ):
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -127,7 +123,6 @@ class JobServer(JobServerCore):
             recv_timeout=recv_timeout,
             observe=observe,
             crash_grace=crash_grace,
-            trace_causal=trace_causal,
         )
         self._free_slots = pool_size  # scheduling capacity (not processes)
 

@@ -81,10 +81,6 @@ class JobStats:
     #: ``"host:port"`` strings of the daemons the *final* attempt ran
     #: on (fleet only; None on the single-host server).
     placed_on: list[str] | None = None
-    #: Causal span-tree summary when the job ran with causal tracing:
-    #: merged event count and trace depth (longest causal chain).
-    causal_events: int | None = None
-    causal_depth: int | None = None
     #: Start-up share of the service time: from the job's dispatch to
     #: its last rank's ready notice (endpoints built, stores shipped,
     #: every rank constructed; an early rank is running already).  None
@@ -324,9 +320,6 @@ class JobServerCore:
             stats.t_dispatch = time.perf_counter()
             try:
                 result = self._execute(job, prepared, grant)
-                if result.causal is not None:
-                    stats.causal_events = len(result.causal)
-                    stats.causal_depth = result.causal.depth
             finally:
                 stats.t_done = time.perf_counter()
                 with self._cv:

@@ -23,12 +23,13 @@ the one cross-process byte stream, which gathers a whole value into one
 single-reader single-writer and each endpoint performs one send/receive
 at a time.
 
-**Causal stamps.**  With causal tracing on (see :mod:`repro.runtime.trace`)
+**Causal stamps.**  With ``trace=True`` (see :mod:`repro.runtime.trace`)
 a value carries its sender's Lamport clock in one place, whatever the
 wire: the header pickle grows a third element ``(skeleton, metas,
 clock)``, and :func:`recv_traced` returns ``(value, clock)``.  With
-tracing off (the default) every byte on the wire is identical to
-before: tracing is a pure refinement of the transport.
+tracing off (the default, ``observe=True`` alone included) every byte
+on the wire is identical to before: tracing is a pure refinement of
+the transport.
 """
 
 from __future__ import annotations

@@ -245,7 +245,7 @@ def run_job(
     r_specs: list[EndpointSpec],
     recv_timeout: float | None,
     observe: bool,
-    trace_causal: bool = False,
+    trace: bool = False,
     images: ResidentImages | None = None,
     mapped: dict[str, ctypes.Array] | None = None,
 ) -> None:
@@ -281,8 +281,8 @@ def run_job(
             observer = Observer()
 
         executor = Executor(recv_timeout)
-        if observe or trace_causal:
-            executor.log = {rank: EventLog(rank, trace_causal)}
+        if observe or trace:
+            executor.log = {rank: EventLog(rank, trace)}
         ctx = ProcessContext(
             rank=rank,
             nprocs=nprocs,

@@ -20,7 +20,7 @@ tids in sorted-rank order plus explicit ``thread_sort_index`` metadata,
 so multiprocess and multi-host ranks render as unique, stably-ordered
 lanes.
 
-When the report carries a causal trace (``report.causal``), every
+When the report carries a trace (``report.trace``), every
 matched send→recv pair additionally becomes a Chrome *flow* event pair
 (``"ph": "s"`` / ``"ph": "f"``), drawing the happens-before arrows
 between rank lanes.
@@ -91,16 +91,16 @@ def chrome_trace_dict(report: RunReport) -> dict[str, Any]:
         if span.args:
             event["args"] = dict(span.args)
         events.append(event)
-    if report.causal is not None:
-        events.extend(_flow_events(report.causal, lanes))
+    if report.trace is not None:
+        events.extend(_flow_events(report.trace, lanes))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def _flow_events(causal, lanes: dict[int, int]) -> list[dict]:
+def _flow_events(trace, lanes: dict[int, int]) -> list[dict]:
     """One flow-event pair (``"s"`` start / ``"f"`` finish) per matched
-    send→recv edge in the causal trace — the happens-before arrows."""
+    send→recv edge in the trace — the happens-before arrows."""
     events: list[dict[str, Any]] = []
-    for k, (send, recv) in enumerate(causal.send_recv_pairs()):
+    for k, (send, recv) in enumerate(trace.send_recv_pairs()):
         for ev, ph in ((send, "s"), (recv, "f")):
             flow: dict[str, Any] = {
                 "name": f"{ev.channel}#{ev.seq}",

@@ -127,10 +127,10 @@ class RunReport:
     streams: list[StreamTraffic] = field(default_factory=list)
     spans: list[Span] = field(default_factory=list)
     metrics: dict[str, int | float] = field(default_factory=dict)
-    #: The run's happens-before :class:`~repro.runtime.trace.Trace`
-    #: when it was causally traced (``trace_causal=True``), else
-    #: ``None``.  Feeds the Chrome exporter's send→recv flow events.
-    causal: Trace | None = None
+    #: The run's :class:`~repro.runtime.trace.Trace` (``result.trace``)
+    #: when it was traced (``trace=True``), else ``None``.  Feeds the
+    #: Chrome exporter's send→recv flow events.
+    trace: Trace | None = None
 
     # -- aggregations --------------------------------------------------------
 
@@ -300,8 +300,8 @@ class RunReport:
             events.append({"type": "span", **asdict(sp)})
         for name, value in sorted(self.metrics.items()):
             events.append({"type": "metric", "name": name, "value": value})
-        if self.causal is not None:
-            events.append({"type": "causal", **self.causal.to_dict()})
+        if self.trace is not None:
+            events.append({"type": "causal", **self.trace.to_dict()})
         return events
 
     @classmethod
@@ -357,7 +357,7 @@ class RunReport:
             elif kind == "metric":
                 report.metrics[ev["name"]] = ev["value"]
             elif kind == "causal":
-                report.causal = Trace.from_dict(ev)
+                report.trace = Trace.from_dict(ev)
         return report
 
 

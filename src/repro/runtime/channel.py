@@ -78,7 +78,7 @@ class ChannelCore:
 
     ``_put(value, clock) -> int``
         Append one value with its causal stamp (``None`` when the run is
-        not causally traced); never blocks.  Returns the queue occupancy
+        not traced); never blocks.  Returns the queue occupancy
         right after the put (``0`` where it cannot be known).
     ``_get(timeout) -> (value, clock) | None``
         The oldest value and the stamp it was sent with, waiting up to

@@ -112,8 +112,11 @@ class CooperativeEngine:
         to round-robin.  The policy is ``reset()`` at the start of each
         run, so one engine can be reused.
     trace:
-        Record the interleaving (default on — controlled interleavings
-        are usually produced in order to be inspected).
+        Record the interleaving — the result's Lamport-stamped
+        :class:`~repro.runtime.trace.Trace`, in the order the actions
+        were granted (default on: controlled interleavings are usually
+        produced in order to be inspected).  Pure refinement: recording
+        cannot change what any body computes.
     max_actions:
         Safety bound on the total number of actions; exceeding it raises
         :class:`~repro.errors.ScheduleError` (a terminating system under
@@ -125,12 +128,6 @@ class CooperativeEngine:
         note that under the simulation "blocked" time includes the
         serialisation the scheduler imposes, so the split describes the
         *simulated* schedule, not hardware parallelism.
-    trace_causal:
-        Stamp every sent value with its sender's Lamport clock and
-        merge the event log by clock into the result's ``causal``
-        :class:`~repro.runtime.trace.Trace` — the engine-independent
-        counterpart of ``trace``.  Pure refinement: recording cannot
-        change what any body computes.
     """
 
     name = "cooperative"
@@ -141,12 +138,11 @@ class CooperativeEngine:
         trace: bool = True,
         max_actions: int | None = None,
         observe=False,
-        trace_causal: bool = False,
     ):
         self.policy = policy or RoundRobinPolicy()
         self._max_actions = max_actions
         #: What a run's :class:`RunState` is told to record.
-        self._instruments = (trace, observe, trace_causal)
+        self._instruments = (trace, observe)
 
     # -- helpers -------------------------------------------------------------
 

@@ -36,8 +36,10 @@ class ThreadedEngine:
     Parameters
     ----------
     trace:
-        Record an execution trace (observation order).  Off by default:
-        recording reads a clock per action and perturbs timing.
+        Record the run's Lamport-stamped
+        :class:`~repro.runtime.trace.Trace`, in observation order.  Off
+        by default: recording reads a clock per action and perturbs
+        timing — but it cannot change what any body computes.
     recv_timeout:
         Optional upper bound, in seconds, on any single blocking
         receive.  ``None`` (default) waits indefinitely.
@@ -47,13 +49,6 @@ class ThreadedEngine:
         observer may span layers, but then reuse it for one run only).
         Off by default — the un-observed path never reads a clock.
         The result's ``report`` carries the per-run summary.
-    trace_causal:
-        Stamp every sent value with its sender's Lamport clock and
-        merge the event log by clock into the result's ``causal``
-        :class:`~repro.runtime.trace.Trace`.  Unlike ``trace`` this
-        needs no observation order, so it is also available on the
-        process engines; recording is a pure refinement — it cannot
-        change what any body computes.
     """
 
     name = "threaded"
@@ -63,11 +58,10 @@ class ThreadedEngine:
         trace: bool = False,
         recv_timeout: float | None = None,
         observe=False,
-        trace_causal: bool = False,
     ):
         self._recv_timeout = recv_timeout
         #: What a run's :class:`RunState` is told to record.
-        self._instruments = (trace, observe, trace_causal)
+        self._instruments = (trace, observe)
 
     def run(self, system: System) -> RunResult:
         executor = Executor(self._recv_timeout)

@@ -43,10 +43,11 @@ class RunResult:
     The *final state* in the sense of Theorem 1 is ``(stores, returns)``:
     the contents of every process's address space at termination plus
     the value returned by each body.  ``trace`` is populated when the
-    engine ran with tracing enabled — the run's events in observed
-    order; ``schedule`` is the interleaving as
-    a rank sequence (replayable), and ``channel_stats`` maps channel
-    name to ``(sends, receives)``.  ``channel_hwm`` maps channel name to
+    engine ran with ``trace=True`` — the run's Lamport-stamped events,
+    in observed order where the engine has one (in process), else in
+    clock order; ``schedule`` is the interleaving as a rank sequence
+    (replayable on the cooperative engine), and ``channel_stats`` maps
+    channel name to ``(sends, receives)``.  ``channel_hwm`` maps channel name to
     the queue-occupancy high-water mark (in-process channels only: a
     cross-process channel reports 0), and ``report`` is the full
     :class:`~repro.obs.report.RunReport` when the engine ran with an
@@ -79,11 +80,6 @@ class RunResult:
     channel_net_syscalls: dict[str, int] = field(default_factory=dict)
     engine: str = ""
     report: Any = None
-    #: The run's events merged by Lamport clock when the engine ran
-    #: with ``trace_causal=True``, else ``None``.  Unlike ``trace`` (the
-    #: observed order, in-process engines only) this linear extension of
-    #: the happens-before partial order exists on every engine.
-    causal: Trace | None = None
     #: :class:`~repro.runtime.deadlock.DeadlockReport` when this result
     #: is the *partial* state snapshotted by the cooperative engine at
     #: deadlock detection (attached to the raised ``DeadlockError``);
@@ -143,17 +139,15 @@ def assemble_run_result(
     logs: Mapping[int, Mapping[str, Any]] | None = None,
     observations: Mapping[int, Mapping[str, Any]] | None = None,
     trace: bool = False,
-    causal: bool = False,
     report_name: str | None = None,
 ) -> RunResult:
     """The single tail of every run: where a :class:`RunResult` is
     populated, the per-rank event logs are merged once and read as its
-    observed-order ``trace``, its happens-before ``causal`` trace and
-    its report's processes and spans.
+    ``trace`` and its report's processes and spans.
 
     ``logs`` are per-rank :meth:`~repro.runtime.trace.EventLog.payload`
-    logs (none when nothing asked for them), ``trace`` / ``causal`` the
-    orders asked for.  ``observations`` are
+    logs (none when nothing asked for them), ``trace`` whether the run
+    was traced.  ``observations`` are
     :func:`~repro.obs.report.worker_observation`
     payloads keyed by reporter (one per worker of a process-backed run;
     an in-process run is a run with one), ``None`` when the run was not
@@ -169,6 +163,9 @@ def assemble_run_result(
         # An observed run's events share its report's epoch.
         epochs = [obs["epoch"] for obs in (observations or {}).values()]
         merged = Trace.merge(logs, nprocs, engine, min(epochs, default=None))
+    # A process engine observes nothing: every index is -1, and the
+    # stable sort keeps the merge's clock order.
+    trace = merged.by_index() if trace and merged is not None else None
     if observations is not None:
         from repro.obs.report import merge_worker_observations
 
@@ -176,12 +173,11 @@ def assemble_run_result(
             report_name or engine, nprocs, observations, channel_stats,
             logs, merged,
         )
-        if causal:
-            report.causal = merged
+        report.trace = trace
     return RunResult(
         stores=stores,
         returns=returns,
-        trace=merged.by_index() if trace and merged else None,
+        trace=trace,
         channel_stats={r.name: (r.sends, r.receives) for r in channel_stats},
         channel_bytes={r.name: r.bytes_sent for r in channel_stats},
         channel_hwm={r.name: r.queue_hwm for r in channel_stats},
@@ -191,7 +187,6 @@ def assemble_run_result(
         channel_net_syscalls={r.name: r.net_syscalls for r in channel_stats},
         engine=engine,
         report=report,
-        causal=merged if causal else None,
     )
 
 
@@ -202,10 +197,11 @@ class RunState:
 
     ``observe`` is ``True`` (a fresh :class:`~repro.obs.observer.
     Observer`), an ``Observer`` instance (used as given), or falsy.
-    Any of ``trace`` / ``observe`` / ``trace_causal`` switches on one
+    Either of ``trace`` / ``observe`` switches on one
     :class:`~repro.runtime.trace.EventLog` per rank, sharing one
-    observation counter; they are handed to ``executor`` as its ``log``
-    attribute before any context exists.
+    observation counter, whose sends are stamped when ``trace`` is on;
+    they are handed to ``executor`` as its ``log`` attribute before any
+    context exists.
     """
 
     def __init__(
@@ -214,21 +210,19 @@ class RunState:
         executor,
         trace: bool = False,
         observe=False,
-        trace_causal: bool = False,
     ):
         self.system = system
         self.trace = trace
-        self.trace_causal = trace_causal
         if observe is True:
             from repro.obs.observer import Observer
 
             observe = Observer()
         self.observer = observe or None
         self.log = None
-        if trace or trace_causal or self.observer is not None:
+        if trace or self.observer is not None:
             order = itertools.count()
             self.log = [
-                EventLog(p.rank, trace_causal, order) for p in system.processes
+                EventLog(p.rank, trace, order) for p in system.processes
             ]
         executor.log = self.log
         self.channels: dict[str, Channel] = {
@@ -286,7 +280,6 @@ class RunState:
             logs={log.rank: log.payload() for log in self.log or ()},
             observations=observations,
             trace=self.trace,
-            causal=self.trace_causal,
         )
 
 

@@ -4,15 +4,19 @@ An *interleaving* in the paper is a sequence of actions drawn from the
 processes.  Every action is recorded once — one :class:`Event`, written
 by its rank's :class:`EventLog`, called by the run's one
 :class:`~repro.runtime.context.Executor` — and a :class:`Trace` is a
-sequence of those events.  The run tail reads the logs three ways:
+sequence of those events.  ``trace=True`` records the log on every
+engine, with Lamport stamps, and the run tail reads it three ways:
 
-* merged by ``index``: the **observed order** (``RunResult.trace``).
-  It takes one process watching every action, so in-process engines
-  only.  A send draws its index *before* its value enters the channel
-  and a receive *after* the value is in hand, so no receive is ever
-  observed before its own send;
+* merged by ``index``: the **observed order**.  It takes one process
+  watching every action, so only the in-process engines have one.  A
+  send draws its index *before* its value enters the channel and a
+  receive *after* the value is in hand, so no receive is ever observed
+  before its own send.  It is the order of ``RunResult.trace`` (read
+  by :meth:`Trace.by_index`), and where no observed order exists —
+  on the process engines every index is ``-1`` — that stable sort
+  leaves the clock order;
 * merged by ``(clock, rank)``: the **happens-before order**
-  (``RunResult.causal``), on every engine and across hosts.  The
+  (:meth:`Trace.by_clock`), on every engine and across hosts.  The
   paper's model never needed a total order in the first place:
   Theorem 1's commuting-diagram argument runs entirely over the
   happens-before partial order (program order plus channel FIFO order,
@@ -51,7 +55,7 @@ Three action kinds are recorded:
 
 * every local event (send, receive, explicit step) *ticks* its rank's
   clock;
-* under ``trace_causal=True`` every sent message is stamped with the
+* under ``trace=True`` every sent message is stamped with the
   sender's post-tick clock — riding with the value in one place: the
   queue entry in process, the wire header pickle over a stream
   (:mod:`repro.dist.wire`);
@@ -131,9 +135,9 @@ class EventLog:
     and the running sum of its blocked time — and, when the run is
     observed, its spans and its lifetime.
 
-    Any of ``trace=`` / ``observe=`` / ``trace_causal=`` makes the
-    engine (or :func:`repro.dist.worker.run_job`) create one per rank.
-    ``stamps`` says whether a send's clock rides with its value;
+    Either of ``trace=`` / ``observe=`` makes the engine (or
+    :func:`repro.dist.worker.run_job`) create one per rank.  ``stamps``
+    — ``trace=`` — says whether a send's clock rides with its value;
     ``order`` is the observation counter the ranks of an in-process run
     share (``next`` on it is atomic: recording takes no lock).  The ring
     holds the newest :data:`RING_CAPACITY` events as rows in
@@ -168,7 +172,7 @@ class EventLog:
     ) -> int | None:
         """Record one action, begun at ``t0`` if it could block; returns
         the stamp that rides with a sent value (``None`` unless the run
-        is causally traced)."""
+        is traced)."""
         t1 = perf_counter()
         if t0 is None:
             t0 = t1
@@ -267,13 +271,21 @@ class Trace:
             Event._make((*row[:-2], row[-2] - epoch, row[-1] - epoch))
             for row in rows
         ]
-        events.sort(key=lambda e: (e.clock, e.rank))
         dropped = sum(p["dropped"] for p in payloads.values())
-        return cls(events, nprocs, engine, dropped)
+        return cls(events, nprocs, engine, dropped).by_clock()
 
     def by_index(self) -> "Trace":
-        """The same events in observed order (in-process runs)."""
-        events = sorted(self.events, key=lambda e: e.index)
+        """The same events in observed order (in-process runs; a stable
+        sort, so events that were never observed keep their order)."""
+        return self._sorted(lambda e: e.index)
+
+    def by_clock(self) -> "Trace":
+        """The same events in ``(clock, rank)`` order — a linear
+        extension of happens-before on any engine."""
+        return self._sorted(lambda e: (e.clock, e.rank))
+
+    def _sorted(self, key) -> "Trace":
+        events = sorted(self.events, key=key)
         return Trace(events, self.nprocs, self.engine, self.dropped)
 
     def record(self, rank, kind, channel=None, seq=-1, label="") -> Event:

@@ -2,9 +2,9 @@
 
 The engine-side definitions of :class:`~repro.runtime.trace.Event` and
 :class:`~repro.runtime.trace.Trace` live in :mod:`repro.runtime.trace`
-(re-exported here for convenience); a trace is any engine's — the
-observed order of an in-process run or the clock-order merge of a
-process or socket one.  What the theory layer adds is a
+(re-exported here for convenience); a trace is any engine's
+``result.trace`` — the observed order of an in-process run or the
+clock-order merge of a process or socket one.  What the theory layer adds is a
 notion of *event identity that survives reordering*: the same logical
 action of the same process occupies different global positions in
 different interleavings, so comparing interleavings requires a

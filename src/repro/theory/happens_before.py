@@ -1,6 +1,7 @@
 """The happens-before (dependence) relation over a trace — any
-engine's: the observed order of an in-process run (``result.trace``) or
-the clock-order merge every engine produces (``result.causal``).
+engine's ``result.trace``: the observed order of an in-process run, the
+clock-order merge of a process or socket one, or either run's
+:meth:`~repro.runtime.trace.Trace.by_clock`.
 
 Two sources of ordering exist in the paper's model:
 

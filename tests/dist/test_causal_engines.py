@@ -7,11 +7,11 @@ Two properties, on every backend:
    and the stamp each receiver recorded equals the sender's clock (the
    stamps really crossed pipe headers, shm descriptor metas and TCP
    frame headers intact).
-2. **Tracing is a pure refinement** — running with ``trace_causal=True``
+2. **Tracing is a pure refinement** — running with ``trace=True``
    produces bitwise identical final state to the untraced run.
 
 And one consequence of both being readings of one event log: a process
-or socket run's ``causal`` trace is an ordinary
+or socket run's ``trace`` is an ordinary
 :class:`~repro.runtime.trace.Trace`, so :mod:`repro.theory` reads it —
 Foata form, action sequences, replay — like a cooperative run's.
 """
@@ -27,6 +27,7 @@ from repro.dist.net.frames import FrameStream
 from repro.dist.net import rendezvous
 from repro.dist import wire
 from repro.runtime import (
+    ENGINE_NAMES,
     CooperativeEngine,
     ProcessSpec,
     System,
@@ -66,13 +67,12 @@ ENGINES = [
 
 @pytest.mark.parametrize("label,make", ENGINES, ids=[e[0] for e in ENGINES])
 def test_recv_clock_strictly_exceeds_send_clock(label, make):
-    engine = make(trace_causal=True)
+    engine = make(trace=True)
     try:
         result = engine.run(stencil_ring())
     finally:
         getattr(engine, "close", lambda: None)()
-    causal = result.causal
-    assert causal is not None, label
+    causal = result.trace.by_clock()
     assert causal.validate() == [], label
     pairs = causal.send_recv_pairs()
     # 4 ranks x 3 rounds: every send matched by its receive.
@@ -94,8 +94,7 @@ def test_tracing_off_and_on_bitwise_identical(label, make):
         untraced = untraced_engine.run(stencil_ring())
     finally:
         getattr(untraced_engine, "close", lambda: None)()
-    assert untraced.causal is None
-    traced_engine = make(trace_causal=True)
+    traced_engine = make(trace=True)
     try:
         traced = traced_engine.run(stencil_ring())
     finally:
@@ -137,7 +136,7 @@ def test_fdtd_ghost_exchange_traces_and_stays_bitwise(label, make):
         return {c: np.asarray(host[c]) for c in COMPONENTS}
 
     reference = host_fields(ThreadedEngine().run(par.to_parallel()))
-    engine = make(trace_causal=True)
+    engine = make(trace=True)
     try:
         result = engine.run(par.to_parallel())
     finally:
@@ -145,8 +144,8 @@ def test_fdtd_ghost_exchange_traces_and_stays_bitwise(label, make):
     fields = host_fields(result)
     for c in COMPONENTS:
         assert bitwise_equal_arrays(fields[c], reference[c]), (label, c)
-    causal = result.causal
-    assert causal is not None and causal.validate() == [], label
+    causal = result.trace
+    assert causal.validate() == [], label
     pairs = causal.send_recv_pairs()
     assert pairs, label
     # Ghost exchanges cross rank boundaries: some matched edge connects
@@ -159,21 +158,21 @@ def test_chrome_trace_has_flow_events_for_every_matched_pair():
     from repro.obs.export import chrome_trace_dict
 
     engine = make_engine(
-        "multiprocess", start_method="fork", observe=True, trace_causal=True
+        "multiprocess", start_method="fork", observe=True, trace=True
     )
     try:
         result = engine.run(stencil_ring())
     finally:
         engine.close()
     report = result.report
-    assert report is not None and report.causal is not None
+    assert report is not None and report.trace is result.trace
     trace = chrome_trace_dict(report)
     starts = [
         e
         for e in trace["traceEvents"]
         if e.get("cat") == "causal" and e["ph"] == "s"
     ]
-    assert len(starts) == len(report.causal.send_recv_pairs()) == 12
+    assert len(starts) == len(report.trace.send_recv_pairs()) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,6 @@ def test_e1_is_one_mazurkiewicz_class_on_all_five_engines():
     """Theorem 1 made visible: whatever engine ran it and whichever
     order its events were merged in, E1 has one Foata normal form and
     one action sequence per process."""
-    from repro.runtime import ENGINE_NAMES
     from repro.theory import foata_normal_form
     from repro.theory.events import check_same_action_sequences
 
@@ -209,7 +207,7 @@ def test_e1_is_one_mazurkiewicz_class_on_all_five_engines():
     reference = foata_normal_form(observed)
     assert reference.total_events == 152
     for name in ENGINE_NAMES:
-        causal = run_once(name, system, trace_causal=True).causal
+        causal = run_once(name, system, trace=True).trace.by_clock()
         assert type(causal) is type(observed), name
         assert foata_normal_form(causal) == reference, name
         assert check_same_action_sequences(causal, observed), name
@@ -222,8 +220,6 @@ def test_e1_spans_read_the_same_on_all_five_engines():
     tail: the same stages, exchanges and receives, at the same depths,
     whatever engine ran the ranks."""
     from collections import Counter
-
-    from repro.runtime import ENGINE_NAMES
 
     system = e1_system()
     shapes = {}
@@ -243,26 +239,29 @@ def test_e1_spans_read_the_same_on_all_five_engines():
         assert shape == reference, name
 
 
-def test_cooperative_engine_replays_a_pooled_multiprocess_causal_order():
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_cooperative_engine_replays_a_pooled_multiprocess_causal_order(name):
+    """Record once, replay anywhere: any engine's traced ``schedule``
+    replays on the cooperative engine to bitwise the same stores."""
     from repro.runtime import ReplayPolicy
     from repro.theory import state_digest
 
     system = e1_system()
-    pooled = run_once("multiprocess+pool", system, trace_causal=True)
-    replayed = CooperativeEngine(
-        ReplayPolicy(pooled.causal.schedule())
-    ).run(system)
-    assert replayed.schedule == pooled.causal.schedule()
-    assert state_digest(replayed) == state_digest(pooled)
+    recorded = run_once(name, system, trace=True)
+    replayed = CooperativeEngine(ReplayPolicy(recorded.schedule)).run(system)
+    assert len(recorded.schedule) == 152
+    assert replayed.schedule == recorded.schedule
+    # Equal digests: bitwise-equal stores and returns.
+    assert state_digest(replayed) == state_digest(recorded)
 
 
 @pytest.mark.parametrize("name", ["multiprocess", "socket"])
 def test_blocked_split_is_a_reading_of_the_receive_events(name):
     """Events cross the result pipe once; the report's blocked column
     and its "blocked" spans are made from them at the run tail."""
-    result = run_once(name, stencil_ring(), observe=True, trace_causal=True)
+    result = run_once(name, stencil_ring(), observe=True, trace=True)
     report = result.report
-    recvs = [e for e in result.causal if e.kind == "recv"]
+    recvs = [e for e in result.trace if e.kind == "recv"]
     assert len(recvs) == 12
     for p in report.processes:
         mine = [e.t1 - e.t0 for e in recvs if e.rank == p.rank]
@@ -273,28 +272,8 @@ def test_blocked_split_is_a_reading_of_the_receive_events(name):
     )
     # Observed alone, the same log is kept, and no stamp rides.
     plain = run_once(name, stencil_ring(), observe=True)
-    assert plain.causal is None and plain.trace is None
+    assert plain.trace is None and plain.report.trace is None
     assert len([s for s in plain.report.spans if s.cat == "blocked"]) == 12
-
-
-# ---------------------------------------------------------------------------
-# Serving-layer telemetry
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.slow
-def test_job_server_records_causal_span_summaries():
-    from repro.dist.serve import JobServer
-
-    with JobServer(pool_size=2, max_inflight=2, trace_causal=True) as server:
-        fut = server.submit(stencil_ring(nprocs=2, rounds=2))
-        result = fut.result(timeout=60)
-        records = server.job_stats()
-    assert result.causal is not None and result.causal.validate() == []
-    assert len(records) == 1
-    stats = records[0]
-    assert stats.causal_events == len(result.causal)
-    assert stats.causal_depth == result.causal.depth > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,7 @@ import pytest
 
 from repro.dist.engine import MultiprocessEngine, WorkerCrashError
 from repro.dist.shm import live_segment_names
-from repro.errors import (
-    EmptyChannelError,
-    ProcessFailedError,
-    RuntimeModelError,
-)
+from repro.errors import EmptyChannelError, ProcessFailedError
 from repro.runtime import ProcessSpec, System, make_engine
 from repro.util import bitwise_equal_arrays
 
@@ -112,9 +108,14 @@ class TestContract:
         assert 0 < t["share_s"] + t["dispatch_s"] <= t["startup_s"]
         assert 0 < t["readback_s"] <= t["total_s"] - t["startup_s"] - t["run_s"]
 
-    def test_trace_refused_up_front(self):
-        with pytest.raises(RuntimeModelError, match="trace"):
-            MultiprocessEngine(trace=True)
+    def test_trace_is_the_clock_merge(self):
+        engine = MultiprocessEngine(start_method="fork", trace=True)
+        trace = run_exchange(engine).trace
+        assert trace.validate() == []
+        assert len(trace.send_recv_pairs()) == 2
+        # Separate address spaces observe no order: the clock merge.
+        assert trace.events == trace.by_clock().events
+        assert {e.index for e in trace} == {-1}
 
     def test_unknown_start_method_refused(self):
         with pytest.raises(ValueError):

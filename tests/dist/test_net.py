@@ -374,11 +374,15 @@ def test_socket_engine_surfaces_killed_daemon():
     assert time.monotonic() - t0 < 30.0  # bounded, not a hang
 
 
-def test_socket_engine_rejects_trace():
-    from repro.errors import RuntimeModelError
-
-    with pytest.raises(RuntimeModelError):
-        make_engine("socket", trace=True)
+def test_socket_engine_traces():
+    engine = make_engine("socket", daemons=2, trace=True)
+    try:
+        trace = engine.run(stencil_ring()).trace
+    finally:
+        engine.close()
+    assert trace.validate() == []
+    assert len(trace.send_recv_pairs()) == 12
+    assert trace.events == trace.by_clock().events
 
 
 def test_external_daemon_hosts_and_shared_daemon():

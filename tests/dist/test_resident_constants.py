@@ -486,7 +486,7 @@ def job_frame(system, token):
             "recv_timeout": None,
             "observe": False,
             "handshake_timeout": 5.0,
-            "trace_causal": False,
+            "trace": False,
         },
     )
 

@@ -359,7 +359,7 @@ def test_sigkill_with_fds_in_flight_releases_them():
             r_specs=[],
             recv_timeout=None,
             observe=False,
-            trace_causal=False,
+            trace=False,
         )
         writer.close()
         child_conn.close()

@@ -157,11 +157,11 @@ def test_trace_dict_round_trip():
 
 def test_report_jsonl_events_round_trip_the_causal_trace():
     causal = Trace.merge(two_rank_payloads(), nprocs=2, engine="e")
-    report = RunReport(engine="e", nprocs=2, causal=causal)
+    report = RunReport(engine="e", nprocs=2, trace=causal)
     events = json.loads(json.dumps(report.to_events()))
     back = RunReport.from_events(events)
-    assert back.causal is not None
-    assert back.causal.events == causal.events
+    assert back.trace is not None
+    assert back.trace.events == causal.events
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_chrome_lanes_are_unique_and_stably_sorted():
 
 def test_chrome_flow_events_cover_every_send_recv_pair():
     report = spans_report([0, 1], [0, 1])
-    report.causal = Trace.merge(two_rank_payloads(), nprocs=2)
+    report.trace = Trace.merge(two_rank_payloads(), nprocs=2)
     trace = chrome_trace_dict(report)
     starts = [
         e
@@ -215,7 +215,7 @@ def test_chrome_flow_events_cover_every_send_recv_pair():
         for e in trace["traceEvents"]
         if e.get("cat") == "causal" and e["ph"] == "f"
     ]
-    assert len(starts) == len(report.causal.send_recv_pairs()) == 2
+    assert len(starts) == len(report.trace.send_recv_pairs()) == 2
     assert {e["id"] for e in starts} == {e["id"] for e in ends}
     assert all(e.get("bp") == "e" for e in ends)
     # Arrow endpoints sit on the sender's and receiver's lanes.

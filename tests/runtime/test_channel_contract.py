@@ -201,9 +201,9 @@ def test_e1_send_clocks_equal_on_all_engines():
     ).to_parallel()
     clocks = {}
     for name in ENGINE_NAMES:
-        engine = make_engine(name, trace_causal=True)
+        engine = make_engine(name, trace=True)
         try:
-            causal = engine.run(system).causal
+            causal = engine.run(system).trace
         finally:
             getattr(engine, "close", lambda: None)()
         assert causal.validate() == [], name

@@ -11,12 +11,14 @@ import pytest
 from repro.errors import RuntimeModelError
 from repro.explore.fixtures import build_target
 from repro.runtime import (
+    ENGINE_NAMES,
     CooperativeEngine,
     ProcessSpec,
     ReplayPolicy,
     RoundRobinPolicy,
     System,
     ThreadedEngine,
+    make_engine,
 )
 from repro.runtime.schedulers import SchedulingPolicy
 from repro.runtime.trace import Trace
@@ -103,50 +105,63 @@ def test_happens_before_refuses_a_receive_recorded_before_its_send():
 def e1_runs():
     system = e1_system()
     return {
-        "cooperative": CooperativeEngine(
-            trace=True, observe=True, trace_causal=True
-        ).run(system),
-        "threaded": ThreadedEngine(
-            trace=True, observe=True, trace_causal=True
-        ).run(system),
+        "cooperative": CooperativeEngine(trace=True, observe=True).run(system),
+        "threaded": ThreadedEngine(trace=True, observe=True).run(system),
     }
 
 
 def test_trace_and_causal_are_one_class_holding_the_same_events(e1_runs):
+    """The observed order and the clock order are two sorts of one
+    trace's events."""
     for result in e1_runs.values():
-        assert type(result.trace) is type(result.causal) is Trace
-        assert {id(e) for e in result.trace} == {id(e) for e in result.causal}
-        assert result.causal.validate() == []
+        causal = result.trace.by_clock()
+        assert type(result.trace) is type(causal) is Trace
+        assert {id(e) for e in result.trace} == {id(e) for e in causal}
+        assert result.trace.validate() == causal.validate() == []
         assert [e.index for e in result.trace] == list(range(len(result.trace)))
+        assert result.report.trace is result.trace
+
+
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_trace_is_stamped_on_every_engine(name):
+    """``trace=True`` alone stamps every send, so each receive's clock
+    exceeds its send's and the depth is E1's longest causal chain."""
+    engine = make_engine(name, trace=True)
+    try:
+        trace = engine.run(e1_system()).trace
+    finally:
+        getattr(engine, "close", lambda: None)()
+    assert len(trace) == 152
+    assert trace.validate() == []
+    assert trace.depth == 109
 
 
 def test_foata_form_is_one_across_engines_and_orders(e1_runs):
     reference = foata_normal_form(e1_runs["cooperative"].trace)
     assert reference.total_events == 152
     for result in e1_runs.values():
-        assert foata_normal_form(result.causal) == reference
+        assert foata_normal_form(result.trace.by_clock()) == reference
         assert foata_normal_form(result.trace) == reference
 
 
 def test_same_action_sequences_across_engines_and_orders(e1_runs):
     assert check_same_action_sequences(
-        e1_runs["threaded"].causal, e1_runs["cooperative"].trace
+        e1_runs["threaded"].trace.by_clock(), e1_runs["cooperative"].trace
     )
 
 
 def test_cooperative_engine_replays_a_threaded_causal_order(e1_runs):
     threaded = e1_runs["threaded"]
-    replayed = CooperativeEngine(
-        ReplayPolicy(threaded.causal.schedule())
-    ).run(e1_system())
-    assert replayed.schedule == threaded.causal.schedule()
+    causal = threaded.trace.by_clock().schedule()
+    replayed = CooperativeEngine(ReplayPolicy(causal)).run(e1_system())
+    assert replayed.schedule == causal
     assert state_digest(replayed) == state_digest(threaded)
 
 
 def test_blocked_split_and_spans_are_readings_of_the_receive_events(e1_runs):
     for result in e1_runs.values():
         report, recvs = result.report, [
-            e for e in result.causal if e.kind == "recv"
+            e for e in result.trace if e.kind == "recv"
         ]
         for p in report.processes:
             mine = [e.t1 - e.t0 for e in recvs if e.rank == p.rank]
