@@ -1037,12 +1037,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="dfs: disable state-fingerprint pruning",
     )
     add(
-        "--no-sleep-sets",
-        dest="sleep_sets",
-        action="store_false",
-        help="dfs: disable sleep-set (POR) pruning",
-    )
-    add(
         "--engine",
         choices=ENGINE_NAMES,
         help="a process engine: real-fault sweep mode (kills are SIGKILLs)",

@@ -11,12 +11,13 @@ replayable schedule prefix.
 
 Layers (see docs/EXPLORATION.md):
 
-* :mod:`~repro.explore.controller` — record/steer every ready-set
-  decision; :mod:`~repro.explore.fingerprint` — state hashing for
-  stateful pruning;
-* :mod:`~repro.explore.strategies` — depth-bounded DFS (sleep-set +
-  fingerprint pruned) and seeded random walks, plus real-engine fault
-  sweeps;
+* :mod:`~repro.explore.fingerprint` — state hashing for stateful
+  pruning, handed to the
+  :class:`~repro.runtime.schedulers.ScheduleController` that records
+  and steers every ready-set decision;
+* :mod:`~repro.explore.strategies` — depth-bounded DFS (fingerprint
+  pruned, over :func:`repro.theory.enumerate.walk_schedules`) and
+  seeded random walks, plus real-engine fault sweeps;
 * :mod:`~repro.explore.faults` — declarative kill/delay fault plans,
   applied as planted exceptions or genuine ``SIGKILL``s;
 * :mod:`~repro.explore.report` — outcomes, exploration reports
@@ -25,7 +26,6 @@ Layers (see docs/EXPLORATION.md):
   including the deliberately-racy fixture the search must convict.
 """
 
-from repro.explore.controller import ScheduleController
 from repro.explore.faults import (
     DelayFault,
     FaultedPolicy,
@@ -54,7 +54,6 @@ from repro.explore.strategies import (
 )
 
 __all__ = [
-    "ScheduleController",
     "state_fingerprint",
     "KillFault",
     "DelayFault",

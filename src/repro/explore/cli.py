@@ -118,7 +118,6 @@ def run_explore(opts) -> int:
                 max_depth=opts.max_depth,
                 max_steps=opts.max_steps,
                 fingerprints=opts.fingerprints,
-                sleep_sets=opts.sleep_sets,
                 plan=plan,
                 target=target,
             )

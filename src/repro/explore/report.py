@@ -88,7 +88,7 @@ def run_controlled(
 ) -> ScheduleOutcome:
     """Execute one run under ``policy`` and classify the outcome.
 
-    ``controller`` is the :class:`~repro.explore.controller
+    ``controller`` is the :class:`~repro.runtime.schedulers
     .ScheduleController` whose log names the schedule (``policy`` is
     either the controller itself or a fault wrapper around it).
     """
@@ -208,7 +208,6 @@ class ExplorationReport:
     faults: str = "none"
     schedules: int = 0  # distinct complete schedules visited
     runs: int = 0  # engine executions (including replays/minimisation)
-    pruned_sleep: int = 0
     pruned_fingerprint: int = 0
     states_fingerprinted: int = 0
     digests: dict[str, int] = field(default_factory=dict)
@@ -262,8 +261,7 @@ class ExplorationReport:
             f"({self.runs} runs, {self.wall_s:.2f}s), "
             f"{len(self.digests)} distinct final state(s), "
             f"faults={self.faults}",
-            f"  pruned: {self.pruned_sleep} sleep-set, "
-            f"{self.pruned_fingerprint} fingerprint "
+            f"  pruned: {self.pruned_fingerprint} fingerprint "
             f"({self.states_fingerprinted} states hashed); "
             f"deadlocks={self.deadlocks} crashes={self.crashes} "
             f"bound-hits={self.bounds}",
@@ -292,7 +290,6 @@ class ExplorationReport:
             "faults": self.faults,
             "schedules": self.schedules,
             "runs": self.runs,
-            "pruned_sleep": self.pruned_sleep,
             "pruned_fingerprint": self.pruned_fingerprint,
             "states_fingerprinted": self.states_fingerprinted,
             "distinct_digests": len(self.digests),
@@ -321,7 +318,6 @@ class ExplorationReport:
         registry = registry or MetricsRegistry()
         registry.counter("explore.schedules").inc(self.schedules)
         registry.counter("explore.runs").inc(self.runs)
-        registry.counter("explore.pruned_sleep").inc(self.pruned_sleep)
         registry.counter("explore.pruned_fingerprint").inc(
             self.pruned_fingerprint
         )
@@ -368,9 +364,9 @@ def replay_artifact(
     state that differs from the expected digest; for the other kinds, a
     matching terminal outcome.
     """
-    from repro.explore.controller import ScheduleController
     from repro.explore.faults import FaultedPolicy, FaultPlan, apply_faults
     from repro.explore.fixtures import build_target
+    from repro.runtime.schedulers import ScheduleController
 
     system = build_target(violation.target)()
     plan = (

@@ -1,23 +1,26 @@
 """Search strategies over the maximal-interleaving space.
 
-Two strategies drive the :class:`~repro.explore.controller
-.ScheduleController` through a system's schedule space:
+Two strategies steer the cooperative engine through a system's
+schedule space with a
+:class:`~repro.runtime.schedulers.ScheduleController`:
 
-* :func:`explore_dfs` — depth-bounded depth-first search, branching at
-  every untaken enabled action of every recorded decision (the
-  stateless re-execution scheme of :mod:`repro.theory.enumerate`),
-  pruned two ways: **sleep sets** (an alternative that merely commutes
-  with an already-explored sibling is never scheduled —
-  :func:`repro.theory.por.independent_actions`) and **state
-  fingerprints** (a branch node whose scheduler-visible state was
-  already expanded is not expanded again — converging prefixes are
-  explored once);
+* :func:`explore_dfs` — depth-bounded depth-first search: one call of
+  the schedule-tree walk :func:`repro.theory.enumerate.walk_schedules`,
+  branching at every untaken enabled action of every decision, pruned
+  by **state fingerprints** (a branch node whose scheduler-visible
+  state was already expanded is not expanded again — converging
+  prefixes are explored once);
 * :func:`explore_walk` — seeded random walks, one fresh
   :class:`~repro.runtime.schedulers.RandomPolicy` seed per run,
   deduplicated by schedule until the requested number of *distinct*
   schedules is visited.  No pruning, no per-decision hashing: the
   cheap, scalable sampler for systems (e.g. the FDTD programs) whose
   stores are too large to fingerprint at every step.
+
+Neither uses sleep sets.  The explorer hunts for violations of
+Theorem 1's hypotheses, and independence-based pruning assumes they
+hold: two steps of different processes "commute" only if they share no
+variable, which is exactly what a racy system breaks.
 
 Both return an :class:`~repro.explore.report.ExplorationReport` whose
 ``violations`` list holds every schedule that broke the Theorem 1
@@ -29,10 +32,10 @@ a fault plan against a real process engine (multiprocess/socket, real
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
-from repro.explore.controller import ScheduleController
 from repro.explore.faults import FaultedPolicy, FaultPlan, apply_faults
+from repro.explore.fingerprint import state_fingerprint
 from repro.explore.report import (
     ExplorationReport,
     ScheduleOutcome,
@@ -40,10 +43,10 @@ from repro.explore.report import (
     minimize_prefix,
     run_controlled,
 )
-from repro.runtime.schedulers import PendingAction, RandomPolicy
+from repro.runtime.schedulers import RandomPolicy, ScheduleController
 from repro.runtime.system import System
 from repro.theory.determinacy import state_digest
-from repro.theory.por import independent_actions
+from repro.theory.enumerate import walk_schedules
 
 __all__ = [
     "explore_dfs",
@@ -69,15 +72,17 @@ def _as_factory(system) -> SystemFactory:
     raise TypeError(f"expected System or factory, got {type(system)!r}")
 
 
+#: a walk gives up after this many attempts per requested schedule, so
+#: a system with fewer distinct maximal interleavings still terminates
+_ATTEMPTS_PER_SCHEDULE = 4
+
+
 def _run_once(
     factory: SystemFactory,
     plan: FaultPlan,
-    prefix: Sequence[int],
-    tail=None,
-    fingerprint: bool = False,
+    controller: ScheduleController,
     max_steps: int | None = None,
-) -> tuple[ScheduleOutcome, ScheduleController]:
-    controller = ScheduleController(prefix, tail=tail, fingerprint=fingerprint)
+) -> ScheduleOutcome:
     policy = (
         FaultedPolicy(controller, plan.delays) if plan.delays else controller
     )
@@ -87,8 +92,7 @@ def _run_once(
         # action.  Delays need no body wrapping here — the policy mask
         # above models them at the scheduler.
         system = apply_faults(system, plan)
-    outcome = run_controlled(system, policy, controller, max_steps)
-    return outcome, controller
+    return run_controlled(system, policy, controller, max_steps)
 
 
 def _baseline_digest(
@@ -97,10 +101,9 @@ def _baseline_digest(
     """Digest of the deterministic fault-free min-rank run (the
     reference all other schedules must match), or None if even that run
     fails (the violation machinery then reports the failure itself)."""
-    outcome, _ = _run_once(
-        factory, FaultPlan(), (), max_steps=max_steps
-    )
-    return outcome.digest
+    return _run_once(
+        factory, FaultPlan(), ScheduleController(), max_steps
+    ).digest
 
 
 def _measure_frontier(
@@ -134,16 +137,13 @@ def _classify_violations(
     expected = report.baseline_digest
 
     def run_one(prefix: list[int]) -> ScheduleOutcome:
-        outcome, _ = _run_once(factory, plan, prefix, max_steps=max_steps)
         report.runs += 1
-        return outcome
+        return _run_once(
+            factory, plan, ScheduleController(prefix), max_steps
+        )
 
     def failed(outcome: ScheduleOutcome) -> bool:
-        if outcome.kind == "ok":
-            return outcome.digest != expected
-        if outcome.kind == "crash" and plan.kills:
-            return False  # a clean injected-kill failure is allowed
-        return True
+        return _is_contract_break(outcome, expected, plan)
 
     kind_of = {
         "ok": "nondeterminate",
@@ -184,6 +184,40 @@ def _is_contract_break(
     return True  # deadlock or bound hit
 
 
+def _start(
+    factory: SystemFactory,
+    strategy: str,
+    plan: FaultPlan,
+    target: str,
+    max_steps: int | None,
+) -> ExplorationReport:
+    """A report holding the reference digest and the frontier width."""
+    report = ExplorationReport(
+        target=target, strategy=strategy, faults=plan.describe()
+    )
+    report.baseline_digest = _baseline_digest(factory, max_steps)
+    report.runs += 1
+    _measure_frontier(report, factory, max_steps)
+    return report
+
+
+def _record(
+    report: ExplorationReport,
+    bad: list[ScheduleOutcome],
+    outcome: ScheduleOutcome,
+    plan: FaultPlan,
+    max_violations: int,
+) -> None:
+    """Fold a distinct schedule's outcome into ``report``; keep it in
+    ``bad`` (up to ``max_violations``) when it breaks the contract."""
+    report.record(outcome)
+    if (
+        _is_contract_break(outcome, report.baseline_digest, plan)
+        and len(bad) < max_violations
+    ):
+        bad.append(outcome)
+
+
 def explore_dfs(
     system,
     *,
@@ -191,13 +225,12 @@ def explore_dfs(
     max_depth: int | None = None,
     max_steps: int | None = None,
     fingerprints: bool = True,
-    sleep_sets: bool = True,
     plan: FaultPlan | None = None,
     target: str = "system",
     max_violations: int = 4,
     minimize: bool = True,
 ) -> ExplorationReport:
-    """Depth-bounded DFS with sleep-set and fingerprint pruning.
+    """Depth-bounded DFS with fingerprint pruning.
 
     ``max_depth`` bounds the decision index at which new branches are
     opened (runs still complete past it); ``max_steps`` bounds each
@@ -206,75 +239,24 @@ def explore_dfs(
     """
     factory = _as_factory(system)
     plan = plan or FaultPlan()
-    report = ExplorationReport(
-        target=target, strategy="dfs", faults=plan.describe()
-    )
-    report.baseline_digest = _baseline_digest(factory, max_steps)
-    report.runs += 1
-    _measure_frontier(report, factory, max_steps)
-
-    expanded_fps: set[str] = set()
-    seen_schedules: set[tuple[int, ...]] = set()
+    report = _start(factory, "dfs", plan, target, max_steps)
     bad: list[ScheduleOutcome] = []
-    # Each frame: (forced prefix, sleep set at the first free decision).
-    stack: list[tuple[list[int], frozenset[PendingAction]]] = [
-        ([], frozenset())
-    ]
-    while stack and report.schedules < max_schedules:
-        prefix, sleep = stack.pop()
-        outcome, controller = _run_once(
-            factory, plan, prefix, fingerprint=fingerprints,
-            max_steps=max_steps,
-        )
-        report.runs += 1
-        if outcome.schedule not in seen_schedules:
-            seen_schedules.add(outcome.schedule)
-            report.record(outcome)
-            if (
-                _is_contract_break(outcome, report.baseline_digest, plan)
-                and len(bad) < max_violations
-            ):
-                bad.append(outcome)
 
-        log = controller.log
-        fps = controller.fingerprints
-        limit = (
-            len(log) if max_depth is None else min(len(log), max_depth)
-        )
-        schedule = controller.schedule
-        cur_sleep = sleep
-        for i in range(len(prefix), limit):
-            chosen, enabled = log[i]
-            chosen_action = next(a for a in enabled if a.rank == chosen)
-            fp = fps[i]
-            expand = True
-            if fingerprints and fp is not None:
-                report.states_fingerprinted += 1
-                if fp in expanded_fps:
-                    report.pruned_fingerprint += 1
-                    expand = False
-                else:
-                    expanded_fps.add(fp)
-            if expand:
-                sleeping_ranks = {a.rank for a in cur_sleep}
-                explored: list[PendingAction] = [chosen_action]
-                for alt in enabled:
-                    if alt.rank == chosen:
-                        continue
-                    if sleep_sets and alt.rank in sleeping_ranks:
-                        report.pruned_sleep += 1
-                        continue
-                    child_sleep = frozenset(
-                        s
-                        for s in set(cur_sleep) | set(explored)
-                        if independent_actions(s, alt)
-                    )
-                    stack.append((schedule[:i] + [alt.rank], child_sleep))
-                    explored.append(alt)
-            cur_sleep = frozenset(
-                s for s in cur_sleep if independent_actions(s, chosen_action)
-            )
+    def run(controller: ScheduleController) -> str | None:
+        outcome = _run_once(factory, plan, controller, max_steps)
+        _record(report, bad, outcome, plan, max_violations)
+        return outcome.digest
 
+    walk = walk_schedules(
+        run,
+        max_leaves=max_schedules,
+        overflow=False,
+        fingerprint=state_fingerprint if fingerprints else None,
+        max_depth=max_depth,
+    )
+    report.runs += walk.runs
+    report.pruned_fingerprint = walk.pruned
+    report.states_fingerprinted = walk.hashed
     _classify_violations(report, bad, factory, plan, max_steps, minimize)
     report.finish()
     return report
@@ -290,45 +272,29 @@ def explore_walk(
     target: str = "system",
     max_violations: int = 4,
     minimize: bool = True,
-    attempts_factor: int = 4,
 ) -> ExplorationReport:
     """Seeded random walks until ``n_schedules`` *distinct* schedules.
 
     Each attempt runs the whole system under a fresh seed; duplicate
     schedules don't count toward the target.  Bounded at
-    ``attempts_factor * n_schedules`` attempts, so a system with fewer
-    distinct maximal interleavings than requested still terminates.
+    ``_ATTEMPTS_PER_SCHEDULE * n_schedules`` attempts, so a system with
+    fewer distinct maximal interleavings than requested still
+    terminates.
     """
     factory = _as_factory(system)
     plan = plan or FaultPlan()
-    report = ExplorationReport(
-        target=target, strategy="walk", faults=plan.describe()
-    )
-    report.baseline_digest = _baseline_digest(factory, max_steps)
-    report.runs += 1
-    _measure_frontier(report, factory, max_steps)
-
+    report = _start(factory, "walk", plan, target, max_steps)
     seen_schedules: set[tuple[int, ...]] = set()
     bad: list[ScheduleOutcome] = []
-    attempts = 0
-    max_attempts = max(1, attempts_factor) * n_schedules
-    while report.schedules < n_schedules and attempts < max_attempts:
-        tail = RandomPolicy(seed + attempts)
-        attempts += 1
-        outcome, _ = _run_once(
-            factory, plan, (), tail=tail, max_steps=max_steps
-        )
+    for attempt in range(_ATTEMPTS_PER_SCHEDULE * n_schedules):
+        if report.schedules >= n_schedules:
+            break
+        controller = ScheduleController(tail=RandomPolicy(seed + attempt))
+        outcome = _run_once(factory, plan, controller, max_steps)
         report.runs += 1
-        if outcome.schedule in seen_schedules:
-            continue
-        seen_schedules.add(outcome.schedule)
-        report.record(outcome)
-        if (
-            _is_contract_break(outcome, report.baseline_digest, plan)
-            and len(bad) < max_violations
-        ):
-            bad.append(outcome)
-
+        if outcome.schedule not in seen_schedules:
+            seen_schedules.add(outcome.schedule)
+            _record(report, bad, outcome, plan, max_violations)
     _classify_violations(report, bad, factory, plan, max_steps, minimize)
     report.finish()
     return report

@@ -41,6 +41,7 @@ from repro.runtime.schedulers import (
     RunToBlockPolicy,
     SendsFirstPolicy,
     ReplayPolicy,
+    ScheduleController,
 )
 from repro.runtime.communicator import Communicator, make_full_mesh_channels
 from repro.runtime.collectives import Collectives
@@ -120,6 +121,7 @@ __all__ = [
     "RunToBlockPolicy",
     "SendsFirstPolicy",
     "ReplayPolicy",
+    "ScheduleController",
     "Communicator",
     "Collectives",
     "MPIStyleComm",

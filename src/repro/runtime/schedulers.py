@@ -22,18 +22,22 @@ Policies included:
   section 3.3 of the paper recommends for data-exchange operations
   ("all sends in a data-exchange operation are done before any
   receives"), guaranteeing the exchange cannot self-block.
-* :class:`ReplayPolicy` — follow an explicit rank sequence, e.g. a
-  previously recorded :meth:`~repro.runtime.trace.Trace.schedule`;
-  exact re-execution of one interleaving.
-* :class:`RecordingPolicy` — wrap another policy and log, at each step,
-  the full enabled set alongside the choice made; the hook used by
-  :mod:`repro.theory.enumerate` to drive exhaustive DFS over
-  interleavings.
+* :class:`ScheduleController` — follow a forced prefix of ranks, then
+  a tail policy, logging at every decision the choice made and the full
+  enabled set (and, given a fingerprint function, a hash of the state
+  just before it); the one steering policy behind the exhaustive
+  schedule-tree walk of :mod:`repro.theory.enumerate` and the schedule
+  explorer of :mod:`repro.explore`.
+* :class:`ReplayPolicy` — its strict form: follow an explicit rank
+  sequence, e.g. a previously recorded
+  :meth:`~repro.runtime.trace.Trace.schedule`, and fail when it runs
+  out; exact re-execution of one interleaving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -47,10 +51,9 @@ __all__ = [
     "RandomPolicy",
     "RunToBlockPolicy",
     "SendsFirstPolicy",
-    "ReplayPolicy",
-    "RecordingPolicy",
     "MinRankPolicy",
-    "PrefixPolicy",
+    "ScheduleController",
+    "ReplayPolicy",
 ]
 
 
@@ -74,11 +77,10 @@ class SchedulingPolicy:
 
         The cooperative engine calls this with the per-rank stores and
         the live ``{name: Channel}`` map immediately before asking for a
-        decision.  The default does nothing; the schedule explorer's
-        controller overrides it to fingerprint states for prefix
-        pruning.  Implementations must treat the arguments as
-        read-only — mutating them would change the execution being
-        observed.
+        decision.  The default does nothing; :class:`ScheduleController`
+        overrides it to fingerprint states for prefix pruning.
+        Implementations must treat the arguments as read-only —
+        mutating them would change the execution being observed.
         """
 
     def choose(self, enabled: list[PendingAction]) -> int:
@@ -175,7 +177,84 @@ class SendsFirstPolicy(SchedulingPolicy):
         return ranks[0]
 
 
-class ReplayPolicy(SchedulingPolicy):
+class MinRankPolicy(SchedulingPolicy):
+    """Always pick the lowest enabled rank (deterministic default)."""
+
+    def choose(self, enabled: list[PendingAction]) -> int:
+        return enabled[0].rank
+
+
+class ScheduleController(SchedulingPolicy):
+    """Follow ``prefix`` exactly, then ``tail``; log every decision.
+
+    ``log`` holds, per decision, the chosen rank and the tuple of enabled
+    pending actions, so a search can branch at every untaken
+    alternative.  Given ``fingerprint`` (a function of the per-rank
+    stores and the live channel map, e.g.
+    :func:`repro.explore.fingerprint.state_fingerprint`),
+    ``fingerprints`` holds the hash of the state just before each
+    decision; without it, ``None`` per decision.
+
+    One controller drives one run at a time: the engine's ``reset()``
+    clears the logs.
+    """
+
+    def __init__(
+        self,
+        prefix: Sequence[int] = (),
+        tail: SchedulingPolicy | None = None,
+        fingerprint: Callable[[list, Any], str] | None = None,
+    ):
+        self._prefix = list(prefix)
+        self._tail = tail or MinRankPolicy()
+        self._fingerprint = fingerprint
+        self._pos = 0
+        self._pending_fp: str | None = None
+        #: per decision: (chosen rank, tuple of enabled PendingActions)
+        self.log: list[tuple[int, tuple[PendingAction, ...]]] = []
+        #: per decision: state fingerprint just before it (None when off)
+        self.fingerprints: list[str | None] = []
+
+    def reset(self) -> None:
+        self._pos = 0
+        self._pending_fp = None
+        self._tail.reset()
+        self.log = []
+        self.fingerprints = []
+
+    def observe_state(self, stores, channels) -> None:
+        if self._fingerprint is not None:
+            self._pending_fp = self._fingerprint(stores, channels)
+        self._tail.observe_state(stores, channels)
+
+    def choose(self, enabled: list[PendingAction]) -> int:
+        ranks = [a.rank for a in enabled]
+        if self._pos < len(self._prefix):
+            rank = self._prefix[self._pos]
+            if rank not in ranks:
+                raise ScheduleError(
+                    f"schedule names rank {rank} at step {self._pos} but "
+                    f"its next action is not enabled (enabled: {ranks}); "
+                    "the prefix is not a legal partial interleaving"
+                )
+        else:
+            rank = self._past_prefix(enabled)
+        self._pos += 1
+        self.log.append((rank, tuple(enabled)))
+        self.fingerprints.append(self._pending_fp)
+        self._pending_fp = None
+        return rank
+
+    def _past_prefix(self, enabled: list[PendingAction]) -> int:
+        return self._tail.choose(enabled)
+
+    @property
+    def schedule(self) -> list[int]:
+        """The rank sequence actually executed so far."""
+        return [rank for rank, _ in self.log]
+
+
+class ReplayPolicy(ScheduleController):
     """Follow an explicit schedule (a list of ranks) exactly.
 
     Raises :class:`~repro.errors.ScheduleError` if the schedule runs out
@@ -184,97 +263,12 @@ class ReplayPolicy(SchedulingPolicy):
     legal interleaving of this system.
     """
 
-    def __init__(self, schedule: list[int]):
-        self._schedule = list(schedule)
-        self._pos = 0
+    def __init__(self, schedule: Sequence[int]):
+        super().__init__(schedule)
 
-    def reset(self) -> None:
-        self._pos = 0
-
-    def choose(self, enabled: list[PendingAction]) -> int:
-        if self._pos >= len(self._schedule):
-            raise ScheduleError(
-                f"replay schedule exhausted after {self._pos} actions but "
-                f"processes are still live (enabled: "
-                f"{[a.rank for a in enabled]})"
-            )
-        rank = self._schedule[self._pos]
-        self._pos += 1
-        if rank not in [a.rank for a in enabled]:
-            raise ScheduleError(
-                f"replay schedule names rank {rank} at step {self._pos - 1} "
-                f"but its next action is not enabled "
-                f"(enabled: {[a.rank for a in enabled]})"
-            )
-        return rank
-
-
-class RecordingPolicy(SchedulingPolicy):
-    """Delegate to ``inner`` while logging (choice, enabled-ranks) pairs.
-
-    ``log`` is a list of ``(chosen_rank, tuple_of_enabled_ranks)``; the
-    exhaustive-enumeration driver inspects it to discover unexplored
-    branches of the interleaving tree.
-    """
-
-    def __init__(self, inner: SchedulingPolicy):
-        self.inner = inner
-        self.log: list[tuple[int, tuple[int, ...]]] = []
-        #: full pending-action descriptors per step (for independence
-        #: analysis in partial-order-reduced enumeration)
-        self.action_log: list[tuple[int, tuple[PendingAction, ...]]] = []
-
-    def reset(self) -> None:
-        self.inner.reset()
-        self.log = []
-        self.action_log = []
-
-    def observe_state(self, stores, channels) -> None:
-        self.inner.observe_state(stores, channels)
-
-    def choose(self, enabled: list[PendingAction]) -> int:
-        rank = self.inner.choose(enabled)
-        self.log.append((rank, tuple(a.rank for a in enabled)))
-        self.action_log.append((rank, tuple(enabled)))
-        return rank
-
-
-class MinRankPolicy(SchedulingPolicy):
-    """Always pick the lowest enabled rank (deterministic default)."""
-
-    def choose(self, enabled: list[PendingAction]) -> int:
-        return enabled[0].rank
-
-
-class PrefixPolicy(SchedulingPolicy):
-    """Follow ``prefix`` exactly, then fall back to ``tail`` policy.
-
-    Used by the exhaustive enumerator: a new branch is explored by
-    replaying the path to the branch point and then letting the
-    deterministic tail complete the interleaving.
-    """
-
-    def __init__(self, prefix: list[int], tail: SchedulingPolicy | None = None):
-        self._prefix = list(prefix)
-        self._pos = 0
-        self._tail = tail or MinRankPolicy()
-
-    def reset(self) -> None:
-        self._pos = 0
-        self._tail.reset()
-
-    def observe_state(self, stores, channels) -> None:
-        self._tail.observe_state(stores, channels)
-
-    def choose(self, enabled: list[PendingAction]) -> int:
-        if self._pos < len(self._prefix):
-            rank = self._prefix[self._pos]
-            self._pos += 1
-            if rank not in [a.rank for a in enabled]:
-                raise ScheduleError(
-                    f"prefix names rank {rank} at step {self._pos - 1} but "
-                    "it is not enabled; the prefix is not a legal partial "
-                    "interleaving"
-                )
-            return rank
-        return self._tail.choose(enabled)
+    def _past_prefix(self, enabled: list[PendingAction]) -> int:
+        raise ScheduleError(
+            f"replay schedule exhausted after {self._pos} actions but "
+            f"processes are still live (enabled: "
+            f"{[a.rank for a in enabled]})"
+        )

@@ -16,8 +16,10 @@ This package makes the theorem and its proof technique executable:
 * :mod:`~repro.theory.determinacy` — the empirical statement: run a
   system under many schedules (and under free-running threads) and
   check all final states coincide;
-* :mod:`~repro.theory.enumerate` — exhaustive enumeration of *all*
-  maximal interleavings of small systems;
+* :mod:`~repro.theory.enumerate` — the one depth-first walk of the
+  schedule tree, and with it exhaustive enumeration of *all* maximal
+  interleavings of small systems; :mod:`~repro.theory.por` runs the
+  same walk with sleep sets, one representative per commutation class;
 * :mod:`~repro.theory.violations` — what breaks when each hypothesis is
   dropped (shared variables, multi-writer channels, nondeterministic
   bodies, finite slack).
@@ -32,11 +34,11 @@ from repro.theory.determinacy import (
     state_digest,
 )
 from repro.theory.enumerate import (
+    EnumerationOverflow,
     EnumerationResult,
-    count_interleavings,
     count_trace_classes,
     enumerate_interleavings,
-    run_prefix,
+    walk_schedules,
 )
 from repro.theory.foata import (
     FoataForm,
@@ -44,11 +46,7 @@ from repro.theory.foata import (
     frontier,
     parallelism_profile,
 )
-from repro.theory.por import (
-    ReducedEnumeration,
-    enumerate_reduced,
-    independent_actions,
-)
+from repro.theory.por import enumerate_reduced, independent_actions
 
 __all__ = [
     "Event",
@@ -61,16 +59,15 @@ __all__ = [
     "DeterminacyReport",
     "check_determinacy",
     "state_digest",
+    "EnumerationOverflow",
     "EnumerationResult",
+    "walk_schedules",
     "enumerate_interleavings",
-    "count_interleavings",
     "count_trace_classes",
-    "run_prefix",
     "FoataForm",
     "foata_normal_form",
     "frontier",
     "parallelism_profile",
-    "ReducedEnumeration",
     "enumerate_reduced",
     "independent_actions",
 ]

@@ -1,144 +1,252 @@
-"""Exhaustive enumeration of maximal interleavings.
+"""The schedule-tree walk: exhaustive enumeration of maximal interleavings.
 
 Theorem 1 quantifies over *all* maximal interleavings.  For small
 systems we can visit every one: the interleaving space is a tree whose
 nodes are scheduler decisions (which enabled process acts next) and
-whose leaves are completed executions.  The enumerator walks that tree
-by depth-first search, re-executing the system along each path:
+whose leaves are completed executions.  :func:`walk_schedules` walks
+that tree by depth-first search, re-executing the system along each
+path:
 
-1. run once following a *prefix* of forced choices, recording at every
-   post-prefix decision the full enabled set
-   (:class:`~repro.runtime.schedulers.RecordingPolicy` around
-   :class:`~repro.runtime.schedulers.PrefixPolicy`);
-2. every recorded alternative not taken becomes a new prefix to
-   explore.
+1. run once steered by a
+   :class:`~repro.runtime.schedulers.ScheduleController`: forced through
+   a *prefix* of choices, completed by a min-rank tail, logging the full
+   enabled set at every decision;
+2. every logged alternative not taken after the prefix becomes a new
+   prefix to explore.
 
 Because each complete interleaving corresponds to a unique decision
-sequence, every maximal interleaving is visited exactly once.  Each
-leaf's final state is digested; Theorem 1 predicts exactly one digest.
+sequence, every maximal interleaving is visited exactly once, one run
+per leaf.  The same walk serves three callers, differing only in what
+they prune: :func:`enumerate_interleavings` (nothing),
+:func:`repro.theory.por.enumerate_reduced` (sleep sets) and
+:func:`repro.explore.strategies.explore_dfs` (state fingerprints).
+Each leaf's final state is digested; Theorem 1 predicts exactly one
+digest.
 
 Cost grows as the number of interleavings (times re-execution), so
-this is for *small* systems — the empirical sampler in
-:mod:`repro.theory.determinacy` covers larger ones.
+exhaustive enumeration is for *small* systems — the empirical sampler
+in :mod:`repro.theory.determinacy` covers larger ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import ReproError
 from repro.runtime.engine_cooperative import CooperativeEngine
 from repro.runtime.schedulers import (
-    PrefixPolicy,
-    RecordingPolicy,
+    PendingAction,
+    ScheduleController,
     SchedulingPolicy,
 )
-from repro.runtime.system import RunResult, System
+from repro.runtime.system import System
 from repro.theory.determinacy import state_digest
 
 __all__ = [
+    "EnumerationOverflow",
     "EnumerationResult",
+    "walk_schedules",
     "enumerate_interleavings",
-    "count_interleavings",
-    "run_prefix",
+    "count_trace_classes",
 ]
 
-
-def run_prefix(
-    system: System,
-    prefix: list[int],
-    tail: SchedulingPolicy | None = None,
-    trace: bool = False,
-    max_actions: int | None = None,
-) -> tuple[list[int], RunResult]:
-    """One run forced through ``prefix``, completed by a deterministic
-    tail (min-rank unless given); returns the full schedule and result.
-
-    The stateless re-execution primitive shared by the enumerators here
-    and the schedule explorer's prefix minimiser / replay
-    (:mod:`repro.explore.report`): a recorded branch point is revisited
-    by replaying the path to it, no engine checkpointing needed.
-    """
-    recorder = RecordingPolicy(PrefixPolicy(prefix, tail))
-    run = CooperativeEngine(
-        recorder, trace=trace, max_actions=max_actions
-    ).run(system)
-    return [choice for choice, _ in recorder.log], run
+Independence = Callable[[PendingAction, PendingAction], bool]
 
 
 class EnumerationOverflow(ReproError):
-    """More interleavings exist than the requested cap."""
+    """More complete schedules exist than the requested cap."""
 
 
 @dataclass
 class EnumerationResult:
-    """All maximal interleavings of a system and their final states."""
+    """The complete schedules one walk visited, and what it cost."""
 
-    interleavings: int = 0
-    digests: dict[str, int] = field(default_factory=dict)  # digest -> count
     schedules: list[tuple[int, ...]] = field(default_factory=list)
-    #: longest / shortest schedule lengths (all equal for conforming
-    #: systems — same actions, reordered)
-    min_len: int = 0
-    max_len: int = 0
+    digests: dict[str, int] = field(default_factory=dict)  # digest -> count
+    #: engine runs, branches ended by sleep sets included
+    runs: int = 0
+    #: decisions fingerprinted / not branched at because their state
+    #: was already expanded
+    hashed: int = 0
+    pruned: int = 0
+    #: sleep sets were on: each schedule stands for its commutation class
+    reduced: bool = False
+
+    @property
+    def visited(self) -> int:
+        return len(self.schedules)
+
+    #: without sleep sets, every maximal interleaving is visited
+    interleavings = visited
+
+    @property
+    def min_len(self) -> int:
+        """Shortest schedule (equal to :attr:`max_len` for conforming
+        systems — same actions, reordered)."""
+        return min(map(len, self.schedules), default=0)
+
+    @property
+    def max_len(self) -> int:
+        return max(map(len, self.schedules), default=0)
 
     @property
     def determinate(self) -> bool:
         return len(self.digests) == 1
 
     def summary(self) -> str:
+        if self.reduced:
+            return (
+                f"sleep-set reduction: {self.visited} representative "
+                f"schedule(s), {len(self.digests)} distinct final "
+                f"state(s), {self.runs} re-executions"
+            )
         return (
-            f"{self.interleavings} maximal interleavings, "
+            f"{self.visited} maximal interleavings, "
             f"{len(self.digests)} distinct final state(s)"
         )
 
 
+class _AllAsleep(Exception):
+    """Every enabled action is asleep: the branch commutes into one
+    already explored."""
+
+
+class _SleepTail(SchedulingPolicy):
+    """Min-rank over the awake actions, carrying a sleep set down the
+    path; ``sleeps`` records the set at each decision it makes."""
+
+    def __init__(self, sleep: frozenset[PendingAction], independent):
+        self._start = sleep
+        self._independent = independent
+        self.reset()
+
+    def reset(self) -> None:
+        self._sleep = self._start
+        self.sleeps: list[frozenset[PendingAction]] = []
+
+    def choose(self, enabled: list[PendingAction]) -> int:
+        awake = [a for a in enabled if a not in self._sleep]
+        if not awake:
+            raise _AllAsleep
+        action = awake[0]
+        self.sleeps.append(self._sleep)
+        self._sleep = frozenset(
+            s for s in self._sleep if self._independent(s, action)
+        )
+        return action.rank
+
+
+def _never(a: PendingAction, b: PendingAction) -> bool:
+    return False
+
+
+def walk_schedules(
+    run: Callable[[ScheduleController], str | None],
+    *,
+    max_leaves: int,
+    overflow: bool = True,
+    independent: Independence | None = None,
+    fingerprint: Callable | None = None,
+    max_depth: int | None = None,
+) -> EnumerationResult:
+    """Depth-first walk of the schedule tree by stateless re-execution.
+
+    ``run(controller)`` executes the system once under ``controller``
+    and returns the final-state digest, or ``None`` for a run that did
+    not complete; the walk branches at every decision the controller
+    logged after its prefix.  Optional pruning:
+
+    * ``independent`` — a commutation predicate turns on sleep sets
+      (Godefroid): an action explored at a node sleeps in its later
+      siblings' subtrees until a dependent action runs.  The tail never
+      picks an asleep action while an awake one is enabled, and a node
+      where every enabled action is asleep ends the branch without a
+      leaf (each continuation commutes into an explored schedule);
+    * ``fingerprint`` — a state hash for the controller: a decision
+      whose state was already expanded is not branched at again;
+    * ``max_depth`` — decisions at or past this index are not branched
+      at (runs still complete).
+
+    More than ``max_leaves`` complete schedules raise
+    :class:`EnumerationOverflow`; with ``overflow=False`` the walk stops
+    quietly at ``max_leaves`` instead.
+    """
+    commute = independent or _never
+    result = EnumerationResult(reduced=independent is not None)
+    expanded: set[str] = set()
+    stack: list[tuple[tuple[int, ...], frozenset[PendingAction]]] = [
+        ((), frozenset())
+    ]
+    while stack and (overflow or result.visited < max_leaves):
+        prefix, sleep = stack.pop()
+        tail = _SleepTail(sleep, commute)
+        controller = ScheduleController(
+            prefix, tail=tail, fingerprint=fingerprint
+        )
+        result.runs += 1
+        try:
+            digest = run(controller)
+            complete = True
+        except _AllAsleep:
+            complete = False
+        schedule = tuple(controller.schedule)
+        if complete:
+            result.schedules.append(schedule)
+            if digest is not None:
+                result.digests[digest] = result.digests.get(digest, 0) + 1
+            if result.visited > max_leaves:
+                raise EnumerationOverflow(
+                    f"more than {max_leaves} complete schedules"
+                )
+        log = controller.log
+        limit = len(log) if max_depth is None else min(len(log), max_depth)
+        for i in range(len(prefix), limit):
+            fp = controller.fingerprints[i]
+            if fp is not None:
+                result.hashed += 1
+                if fp in expanded:
+                    result.pruned += 1
+                    continue
+                expanded.add(fp)
+            chosen, enabled = log[i]
+            asleep = tail.sleeps[i - len(prefix)]
+            # Alternatives are pushed in enabled order, so they are
+            # explored in reverse; each sleeps on the actions explored
+            # before it, the tail's choice first.
+            explored = set(asleep) | {a for a in enabled if a.rank == chosen}
+            frames = []
+            for alt in reversed(enabled):
+                if alt.rank == chosen or alt in asleep:
+                    continue
+                frames.append(
+                    (
+                        schedule[:i] + (alt.rank,),
+                        frozenset(s for s in explored if commute(s, alt)),
+                    )
+                )
+                explored.add(alt)
+            stack.extend(reversed(frames))
+    return result
+
+
+def _final_digest(system: System) -> Callable[[ScheduleController], str]:
+    return lambda controller: state_digest(
+        CooperativeEngine(controller, trace=False).run(system)
+    )
+
+
 def enumerate_interleavings(
-    system: System,
-    max_interleavings: int = 10_000,
-    keep_schedules: bool = True,
+    system: System, max_interleavings: int = 10_000
 ) -> EnumerationResult:
     """Visit every maximal interleaving of ``system``.
 
     Raises :class:`EnumerationOverflow` if more than
     ``max_interleavings`` complete interleavings exist.
     """
-    result = EnumerationResult()
-    stack: list[list[int]] = [[]]
-    while stack:
-        prefix = stack.pop()
-        recorder = RecordingPolicy(PrefixPolicy(prefix))
-        engine = CooperativeEngine(recorder, trace=True)
-        run = engine.run(system)
-        # Register this completed interleaving.
-        result.interleavings += 1
-        if result.interleavings > max_interleavings:
-            raise EnumerationOverflow(
-                f"more than {max_interleavings} interleavings"
-            )
-        digest = state_digest(run)
-        result.digests[digest] = result.digests.get(digest, 0) + 1
-        schedule = [choice for choice, _ in recorder.log]
-        if keep_schedules:
-            result.schedules.append(tuple(schedule))
-        n = len(schedule)
-        result.min_len = n if result.min_len == 0 else min(result.min_len, n)
-        result.max_len = max(result.max_len, n)
-        # Branch at every post-prefix decision: alternatives in the
-        # enabled set that were not chosen.
-        for i in range(len(prefix), len(recorder.log)):
-            chosen, enabled = recorder.log[i]
-            for alt in enabled:
-                if alt != chosen:
-                    stack.append(schedule[:i] + [alt])
-    return result
-
-
-def count_interleavings(system: System, max_interleavings: int = 10_000) -> int:
-    """Number of maximal interleavings (without keeping schedules)."""
-    return enumerate_interleavings(
-        system, max_interleavings, keep_schedules=False
-    ).interleavings
+    return walk_schedules(
+        _final_digest(system), max_leaves=max_interleavings
+    )
 
 
 def count_trace_classes(system: System, max_interleavings: int = 10_000) -> int:
@@ -149,16 +257,17 @@ def count_trace_classes(system: System, max_interleavings: int = 10_000) -> int:
     into each other (the content of Theorem 1's proof).  A value above
     1 means some pair of interleavings is *not* related by independent
     swaps — i.e. the system's actions themselves depend on the
-    schedule, which only a hypothesis violation can cause.
+    schedule, which only a hypothesis violation can cause.  One traced
+    run per interleaving: each form is read off the run that visits it.
     """
-    from repro.runtime.schedulers import ReplayPolicy
     from repro.theory.foata import foata_normal_form
 
-    result = enumerate_interleavings(system, max_interleavings)
     forms = set()
-    for schedule in result.schedules:
-        run = CooperativeEngine(ReplayPolicy(list(schedule)), trace=True).run(
-            system
-        )
-        forms.add(foata_normal_form(run.trace))
+
+    def run(controller: ScheduleController) -> str:
+        result = CooperativeEngine(controller, trace=True).run(system)
+        forms.add(foata_normal_form(result.trace))
+        return state_digest(result)
+
+    walk_schedules(run, max_leaves=max_interleavings)
     return len(forms)

@@ -1,15 +1,17 @@
 """Partial-order reduction: sleep-set enumeration of interleavings.
 
-Plain enumeration (:mod:`repro.theory.enumerate`) visits *every*
-maximal interleaving — for a conforming system, exponentially many
-equivalent ones.  Theorem 1's very content is that those interleavings
-fall into a single commutation (Mazurkiewicz trace) class, so a
-verifier only needs one representative per class.  **Sleep sets**
-(Godefroid) prune the rest: after exploring action ``a`` at a node,
-``a`` is put to sleep for the sibling branches, and stays asleep down
-a sibling's subtree for as long as it remains independent of the
-actions taken — any schedule that would wake it is a commutation of
-one already explored.
+Plain enumeration (:func:`repro.theory.enumerate.enumerate_interleavings`)
+visits *every* maximal interleaving — for a conforming system,
+exponentially many equivalent ones.  Theorem 1's very content is that
+those interleavings fall into a single commutation (Mazurkiewicz trace)
+class, so a verifier only needs one representative per class.  **Sleep
+sets** (Godefroid) prune the rest: after exploring action ``a`` at a
+node, ``a`` is put to sleep for the sibling branches, and stays asleep
+down a sibling's subtree for as long as it remains independent of the
+actions taken — any schedule that would wake it is a commutation of one
+already explored.  The walk is the same one plain enumeration uses
+(:func:`repro.theory.enumerate.walk_schedules`), with this module's
+independence predicate switched on.
 
 Independence here is structural and conservative: two pending actions
 are independent iff they belong to different processes *and* do not
@@ -18,39 +20,29 @@ when the queue hovers at empty; same-process actions never commute).
 
 For terminating systems, sleep-set exploration visits at least one
 interleaving of every trace class (soundness) while typically visiting
-exponentially fewer schedules than full enumeration — the conforming
-systems of this library collapse to exactly **one** visited schedule,
-which is the theorem made computational.
+exponentially fewer schedules than full enumeration.  Conforming
+systems whose processes share no channel, and the exchange and ring
+fixtures, collapse to exactly **one** visited schedule; where a send
+and its receive race on one channel (producer/consumer, fan-in) the
+structural predicate cannot tell the orders apart, and a few
+representatives of the one class are visited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.errors import ReproError
-from repro.runtime.engine_cooperative import CooperativeEngine
-from repro.runtime.schedulers import (
-    PendingAction,
-    PrefixPolicy,
-    RecordingPolicy,
-)
+from repro.runtime.schedulers import PendingAction
 from repro.runtime.system import System
-from repro.theory.determinacy import state_digest
+from repro.theory.enumerate import (
+    EnumerationResult,
+    _final_digest,
+    walk_schedules,
+)
 
-__all__ = ["ReducedEnumeration", "enumerate_reduced", "independent_actions"]
-
-
-class ReductionOverflow(ReproError):
-    """More reduced schedules than the requested cap."""
+__all__ = ["enumerate_reduced", "independent_actions"]
 
 
 def independent_actions(a: PendingAction, b: PendingAction) -> bool:
-    """Structural independence: different processes, different channels.
-
-    The conservative commutation test shared by the sleep-set
-    enumerator here and the schedule explorer's DFS pruning
-    (:mod:`repro.explore.strategies`).
-    """
+    """Structural independence: different processes, different channels."""
     if a.rank == b.rank:
         return False
     if a.channel is not None and a.channel == b.channel:
@@ -58,89 +50,18 @@ def independent_actions(a: PendingAction, b: PendingAction) -> bool:
     return True
 
 
-_independent = independent_actions
-
-
-@dataclass
-class ReducedEnumeration:
-    """Outcome of a sleep-set exploration."""
-
-    schedules: list[tuple[int, ...]] = field(default_factory=list)
-    digests: dict[str, int] = field(default_factory=dict)
-    #: nodes of the exploration tree that were expanded (re-executions)
-    runs: int = 0
-
-    @property
-    def visited(self) -> int:
-        return len(self.schedules)
-
-    @property
-    def determinate(self) -> bool:
-        return len(self.digests) == 1
-
-    def summary(self) -> str:
-        return (
-            f"sleep-set reduction: {self.visited} representative "
-            f"schedule(s), {len(self.digests)} distinct final state(s), "
-            f"{self.runs} re-executions"
-        )
-
-
 def enumerate_reduced(
     system: System, max_schedules: int = 10_000
-) -> ReducedEnumeration:
+) -> EnumerationResult:
     """Explore one representative per commutation class (sleep sets).
 
     Stateless search: each tree node is re-executed from scratch by
-    replaying its prefix (the same mechanism plain enumeration uses),
-    so no engine state needs checkpointing.
+    replaying its prefix, so no engine state needs checkpointing.
+    Raises :class:`~repro.theory.enumerate.EnumerationOverflow` past
+    ``max_schedules`` representatives.
     """
-    result = ReducedEnumeration()
-    # Each frame: (prefix, sleep set of PendingActions)
-    stack: list[tuple[list[int], frozenset[PendingAction]]] = [([], frozenset())]
-
-    while stack:
-        prefix, sleep = stack.pop()
-        recorder = RecordingPolicy(PrefixPolicy(prefix))
-        run = CooperativeEngine(recorder, trace=False).run(system)
-        result.runs += 1
-        log = recorder.action_log
-
-        if len(log) == len(prefix):
-            # No decision beyond the prefix: a complete interleaving.
-            result.schedules.append(tuple(prefix))
-            if len(result.schedules) > max_schedules:
-                raise ReductionOverflow(
-                    f"more than {max_schedules} reduced schedules"
-                )
-            digest = state_digest(run)
-            result.digests[digest] = result.digests.get(digest, 0) + 1
-            continue
-
-        # The node at depth len(prefix): its enabled actions.
-        _, enabled = log[len(prefix)]
-        by_rank = {a.rank: a for a in enabled}
-        sleeping_ranks = {a.rank for a in sleep if a.rank in by_rank}
-        to_explore = [
-            a for a in enabled if a.rank not in sleeping_ranks
-        ]
-        if not to_explore:
-            # Everything enabled is asleep: every continuation commutes
-            # into an explored sibling; prune this node entirely.
-            continue
-
-        explored: list[PendingAction] = []
-        # Push in reverse so exploration order matches list order.
-        frames = []
-        for action in to_explore:
-            child_sleep = frozenset(
-                s
-                for s in set(sleep) | set(explored)
-                if _independent(s, action)
-            )
-            frames.append((prefix + [action.rank], child_sleep))
-            explored.append(action)
-        for frame in reversed(frames):
-            stack.append(frame)
-
-    return result
+    return walk_schedules(
+        _final_digest(system),
+        max_leaves=max_schedules,
+        independent=independent_actions,
+    )

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.explore import ScheduleController, run_controlled
+from repro.explore import run_controlled, state_fingerprint
 from repro.explore.fixtures import exchange2_system, ring3_system
-from repro.runtime import CooperativeEngine
+from repro.runtime import CooperativeEngine, ScheduleController
 from repro.theory import state_digest
 
 
@@ -21,7 +21,7 @@ class TestRecording:
         assert run.stores[0]["peer"] == 20
 
     def test_fingerprints_align_with_log(self):
-        controller = ScheduleController(fingerprint=True)
+        controller = ScheduleController(fingerprint=state_fingerprint)
         CooperativeEngine(controller).run(ring3_system())
         assert len(controller.fingerprints) == len(controller.log)
         assert all(fp is not None for fp in controller.fingerprints)

@@ -15,12 +15,11 @@ from repro.explore import (
     FaultPlan,
     InjectedKill,
     KillFault,
-    ScheduleController,
     apply_faults,
     parse_fault_plan,
 )
 from repro.explore.fixtures import prodcons_system, ring3_system
-from repro.runtime import CooperativeEngine
+from repro.runtime import CooperativeEngine, ScheduleController
 from repro.theory import state_digest
 
 

@@ -57,22 +57,11 @@ class TestPruning:
         assert pruned.pruned_fingerprint > 0
         assert pruned.states_fingerprinted > 0
 
-    def test_sleep_sets_prune_commuting_branches(self):
-        report = explore_dfs(
-            build_target("fanin"),
-            max_schedules=200,
-            fingerprints=False,
-            target="fanin",
-        )
-        assert report.pruned_sleep > 0
-        assert report.ok
-
     def test_pruned_search_finds_same_digest_as_unpruned(self):
         full = explore_dfs(
             build_target("ring3"),
             max_schedules=500,
             fingerprints=False,
-            sleep_sets=False,
             target="ring3",
         )
         pruned = explore_dfs(
@@ -81,6 +70,33 @@ class TestPruning:
         assert set(full.digests) == set(pruned.digests)
         # pruning must not lose the only final state, only work
         assert pruned.runs <= full.runs
+
+    @pytest.mark.parametrize("name", ["ring3", "fanin"])
+    def test_unpruned_dfs_visits_every_interleaving(
+        self, name, monkeypatch
+    ):
+        # Without fingerprints the explorer's DFS is the same walk as
+        # exhaustive enumeration: the very same schedule set.
+        from repro.explore.report import ExplorationReport
+        from repro.theory import enumerate_interleavings
+
+        seen = []
+        record = ExplorationReport.record
+
+        def spy(report, outcome):
+            seen.append(outcome.schedule)
+            record(report, outcome)
+
+        monkeypatch.setattr(ExplorationReport, "record", spy)
+        report = explore_dfs(
+            build_target(name),
+            max_schedules=10_000,
+            fingerprints=False,
+            target=name,
+        )
+        full = enumerate_interleavings(build_target(name)())
+        assert report.schedules == full.interleavings == len(seen)
+        assert set(seen) == set(full.schedules)
 
 
 class TestRacyConviction:

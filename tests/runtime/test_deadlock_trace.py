@@ -208,7 +208,8 @@ class TestStructuredDeadlockReport:
         assert not report.circular
 
     def test_explorer_classifies_deadlock_distinctly(self):
-        from repro.explore import ScheduleController, run_controlled
+        from repro.explore import run_controlled
+        from repro.runtime import ScheduleController
 
         controller = ScheduleController()
         outcome = run_controlled(

@@ -6,12 +6,11 @@ from repro.errors import ScheduleError
 from repro.runtime.schedulers import (
     MinRankPolicy,
     PendingAction,
-    PrefixPolicy,
     RandomPolicy,
-    RecordingPolicy,
     ReplayPolicy,
     RoundRobinPolicy,
     RunToBlockPolicy,
+    ScheduleController,
     SendsFirstPolicy,
 )
 
@@ -97,13 +96,13 @@ class TestReplayAndPrefix:
             p.choose(actions((0, "send"),))
 
     def test_prefix_then_min_rank(self):
-        p = PrefixPolicy([1], tail=MinRankPolicy())
+        p = ScheduleController([1], tail=MinRankPolicy())
         both = actions((0, "send"), (1, "send"))
         assert p.choose(both) == 1  # prefix
         assert p.choose(both) == 0  # tail: min rank
 
     def test_prefix_illegal(self):
-        p = PrefixPolicy([3])
+        p = ScheduleController([3])
         with pytest.raises(ScheduleError, match="not a legal"):
             p.choose(actions((0, "send"),))
 
@@ -111,9 +110,13 @@ class TestReplayAndPrefix:
 class TestRecording:
     def test_logs_choices_and_enabled_sets(self):
         inner = MinRankPolicy()
-        p = RecordingPolicy(inner)
+        p = ScheduleController(tail=inner)
         p.choose(actions((0, "send"), (2, "send")))
         p.choose(actions((2, "send"),))
-        assert p.log == [(0, (0, 2)), (2, (2,))]
+        assert [
+            (chosen, tuple(a.rank for a in enabled))
+            for chosen, enabled in p.log
+        ] == [(0, (0, 2)), (2, (2,))]
+        assert p.log[0][1] == tuple(actions((0, "send"), (2, "send")))
         p.reset()
         assert p.log == []

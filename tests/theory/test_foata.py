@@ -119,6 +119,29 @@ class TestTraceClasses:
         assert count_trace_classes(independent_system(nprocs=2, steps=2)) == 1
         assert count_trace_classes(chain_system(3)) == 1
 
+    def test_one_run_per_interleaving(self, monkeypatch):
+        # The Foata form is read off the run that visits each schedule:
+        # N engine runs, not an enumeration plus N traced replays.
+        import repro.theory.enumerate as enumerate_module
+        from repro.theory.enumerate import count_trace_classes
+
+        runs = []
+        engine = enumerate_module.CooperativeEngine
+
+        class CountingEngine(engine):
+            def run(self, system):
+                runs.append(1)
+                return super().run(system)
+
+        monkeypatch.setattr(
+            enumerate_module, "CooperativeEngine", CountingEngine
+        )
+        system = independent_system(nprocs=2, steps=2)
+        assert count_trace_classes(system) == 1
+        traced_runs = len(runs)
+        assert enumerate_interleavings(system).interleavings == 6
+        assert traced_runs == 6
+
     def test_exchange_system_is_one_class(self):
         from repro.runtime import ProcessSpec, System
         from repro.theory.enumerate import count_trace_classes

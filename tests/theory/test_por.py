@@ -98,6 +98,13 @@ class TestReductionPower:
         assert reduced.visited == 1
         assert reduced.runs < full.interleavings
 
+    def test_three_by_three_steps_one_schedule_few_runs(self):
+        # 9!/(3!3!3!) = 1680 interleavings of one class: one leaf, and
+        # branches ended at all-asleep nodes keep the runs down too.
+        reduced = enumerate_reduced(independent_steps(3, 3))
+        assert reduced.visited == 1
+        assert reduced.runs <= 64
+
     def test_summary(self):
         text = enumerate_reduced(exchange_pair()).summary()
         assert "representative" in text
@@ -145,8 +152,9 @@ def ring(nprocs=3):
 
 class TestReductionSoundnessRingFanIn:
     """Ring and fan-in topologies: the sleep-set reduction visits the
-    exact same set of final-state fingerprints as full enumeration —
-    the soundness property the schedule explorer's pruning relies on."""
+    exact same set of final-state digests as full enumeration.  (The
+    schedule explorer uses no sleep sets; its fingerprint pruning is
+    checked in tests/explore/test_strategies.py.)"""
 
     @pytest.mark.parametrize(
         "factory", [ring, fan_in], ids=["ring3", "fanin"]
@@ -168,9 +176,9 @@ class TestReductionSoundnessRingFanIn:
         assert reduced.visited < full.interleavings
 
     def test_independent_actions_is_public(self):
-        # the predicate is shared between this enumerator and the
-        # schedule explorer's DFS (repro.explore.strategies)
+        # the predicate enumerate_reduced hands the schedule-tree walk
+        # is exported from the theory package
         from repro.theory import independent_actions
-        from repro.theory.por import _independent
+        from repro.theory.por import independent_actions as por_predicate
 
-        assert independent_actions is _independent
+        assert independent_actions is por_predicate
