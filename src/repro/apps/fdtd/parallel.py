@@ -323,13 +323,18 @@ class ParallelFDTD:
         ``engine`` is an engine instance, an engine name (one of
         :data:`repro.runtime.ENGINE_NAMES`), or
         ``None`` for the threaded default; returns the engine's
-        :class:`~repro.runtime.system.RunResult`.
+        :class:`~repro.runtime.system.RunResult`.  An engine built from
+        a name is closed before this returns.
         """
-        if engine is None or isinstance(engine, str):
-            from repro.runtime import make_engine
+        if engine is not None and not isinstance(engine, str):
+            return engine.run(self.to_parallel())
+        from repro.runtime import make_engine
 
-            engine = make_engine(engine or "threaded")
-        return engine.run(self.to_parallel())
+        made = make_engine(engine or "threaded")
+        try:
+            return made.run(self.to_parallel())
+        finally:
+            getattr(made, "close", lambda: None)()
 
     def host_fields(self, stores) -> dict[str, np.ndarray]:
         """The collected global field arrays from a finished run's

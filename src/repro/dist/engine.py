@@ -11,8 +11,8 @@ only backend on which compute-bound ranks actually run in parallel.
 This module is the one coordinator of process-backed runs.
 :func:`run_on_pool` puts one ``System`` on the workers of a
 :class:`~repro.dist.pool.WorkerPool` — the only launcher there is — and
-is what :meth:`MultiprocessEngine.run` (on a pool it keeps, or one
-scoped to the run) and :class:`~repro.dist.serve.JobServer` both call.
+is what :meth:`MultiprocessEngine.run` (on the pool it keeps) and
+:class:`~repro.dist.serve.JobServer` both call.
 Per run, it:
 
 1. places each rank's large store arrays in two shared segments of
@@ -67,7 +67,9 @@ from __future__ import annotations
 
 import multiprocessing.connection as mp_connection
 import socket
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -585,13 +587,12 @@ class MultiprocessEngine:
         remaining workers to unwind on their own (via the EOF cascade)
         before terminating them.
     pool:
-        ``False`` boots fresh workers for every run — a
-        :class:`~repro.dist.pool.WorkerPool` scoped to the run, so
-        nothing outlives it.  ``True`` lazily creates an owned pool on
-        first run, reused by every subsequent run until :meth:`close`.
-        An existing ``WorkerPool`` instance is used without being owned
-        (the caller shuts it down) and may be shared with other engines
-        and servers.
+        ``None`` (default): the engine owns a
+        :class:`~repro.dist.pool.WorkerPool`, created on the first run
+        and kept for every later one until :meth:`close`, the end of a
+        ``with`` block or the engine's collection.  An existing
+        ``WorkerPool`` is borrowed, not owned (the caller shuts it down),
+        and may be shared with other engines and servers.
 
     Attributes
     ----------
@@ -622,10 +623,12 @@ class MultiprocessEngine:
         observe=False,
         start_method: str = "spawn",
         crash_grace: float = 5.0,
-        pool=False,
+        pool: WorkerPool | None = None,
     ):
         if start_method not in ("spawn", "fork"):
             raise ValueError(f"unsupported start method {start_method!r}")
+        if not isinstance(pool, (WorkerPool, type(None))):
+            raise TypeError(f"pool must be None or a WorkerPool, not {pool!r}")
         self._start_method = start_method
         #: The per-run keywords of :func:`run_on_pool`.
         self._run_opts = dict(
@@ -634,24 +637,27 @@ class MultiprocessEngine:
             crash_grace=crash_grace,
             trace=trace,
         )
-        self._pool_opt = pool
-        self._pool = None if isinstance(pool, bool) else pool
-        self._owned_pool = None
+        self._pool = pool
+        #: Shuts down the pool this engine created; set with it.
+        self._release = None
+        self._pool_lock = threading.Lock()
         self.last_timing: dict[str, float] = {}
 
     # -- pool plumbing -------------------------------------------------------
 
     def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = self._owned_pool = WorkerPool(self._start_method)
-        return self._pool
+        with self._pool_lock:  # concurrent first runs share one pool
+            if self._pool is None:
+                self._pool = WorkerPool(self._start_method)
+                self._release = weakref.finalize(self, self._pool.shutdown)
+            return self._pool
 
     def close(self) -> None:
-        """Shut down the owned worker pool, if any.  Idempotent."""
-        if self._owned_pool is not None:
-            self._owned_pool.shutdown()
-            self._owned_pool = None
-            self._pool = None
+        """Shut down the pool this engine created, if any.  Idempotent."""
+        with self._pool_lock:
+            if self._release is not None:
+                self._release()
+                self._release = self._pool = None
 
     def __enter__(self) -> "MultiprocessEngine":
         return self
@@ -662,18 +668,13 @@ class MultiprocessEngine:
     # -- run ----------------------------------------------------------------
 
     def run(self, system: System) -> RunResult:
-        # ``is False``: an empty WorkerPool instance is falsy too.
-        scoped = self._pool_opt is False
-        pool = WorkerPool(self._start_method) if scoped else self._ensure_pool()
         timing: dict[str, float] = {}
         try:
             return run_on_pool(
-                pool,
+                self._ensure_pool(),
                 system,
                 **self._run_opts,
                 timing_sink=timing,
             )
         finally:
-            if scoped:
-                pool.shutdown()
             self.last_timing = timing

@@ -397,7 +397,9 @@ class SocketEngine:
     daemons:
         How many loopback daemons to spawn when ``hosts`` is not given
         (default 2, so even single-box runs cross a real socket between
-        two daemon processes).
+        two daemon processes).  They live from the first run to
+        :meth:`close`, the end of a ``with`` block or the engine's
+        collection.
     hosts:
         Externally started daemons to use instead:
         ``"hostA:9001,hostB:9002"`` or a list of ``(host, port)``
@@ -441,13 +443,15 @@ class SocketEngine:
         self._ndaemons = max(1, int(daemons))
         if isinstance(hosts, str):
             hosts = rendezvous.parse_hosts(hosts)
-        self._hosts: list[rendezvous.Address] | None = (
+        #: Operator-owned hosts from the start, else spawned on first use.
+        self._addrs: list[rendezvous.Address] | None = (
             [tuple(h) for h in hosts] if hosts else None
         )
         self._handshake_timeout = handshake_timeout
         self._crash_grace = crash_grace
-        self._addrs: list[rendezvous.Address] | None = None
         self._local_procs: list[Any] = []
+        #: Stops the loopback daemons this engine spawned; set with them.
+        self._release = None
         self.last_timing: dict[str, float] = {}
 
     # -- daemon plumbing -----------------------------------------------------
@@ -459,23 +463,22 @@ class SocketEngine:
         return list(self._ensure_daemons())
 
     def _ensure_daemons(self) -> list[rendezvous.Address]:
-        if self._addrs is not None:
-            return self._addrs
-        if self._hosts:
-            self._addrs = self._hosts
-            return self._addrs
-        self._addrs, self._local_procs = spawn_loopback_daemons(
-            self._ndaemons, self._handshake_timeout
-        )
+        if self._addrs is None:
+            self._addrs, self._local_procs = spawn_loopback_daemons(
+                self._ndaemons, self._handshake_timeout
+            )
+            self._release = weakref.finalize(
+                self, stop_loopback_daemons, self._addrs, self._local_procs
+            )
         return self._addrs
 
     def close(self) -> None:
         """Shut down engine-owned loopback daemons.  Idempotent; hosts
         passed in by the operator are left running."""
-        procs, self._local_procs = self._local_procs, []
-        stop_loopback_daemons(self._addrs if procs else [], procs)
-        if not self._hosts:
-            self._addrs = None
+        if self._release is not None:
+            self._release()
+            self._release = self._addrs = None
+            self._local_procs = []
 
     def __enter__(self) -> "SocketEngine":
         return self

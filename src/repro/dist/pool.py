@@ -1,8 +1,8 @@
 """The worker pool: the one launcher of rank processes.
 
-Every process-backed run on this host — a pooled engine's, an
-un-pooled engine's (a pool scoped to that one run), a served job's —
-puts its ranks on :class:`WorkerPool` workers.  A worker is a
+Every process-backed run on this host — a ``multiprocess`` engine's
+(on the pool it keeps from its first run to its close), a served
+job's — puts its ranks on :class:`WorkerPool` workers.  A worker is a
 long-lived process parked on a *control socket*;
 :func:`repro.dist.engine.run_on_pool` borrows one per rank
 (:meth:`WorkerPool.checkout`), ships each its job — body, store plan,

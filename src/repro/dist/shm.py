@@ -180,7 +180,7 @@ class SharedStoreArena:
     packs (module docstring) plus the by-value remainder;
     :meth:`readback` turns a plan back into arrays after the run.
 
-    A pooled engine keeps one arena alive across runs.  A run pack is
+    A pool keeps one arena alive across runs.  A run pack is
     *in use* from :meth:`share_store` until :meth:`readback` lends it to
     the result, and lent until the result's arrays die; the next
     :meth:`share_store` then parks it on a size-keyed free list instead

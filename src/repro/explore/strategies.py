@@ -327,10 +327,9 @@ def fault_sweep_engine(
 
     ``engine`` is an engine *name* (``"multiprocess"`` / ``"socket"``)
     or an engine instance.  Under a kill plan pass the name: the sweep
-    then builds a fresh engine per run, because a ``SIGKILL`` can take
-    the engine's worker infrastructure (a loopback daemon hosting the
-    rank) down with it — reusing one engine across kill runs is only
-    safe for engines that respawn workers per ``run()``.
+    then builds a fresh engine per run and closes it after, its one
+    release, because a ``SIGKILL`` can take the engine's workers (a
+    loopback daemon hosting the rank) down with it.
     """
     from repro.errors import ProcessFailedError
 

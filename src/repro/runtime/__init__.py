@@ -61,13 +61,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-ENGINE_NAMES = (
-    "cooperative",
-    "threaded",
-    "multiprocess",
-    "multiprocess+pool",
-    "socket",
-)
+ENGINE_NAMES = ("cooperative", "threaded", "multiprocess", "socket")
 
 
 def make_engine(name: str = "threaded", **kwargs):
@@ -75,25 +69,22 @@ def make_engine(name: str = "threaded", **kwargs):
 
     ``kwargs`` are forwarded to the engine constructor (``observe``,
     ``recv_timeout``, ...; ``start_method`` and ``pool`` for the
-    multiprocess backend).  The variant name
-    ``"multiprocess+pool"`` is shorthand for ``("multiprocess",
-    pool=True)`` — workers boot once and are reused across every
-    subsequent ``run()`` on the same engine (close with
-    ``engine.close()`` or use the engine as a context manager).
-    ``"socket"`` runs ranks in TCP-connected worker daemons — loopback
-    daemons it spawns itself by default, or external ones via
-    ``hosts="hostA:9001,hostB:9002"`` — and likewise wants a
-    ``close()`` when done.
+    multiprocess backend).  The two process engines hold workers from
+    their first ``run()`` to :meth:`close` (or the end of a ``with``
+    block, or their collection): ``"multiprocess"`` a
+    :class:`~repro.dist.pool.WorkerPool` reused by every run,
+    ``"socket"`` the worker daemons it dispatches to — loopback ones it
+    spawns itself by default, or external ones via
+    ``hosts="hostA:9001,hostB:9002"``.
     """
     if name == "threaded":
         return ThreadedEngine(**kwargs)
     if name == "cooperative":
         return CooperativeEngine(**kwargs)
+    # "multiprocess+pool": the benchmark suite's old name, until ROADMAP 1(c).
     if name in ("multiprocess", "multiprocess+pool"):
         from repro.dist.engine import MultiprocessEngine
 
-        if name.endswith("+pool"):
-            kwargs.setdefault("pool", True)
         return MultiprocessEngine(**kwargs)
     if name == "socket":
         from repro.dist.net.engine import SocketEngine

@@ -53,11 +53,11 @@ class RunResult:
     :class:`~repro.obs.report.RunReport` when the engine ran with an
     observer (``observe=True``), else ``None``.
 
-    On the process engines (``multiprocess``, ``multiprocess+pool``, a
-    ``JobServer`` job) a store's large variables are views into the
-    run's shared-memory pack rather than copies of it; they stay valid
-    after the pool shuts down, and the pack is reused only once the last
-    of them is gone — so holding N results holds N packs.
+    On a pool (a ``multiprocess`` engine's run, a ``JobServer`` job) a
+    store's large variables are views into the run's shared-memory pack
+    rather than copies of it; they stay valid after the pool shuts down,
+    and the pack is reused only once the last of them is gone — so
+    holding N results holds N packs.
     """
 
     stores: list[dict[str, Any]]
@@ -67,8 +67,8 @@ class RunResult:
     channel_bytes: dict[str, int] = field(default_factory=dict)
     channel_hwm: dict[str, int] = field(default_factory=dict)
     #: Transport-level traffic, populated by every process-backed
-    #: engine (pooled or booted multiprocess, socket): wire frames
-    #: written, bytes in those frames, and send syscalls issued, per
+    #: engine (multiprocess, socket): wire frames written, bytes in
+    #: those frames, and send syscalls issued, per
     #: channel.  In-process engines move references, so theirs are all
     #: zero — unlike ``channel_bytes`` (logical payload size), these are
     #: engine-dependent by design and excluded from equivalence checks.

@@ -153,15 +153,13 @@ class TestFailures:
     @pytest.mark.parametrize(
         "name, kwargs, runs",
         [
-            ("multiprocess", {"start_method": "fork"}, 1),
+            # Twice: the kept pool forks rank 1's replacement in run two.
+            ("multiprocess", {"start_method": "fork"}, 2),
             ("multiprocess", {"start_method": "spawn"}, 1),
-            # Twice: a kept pool forks rank 1's replacement in run two.
-            ("multiprocess+pool", {"start_method": "fork"}, 2),
             # Once: the dead rank took its whole daemon with it.
             ("socket", {"daemons": 2}, 1),
         ],
-        ids=["multiprocess-fork", "multiprocess-spawn", "multiprocess+pool",
-             "socket"],
+        ids=["multiprocess-fork", "multiprocess-spawn", "socket"],
     )
     def test_crashed_writer_fails_its_reader_promptly(self, name, kwargs, runs):
         # The writer dies without its stream's goodbye, so the blocked

@@ -174,12 +174,12 @@ def ghost_exchange_counts(counts, host):
 
 @pytest.mark.slow
 def test_batched_exchanges_identical_across_fast_paths():
-    """The batched ghost exchange, on threads and on booted and pooled
-    OS processes, must reproduce the threaded result of the *unbatched*
-    program bitwise — batching and transport are pure plumbing — in
-    exactly half the ghost-exchange messages: each phase ships two
-    footprint components per inter-rank face, batched into one message.
-    On the wire the same array frames cross behind half the headers."""
+    """The batched ghost exchange, on threads and on OS processes, must
+    reproduce the threaded result of the *unbatched* program bitwise —
+    batching and transport are pure plumbing — in exactly half the
+    ghost-exchange messages: each phase ships two footprint components
+    per inter-rank face, batched into one message.  On the wire the same
+    array frames cross behind half the headers."""
     from repro.apps.fdtd import (
         COMPONENTS,
         FDTDConfig,
@@ -223,10 +223,6 @@ def test_batched_exchanges_identical_across_fast_paths():
     variants = [
         ("threaded/batched", ThreadedEngine()),
         ("mp/batched", make_engine("multiprocess", start_method="fork")),
-        (
-            "mp/batched pooled",
-            make_engine("multiprocess+pool", start_method="fork"),
-        ),
     ]
     for label, engine in variants:
         result = engine.run(batched.to_parallel())

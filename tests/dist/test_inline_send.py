@@ -369,9 +369,9 @@ def exchange_system(steps=60, n=625):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: MultiprocessEngine(start_method="fork", pool=True),
+    lambda: MultiprocessEngine(start_method="fork"),
     lambda: SocketEngine(daemons=2),
-], ids=["multiprocess+pool", "socket"])
+], ids=["multiprocess", "socket"])
 def test_unpressured_exchange_runs_zero_feeder_threads(make):
     with make() as engine:
         for _ in range(2):

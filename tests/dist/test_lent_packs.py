@@ -199,7 +199,7 @@ def assert_closed_with_the_last_view(fds):
     assert our_dev_shm() == []
 
 
-def test_a_result_outlives_the_unpooled_engines_scoped_pool():
+def test_a_result_outlives_an_engine_dropped_while_it_is_held():
     warm_up()
     config, par = version_a()
     system = par.to_parallel()
@@ -216,7 +216,7 @@ def test_a_result_outlives_a_pooled_engine_closed_while_it_is_held():
     config, par = version_a()
     system = par.to_parallel()
     fds = open_fds()
-    engine = MultiprocessEngine(start_method="fork", pool=True)
+    engine = MultiprocessEngine(start_method="fork")
     engine.run(system)  # a dropped result: its packs go back
     result = engine.run(system)
     engine.close()

@@ -1,6 +1,8 @@
 """Cross-host transport tests: framing, feeder, rendezvous, channels,
 daemons, and the socket engine — all over real sockets on loopback."""
 
+import gc
+import multiprocessing
 import os
 import socket
 import threading
@@ -351,6 +353,19 @@ def test_socket_engine_close_stops_loopback_daemons():
     for addr in addrs:
         with pytest.raises(RendezvousTimeoutError):
             connect_retry(addr, timeout=0.2)
+
+
+def test_a_dropped_socket_engine_stops_its_loopback_daemons():
+    engine = make_engine("socket", daemons=2, handshake_timeout=10.0)
+    engine.run(stencil_ring())
+    procs = list(engine._local_procs)
+    assert len(procs) == 2 and all(p.is_alive() for p in procs)
+    del engine  # never closed
+    gc.collect()
+    assert not any(p.is_alive() for p in procs)
+    assert not {p.pid for p in procs} & {
+        c.pid for c in multiprocessing.active_children()
+    }
 
 
 def test_socket_engine_surfaces_killed_daemon():

@@ -229,11 +229,10 @@ class TestSplitExchangeStages:
         [
             ThreadedEngine,
             lambda: CooperativeEngine(RandomPolicy(3)),
-            lambda: make_engine("multiprocess", start_method="fork"),
-            # pooled workers receive the body by pickling — the stage
+            # pool workers receive the body by pickling — the stage
             # bookkeeping must survive the round trip (regression test:
             # identity-keyed maps do not)
-            lambda: make_engine("multiprocess+pool", start_method="fork"),
+            lambda: make_engine("multiprocess", start_method="fork"),
         ],
     )
     def test_parallel_split_matches_simulated(self, engine_factory):
@@ -332,11 +331,11 @@ class TestOverlapEngineMatrix:
             self._reference(config),
         )
 
-    def test_multiprocess_pool(self):
+    def test_multiprocess(self):
         config = small_config(steps=4)
         par = build_parallel_fdtd(config, (2, 1, 1), version="A", overlap=True)
         self._check(
-            make_engine("multiprocess+pool", start_method="fork"),
+            make_engine("multiprocess", start_method="fork"),
             par,
             self._reference(config),
         )

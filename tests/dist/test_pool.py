@@ -6,6 +6,8 @@ every pooled run must be bitwise identical to a fresh-engine run, across
 repeated dispatches, worker crashes, and system-shape changes.
 """
 
+import gc
+import multiprocessing
 import os
 import signal
 
@@ -16,7 +18,8 @@ from repro.dist.engine import MultiprocessEngine, WorkerCrashError
 from repro.dist.pool import WorkerPool
 from repro.dist.shm import live_segment_names
 from repro.errors import ProcessFailedError
-from repro.runtime import ProcessSpec, System, make_engine
+from repro.cli import main
+from repro.runtime import ENGINE_NAMES, ProcessSpec, System, make_engine
 from repro.util import bitwise_equal_arrays
 
 
@@ -53,14 +56,15 @@ def run_pair_equal(res_a, res_b):
 
 class TestPooledRuns:
     def test_three_pooled_runs_bitwise_identical_to_fresh(self):
-        fresh = MultiprocessEngine(start_method="fork").run(exchange_system())
-        with MultiprocessEngine(start_method="fork", pool=True) as engine:
+        with MultiprocessEngine(start_method="fork") as engine:
+            fresh = engine.run(exchange_system())
+        with MultiprocessEngine(start_method="fork") as engine:
             for _ in range(3):
                 run_pair_equal(engine.run(exchange_system()), fresh)
             assert engine._pool.spawned == 2  # booted once, reused twice
 
     def test_pool_grows_across_system_shapes(self):
-        with MultiprocessEngine(start_method="fork", pool=True) as engine:
+        with MultiprocessEngine(start_method="fork") as engine:
             small = engine.run(exchange_system(nprocs=2))
             big = engine.run(exchange_system(nprocs=4))
             assert len(engine._pool) == 4
@@ -68,18 +72,9 @@ class TestPooledRuns:
             run_pair_equal(small, again)
             assert len(big.returns) == 4
 
-    def test_make_engine_pool_variant(self):
-        engine = make_engine("multiprocess+pool", start_method="fork")
-        try:
-            assert engine._pool_opt is True
-            result = engine.run(exchange_system())
-            assert len(result.returns) == 2
-        finally:
-            engine.close()
-
     @pytest.mark.slow
     def test_pool_under_spawn(self):
-        with MultiprocessEngine(start_method="spawn", pool=True) as engine:
+        with MultiprocessEngine(start_method="spawn") as engine:
             first = engine.run(exchange_system())
             second = engine.run(exchange_system())
             run_pair_equal(first, second)
@@ -98,7 +93,7 @@ class TestCrashRecovery:
             system.add_channel(f"r{r}", r, (r + 1) % 2)
 
         with MultiprocessEngine(
-            start_method="fork", pool=True, crash_grace=2.0
+            start_method="fork", crash_grace=2.0
         ) as engine:
             good = engine.run(exchange_system())
             with pytest.raises(ProcessFailedError):
@@ -109,7 +104,7 @@ class TestCrashRecovery:
             assert engine._pool.spawned == 3
 
     def test_worker_killed_between_ensure_and_dispatch(self):
-        with MultiprocessEngine(start_method="fork", pool=True) as engine:
+        with MultiprocessEngine(start_method="fork") as engine:
             good = engine.run(exchange_system())
             pool = engine._pool
             real_checkout = pool.checkout
@@ -139,7 +134,7 @@ class TestCrashRecovery:
             raise ValueError("body failure")
 
         bad = System([ProcessSpec(r, raiser) for r in range(2)])
-        with MultiprocessEngine(start_method="fork", pool=True) as engine:
+        with MultiprocessEngine(start_method="fork") as engine:
             good = engine.run(exchange_system())
             with pytest.raises(ProcessFailedError):
                 engine.run(bad)
@@ -151,7 +146,7 @@ class TestCrashRecovery:
 
 class TestShmHygiene:
     def test_no_segment_leaks_after_pool_shutdown(self):
-        engine = MultiprocessEngine(start_method="fork", pool=True)
+        engine = MultiprocessEngine(start_method="fork")
         for _ in range(3):
             engine.run(exchange_system())
         assert live_segment_names() != frozenset()  # recycled, still owned
@@ -159,18 +154,88 @@ class TestShmHygiene:
         assert live_segment_names() == frozenset()
 
     def test_segments_recycled_between_runs(self):
-        with MultiprocessEngine(start_method="fork", pool=True) as engine:
+        with MultiprocessEngine(start_method="fork") as engine:
             engine.run(exchange_system())
             before = engine._pool.arena.recycled
             engine.run(exchange_system())  # same shapes: all reused
             assert engine._pool.arena.recycled > before
 
     def test_close_is_idempotent(self):
-        engine = MultiprocessEngine(start_method="fork", pool=True)
+        engine = MultiprocessEngine(start_method="fork")
         engine.run(exchange_system())
         engine.close()
         engine.close()
         assert live_segment_names() == frozenset()
+
+
+def child_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+class TestOneLifecycle:
+    """The engine builds its pool on the first run, keeps it for every
+    later one, and releases it on close or when it is collected."""
+
+    def test_two_runs_on_a_named_engine_start_workers_once(self):
+        engine = make_engine("multiprocess", start_method="fork")
+        try:
+            first = engine.run(exchange_system())
+            spawned = engine._pool.spawned
+            assert spawned == 2
+            run_pair_equal(engine.run(exchange_system()), first)
+            assert engine._pool.spawned == spawned
+        finally:
+            engine.close()
+
+    def test_a_dropped_engine_leaves_no_worker_and_no_segment(self):
+        before = child_pids()
+        engine = MultiprocessEngine(start_method="fork")
+        engine.run(exchange_system())
+        workers = [s.proc for s in engine._pool._slots]
+        assert len(workers) == 2 and all(p.is_alive() for p in workers)
+        assert live_segment_names() != frozenset()
+        del engine  # never closed
+        gc.collect()
+        assert not any(p.is_alive() for p in workers)
+        assert child_pids() == before
+        assert live_segment_names() == frozenset()
+
+    def test_a_borrowed_pool_outlives_the_engine(self):
+        with WorkerPool("fork") as pool:
+            engine = MultiprocessEngine(pool=pool)
+            engine.run(exchange_system())
+            engine.close()
+            del engine
+            gc.collect()
+            assert not pool.closed and len(pool) == 2
+
+    @pytest.mark.parametrize("pool", [True, False])
+    def test_a_bool_pool_is_rejected(self, pool):
+        with pytest.raises(TypeError):
+            MultiprocessEngine(pool=pool)
+
+    def test_the_suites_old_name_is_a_spelling_of_multiprocess(self, capsys):
+        assert "multiprocess+pool" not in ENGINE_NAMES
+        engine = make_engine("multiprocess+pool", start_method="fork")
+        try:
+            assert type(engine) is MultiprocessEngine
+            assert len(engine.run(exchange_system()).returns) == 2
+        finally:
+            engine.close()
+        assert main(["e1", "--engine", "multiprocess+pool"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_run_parallel_by_name_leaks_nothing(self, name):
+        from repro.apps.fdtd import build_parallel_fdtd
+        from repro.cli import _e1_problem
+
+        par = build_parallel_fdtd(pshape=(2, 1, 1), **_e1_problem())
+        before = child_pids(), live_segment_names()
+        for _ in range(2):
+            assert len(par.run_parallel(name).stores) == 3
+            gc.collect()
+            assert (child_pids(), live_segment_names()) == before
 
 
 class TestWorkerPoolDirect:

@@ -86,9 +86,7 @@ class _Submitting:
 
 
 FRONT_ENDS = {
-    "multiprocess+pool": lambda: MultiprocessEngine(
-        start_method="fork", pool=True
-    ),
+    "multiprocess": lambda: MultiprocessEngine(start_method="fork"),
     "jobserver": lambda: _Submitting(JobServer(pool_size=2)),
     "socket": lambda: SocketEngine(daemons=2),
     "fleet": lambda: _Submitting(
@@ -112,7 +110,7 @@ def test_two_runs_of_one_system_pickle_each_body_once(front_end, body_dumps):
 
 def test_rebinding_a_body_repickles_that_rank_only(body_dumps):
     system = exchange_system(scale=2.0)
-    with MultiprocessEngine(start_method="fork", pool=True) as engine:
+    with MultiprocessEngine(start_method="fork") as engine:
         before = engine.run(system)
         old = system.processes[0].body
         system.processes[0].body = make_body(10.0)

@@ -573,10 +573,10 @@ def test_a_coordinator_answering_need_wrongly_fails_the_rank_only(answer):
 @pytest.mark.parametrize(
     "name,options",
     [
-        ("multiprocess+pool", {"start_method": "fork"}),
+        ("multiprocess", {"start_method": "fork"}),
         ("socket", {"daemons": 2}),
     ],
-    ids=["pool", "socket"],
+    ids=["multiprocess", "socket"],
 )
 @pytest.mark.parametrize("n", [8, 64], ids=["by-value", "packed"])
 def test_a_rebound_constant_comes_home_as_an_override(name, options, n):

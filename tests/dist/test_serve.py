@@ -180,7 +180,7 @@ class TestServing:
             with pytest.raises(ProcessFailedError) as failure:
                 server.submit(system).result(timeout=60)
             failures.append(failure.value)
-        engine = make_engine("multiprocess+pool", start_method="fork")
+        engine = make_engine("multiprocess", start_method="fork")
         try:
             with pytest.raises(ProcessFailedError) as failure:
                 engine.run(system)

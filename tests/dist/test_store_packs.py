@@ -397,7 +397,6 @@ ENGINES = [
     ("cooperative", {}),
     ("threaded", {}),
     ("multiprocess", {"start_method": "fork"}),
-    ("multiprocess+pool", {"start_method": "fork"}),
     ("socket", {"daemons": 2}),
 ]
 

@@ -63,7 +63,7 @@ def test_pooled_runs_and_serving_start_no_resource_sharer(start_method):
         resource_sharer.stop(timeout=5.0)
     assert not sharer_running()
     fresh = MultiprocessEngine(start_method="fork").run(exchange_system())
-    with MultiprocessEngine(start_method=start_method, pool=True) as engine:
+    with MultiprocessEngine(start_method=start_method) as engine:
         for _ in range(50):
             result = engine.run(exchange_system())
         run_pair_equal(result, fresh)
@@ -86,7 +86,7 @@ def fd_count(pid):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_fd_counts_identical_after_run_5_and_run_200():
     system = exchange_system()
-    with MultiprocessEngine(start_method="fork", pool=True) as engine:
+    with MultiprocessEngine(start_method="fork") as engine:
         for _ in range(5):
             engine.run(system)
         pids = [os.getpid()] + [s.proc.pid for s in engine._pool._slots]
@@ -162,7 +162,7 @@ def scaling_system(scales=(2.0, 3.0)):
 def test_body_unpickled_once_per_worker_and_again_when_rebound(image_loads):
     system = scaling_system()
     reference = ThreadedEngine().run(system)
-    with MultiprocessEngine(start_method="fork", pool=True) as engine:
+    with MultiprocessEngine(start_method="fork") as engine:
         for _ in range(10):
             run_pair_equal(engine.run(system), reference)
         workers = sorted(s.proc.pid for s in engine._pool._slots)
@@ -186,7 +186,7 @@ def test_images_stay_resident_across_runs_of_different_widths(image_loads):
     # ranks 0 and 1 land on the workers that already hold their bodies.
     system = scaling_system()
     reference = ThreadedEngine().run(system)
-    with MultiprocessEngine(start_method="fork", pool=True) as engine:
+    with MultiprocessEngine(start_method="fork") as engine:
         engine.run(exchange_system(nprocs=3))
         for _ in range(5):
             run_pair_equal(engine.run(system), reference)
@@ -200,7 +200,7 @@ def test_raising_body_is_dropped_and_next_run_identical(image_loads):
     system = scaling_system()
     reference = ThreadedEngine().run(system)
     digests = [digest_of(i) for i in closures.body_images(system)]
-    with MultiprocessEngine(start_method="fork", pool=True) as engine:
+    with MultiprocessEngine(start_method="fork") as engine:
         run_pair_equal(engine.run(system), reference)
         system.processes[0].store["boom"] = True
         with pytest.raises(ProcessFailedError, match="asked to fail"):
@@ -383,7 +383,7 @@ def test_sigkill_with_fds_in_flight_releases_them():
 
 def test_run_with_worker_killed_before_it_reads_its_job():
     with MultiprocessEngine(
-        start_method="fork", pool=True, crash_grace=2.0
+        start_method="fork", crash_grace=2.0
     ) as engine:
         good = engine.run(exchange_system())
         pool = engine._pool
@@ -454,7 +454,7 @@ def test_rank_with_more_than_253_channel_ends_dispatches():
     system = System([ProcessSpec(r, body) for r in range(2)])
     for i in range(nchan):
         system.add_channel(f"c{i}", 0, 1)
-    with MultiprocessEngine(start_method="fork", pool=True) as engine:
+    with MultiprocessEngine(start_method="fork") as engine:
         for _ in range(2):
             result = engine.run(system)
             assert result.returns == [0.0, float(sum(range(nchan)))]
