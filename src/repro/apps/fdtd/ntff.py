@@ -57,9 +57,15 @@ _NORMALS = {
     (2, 1): np.array([0.0, 0.0, 1.0]),
 }
 
+#: The field components an accumulator reads, H then E.
+_FIELDS = ("hx", "hy", "hz", "ex", "ey", "ez")
+
 #: Fixed face traversal order (axis, side) — part of the summation-order
 #: contract between sequential and parallel versions.
 FACE_ORDER = [(0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)]
+
+#: Unit normal of each face in FACE_ORDER.
+_FACE_NORMALS = np.array([_NORMALS[face] for face in FACE_ORDER])
 
 
 def default_directions() -> np.ndarray:
@@ -110,10 +116,11 @@ class NTFFAccumulator:
         ``(decomposition, rank)`` to keep only the surface nodes the
         rank owns — the per-process accumulator of the parallelized
         far-field calculation.
-    index_offset:
-        Per-axis offset added to global node indices to address the
-        caller's arrays: ``(0, 0, 0)`` for global arrays; for a ghosted
-        local array, ``ghost - owned_start`` per axis.
+
+    Under ``restrict`` the field arrays are the rank's ghosted local
+    arrays: global node indices are shifted by ``ghost - owned_start``
+    per axis and the gather addresses ``decomp.local_shape(rank)``
+    instead of ``grid.node_shape`` (``self.shape`` either way).
     """
 
     def __init__(
@@ -122,7 +129,6 @@ class NTFFAccumulator:
         config: NTFFConfig,
         steps: int,
         restrict: tuple[BlockDecomposition, int] | None = None,
-        dtype=np.float64,
     ):
         self.grid = grid
         self.config = config
@@ -137,13 +143,14 @@ class NTFFAccumulator:
         if restrict is None:
             owned = [(0, n + 1) for n in grid.shape]
             offset = np.zeros(3, dtype=np.int64)
+            self.shape = tuple(grid.node_shape)
         else:
             decomp, rank = restrict
             owned = decomp.owned_bounds(rank)
             offset = np.array(
                 [decomp.ghost - a for (a, b) in owned], dtype=np.int64
             )
-        self._offset = offset
+            self.shape = tuple(decomp.local_shape(rank))
 
         # Global delay range must be identical on every rank, so compute
         # it from the full surface regardless of restriction.
@@ -152,10 +159,18 @@ class NTFFAccumulator:
         self._max_delay = self._global_max_delay(bounds, center, spacing)
         self.nbins = steps + 2 * self._max_delay
 
-        # Precompute, per face: node index arrays (flattened C-order),
-        # per-direction delay bins, area element, normal.
-        self._faces: list[dict] = []
-        for axis, side in FACE_ORDER:
+        # Per face: node indices (C-order) and per-direction delay bins;
+        # then all faces concatenated in FACE_ORDER, so one flat point
+        # axis carries the traversal order (seeded empty: a rank may own
+        # no surface point).  Each point remembers its face for the
+        # normal and the area element.
+        idxs = [np.empty((0, 3), np.int64)]
+        delays = [np.empty((ndirs, 0), np.int64)]
+        faces = [np.empty(0, np.int8)]
+        face_dA = []
+        for face, (axis, side) in enumerate(FACE_ORDER):
+            transverse = [a for a in range(3) if a != axis]
+            face_dA.append(spacing[transverse[0]] * spacing[transverse[1]])
             plane = bounds[axis][0] if side == -1 else bounds[axis][1]
             ranges = []
             for a in range(3):
@@ -182,29 +197,37 @@ class NTFFAccumulator:
             if idx.shape[0] == 0:
                 continue
             phys = (idx - center) * spacing  # (npoints, 3)
-            delays = np.empty((ndirs, idx.shape[0]), dtype=np.int64)
+            face_delays = np.empty((ndirs, idx.shape[0]), dtype=np.int64)
             for d, rhat in enumerate(self.directions):
-                delays[d] = np.rint(
+                face_delays[d] = np.rint(
                     (phys @ rhat) / (C0 * grid.dt)
                 ).astype(np.int64)
-            delays += self._max_delay  # shift to non-negative bins
-            transverse = [a for a in range(3) if a != axis]
-            dA = spacing[transverse[0]] * spacing[transverse[1]]
-            self._faces.append(
-                {
-                    "axis": axis,
-                    "side": side,
-                    "normal": _NORMALS[(axis, side)],
-                    "idx": idx,
-                    "delays": delays,
-                    "dA": dA,
-                }
-            )
+            idxs.append(idx)
+            delays.append(face_delays + self._max_delay)  # non-negative
+            faces.append(np.full(len(idx), face, np.int8))
+
+        idx = np.concatenate(idxs)
+        #: surface points this accumulator integrates
+        self.npoints = idx.shape[0]
+        #: linear index of every surface point into an array of ``shape``
+        self._gather = np.ravel_multi_index(tuple((idx + offset).T), self.shape)
+        #: per-point face, as an index into FACE_ORDER
+        self._face = np.concatenate(faces)
+        #: area element of each face in FACE_ORDER
+        self._face_dA = np.array(face_dA)
+        #: per-direction, per-point delay bin (ndirs, npoints)
+        self._delays = np.concatenate(delays, axis=1)
+        self._work: tuple | None = None  # see _work_arrays
 
         #: radiation vector potential from J = n x H
-        self.A = np.zeros((ndirs, self.nbins, 3), dtype=dtype)
+        self.A = np.zeros((ndirs, self.nbins, 3))
         #: radiation vector potential from M = -n x E
-        self.F = np.zeros((ndirs, self.nbins, 3), dtype=dtype)
+        self.F = np.zeros((ndirs, self.nbins, 3))
+
+    def __getstate__(self):
+        # The work arrays are pure cache: an accumulator captured in a
+        # process body crosses to a worker without them.
+        return {**self.__dict__, "_work": None}
 
     def _global_max_delay(self, bounds, center, spacing) -> int:
         corners = np.array(
@@ -220,19 +243,13 @@ class NTFFAccumulator:
         worst = np.max(np.abs(phys @ self.directions.T))
         return int(np.rint(worst / (C0 * self.grid.dt))) + 1
 
-    @property
-    def npoints(self) -> int:
-        """Surface points this accumulator integrates."""
-        return sum(f["idx"].shape[0] for f in self._faces)
-
     # -- accumulation ----------------------------------------------------------
 
     def accumulate(self, arrays, step: int) -> None:
         """Add step ``step``'s surface contributions (the inner sum of
         the double sum) into this accumulator's own ``A``/``F``.
 
-        ``arrays`` maps component names to (global or local) arrays;
-        local indices are formed with the configured offset.
+        ``arrays`` maps component names to arrays of ``self.shape``.
         """
         self.accumulate_into(arrays, step, self.A, self.F)
 
@@ -245,33 +262,71 @@ class NTFFAccumulator:
         potentials live in the process *store* (so that each run of the
         transformed system starts from a fresh zero state and the final
         reduction is an ordinary archetype reduction over store
-        variables).
+        variables).  ``A`` and ``F`` may be any views of shape
+        ``(ndirs, nbins, 3)``; the sums land in them.
         """
-        off = self._offset
-        for face in self._faces:
-            idx = face["idx"]
-            i = idx[:, 0] + off[0]
-            j = idx[:, 1] + off[1]
-            k = idx[:, 2] + off[2]
-            h = np.stack(
-                [arrays["hx"][i, j, k], arrays["hy"][i, j, k], arrays["hz"][i, j, k]],
-                axis=1,
+        potential_shape = (len(self.directions), self.nbins, 3)
+        if A.shape != potential_shape or F.shape != potential_shape:
+            raise GeometryError(
+                f"NTFF potentials have shapes {A.shape} and {F.shape}, "
+                f"expected {potential_shape}"
             )
-            e = np.stack(
-                [arrays["ex"][i, j, k], arrays["ey"][i, j, k], arrays["ez"][i, j, k]],
-                axis=1,
+        fields = [arrays[c] for c in _FIELDS]
+        if any(f.shape != self.shape for f in fields):
+            raise GeometryError(
+                f"NTFF fields have shapes {[f.shape for f in fields]}, the "
+                f"accumulator gathers from arrays of shape {self.shape}"
             )
-            n = face["normal"]
-            J = np.cross(np.broadcast_to(n, h.shape), h) * face["dA"]
-            M = -np.cross(np.broadcast_to(n, e.shape), e) * face["dA"]
-            for d in range(len(self.directions)):
-                bins = step + face["delays"][d]
-                # np.add.at applies duplicates in element order: the
-                # traversal order is part of the summation-order
-                # contract (see module docstring).
-                for c in range(3):
-                    np.add.at(A[d, :, c], bins, J[:, c])
-                    np.add.at(F[d, :, c], bins, M[:, c])
+        scatter, dA, na, nb, gathered, lhs, rhs, values = self._work_arrays()
+        np.stack([f.take(self._gather) for f in fields], out=gathered)
+        # np.cross's elementwise arithmetic for every point at once, v = H
+        # then E: (n x v)_c = n_{c+1} v_{c+2} - n_{c+2} v_{c+1}.  The roll
+        # indices are in range; mode="clip" skips take's buffered ``out``.
+        v = gathered.reshape(2, 3, self.npoints)
+        np.take(v, [2, 0, 1], axis=1, out=lhs, mode="clip")
+        np.take(v, [1, 2, 0], axis=1, out=rhs, mode="clip")
+        np.multiply(na, lhs, out=lhs)
+        np.multiply(nb, rhs, out=rhs)
+        np.subtract(lhs, rhs, out=lhs)
+        np.negative(lhs[1], out=lhs[1])  # J = n x H, M = -n x E
+        # One copy of the currents times dA per direction, J then M.
+        np.multiply(lhs[0], dA, out=values)
+        _scatter_add(A, 3 * step, scatter, values.reshape(-1))
+        np.multiply(lhs[1], dA, out=values)
+        _scatter_add(F, 3 * step, scatter, values.reshape(-1))
+        if step == self.steps - 1:
+            self._work = None  # a finished run keeps no work arrays
+
+    def _work_arrays(self) -> tuple:
+        """The scatter index, the per-point area element and rolled
+        normals, and the per-step buffers, built on first use.
+
+        The scatter index addresses a flat ``(ndirs, nbins, 3)`` potential
+        at ``(d * nbins + delay) * 3 + c`` for step 0, laid out
+        (direction, component, point), so each ``(d, bin, c)`` meets its
+        addends in point order; step ``n`` shifts the flat potential by
+        ``3 * n``.  The buffers are fully overwritten every step, so one
+        accumulator must not be run by two threads at once (each rank
+        has its own).  They live from a run's first step to its last
+        (``steps - 1``): an idle accumulator, kept between runs or
+        resident in a worker, holds none.
+        """
+        if self._work is None:
+            ndirs, n = self._delays.shape
+            bins = (np.arange(ndirs)[:, None] * self.nbins + self._delays) * 3
+            scatter = (bins[:, None, :] + np.arange(3)[:, None]).ravel()
+            normals = _FACE_NORMALS[self._face].T  # (3, npoints)
+            self._work = (
+                scatter,
+                self._face_dA[self._face],
+                normals[[1, 2, 0]],
+                normals[[2, 0, 1]],
+                np.empty((6, n)),
+                np.empty((2, 3, n)),
+                np.empty((2, 3, n)),
+                np.empty((ndirs, 3, n)),
+            )
+        return self._work
 
     # -- results ---------------------------------------------------------------
 
@@ -282,3 +337,19 @@ class NTFFAccumulator:
     def reset(self) -> None:
         self.A[...] = 0.0
         self.F[...] = 0.0
+
+
+def _scatter_add(target: np.ndarray, shift: int, index, values) -> None:
+    """``np.add.at`` on ``target`` seen flat and shifted by ``shift``.
+
+    ``np.add.at`` applies duplicate indices in element order, so each
+    bin receives its addends in point order — face by face, C-order
+    within a face — the summation-order contract of the module
+    docstring.  A flat view is the fast 1-D path; when ``target``'s
+    strides allow none, ``reshape`` copies and the sums are written
+    back, never left in the copy.
+    """
+    flat = target.reshape(-1)
+    np.add.at(flat[shift:], index, values)
+    if not np.may_share_memory(flat, target):
+        target[...] = flat.reshape(target.shape)

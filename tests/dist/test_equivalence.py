@@ -158,6 +158,56 @@ def test_version_a_fdtd_identical_across_engines():
             assert bitwise_equal_arrays(fields[c], reference[c]), (label, c)
 
 
+@pytest.mark.slow
+def test_version_c_fdtd_identical_across_engines():
+    """Version C adds the far field: every rank scatters its surface
+    currents into store potentials each H phase, and the host reduces
+    them in rank order.  Near fields must match the threaded run and the
+    reduced potentials the simulated-parallel run, bit for bit, on every
+    engine — the process and socket engines run the accumulators from
+    their shipped program images."""
+    from repro.apps.fdtd import (
+        COMPONENTS,
+        FDTDConfig,
+        GaussianPulse,
+        NTFFConfig,
+        PointSource,
+        YeeGrid,
+        build_parallel_fdtd,
+    )
+
+    shape = (12, 9, 9)
+    config = FDTDConfig(
+        grid=YeeGrid(shape=shape),
+        steps=5,
+        sources=[
+            PointSource(
+                "ez",
+                tuple(s // 2 for s in shape),
+                GaussianPulse(delay=3, spread=2),
+            )
+        ],
+    )
+    par = build_parallel_fdtd(
+        config, (2, 1, 1), version="C", ntff=NTFFConfig(gap=3)
+    )
+    sim_A, sim_F = par.host_potentials(par.run_simulated())
+    assert sim_A.any() and sim_F.any()
+    reference = par.host_fields(ThreadedEngine().run(par.to_parallel()).stores)
+    for label, make in ENGINES:
+        engine = make()
+        try:
+            stores = engine.run(par.to_parallel()).stores
+        finally:
+            getattr(engine, "close", lambda: None)()
+        fields = par.host_fields(stores)
+        for c in COMPONENTS:
+            assert bitwise_equal_arrays(fields[c], reference[c]), (label, c)
+        A, F = par.host_potentials(stores)
+        assert bitwise_equal_arrays(A, sim_A), (label, "ffA_total")
+        assert bitwise_equal_arrays(F, sim_F), (label, "ffF_total")
+
+
 def ghost_exchange_counts(counts, host):
     """Sum of ``counts`` over rank-to-rank ``dx_{src}_{dst}`` channels.
     The transform also routes the end-of-run collect over ``dx_*``

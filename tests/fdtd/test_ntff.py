@@ -162,3 +162,232 @@ class TestRestrictedAccumulators:
         assert len({a.nbins for a in accs}) == 1
         full = NTFFAccumulator(grid, config, steps=3)
         assert accs[0].nbins == full.nbins
+
+
+# -- oracle: the per-face loop the batched accumulator replaced ---------------
+
+
+def per_face_reference(grid, config, steps, restrict, field_steps):
+    """The per-face, per-direction, per-component accumulation as the
+    accumulator did it before it was batched: face geometry built face
+    by face in ``FACE_ORDER``, 18 ``np.add.at`` calls per face and step.
+    ``field_steps`` is a list of ``(step, arrays)``; returns ``(A, F,
+    faces)``."""
+    from repro.apps.fdtd.constants import C0
+    from repro.apps.fdtd.ntff import _NORMALS, FACE_ORDER
+
+    directions = np.asarray(config.directions, dtype=np.float64)
+    ndirs = len(directions)
+    bounds = config.surface_bounds(grid)
+    center = np.array([(lo + hi) / 2.0 for lo, hi in bounds])
+    spacing = np.asarray(grid.spacing)
+    if restrict is None:
+        owned = [(0, n + 1) for n in grid.shape]
+        off = np.zeros(3, dtype=np.int64)
+    else:
+        decomp, rank = restrict
+        owned = decomp.owned_bounds(rank)
+        off = np.array([decomp.ghost - a for (a, b) in owned], dtype=np.int64)
+    max_delay = NTFFAccumulator(grid, config, steps)._max_delay
+    nbins = steps + 2 * max_delay
+
+    faces = []
+    for axis, side in FACE_ORDER:
+        plane = bounds[axis][0] if side == -1 else bounds[axis][1]
+        ranges = []
+        for a in range(3):
+            if a == axis:
+                ranges.append(np.array([plane]))
+            else:
+                lo, hi = bounds[a]
+                lo = max(lo, owned[a][0])
+                hi = min(hi, owned[a][1] - 1)
+                if lo > hi:
+                    ranges = None
+                    break
+                ranges.append(np.arange(lo, hi + 1))
+        if ranges is None:
+            continue
+        if restrict is not None and not (owned[axis][0] <= plane < owned[axis][1]):
+            continue
+        ii, jj, kk = np.meshgrid(*ranges, indexing="ij")
+        idx = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
+        if idx.shape[0] == 0:
+            continue
+        phys = (idx - center) * spacing
+        delays = np.empty((ndirs, idx.shape[0]), dtype=np.int64)
+        for d, rhat in enumerate(directions):
+            delays[d] = np.rint((phys @ rhat) / (C0 * grid.dt)).astype(np.int64)
+        delays += max_delay
+        transverse = [a for a in range(3) if a != axis]
+        faces.append(
+            {
+                "axis": axis,
+                "normal": _NORMALS[(axis, side)],
+                "idx": idx,
+                "delays": delays,
+                "dA": spacing[transverse[0]] * spacing[transverse[1]],
+            }
+        )
+
+    A = np.zeros((ndirs, nbins, 3))
+    F = np.zeros((ndirs, nbins, 3))
+    for step, arrays in field_steps:
+        for face in faces:
+            idx = face["idx"]
+            i, j, k = idx[:, 0] + off[0], idx[:, 1] + off[1], idx[:, 2] + off[2]
+            h = np.stack(
+                [arrays["hx"][i, j, k], arrays["hy"][i, j, k], arrays["hz"][i, j, k]],
+                axis=1,
+            )
+            e = np.stack(
+                [arrays["ex"][i, j, k], arrays["ey"][i, j, k], arrays["ez"][i, j, k]],
+                axis=1,
+            )
+            n = face["normal"]
+            J = np.cross(np.broadcast_to(n, h.shape), h) * face["dA"]
+            M = -np.cross(np.broadcast_to(n, e.shape), e) * face["dA"]
+            for d in range(ndirs):
+                bins = step + face["delays"][d]
+                for c in range(3):
+                    np.add.at(A[d, :, c], bins, J[:, c])
+                    np.add.at(F[d, :, c], bins, M[:, c])
+    return A, F, faces
+
+
+ORACLE_SHAPE = (12, 11, 10)
+ORACLE_STEPS = 9
+FIRST_STEP = 3  # a nonzero start: bins are shifted by the step
+
+
+def random_steps(shape, seed, nsteps=5):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            FIRST_STEP + s,
+            {c: rng.normal(size=shape) for c in ("ex", "ey", "ez", "hx", "hy", "hz")},
+        )
+        for s in range(nsteps)
+    ]
+
+
+def restrictions():
+    grid = make_grid(ORACLE_SHAPE)
+    cases = [("full", None)]
+    for pshape in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (6, 1, 1)]:
+        decomp = BlockDecomposition(grid.node_shape, pshape, ghost=1)
+        cases += [
+            (f"{'x'.join(map(str, pshape))}-rank{r}", (decomp, r))
+            for r in range(decomp.nprocs)
+        ]
+    return cases
+
+
+class TestBatchedAccumulationOracle:
+    """The batched scatter-add must reproduce the per-face loop bit for
+    bit: ``np.add.at`` applies duplicates in element order, and the
+    concatenated faces hand every bin its addends in the loop's order."""
+
+    @pytest.mark.parametrize(
+        "restrict", [r for _, r in restrictions()], ids=[n for n, _ in restrictions()]
+    )
+    def test_bitwise_equal_to_per_face_loop(self, restrict):
+        from repro.util import bitwise_equal_arrays
+
+        grid = make_grid(ORACLE_SHAPE)
+        config = NTFFConfig(gap=3)
+        acc = NTFFAccumulator(grid, config, ORACLE_STEPS, restrict=restrict)
+        steps = random_steps(acc.shape, seed=17)
+        ref_A, ref_F, faces = per_face_reference(
+            grid, config, ORACLE_STEPS, restrict, steps
+        )
+        for step, arrays in steps:
+            acc.accumulate(arrays, step)
+        assert bitwise_equal_arrays(acc.A, ref_A)
+        assert bitwise_equal_arrays(acc.F, ref_F)
+        assert acc.npoints == sum(f["idx"].shape[0] for f in faces)
+        if acc.npoints == 0:  # a rank owning no surface point: a no-op
+            assert not acc.A.any() and not acc.F.any()
+        else:
+            assert acc.A.any() and acc.F.any()
+
+    def test_cases_cover_the_hard_orders(self):
+        # The default directions include +x: on an x face every point
+        # lands in one bin, so a whole face's addends are duplicates.
+        assert default_directions()[0].tolist() == [1.0, 0.0, 0.0]
+        grid = make_grid(ORACLE_SHAPE)
+        _, _, faces = per_face_reference(grid, NTFFConfig(gap=3), 1, None, [])
+        x_faces = [f for f in faces if f["axis"] == 0]
+        assert len(x_faces) == 2
+        for face in x_faces:
+            assert len(set(face["delays"][0].tolist())) == 1
+            assert face["idx"].shape[0] > 1
+        # (6,1,1) leaves ranks with no surface point at all.
+        empty = [r for name, r in restrictions() if name.startswith("6x1x1")]
+        assert any(
+            NTFFAccumulator(grid, NTFFConfig(gap=3), 1, restrict=r).npoints == 0
+            for r in empty
+        )
+
+    def test_strided_potentials_receive_the_sums(self):
+        from repro.util import bitwise_equal_arrays
+
+        grid = make_grid(ORACLE_SHAPE)
+        config = NTFFConfig(gap=3)
+        acc = NTFFAccumulator(grid, config, ORACLE_STEPS)
+        steps = random_steps(acc.shape, seed=23)
+        ref_A, ref_F, _ = per_face_reference(grid, config, ORACLE_STEPS, None, steps)
+        # A window of bins in a longer array: no flat view exists.
+        big_A = np.zeros((ref_A.shape[0], ref_A.shape[1] + 2, 3))
+        A = big_A[:, 1:-1]
+        assert not np.shares_memory(A.reshape(-1), A)
+        # A leading-axis slice of a larger array: a flat view with an offset.
+        big_F = np.zeros((ref_F.shape[0] + 2,) + ref_F.shape[1:])
+        F = big_F[1:-1]
+        for step, arrays in steps:
+            acc.accumulate_into(arrays, step, A, F)
+        assert bitwise_equal_arrays(A, ref_A)
+        assert bitwise_equal_arrays(F, ref_F)
+        assert not big_A[:, 0].any() and not big_A[:, -1].any()
+        assert not big_F[0].any() and not big_F[-1].any()
+
+    def test_wrong_field_shape_is_a_geometry_error(self):
+        grid = make_grid(ORACLE_SHAPE)
+        decomp = BlockDecomposition(grid.node_shape, (2, 1, 1), ghost=1)
+        acc = NTFFAccumulator(grid, NTFFConfig(gap=3), 2, restrict=(decomp, 1))
+        # Global arrays handed to a rank's accumulator.
+        global_arrays = random_steps(grid.node_shape, seed=3, nsteps=1)[0][1]
+        with pytest.raises(GeometryError, match="gathers from"):
+            acc.accumulate(global_arrays, 0)
+        # Another rank's local arrays.
+        other = random_steps(decomp.local_shape(0), seed=3, nsteps=1)[0][1]
+        assert decomp.local_shape(0) != acc.shape
+        with pytest.raises(GeometryError, match="gathers from"):
+            acc.accumulate(other, 0)
+        assert not acc.A.any() and not acc.F.any()
+
+    def test_wrong_potential_shape_is_a_geometry_error(self):
+        grid = make_grid(ORACLE_SHAPE)
+        acc = NTFFAccumulator(grid, NTFFConfig(gap=3), 2)
+        arrays = random_steps(acc.shape, seed=5, nsteps=1)[0][1]
+        short = np.zeros((acc.A.shape[0], acc.nbins - 1, 3))
+        with pytest.raises(GeometryError, match="potentials"):
+            acc.accumulate_into(arrays, 0, short, acc.F)
+
+    def test_pickled_accumulator_drops_its_work_arrays(self):
+        import pickle
+
+        from repro.util import bitwise_equal_arrays
+
+        grid = make_grid(ORACLE_SHAPE)
+        acc = NTFFAccumulator(grid, NTFFConfig(gap=3), ORACLE_STEPS)
+        steps = random_steps(acc.shape, seed=29)
+        step, arrays = steps[0]
+        acc.accumulate(arrays, step)
+        copy = pickle.loads(pickle.dumps(acc))
+        assert copy._work is None and acc._work is not None
+        for step, arrays in steps[1:]:
+            acc.accumulate(arrays, step)
+            copy.accumulate(arrays, step)
+        assert bitwise_equal_arrays(copy.A, acc.A)
+        assert bitwise_equal_arrays(copy.F, acc.F)
