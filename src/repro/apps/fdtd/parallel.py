@@ -13,8 +13,9 @@ This module is the application of the whole methodology:
   local blocks alternating with archetype data-exchange operations,
   and specialise
   per-process computation where needed (physical-boundary trims, Mur
-  faces, the source-owning process, each rank's share of the far-field
-  surface);
+  faces, the ranks a source's region touches, each rank's share of the
+  far-field surface), gathered into one :class:`RankPass` per rank and
+  pass;
 * the result is a :class:`ParallelFDTD` handle exposing **both** program
   versions: the sequential simulated-parallel program
   (:meth:`ParallelFDTD.run_simulated`) and its mechanical
@@ -78,6 +79,7 @@ from repro.apps.fdtd.update import (
     intersect_local,
     local_update_regions,
     split_local_update_regions,
+    split_region,
     update_e,
     update_h,
 )
@@ -175,116 +177,152 @@ def _mur_local_regions(grid: YeeGrid, decomp: BlockDecomposition, rank: int):
     return out
 
 
-def _overlap_time_loop(
-    builder: MeshProgramBuilder,
-    config: FDTDConfig,
-    decomp: BlockDecomposition,
-    grid: YeeGrid,
-    inv_spacing: tuple[float, float, float],
-    scratches: list[KernelScratch],
-    accumulators,
-) -> None:
-    """Append the overlapped (shell/interior split) time loop.
+class RankPass:
+    """One rank's share of one pass of the step contract.
 
-    Each phase's cells are partitioned into the communication-strip
-    shell and the interior; each combined exchange is split into a
-    begin (send) and end (receive) stage with the opposite phase's
-    interior pass between them.  The local blocks between a begin and
-    its end touch neither the strips the begin staged nor the ghosts
-    the end writes, so by the infinite-slack refinement argument
-    (:mod:`repro.refinement.split`) every engine computes bitwise the
-    same fields as the unsplit program.
+    A pass holds the rank's update region (or pieces) per component,
+    its :class:`Mur1` driver or ``None``, the ``(source, local_region)``
+    pieces it drives and its :class:`NTFFAccumulator` or ``None``.
+    :meth:`e` and :meth:`h` run the two local phases of
+    :mod:`~repro.apps.fdtd.version_a`'s contract on exactly those
+    pieces.  The baseline program has one pass per rank; the overlap
+    refinement has a shell and an interior pass that tile the rank's
+    cells, so running both performs every operation of the one pass.
     """
-    nprocs = decomp.nprocs
-    # Mur and the sources write E, so they split along the E shell.
-    strips_by_rank = [
-        comm_strips(decomp, r, E_SHELL_SIDES) for r in range(nprocs)
-    ]
-    shell_regions: list[dict] = []
-    interior_regions: list[dict] = []
-    for r in range(nprocs):
-        sh, it = split_local_update_regions(grid, decomp, r)
-        shell_regions.append(sh)
-        interior_regions.append(it)
 
-    murs_shell = murs_interior = None
-    if config.boundary == "mur1":
-        murs_shell, murs_interior = [], []
-        for r in range(nprocs):
-            sh, it = split_mur_regions(
-                _mur_local_regions(grid, decomp, r), strips_by_rank[r]
-            )
-            murs_shell.append(Mur1(grid, sh))
-            murs_interior.append(Mur1(grid, it))
+    def __init__(self, regions, mur, drives, accumulator, inv_spacing, scratch):
+        self.regions = regions
+        self.mur = mur
+        self.drives = drives
+        self.accumulator = accumulator
+        self.inv_spacing = inv_spacing
+        self.scratch = scratch
 
-    shell_sources: dict[int, list] = {}
-    interior_sources: dict[int, list] = {}
-    for src in config.sources:
-        for r in range(nprocs):
-            sh, it = src.make_split_local_appliers(
-                grid, decomp, r, strips_by_rank[r]
-            )
-            if sh is not None:
-                shell_sources.setdefault(r, []).append(sh)
-            if it is not None:
-                interior_sources.setdefault(r, []).append(it)
+    def e(self, store: AddressSpace, step: int) -> None:
+        """Mur record -> E update -> Mur apply -> sources."""
+        mur = self.mur
+        if mur is not None:
+            mur.record(store)
+        update_e(store, self.regions, self.inv_spacing, self.scratch)
+        if mur is not None:
+            mur.apply(store)
+        for src, region in self.drives:
+            store[src.component][region] += src.value(step)
 
-    def e_pass(murs, regions, sources):
-        def run(store: AddressSpace, rank: int, step: int) -> None:
-            mur = murs[rank] if murs is not None else None
-            if mur is not None:
-                mur.record(store)
-            update_e(store, regions[rank], inv_spacing, scratches[rank])
-            if mur is not None:
-                mur.apply(store)
-            for apply_source in sources.get(rank, ()):
-                apply_source(store, step)
-
-        return run
-
-    e_shell = e_pass(murs_shell, shell_regions, shell_sources)
-    e_interior = e_pass(murs_interior, interior_regions, interior_sources)
-
-    def h_shell(store: AddressSpace, rank: int, step: int) -> None:
-        update_h(store, shell_regions[rank], inv_spacing, scratches[rank])
-
-    def h_interior(store: AddressSpace, rank: int, step: int) -> None:
-        update_h(store, interior_regions[rank], inv_spacing, scratches[rank])
-        if accumulators is not None:
-            accumulators[rank].accumulate_into(
+    def h(self, store: AddressSpace, step: int) -> None:
+        """H update -> far-field accumulation."""
+        update_h(store, self.regions, self.inv_spacing, self.scratch)
+        if self.accumulator is not None:
+            self.accumulator.accumulate_into(
                 store, step, store["ffA"], store["ffF"]
             )
 
+
+def rank_passes(
+    config: FDTDConfig,
+    decomp: BlockDecomposition,
+    rank: int,
+    accumulator: NTFFAccumulator | None,
+    overlap: bool,
+) -> list[RankPass]:
+    """The §4.4 step-2 specialisation of one grid process, as passes.
+
+    ``[whole]`` for the baseline program; ``[shell, interior]`` under
+    ``overlap``, every piece split along the rank's E-side
+    communication strips (Mur and the sources write E).  A source
+    drives the rank's intersection with its global region: one rank
+    for a point source, a slab of ranks for a plane source.  Only the
+    last pass accumulates the far field.  The passes share one
+    :class:`KernelScratch`: they run one after the other.
+    """
+    grid = config.grid
+    inv_spacing = tuple(1.0 / d for d in grid.spacing)
+    scratch = KernelScratch()
+    mur_regions = (
+        _mur_local_regions(grid, decomp, rank)
+        if config.boundary == "mur1"
+        else None
+    )
+    drives = []
+    for src in config.sources:
+        region = intersect_local(decomp, rank, src.global_region(grid))
+        if region is not None:
+            drives.append((src, region))
+    if not overlap:
+        mur = None if mur_regions is None else Mur1(grid, mur_regions)
+        regions = local_update_regions(grid, decomp, rank)
+        return [RankPass(regions, mur, drives, accumulator, inv_spacing, scratch)]
+
+    strips = comm_strips(decomp, rank, E_SHELL_SIDES)
+    shell_regions, interior_regions = split_local_update_regions(
+        grid, decomp, rank
+    )
+    shell_mur = interior_mur = None
+    if mur_regions is not None:
+        shell_faces, interior_faces = split_mur_regions(mur_regions, strips)
+        shell_mur = Mur1(grid, shell_faces)
+        interior_mur = Mur1(grid, interior_faces)
+    shell_drives, interior_drives = [], []
+    for src, region in drives:
+        shell, interior = split_region(region, strips)
+        shell_drives += [(src, piece) for piece in shell]
+        interior_drives += [(src, piece) for piece in interior]
+    return [
+        RankPass(shell_regions, shell_mur, shell_drives, None, inv_spacing, scratch),
+        RankPass(
+            interior_regions,
+            interior_mur,
+            interior_drives,
+            accumulator,
+            inv_spacing,
+            scratch,
+        ),
+    ]
+
+
+def _overlap_time_loop(
+    builder: MeshProgramBuilder, steps: int, passes: list[list[RankPass]]
+) -> None:
+    """Append the overlapped (shell/interior split) time loop.
+
+    Each combined exchange is split into a begin (send) and end
+    (receive) stage with the opposite phase's interior pass between
+    them.  The local blocks between a begin and its end touch neither
+    the strips the begin staged nor the ghosts the end writes, so by
+    the infinite-slack refinement argument
+    (:mod:`repro.refinement.split`) every engine computes bitwise the
+    same fields as the unsplit program.
+    """
     # Prologue: the first step's H ghosts can fly before the loop.
     h_begin = (
         builder.begin_exchange_boundaries(*H_COMPONENTS, faces=H_GHOST_FACES)
-        if config.steps
+        if steps
         else None
     )
-    for step in range(config.steps):
+    for step in range(steps):
         builder.end_exchange_boundaries(h_begin)
         builder.grid_spmd(
-            lambda store, rank, _n=step: e_shell(store, rank, _n),
+            lambda store, rank, _n=step: passes[rank][0].e(store, _n),
             name=f"E-shell[{step}]",
         )
         e_begin = builder.begin_exchange_boundaries(*E_COMPONENTS, faces=E_GHOST_FACES)
         builder.grid_spmd(
-            lambda store, rank, _n=step: e_interior(store, rank, _n),
+            lambda store, rank, _n=step: passes[rank][1].e(store, _n),
             name=f"E-interior[{step}]",
         )
         builder.end_exchange_boundaries(e_begin)
         builder.grid_spmd(
-            lambda store, rank, _n=step: h_shell(store, rank, _n),
+            lambda store, rank, _n=step: passes[rank][0].h(store, _n),
             name=f"H-shell[{step}]",
         )
         # The last step's H strips feed no one: no epilogue exchange.
         h_begin = (
             builder.begin_exchange_boundaries(*H_COMPONENTS, faces=H_GHOST_FACES)
-            if step < config.steps - 1
+            if step < steps - 1
             else None
         )
         builder.grid_spmd(
-            lambda store, rank, _n=step: h_interior(store, rank, _n),
+            lambda store, rank, _n=step: passes[rank][1].h(store, _n),
             name=f"H-interior[{step}]",
         )
 
@@ -441,27 +479,7 @@ def build_parallel_fdtd(
         )
 
     # ---- per-rank specialisation (plan step 2) ----------------------------
-    inv_spacing = tuple(1.0 / d for d in grid.spacing)
-    regions_by_rank = [
-        local_update_regions(grid, decomp, r) for r in range(decomp.nprocs)
-    ]
-    murs = None
-    if config.boundary == "mur1":
-        murs = [
-            Mur1(grid, _mur_local_regions(grid, decomp, r))
-            for r in range(decomp.nprocs)
-        ]
-    # Each source contributes a per-rank applier only on the ranks it
-    # touches: one rank for a point source, a slab of ranks for a plane
-    # source — the §4.4 "performed differently in individual processes".
-    sources_by_rank: dict[int, list] = {}
-    for src in config.sources:
-        for rank in range(decomp.nprocs):
-            applier = src.make_local_applier(grid, decomp, rank)
-            if applier is not None:
-                sources_by_rank.setdefault(rank, []).append(applier)
-
-    accumulators = None
+    accumulators = [None] * decomp.nprocs
     nbins = 0
     if version == "C":
         accumulators = [
@@ -475,6 +493,13 @@ def build_parallel_fdtd(
         shape = (ndirs, nbins, 3)
         builder.declare_grid_only("ffA", lambda r, _s=shape: np.zeros(_s))
         builder.declare_grid_only("ffF", lambda r, _s=shape: np.zeros(_s))
+    # One scratch per rank: ranks may run concurrently (threaded engine)
+    # or in separate processes (scratch crosses empty and refills there);
+    # either way the steady-state step loop allocates no temporaries.
+    passes = [
+        rank_passes(config, decomp, r, accumulators[r], overlap)
+        for r in range(decomp.nprocs)
+    ]
 
     # ---- optional explicit I/O redistribution ----------------------------
     if include_io_stages:
@@ -482,51 +507,22 @@ def build_parallel_fdtd(
         builder.distribute(*coef_arrays.keys())
 
     # ---- the time loop (plan step 3-4) -----------------------------------
-    # One scratch per rank: ranks may run concurrently (threaded engine)
-    # or in separate processes (scratch crosses empty and refills there);
-    # either way the steady-state step loop allocates no temporaries.
-    scratches = [KernelScratch() for _ in range(decomp.nprocs)]
-
     if overlap:
-        _overlap_time_loop(
-            builder, config, decomp, grid, inv_spacing, scratches, accumulators
-        )
+        _overlap_time_loop(builder, config.steps, passes)
     else:
-
-        def e_phase(store: AddressSpace, rank: int, step: int) -> None:
-            mur = murs[rank] if murs is not None else None
-            if mur is not None:
-                mur.record(store)
-            update_e(
-                store, regions_by_rank[rank], inv_spacing, scratches[rank]
-            )
-            if mur is not None:
-                mur.apply(store)
-            for apply_source in sources_by_rank.get(rank, ()):
-                apply_source(store, step)
-
-        def h_phase(store: AddressSpace, rank: int, step: int) -> None:
-            update_h(
-                store, regions_by_rank[rank], inv_spacing, scratches[rank]
-            )
-            if accumulators is not None:
-                accumulators[rank].accumulate_into(
-                    store, step, store["ffA"], store["ffF"]
-                )
-
         for step in range(config.steps):
             builder.exchange_boundaries(
                 *H_COMPONENTS, faces=H_GHOST_FACES, batch=batch_exchanges
             )
             builder.grid_spmd(
-                lambda store, rank, _n=step: e_phase(store, rank, _n),
+                lambda store, rank, _n=step: passes[rank][0].e(store, _n),
                 name=f"E-phase[{step}]",
             )
             builder.exchange_boundaries(
                 *E_COMPONENTS, faces=E_GHOST_FACES, batch=batch_exchanges
             )
             builder.grid_spmd(
-                lambda store, rank, _n=step: h_phase(store, rank, _n),
+                lambda store, rank, _n=step: passes[rank][0].h(store, _n),
                 name=f"H-phase[{step}]",
             )
 

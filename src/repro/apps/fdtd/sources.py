@@ -1,13 +1,21 @@
 """Excitations: "an initial excitation is specified" (paper section 4.1).
 
-Two excitation styles are provided:
+Three excitation styles are provided:
 
 * **time-dependent point sources** — an additive ("soft") source
   injecting a waveform into one field component at one node each step;
   localised, so in the parallel version exactly one grid process
   applies it (a per-process special computation, section 4.4 step 2);
+* **time-dependent plane sources** — the same additive drive over a
+  whole constant-axis sheet of one component, which usually spans
+  several grid processes;
 * **initial conditions** — a field bump present at t=0 (the literal
   "initial excitation"), useful for purely source-free runs.
+
+A time-dependent source is the global node region it drives
+(``global_region``) plus its value per step (``value``): every driver
+adds ``value(step)`` into its share of that region, the sequential one
+into the whole region, a grid process into its local intersection.
 
 Waveforms are deterministic closed forms, so sequential / simulated /
 parallel versions evaluate bitwise-identical values.
@@ -31,11 +39,6 @@ __all__ = [
     "PlaneSource",
     "GaussianBallInitial",
 ]
-
-
-def _index_in_strips(index, strips) -> bool:
-    """Whether a local node index falls inside any communication strip."""
-    return any(lo <= index[axis] < hi for axis, lo, hi in strips)
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,9 @@ class SinusoidSource:
 class PointSource:
     """Additive source: ``component[index] += amplitude * waveform(n)``.
 
-    Applied after the E (or H) update of its component's kind each
-    step.  ``index`` is a node index; it must be a valid node of the
+    Applied after the E update each step (only E components may be
+    driven; :class:`~repro.apps.fdtd.version_a.FDTDConfig` rejects
+    others).  ``index`` is a node index; it must be a valid node of the
     component (the solver checks at configuration time).
     """
 
@@ -114,48 +118,9 @@ class PointSource:
     def value(self, step: int) -> float:
         return self.amplitude * self.waveform(step)
 
-    def apply_global(self, fields: FieldSet, step: int) -> None:
-        fields[self.component][self.index] += self.value(step)
-
-    def make_global_applier(self, grid: YeeGrid):
-        """``apply(fields, step)`` for the sequential driver."""
-        comp, index = self.component, self.index
-
-        def apply(fields, step: int) -> None:
-            fields[comp][index] += self.value(step)
-
-        return apply
-
-    def make_local_applier(self, grid: YeeGrid, decomp, rank: int):
-        """``apply(store, step)`` for the owning grid process; ``None``
-        for every other rank."""
-        if decomp.owner_of(self.index) != rank:
-            return None
-        comp = self.component
-        local = decomp.global_to_local(rank, self.index)
-
-        def apply(store, step: int) -> None:
-            store[comp][local] += self.value(step)
-
-        return apply
-
-    def make_split_local_appliers(self, grid: YeeGrid, decomp, rank: int, strips):
-        """``(shell_apply, interior_apply)`` for the overlap refinement.
-
-        A point source drives exactly one node, so the whole applier
-        goes to whichever pass updates that node: the shell pass when
-        the node sits in a communication strip, the interior pass
-        otherwise.  Exactly one of the pair is non-``None`` (both are
-        ``None`` off-rank), and the drive arithmetic is untouched — only
-        *when* within the step it runs changes.
-        """
-        apply = self.make_local_applier(grid, decomp, rank)
-        if apply is None:
-            return None, None
-        local = decomp.global_to_local(rank, self.index)
-        if _index_in_strips(local, strips):
-            return apply, None
-        return None, apply
+    def global_region(self, grid: YeeGrid) -> tuple[slice, ...]:
+        """The driven node region, in global indices: one node."""
+        return tuple(slice(i, i + 1) for i in self.index)
 
 
 @dataclass(frozen=True)
@@ -208,63 +173,6 @@ class PlaneSource:
 
     def value(self, step: int) -> float:
         return self.amplitude * self.waveform(step)
-
-    def make_global_applier(self, grid: YeeGrid):
-        """``apply(fields, step)`` for the sequential driver."""
-        region = self.global_region(grid)
-        comp = self.component
-
-        def apply(fields, step: int) -> None:
-            fields[comp][region] += self.value(step)
-
-        return apply
-
-    def make_local_applier(self, grid: YeeGrid, decomp, rank: int):
-        """``apply(store, step)`` for one grid process, or ``None`` if
-        the rank owns no part of the driven plane."""
-        from repro.apps.fdtd.update import intersect_local
-
-        local = intersect_local(decomp, rank, self.global_region(grid))
-        if local is None:
-            return None
-        comp = self.component
-
-        def apply(store, step: int) -> None:
-            store[comp][local] += self.value(step)
-
-        return apply
-
-    def make_split_local_appliers(self, grid: YeeGrid, decomp, rank: int, strips):
-        """``(shell_apply, interior_apply)`` for the overlap refinement.
-
-        The rank's slice of the driven plane is carved along the
-        communication strips; each pass drives only its own pieces.
-        The pieces partition the slice, so every node still receives
-        exactly one ``+=`` per step — same value, same cell, different
-        moment within the step.  Either element is ``None`` when its
-        piece list is empty.
-        """
-        from repro.apps.fdtd.update import intersect_local, split_region
-
-        local = intersect_local(decomp, rank, self.global_region(grid))
-        if local is None:
-            return None, None
-        comp = self.component
-        shell_pieces, interior_pieces = split_region(local, strips)
-
-        def make(pieces):
-            if not pieces:
-                return None
-
-            def apply(store, step: int) -> None:
-                v = self.value(step)
-                arr = store[comp]
-                for piece in pieces:
-                    arr[piece] += v
-
-            return apply
-
-        return make(shell_pieces), make(interior_pieces)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ same arithmetic):
 1. Mur ABC: record boundary planes (when ``boundary="mur1"``)
 2. E update (interior regions)
 3. Mur ABC: write boundary planes
-4. additive point sources into E components
+4. additive sources into E components
 5. H update
 6. far-field surface accumulation (Version C only)
 7. probes / diagnostics
@@ -106,8 +106,8 @@ class VersionA:
             comp: self.grid.update_region(comp)
             for comp in ("ex", "ey", "ez", "hx", "hy", "hz")
         }
-        self._source_appliers = [
-            src.make_global_applier(self.grid) for src in config.sources
+        self._drives = [
+            (src, src.global_region(self.grid)) for src in config.sources
         ]
         self._scratch = KernelScratch() if use_scratch else None
 
@@ -140,8 +140,8 @@ class VersionA:
             update_e(arrays, self._regions, self._inv_spacing, self._scratch)
             if mur is not None:
                 mur.apply(arrays)
-            for apply_source in self._source_appliers:
-                apply_source(fields, step)
+            for src, region in self._drives:
+                fields[src.component][region] += src.value(step)
             update_h(arrays, self._regions, self._inv_spacing, self._scratch)
             self._post_h_update(arrays, step)
             for probe in config.probes:

@@ -199,14 +199,6 @@ class StoreError(RefinementError):
     """Misuse of a simulated address space (unknown variable, shape clash)."""
 
 
-class LocalityViolation(RefinementError):
-    """A local-computation block touched data outside its own partition."""
-
-
-class RefinementMismatch(RefinementError):
-    """A refinement check failed: two program versions disagree on outputs."""
-
-
 # ---------------------------------------------------------------------------
 # Archetype errors
 # ---------------------------------------------------------------------------

@@ -96,9 +96,6 @@ class RunResult:
             )
         return self.trace.schedule()
 
-    def final_state(self) -> tuple[list[dict[str, Any]], list[Any]]:
-        return self.stores, self.returns
-
 
 @dataclass(frozen=True)
 class ChannelStatsRecord:

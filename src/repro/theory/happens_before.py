@@ -86,11 +86,6 @@ class HappensBefore:
         """True iff neither event precedes the other."""
         return i != j and not self._reach[i, j] and not self._reach[j, i]
 
-    def dependent_pairs(self) -> list[tuple[int, int]]:
-        """All ordered pairs (i, j) with i happens-before j."""
-        out = np.argwhere(self._reach)
-        return [(int(i), int(j)) for i, j in out]
-
     # -- linear-extension check -------------------------------------------------
 
     def admits_order(self, order: list[int]) -> bool:

@@ -6,14 +6,20 @@ import pytest
 from repro.apps.fdtd import (
     COMPONENTS,
     FDTDConfig,
+    FieldSet,
+    GaussianPulse,
     PlaneSource,
+    PointSource,
     RickerWavelet,
     VersionA,
     YeeGrid,
     build_parallel_fdtd,
 )
-from repro.archetypes.mesh import BlockDecomposition
+from repro.apps.fdtd.parallel import rank_passes
+from repro.apps.fdtd.update import intersect_local
+from repro.archetypes.mesh import BlockDecomposition, gather_array, local_like
 from repro.errors import FDTDError
+from repro.runtime import ThreadedEngine
 from repro.util import bitwise_equal_arrays
 
 
@@ -92,39 +98,110 @@ class TestParallelization:
         involved = [
             r
             for r in range(4)
-            if src.make_local_applier(grid, decomp, r) is not None
+            if intersect_local(decomp, r, src.global_region(grid)) is not None
         ]
         assert involved == [0, 1, 2, 3]
 
     def test_point_source_still_single_rank(self):
-        from repro.apps.fdtd import PointSource
-
         grid = YeeGrid(shape=(14, 12, 10))
         decomp = BlockDecomposition(grid.node_shape, (2, 2, 1), ghost=1)
         src = PointSource("ez", (4, 4, 4))
         involved = [
             r
             for r in range(4)
-            if src.make_local_applier(grid, decomp, r) is not None
+            if intersect_local(decomp, r, src.global_region(grid)) is not None
         ]
         assert len(involved) == 1
+
+    def test_point_source_region_is_one_node(self):
+        grid = YeeGrid(shape=(14, 12, 10))
+        src = PointSource("ez", (4, 5, 6))
+        assert src.global_region(grid) == (
+            slice(4, 5),
+            slice(5, 6),
+            slice(6, 7),
+        )
 
     def test_local_applier_adds_same_values(self):
         grid = YeeGrid(shape=(10, 10, 10))
         decomp = BlockDecomposition(grid.node_shape, (2, 1, 1), ghost=1)
         src = PlaneSource("ez", axis=1, index=4, amplitude=2.5)
-        # Apply locally on each rank's zero array, gather, compare with
-        # the global application on zeros.
-        from repro.apps.fdtd import FieldSet
-        from repro.archetypes.mesh import gather_array, local_like
-
+        # Add into each rank's zero array over its local region, gather,
+        # compare with the addition over the global region on zeros.
         fields = FieldSet.zeros(grid)
-        src.make_global_applier(grid)(fields.components(), 5)
+        fields.ez[src.global_region(grid)] += src.value(5)
         locals_ = [local_like(decomp, r) for r in range(2)]
         for r in range(2):
-            applier = src.make_local_applier(grid, decomp, r)
-            if applier is not None:
-                applier({"ez": locals_[r]}, 5)
+            region = intersect_local(decomp, r, src.global_region(grid))
+            if region is not None:
+                locals_[r][region] += src.value(5)
         np.testing.assert_array_equal(
             gather_array(decomp, locals_), fields.ez
         )
+
+
+def overlap_config(steps=10):
+    """Mur, two sheets and two points; each decomposition below puts
+    some drive pieces in the E shell and some in the interior."""
+    return FDTDConfig(
+        grid=YeeGrid(shape=(12, 10, 8)),
+        steps=steps,
+        boundary="mur1",
+        sources=[
+            PlaneSource(
+                "ex", axis=2, index=3, waveform=RickerWavelet(delay=5, spread=2)
+            ),
+            PlaneSource("ez", axis=0, index=7, amplitude=0.5),
+            PointSource("ez", (7, 3, 2), GaussianPulse(delay=5, spread=2)),
+            PointSource("ey", (6, 6, 2), GaussianPulse(delay=4, spread=2)),
+        ],
+    )
+
+
+class TestOverlapSplit:
+    """The overlap refinement splits every drive along the E shell."""
+
+    @pytest.mark.parametrize("pshape", [(1, 2, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("engine", ["simulated", "threaded"])
+    def test_bitwise_identity(self, pshape, engine):
+        config = overlap_config()
+        seq = VersionA(config).run()
+        par = build_parallel_fdtd(config, pshape, version="A", overlap=True)
+        if engine == "simulated":
+            stores = par.run_simulated()
+        else:
+            stores = par.run_parallel(ThreadedEngine()).stores
+        hf = par.host_fields(stores)
+        assert all(
+            bitwise_equal_arrays(hf[c], seq.fields[c]) for c in COMPONENTS
+        )
+
+    @pytest.mark.parametrize("pshape", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)])
+    def test_drive_pieces_partition_each_rank(self, pshape):
+        config = overlap_config()
+        grid = config.grid
+        decomp = BlockDecomposition(grid.node_shape, pshape, ghost=1)
+        # (rank, pass) pairs driving each point source
+        point_drives = {
+            i: [] for i, s in enumerate(config.sources) if isinstance(s, PointSource)
+        }
+        for rank in range(decomp.nprocs):
+            (whole,) = rank_passes(config, decomp, rank, None, overlap=False)
+            shell, interior = rank_passes(config, decomp, rank, None, overlap=True)
+            shape = local_like(decomp, rank).shape
+            for i, src in enumerate(config.sources):
+                expected = np.zeros(shape, dtype=int)
+                for s, region in whole.drives:
+                    if s is src:
+                        expected[region] += 1
+                got = np.zeros(shape, dtype=int)
+                for name, rank_pass in (("shell", shell), ("interior", interior)):
+                    for s, piece in rank_pass.drives:
+                        if s is src:
+                            got[piece] += 1
+                            if i in point_drives:
+                                point_drives[i].append((rank, name))
+                # every driven node of the rank once, nothing else
+                assert np.array_equal(got, expected), (rank, src)
+        for i, drives in point_drives.items():
+            assert len(drives) == 1, (config.sources[i], drives)
