@@ -397,7 +397,6 @@ def build_parallel_fdtd(
     pshape: tuple[int, int, int],
     version: str = "A",
     ntff: NTFFConfig | None = None,
-    include_io_stages: bool = False,
     compensated_farfield: bool = False,
     batch_exchanges: bool = False,
     overlap: bool = False,
@@ -405,13 +404,9 @@ def build_parallel_fdtd(
     """Parallelize an FDTD configuration over a 3-D process grid.
 
     ``pshape`` is the process-grid shape (one rank per block, plus a
-    host process for I/O and reductions).  ``include_io_stages`` adds
-    explicit distribute stages at the start (the "host reads the file
-    then redistributes" flow); initial stores are pre-scattered either
-    way, so the stages are semantically idempotent.  Those stages assign
-    the coefficient sections, so on that path the coefficients are
-    declared as writable copies — variables, copied per run like the
-    fields — instead of the constants they otherwise are.
+    host process for I/O and reductions).  The initial stores are
+    pre-scattered, and the coefficients are constants: read-only, never
+    copied per run.
 
     ``batch_exchanges`` coalesces each phase's per-component ghost
     exchanges into one combined stage, so a rank sends one message per
@@ -470,13 +465,9 @@ def build_parallel_fdtd(
     fields0 = config.initial_fields()
     for comp in COMPONENTS:
         builder.declare_distributed(comp, fields0[comp])
-    # The coefficients are constants (read-only, never copied per run)
-    # unless the explicit I/O stages below assign their sections.
-    coef_arrays = config.coefficient_set().arrays()
-    for name, arr in coef_arrays.items():
-        builder.declare_distributed(
-            name, arr.copy() if include_io_stages else arr
-        )
+    # The coefficients are constants (read-only, never copied per run).
+    for name, arr in config.coefficient_set().arrays().items():
+        builder.declare_distributed(name, arr)
 
     # ---- per-rank specialisation (plan step 2) ----------------------------
     accumulators = [None] * decomp.nprocs
@@ -500,11 +491,6 @@ def build_parallel_fdtd(
         rank_passes(config, decomp, r, accumulators[r], overlap)
         for r in range(decomp.nprocs)
     ]
-
-    # ---- optional explicit I/O redistribution ----------------------------
-    if include_io_stages:
-        builder.distribute(*COMPONENTS)
-        builder.distribute(*coef_arrays.keys())
 
     # ---- the time loop (plan step 3-4) -----------------------------------
     if overlap:

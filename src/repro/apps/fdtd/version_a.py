@@ -88,16 +88,15 @@ class SequentialResult:
 class VersionA:
     """Sequential near-field driver.
 
-    ``use_scratch=False`` runs the update kernels through the original
-    allocating path instead of the preallocated
-    :class:`~repro.apps.fdtd.update.KernelScratch` buffers — the two
-    are bitwise identical (asserted by the kernel-equivalence tests);
-    the toggle exists so that identity stays directly checkable.
+    The update kernels run through one preallocated
+    :class:`~repro.apps.fdtd.update.KernelScratch`.  The unbound
+    reference is ``update_e`` / ``update_h`` with ``scratch=None``; the
+    kernel tests check that the two are bitwise identical.
     """
 
     name = "version-A"
 
-    def __init__(self, config: FDTDConfig, use_scratch: bool = True):
+    def __init__(self, config: FDTDConfig):
         self.config = config
         self.grid = config.grid
         self.coefs = config.coefficient_set()
@@ -109,7 +108,7 @@ class VersionA:
         self._drives = [
             (src, src.global_region(self.grid)) for src in config.sources
         ]
-        self._scratch = KernelScratch() if use_scratch else None
+        self._scratch = KernelScratch()
 
     # -- hooks for Version C -------------------------------------------------
 

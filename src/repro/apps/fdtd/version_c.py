@@ -43,13 +43,8 @@ class VersionC(VersionA):
 
     name = "version-C"
 
-    def __init__(
-        self,
-        config: FDTDConfig,
-        ntff: NTFFConfig | None = None,
-        use_scratch: bool = True,
-    ):
-        super().__init__(config, use_scratch=use_scratch)
+    def __init__(self, config: FDTDConfig, ntff: NTFFConfig | None = None):
+        super().__init__(config)
         self.ntff_config = ntff or NTFFConfig()
         self.ntff = NTFFAccumulator(
             self.grid, self.ntff_config, steps=config.steps

@@ -41,6 +41,6 @@ Pieces:
 """
 
 from repro.dist.engine import MultiprocessEngine
-from repro.dist.serve import JobServer, ServerSaturatedError
+from repro.dist.serve import JobServer
 
-__all__ = ["MultiprocessEngine", "JobServer", "ServerSaturatedError"]
+__all__ = ["MultiprocessEngine", "JobServer"]

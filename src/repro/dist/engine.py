@@ -570,8 +570,7 @@ class MultiprocessEngine:
         field state is bitwise identical on/off.
     recv_timeout:
         Optional upper bound, in seconds, on any single blocking
-        receive inside a worker (same semantics as the threaded
-        engine).  ``None`` waits indefinitely.
+        receive inside a worker.  ``None`` waits indefinitely.
     observe:
         Truthy runs a fresh per-worker observer in every rank and
         merges the payloads into the result's ``report``.  A shared
@@ -586,13 +585,10 @@ class MultiprocessEngine:
         After the first worker failure, how long to wait for the
         remaining workers to unwind on their own (via the EOF cascade)
         before terminating them.
-    pool:
-        ``None`` (default): the engine owns a
-        :class:`~repro.dist.pool.WorkerPool`, created on the first run
-        and kept for every later one until :meth:`close`, the end of a
-        ``with`` block or the engine's collection.  An existing
-        ``WorkerPool`` is borrowed, not owned (the caller shuts it down),
-        and may be shared with other engines and servers.
+
+    The engine owns a :class:`~repro.dist.pool.WorkerPool`, created on
+    the first run and kept for every later one until :meth:`close`, the
+    end of a ``with`` block or the engine's collection.
 
     Attributes
     ----------
@@ -623,12 +619,9 @@ class MultiprocessEngine:
         observe=False,
         start_method: str = "spawn",
         crash_grace: float = 5.0,
-        pool: WorkerPool | None = None,
     ):
         if start_method not in ("spawn", "fork"):
             raise ValueError(f"unsupported start method {start_method!r}")
-        if not isinstance(pool, (WorkerPool, type(None))):
-            raise TypeError(f"pool must be None or a WorkerPool, not {pool!r}")
         self._start_method = start_method
         #: The per-run keywords of :func:`run_on_pool`.
         self._run_opts = dict(
@@ -637,7 +630,7 @@ class MultiprocessEngine:
             crash_grace=crash_grace,
             trace=trace,
         )
-        self._pool = pool
+        self._pool: WorkerPool | None = None
         #: Shuts down the pool this engine created; set with it.
         self._release = None
         self._pool_lock = threading.Lock()
@@ -653,7 +646,7 @@ class MultiprocessEngine:
             return self._pool
 
     def close(self) -> None:
-        """Shut down the pool this engine created, if any.  Idempotent."""
+        """Shut down the engine's pool, if it made one.  Idempotent."""
         with self._pool_lock:
             if self._release is not None:
                 self._release()

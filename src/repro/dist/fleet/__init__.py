@@ -1,4 +1,4 @@
-"""Fleet serving: one ``submit() → Future`` front door over many hosts.
+"""Fleet serving: one ``submit() → Future`` front door over many daemons.
 
 The paper's "network of Suns" at service scale: a
 :class:`FleetScheduler` places jobs across worker daemons
@@ -12,6 +12,7 @@ See :mod:`repro.dist.fleet.scheduler` for the full story.
 """
 
 from repro.dist.fleet.membership import (
+    MAX_CAPACITY,
     DaemonState,
     HeartbeatMonitor,
     elastic_capacity,
@@ -22,14 +23,13 @@ from repro.dist.fleet.scheduler import (
     FleetScheduler,
     JobStats,
     ServerClosedError,
-    ServerSaturatedError,
 )
 
 __all__ = [
     "FleetScheduler",
     "JobStats",
     "ServerClosedError",
-    "ServerSaturatedError",
+    "MAX_CAPACITY",
     "DaemonState",
     "HeartbeatMonitor",
     "elastic_capacity",

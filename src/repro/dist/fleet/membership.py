@@ -23,7 +23,8 @@ place; the socket I/O itself happens outside the lock.
 
 Capacity is **elastic**: :func:`elastic_capacity` is an AIMD-style
 controller — a daemon observed running at or above its capacity grows
-it by one (up to ``max_capacity``); a daemon observed mostly idle
+it by one (up to :data:`MAX_CAPACITY`, or its floor when that is
+higher); a daemon observed mostly idle
 shrinks by one (down to its configured floor, never below, so a burst
 arriving into an idle fleet can always place immediately and the
 saturation signal can start the growth).
@@ -41,11 +42,17 @@ from repro.dist.net.frames import FrameStream
 from repro.errors import TransportError
 
 __all__ = [
+    "MAX_CAPACITY",
     "DaemonState",
     "HeartbeatMonitor",
     "elastic_capacity",
     "probe_stats",
 ]
+
+
+#: The elastic ceiling: ranks the controller lets one daemon hold at
+#: most (a floor above it is its own ceiling).
+MAX_CAPACITY = 8
 
 
 @dataclass
@@ -157,7 +164,6 @@ class HeartbeatMonitor:
         interval: float = 0.5,
         miss_threshold: int = 3,
         ping_timeout: float = 2.0,
-        max_capacity: int = 8,
         elastic: bool = True,
         notify=None,
         on_death=None,
@@ -167,7 +173,6 @@ class HeartbeatMonitor:
         self.interval = interval
         self.miss_threshold = max(1, int(miss_threshold))
         self.ping_timeout = ping_timeout
-        self.max_capacity = max_capacity
         self.elastic = elastic
         self._notify = notify or (lambda: None)
         self._on_death = on_death or (lambda d: None)
@@ -219,7 +224,7 @@ class HeartbeatMonitor:
                         daemon.capacity,
                         int(stats.get("ranks_active", 0)),
                         daemon.floor,
-                        self.max_capacity,
+                        max(daemon.floor, MAX_CAPACITY),
                     )
                 if revived:
                     self._notify()

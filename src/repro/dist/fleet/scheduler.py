@@ -1,6 +1,6 @@
-"""The fleet scheduler: ``submit() → Future`` across many hosts.
+"""The fleet scheduler: ``submit() → Future`` across worker daemons.
 
-:class:`FleetScheduler` is the multi-host sibling of the single-pool
+:class:`FleetScheduler` is the multi-daemon sibling of the single-pool
 :class:`~repro.dist.serve.JobServer` — the same
 :class:`~repro.dist.serving.JobServerCore` front door (admission
 control, ready queue, futures, accounting), with "capacity" redefined
@@ -47,6 +47,7 @@ from typing import Any
 from repro.dist import closures
 from repro.dist.engine import WorkerCrashError
 from repro.dist.fleet.membership import (
+    MAX_CAPACITY,
     DaemonState,
     HeartbeatMonitor,
     probe_stats,
@@ -63,7 +64,6 @@ from repro.dist.serving import (
     JobServerCore,
     JobStats,
     ServerClosedError,
-    ServerSaturatedError,
     _Job,
 )
 from repro.errors import (
@@ -71,12 +71,10 @@ from repro.errors import (
     RendezvousError,
     TransportError,
 )
-from repro.obs.observer import Observer
 from repro.runtime.system import RunResult, System
 
 __all__ = [
     "FleetScheduler",
-    "ServerSaturatedError",
     "ServerClosedError",
     "JobStats",
 ]
@@ -109,20 +107,19 @@ class FleetScheduler(JobServerCore):
 
     Parameters
     ----------
-    hosts:
-        Operator-started daemons (``"hostA:9001,hostB:9002"`` or a
-        list of ``(host, port)`` pairs); left running on :meth:`close`.
     daemons:
-        When ``hosts`` is not given: how many loopback daemons to
-        spawn and own (default 2).  Their processes are exposed as
-        :attr:`local_procs` so tests can kill one mid-job.
+        How many loopback daemons to spawn and own (default 2).  Their
+        processes are exposed as :attr:`local_procs` so tests can kill
+        one mid-job.
     capacity:
         Initial (and floor) ranks placed concurrently per daemon
         (default 4); the elastic controller grows it to
-        ``max_capacity`` under saturation and shrinks back when idle.
-    max_inflight / on_full:
-        Admission control, as on :class:`~repro.dist.serve.JobServer`
-        (default ``max_inflight``: the fleet's total floor capacity).
+        :data:`~repro.dist.fleet.membership.MAX_CAPACITY` under
+        saturation and shrinks back when idle.
+    max_inflight:
+        Admission control, as on :class:`~repro.dist.serve.JobServer`:
+        at the bound :meth:`submit` blocks (default: the fleet's total
+        floor capacity).
     max_attempts:
         Execution attempts per job before its future fails (default 3).
     heartbeat_interval / miss_threshold / ping_timeout:
@@ -130,9 +127,13 @@ class FleetScheduler(JobServerCore):
         consecutive pings (every ``heartbeat_interval`` seconds) is
         dead until a ping answers again.
     elastic:
-        Enable the per-daemon elastic capacity controller.
-    recv_timeout / observe / crash_grace / handshake_timeout:
+        Enable the per-daemon elastic capacity controller.  Without it
+        a daemon's capacity stays at ``capacity``.
+    crash_grace / handshake_timeout:
         Per-job run knobs, as on the socket engine.
+
+    The scheduler owns an :class:`~repro.obs.observer.Observer`,
+    exposed as :attr:`observer`.
     """
 
     metric_prefix = "fleet"
@@ -140,57 +141,42 @@ class FleetScheduler(JobServerCore):
     def __init__(
         self,
         *,
-        hosts=None,
         daemons: int = 2,
         capacity: int = 4,
-        max_capacity: int = 8,
         max_inflight: int | None = None,
-        on_full: str = "block",
         max_attempts: int = 3,
         heartbeat_interval: float = 0.5,
         miss_threshold: int = 3,
         ping_timeout: float = 2.0,
         elastic: bool = True,
-        observer: Observer | None = None,
-        recv_timeout: float | None = None,
-        observe: bool = False,
         crash_grace: float = 5.0,
         handshake_timeout: float = 30.0,
     ):
+        if daemons < 1:
+            raise ValueError(f"daemons must be >= 1, got {daemons}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        max_capacity = max(capacity, max_capacity)
-
-        if isinstance(hosts, str):
-            hosts = rendezvous.parse_hosts(hosts)
-        if hosts:
-            addrs = [tuple(h) for h in hosts]
-            self.local_procs: list[Any] = []
-            self._owns_daemons = False
-        else:
-            addrs, self.local_procs = spawn_loopback_daemons(
-                daemons, handshake_timeout
-            )
-            self._owns_daemons = True
-
         super().__init__(
-            max_inflight=max_inflight or len(addrs) * capacity,
-            on_full=on_full,
-            observer=observer,
+            max_inflight=(
+                daemons * capacity if max_inflight is None else max_inflight
+            )
+        )
+        addrs, self.local_procs = spawn_loopback_daemons(
+            daemons, handshake_timeout
         )
         self.max_attempts = max_attempts
-        self.max_capacity = max_capacity
-        self._recv_timeout = recv_timeout
-        self._observe = bool(observe)
         self._crash_grace = crash_grace
         self._handshake_timeout = handshake_timeout
         self._ping_timeout = ping_timeout
         self._elastic = bool(elastic)
-        self._rank_ceiling = len(addrs) * (
-            max_capacity if elastic else capacity
+        #: Ranks one daemon may hold at most (the elastic ceiling, or
+        #: the fixed capacity without the controller).
+        self._daemon_ceiling = (
+            max(capacity, MAX_CAPACITY) if elastic else capacity
         )
+        self._rank_ceiling = len(addrs) * self._daemon_ceiling
 
         self._daemons = [
             DaemonState(address=a, capacity=capacity, floor=capacity)
@@ -215,7 +201,6 @@ class FleetScheduler(JobServerCore):
             interval=heartbeat_interval,
             miss_threshold=miss_threshold,
             ping_timeout=ping_timeout,
-            max_capacity=max_capacity,
             elastic=self._elastic,
             notify=self._cv.notify_all,
             on_death=self._record_death,
@@ -266,7 +251,7 @@ class FleetScheduler(JobServerCore):
             raise ValueError(
                 f"job needs {system.nprocs} ranks but the fleet tops out "
                 f"at {self._rank_ceiling} "
-                f"({len(self._daemons)} daemons x {self.max_capacity})"
+                f"({len(self._daemons)} daemons x {self._daemon_ceiling})"
             )
 
     def _try_reserve(self, job: _Job):
@@ -317,8 +302,6 @@ class FleetScheduler(JobServerCore):
                     [d.address for d in assign],
                     fresh_job_id("fleet"),
                     handshake_timeout=self._handshake_timeout,
-                    recv_timeout=self._recv_timeout,
-                    observe=self._observe,
                     crash_grace=self._crash_grace,
                     engine_name="fleet",
                     bodies=bodies,
@@ -372,9 +355,8 @@ class FleetScheduler(JobServerCore):
 
     def _close_resources(self) -> None:
         self._monitor.stop()
-        if self._owns_daemons:
-            procs, self.local_procs = self.local_procs, []
-            stop_loopback_daemons(self.daemon_addresses, procs)
+        procs, self.local_procs = self.local_procs, []
+        stop_loopback_daemons(self.daemon_addresses, procs)
 
     def _stats_extra(self, out, done, elapsed) -> None:
         with self._cv:

@@ -78,6 +78,9 @@ from repro.errors import RendezvousError, TransportError
 
 __all__ = ["WorkerDaemon", "daemon_process_main", "run_daemon_cli"]
 
+#: Seconds :meth:`WorkerDaemon.stop` waits for in-flight ranks.
+DRAIN_TIMEOUT = 10.0
+
 
 class WorkerDaemon:
     """One host's worker daemon (see module docstring).
@@ -92,12 +95,10 @@ class WorkerDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         handshake_timeout: float = 30.0,
-        drain_timeout: float = 10.0,
     ):
         self._host = host
         self._port = port
         self.handshake_timeout = handshake_timeout
-        self.drain_timeout = drain_timeout
         self.address: rendezvous.Address | None = None
         self._listener: socket.socket | None = None
         self._broker = rendezvous.ChannelBroker()
@@ -189,32 +190,23 @@ class WorkerDaemon:
             self.start()
         self._stopped.wait()
 
-    def stop(self, drain: bool = True, drain_timeout: float | None = None) -> None:
-        """Stop serving; with ``drain`` (default) in-flight ranks
-        finish first.
+    def stop(self) -> None:
+        """Stop serving once in-flight ranks finish.
 
         Draining refuses *new* control hellos immediately (goodbye,
         then close — an orderly refusal, not a crash) but keeps the
         listener open so data connections for jobs already running can
-        still rendezvous, then waits up to ``drain_timeout`` (default:
-        the constructor's) for active rank threads before closing the
-        listener.  ``drain=False`` closes immediately — in-flight jobs
-        surface at their coordinator as crashes.
+        still rendezvous, then waits up to :data:`DRAIN_TIMEOUT` seconds
+        for active rank threads before closing the listener.
         """
         with self._drain_cv:
             self._draining = True
-            if drain:
-                limit = (
-                    self.drain_timeout
-                    if drain_timeout is None
-                    else drain_timeout
-                )
-                deadline = time.monotonic() + limit
-                while self._active:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._drain_cv.wait(min(remaining, 0.25))
+            deadline = time.monotonic() + DRAIN_TIMEOUT
+            while self._active:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._drain_cv.wait(min(remaining, 0.25))
         self._stopped.set()
         listener, self._listener = self._listener, None
         if listener is not None:

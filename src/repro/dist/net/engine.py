@@ -76,7 +76,11 @@ __all__ = [
     "run_assigned",
     "spawn_loopback_daemons",
     "stop_loopback_daemons",
+    "LOOPBACK_DAEMONS",
 ]
+
+#: Loopback daemons a :class:`SocketEngine` without ``hosts`` spawns.
+LOOPBACK_DAEMONS = 2
 
 
 class _RemoteRank:
@@ -176,18 +180,26 @@ def constant_sets(system: System) -> list[tuple[bytes | None, dict[str, Any]]]:
     constants has token ``None``.  Which daemon holds which token is
     not recorded here: a daemon that lacks one asks
     (:func:`run_assigned`).
+
+    Lookup, check, mint and store are one critical section: two threads
+    dispatching the first runs of one system must not each mint a token
+    for the same constants, or a daemon would hold them twice.  The
+    section compares identities only and reads no array bytes.
     """
     with _constant_sets_lock:
         cached = _constant_sets.get(system, ())
-    fresh = []
-    for rank, spec in enumerate(system.processes):
-        constants = {k: v for k, v in spec.store.items() if is_constant(v)}
-        held = cached[rank][1] if rank < len(cached) else None
-        if held is not None and _same_objects(held, constants):
-            fresh.append(cached[rank])
-        else:
-            fresh.append((os.urandom(16) if constants else None, constants))
-    with _constant_sets_lock:
+        fresh = []
+        for rank, spec in enumerate(system.processes):
+            constants = {
+                k: v for k, v in spec.store.items() if is_constant(v)
+            }
+            held = cached[rank][1] if rank < len(cached) else None
+            if held is not None and _same_objects(held, constants):
+                fresh.append(cached[rank])
+            else:
+                fresh.append(
+                    (os.urandom(16) if constants else None, constants)
+                )
         _constant_sets[system] = fresh
     return fresh
 
@@ -212,7 +224,7 @@ def spawn_loopback_daemons(
     ctx = multiprocessing.get_context()
     addrs: list[rendezvous.Address] = []
     procs: list[Any] = []
-    for _ in range(max(1, int(n))):
+    for _ in range(n):
         recv_end, send_end = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=daemon_process_main,
@@ -387,24 +399,18 @@ class SocketEngine:
         (:mod:`repro.dist.wire`), so even a fleet-spanning run is traced
         end-to-end; pure refinement — final field state is bitwise
         identical on/off.
-    recv_timeout:
-        Optional upper bound, in seconds, on any single blocking
-        receive inside a rank (same semantics as every other engine).
     observe:
         Truthy runs a per-rank observer in every daemon and merges the
         payloads into the result's ``report``; like the multiprocess
         engine, only the boolean form is accepted.
-    daemons:
-        How many loopback daemons to spawn when ``hosts`` is not given
-        (default 2, so even single-box runs cross a real socket between
-        two daemon processes).  They live from the first run to
-        :meth:`close`, the end of a ``with`` block or the engine's
-        collection.
     hosts:
-        Externally started daemons to use instead:
-        ``"hostA:9001,hostB:9002"`` or a list of ``(host, port)``
-        pairs.  These are operator-owned; :meth:`close` leaves them
-        running.
+        Externally started daemons: ``"hostA:9001,hostB:9002"`` or a
+        list of ``(host, port)`` pairs.  These are operator-owned;
+        :meth:`close` leaves them running.  Without ``hosts`` the
+        engine spawns :data:`LOOPBACK_DAEMONS` loopback daemons, so
+        even a single-box run crosses a real socket between two daemon
+        processes.  They live from the first run to :meth:`close`, the
+        end of a ``with`` block or the engine's collection.
     handshake_timeout:
         Upper bound, seconds, on every rendezvous step: control dials,
         channel dials (with exponential-backoff retry), and broker
@@ -430,17 +436,13 @@ class SocketEngine:
     def __init__(
         self,
         trace: bool = False,
-        recv_timeout: float | None = None,
         observe=False,
-        daemons: int = 2,
         hosts=None,
         handshake_timeout: float = 30.0,
         crash_grace: float = 5.0,
     ):
         self._trace = bool(trace)
-        self._recv_timeout = recv_timeout
         self._observe = bool(observe)
-        self._ndaemons = max(1, int(daemons))
         if isinstance(hosts, str):
             hosts = rendezvous.parse_hosts(hosts)
         #: Operator-owned hosts from the start, else spawned on first use.
@@ -465,7 +467,7 @@ class SocketEngine:
     def _ensure_daemons(self) -> list[rendezvous.Address]:
         if self._addrs is None:
             self._addrs, self._local_procs = spawn_loopback_daemons(
-                self._ndaemons, self._handshake_timeout
+                LOOPBACK_DAEMONS, self._handshake_timeout
             )
             self._release = weakref.finalize(
                 self, stop_loopback_daemons, self._addrs, self._local_procs
@@ -498,7 +500,6 @@ class SocketEngine:
                 assign,
                 fresh_job_id(),
                 handshake_timeout=self._handshake_timeout,
-                recv_timeout=self._recv_timeout,
                 observe=self._observe,
                 crash_grace=self._crash_grace,
                 trace=self._trace,

@@ -13,7 +13,7 @@ run packs once the caller drops its result.
 
 The submit/Future/backpressure machinery itself lives in
 :mod:`repro.dist.serving` (:class:`~repro.dist.serving.JobServerCore`)
-and is shared with the multi-host
+and is shared with the multi-daemon
 :class:`~repro.dist.fleet.FleetScheduler`; this module binds it to one
 local :class:`~repro.dist.pool.WorkerPool`, where "capacity" means pool
 slots.
@@ -31,17 +31,15 @@ the OS picks across the pool — leaves each job's final state exactly
 what its sequential specification says.  Serving adds throughput, not
 nondeterminism; the engine-equivalence tests assert this directly.
 
-**Backpressure**: ``max_inflight`` bounds admitted-but-unfinished jobs.
-At the bound, ``on_full="block"`` makes :meth:`submit` wait for a slot
-(closed-loop clients) and ``on_full="reject"`` raises
-:class:`ServerSaturatedError` immediately (open-loop clients shed
-load).  Admitted jobs that need more slots than are currently free wait
-in an internal ready queue ordered by admission.
+**Backpressure**: ``max_inflight`` bounds admitted-but-unfinished jobs;
+at the bound :meth:`submit` waits for one to finish (closed-loop
+clients).  Admitted jobs that need more slots than are currently free
+wait in an internal ready queue ordered by admission.
 
 **Observability**: every job has one :class:`JobStats` record (label,
 ranks, submit/dispatch/done times, start-up share); the server owns an
 :class:`~repro.obs.observer.Observer` whose counters track submissions
-/ completions / failures / rejections and whose gauges track in-flight
+/ completions / failures and whose gauges track in-flight
 and queued depth (with high-water marks), and :meth:`stats` aggregates
 per-job latencies into throughput, p50/p95, and slot utilization.
 """
@@ -55,13 +53,11 @@ from repro.dist.serving import (
     JobServerCore,
     JobStats,
     ServerClosedError,
-    ServerSaturatedError,
     _Job,
 )
-from repro.obs.observer import Observer
 from repro.runtime.system import RunResult, System
 
-__all__ = ["JobServer", "ServerSaturatedError", "ServerClosedError", "JobStats"]
+__all__ = ["JobServer", "ServerClosedError", "JobStats"]
 
 
 class JobServer(JobServerCore):
@@ -75,24 +71,17 @@ class JobServer(JobServerCore):
         than this can never run and is rejected at submit.
     max_inflight:
         Bound on admitted-but-unfinished jobs (defaults to
-        ``pool_size``): the backpressure knob.  With more in-flight
-        jobs than free slots the surplus waits in the ready queue, so
-        a finishing job's slots are re-dispatched without a round trip
-        to the client.
-    on_full:
-        ``"block"`` (default) or ``"reject"`` — what :meth:`submit`
-        does at the ``max_inflight`` bound.
-    pool:
-        Use (but do not own) an existing
-        :class:`~repro.dist.pool.WorkerPool`; by default the server
-        creates one and shuts it down on :meth:`close`.  Engines and
-        other servers may run on the same pool concurrently.
-    observer:
-        An :class:`~repro.obs.observer.Observer` to record into
-        (default: a fresh one, exposed as :attr:`observer`).
-    start_method / recv_timeout / observe / crash_grace:
-        As on :class:`~repro.dist.engine.MultiprocessEngine`, applied
-        per job.
+        ``pool_size``): the backpressure knob.  At the bound
+        :meth:`submit` blocks until a job finishes.  With more
+        in-flight jobs than free slots the surplus waits in the ready
+        queue, so a finishing job's slots are re-dispatched without a
+        round trip to the client.
+    start_method:
+        How the server's own :class:`~repro.dist.pool.WorkerPool`
+        starts its workers; the pool is shut down on :meth:`close`.
+
+    The server owns an :class:`~repro.obs.observer.Observer`, exposed
+    as :attr:`observer`.
     """
 
     def __init__(
@@ -100,30 +89,15 @@ class JobServer(JobServerCore):
         pool_size: int,
         *,
         max_inflight: int | None = None,
-        on_full: str = "block",
-        pool=None,
-        observer: Observer | None = None,
         start_method: str = "fork",
-        recv_timeout: float | None = None,
-        observe: bool = False,
-        crash_grace: float = 5.0,
     ):
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         super().__init__(
-            max_inflight=max_inflight or pool_size,
-            on_full=on_full,
-            observer=observer,
+            max_inflight=pool_size if max_inflight is None else max_inflight
         )
-        self._owns_pool = pool is None
-        self.pool = WorkerPool(start_method) if pool is None else pool
+        self.pool = WorkerPool(start_method)
         self.pool_size = pool_size
-        #: The per-job keywords of :func:`run_on_pool`.
-        self._run_opts = dict(
-            recv_timeout=recv_timeout,
-            observe=observe,
-            crash_grace=crash_grace,
-        )
         self._free_slots = pool_size  # scheduling capacity (not processes)
 
         # Boot every worker NOW, while this process is single-threaded:
@@ -154,8 +128,7 @@ class JobServer(JobServerCore):
         self._free_slots += grant
 
     def _close_resources(self) -> None:
-        if self._owns_pool:
-            self.pool.shutdown()
+        self.pool.shutdown()
 
     def _stats_extra(self, out, done, elapsed) -> None:
         out["pool_size"] = self.pool_size
@@ -180,7 +153,6 @@ class JobServer(JobServerCore):
                 self.pool,
                 job.system,
                 prepared,
-                **self._run_opts,
                 report_name="serve",
                 timing_sink=timing,
             )

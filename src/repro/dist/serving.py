@@ -3,15 +3,14 @@
 Two front doors multiplex many small :class:`~repro.runtime.system.System`
 runs behind ``submit() -> Future``: the single-host
 :class:`~repro.dist.serve.JobServer` (jobs onto one local
-:class:`~repro.dist.pool.WorkerPool`) and the multi-host
+:class:`~repro.dist.pool.WorkerPool`) and the multi-daemon
 :class:`~repro.dist.fleet.FleetScheduler` (jobs onto a fleet of
 :class:`~repro.dist.net.daemon.WorkerDaemon`\\ s).  Everything that is
 *about jobs* rather than about where they run lives here, once:
 
 * **admission control** — ``max_inflight`` bounds
-  admitted-but-unfinished jobs; at the bound ``on_full="block"`` makes
-  :meth:`JobServerCore.submit` wait and ``on_full="reject"`` raises
-  :class:`ServerSaturatedError` (open-loop load shedding);
+  admitted-but-unfinished jobs; at the bound
+  :meth:`JobServerCore.submit` waits until one finishes;
 * **the ready queue** — admitted jobs wait FIFO (admission order) for
   capacity; what "capacity" means is the subclass's business, expressed
   through the :meth:`JobServerCore._try_reserve` /
@@ -49,14 +48,9 @@ from repro.runtime.system import RunResult, System
 __all__ = [
     "JobServerCore",
     "JobStats",
-    "ServerSaturatedError",
     "ServerClosedError",
     "percentile",
 ]
-
-
-class ServerSaturatedError(RuntimeError):
-    """``submit`` on a full server with ``on_full="reject"``."""
 
 
 class ServerClosedError(RuntimeError):
@@ -132,20 +126,11 @@ class JobServerCore:
     #: Observer metric namespace (``serve/...``, ``fleet/...``).
     metric_prefix = "serve"
 
-    def __init__(
-        self,
-        *,
-        max_inflight: int,
-        on_full: str = "block",
-        observer: Observer | None = None,
-    ):
-        if on_full not in ("block", "reject"):
-            raise ValueError(f"on_full must be block|reject, got {on_full!r}")
+    def __init__(self, *, max_inflight: int):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
-        self.on_full = on_full
-        self.observer = observer or Observer()
+        self.observer = Observer()
 
         self._cv = threading.Condition()
         self._inflight = 0
@@ -161,7 +146,6 @@ class JobServerCore:
         self._c_submitted = reg.counter(f"{p}/jobs_submitted")
         self._c_completed = reg.counter(f"{p}/jobs_completed")
         self._c_failed = reg.counter(f"{p}/jobs_failed")
-        self._c_rejected = reg.counter(f"{p}/jobs_rejected")
         self._g_inflight = reg.gauge(f"{p}/inflight")
         self._g_queued = reg.gauge(f"{p}/queue_depth")
 
@@ -242,12 +226,6 @@ class JobServerCore:
             if self._closed:
                 raise ServerClosedError("server is closed")
             if self._inflight >= self.max_inflight:
-                if self.on_full == "reject":
-                    self._c_rejected.inc()
-                    raise ServerSaturatedError(
-                        f"{self._inflight} jobs in flight "
-                        f"(max_inflight={self.max_inflight})"
-                    )
                 while self._inflight >= self.max_inflight and not self._closed:
                     self._cv.wait()
                 if self._closed:

@@ -67,11 +67,11 @@ ENGINE_NAMES = ("cooperative", "threaded", "multiprocess", "socket")
 def make_engine(name: str = "threaded", **kwargs):
     """Engine factory by name — the CLI's ``--engine`` values.
 
-    ``kwargs`` are forwarded to the engine constructor (``observe``,
-    ``recv_timeout``, ...; ``start_method`` and ``pool`` for the
-    multiprocess backend).  The two process engines hold workers from
-    their first ``run()`` to :meth:`close` (or the end of a ``with``
-    block, or their collection): ``"multiprocess"`` a
+    ``kwargs`` are forwarded to the engine constructor (``trace``,
+    ``observe``, ...; ``start_method`` for the multiprocess backend).
+    The two process engines hold workers from their first ``run()`` to
+    :meth:`close` (or the end of a ``with`` block, or their
+    collection): ``"multiprocess"`` a
     :class:`~repro.dist.pool.WorkerPool` reused by every run,
     ``"socket"`` the worker daemons it dispatches to — loopback ones it
     spawns itself by default, or external ones via

@@ -12,8 +12,6 @@ Practical deviations from the idealised model, handled explicitly:
   reader blocked on a closed empty channel receives
   :class:`~repro.errors.EmptyChannelError` instead of hanging forever,
   so most real deadlocks surface as diagnosable failures;
-* an optional ``recv_timeout`` bounds every blocking receive, turning
-  any remaining hang into an error;
 * a body that raises is reported as
   :class:`~repro.errors.ProcessFailedError` after all threads have been
   reaped.
@@ -40,9 +38,6 @@ class ThreadedEngine:
         :class:`~repro.runtime.trace.Trace`, in observation order.  Off
         by default: recording reads a clock per action and perturbs
         timing — but it cannot change what any body computes.
-    recv_timeout:
-        Optional upper bound, in seconds, on any single blocking
-        receive.  ``None`` (default) waits indefinitely.
     observe:
         ``True`` creates a fresh :class:`~repro.obs.observer.Observer`
         per run; an :class:`Observer` instance is used as given (one
@@ -53,18 +48,12 @@ class ThreadedEngine:
 
     name = "threaded"
 
-    def __init__(
-        self,
-        trace: bool = False,
-        recv_timeout: float | None = None,
-        observe=False,
-    ):
-        self._recv_timeout = recv_timeout
+    def __init__(self, trace: bool = False, observe=False):
         #: What a run's :class:`RunState` is told to record.
         self._instruments = (trace, observe)
 
     def run(self, system: System) -> RunResult:
-        executor = Executor(self._recv_timeout)
+        executor = Executor()
         state = RunState(system, executor, *self._instruments)
         errors: dict[int, BaseException] = {}
         threads: list[threading.Thread] = []

@@ -61,7 +61,7 @@ ENGINES = [
         "multiprocess/fork",
         lambda **kw: make_engine("multiprocess", start_method="fork", **kw),
     ),
-    ("socket/loopback", lambda **kw: make_engine("socket", daemons=2, **kw)),
+    ("socket/loopback", lambda **kw: make_engine("socket", **kw)),
 ]
 
 

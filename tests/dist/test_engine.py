@@ -157,7 +157,7 @@ class TestFailures:
             ("multiprocess", {"start_method": "fork"}, 2),
             ("multiprocess", {"start_method": "spawn"}, 1),
             # Once: the dead rank took its whole daemon with it.
-            ("socket", {"daemons": 2}, 1),
+            ("socket", {}, 1),
         ],
         ids=["multiprocess-fork", "multiprocess-spawn", "socket"],
     )

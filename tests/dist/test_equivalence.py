@@ -66,7 +66,7 @@ ENGINES = [
     ("threaded", ThreadedEngine),
     ("multiprocess/fork", lambda: make_engine("multiprocess", start_method="fork")),
     ("multiprocess/spawn", lambda: make_engine("multiprocess", start_method="spawn")),
-    ("socket/loopback", lambda: make_engine("socket", daemons=2)),
+    ("socket/loopback", lambda: make_engine("socket")),
 ]
 
 

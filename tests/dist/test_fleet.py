@@ -3,6 +3,7 @@ re-placement after daemon death (bitwise-identical results, Theorem 1),
 exhausted retries, admission control, elastic capacity, and drain
 shutdown — all over real loopback daemons."""
 
+import multiprocessing
 import threading
 import time
 
@@ -15,7 +16,6 @@ from repro.dist.fleet import (
     DaemonState,
     FleetScheduler,
     ServerClosedError,
-    ServerSaturatedError,
     elastic_capacity,
     least_loaded,
     probe_stats,
@@ -145,7 +145,7 @@ def test_daemon_drains_inflight_job_before_closing():
             while daemon.stats()["ranks_active"] != system.nprocs:
                 assert time.monotonic() < deadline, "job never started"
                 time.sleep(0.01)
-            daemon.stop(drain=True)  # mid-job: must drain, not abort
+            daemon.stop()  # mid-job: must drain, not abort
         finally:
             runner.join(timeout=30.0)
             engine.close()
@@ -167,7 +167,7 @@ def test_draining_daemon_refuses_new_control_hellos():
         stream.close()
         assert daemon.stats()["refused_conns"] == 1
     finally:
-        daemon.stop(drain=False)
+        daemon.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +234,23 @@ def test_fleet_serves_concurrent_jobs_identically():
 
 
 def test_fleet_rejects_oversized_job_at_submit():
-    with FleetScheduler(daemons=1, capacity=2, max_capacity=2) as sched:
-        with pytest.raises(ValueError):
+    # Without the elastic controller a daemon's ceiling is its capacity,
+    # and the message names that ceiling.
+    with FleetScheduler(daemons=1, capacity=2, elastic=False) as sched:
+        with pytest.raises(
+            ValueError, match=r"tops out at 2 \(1 daemons x 2\)"
+        ):
             sched.submit(stencil_ring(nprocs=3))
 
 
-def test_fleet_reject_admission_control():
-    with FleetScheduler(
-        daemons=1, capacity=2, max_inflight=1, on_full="reject",
-        heartbeat_interval=0.2,
-    ) as sched:
-        first = sched.submit(stencil_ring(sleep=0.1))
-        with pytest.raises(ServerSaturatedError):
-            while True:  # the first job holds the only admission slot
-                sched.submit(stencil_ring())
-        first.result(timeout=120)
+@pytest.mark.parametrize(
+    "options", [{"daemons": 0}, {"max_inflight": 0}], ids=str
+)
+def test_sizes_below_one_raise_before_a_daemon_starts(options):
+    before = {p.pid for p in multiprocessing.active_children()}
+    with pytest.raises(ValueError, match=next(iter(options))):
+        FleetScheduler(**options)
+    assert {p.pid for p in multiprocessing.active_children()} == before
 
 
 def test_fleet_block_admission_control():

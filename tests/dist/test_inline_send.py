@@ -370,7 +370,7 @@ def exchange_system(steps=60, n=625):
 
 @pytest.mark.parametrize("make", [
     lambda: MultiprocessEngine(start_method="fork"),
-    lambda: SocketEngine(daemons=2),
+    lambda: SocketEngine(),
 ], ids=["multiprocess", "socket"])
 def test_unpressured_exchange_runs_zero_feeder_threads(make):
     with make() as engine:
@@ -410,7 +410,7 @@ def test_socket_engine_delivers_a_backlog_in_order_under_back_pressure():
     system = System([ProcessSpec(0, writer), ProcessSpec(1, reader)])
     system.add_channel("data", 0, 1)
     system.add_channel("go", 0, 1)
-    engine = make_engine("socket", daemons=2)
+    engine = make_engine("socket")
     try:
         result = engine.run(system)
     finally:

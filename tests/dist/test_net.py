@@ -325,7 +325,7 @@ def stencil_ring():
 
 def test_socket_engine_matches_threaded_and_reuses_daemons():
     reference = ThreadedEngine().run(stencil_ring())
-    engine = make_engine("socket", daemons=2)
+    engine = make_engine("socket")
     try:
         first = engine.run(stencil_ring())
         second = engine.run(stencil_ring())  # same daemons, fresh job_id
@@ -342,7 +342,7 @@ def test_socket_engine_matches_threaded_and_reuses_daemons():
 
 
 def test_socket_engine_close_stops_loopback_daemons():
-    engine = make_engine("socket", daemons=2, handshake_timeout=10.0)
+    engine = make_engine("socket", handshake_timeout=10.0)
     addrs = engine.daemon_addresses
     procs = list(engine._local_procs)
     assert len(addrs) == 2 and len(procs) == 2
@@ -356,7 +356,7 @@ def test_socket_engine_close_stops_loopback_daemons():
 
 
 def test_a_dropped_socket_engine_stops_its_loopback_daemons():
-    engine = make_engine("socket", daemons=2, handshake_timeout=10.0)
+    engine = make_engine("socket", handshake_timeout=10.0)
     engine.run(stencil_ring())
     procs = list(engine._local_procs)
     assert len(procs) == 2 and all(p.is_alive() for p in procs)
@@ -379,7 +379,7 @@ def test_socket_engine_surfaces_killed_daemon():
         s.add_channel("c", 1, 0)
         return s
 
-    engine = make_engine("socket", daemons=2, crash_grace=5.0)
+    engine = make_engine("socket", crash_grace=5.0)
     t0 = time.monotonic()
     try:
         with pytest.raises(ProcessFailedError):
@@ -390,7 +390,7 @@ def test_socket_engine_surfaces_killed_daemon():
 
 
 def test_socket_engine_traces():
-    engine = make_engine("socket", daemons=2, trace=True)
+    engine = make_engine("socket", trace=True)
     try:
         trace = engine.run(stencil_ring()).trace
     finally:
@@ -439,7 +439,7 @@ def test_worker_daemon_cli_rejects_bad_flags(capsys):
 
 
 def test_socket_engine_observe_merges_wire_counters():
-    engine = make_engine("socket", daemons=2, observe=True)
+    engine = make_engine("socket", observe=True)
     try:
         result = engine.run(stencil_ring())
     finally:

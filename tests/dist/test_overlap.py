@@ -345,5 +345,5 @@ class TestOverlapEngineMatrix:
         config = small_config(steps=4)
         par = build_parallel_fdtd(config, (2, 1, 1), version="A", overlap=True)
         self._check(
-            make_engine("socket", daemons=2), par, self._reference(config)
+            make_engine("socket"), par, self._reference(config)
         )

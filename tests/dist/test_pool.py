@@ -200,20 +200,6 @@ class TestOneLifecycle:
         assert child_pids() == before
         assert live_segment_names() == frozenset()
 
-    def test_a_borrowed_pool_outlives_the_engine(self):
-        with WorkerPool("fork") as pool:
-            engine = MultiprocessEngine(pool=pool)
-            engine.run(exchange_system())
-            engine.close()
-            del engine
-            gc.collect()
-            assert not pool.closed and len(pool) == 2
-
-    @pytest.mark.parametrize("pool", [True, False])
-    def test_a_bool_pool_is_rejected(self, pool):
-        with pytest.raises(TypeError):
-            MultiprocessEngine(pool=pool)
-
     def test_the_suites_old_name_is_a_spelling_of_multiprocess(self, capsys):
         assert "multiprocess+pool" not in ENGINE_NAMES
         engine = make_engine("multiprocess+pool", start_method="fork")

@@ -88,7 +88,7 @@ class _Submitting:
 FRONT_ENDS = {
     "multiprocess": lambda: MultiprocessEngine(start_method="fork"),
     "jobserver": lambda: _Submitting(JobServer(pool_size=2)),
-    "socket": lambda: SocketEngine(daemons=2),
+    "socket": lambda: SocketEngine(),
     "fleet": lambda: _Submitting(
         FleetScheduler(daemons=2, heartbeat_interval=0.2)
     ),

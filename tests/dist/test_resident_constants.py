@@ -243,6 +243,35 @@ def test_tokens_are_minted_once_and_follow_the_arrays_not_the_bytes():
     assert constant_sets(other)[0][0] != first[0][0]
 
 
+def test_two_threads_dispatching_one_new_system_get_one_token_list(
+    monkeypatch,
+):
+    # Two fleet threads running the first jobs of one System both miss
+    # the cache; a slow mint widens the window in which each could make
+    # its own tokens, and a daemon would then hold the constants twice.
+    real_urandom = os.urandom
+
+    def slow_urandom(n):
+        time.sleep(0.05)
+        return real_urandom(n)
+
+    monkeypatch.setattr("repro.dist.net.engine.os.urandom", slow_urandom)
+    system, _const, _ = poking_system()
+    barrier = threading.Barrier(2)
+    tokens = [None, None]
+
+    def dispatch(i):
+        barrier.wait()
+        tokens[i] = [token for token, _held in constant_sets(system)]
+
+    threads = [threading.Thread(target=dispatch, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert tokens[0] is not None and tokens[0] == tokens[1]
+
+
 def test_a_dropped_system_drops_its_tokens():
     from repro.dist.net import engine as net_engine
 
@@ -574,7 +603,7 @@ def test_a_coordinator_answering_need_wrongly_fails_the_rank_only(answer):
     "name,options",
     [
         ("multiprocess", {"start_method": "fork"}),
-        ("socket", {"daemons": 2}),
+        ("socket", {}),
     ],
     ids=["multiprocess", "socket"],
 )

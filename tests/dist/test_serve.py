@@ -3,12 +3,13 @@
 Serving interleaves many jobs on one pool; by the determinacy theorem
 each job's result must be exactly what a dedicated engine run produces
 — asserted bitwise here.  The rest pins the operational contract:
-``max_inflight`` backpressure in both block and reject flavours, failed
+``max_inflight`` backpressure (``submit`` blocks at the bound), failed
 and crashed jobs staying contained to their own future, and a close —
 even mid-flight — leaving no shared segment and no worker process
 behind.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -16,12 +17,7 @@ import pytest
 
 from tests.dist.test_pool import exchange_system, run_pair_equal
 from repro.dist.engine import MultiprocessEngine, WorkerCrashError
-from repro.dist.pool import WorkerPool
-from repro.dist.serve import (
-    JobServer,
-    ServerClosedError,
-    ServerSaturatedError,
-)
+from repro.dist.serve import JobServer, ServerClosedError
 from repro.dist.shm import live_segment_names
 from repro.errors import ProcessFailedError
 from repro.explore import apply_faults, parse_fault_plan
@@ -90,24 +86,8 @@ class TestServing:
             first.t_done, second.t_done
         )
 
-    def test_reject_policy_raises_when_saturated(self):
-        with JobServer(
-            pool_size=1, max_inflight=1, on_full="reject"
-        ) as server:
-            first = server.submit(sleeper_system(0.5))
-            with pytest.raises(ServerSaturatedError):
-                server.submit(sleeper_system(0.0))
-            assert first.result(timeout=60).returns == [0]
-            # Capacity returned: a later submit is admitted again.
-            assert server.submit(sleeper_system(0.0)).result(
-                timeout=60
-            ).returns == [0]
-        assert server.stats()["jobs_failed"] == 0
-
-    def test_block_policy_waits_for_capacity(self):
-        with JobServer(
-            pool_size=1, max_inflight=1, on_full="block"
-        ) as server:
+    def test_submit_blocks_at_the_bound(self):
+        with JobServer(pool_size=1, max_inflight=1) as server:
             server.submit(sleeper_system(0.3))
             t0 = time.perf_counter()
             fut = server.submit(sleeper_system(0.0))  # blocks for slot 1
@@ -190,51 +170,6 @@ class TestServing:
         for err in failures:
             assert (err.rank, err.step, err.fault_id) == (0, 2, "kill:0@2")
 
-    def test_engine_and_server_share_one_pool_concurrently(self):
-        # Both borrow workers exclusively through run_on_pool, so they
-        # never hold the same slot; four pre-spawned workers cover both.
-        system = exchange_system(2, 64, 2.0)
-        reference = ThreadedEngine().run(system)
-        pool = WorkerPool("fork")
-        pool.ensure(4)
-        engine = MultiprocessEngine(pool=pool)
-        server = JobServer(pool_size=2, pool=pool)
-        results = {"engine": [], "server": []}
-
-        def drive(name, run):
-            for _ in range(40):
-                results[name].append(run())
-
-        threads = [
-            threading.Thread(
-                target=drive,
-                args=("engine", lambda: engine.run(system)),
-                daemon=True,
-            ),
-            threading.Thread(
-                target=drive,
-                args=(
-                    "server",
-                    lambda: server.submit(system).result(timeout=60),
-                ),
-                daemon=True,
-            ),
-        ]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=100)
-            assert not any(t.is_alive() for t in threads), "runs hung"
-            server.close()
-            for result in results["engine"] + results["server"]:
-                run_pair_equal(result, reference)
-            assert len(results["engine"]) == len(results["server"]) == 40
-            assert pool.spawned == 4
-        finally:
-            pool.shutdown()
-        assert live_segment_names() == frozenset()
-
     def test_submit_after_close_raises(self):
         server = JobServer(pool_size=1)
         server.close()
@@ -246,6 +181,12 @@ class TestServing:
         with JobServer(pool_size=2) as server:
             with pytest.raises(ValueError, match="schedules"):
                 server.submit(exchange_system(nprocs=4))
+
+    def test_max_inflight_below_one_raises_before_a_worker_starts(self):
+        before = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises(ValueError, match="max_inflight"):
+            JobServer(pool_size=1, max_inflight=0)
+        assert {p.pid for p in multiprocessing.active_children()} == before
 
 
 class TestMidFlightClose:
@@ -290,18 +231,3 @@ class TestMidFlightClose:
         assert live_segment_names() == frozenset()
         assert len(server.pool) == 0
 
-
-class TestExternalPool:
-    def test_external_pool_not_shut_down(self):
-        with WorkerPool("fork") as pool:
-            with JobServer(pool_size=2, pool=pool) as server:
-                assert server.submit(sleeper_system(0.0)).result(
-                    timeout=60
-                ).returns == [0]
-            assert not pool.closed  # caller owns it
-            # Still usable for an engine run afterwards.
-            result = MultiprocessEngine(start_method="fork", pool=pool).run(
-                exchange_system(2, 64, 1.0)
-            )
-            assert len(result.returns) == 2
-        assert live_segment_names() == frozenset()

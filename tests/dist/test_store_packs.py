@@ -397,7 +397,7 @@ ENGINES = [
     ("cooperative", {}),
     ("threaded", {}),
     ("multiprocess", {"start_method": "fork"}),
-    ("socket", {"daemons": 2}),
+    ("socket", {}),
 ]
 
 

@@ -27,8 +27,8 @@ from repro.dist import closures, worker
 from repro.dist.channels import EndpointSpec
 from repro.dist.engine import MultiprocessEngine, WorkerCrashError
 from repro.dist.fleet import FleetScheduler
-from repro.dist.net.daemon import WorkerDaemon
 from repro.dist.net.frames import FrameStream
+from repro.dist.net.rendezvous import poll_stats
 from repro.dist.pool import WorkerPool, _recv_frame, _send_frame
 from repro.dist.serve import JobServer
 from repro.dist.shm import live_segment_names
@@ -288,34 +288,34 @@ def test_two_jobs_in_flight_on_one_daemon_never_share_a_body():
     images = closures.body_images(system)
     assert images[0] == images[1]
     reference = ThreadedEngine().run(system)
-    with WorkerDaemon() as daemon:
-        with FleetScheduler(
-            hosts=[daemon.address],
-            capacity=4,
-            max_inflight=2,
-            elastic=False,
-            heartbeat_interval=0.2,
-        ) as fleet:
-            wave = [fleet.submit(system) for _ in range(2)]
-            for fut in wave:
-                run_pair_equal(fut.result(timeout=60), reference)
-            # A rank reports ``done`` before the daemon checks its body
-            # back in, so wait for the check-ins before reading stats.
-            def checked_in():
-                snap = daemon.stats()
-                return snap["images_resident"] == snap["image_misses"]
+    with FleetScheduler(
+        daemons=1,
+        capacity=4,
+        max_inflight=2,
+        elastic=False,
+        heartbeat_interval=0.2,
+    ) as fleet:
+        (address,) = fleet.daemon_addresses
+        wave = [fleet.submit(system) for _ in range(2)]
+        for fut in wave:
+            run_pair_equal(fut.result(timeout=60), reference)
+        # A rank reports ``done`` before the daemon checks its body
+        # back in, so wait for the check-ins before reading stats.
+        def checked_in():
+            snap = poll_stats(address)
+            return snap["images_resident"] == snap["image_misses"]
 
-            assert wait_until(checked_in, timeout=2.0)
-            stats = daemon.stats()
-            # Two ranks of one job always run together, so one digest
-            # needed at least two instances; none was shared.
-            assert stats["image_misses"] >= 2
-            assert stats["image_hits"] + stats["image_misses"] == 4
-            assert stats["images_resident"] == stats["image_misses"]
-            run_pair_equal(fleet.submit(system).result(timeout=60), reference)
-            after = daemon.stats()
-            assert after["image_hits"] == stats["image_hits"] + 2
-            assert after["image_misses"] == stats["image_misses"]
+        assert wait_until(checked_in, timeout=2.0)
+        stats = poll_stats(address)
+        # Two ranks of one job always run together, so one digest
+        # needed at least two instances; none was shared.
+        assert stats["image_misses"] >= 2
+        assert stats["image_hits"] + stats["image_misses"] == 4
+        assert stats["images_resident"] == stats["image_misses"]
+        run_pair_equal(fleet.submit(system).result(timeout=60), reference)
+        after = poll_stats(address)
+        assert after["image_hits"] == stats["image_hits"] + 2
+        assert after["image_misses"] == stats["image_misses"]
 
 
 def test_two_jobs_in_flight_on_one_jobserver_match_sequential():

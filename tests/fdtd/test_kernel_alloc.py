@@ -2,9 +2,10 @@
 
 The scratch-buffer ``curl_update`` rewrites *where* intermediates live,
 not *what* is computed: the per-element operation dag is unchanged, so
-results must be bitwise identical to the original allocating path — on
-the sequential drivers (Versions A and C) and through the 4-rank
-parallelization alike.  The tracemalloc checks then pin down the perf
+results must be bitwise identical to the original allocating path
+(``scratch=None``, run by a reference loop here) — on the sequential
+drivers (Versions A and C) and through the 4-rank parallelization
+alike.  The tracemalloc checks then pin down the perf
 claim itself: a steady-state leapfrog step — Mur record, E update, Mur
 apply, H update — performs zero array allocations with scratch, while
 the legacy path demonstrably allocates (so the check is known to be
@@ -32,6 +33,7 @@ from repro.apps.fdtd import (
 )
 from repro.apps.fdtd import update as update_module
 from repro.apps.fdtd.boundary import Mur1
+from repro.apps.fdtd.ntff import NTFFAccumulator
 from repro.apps.fdtd.update import KernelScratch, update_e, update_h
 from repro.util import bitwise_equal_arrays
 
@@ -59,38 +61,32 @@ def _fields_equal(a, b):
 class TestBitwiseIdentity:
     def test_version_a_scratch_identical_to_seed(self):
         config = _config()
-        seed = VersionA(config, use_scratch=False).run()
-        scr = VersionA(config, use_scratch=True).run()
-        assert _fields_equal(seed.fields, scr.fields)
+        seed, _ = _reference_run(config)
+        assert _fields_equal(seed, VersionA(config).run().fields)
 
     def test_version_c_scratch_identical_to_seed(self):
         config = _config(boundary="pec")
         ntff = NTFFConfig(gap=3)
-        seed = VersionC(config, ntff, use_scratch=False).run()
-        scr = VersionC(config, ntff, use_scratch=True).run()
-        assert _fields_equal(seed.fields, scr.fields)
-        assert bitwise_equal_arrays(
-            seed.vector_potential_A, scr.vector_potential_A
-        )
-        assert bitwise_equal_arrays(
-            seed.vector_potential_F, scr.vector_potential_F
-        )
+        seed, acc = _reference_run(config, ntff)
+        run = VersionC(config, ntff).run()
+        assert _fields_equal(seed, run.fields)
+        A, F = acc.potentials()
+        assert bitwise_equal_arrays(A, run.vector_potential_A)
+        assert bitwise_equal_arrays(F, run.vector_potential_F)
 
     @pytest.mark.parametrize("version", ["A", "C"])
     def test_four_rank_scratch_identical_to_seed(self, version):
         # The parallel phases always run through per-rank scratch; their
         # near fields must still be bitwise identical to the scratch-less
-        # sequential seed (the paper's §4.5 identity, now across the
+        # reference loop (the paper's §4.5 identity, now across the
         # kernel rewrite as well as the decomposition).
         config = _config(boundary="pec" if version == "C" else "mur1")
         ntff = NTFFConfig(gap=3) if version == "C" else None
-        cls = VersionC if version == "C" else VersionA
-        args = (config, ntff) if version == "C" else (config,)
-        seed = cls(*args, use_scratch=False).run()
+        seed, _ = _reference_run(config, ntff)
         par = build_parallel_fdtd(config, (2, 2, 1), version=version, ntff=ntff)
         sim = par.run_simulated()
         sim_fields = par.host_fields(sim)
-        assert _fields_equal(seed.fields, sim_fields)
+        assert _fields_equal(seed, sim_fields)
 
 
 def _bare_loop_arrays(n=40):
@@ -109,12 +105,39 @@ def _bare_loop_arrays(n=40):
     return arrays, driver._regions, driver._inv_spacing, Mur1(config.grid)
 
 
-def _step(arrays, regions, inv, mur, scratch):
-    """What one leapfrog step runs: Mur record, E, Mur apply, H."""
-    mur.record(arrays)
+def _step(arrays, regions, inv, mur, scratch, drives=(), step=0):
+    """What one leapfrog step runs: Mur record, E, Mur apply, sources, H
+    (``mur=None`` under PEC)."""
+    if mur is not None:
+        mur.record(arrays)
     update_e(arrays, regions, inv, scratch)
-    mur.apply(arrays)
+    if mur is not None:
+        mur.apply(arrays)
+    for src, region in drives:
+        arrays[src.component][region] += src.value(step)
     update_h(arrays, regions, inv, scratch)
+
+
+def _reference_run(config, ntff=None):
+    """The unbound reference: the drivers' step order through
+    ``update_e`` / ``update_h`` with ``scratch=None``.  Returns the
+    final arrays and, given ``ntff``, the far-field accumulator it fed
+    after every H update."""
+    grid = config.grid
+    arrays = dict(config.initial_fields().components())
+    arrays.update(config.coefficient_set().arrays())
+    regions = {comp: grid.update_region(comp) for comp in COMPONENTS}
+    inv = tuple(1.0 / d for d in grid.spacing)
+    mur = Mur1(grid) if config.boundary == "mur1" else None
+    drives = [(src, src.global_region(grid)) for src in config.sources]
+    acc = None
+    if ntff is not None:
+        acc = NTFFAccumulator(grid, ntff, steps=config.steps)
+    for step in range(config.steps):
+        _step(arrays, regions, inv, mur, None, drives, step)
+        if acc is not None:
+            acc.accumulate(arrays, step)
+    return arrays, acc
 
 
 class TestSteadyStateAllocations:

@@ -106,15 +106,6 @@ class TestNearFieldIdentity:
         stores = par.run_simulated()
         assert fields_identical(par.host_fields(stores), seq.fields)
 
-    def test_io_stages_do_not_change_results(self):
-        config = small_config(steps=4)
-        seq = VersionA(config).run()
-        par = build_parallel_fdtd(
-            config, (2, 1, 1), version="A", include_io_stages=True
-        )
-        stores = par.run_simulated()
-        assert fields_identical(par.host_fields(stores), seq.fields)
-
 
 class TestCoefficientsAreConstants:
     """Section 4.4 step 1: the twelve coefficient arrays are never
@@ -137,14 +128,6 @@ class TestCoefficientsAreConstants:
             for comp in COMPONENTS:
                 assert spec.store[comp].flags.writeable
                 assert result.stores[rank][comp] is not spec.store[comp]
-
-    def test_io_stages_assign_them_so_there_they_are_variables(self):
-        par = build_parallel_fdtd(
-            small_config(steps=2), (2, 1, 1), include_io_stages=True
-        )
-        for store in par.builder.initial_stores():
-            for name in self.COEFS:
-                assert store[name].flags.writeable
 
 
 class TestParallelEqualsSimulated:
