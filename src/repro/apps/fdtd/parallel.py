@@ -14,8 +14,8 @@ This module is the application of the whole methodology:
   and specialise
   per-process computation where needed (physical-boundary trims, Mur
   faces, the ranks a source's region touches, each rank's share of the
-  far-field surface), gathered into one :class:`RankPass` per rank and
-  pass;
+  far-field surface), gathered into one
+  :class:`~repro.apps.fdtd.step.RankPass` per rank and pass;
 * the result is a :class:`ParallelFDTD` handle exposing **both** program
   versions: the sequential simulated-parallel program
   (:meth:`ParallelFDTD.run_simulated`) and its mechanical
@@ -70,6 +70,7 @@ from repro.apps.fdtd.grid import (
     YeeGrid,
 )
 from repro.apps.fdtd.ntff import NTFFAccumulator, NTFFConfig
+from repro.apps.fdtd.step import RankPass
 from repro.apps.fdtd.update import (
     E_GHOST_FACES,
     E_SHELL_SIDES,
@@ -80,8 +81,6 @@ from repro.apps.fdtd.update import (
     local_update_regions,
     split_local_update_regions,
     split_region,
-    update_e,
-    update_h,
 )
 from repro.apps.fdtd.version_a import FDTDConfig
 from repro.archetypes.mesh.decomposition import BlockDecomposition
@@ -177,47 +176,6 @@ def _mur_local_regions(grid: YeeGrid, decomp: BlockDecomposition, rank: int):
     return out
 
 
-class RankPass:
-    """One rank's share of one pass of the step contract.
-
-    A pass holds the rank's update region (or pieces) per component,
-    its :class:`Mur1` driver or ``None``, the ``(source, local_region)``
-    pieces it drives and its :class:`NTFFAccumulator` or ``None``.
-    :meth:`e` and :meth:`h` run the two local phases of
-    :mod:`~repro.apps.fdtd.version_a`'s contract on exactly those
-    pieces.  The baseline program has one pass per rank; the overlap
-    refinement has a shell and an interior pass that tile the rank's
-    cells, so running both performs every operation of the one pass.
-    """
-
-    def __init__(self, regions, mur, drives, accumulator, inv_spacing, scratch):
-        self.regions = regions
-        self.mur = mur
-        self.drives = drives
-        self.accumulator = accumulator
-        self.inv_spacing = inv_spacing
-        self.scratch = scratch
-
-    def e(self, store: AddressSpace, step: int) -> None:
-        """Mur record -> E update -> Mur apply -> sources."""
-        mur = self.mur
-        if mur is not None:
-            mur.record(store)
-        update_e(store, self.regions, self.inv_spacing, self.scratch)
-        if mur is not None:
-            mur.apply(store)
-        for src, region in self.drives:
-            store[src.component][region] += src.value(step)
-
-    def h(self, store: AddressSpace, step: int) -> None:
-        """H update -> far-field accumulation."""
-        update_h(store, self.regions, self.inv_spacing, self.scratch)
-        if self.accumulator is not None:
-            self.accumulator.accumulate_into(
-                store, step, store["ffA"], store["ffF"]
-            )
-
-
 def rank_passes(
     config: FDTDConfig,
     decomp: BlockDecomposition,
@@ -238,6 +196,7 @@ def rank_passes(
     grid = config.grid
     inv_spacing = tuple(1.0 / d for d in grid.spacing)
     scratch = KernelScratch()
+    steps = config.steps
     mur_regions = (
         _mur_local_regions(grid, decomp, rank)
         if config.boundary == "mur1"
@@ -251,7 +210,11 @@ def rank_passes(
     if not overlap:
         mur = None if mur_regions is None else Mur1(grid, mur_regions)
         regions = local_update_regions(grid, decomp, rank)
-        return [RankPass(regions, mur, drives, accumulator, inv_spacing, scratch)]
+        return [
+            RankPass(
+                regions, mur, drives, accumulator, inv_spacing, scratch, steps
+            )
+        ]
 
     strips = comm_strips(decomp, rank, E_SHELL_SIDES)
     shell_regions, interior_regions = split_local_update_regions(
@@ -268,7 +231,15 @@ def rank_passes(
         shell_drives += [(src, piece) for piece in shell]
         interior_drives += [(src, piece) for piece in interior]
     return [
-        RankPass(shell_regions, shell_mur, shell_drives, None, inv_spacing, scratch),
+        RankPass(
+            shell_regions,
+            shell_mur,
+            shell_drives,
+            None,
+            inv_spacing,
+            scratch,
+            steps,
+        ),
         RankPass(
             interior_regions,
             interior_mur,
@@ -276,6 +247,7 @@ def rank_passes(
             accumulator,
             inv_spacing,
             scratch,
+            steps,
         ),
     ]
 

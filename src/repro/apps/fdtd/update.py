@@ -30,7 +30,13 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.apps.fdtd.grid import E_COMPONENTS, H_COMPONENTS, UPDATE_TRIMS, YeeGrid
+from repro.apps.fdtd.grid import (
+    COMPONENTS,
+    E_COMPONENTS,
+    H_COMPONENTS,
+    UPDATE_TRIMS,
+    YeeGrid,
+)
 from repro.archetypes.mesh.decomposition import BlockDecomposition
 
 __all__ = [
@@ -45,6 +51,10 @@ __all__ = [
     "KernelScratch",
     "shift_region",
     "curl_update",
+    "bind_curl",
+    "run_curl",
+    "curl_pieces",
+    "STEP_ARRAYS",
     "update_e",
     "update_h",
     "intersect_local",
@@ -198,6 +208,13 @@ def curl_update(
     partitioned array); ``backward=False`` uses ``f[x+1] - f[x]``
     (H updates, reading the high-side ghost).
 
+    This is the *unbound* call: it binds the piece (:func:`bind_curl`)
+    and runs it (:func:`run_curl`) every time.  The drivers' hot path
+    is a :class:`~repro.apps.fdtd.step.StepPlan`, which binds every
+    piece once per run and then only runs it; this call, and its
+    ``scratch=None`` reference expression, are the oracle the plan and
+    the flat path are tested against.
+
     With a :class:`KernelScratch`, and ``dst, ca, cb, fa, fb`` all
     C-contiguous of one shape and dtype (global arrays, scattered local
     blocks and shm-backed stores always are), the update runs on *flat*
@@ -216,42 +233,68 @@ def curl_update(
     and extra lanes change no region cell's operation dag (nor does
     folding ``cb*(...)`` as ``(...)*cb``: IEEE multiplication commutes).
 
-    Everything else takes the reference expression, the oracle the flat
-    path is tested against: no scratch, operands that fail the
-    precondition, and *low-fill* pieces whose flat span exceeds twice
-    their cell count (shell strips thin in y or z), where the discarded
-    lanes would cost more than the reference's temporaries.
+    Everything else takes the reference expression: no scratch,
+    operands that fail the precondition, and *low-fill* pieces whose
+    flat span exceeds twice their cell count (shell strips thin in y or
+    z), where the discarded lanes would cost more than the reference's
+    temporaries.
+    """
+    args = (dst, ca, cb, fa, axis_a, inv_da, fb, axis_b, inv_db, region, backward)
+    slabs = None if scratch is None else bind_curl(*args, scratch)
+    if slabs is not None:
+        run_curl(slabs)
+        return
+    if backward:
+        da = fa[region] - fa[shift_region(region, axis_a, -1)]
+        db = fb[region] - fb[shift_region(region, axis_b, -1)]
+    else:
+        da = fa[shift_region(region, axis_a, 1)] - fa[region]
+        db = fb[shift_region(region, axis_b, 1)] - fb[region]
+    dst[region] = ca[region] * dst[region] + cb[region] * (
+        da * inv_da - db * inv_db
+    )
+
+
+def bind_curl(
+    dst: np.ndarray,
+    ca: np.ndarray,
+    cb: np.ndarray,
+    fa: np.ndarray,
+    axis_a: int,
+    inv_da: float,
+    fb: np.ndarray,
+    axis_b: int,
+    inv_db: float,
+    region: tuple[slice, ...],
+    backward: bool,
+    scratch: KernelScratch,
+) -> list[tuple] | None:
+    """The flat path of one :func:`curl_update` piece, bound: one tuple
+    of operand, scratch and ``copyto`` views per x-slab, for
+    :func:`run_curl`; ``None`` when the piece takes the reference
+    expression (operands that fail the precondition, or low fill).
+
+    The views alias the operands and ``scratch``: they stay valid while
+    those arrays live, and running them recomputes the piece from the
+    operands' current values.
     """
     shape, dtype = dst.shape, dst.dtype
-    flat = scratch is not None
     for a in (dst, ca, cb, fa, fb):
-        flat = flat and (
-            a.shape == shape and a.dtype == dtype and a.flags.c_contiguous
-        )
-    if flat:
-        # Element strides and the flat positions of the region's first
-        # and last cell, in one pass from the fastest axis.
-        strides = [1] * len(shape)
-        stride, first, last, cells = 1, 0, 0, 1
-        for i in range(len(shape) - 1, -1, -1):
-            s = region[i]
-            strides[i] = stride
-            first += s.start * stride
-            last += (s.stop - 1) * stride
-            cells *= s.stop - s.start
-            stride *= shape[i]
-        flat = 0 < last - first + 1 <= 2 * cells
-    if not flat:
-        if backward:
-            da = fa[region] - fa[shift_region(region, axis_a, -1)]
-            db = fb[region] - fb[shift_region(region, axis_b, -1)]
-        else:
-            da = fa[shift_region(region, axis_a, 1)] - fa[region]
-            db = fb[shift_region(region, axis_b, 1)] - fb[region]
-        dst[region] = ca[region] * dst[region] + cb[region] * (
-            da * inv_da - db * inv_db
-        )
-        return
+        if not (a.shape == shape and a.dtype == dtype and a.flags.c_contiguous):
+            return None
+    # Element strides and the flat positions of the region's first and
+    # last cell, in one pass from the fastest axis.
+    strides = [1] * len(shape)
+    stride, first, last, cells = 1, 0, 0, 1
+    for i in range(len(shape) - 1, -1, -1):
+        s = region[i]
+        strides[i] = stride
+        first += s.start * stride
+        last += (s.stop - 1) * stride
+        cells *= s.stop - s.start
+        stride *= shape[i]
+    if not 0 < last - first + 1 <= 2 * cells:
+        return None
     plane = strides[0]
     step = min(shape[0], max(1, _BLOCK // plane))  # planes per slab
     # Operands are read in place, so two buffers carry the whole dag;
@@ -268,24 +311,46 @@ def curl_update(
     # Within a plane: the region's first cell, and one past its last.
     head = first - x0 * plane
     tail = last - (x1 - 1) * plane + 1
+    slabs = []
     for xa in range(x0, x1, step):
         xb = min(xa + step, x1)
         lo, hi = xa * plane + head, (xb - 1) * plane + tail
         n = hi - lo
-        t1, t2 = s1[head : head + n], s2[head : head + n]
         a, b = lo + pa, lo + pb
-        np.subtract(faf[a : a + n], faf[a - oa : a - oa + n], out=t1)  # da
-        np.subtract(fbf[b : b + n], fbf[b - ob : b - ob + n], out=t2)  # db
-        np.multiply(t1, inv_da, out=t1)  # da * inv_da
-        np.multiply(t2, inv_db, out=t2)  # db * inv_db
-        np.subtract(t1, t2, out=t1)  # da*inv_da - db*inv_db
-        np.multiply(t1, cbf[lo:hi], out=t1)  # cb * (...)
-        np.multiply(caf[lo:hi], dstf[lo:hi], out=t2)  # ca * dst
-        np.add(t2, t1, out=t2)
-        np.copyto(
-            dst[(slice(xa, xb),) + inner],
-            out[(slice(0, xb - xa),) + inner],
+        slabs.append(
+            (
+                faf[a : a + n],
+                faf[a - oa : a - oa + n],
+                fbf[b : b + n],
+                fbf[b - ob : b - ob + n],
+                inv_da,
+                inv_db,
+                cbf[lo:hi],
+                caf[lo:hi],
+                dstf[lo:hi],
+                s1[head : head + n],
+                s2[head : head + n],
+                dst[(slice(xa, xb),) + inner],
+                out[(slice(0, xb - xa),) + inner],
+            )
         )
+    return slabs
+
+
+def run_curl(slabs: list[tuple]) -> None:
+    """Run bound flat-path slabs (:func:`bind_curl`): nine ufuncs each,
+    on views only — no slicing, no checks, no allocation."""
+    subtract, multiply, add, copyto = np.subtract, np.multiply, np.add, np.copyto
+    for fa1, fa0, fb1, fb0, inv_da, inv_db, cb, ca, dst, t1, t2, target, out in slabs:
+        subtract(fa1, fa0, t1)  # da
+        subtract(fb1, fb0, t2)  # db
+        multiply(t1, inv_da, t1)  # da * inv_da
+        multiply(t2, inv_db, t2)  # db * inv_db
+        subtract(t1, t2, t1)  # da*inv_da - db*inv_db
+        multiply(t1, cb, t1)  # cb * (...)
+        multiply(ca, dst, t2)  # ca * dst
+        add(t2, t1, t2)
+        copyto(target, out)
 
 
 def _region_pieces(region) -> list[tuple[slice, ...]]:
@@ -298,30 +363,47 @@ def _region_pieces(region) -> list[tuple[slice, ...]]:
     return [region]
 
 
-def update_e(
+#: Per half-step: the updated components, their curl table, the names
+#: of their two coefficients and the stencil direction.
+_HALF_STEPS = {
+    "e": (E_COMPONENTS, E_CURL, ("ca", "cb"), E_STENCIL_SIDE < 0),
+    "h": (H_COMPONENTS, H_CURL, ("da", "db"), H_STENCIL_SIDE < 0),
+}
+
+#: Every array a step reads or writes: the fields, then the coefficients.
+STEP_ARRAYS: tuple[str, ...] = COMPONENTS + tuple(
+    f"{coef}_{comp}"
+    for comps, _, coefs, _ in _HALF_STEPS.values()
+    for comp in comps
+    for coef in coefs
+)
+
+
+def curl_pieces(
     arrays: Mapping[str, np.ndarray],
     regions: Mapping[str, tuple[slice, ...] | list | None],
     inv_spacing: tuple[float, float, float],
-    scratch: KernelScratch | None = None,
-) -> None:
-    """One E half-step over the given per-component regions.
+    half: str,
+):
+    """The :func:`curl_update` arguments (all but ``scratch``) of one
+    half-step, ``"e"`` or ``"h"``, piece by piece in component order.
 
     ``arrays`` maps ``ex..hz`` plus coefficient names ``ca_ex`` /
     ``cb_ex`` etc. to arrays (global or ghosted-local alike); a region
     of ``None`` means this caller updates nothing for that component
     (a rank whose block misses the component's update range), and a
-    *list* of regions (the overlap refinement's shell pieces) updates
+    *list* of regions (the overlap refinement's shell pieces) yields
     each piece in order — the pieces are disjoint, so any order gives
-    bitwise the same fields.  ``scratch`` (one per caller) selects the
-    allocation-free path.
+    bitwise the same fields.
     """
-    for comp in E_COMPONENTS:
-        fa, axis_a, fb, axis_b = E_CURL[comp]
+    comps, curl, (ca, cb), backward = _HALF_STEPS[half]
+    for comp in comps:
+        fa, axis_a, fb, axis_b = curl[comp]
         for region in _region_pieces(regions[comp]):
-            curl_update(
+            yield (
                 arrays[comp],
-                arrays[f"ca_{comp}"],
-                arrays[f"cb_{comp}"],
+                arrays[f"{ca}_{comp}"],
+                arrays[f"{cb}_{comp}"],
                 arrays[fa],
                 axis_a,
                 inv_spacing[axis_a],
@@ -329,9 +411,21 @@ def update_e(
                 axis_b,
                 inv_spacing[axis_b],
                 region,
-                backward=E_STENCIL_SIDE < 0,
-                scratch=scratch,
+                backward,
             )
+
+
+def update_e(
+    arrays: Mapping[str, np.ndarray],
+    regions: Mapping[str, tuple[slice, ...] | list | None],
+    inv_spacing: tuple[float, float, float],
+    scratch: KernelScratch | None = None,
+) -> None:
+    """One unbound E half-step over the given per-component regions
+    (:func:`curl_pieces`); ``scratch`` (one per caller) selects the
+    allocation-free path."""
+    for args in curl_pieces(arrays, regions, inv_spacing, "e"):
+        curl_update(*args, scratch=scratch)
 
 
 def update_h(
@@ -340,24 +434,9 @@ def update_h(
     inv_spacing: tuple[float, float, float],
     scratch: KernelScratch | None = None,
 ) -> None:
-    """One H half-step over the given per-component regions."""
-    for comp in H_COMPONENTS:
-        fa, axis_a, fb, axis_b = H_CURL[comp]
-        for region in _region_pieces(regions[comp]):
-            curl_update(
-                arrays[comp],
-                arrays[f"da_{comp}"],
-                arrays[f"db_{comp}"],
-                arrays[fa],
-                axis_a,
-                inv_spacing[axis_a],
-                arrays[fb],
-                axis_b,
-                inv_spacing[axis_b],
-                region,
-                backward=H_STENCIL_SIDE < 0,
-                scratch=scratch,
-            )
+    """One unbound H half-step over the given per-component regions."""
+    for args in curl_pieces(arrays, regions, inv_spacing, "h"):
+        curl_update(*args, scratch=scratch)
 
 
 def intersect_local(

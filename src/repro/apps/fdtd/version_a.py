@@ -28,10 +28,11 @@ import numpy as np
 
 from repro.apps.fdtd.boundary import Mur1
 from repro.apps.fdtd.diagnostics import Probe, field_energy
-from repro.apps.fdtd.grid import FieldSet, YeeGrid
+from repro.apps.fdtd.grid import COMPONENTS, FieldSet, YeeGrid
 from repro.apps.fdtd.materials import CoefficientSet, MaterialGrid
 from repro.apps.fdtd.sources import GaussianBallInitial, PointSource
-from repro.apps.fdtd.update import KernelScratch, update_e, update_h
+from repro.apps.fdtd.step import RankPass
+from repro.apps.fdtd.update import KernelScratch
 from repro.errors import FDTDError
 
 __all__ = ["FDTDConfig", "SequentialResult", "VersionA"]
@@ -88,9 +89,12 @@ class SequentialResult:
 class VersionA:
     """Sequential near-field driver.
 
-    The update kernels run through one preallocated
-    :class:`~repro.apps.fdtd.update.KernelScratch`.  The unbound
-    reference is ``update_e`` / ``update_h`` with ``scratch=None``; the
+    The whole grid is one :class:`~repro.apps.fdtd.step.RankPass`, the
+    same object a grid process steps its block with, so the step
+    contract above is written once for every driver.  Its hot path is
+    the pass's :class:`~repro.apps.fdtd.step.StepPlan`, bound at the
+    first step of each run.  The unbound oracle is ``update_e`` /
+    ``update_h`` (with ``scratch=None``, the reference expression); the
     kernel tests check that the two are bitwise identical.
     """
 
@@ -100,21 +104,25 @@ class VersionA:
         self.config = config
         self.grid = config.grid
         self.coefs = config.coefficient_set()
-        self._inv_spacing = tuple(1.0 / d for d in self.grid.spacing)
-        self._regions = {
-            comp: self.grid.update_region(comp)
-            for comp in ("ex", "ey", "ez", "hx", "hy", "hz")
-        }
-        self._drives = [
-            (src, src.global_region(self.grid)) for src in config.sources
-        ]
-        self._scratch = KernelScratch()
+        grid = self.grid
+        self._pass = RankPass(
+            regions={comp: grid.update_region(comp) for comp in COMPONENTS},
+            mur=Mur1(grid) if config.boundary == "mur1" else None,
+            drives=[(src, src.global_region(grid)) for src in config.sources],
+            accumulator=None,
+            inv_spacing=tuple(1.0 / d for d in grid.spacing),
+            scratch=KernelScratch(),
+            steps=config.steps,
+        )
 
     # -- hooks for Version C -------------------------------------------------
 
-    def _post_h_update(self, arrays, step: int) -> None:
-        """Called after the H update each step (Version C accumulates
-        the far-field surface integrals here)."""
+    def _arrays(self, fields: FieldSet) -> dict:
+        """The arrays one run steps: fields and coefficients (Version C
+        adds its far-field potentials)."""
+        arrays = dict(fields.components())
+        arrays.update(self.coefs.arrays())
+        return arrays
 
     def _make_result(self, fields: FieldSet) -> SequentialResult:
         result = SequentialResult(fields=fields)
@@ -128,21 +136,13 @@ class VersionA:
     def run(self) -> SequentialResult:
         config = self.config
         fields = config.initial_fields()
-        arrays = dict(fields.components())
-        arrays.update(self.coefs.arrays())
-        mur = Mur1(self.grid) if config.boundary == "mur1" else None
+        arrays = self._arrays(fields)
+        step_pass = self._pass
         energy: list[tuple[int, float]] = []
 
         for step in range(config.steps):
-            if mur is not None:
-                mur.record(arrays)
-            update_e(arrays, self._regions, self._inv_spacing, self._scratch)
-            if mur is not None:
-                mur.apply(arrays)
-            for src, region in self._drives:
-                fields[src.component][region] += src.value(step)
-            update_h(arrays, self._regions, self._inv_spacing, self._scratch)
-            self._post_h_update(arrays, step)
+            step_pass.e(arrays, step)
+            step_pass.h(arrays, step)
             for probe in config.probes:
                 probe.sample(fields)
             if config.energy_every and step % config.energy_every == 0:

@@ -6,8 +6,10 @@ transformation — radiation vector potentials accumulated at every step
 by integrating equivalent currents over a closed surface near the grid
 boundary (:mod:`repro.apps.fdtd.ntff`).
 
-The far-field accumulation runs after the H update each step, over the
-full surface in global traversal order.  That order is the baseline
+The far-field accumulation runs after the H update each step (the whole
+grid's :class:`~repro.apps.fdtd.step.RankPass` accumulates into the
+driver's own potentials), over the full surface in global traversal
+order.  That order is the baseline
 against which the reordered (per-process partial) summation of the
 parallelized version is compared in experiment E2.
 """
@@ -49,9 +51,12 @@ class VersionC(VersionA):
         self.ntff = NTFFAccumulator(
             self.grid, self.ntff_config, steps=config.steps
         )
+        self._pass.accumulator = self.ntff
 
-    def _post_h_update(self, arrays, step: int) -> None:
-        self.ntff.accumulate(arrays, step)
+    def _arrays(self, fields) -> dict:
+        arrays = super()._arrays(fields)
+        arrays["ffA"], arrays["ffF"] = self.ntff.potentials()
+        return arrays
 
     def _make_result(self, fields) -> FarFieldResult:
         base = super()._make_result(fields)

@@ -91,11 +91,14 @@ class ResidentImages:
     Checkout is **exclusive**: a body is removed while a rank runs it
     and comes back in :func:`run_job`'s ``finally``.  A daemon runs
     ranks of concurrent jobs as threads of one process, and a body
-    carries per-instance scratch (``KernelScratch``, ``Mur1`` planes),
-    so two ranks must never run one instance at once — the second
-    unpickles its own, and both are kept afterwards.  A body whose run
+    carries per-instance scratch (``KernelScratch``, ``Mur1`` planes,
+    and each ``RankPass``'s step plan: the run's views, bound at its
+    first step), so two ranks must never run one instance at once — the
+    second unpickles its own, and both are kept afterwards.  A kept
+    body holds no plan: a pass drops it after the run's last step, so
+    nothing parked views a finished run's segment.  A body whose run
     raised is not checked in again: it may have stopped between two of
-    its own bookkeeping steps.
+    its own bookkeeping steps (and may still hold its plan).
     """
 
     def __init__(self) -> None:

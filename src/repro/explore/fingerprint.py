@@ -27,10 +27,9 @@ exposes a switch to disable pruning for foreign bodies.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Mapping
 
-from repro.theory.determinacy import _canonical_bytes
+from repro.theory.determinacy import Sha256Stream, _canonical_bytes
 
 __all__ = ["state_fingerprint"]
 
@@ -40,7 +39,7 @@ def state_fingerprint(
     channels: Mapping[str, Any],
 ) -> str:
     """Canonical hex digest of a mid-run scheduler-visible state."""
-    out: list[bytes] = []
+    out = Sha256Stream()
     for store in stores:
         _canonical_bytes(store, out)
     for name in sorted(channels):
@@ -48,4 +47,4 @@ def state_fingerprint(
         out.append(name.encode())
         out.append(f"{ch.sends}:{ch.receives}".encode())
         _canonical_bytes(list(ch.snapshot()), out)
-    return hashlib.sha256(b"\x00".join(out)).hexdigest()
+    return out.hexdigest()

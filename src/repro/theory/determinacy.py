@@ -36,14 +36,47 @@ from repro.runtime.system import RunResult, System
 __all__ = ["state_digest", "DeterminacyReport", "check_determinacy"]
 
 
-def _canonical_bytes(value: Any, out: list[bytes]) -> None:
+class Sha256Stream:
+    """SHA-256 of ``b"\\x00".join(pieces)``, fed a piece at a time.
+
+    :func:`_canonical_bytes` appends its pieces here as it would to a
+    list, and the hash sees the same byte stream the joined list would
+    be, without the list or the join.
+    """
+
+    __slots__ = ("hash", "_update", "_sep")
+
+    def __init__(self) -> None:
+        self.hash = hashlib.sha256()
+        self._update = self.hash.update
+        self._sep = b""
+
+    def append(self, piece: bytes) -> None:
+        self._update(self._sep)
+        self._update(piece)
+        self._sep = b"\x00"
+
+    def hexdigest(self) -> str:
+        return self.hash.hexdigest()
+
+
+#: ``str(dtype)`` encoded, per dtype: the name is the same for every
+#: array of a dtype, so it is encoded once.
+_DTYPE_BYTES: dict[np.dtype, bytes] = {}
+
+
+def _canonical_bytes(value: Any, out: list[bytes] | Sha256Stream) -> None:
     """Serialise a store value into a canonical byte stream."""
     # bool first: it is an int subclass, and ``True`` must not read as 1.
     if isinstance(value, (bool, np.bool_)):
         out.append(b"b1" if value else b"b0")
     elif isinstance(value, np.ndarray):
+        dtype = value.dtype
+        name = _DTYPE_BYTES.get(dtype)
+        if name is None:
+            name = _DTYPE_BYTES[dtype] = str(dtype).encode()
         out.append(b"A")
-        out.append(str(value.dtype).encode())
+        out.append(name)
         out.append(str(value.shape).encode())
         out.append(np.ascontiguousarray(value).tobytes())
     elif isinstance(value, (np.floating, float)):
@@ -81,11 +114,11 @@ def state_digest(result: RunResult) -> str:
     Two runs have equal digests iff their final states are bitwise
     identical (up to the canonicalisation of container ordering).
     """
-    out: list[bytes] = []
+    out = Sha256Stream()
     for store in result.stores:
         _canonical_bytes(store, out)
     _canonical_bytes(list(result.returns), out)
-    return hashlib.sha256(b"\x00".join(out)).hexdigest()
+    return out.hexdigest()
 
 
 @dataclass

@@ -34,7 +34,17 @@ from repro.apps.fdtd import (
 from repro.apps.fdtd import update as update_module
 from repro.apps.fdtd.boundary import Mur1
 from repro.apps.fdtd.ntff import NTFFAccumulator
-from repro.apps.fdtd.update import KernelScratch, update_e, update_h
+from repro.apps.fdtd.parallel import rank_passes
+from repro.apps.fdtd.update import (
+    KernelScratch,
+    curl_update,
+    run_curl,
+    update_e,
+    update_h,
+)
+from repro.archetypes.mesh.decomposition import BlockDecomposition
+from repro.archetypes.mesh.distributed_grid import scatter_array
+from repro.refinement.store import AddressSpace
 from repro.util import bitwise_equal_arrays
 
 
@@ -102,7 +112,8 @@ def _bare_loop_arrays(n=40):
     driver = VersionA(config)
     arrays = dict(config.initial_fields().components())
     arrays.update(driver.coefs.arrays())
-    return arrays, driver._regions, driver._inv_spacing, Mur1(config.grid)
+    step_pass = driver._pass
+    return arrays, step_pass.regions, step_pass.inv_spacing, Mur1(config.grid)
 
 
 def _step(arrays, regions, inv, mur, scratch, drives=(), step=0):
@@ -201,3 +212,134 @@ class TestSteadyStateAllocations:
         _step(arrays, regions, inv, mur, KernelScratch())
         _step(twin_arrays, regions, inv, twin, KernelScratch())
         assert _fields_equal(arrays, twin_arrays)
+
+
+def _rank_store(config, decomp, rank, seed=0):
+    """One rank's ghosted local arrays of random fields (ghosts filled as
+    after an exchange) and the configuration's coefficients."""
+    rng = np.random.default_rng(seed)
+    shape = config.grid.node_shape
+    arrays = {c: rng.uniform(-1.0, 1.0, shape) for c in COMPONENTS}
+    arrays.update(config.coefficient_set().arrays())
+    return AddressSpace(
+        {
+            name: scatter_array(decomp, arr, fill_ghosts=True)[rank]
+            for name, arr in arrays.items()
+        }
+    )
+
+
+def _copy(store):
+    return AddressSpace({k: v.copy() for k, v in store.items()})
+
+
+class TestStepPlan:
+    """The drivers' hot path: one :class:`StepPlan` per pass and run."""
+
+    #: A planned step makes a few small Python objects (~1.5 KB at
+    #: most); one 40x40 boundary-plane temporary (12.8 KB) exceeds this.
+    #: A ufunc over a strided plane buffers a copy of it, so every Mur
+    #: operand the plan computes on must be contiguous to pass.
+    NOISE = 8 * 1024
+
+    def _peak_over(self, step_pass, arrays, steps=4):
+        # The first step binds the plan (and warms the scratch): measure
+        # the steps after it.
+        step_pass.e(arrays, 0)
+        step_pass.h(arrays, 0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            for step in range(1, 1 + steps):
+                step_pass.e(arrays, step)
+                step_pass.h(arrays, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - base
+
+    def test_planned_version_a_step_allocates_no_arrays(self):
+        config = _config(shape=(40, 40, 40), steps=100)
+        driver = VersionA(config)
+        arrays = driver._arrays(config.initial_fields())
+        assert self._peak_over(driver._pass, arrays) < self.NOISE
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_planned_rank_step_allocates_no_arrays(self, rank):
+        config = _config(shape=(40, 40, 40), steps=100)
+        decomp = BlockDecomposition(config.grid.node_shape, (2, 1, 1), ghost=1)
+        (step_pass,) = rank_passes(config, decomp, rank, None, overlap=False)
+        store = _rank_store(config, decomp, rank)
+        assert self._peak_over(step_pass, store) < self.NOISE
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["plain", "overlap"])
+    @pytest.mark.parametrize(
+        "pshape", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 2, 2)], ids=str
+    )
+    def test_every_plan_piece_matches_unbound_curl_update(self, pshape, overlap):
+        # Each half-step's bound slabs plus its reference-branch pieces
+        # must do exactly what the unbound reference (scratch=None) does
+        # over the pass's regions: a missing, doubled or misbound piece
+        # moves a cell.
+        config = _config()
+        decomp = BlockDecomposition(config.grid.node_shape, pshape, ghost=1)
+        reference_pieces = 0
+        for rank in range(decomp.nprocs):
+            store = _rank_store(config, decomp, rank, seed=rank)
+            for step_pass in rank_passes(config, decomp, rank, None, overlap):
+                planned, unbound = _copy(store), _copy(store)
+                plan = step_pass.plan(planned)
+                for slabs, pieces, update in (
+                    (plan.e_slabs, plan.e_reference, update_e),
+                    (plan.h_slabs, plan.h_reference, update_h),
+                ):
+                    run_curl(slabs)
+                    for args in pieces:
+                        curl_update(*args)
+                    update(unbound, step_pass.regions, step_pass.inv_spacing)
+                    assert _fields_equal(planned, unbound), (rank, step_pass)
+                reference_pieces += len(plan.e_reference) + len(plan.h_reference)
+        # Shell strips thin in y or z are low-fill: the plan keeps them
+        # on the reference expression, and they are covered here.
+        if overlap and max(pshape[1:]) > 1:
+            assert reference_pieces > 0
+
+    def test_plan_is_bound_at_the_first_step_and_dropped_after_the_last(self):
+        config = _config(steps=3)
+        driver = VersionA(config)
+        step_pass = driver._pass
+        fresh = len(pickle.dumps(step_pass))
+        arrays = driver._arrays(config.initial_fields())
+        step_pass.e(arrays, 0)
+        plan = step_pass._plan
+        assert plan is not None
+        assert len(pickle.dumps(step_pass)) == fresh  # never pickled
+        for step in range(2):
+            step_pass.h(arrays, step)
+            step_pass.e(arrays, step + 1)
+            assert step_pass._plan is plan  # bound once, reused
+        step_pass.h(arrays, 2)
+        assert step_pass._plan is None  # a finished run keeps no views
+        assert len(pickle.dumps(step_pass)) == fresh
+        driver.run()
+        assert step_pass._plan is None
+
+    def test_plan_rebinds_when_an_array_is_replaced(self):
+        # A plan bound to a replaced array would keep stepping the old
+        # one, and the new one would never move.
+        config = _config(steps=6)
+        driver = VersionA(config)
+        step_pass = driver._pass
+        arrays = driver._arrays(config.initial_fields())
+        expected = {k: v.copy() for k, v in arrays.items()}
+        mur = Mur1(config.grid)
+        drives = step_pass.drives
+        regions, inv = step_pass.regions, step_pass.inv_spacing
+        for step in range(config.steps):
+            if step == 3:
+                arrays["hy"] = arrays["hy"].copy()
+            step_pass.e(arrays, step)
+            step_pass.h(arrays, step)
+            _step(expected, regions, inv, mur, None, drives, step)
+        assert _fields_equal(arrays, expected)
