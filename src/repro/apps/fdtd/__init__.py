@@ -46,7 +46,7 @@ from repro.apps.fdtd.farfield import (
 )
 from repro.apps.fdtd.version_a import FDTDConfig, SequentialResult, VersionA
 from repro.apps.fdtd.version_c import FarFieldResult, VersionC
-from repro.apps.fdtd.parallel import ParallelFDTD, build_parallel_fdtd, fdtd_plan
+from repro.apps.fdtd.parallel import ParallelFDTD, build_parallel_fdtd
 
 __all__ = [
     "C0",
@@ -88,5 +88,4 @@ __all__ = [
     "VersionC",
     "ParallelFDTD",
     "build_parallel_fdtd",
-    "fdtd_plan",
 ]

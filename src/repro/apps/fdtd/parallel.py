@@ -2,9 +2,10 @@
 
 This module is the application of the whole methodology:
 
-* a :class:`~repro.archetypes.plan.ParallelizationPlan` records step 1-2
-  of section 4.4 (what is distributed, what duplicated, what runs
-  where, what differs at boundaries);
+* the builder declarations in :func:`build_parallel_fdtd` are step 1-2
+  of section 4.4 (what is distributed, what is a constant, what lives
+  only on the host or the grid, what runs where), checked as they are
+  made;
 * :func:`build_parallel_fdtd` performs the transformation of section
   4.4: partition the data into simulated address spaces (all six field
   arrays plus the twelve coefficient arrays, block-decomposed with a
@@ -85,74 +86,11 @@ from repro.apps.fdtd.update import (
 from repro.apps.fdtd.version_a import FDTDConfig
 from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.archetypes.mesh.skeleton import MeshProgramBuilder
-from repro.archetypes.plan import (
-    ComputationClass,
-    ComputationSpec,
-    ParallelizationPlan,
-    Placement,
-)
 from repro.errors import FDTDError
 from repro.refinement.store import AddressSpace
 from repro.runtime.system import System
 
-__all__ = ["fdtd_plan", "build_parallel_fdtd", "ParallelFDTD"]
-
-
-def fdtd_plan(version: str = "A", boundary: str = "pec") -> ParallelizationPlan:
-    """Section 4.4 step 1-2 for the FDTD codes, as a checked plan."""
-    plan = ParallelizationPlan(name=f"fdtd-version-{version}", archetype="mesh")
-    for comp in COMPONENTS:
-        plan.distribute(comp, ghosted=True, description="Yee field component")
-    for comp in E_COMPONENTS:
-        plan.distribute(f"ca_{comp}", description="E update coefficient")
-        plan.distribute(f"cb_{comp}", description="E curl coefficient")
-    for comp in H_COMPONENTS:
-        plan.distribute(f"da_{comp}", description="H update coefficient")
-        plan.distribute(f"db_{comp}", description="H curl coefficient")
-    plan.computation(
-        ComputationSpec(
-            "e_update",
-            Placement.GRID,
-            ComputationClass.DISTRIBUTED,
-            boundary_special=True,  # tangential-E trim / Mur faces
-            reads=tuple(H_COMPONENTS)
-            + tuple(f"ca_{c}" for c in E_COMPONENTS)
-            + tuple(f"cb_{c}" for c in E_COMPONENTS),
-            writes=tuple(E_COMPONENTS),
-        )
-    )
-    plan.computation(
-        ComputationSpec(
-            "source_injection",
-            Placement.GRID,
-            ComputationClass.DISTRIBUTED,
-            boundary_special=True,  # only the owning process acts
-            writes=tuple(E_COMPONENTS),
-        )
-    )
-    plan.computation(
-        ComputationSpec(
-            "h_update",
-            Placement.GRID,
-            ComputationClass.DISTRIBUTED,
-            reads=tuple(E_COMPONENTS)
-            + tuple(f"da_{c}" for c in H_COMPONENTS)
-            + tuple(f"db_{c}" for c in H_COMPONENTS),
-            writes=tuple(H_COMPONENTS),
-        )
-    )
-    if version.upper() == "C":
-        plan.computation(
-            ComputationSpec(
-                "farfield_accumulation",
-                Placement.GRID,
-                ComputationClass.DISTRIBUTED,
-                boundary_special=True,  # each rank owns part of the surface
-                reads=tuple(COMPONENTS),
-            )
-        )
-    plan.validate()
-    return plan
+__all__ = ["build_parallel_fdtd", "ParallelFDTD"]
 
 
 def _mur_local_regions(grid: YeeGrid, decomp: BlockDecomposition, rank: int):
@@ -433,7 +371,7 @@ def build_parallel_fdtd(
         decomp, use_host=True, name=f"fdtd-{version}-p{pshape}"
     )
 
-    # ---- declarations (plan step 1) --------------------------------------
+    # ---- declarations (section 4.4 step 1) -------------------------------
     fields0 = config.initial_fields()
     for comp in COMPONENTS:
         builder.declare_distributed(comp, fields0[comp])
@@ -441,7 +379,7 @@ def build_parallel_fdtd(
     for name, arr in config.coefficient_set().arrays().items():
         builder.declare_distributed(name, arr)
 
-    # ---- per-rank specialisation (plan step 2) ----------------------------
+    # ---- per-rank specialisation (section 4.4 step 2) --------------------
     accumulators = [None] * decomp.nprocs
     nbins = 0
     if version == "C":
@@ -464,7 +402,7 @@ def build_parallel_fdtd(
         for r in range(decomp.nprocs)
     ]
 
-    # ---- the time loop (plan step 3-4) -----------------------------------
+    # ---- the time loop (section 4.4 step 3-4) ----------------------------
     if overlap:
         _overlap_time_loop(builder, config.steps, passes)
     else:

@@ -5,12 +5,14 @@ computational pattern, a parallelization strategy, and the dataflow /
 communication structure those two imply.  Concretely, an archetype in
 this package offers three things:
 
-* **guidelines** — a machine-checkable
-  :class:`~repro.archetypes.plan.ParallelizationPlan` classifying each
-  variable (distributed vs duplicated, ghosted or not) and each piece
-  of computation (host vs grid, distributed vs duplicated) — the
-  paper's section 4.4 step 1-2 as a data structure;
-* **transformations** — builders that assemble the stages of a
+* **guidelines** — the section 4.4 step 1-2 classification, made by
+  the builder's declarations themselves: each variable is declared
+  distributed (ghosted) or duplicated, host-only or grid-only, and each
+  piece of computation is appended as a grid or a host stage; a
+  classification that cannot hold (a name declared twice, host work
+  without a host, a stage on a variable of the wrong kind) is refused
+  as it is written (:class:`~repro.archetypes.mesh.MeshProgramBuilder`);
+* **transformations** — the same builders assemble the stages of a
   sequential simulated-parallel program for the class
   (:mod:`~repro.archetypes.mesh.skeleton`);
 * **a communication library** — the class's data-exchange operations
@@ -25,23 +27,9 @@ in full here — is the **mesh archetype** (:mod:`repro.archetypes.mesh`).
 """
 
 from repro.archetypes.base import Archetype, ArchetypeOperation, get_archetype
-from repro.archetypes.plan import (
-    ComputationClass,
-    ComputationSpec,
-    ParallelizationPlan,
-    Placement,
-    VariableClass,
-    VariableSpec,
-)
 
 __all__ = [
     "Archetype",
     "ArchetypeOperation",
     "get_archetype",
-    "ParallelizationPlan",
-    "VariableSpec",
-    "VariableClass",
-    "ComputationSpec",
-    "ComputationClass",
-    "Placement",
 ]

@@ -94,7 +94,7 @@ def _build_run(args, grids, **engine_opts):
     ]
     engine = None
     if args.engine:
-        if args.hosts and args.engine == "socket":
+        if args.hosts:
             engine_opts["hosts"] = args.hosts
         engine = make_engine(args.engine, **engine_opts)
     try:
@@ -1064,8 +1064,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="per-host daemon of the cross-host transport (docs/ENGINES.md)",
         description="Run one worker daemon in the foreground until "
         "interrupted or told to shut down.  Point coordinators at it with "
-        "--engine socket --hosts H:P[,H2:P2,...], or a FleetScheduler at "
-        "the same addresses.",
+        "--engine socket --hosts H:P[,H2:P2,...].",
     )
     add = sub.add_argument
     add("--host", default="0.0.0.0")
@@ -1097,6 +1096,8 @@ __doc__ = (__doc__ or "") + "\n" + "\n".join(
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if getattr(args, "hosts", None) and args.engine != "socket":
+            _COMMANDS[args.command].error("--hosts needs --engine socket")
     except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
         return exc.code
     return args.run(args)

@@ -212,10 +212,6 @@ class DecompositionError(ArchetypeError):
     """An invalid grid/process-grid decomposition was requested."""
 
 
-class PlanError(ArchetypeError):
-    """An inconsistent parallelization plan (section 4.4, step 1-2)."""
-
-
 # ---------------------------------------------------------------------------
 # Application errors
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from repro.refinement.checker import (
     compare_stores,
 )
 from repro.refinement.metrics import TransformationMetrics
-from repro.refinement.pipeline import RefinementPipeline, RefinementVerdict
 
 __all__ = [
     "AddressSpace",
@@ -57,6 +56,4 @@ __all__ = [
     "compare_arrays",
     "compare_store_lists",
     "TransformationMetrics",
-    "RefinementPipeline",
-    "RefinementVerdict",
 ]

@@ -28,7 +28,7 @@ sequential analogue of "all sends happen before any receive".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import DataExchangeViolation
 from repro.refinement.store import AddressSpace
@@ -93,21 +93,13 @@ class VarRef:
 
 @dataclass(frozen=True)
 class Assignment:
-    """``dst := transform(src)`` between two partition references.
-
-    ``transform`` (optional) is a pure elementwise function applied to
-    the value read from ``src`` before it is written to ``dst``; it must
-    be deterministic, since it will execute on the *sending* side of the
-    parallel version.
-    """
+    """``dst := src`` between two partition references."""
 
     dst: VarRef
     src: VarRef
-    transform: Callable[[Any], Any] | None = None
 
     def describe(self) -> str:
-        arrow = " := " if self.transform is None else " := f "
-        return self.dst.describe() + arrow + self.src.describe()
+        return self.dst.describe() + " := " + self.src.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +169,9 @@ class DataExchange:
 
     # -- construction -----------------------------------------------------------
 
-    def assign(
-        self,
-        dst: VarRef,
-        src: VarRef,
-        transform: Callable[[Any], Any] | None = None,
-    ) -> "DataExchange":
+    def assign(self, dst: VarRef, src: VarRef) -> "DataExchange":
         """Append an assignment (chainable)."""
-        self.assignments.append(Assignment(dst, src, transform))
+        self.assignments.append(Assignment(dst, src))
         return self
 
     # -- validation --------------------------------------------------------------
@@ -268,8 +255,6 @@ class DataExchange:
         staged: list[tuple[Assignment, Any]] = []
         for a in self.assignments:
             value = stores[a.src.proc].read_region(a.src.var, a.src.region)
-            if a.transform is not None:
-                value = a.transform(value)
             staged.append((a, value))
         for a, value in staged:
             stores[a.dst.proc].write_region(a.dst.var, a.dst.region, value)

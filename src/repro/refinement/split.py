@@ -60,8 +60,6 @@ class ExchangeBegin:
         staged: list[tuple[Assignment, Any]] = []
         for a in self.op.assignments:
             value = stores[a.src.proc].read_region(a.src.var, a.src.region)
-            if a.transform is not None:
-                value = a.transform(value)
             staged.append((a, value))
         self._staged = staged
 

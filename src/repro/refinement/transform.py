@@ -56,16 +56,12 @@ def _begin_exchange(
     # Phase 1 — stage all reads against the pre-state.
     outgoing: dict[int, list[Any]] = {}
     for dest, a in op.sends_from(rank):
-        value = space.read_region(a.src.var, a.src.region)
-        if a.transform is not None:
-            value = a.transform(value)
-        outgoing.setdefault(dest, []).append(value)
+        outgoing.setdefault(dest, []).append(
+            space.read_region(a.src.var, a.src.region)
+        )
     local_staged: list[tuple[Any, Any]] = []
     for a in op.local_assignments(rank):
-        value = space.read_region(a.src.var, a.src.region)
-        if a.transform is not None:
-            value = a.transform(value)
-        local_staged.append((a, value))
+        local_staged.append((a, space.read_region(a.src.var, a.src.region)))
 
     # Phase 2 — all sends (combined: one message per receiver).
     for dest in sorted(outgoing):

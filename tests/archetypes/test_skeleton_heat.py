@@ -15,10 +15,13 @@ ways, per the methodology:
   sequential global sum only approximately (the associativity gap).
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.archetypes.mesh import BlockDecomposition, MeshProgramBuilder
+from repro.errors import ArchetypeError
 from repro.runtime import CooperativeEngine, RandomPolicy, ThreadedEngine
 from repro.theory import check_determinacy
 from repro.util import bitwise_equal_arrays
@@ -205,3 +208,71 @@ class TestBuilderValidation:
         prog = b.build()
         prog.validate()
         assert prog.nprocs == 7
+
+
+NO_HOST = "no host process in this layout"
+NO_HOST_FOR_REDISTRIBUTION = (
+    "this layout has no host process; redistribution stages need one "
+    "(use use_host=True)"
+)
+
+
+class TestClassificationRefusals:
+    """Section 4.4 steps 1-2 are the builder's declarations: each way a
+    classification cannot hold is refused, with its message, while the
+    program is being written.  Every case starts from a distributed
+    ``u`` and a duplicated ``g``."""
+
+    @pytest.mark.parametrize(
+        "use_host, write, message",
+        [
+            pytest.param(
+                True,
+                lambda b: b.declare_grid_only("u", 0.0),
+                "variable 'u' declared twice",
+                id="declared-twice",
+            ),
+            pytest.param(
+                False,
+                lambda b: b.declare_host_only("io", 0.0),
+                NO_HOST,
+                id="declare_host_only-without-host",
+            ),
+            pytest.param(
+                False,
+                lambda b: b.host_block(lambda store: None),
+                NO_HOST,
+                id="host_block-without-host",
+            ),
+            pytest.param(
+                False,
+                lambda b: b.distribute("u"),
+                NO_HOST_FOR_REDISTRIBUTION,
+                id="distribute-without-host",
+            ),
+            pytest.param(
+                False,
+                lambda b: b.collect("u"),
+                NO_HOST_FOR_REDISTRIBUTION,
+                id="collect-without-host",
+            ),
+            pytest.param(
+                True,
+                lambda b: b.declare_distributed("v", np.zeros((3, 3))),
+                "'v': global init shape (3, 3) != grid (12, 10)",
+                id="distributed-global-of-wrong-shape",
+            ),
+            pytest.param(
+                True,
+                lambda b: b.exchange_boundaries("g"),
+                "variable 'g' is duplicated, stage needs distributed",
+                id="exchange-on-duplicated",
+            ),
+        ],
+    )
+    def test_refused(self, use_host, write, message):
+        d = BlockDecomposition(GRID, (2, 2), ghost=1)
+        b = MeshProgramBuilder(d, use_host=use_host)
+        b.declare_distributed("u").declare_duplicated("g", 1.0)
+        with pytest.raises(ArchetypeError, match=f"^{re.escape(message)}$"):
+            write(b)

@@ -29,7 +29,6 @@ from repro.apps.fdtd import (
     VersionC,
     YeeGrid,
     build_parallel_fdtd,
-    fdtd_plan,
 )
 from repro.runtime import CooperativeEngine, RandomPolicy, ThreadedEngine
 from repro.util import bitwise_equal_arrays, max_rel_diff
@@ -57,20 +56,6 @@ def fields_identical(host_fields, seq_fields):
     return all(
         bitwise_equal_arrays(host_fields[c], seq_fields[c]) for c in COMPONENTS
     )
-
-
-class TestPlan:
-    def test_plan_validates(self):
-        for version in ("A", "C"):
-            plan = fdtd_plan(version)
-            plan.validate()
-            assert set(COMPONENTS) <= set(plan.variables)
-            assert plan.ghosted_variables() == list(COMPONENTS)
-
-    def test_plan_describe(self):
-        text = fdtd_plan("C").describe()
-        assert "farfield_accumulation" in text
-        assert "distributed" in text
 
 
 class TestNearFieldIdentity:

@@ -204,6 +204,11 @@ class TestUsageErrors:
             ["stats", "e1", "--pshape", "2xa"],
             ["stats", "e1", "--pshape", "2x0x1"],
             ["stats", "e1", "--hosts", "nocolon"],
+            ["e1", "--engine", "threaded", "--hosts", "127.0.0.1:9"],
+            ["e1", "--hosts", "127.0.0.1:9"],
+            ["e2", "--hosts", "127.0.0.1:9"],
+            ["stats", "e1", "--engine", "multiprocess", "--hosts", "127.0.0.1:9"],
+            ["trace", "e2", "--engine", "cooperative", "--hosts", "127.0.0.1:9"],
             ["trace", "e1", "--limit", "x"],
             ["explore", "--schedules", "many"],
             ["explore", "--faults", "explode:now"],

@@ -133,14 +133,6 @@ class TestExecution:
         np.testing.assert_array_equal(stores[0]["u"][:2], [4.0, 5.0])
         np.testing.assert_array_equal(stores[0]["u"][2:], np.zeros(4))
 
-    def test_transform_applied(self):
-        stores = make_stores(2, {"x": np.array([3.0])})
-        op = DataExchange().assign(
-            VarRef(0, "x"), VarRef(1, "x"), transform=lambda v: v * 10
-        )
-        op.apply(stores)
-        assert stores[0]["x"][0] == 30.0
-
     def test_scalar_exchange(self):
         stores = make_stores(2, {"g": 0.0})
         stores[1]["g"] = 42.0
