@@ -15,7 +15,6 @@ Run:  python examples/scaling_study.py
 
 from repro.perfmodel import IBM_SP2, SUN_ETHERNET, speedup_series
 from repro.perfmodel.scaling import (
-    efficiency_table,
     isoefficiency,
     weak_scaling_series,
 )

@@ -37,7 +37,7 @@ from repro.apps.fdtd.sources import (
 from repro.apps.fdtd.boundary import Mur1
 from repro.apps.fdtd.update import update_e, update_h
 from repro.apps.fdtd.ntff import NTFFAccumulator, NTFFConfig, default_directions
-from repro.apps.fdtd.diagnostics import Probe, field_energy, max_abs_field
+from repro.apps.fdtd.diagnostics import Probe, field_energy
 from repro.apps.fdtd.farfield import (
     far_field_energy,
     far_field_signal,
@@ -76,7 +76,6 @@ __all__ = [
     "default_directions",
     "Probe",
     "field_energy",
-    "max_abs_field",
     "far_field_signal",
     "far_field_energy",
     "rcs_proxy",

@@ -1,4 +1,4 @@
-"""Observables: energy, probes, field extrema.
+"""Observables: energy and probes.
 
 These are the "reduction operations" of the mesh archetype as they
 appear in the application — grid-to-scalar computations whose parallel
@@ -14,7 +14,7 @@ import numpy as np
 from repro.apps.fdtd.constants import EPS0, MU0
 from repro.apps.fdtd.grid import E_COMPONENTS, H_COMPONENTS, FieldSet, YeeGrid
 
-__all__ = ["field_energy", "Probe", "max_abs_field"]
+__all__ = ["field_energy", "Probe"]
 
 
 def field_energy(
@@ -36,14 +36,6 @@ def field_energy(
     e2 = sum(fields[c] ** 2 for c in E_COMPONENTS)
     h2 = sum(fields[c] ** 2 for c in H_COMPONENTS)
     return float(0.5 * dv * (np.sum(eps * e2) + np.sum(mu * h2)))
-
-
-def max_abs_field(fields: FieldSet) -> float:
-    """Largest absolute field value over all components (a reduction)."""
-    return max(
-        float(np.max(np.abs(fields[c])))
-        for c in E_COMPONENTS + H_COMPONENTS
-    )
 
 
 @dataclass

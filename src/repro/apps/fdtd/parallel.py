@@ -265,25 +265,6 @@ class ParallelFDTD:
         """The mechanical message-passing transform."""
         return self.builder.to_parallel()
 
-    def run_parallel(self, engine=None):
-        """Run the message-passing transform on an execution backend.
-
-        ``engine`` is an engine instance, an engine name (one of
-        :data:`repro.runtime.ENGINE_NAMES`), or
-        ``None`` for the threaded default; returns the engine's
-        :class:`~repro.runtime.system.RunResult`.  An engine built from
-        a name is closed before this returns.
-        """
-        if engine is not None and not isinstance(engine, str):
-            return engine.run(self.to_parallel())
-        from repro.runtime import make_engine
-
-        made = make_engine(engine or "threaded")
-        try:
-            return made.run(self.to_parallel())
-        finally:
-            getattr(made, "close", lambda: None)()
-
     def host_fields(self, stores) -> dict[str, np.ndarray]:
         """The collected global field arrays from a finished run's
         stores (list of AddressSpace or of dicts)."""

@@ -51,18 +51,6 @@ class Archetype:
     operations: list[ArchetypeOperation] = field(default_factory=list)
     guidelines: str = ""
 
-    def operation(self, name: str) -> ArchetypeOperation:
-        for op in self.operations:
-            if op.name == name:
-                return op
-        raise ArchetypeError(
-            f"archetype {self.name!r} has no operation {name!r}; "
-            f"available: {[op.name for op in self.operations]}"
-        )
-
-    def operation_names(self) -> list[str]:
-        return [op.name for op in self.operations]
-
     def describe(self) -> str:
         lines = [f"archetype {self.name!r}: {self.description}"]
         for op in self.operations:

@@ -307,7 +307,3 @@ class DivideConquerBuilder:
         return to_parallel_system(
             self.build(), initial_stores=self.initial_stores()
         )
-
-    @staticmethod
-    def result_from(system_result) -> np.ndarray:
-        return np.asarray(system_result.stores[0]["up0"])

@@ -19,12 +19,10 @@ from repro.archetypes.mesh.decomposition import (
     factorizations,
 )
 from repro.archetypes.mesh.ghost import (
-    face_region_shape,
     ghost_face_region,
     owned_face_region,
 )
 from repro.archetypes.mesh.distributed_grid import (
-    fill_ghosts_from_global,
     gather_array,
     local_like,
     scatter_array,
@@ -32,14 +30,12 @@ from repro.archetypes.mesh.distributed_grid import (
 from repro.archetypes.mesh.exchange import (
     boundary_exchange_op,
     boundary_exchange_ops_with_corners,
-    exchange_boundaries_msg,
 )
 from repro.archetypes.mesh.reduction import (
     broadcast_stage,
     combine_block,
     gather_stage,
     partials_buffer,
-    reduce_stages,
 )
 from repro.archetypes.mesh.gio import collect_stage, distribute_stage
 from repro.archetypes.mesh.skeleton import MeshProgramBuilder
@@ -58,18 +54,14 @@ __all__ = [
     "factorizations",
     "owned_face_region",
     "ghost_face_region",
-    "face_region_shape",
     "scatter_array",
     "gather_array",
     "local_like",
-    "fill_ghosts_from_global",
     "boundary_exchange_op",
     "boundary_exchange_ops_with_corners",
-    "exchange_boundaries_msg",
     "gather_stage",
     "combine_block",
     "broadcast_stage",
-    "reduce_stages",
     "partials_buffer",
     "distribute_stage",
     "collect_stage",

@@ -148,17 +148,6 @@ class ProcessGrid:
             return None
         return self.rank(tuple(coords))
 
-    def all_ranks(self) -> list[int]:
-        return list(range(self.nprocs))
-
-    def boundary_ranks(self, axis: int, side: int) -> list[int]:
-        """Ranks whose block touches the physical boundary of ``axis``
-        on ``side`` (-1: low, +1: high)."""
-        want = 0 if side == -1 else self.shape[axis] - 1
-        return [
-            r for r in self.all_ranks() if self.coords(r)[axis] == want
-        ]
-
 
 class BlockDecomposition:
     """Block decomposition of one data grid over one process grid."""
@@ -229,68 +218,6 @@ class BlockDecomposition:
         region."""
         g = self.ghost
         return tuple(slice(g, g + s) for s in self.owned_shape(rank))
-
-    # -- index translation ---------------------------------------------------------
-
-    def global_to_local(
-        self, rank: int, index: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """Local (ghosted) index of a global index owned by ``rank``."""
-        bounds = self.owned_bounds(rank)
-        out = []
-        for axis, ((a, b), i) in enumerate(zip(bounds, index)):
-            if not a <= i < b:
-                raise DecompositionError(
-                    f"global index {index} not owned by rank {rank} "
-                    f"(axis {axis} owns [{a},{b}))"
-                )
-            out.append(i - a + self.ghost)
-        return tuple(out)
-
-    def local_to_global(
-        self, rank: int, index: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """Global index of a local *interior* index."""
-        bounds = self.owned_bounds(rank)
-        out = []
-        for axis, ((a, b), i) in enumerate(zip(bounds, index)):
-            j = i - self.ghost
-            if not 0 <= j < b - a:
-                raise DecompositionError(
-                    f"local index {index} of rank {rank} is not interior "
-                    f"(axis {axis})"
-                )
-            out.append(a + j)
-        return tuple(out)
-
-    def owner_of(self, index: tuple[int, ...]) -> int:
-        """Rank owning a global index."""
-        coords = []
-        for axis, (n, p, i) in enumerate(
-            zip(self.grid_shape, self.pgrid.shape, index)
-        ):
-            if not 0 <= i < n:
-                raise DecompositionError(
-                    f"global index {index} outside grid {self.grid_shape}"
-                )
-            # Invert the block map.
-            base, rem = divmod(n, p)
-            # Parts 0..rem-1 have size base+1, covering [0, rem*(base+1)).
-            if i < rem * (base + 1):
-                coords.append(i // (base + 1))
-            else:
-                coords.append(rem + (i - rem * (base + 1)) // base)
-        return self.pgrid.rank(tuple(coords))
-
-    # -- physical boundary ------------------------------------------------------------
-
-    def touches_boundary(self, rank: int, axis: int, side: int) -> bool:
-        """Does ``rank``'s block touch the physical grid boundary on
-        ``side`` (-1 low / +1 high) of ``axis``?"""
-        coords = self.pgrid.coords(rank)
-        if side == -1:
-            return coords[axis] == 0
-        return coords[axis] == self.pgrid.shape[axis] - 1
 
     # -- sanity / coverage --------------------------------------------------------------
 

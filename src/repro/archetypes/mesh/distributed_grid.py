@@ -20,7 +20,7 @@ import numpy as np
 from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.errors import DecompositionError
 
-__all__ = ["scatter_array", "gather_array", "local_like", "fill_ghosts_from_global"]
+__all__ = ["scatter_array", "gather_array", "local_like"]
 
 
 def local_like(
@@ -89,27 +89,3 @@ def gather_array(
             )
         out[decomp.owned_slices(rank)] = local[decomp.interior_slices(rank)]
     return out
-
-
-def fill_ghosts_from_global(
-    decomp: BlockDecomposition,
-    rank: int,
-    local: np.ndarray,
-    global_array: np.ndarray,
-) -> None:
-    """Overwrite ``rank``'s interior ghost cells from a global array —
-    the sequential specification of one rank's boundary-exchange
-    result, used to cross-check the exchange operations."""
-    g = decomp.ghost
-    if g == 0:
-        return
-    bounds = decomp.owned_bounds(rank)
-    src = tuple(
-        slice(max(a - g, 0), min(b + g, n))
-        for (a, b), n in zip(bounds, decomp.grid_shape)
-    )
-    dst = tuple(
-        slice(g - (a - max(a - g, 0)), g + (b - a) + (min(b + g, n) - b))
-        for (a, b), n in zip(bounds, decomp.grid_shape)
-    )
-    local[dst] = global_array[src]

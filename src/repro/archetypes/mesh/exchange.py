@@ -2,46 +2,36 @@
 
 The first and most important mesh-archetype communication operation:
 refresh every rank's ghost strips with the neighbouring ranks' owned
-boundary strips.  Provided in the two forms the methodology needs:
+boundary strips.  It is provided in one form: a checked
+:class:`~repro.refinement.dataexchange.DataExchange` (or a begin/end
+pair of them) for use inside a sequential simulated-parallel program.
+The message-passing routine of the paper's archetype library (section
+3.3) is what :func:`~repro.refinement.transform.to_parallel_system`
+derives from it mechanically: every send of a rank posted before any
+of its receives, the ordering Theorem 1's application prescribes.
 
-* :func:`boundary_exchange_op` — a checked
-  :class:`~repro.refinement.dataexchange.DataExchange` for use inside a
-  sequential simulated-parallel program (and, through
-  :func:`~repro.refinement.transform.to_parallel_system`, mechanically
-  as message passing);
-* :func:`exchange_boundaries_msg` — a direct message-passing routine
-  for hand-written process bodies using a
-  :class:`~repro.runtime.communicator.Communicator` (the "archetype
-  library routine" form, paper section 3.3): all sends posted first,
-  then all receives, per the ordering Theorem 1's application
-  prescribes.
-
-Both forms take ``faces=``: the ghost faces the exchange has to fill,
-as a set of ``(variable, axis, side)`` triples (``side`` is the
-*receiver's* ghost side).  Theorem 1 makes any exchange determinate, so
-which strips travel is free as long as every ghost cell the next local
-block reads was filled first; a one-sided stencil declares its
-footprint and ships only that.  ``None`` means every face of every
-variable.
+Every operation here takes ``faces=``: the ghost faces the exchange has
+to fill, as a set of ``(variable, axis, side)`` triples (``side`` is
+the *receiver's* ghost side).  Theorem 1 makes any exchange
+determinate, so which strips travel is free as long as every ghost cell
+the next local block reads was filled first; a one-sided stencil
+declares its footprint and ships only that.  ``None`` means every face
+of every variable.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.archetypes.mesh.ghost import ghost_face_region, owned_face_region
 from repro.errors import ArchetypeError
 from repro.refinement.dataexchange import DataExchange, VarRef
 from repro.refinement.split import ExchangeBegin, ExchangeEnd, split_exchange
-from repro.runtime.communicator import Communicator
 
 __all__ = [
     "boundary_exchange_op",
     "boundary_exchange_multi_op",
     "boundary_exchange_split",
     "boundary_exchange_ops_with_corners",
-    "exchange_boundaries_msg",
 ]
 
 
@@ -220,75 +210,3 @@ def boundary_exchange_ops_with_corners(
         if op.assignments:
             ops.append(op)
     return ops
-
-
-def exchange_boundaries_msg(
-    comm: Communicator,
-    decomp: BlockDecomposition,
-    grid_rank: int,
-    local: np.ndarray,
-    tag_base: int = 0,
-    rank_offset: int = 0,
-    var: str | None = None,
-    faces=None,
-) -> None:
-    """Message-passing boundary exchange for one rank's ghosted array.
-
-    ``grid_rank`` is the rank within the decomposition;
-    ``comm.rank`` must equal ``grid_rank + rank_offset``.  Tags encode
-    (axis, direction) so the two messages that cross on one face cannot
-    be confused; ``tag_base`` isolates successive exchanges.
-
-    All sends are posted before any receive — the exchange can never
-    self-block, in any interleaving.
-
-    ``faces`` is the same footprint the ``DataExchange`` form takes and
-    ``var`` names which of its variables ``local`` holds: the rank
-    fills only its declared ghost faces, and ships a strip only where
-    the neighbour's facing ghost is declared — message for message what
-    :func:`boundary_exchange_op` with the same ``faces`` refines to.
-
-    When the run is observed, the two phases appear as spans
-    ``exchange:send`` and ``exchange:recv`` (category ``exchange``), so
-    the timeline separates the copy-out/post cost from the wait for
-    neighbours.
-    """
-    if faces is not None:
-        if var is None:
-            raise ArchetypeError(
-                "exchange_boundaries_msg: faces= needs var= to say which "
-                "variable the array holds"
-            )
-        check_faces(decomp, None, faces)
-
-    def wanted(axis: int, side: int) -> bool:
-        return faces is None or (var, axis, side) in faces
-
-    # Phase 1: copy out and send every face strip.
-    with comm.ctx.span("exchange:send", cat="exchange"):
-        for axis in range(decomp.ndim):
-            for direction in (-1, 1):
-                nb = decomp.pgrid.neighbor(grid_rank, axis, direction)
-                # The neighbour receives this strip on its -direction side.
-                if nb is None or not wanted(axis, -direction):
-                    continue
-                strip = local[
-                    owned_face_region(decomp, grid_rank, axis, direction)
-                ]
-                tag = tag_base + 4 * axis + (0 if direction == -1 else 1)
-                comm.send(strip.copy(), dest=nb + rank_offset, tag=tag)
-    # Phase 2: receive every ghost strip.
-    with comm.ctx.span("exchange:recv", cat="exchange"):
-        for axis in range(decomp.ndim):
-            for direction in (-1, 1):
-                nb = decomp.pgrid.neighbor(grid_rank, axis, direction)
-                if nb is None or not wanted(axis, direction):
-                    continue
-                # The neighbour sent toward us: it used direction
-                # -direction, whose tag parity is
-                # (0 if -direction == -1 else 1).
-                tag = tag_base + 4 * axis + (0 if direction == 1 else 1)
-                strip = comm.recv(source=nb + rank_offset, tag=tag)
-                local[
-                    ghost_face_region(decomp, grid_rank, axis, direction)
-                ] = strip

@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.errors import DecompositionError
 
-__all__ = ["owned_face_region", "ghost_face_region", "face_region_shape"]
+__all__ = ["owned_face_region", "ghost_face_region"]
 
 
 def _check(decomp: BlockDecomposition, axis: int, side: int) -> None:
@@ -98,12 +98,3 @@ def ghost_face_region(
         else:
             region.append(slice(g + extent, g + extent + g))
     return tuple(region)
-
-
-def face_region_shape(
-    decomp: BlockDecomposition, rank: int, axis: int
-) -> tuple[int, ...]:
-    """Shape of a face strip of ``rank`` perpendicular to ``axis``."""
-    shape = list(decomp.owned_shape(rank))
-    shape[axis] = decomp.ghost
-    return tuple(shape)

@@ -37,7 +37,6 @@ __all__ = [
     "gather_stage",
     "combine_block",
     "broadcast_stage",
-    "reduce_stages",
     "partials_buffer",
 ]
 
@@ -147,30 +146,3 @@ def broadcast_stage(
     for rank in ranks:
         op.assign(VarRef(rank, dst_var), VarRef(root, src_var))
     return op
-
-
-def reduce_stages(
-    ranks: Sequence[int],
-    src_var: str,
-    result_var: str,
-    buf_var: str,
-    root: int,
-    op: Callable[[Any, Any], Any] | None = None,
-    broadcast_to: str | None = None,
-    mode: str = "fold",
-):
-    """The full reduction pipeline as program stages.
-
-    Returns ``[gather, combine]`` — plus a broadcast of the root's
-    ``result_var`` into every rank's ``broadcast_to`` variable when
-    requested.  The caller must provision ``buf_var`` on the root (use
-    :func:`partials_buffer`) and ``result_var`` on the root (and
-    ``broadcast_to`` everywhere, when used).
-    """
-    stages: list = [
-        gather_stage(ranks, src_var, buf_var, root),
-        combine_block(buf_var, result_var, len(ranks), root, op, mode=mode),
-    ]
-    if broadcast_to is not None:
-        stages.append(broadcast_stage(ranks, result_var, broadcast_to, root))
-    return stages

@@ -129,10 +129,6 @@ class SendFeeder:
         self._written = 0
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def pending(self) -> int:
         """Queued items the feeder thread has not finished writing."""
         return self._queued - self._written

@@ -106,6 +106,10 @@ def parse_hosts(spec: str) -> list[Address]:
             raise ValueError(
                 f"bad daemon address {part!r} (expected host:port)"
             )
+        if not 1 <= int(port) <= 65535:
+            raise ValueError(
+                f"bad daemon address {part!r} (port outside 1..65535)"
+            )
         addrs.append((host, int(port)))
     if not addrs:
         raise ValueError(f"no daemon addresses in {spec!r}")

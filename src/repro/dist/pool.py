@@ -271,10 +271,6 @@ class WorkerPool:
         with self._lock:
             return len(self._slots) + len(self._lent)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     # -- lifecycle ----------------------------------------------------------
 
     def _spawn(self) -> _Slot:

@@ -9,7 +9,7 @@ the order of summation".
 
 This package quantifies both observations (experiment E2) and supplies
 the "more sophisticated strategy" the paper did not pursue —
-compensated (Kahan/Neumaier) summation, which makes the parallel
+compensated (Kahan) summation, which makes the parallel
 reduction agree with the sequential sum to within one rounding of the
 exact value, restoring reproducibility without fixing the order.
 """
@@ -18,11 +18,8 @@ from repro.numerics.summation import (
     exact_sum,
     kahan_sum,
     naive_sum,
-    neumaier_sum,
-    pairwise_sum,
     partitioned_sum,
     partitioned_kahan_sum,
-    sorted_sum,
 )
 from repro.numerics.associativity import (
     DynamicRange,
@@ -34,10 +31,7 @@ from repro.numerics.associativity import (
 
 __all__ = [
     "naive_sum",
-    "pairwise_sum",
     "kahan_sum",
-    "neumaier_sum",
-    "sorted_sum",
     "partitioned_sum",
     "partitioned_kahan_sum",
     "exact_sum",

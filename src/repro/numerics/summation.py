@@ -16,10 +16,7 @@ import numpy as np
 
 __all__ = [
     "naive_sum",
-    "pairwise_sum",
     "kahan_sum",
-    "neumaier_sum",
-    "sorted_sum",
     "partitioned_sum",
     "partitioned_kahan_sum",
     "exact_sum",
@@ -45,22 +42,6 @@ def naive_sum(values) -> float:
     return float(acc)
 
 
-def pairwise_sum(values) -> float:
-    """Balanced pairwise (cascade) summation — O(eps log n) error."""
-    arr = _as1d(values)
-
-    def rec(a: np.ndarray) -> np.float64:
-        n = len(a)
-        if n == 0:
-            return np.float64(0.0)
-        if n == 1:
-            return np.float64(a[0])
-        mid = n // 2
-        return rec(a[:mid]) + rec(a[mid:])
-
-    return float(rec(arr))
-
-
 def kahan_sum(values) -> float:
     """Kahan compensated summation — O(eps) error independent of n
     (for sums without catastrophic intermediate cancellation)."""
@@ -72,34 +53,6 @@ def kahan_sum(values) -> float:
         comp = (t - acc) - y
         acc = t
     return float(acc)
-
-
-def neumaier_sum(values) -> float:
-    """Neumaier's improved Kahan variant (robust when a summand exceeds
-    the running total)."""
-    arr = _as1d(values)
-    if len(arr) == 0:
-        return 0.0
-    acc = np.float64(arr[0])
-    comp = np.float64(0.0)
-    for v in arr[1:]:
-        t = acc + v
-        if abs(acc) >= abs(v):
-            comp += (acc - t) + v
-        else:
-            comp += (v - t) + acc
-        acc = t
-    return float(acc + comp)
-
-
-def sorted_sum(values, ascending_magnitude: bool = True) -> float:
-    """Naive summation after sorting by |value| (ascending magnitude is
-    the classically better order)."""
-    arr = _as1d(values)
-    order = np.argsort(np.abs(arr))
-    if not ascending_magnitude:
-        order = order[::-1]
-    return naive_sum(arr[order])
 
 
 def _partition_bounds(n: int, parts: int) -> list[tuple[int, int]]:

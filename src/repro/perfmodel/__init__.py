@@ -38,7 +38,6 @@ from repro.perfmodel.fdtd_model import (
 )
 from repro.perfmodel.report import figure2_report, table1_report
 from repro.perfmodel.scaling import (
-    efficiency_table,
     isoefficiency,
     weak_scaling_series,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "speedup_series",
     "table1_report",
     "figure2_report",
-    "efficiency_table",
     "isoefficiency",
     "weak_scaling_series",
 ]

@@ -4,9 +4,6 @@ Figure 2's message is a fixed-size (strong-scaling) curve; two standard
 analyses complete the picture and are cheap to derive from the same
 cost model:
 
-* :func:`efficiency_table` — parallel efficiency ``S(P)/P`` across a
-  grid of process counts and problem sizes (where does the Figure 2
-  curve live in the wider design space?);
 * :func:`isoefficiency` — for each P, the smallest cubic grid that
   sustains a target efficiency: the classic isoefficiency function,
   which for a 3-D stencil with surface communication grows like
@@ -26,7 +23,7 @@ from repro.perfmodel.fdtd_model import (
 )
 from repro.perfmodel.machine import MachineModel
 
-__all__ = ["efficiency_table", "isoefficiency", "weak_scaling_series"]
+__all__ = ["isoefficiency", "weak_scaling_series"]
 
 
 def _efficiency(
@@ -36,24 +33,6 @@ def _efficiency(
     seq = estimate_sequential_time(grid, steps, machine, version)
     par = estimate_parallel_time(grid, steps, nprocs, machine, version).total
     return seq / par / nprocs
-
-
-def efficiency_table(
-    edges,
-    process_counts,
-    machine: MachineModel,
-    steps: int = 128,
-    version: str = "A",
-) -> dict[tuple[int, int], float]:
-    """``(edge, P) -> efficiency`` over a problem-size/process grid."""
-    table: dict[tuple[int, int], float] = {}
-    for edge in edges:
-        for p in process_counts:
-            try:
-                table[(edge, p)] = _efficiency(edge, steps, p, machine, version)
-            except Exception:
-                continue  # decomposition infeasible (too many procs)
-    return table
 
 
 def isoefficiency(

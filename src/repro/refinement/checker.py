@@ -148,13 +148,11 @@ def compare_store_lists(
     """Compare per-process store lists rank by rank (variable names are
     prefixed ``P<rank>.``)."""
     report = ComparisonReport()
-    if len(left) != len(right):
-        report.missing_left.append(
-            f"<{len(left)} stores>" if len(left) < len(right) else ""
-        )
-        report.missing_right.append(
-            f"<{len(right)} stores>" if len(right) < len(left) else ""
-        )
+    if len(left) < len(right):
+        report.missing_left.append(f"<{len(left)} stores>")
+        return report
+    if len(right) < len(left):
+        report.missing_right.append(f"<{len(right)} stores>")
         return report
     for rank, (l, r) in enumerate(zip(left, right)):
         sub = compare_stores(l, r, only=only)

@@ -84,56 +84,6 @@ class LocalBlock:
 Stage = Union[LocalBlock, DataExchange, ExchangeBegin, ExchangeEnd]
 
 
-def _fuse_local_blocks(first: LocalBlock, second: LocalBlock) -> LocalBlock:
-    """One local block performing ``first`` then ``second`` per rank.
-
-    Sequencing two local computations of the *same* process is itself a
-    local computation; fusing never changes semantics because blocks
-    touch only their own partition.
-    """
-
-    def fuse(rank: int):
-        fa = first.fn_for(rank)
-        fb = second.fn_for(rank)
-
-        def fused(store, _fa=fa, _fb=fb):
-            if _fa is not None:
-                _fa(store)
-            if _fb is not None:
-                _fb(store)
-
-        return fused
-
-    # Build an explicit dict over every rank either block mentions; the
-    # fused fns close over the originals, so SPMD and dict forms fuse
-    # uniformly.  Rank coverage must be conservative: SPMD blocks cover
-    # all ranks, so fall back to a dict keyed lazily at apply time via
-    # fn_for — represented here by wrapping in a dict-form block built
-    # per rank on demand is not possible, so enumerate from dict forms
-    # and mark SPMD coverage with a sentinel.
-    ranks: set[int] = set()
-    for block in (first, second):
-        if block.spmd or isinstance(block.fns, list):
-            # covers rank indices up to the program size; represented
-            # by a closure-based SPMD form instead.
-            def spmd_fused(store, rank: int, _f=first, _s=second):
-                fa = _f.fn_for(rank)
-                fb = _s.fn_for(rank)
-                if fa is not None:
-                    fa(store)
-                if fb is not None:
-                    fb(store)
-
-            return LocalBlock(
-                spmd_fused, name=f"{first.name}+{second.name}", spmd=True
-            )
-        ranks.update(block.fns.keys())
-    return LocalBlock(
-        {r: fuse(r) for r in sorted(ranks)},
-        name=f"{first.name}+{second.name}",
-    )
-
-
 @dataclass
 class SimulatedParallelProgram:
     """An alternating sequence of local blocks and data exchanges."""
@@ -167,23 +117,6 @@ class SimulatedParallelProgram:
         self.stages.append(op)
         return self
 
-    def begin_exchange(self, op: DataExchange, name: str = "") -> ExchangeBegin:
-        """Append the *begin* half of a split exchange; returns the
-        begin stage, whose end half must later go through
-        :meth:`end_exchange`.  This is the overlap refinement: local
-        blocks appended between the two halves run while the exchange's
-        messages are in flight."""
-        from repro.refinement.split import split_exchange
-
-        begin, _ = split_exchange(op, name=name)
-        self.stages.append(begin)
-        return begin
-
-    def end_exchange(self, begin: ExchangeBegin) -> "SimulatedParallelProgram":
-        """Append the *end* half of a split exchange (chainable)."""
-        self.stages.append(ExchangeEnd(begin))
-        return self
-
     # -- structure ---------------------------------------------------------------
 
     def local_blocks(self) -> list[LocalBlock]:
@@ -203,43 +136,6 @@ class SimulatedParallelProgram:
             elif isinstance(s, ExchangeBegin):
                 out.append(s.op)
         return out
-
-    def is_strictly_alternating(self) -> bool:
-        """True iff stages strictly alternate local / exchange.
-
-        The definition in the paper presents the computation as an
-        alternating sequence; consecutive blocks of the same kind are
-        harmless (they can always be merged), so this is a property
-        check, not a validity requirement.
-        """
-        for a, b in zip(self.stages, self.stages[1:]):
-            if isinstance(a, LocalBlock) == isinstance(b, LocalBlock):
-                return False
-        return True
-
-    def normalized(self) -> "SimulatedParallelProgram":
-        """An equivalent program with adjacent local blocks merged.
-
-        The §2.2 definition presents the computation as a *strictly
-        alternating* sequence; builders often emit consecutive local
-        blocks (e.g. absorb-then-compute), which are semantically one
-        block.  Exchanges are never merged (each has its own restriction
-        scope), so the normalized program is strictly alternating
-        exactly when the original had no two adjacent exchange stages.
-        """
-        merged: list[Stage] = []
-        for stage in self.stages:
-            if (
-                isinstance(stage, LocalBlock)
-                and merged
-                and isinstance(merged[-1], LocalBlock)
-            ):
-                merged[-1] = _fuse_local_blocks(merged[-1], stage)
-            else:
-                merged.append(stage)
-        return SimulatedParallelProgram(
-            self.nprocs, merged, name=f"{self.name}:normalized"
-        )
 
     def validate(self, stores: Sequence[AddressSpace] | None = None) -> None:
         """Validate every data-exchange stage against the restrictions.

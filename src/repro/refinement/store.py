@@ -88,14 +88,6 @@ class AddressSpace:
         local blocks against a live process store."""
         return cls(mapping, owner)
 
-    # -- declaration ------------------------------------------------------------
-
-    def define(self, name: str, value: Any) -> None:
-        """Introduce a new variable (error if it already exists)."""
-        if name in self._vars:
-            raise StoreError(f"variable {name!r} already defined")
-        self._vars[name] = value
-
     # -- access -----------------------------------------------------------------
 
     def __getitem__(self, name: str) -> Any:

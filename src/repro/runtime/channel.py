@@ -146,10 +146,6 @@ class ChannelCore:
             f"{self.writer}->{self.reader})"
         )
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     # -- operations ---------------------------------------------------------
 
     def send(self, value: Any, *, rank: int, clock: int | None = None) -> int:

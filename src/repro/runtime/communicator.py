@@ -11,13 +11,15 @@ This module supplies the glue in both directions:
   over those channels by tagging every payload, with per-source
   buffering so receives may select by tag out of arrival order — the
   familiar MPI-flavoured interface
-  (``send(value, dest, tag)`` / ``recv(source, tag)``) the archetype
-  library is written against.
+  (``send(value, dest, tag)`` / ``recv(source, tag)``) that the
+  collectives (:mod:`~repro.runtime.collectives`) and the mpi4py-style
+  facade (:mod:`~repro.runtime.mpi_style`) are written against.
 
 Because each ordered pair has its own FIFO channel and each logical
 stream uses a fixed tag, messages of one stream are received in the
-order sent — the property the refinement transform relies on when it
-converts data-exchange assignments into sends and receives.
+order sent — the same per-pair FIFO order the refinement transform's
+exchange channels give it when it converts data-exchange assignments
+into sends and receives.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ class Communicator:
         """Send ``value`` to ``dest`` under ``tag``.
 
         Never blocks (infinite slack).  ``copy=True`` deep-copies the
-        payload first, for callers that will mutate it after sending;
-        the refinement transform and archetype library always send
-        fresh copies, so they pass ``copy=False``.
+        payload first, for callers that will mutate it after sending
+        (the mpi4py-style facade passes it); callers that send values
+        they never touch again pass ``copy=False``.
         """
         if dest == self.rank:
             raise CommunicatorError(

@@ -53,10 +53,6 @@ class DeadlockReport:
     cycles: tuple[tuple[int, ...], ...] = ()
     waiting: dict[int, str] = field(default_factory=dict)
 
-    @property
-    def circular(self) -> bool:
-        return bool(self.cycles)
-
     def describe(self) -> str:
         parts = [
             f"P{rank} blocked on {chan!r} (waits for P{peer})"

@@ -24,8 +24,8 @@ class TaggedMessage:
 
     The payload is carried by reference — processes must not mutate a
     value after sending it.  (The refinement transform only ever sends
-    freshly-copied slices, and the archetype library copies on send; the
-    communicator also offers ``copy=True`` for defensive callers.)
+    freshly-copied slices; the communicator also offers ``copy=True``
+    for defensive callers, and the mpi4py-style facade uses it.)
     """
 
     source: int

@@ -330,12 +330,6 @@ class System:
 
     # -- inspection ------------------------------------------------------------
 
-    def channels_written_by(self, rank: int) -> list[ChannelSpec]:
-        return [c for c in self.channel_specs if c.writer == rank]
-
-    def channels_read_by(self, rank: int) -> list[ChannelSpec]:
-        return [c for c in self.channel_specs if c.reader == rank]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"System(nprocs={self.nprocs}, "

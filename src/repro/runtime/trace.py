@@ -310,10 +310,6 @@ class Trace:
         """The (program-order) subsequence of events of one process."""
         return [e for e in self.events if e.rank == rank]
 
-    def communication_events(self) -> list[Event]:
-        """Only sends and receives — what Theorem 1's permutations act on."""
-        return [e for e in self.events if e.kind in ("send", "recv")]
-
     def schedule(self) -> list[int]:
         """The interleaving as a list of ranks (replayable by
         :class:`~repro.runtime.schedulers.ReplayPolicy`)."""

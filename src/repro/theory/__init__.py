@@ -25,7 +25,7 @@ This package makes the theorem and its proof technique executable:
   bodies, finite slack).
 """
 
-from repro.theory.events import Event, Trace, event_key, trace_keys
+from repro.theory.events import Event, Trace, trace_keys
 from repro.theory.happens_before import HappensBefore
 from repro.theory.permute import permute_interleaving, PermutationCertificate
 from repro.theory.determinacy import (
@@ -36,7 +36,6 @@ from repro.theory.determinacy import (
 from repro.theory.enumerate import (
     EnumerationOverflow,
     EnumerationResult,
-    count_trace_classes,
     enumerate_interleavings,
     walk_schedules,
 )
@@ -44,14 +43,12 @@ from repro.theory.foata import (
     FoataForm,
     foata_normal_form,
     frontier,
-    parallelism_profile,
 )
 from repro.theory.por import enumerate_reduced, independent_actions
 
 __all__ = [
     "Event",
     "Trace",
-    "event_key",
     "trace_keys",
     "HappensBefore",
     "permute_interleaving",
@@ -63,11 +60,9 @@ __all__ = [
     "EnumerationResult",
     "walk_schedules",
     "enumerate_interleavings",
-    "count_trace_classes",
     "FoataForm",
     "foata_normal_form",
     "frontier",
-    "parallelism_profile",
     "enumerate_reduced",
     "independent_actions",
 ]

@@ -48,7 +48,6 @@ __all__ = [
     "EnumerationResult",
     "walk_schedules",
     "enumerate_interleavings",
-    "count_trace_classes",
 ]
 
 Independence = Callable[[PendingAction, PendingAction], bool]
@@ -82,13 +81,9 @@ class EnumerationResult:
 
     @property
     def min_len(self) -> int:
-        """Shortest schedule (equal to :attr:`max_len` for conforming
-        systems — same actions, reordered)."""
+        """Shortest schedule (every schedule of a conforming system has
+        this length — same actions, reordered)."""
         return min(map(len, self.schedules), default=0)
-
-    @property
-    def max_len(self) -> int:
-        return max(map(len, self.schedules), default=0)
 
     @property
     def determinate(self) -> bool:
@@ -247,27 +242,3 @@ def enumerate_interleavings(
     return walk_schedules(
         _final_digest(system), max_leaves=max_interleavings
     )
-
-
-def count_trace_classes(system: System, max_interleavings: int = 10_000) -> int:
-    """Number of Mazurkiewicz trace classes among all maximal
-    interleavings — distinct Foata normal forms over the enumeration.
-
-    For a conforming system this is **1**: all interleavings commute
-    into each other (the content of Theorem 1's proof).  A value above
-    1 means some pair of interleavings is *not* related by independent
-    swaps — i.e. the system's actions themselves depend on the
-    schedule, which only a hypothesis violation can cause.  One traced
-    run per interleaving: each form is read off the run that visits it.
-    """
-    from repro.theory.foata import foata_normal_form
-
-    forms = set()
-
-    def run(controller: ScheduleController) -> str:
-        result = CooperativeEngine(controller, trace=True).run(system)
-        forms.add(foata_normal_form(result.trace))
-        return state_digest(result)
-
-    walk_schedules(run, max_leaves=max_interleavings)
-    return len(forms)

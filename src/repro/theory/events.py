@@ -28,18 +28,12 @@ from repro.runtime.trace import Event, Trace
 __all__ = [
     "Event",
     "Trace",
-    "event_key",
     "trace_keys",
     "check_same_action_sequences",
 ]
 
 #: Position-independent event key: (rank, index-within-own-process).
 EventKey = tuple[int, int]
-
-
-def event_key(trace: Trace, index: int) -> EventKey:
-    """Key of the event at global position ``index`` of ``trace``."""
-    return (trace[index].rank, trace[index].local_index)
 
 
 def trace_keys(trace: Trace) -> list[EventKey]:

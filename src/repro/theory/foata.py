@@ -17,8 +17,8 @@ experiments:
 * the number of layers is the system's **critical path length** in
   actions — a lower bound on any execution's makespan, reported by the
   archetype ablations;
-* the layer widths profile the available parallelism over time
-  (:func:`parallelism_profile`).
+* the widest layer is the peak available parallelism
+  (:attr:`FoataForm.width`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.runtime.trace import Trace
 from repro.theory.events import trace_keys
 from repro.theory.happens_before import HappensBefore
 
-__all__ = ["FoataForm", "foata_normal_form", "parallelism_profile"]
+__all__ = ["FoataForm", "foata_normal_form"]
 
 #: a layer: sorted tuple of position-independent event keys (rank, local)
 Layer = tuple[tuple[int, int], ...]
@@ -92,12 +92,6 @@ def foata_normal_form(trace: Trace) -> FoataForm:
     for pos, layer in enumerate(layer_of):
         layers[layer].append(keys[pos])
     return FoataForm(tuple(tuple(sorted(layer)) for layer in layers))
-
-
-def parallelism_profile(trace: Trace) -> list[int]:
-    """Layer widths of the Foata form: how many actions could run
-    concurrently at each dependence depth."""
-    return [len(layer) for layer in foata_normal_form(trace).layers]
 
 
 def frontier(trace: Trace) -> Layer:

@@ -99,13 +99,3 @@ class HappensBefore:
             if position[int(i)] > position[int(j)]:
                 return False
         return True
-
-    def count_independent_adjacent_pairs(self) -> int:
-        """Number of adjacent trace positions holding independent events
-        (each is one legal adjacent transposition — a measure of how
-        much schedule freedom the recorded interleaving had)."""
-        return sum(
-            1
-            for i in range(self._n - 1)
-            if self.independent(i, i + 1)
-        )

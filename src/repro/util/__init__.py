@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic seeding, array helpers, timing.
+"""Shared utilities: deterministic seeding, array helpers, tables.
 
 These helpers keep the rest of the library honest about two disciplines
 the paper's model demands:
@@ -8,15 +8,13 @@ the paper's model demands:
   so that repeated runs (and repeated *interleavings*, which is what
   Theorem 1 quantifies over) see identical data;
 * **bitwise comparison** — refinement checks compare program versions
-  for *exact* equality (:func:`bitwise_equal_arrays`,
-  :func:`bitwise_equal_stores`), because the paper's correctness claim
-  for the near-field computation is identity of results, not closeness.
+  for *exact* equality (:func:`bitwise_equal_arrays`), because the
+  paper's correctness claim for the near-field computation is identity
+  of results, not closeness.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Mapping
 from typing import Any
 
 import numpy as np
@@ -24,7 +22,6 @@ import numpy as np
 __all__ = [
     "rng_from",
     "bitwise_equal_arrays",
-    "bitwise_equal_stores",
     "max_abs_diff",
     "max_rel_diff",
     "deep_copy_value",
@@ -33,7 +30,6 @@ __all__ = [
     "is_array_like",
     "payload_nbytes",
     "format_table",
-    "Stopwatch",
     "product",
 ]
 
@@ -67,23 +63,6 @@ def bitwise_equal_arrays(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
     )
-
-
-def bitwise_equal_stores(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
-    """True iff two variable stores hold bitwise-identical values.
-
-    A *store* maps variable names to NumPy arrays or Python scalars.
-    """
-    if set(a.keys()) != set(b.keys()):
-        return False
-    for key in a:
-        va, vb = a[key], b[key]
-        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-            if not bitwise_equal_arrays(np.asarray(va), np.asarray(vb)):
-                return False
-        elif va != vb:
-            return False
-    return True
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -223,24 +202,3 @@ def format_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-class Stopwatch:
-    """Context-manager wall-clock timer.
-
-    >>> with Stopwatch() as sw:
-    ...     pass
-    >>> sw.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start

@@ -9,7 +9,6 @@ from repro.archetypes.mesh.reduction import (
     combine_block,
     gather_stage,
     neumaier_fold,
-    reduce_stages,
 )
 from repro.errors import ArchetypeError
 from repro.numerics import exact_sum
@@ -62,9 +61,10 @@ class TestKahanModeInPrograms:
                 owner=root,
             )
         )
-        stages = reduce_stages(
-            range(nranks), "partial", "total", "buf", root, mode=mode
-        )
+        stages = [
+            gather_stage(range(nranks), "partial", "buf", root),
+            combine_block("buf", "total", nranks, root, mode=mode),
+        ]
         SimulatedParallelProgram(nranks + 1, stages).run(stores=stores)
         return float(stores[root]["total"][0])
 

@@ -102,17 +102,12 @@ class TestProcessGrid:
 
     def test_neighbor_symmetry(self):
         grid = ProcessGrid((3, 2, 2))
-        for rank in grid.all_ranks():
+        for rank in range(grid.nprocs):
             for axis in range(3):
                 for direction in (-1, 1):
                     nb = grid.neighbor(rank, axis, direction)
                     if nb is not None:
                         assert grid.neighbor(nb, axis, -direction) == rank
-
-    def test_boundary_ranks(self):
-        grid = ProcessGrid((2, 3))
-        assert grid.boundary_ranks(0, -1) == [0, 1, 2]
-        assert grid.boundary_ranks(1, 1) == [2, 5]
 
     def test_invalid_shapes(self):
         with pytest.raises(DecompositionError):
@@ -147,34 +142,6 @@ class TestBlockDecomposition:
         with pytest.raises(DecompositionError):
             BlockDecomposition((8, 8), (2, 2, 2))
 
-    def test_global_local_roundtrip(self):
-        d = BlockDecomposition((10, 7), (2, 2), ghost=1)
-        for rank in range(4):
-            bounds = d.owned_bounds(rank)
-            for gi in range(bounds[0][0], bounds[0][1]):
-                for gj in range(bounds[1][0], bounds[1][1]):
-                    local = d.global_to_local(rank, (gi, gj))
-                    assert d.local_to_global(rank, local) == (gi, gj)
-
-    def test_global_to_local_rejects_unowned(self):
-        d = BlockDecomposition((10,), (2,), ghost=1)
-        with pytest.raises(DecompositionError, match="not owned"):
-            d.global_to_local(0, (9,))
-
-    def test_owner_of_every_point(self):
-        d = BlockDecomposition((9, 5), (3, 2), ghost=1)
-        for i in range(9):
-            for j in range(5):
-                rank = d.owner_of((i, j))
-                (a0, a1), (b0, b1) = d.owned_bounds(rank)
-                assert a0 <= i < a1 and b0 <= j < b1
-
-    def test_touches_boundary(self):
-        d = BlockDecomposition((8, 8), (2, 2), ghost=1)
-        assert d.touches_boundary(0, 0, -1)
-        assert not d.touches_boundary(0, 0, 1)
-        assert d.touches_boundary(3, 1, 1)
-
     @given(decompositions())
     @settings(max_examples=40, deadline=None)
     def test_partition_exactly_tiles(self, d):
@@ -187,17 +154,6 @@ class TestBlockDecomposition:
         face_set = set(faces)
         for rank, axis, direction, nb in faces:
             assert (nb, axis, -direction, rank) in face_set
-
-    @given(decompositions())
-    @settings(max_examples=40, deadline=None)
-    def test_owner_of_agrees_with_bounds(self, d):
-        # Check the corners of every block.
-        for rank in range(d.nprocs):
-            bounds = d.owned_bounds(rank)
-            first = tuple(a for a, _ in bounds)
-            last = tuple(b - 1 for _, b in bounds)
-            assert d.owner_of(first) == rank
-            assert d.owner_of(last) == rank
 
     def test_describe_mentions_every_rank(self):
         d = BlockDecomposition((8, 8), (2, 2), ghost=1)

@@ -9,8 +9,6 @@ from repro.archetypes.mesh import (
     BlockDecomposition,
     MeshProgramBuilder,
     boundary_exchange_op,
-    exchange_boundaries_msg,
-    face_region_shape,
     gather_array,
     ghost_face_region,
     local_like,
@@ -18,20 +16,30 @@ from repro.archetypes.mesh import (
     scatter_array,
 )
 from repro.errors import ArchetypeError
-from repro.refinement import make_stores
-from repro.refinement.store import AddressSpace
-from repro.runtime import (
-    Communicator,
-    ProcessSpec,
-    System,
-    ThreadedEngine,
-    make_full_mesh_channels,
+from repro.refinement import (
+    SimulatedParallelProgram,
+    make_stores,
+    to_parallel_system,
 )
-from repro.runtime.communicator import pair_channel_name
+from repro.refinement.store import AddressSpace
+from repro.refinement.transform import exchange_channel_name
+from repro.runtime import ThreadedEngine
 
 
 def global_field(shape, seed=1):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def run_derived(d, ops, stores):
+    """Run the exchanges' mechanically derived message-passing form
+    (paper section 3.3) under threads, from per-rank ``stores``."""
+    prog = SimulatedParallelProgram(d.nprocs, name="exchange")
+    for op in ops:
+        prog.exchange(op)
+    system = to_parallel_system(
+        prog, initial_stores=[dict(s.items()) for s in stores]
+    )
+    return ThreadedEngine().run(system)
 
 
 class TestFaceRegions:
@@ -72,8 +80,10 @@ class TestFaceRegions:
 
     def test_face_region_shape(self):
         d = BlockDecomposition((8, 6), (2, 2), ghost=2)
-        assert face_region_shape(d, 0, 0) == (2, 3)
-        assert face_region_shape(d, 0, 1) == (4, 2)
+        local = local_like(d, 0)
+        for region in (owned_face_region, ghost_face_region):
+            assert local[region(d, 0, 0, 1)].shape == (2, 3)
+            assert local[region(d, 0, 1, 1)].shape == (4, 2)
 
     def test_zero_ghost_rejected(self):
         d = BlockDecomposition((8, 8), (2, 2), ghost=0)
@@ -206,19 +216,12 @@ class TestMessagePassingExchange:
         ]
         boundary_exchange_op(d, "u").apply(ref_stores)
 
-        # Candidate: the direct message-passing routine under threads.
-        def body(ctx):
-            comm = Communicator(ctx)
-            exchange_boundaries_msg(comm, d, ctx.rank, ctx.store["u"])
-
-        system = System(
-            [
-                ProcessSpec(r, body, store={"u": locals_[r].copy()})
-                for r in range(d.nprocs)
-            ]
+        # Candidate: its derived message-passing form under threads.
+        result = run_derived(
+            d,
+            [boundary_exchange_op(d, "u")],
+            [{"u": a.copy()} for a in locals_],
         )
-        make_full_mesh_channels(system)
-        result = ThreadedEngine().run(system)
         for rank in range(d.nprocs):
             np.testing.assert_array_equal(
                 result.stores[rank]["u"], ref_stores[rank]["u"]
@@ -267,36 +270,21 @@ class TestDeclaredFaces:
     def test_msg_form_posts_exactly_the_dataexchange_messages(self):
         d = BlockDecomposition((6, 6, 6), (2, 2, 2), ghost=1)
         ref_stores = self.setup_stores(d)
+        ops = [
+            boundary_exchange_op(d, var, faces=self.FACES)
+            for var in ("u", "v")
+        ]
+        # one combined message per (sender, receiver) pair and exchange
         expected_msgs: dict[str, int] = {}
-        for var in ("u", "v"):
-            op = boundary_exchange_op(d, var, faces=self.FACES)
+        for op in ops:
             op.apply(ref_stores)
-            for a in op.cross_partition():
-                name = pair_channel_name(a.src.proc, a.dst.proc)
+            for src, dst in {
+                (a.src.proc, a.dst.proc) for a in op.cross_partition()
+            }:
+                name = exchange_channel_name(src, dst)
                 expected_msgs[name] = expected_msgs.get(name, 0) + 1
 
-        def body(ctx):
-            comm = Communicator(ctx)
-            for i, var in enumerate(("u", "v")):
-                exchange_boundaries_msg(
-                    comm,
-                    d,
-                    ctx.rank,
-                    ctx.store[var],
-                    tag_base=16 * i,
-                    var=var,
-                    faces=self.FACES,
-                )
-
-        initial = self.setup_stores(d)
-        system = System(
-            [
-                ProcessSpec(r, body, store=dict(initial[r].items()))
-                for r in range(d.nprocs)
-            ]
-        )
-        make_full_mesh_channels(system)
-        result = ThreadedEngine().run(system)
+        result = run_derived(d, ops, self.setup_stores(d))
         sent = {
             name: sends
             for name, (sends, _) in result.channel_stats.items()
@@ -309,13 +297,6 @@ class TestDeclaredFaces:
                 np.testing.assert_array_equal(
                     result.stores[rank][var], ref_stores[rank][var]
                 )
-
-    def test_msg_form_needs_var_with_faces(self):
-        d = BlockDecomposition((8,), (2,), ghost=1)
-        with pytest.raises(ArchetypeError, match="var="):
-            exchange_boundaries_msg(
-                None, d, 0, np.zeros(6), faces={("u", 0, 1)}
-            )
 
     @pytest.mark.parametrize(
         "bad", [("w", 0, 1), ("u", 3, 1), ("u", 0, 0), ("u", 0, 2)]

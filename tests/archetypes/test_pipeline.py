@@ -28,7 +28,8 @@ def make_items(n=6, shape=(4,), seed=0):
 class TestRegistration:
     def test_registered(self):
         archetype = get_archetype("pipeline")
-        assert archetype.operation("shift").kind == "exchange"
+        kinds = {op.name: op.kind for op in archetype.operations}
+        assert kinds["shift"] == "exchange"
         assert "bottleneck" in archetype.guidelines or "stage" in archetype.guidelines
 
 

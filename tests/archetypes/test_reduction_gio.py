@@ -7,10 +7,10 @@ from repro.archetypes.mesh import (
     BlockDecomposition,
     broadcast_stage,
     collect_stage,
+    combine_block,
     distribute_stage,
     gather_stage,
     partials_buffer,
-    reduce_stages,
     scatter_array,
 )
 from repro.errors import ArchetypeError
@@ -41,9 +41,10 @@ class TestGatherCombineBroadcast:
     def test_reduce_stages_sum(self):
         nranks, root = 4, 4
         stores = self.make_stores(nranks)
-        stages = reduce_stages(
-            range(nranks), "partial", "total", "buf", root
-        )
+        stages = [
+            gather_stage(range(nranks), "partial", "buf", root),
+            combine_block("buf", "total", nranks, root),
+        ]
         prog = SimulatedParallelProgram(nranks + 1, stages)
         prog.validate()
         prog.run(stores=stores)
@@ -64,7 +65,10 @@ class TestGatherCombineBroadcast:
                 owner=root,
             )
         )
-        stages = reduce_stages(range(nranks), "partial", "total", "buf", root)
+        stages = [
+            gather_stage(range(nranks), "partial", "buf", root),
+            combine_block("buf", "total", nranks, root),
+        ]
         SimulatedParallelProgram(nranks + 1, stages).run(stores=stores)
         expected = (np.float64(1e16) + 1.0) + 1.0  # absorbs both 1.0s
         assert stores[root]["total"][0] == expected
@@ -74,9 +78,10 @@ class TestGatherCombineBroadcast:
     def test_custom_op(self):
         nranks, root = 4, 4
         stores = self.make_stores(nranks)
-        stages = reduce_stages(
-            range(nranks), "partial", "total", "buf", root, op=np.maximum
-        )
+        stages = [
+            gather_stage(range(nranks), "partial", "buf", root),
+            combine_block("buf", "total", nranks, root, op=np.maximum),
+        ]
         SimulatedParallelProgram(nranks + 1, stages).run(stores=stores)
         assert stores[root]["total"][0] == 13.0
 
@@ -95,10 +100,11 @@ class TestGatherCombineBroadcast:
                 owner=root,
             )
         )
-        stages = reduce_stages(
-            range(nranks), "partial", "total", "buf", root,
-            broadcast_to="everywhere",
-        )
+        stages = [
+            gather_stage(range(nranks), "partial", "buf", root),
+            combine_block("buf", "total", nranks, root),
+            broadcast_stage(range(nranks), "total", "everywhere", root),
+        ]
         SimulatedParallelProgram(nranks + 1, stages).run(stores=stores)
         for r in range(nranks):
             assert stores[r]["everywhere"][0] == 6.0

@@ -175,6 +175,12 @@ def test_parse_hosts():
         parse_hosts("no-port")
     with pytest.raises(ValueError):
         parse_hosts("")
+    # a port no daemon can listen on fails here, not as a handshake
+    # that retries "Connection refused" until its timeout
+    assert parse_hosts("a:1,b:65535") == [("a", 1), ("b", 65535)]
+    for spec in ("localhost:0", "localhost:99999", "a:9001,b:65536"):
+        with pytest.raises(ValueError, match="outside 1..65535"):
+            parse_hosts(spec)
 
 
 def test_assign_ranks_round_robin():

@@ -39,6 +39,7 @@ from repro.refinement import (
     DataExchange,
     SimulatedParallelProgram,
     VarRef,
+    split_exchange,
 )
 from repro.runtime import CooperativeEngine, RandomPolicy, ThreadedEngine, make_engine
 from repro.util import bitwise_equal_arrays
@@ -183,9 +184,10 @@ def split_pair_program():
 
     prog = SimulatedParallelProgram(nprocs=2, name="split-pair")
     prog.spmd(init, name="init")
-    begin = prog.begin_exchange(op, name="swap.begin")
+    begin, end = split_exchange(op)
+    prog.stages.append(begin)
     prog.spmd(middle, name="middle")
-    prog.end_exchange(begin)
+    prog.stages.append(end)
     return prog
 
 

@@ -212,14 +212,15 @@ class TestOneLifecycle:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
-    def test_run_parallel_by_name_leaks_nothing(self, name):
-        from repro.apps.fdtd import build_parallel_fdtd
-        from repro.cli import _e1_problem
+    def test_cli_engine_by_name_leaks_nothing(self, name):
+        # what `python -m repro e1 --engine NAME` builds, runs and closes
+        from repro.cli import _PARSER, _build_run
 
-        par = build_parallel_fdtd(pshape=(2, 1, 1), **_e1_problem())
+        args = _PARSER.parse_args(["e1", "--pshape", "2x1x1", "--engine", name])
         before = child_pids(), live_segment_names()
         for _ in range(2):
-            assert len(par.run_parallel(name).stores) == 3
+            with _build_run(args, []) as (pars, engine):
+                assert len(engine.run(pars[0].to_parallel()).stores) == 3
             gc.collect()
             assert (child_pids(), live_segment_names()) == before
 

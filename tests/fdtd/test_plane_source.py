@@ -170,7 +170,7 @@ class TestOverlapSplit:
         if engine == "simulated":
             stores = par.run_simulated()
         else:
-            stores = par.run_parallel(ThreadedEngine()).stores
+            stores = ThreadedEngine().run(par.to_parallel()).stores
         hf = par.host_fields(stores)
         assert all(
             bitwise_equal_arrays(hf[c], seq.fields[c]) for c in COMPONENTS

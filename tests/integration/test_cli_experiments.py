@@ -209,6 +209,9 @@ class TestUsageErrors:
             ["e2", "--hosts", "127.0.0.1:9"],
             ["stats", "e1", "--engine", "multiprocess", "--hosts", "127.0.0.1:9"],
             ["trace", "e2", "--engine", "cooperative", "--hosts", "127.0.0.1:9"],
+            ["e1", "--engine", "socket", "--hosts", "localhost:99999"],
+            ["stats", "e1", "--engine", "socket", "--hosts", "localhost:0"],
+            ["trace", "e1", "--engine", "socket", "--hosts", "a:9001,b:65536"],
             ["trace", "e1", "--limit", "x"],
             ["explore", "--schedules", "many"],
             ["explore", "--faults", "explode:now"],

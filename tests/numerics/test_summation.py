@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.archetypes.mesh.reduction import neumaier_fold
 from repro.numerics import (
     dynamic_range,
     exact_sum,
     kahan_sum,
     naive_sum,
-    neumaier_sum,
-    pairwise_sum,
     partitioned_kahan_sum,
     partitioned_sum,
     reordering_report,
-    sorted_sum,
     wide_dynamic_range_values,
 )
 
@@ -30,11 +28,11 @@ class TestBasicAgreement:
     def test_all_methods_close_to_exact(self, xs):
         exact = exact_sum(xs)
         scale = max(1.0, float(np.sum(np.abs(xs)))) if xs else 1.0
-        for fn in (naive_sum, pairwise_sum, kahan_sum, neumaier_sum, sorted_sum):
+        for fn in (naive_sum, kahan_sum):
             assert abs(fn(xs) - exact) <= 1e-9 * scale
 
     def test_empty_and_singleton(self):
-        for fn in (naive_sum, pairwise_sum, kahan_sum, neumaier_sum):
+        for fn in (naive_sum, kahan_sum):
             assert fn([]) == 0.0
             assert fn([3.5]) == 3.5
 
@@ -64,7 +62,7 @@ class TestCompensation:
 
     def test_neumaier_handles_large_late_summand(self):
         xs = np.array([1.0, 1e100, 1.0, -1e100])
-        assert neumaier_sum(xs) == 2.0
+        assert neumaier_fold(xs) == 2.0
         assert naive_sum(xs) == 0.0  # plain order loses the 2
 
     def test_partitioned_kahan_reproducible_across_parts(self):

@@ -1,33 +1,38 @@
-"""Scaling analyses: efficiency tables, isoefficiency, weak scaling."""
+"""Scaling analyses: the model's efficiency, isoefficiency, weak scaling."""
 
 import pytest
 
 from repro.errors import ModelError
 from repro.perfmodel import IBM_SP2, SUN_ETHERNET
 from repro.perfmodel.scaling import (
-    efficiency_table,
+    _efficiency,
+    _try_eff,
     isoefficiency,
     weak_scaling_series,
 )
 
 
 class TestEfficiencyTable:
+    """``S(P)/P`` of the cost model over a problem-size/process grid:
+    the relation :func:`isoefficiency` bisects, which assumes it grows
+    with the edge and treats an infeasible decomposition as ``None``."""
+
     def test_efficiency_grows_with_problem_size(self):
-        table = efficiency_table([20, 40, 80], [8], IBM_SP2)
-        assert table[(20, 8)] < table[(40, 8)] < table[(80, 8)]
+        effs = [_efficiency(edge, 128, 8, IBM_SP2, "A") for edge in (20, 40, 80)]
+        assert effs[0] < effs[1] < effs[2]
 
     def test_efficiency_falls_with_process_count(self):
-        table = efficiency_table([40], [2, 8, 32], IBM_SP2)
-        assert table[(40, 2)] > table[(40, 8)] > table[(40, 32)]
+        effs = [_efficiency(40, 128, p, IBM_SP2, "A") for p in (2, 8, 32)]
+        assert effs[0] > effs[1] > effs[2]
 
     def test_bounded_by_one(self):
-        table = efficiency_table([16, 64], [1, 2, 4, 16], IBM_SP2)
-        for eff in table.values():
-            assert 0.0 < eff <= 1.0 + 1e-9
+        for edge in (16, 64):
+            for p in (1, 2, 4, 16):
+                eff = _efficiency(edge, 128, p, IBM_SP2, "A")
+                assert 0.0 < eff <= 1.0 + 1e-9
 
     def test_infeasible_combinations_skipped(self):
-        table = efficiency_table([4], [512], IBM_SP2)
-        assert (4, 512) not in table
+        assert _try_eff(4, 128, 512, IBM_SP2, "A") is None
 
 
 class TestIsoefficiency:
@@ -37,8 +42,6 @@ class TestIsoefficiency:
         assert iso[2] <= iso[8] <= iso[32]
 
     def test_found_edges_meet_target(self):
-        from repro.perfmodel.scaling import _efficiency
-
         iso = isoefficiency([4, 16], IBM_SP2, target=0.6)
         for p, edge in iso.items():
             assert edge is not None

@@ -77,18 +77,6 @@ class TestProgramStructure:
         text = prog.describe()
         assert "ring-shift" in text and "exchange" in text
 
-    def test_alternation_predicate(self):
-        prog = ring_shift_program()
-        # exchange, absorb, compute, exchange, ... -> two adjacent locals
-        assert not prog.is_strictly_alternating()
-        strictly = SimulatedParallelProgram(2)
-        strictly.spmd(lambda s, r: None)
-        strictly.exchange(
-            DataExchange(participants=frozenset())  # vacuous
-        )
-        strictly.spmd(lambda s, r: None)
-        assert strictly.is_strictly_alternating()
-
     def test_run_requires_matching_store_count(self):
         prog = ring_shift_program(nprocs=4)
         with pytest.raises(RefinementError, match="needs 4 stores"):

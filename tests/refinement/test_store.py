@@ -18,17 +18,6 @@ class TestDeclarationDiscipline:
         with pytest.raises(StoreError, match="undeclared"):
             space["x"] = 5
 
-    def test_define_then_use(self):
-        space = AddressSpace()
-        space.define("x", 3)
-        space["x"] = 4
-        assert space["x"] == 4
-
-    def test_double_define_raises(self):
-        space = AddressSpace({"x": 1})
-        with pytest.raises(StoreError, match="already defined"):
-            space.define("x", 2)
-
     def test_contains_iter_len(self):
         space = AddressSpace({"a": 1, "b": 2})
         assert "a" in space and "c" not in space

@@ -123,11 +123,6 @@ class TestTraceRendering:
         p0 = result.trace.by_rank(0)
         assert [e.kind for e in p0] == ["step", "send"]
 
-    def test_communication_events_filter(self):
-        result = self.traced()
-        comm = result.trace.communication_events()
-        assert {e.kind for e in comm} == {"send", "recv"}
-
 
 class TestArchetypeRegistry:
     def test_get_mesh_and_pipeline(self):
@@ -136,7 +131,7 @@ class TestArchetypeRegistry:
         mesh = get_archetype("mesh")
         pipeline = get_archetype("pipeline")
         assert mesh.name == "mesh" and pipeline.name == "pipeline"
-        assert "boundary_exchange" in mesh.operation_names()
+        assert "boundary_exchange" in [op.name for op in mesh.operations]
 
     def test_unknown_archetype(self):
         from repro.archetypes import get_archetype
@@ -144,13 +139,6 @@ class TestArchetypeRegistry:
 
         with pytest.raises(ArchetypeError, match="unknown archetype"):
             get_archetype("torus")
-
-    def test_unknown_operation(self):
-        from repro.archetypes import get_archetype
-        from repro.errors import ArchetypeError
-
-        with pytest.raises(ArchetypeError, match="no operation"):
-            get_archetype("mesh").operation("teleport")
 
     def test_describe(self):
         from repro.archetypes import get_archetype
@@ -196,7 +184,7 @@ class TestStructuredDeadlockReport:
         assert err.result is not None
         report = err.result.deadlock
         assert report is not None
-        assert report.circular
+        assert report.cycles
         assert report.blocked == err.blocked
         assert "circular wait" in report.describe()
 
@@ -205,7 +193,7 @@ class TestStructuredDeadlockReport:
         assert err.blocked == {1: ("c", 0)}
         assert not err.cycles
         report = err.result.deadlock
-        assert not report.circular
+        assert not report.cycles
 
     def test_explorer_classifies_deadlock_distinctly(self):
         from repro.explore import run_controlled

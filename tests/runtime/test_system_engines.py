@@ -61,8 +61,9 @@ class TestSystemWiring:
 
     def test_channels_by_rank(self):
         system = ping_pong_system()
-        assert [c.name for c in system.channels_written_by(0)] == ["ping"]
-        assert [c.name for c in system.channels_read_by(0)] == ["pong"]
+        specs = system.channel_specs
+        assert [c.name for c in specs if c.writer == 0] == ["ping"]
+        assert [c.name for c in specs if c.reader == 0] == ["pong"]
 
 
 class TestBothEnginesAgree:

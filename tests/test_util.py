@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro import errors
 from repro.util import (
-    Stopwatch,
     bitwise_equal_arrays,
-    bitwise_equal_stores,
     deep_copy_value,
     format_table,
     is_array_like,
@@ -59,14 +57,6 @@ class TestBitwiseEquality:
     def test_non_contiguous_views(self):
         base = np.arange(20.0)
         assert bitwise_equal_arrays(base[::2], base[::2].copy())
-
-    def test_stores(self):
-        a = {"x": np.ones(2), "n": 3}
-        b = {"x": np.ones(2), "n": 3}
-        assert bitwise_equal_stores(a, b)
-        b["n"] = 4
-        assert not bitwise_equal_stores(a, b)
-        assert not bitwise_equal_stores(a, {"x": np.ones(2)})
 
     @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
@@ -123,11 +113,6 @@ class TestMisc:
         assert is_array_like(np.float64(3.0))
         assert not is_array_like(3.0)
         assert not is_array_like([1, 2, 3])
-
-    def test_stopwatch(self):
-        with Stopwatch() as sw:
-            sum(range(1000))
-        assert sw.elapsed >= 0.0
 
 
 class TestErrorHierarchy:

@@ -10,8 +10,9 @@ from repro.runtime import (
     RunToBlockPolicy,
     System,
 )
-from repro.theory import enumerate_interleavings
-from repro.theory.foata import foata_normal_form, parallelism_profile
+from repro.theory import enumerate_interleavings, walk_schedules
+from repro.theory.determinacy import state_digest
+from repro.theory.foata import foata_normal_form
 
 
 def independent_system(nprocs=3, steps=2):
@@ -39,6 +40,20 @@ def chain_system(length=4):
 
 def traced(system, policy):
     return CooperativeEngine(policy, trace=True).run(system).trace
+
+
+def trace_classes(system) -> int:
+    """Distinct Foata forms over every maximal interleaving: the number
+    of Mazurkiewicz trace classes the enumeration visits."""
+    forms = set()
+
+    def run(controller):
+        result = CooperativeEngine(controller, trace=True).run(system)
+        forms.add(foata_normal_form(result.trace))
+        return state_digest(result)
+
+    walk_schedules(run, max_leaves=10_000)
+    return len(forms)
 
 
 class TestScheduleInvariance:
@@ -99,10 +114,10 @@ class TestStructure:
         assert form.width == 1
 
     def test_profile(self):
-        profile = parallelism_profile(
+        form = foata_normal_form(
             traced(independent_system(nprocs=4, steps=3), RunToBlockPolicy())
         )
-        assert profile == [4, 4, 4]
+        assert [len(layer) for layer in form.layers] == [4, 4, 4]
 
     def test_describe(self):
         form = foata_normal_form(
@@ -114,38 +129,10 @@ class TestStructure:
 
 class TestTraceClasses:
     def test_conforming_system_is_one_class(self):
-        from repro.theory.enumerate import count_trace_classes
-
-        assert count_trace_classes(independent_system(nprocs=2, steps=2)) == 1
-        assert count_trace_classes(chain_system(3)) == 1
-
-    def test_one_run_per_interleaving(self, monkeypatch):
-        # The Foata form is read off the run that visits each schedule:
-        # N engine runs, not an enumeration plus N traced replays.
-        import repro.theory.enumerate as enumerate_module
-        from repro.theory.enumerate import count_trace_classes
-
-        runs = []
-        engine = enumerate_module.CooperativeEngine
-
-        class CountingEngine(engine):
-            def run(self, system):
-                runs.append(1)
-                return super().run(system)
-
-        monkeypatch.setattr(
-            enumerate_module, "CooperativeEngine", CountingEngine
-        )
-        system = independent_system(nprocs=2, steps=2)
-        assert count_trace_classes(system) == 1
-        traced_runs = len(runs)
-        assert enumerate_interleavings(system).interleavings == 6
-        assert traced_runs == 6
+        assert trace_classes(independent_system(nprocs=2, steps=2)) == 1
+        assert trace_classes(chain_system(3)) == 1
 
     def test_exchange_system_is_one_class(self):
-        from repro.runtime import ProcessSpec, System
-        from repro.theory.enumerate import count_trace_classes
-
         def body(ctx):
             other = 1 - ctx.rank
             ctx.send(f"c{ctx.rank}", ctx.rank)
@@ -154,4 +141,4 @@ class TestTraceClasses:
         system = System([ProcessSpec(0, body), ProcessSpec(1, body)])
         system.add_channel("c0", 0, 1)
         system.add_channel("c1", 1, 0)
-        assert count_trace_classes(system) == 1
+        assert trace_classes(system) == 1

@@ -94,11 +94,6 @@ class TestIndependence:
         for i in range(len(result.trace)):
             assert not hb.independent(i, i)
 
-    def test_independent_pair_count_nonnegative(self):
-        result = traced(pipeline_system(n_values=3))
-        hb = HappensBefore(result.trace)
-        assert hb.count_independent_adjacent_pairs() >= 0
-
 
 class TestLinearExtensions:
     def test_own_order_is_admitted(self):
