@@ -71,9 +71,6 @@ class DaemonState:
     misses: int = 0
     #: Last stats() snapshot the daemon reported over the wire.
     stats: dict[str, Any] = field(default_factory=dict)
-    #: Lifetime placements / failures the scheduler charged here.
-    jobs_placed: int = 0
-    deaths: int = 0
 
     @property
     def host(self) -> str:
@@ -93,8 +90,6 @@ class DaemonState:
             "capacity": self.capacity,
             "reserved": self.reserved,
             "misses": self.misses,
-            "jobs_placed": self.jobs_placed,
-            "deaths": self.deaths,
             "ranks_active": self.stats.get("ranks_active"),
         }
 
@@ -211,7 +206,6 @@ class HeartbeatMonitor:
                 daemon.misses += 1
                 if daemon.alive and daemon.misses >= self.miss_threshold:
                     daemon.alive = False
-                    daemon.deaths += 1
                     self._on_death(daemon)
                     self._notify()
             else:

@@ -47,7 +47,6 @@ from typing import Any
 from repro.dist import closures
 from repro.dist.engine import WorkerCrashError
 from repro.dist.fleet.membership import (
-    MAX_CAPACITY,
     DaemonState,
     HeartbeatMonitor,
     probe_stats,
@@ -132,11 +131,11 @@ class FleetScheduler(JobServerCore):
     crash_grace / handshake_timeout:
         Per-job run knobs, as on the socket engine.
 
-    The scheduler owns an :class:`~repro.obs.observer.Observer`,
-    exposed as :attr:`observer`.
+    A job must fit the fleet's floor, ``daemons x capacity`` ranks, or
+    :meth:`submit` raises ``ValueError``: the controller grows only a
+    daemon that is already running at its capacity, so a larger job
+    would wait on an idle fleet for ever.
     """
-
-    metric_prefix = "fleet"
 
     def __init__(
         self,
@@ -171,12 +170,8 @@ class FleetScheduler(JobServerCore):
         self._handshake_timeout = handshake_timeout
         self._ping_timeout = ping_timeout
         self._elastic = bool(elastic)
-        #: Ranks one daemon may hold at most (the elastic ceiling, or
-        #: the fixed capacity without the controller).
-        self._daemon_ceiling = (
-            max(capacity, MAX_CAPACITY) if elastic else capacity
-        )
-        self._rank_ceiling = len(addrs) * self._daemon_ceiling
+        #: Ranks an idle fleet places at once (see the class docstring).
+        self._rank_ceiling = len(addrs) * capacity
 
         self._daemons = [
             DaemonState(address=a, capacity=capacity, floor=capacity)
@@ -184,16 +179,6 @@ class FleetScheduler(JobServerCore):
         ]
         self._retries = 0
         self._deaths = 0
-
-        reg = self.observer.registry
-        self._c_retries = reg.counter("fleet/retries")
-        self._c_deaths = reg.counter("fleet/daemon_deaths")
-        self._g_alive = reg.gauge("fleet/daemons_alive")
-        self._g_alive.set(len(self._daemons))
-        self._g_reserved = {
-            d.host: reg.gauge(f"fleet/daemon/{d.host}/reserved")
-            for d in self._daemons
-        }
 
         self._monitor = HeartbeatMonitor(
             self._daemons,
@@ -221,8 +206,6 @@ class FleetScheduler(JobServerCore):
     def _record_death(self, daemon: DaemonState) -> None:
         # Called under _cv (by the monitor or a failure probe).
         self._deaths += 1
-        self._c_deaths.inc()
-        self._g_alive.set(sum(1 for d in self._daemons if d.alive))
 
     def _note_failure(self, assign: list[DaemonState]) -> None:
         """After a failed attempt: probe each daemon of the placement
@@ -236,7 +219,6 @@ class FleetScheduler(JobServerCore):
                 if stats is None:
                     if d.alive:
                         d.alive = False
-                        d.deaths += 1
                         self._record_death(d)
                     self._cv.notify_all()
                 else:
@@ -248,10 +230,11 @@ class FleetScheduler(JobServerCore):
 
     def _check_admissible(self, system: System) -> None:
         if system.nprocs > self._rank_ceiling:
+            n = len(self._daemons)
             raise ValueError(
                 f"job needs {system.nprocs} ranks but the fleet tops out "
                 f"at {self._rank_ceiling} "
-                f"({len(self._daemons)} daemons x {self._daemon_ceiling})"
+                f"({n} daemons x {self._rank_ceiling // n})"
             )
 
     def _try_reserve(self, job: _Job):
@@ -268,16 +251,10 @@ class FleetScheduler(JobServerCore):
     def _reserve(self, assign: list[DaemonState]) -> None:
         for d in assign:
             d.reserved += 1
-        for d in {id(d): d for d in assign}.values():
-            d.jobs_placed += 1
-            self._g_reserved[d.host].set(d.reserved)
-            self._g_reserved[d.host].update_max(d.reserved)
 
     def _release(self, job: _Job, grant) -> None:
         for d in grant.assign:
             d.reserved -= 1
-        for d in {id(d): d for d in grant.assign}.values():
-            self._g_reserved[d.host].set(d.reserved)
 
     # -- execution with retry ------------------------------------------------
 
@@ -315,7 +292,6 @@ class FleetScheduler(JobServerCore):
                         raise
                     raise ProcessFailedError(0, exc) from exc
                 self._retries += 1
-                self._c_retries.inc()
                 self._replace(job, grant)
 
     def _replace(self, job: _Job, grant) -> None:
@@ -323,10 +299,7 @@ class FleetScheduler(JobServerCore):
         survivors (waiting for capacity if the fleet is busy); raises
         when no alive daemon remains or the server is shed."""
         with self._cv:
-            for d in grant.assign:
-                d.reserved -= 1
-            for d in {id(d): d for d in grant.assign}.values():
-                self._g_reserved[d.host].set(d.reserved)
+            self._release(job, grant)
             # The old hold is gone: empty the grant *before* anything
             # below can raise, or the core's release-in-finally would
             # return it a second time.
@@ -358,19 +331,9 @@ class FleetScheduler(JobServerCore):
         procs, self.local_procs = self.local_procs, []
         stop_loopback_daemons(self.daemon_addresses, procs)
 
-    def _stats_extra(self, out, done, elapsed) -> None:
+    def _stats_extra(self, out, done) -> None:
         with self._cv:
             out["daemons"] = [d.snapshot() for d in self._daemons]
             out["daemons_alive"] = sum(1 for d in self._daemons if d.alive)
             out["retries"] = self._retries
             out["daemon_deaths"] = self._deaths
-        out["attempts_max"] = max((r.attempts for r in done), default=0)
-        if done and elapsed:
-            busy = sum(
-                r.service_s * r.nprocs
-                for r in done
-                if r.service_s is not None
-            )
-            out["rank_utilization"] = busy / max(
-                1e-9, self._rank_ceiling * elapsed
-            )

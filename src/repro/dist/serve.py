@@ -37,11 +37,9 @@ clients).  Admitted jobs that need more slots than are currently free
 wait in an internal ready queue ordered by admission.
 
 **Observability**: every job has one :class:`JobStats` record (label,
-ranks, submit/dispatch/done times, start-up share); the server owns an
-:class:`~repro.obs.observer.Observer` whose counters track submissions
-/ completions / failures and whose gauges track in-flight
-and queued depth (with high-water marks), and :meth:`stats` aggregates
-per-job latencies into throughput, p50/p95, and slot utilization.
+ranks, submit/dispatch/done times, start-up share), from which a caller
+derives latencies and queue waits; :meth:`stats` adds the job counts,
+the in-flight high-water mark and slot utilization.
 """
 
 from __future__ import annotations
@@ -79,9 +77,6 @@ class JobServer(JobServerCore):
     start_method:
         How the server's own :class:`~repro.dist.pool.WorkerPool`
         starts its workers; the pool is shut down on :meth:`close`.
-
-    The server owns an :class:`~repro.obs.observer.Observer`, exposed
-    as :attr:`observer`.
     """
 
     def __init__(
@@ -130,10 +125,14 @@ class JobServer(JobServerCore):
     def _close_resources(self) -> None:
         self.pool.shutdown()
 
-    def _stats_extra(self, out, done, elapsed) -> None:
+    def _stats_extra(self, out, done) -> None:
         out["pool_size"] = self.pool_size
-        if not done or not elapsed:
+        if not done:
             return
+        # First submission to last completion.
+        elapsed = max(
+            max(r.t_done for r in done) - min(r.t_submit for r in done), 1e-9
+        )
         busy = sum(
             r.service_s * r.nprocs for r in done if r.service_s is not None
         )

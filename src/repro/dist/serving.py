@@ -21,10 +21,9 @@ runs behind ``submit() -> Future``: the single-host
   admitted job;
 * **accounting** — per-job :class:`JobStats` records (a job's one
   record: label, ranks, submit/dispatch/done times, attempts,
-  placement), counters/gauges in the owner's
-  :class:`~repro.obs.observer.Observer`, and the aggregate
-  :meth:`JobServerCore.stats` summary (throughput, latency
-  percentiles, queue waits).
+  placement; callers derive latencies and waits from them) and the
+  aggregate :meth:`JobServerCore.stats` summary (job counts, the
+  in-flight high-water mark, the median start-up share).
 
 Subclasses implement four hooks: ``_check_admissible`` (reject jobs
 that can never run), ``_prepare`` (CPU-side work that needs no
@@ -36,13 +35,13 @@ condition variable), and ``_execute`` (run the job to a
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.observer import Observer
 from repro.runtime.system import RunResult, System
 
 __all__ = [
@@ -54,7 +53,7 @@ __all__ = [
 
 
 class ServerClosedError(RuntimeError):
-    """``submit`` on a closed server, or a queued job cancelled by
+    """``submit`` on a closed server, or a queued job shed by
     ``close(drain=False)``."""
 
 
@@ -108,46 +107,35 @@ class _Job:
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty list."""
-    idx = min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1)))
-    return sorted_values[int(idx)]
+    """Nearest-rank percentile of an already-sorted non-empty list: its
+    ``ceil(q * n)``-th smallest value (the smallest at ``q = 0``)."""
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 class JobServerCore:
     """Shared submit/backpressure/accounting core (see module docstring).
 
-    Subclasses set :attr:`metric_prefix` (the observer counter/gauge
-    namespace) and implement the capacity and execution hooks.  All
+    Subclasses implement the capacity and execution hooks.  All
     capacity state must be guarded by :attr:`_cv` — every completion,
     release, and (for the fleet) membership change notifies it, which
     is what wakes jobs waiting in the ready queue.
     """
 
-    #: Observer metric namespace (``serve/...``, ``fleet/...``).
-    metric_prefix = "serve"
-
     def __init__(self, *, max_inflight: int):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
-        self.observer = Observer()
 
         self._cv = threading.Condition()
         self._inflight = 0
+        self._inflight_hwm = 0
         self._closed = False
         self._abort_queued = False  # close(drain=False) sheds the queue
         self._threads: list[threading.Thread] = []
         self._records: list[JobStats] = []
         self._queued: list[_Job] = []  # admitted, waiting for capacity
         self._seq = 0
-
-        reg = self.observer.registry
-        p = self.metric_prefix
-        self._c_submitted = reg.counter(f"{p}/jobs_submitted")
-        self._c_completed = reg.counter(f"{p}/jobs_completed")
-        self._c_failed = reg.counter(f"{p}/jobs_failed")
-        self._g_inflight = reg.gauge(f"{p}/inflight")
-        self._g_queued = reg.gauge(f"{p}/queue_depth")
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -174,9 +162,7 @@ class JobServerCore:
         """Run the job (capacity held); raise to fail its future."""
         raise NotImplementedError
 
-    def _stats_extra(
-        self, out: dict[str, Any], done: list[JobStats], elapsed: float
-    ) -> None:
+    def _stats_extra(self, out: dict[str, Any], done: list[JobStats]) -> None:
         """Fold subclass-specific aggregates into :meth:`stats`."""
 
     # -- lifecycle -----------------------------------------------------------
@@ -191,10 +177,10 @@ class JobServerCore:
         """Stop admitting jobs and settle the in-flight ones.
 
         ``drain=True`` (default) waits for every admitted job — queued
-        and dispatched alike — to finish.  ``drain=False`` cancels jobs
-        still waiting for capacity (their futures get
-        :class:`ServerClosedError` unless already cancelled), waits
-        only for the dispatched ones, and returns.  Subclasses tear
+        and dispatched alike — to finish.  ``drain=False`` fails the
+        jobs still waiting for capacity with :class:`ServerClosedError`
+        (a future its caller cancelled stays cancelled), waits only for
+        the dispatched ones, and returns.  Subclasses tear
         down what they own in :meth:`_close_resources`.  Idempotent.
         """
         with self._cv:
@@ -202,10 +188,7 @@ class JobServerCore:
                 threads = list(self._threads)
             else:
                 self._closed = True
-                if not drain:
-                    self._abort_queued = True
-                    for job in list(self._queued):
-                        job.future.cancel()
+                self._abort_queued = not drain
                 threads = list(self._threads)
                 self._cv.notify_all()
         for t in threads:
@@ -231,7 +214,7 @@ class JobServerCore:
                 if self._closed:
                     raise ServerClosedError("server closed while waiting")
             self._inflight += 1
-            self._g_inflight.set(self._inflight)
+            self._inflight_hwm = max(self._inflight_hwm, self._inflight)
             self._seq += 1
             stats = JobStats(
                 job_id=self._seq,
@@ -241,11 +224,10 @@ class JobServerCore:
             )
             job = _Job(stats=stats, system=system)
             self._records.append(stats)
-            self._c_submitted.inc()
             thread = threading.Thread(
                 target=self._serve_one,
                 args=(job,),
-                name=f"repro-{self.metric_prefix}-{stats.job_id}",
+                name=f"repro-job-{stats.job_id}",
                 daemon=True,
             )
             self._threads.append(thread)
@@ -265,8 +247,6 @@ class JobServerCore:
             grant = None
             with self._cv:
                 self._queued.append(job)
-                self._g_queued.set(len(self._queued))
-                self._g_queued.update_max(len(self._queued))
                 try:
                     while (
                         not self._abort_queued
@@ -279,7 +259,6 @@ class JobServerCore:
                         self._cv.wait()
                 finally:
                     self._queued.remove(job)
-                    self._g_queued.set(len(self._queued))
                 if self._abort_queued or job.future.cancelled():
                     if grant is not None:
                         self._release(job, grant)
@@ -304,17 +283,14 @@ class JobServerCore:
                     self._release(job, grant)
                     self._cv.notify_all()
             stats.ok = True
-            self._c_completed.inc()
             job.future.set_result(result)
         except BaseException as exc:  # noqa: BLE001 - future carries it
             stats.ok = False
-            self._c_failed.inc()
             if not job.future.done():
                 job.future.set_exception(exc)
         finally:
             with self._cv:
                 self._inflight -= 1
-                self._g_inflight.set(self._inflight)
                 self._threads.remove(threading.current_thread())
                 self._cv.notify_all()
 
@@ -326,46 +302,27 @@ class JobServerCore:
             return list(self._records)
 
     def stats(self) -> dict[str, Any]:
-        """Aggregate statistics over every finished job.
-
-        ``throughput_jobs_per_s`` spans first submission to last
-        completion; subclasses add their capacity-shaped aggregates
-        (slot utilization, per-daemon placement counts) via
-        :meth:`_stats_extra`.
+        """Aggregate statistics over every finished job: how many ended
+        and failed, the admission bound and the most jobs ever admitted
+        at once, and the median start-up share; subclasses add their
+        capacity-shaped aggregates (slot utilization, per-daemon state)
+        via :meth:`_stats_extra`.  Latencies and queue waits are the
+        caller's to derive from :meth:`job_stats`.
         """
         with self._cv:
             records = list(self._records)
+            inflight_hwm = self._inflight_hwm
         done = [r for r in records if r.t_done is not None]
         out: dict[str, Any] = {
-            "jobs_submitted": len(records),
             "jobs_done": len(done),
             "jobs_failed": sum(1 for r in done if r.ok is False),
             "max_inflight": self.max_inflight,
-            "inflight_hwm": self._g_inflight.high_water,
-            "queue_depth_hwm": self._g_queued.high_water,
+            "inflight_hwm": inflight_hwm,
         }
-        if not done:
-            self._stats_extra(out, done, 0.0)
-            return out
-        t0 = min(r.t_submit for r in done)
-        t1 = max(r.t_done for r in done)
-        elapsed = max(t1 - t0, 1e-9)
-        latencies = sorted(r.latency_s for r in done)
-        waits = sorted(
-            r.queue_wait_s for r in done if r.queue_wait_s is not None
-        )
         startups = sorted(
             r.startup_s for r in done if r.startup_s is not None
         )
         if startups:
             out["startup_ms_p50"] = percentile(startups, 0.50) * 1e3
-        out.update(
-            elapsed_s=elapsed,
-            throughput_jobs_per_s=len(done) / elapsed,
-            latency_p50_s=percentile(latencies, 0.50),
-            latency_p95_s=percentile(latencies, 0.95),
-            queue_wait_p50_s=percentile(waits, 0.50) if waits else 0.0,
-            queue_wait_p95_s=percentile(waits, 0.95) if waits else 0.0,
-        )
-        self._stats_extra(out, done, elapsed)
+        self._stats_extra(out, done)
         return out

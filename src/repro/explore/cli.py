@@ -3,9 +3,9 @@
 Modes:
 
 * **explore** (default) — run DFS or random-walk exploration of one or
-  more named targets on the cooperative engine, print the report,
-  export ``explore.*`` metrics, and dump a replayable JSON artifact for
-  every violation found;
+  more named targets on the cooperative engine, print the report
+  (``--json FILE`` writes it whole), and dump a replayable JSON
+  artifact for every violation found;
 * **sweep** (``--engine multiprocess|socket`` + ``--faults``) — run a
   fault plan against a real process engine (kills become genuine
   ``SIGKILL``s), asserting every run ends bitwise-identical or with a
@@ -130,7 +130,6 @@ def run_explore(opts) -> int:
                 plan=plan,
                 target=target,
             )
-        report.export_metrics()
         print(report.summary())
         reports.append(report)
         for i, violation in enumerate(report.violations):

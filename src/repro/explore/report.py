@@ -304,32 +304,6 @@ class ExplorationReport:
             "wall_s": round(self.wall_s, 4),
         }
 
-    def export_metrics(self, registry=None):
-        """Publish the exploration stats through :mod:`repro.obs`.
-
-        Fills (and returns) a
-        :class:`~repro.obs.metrics.MetricsRegistry` with
-        ``explore.*`` counters/gauges — the same registry surface every
-        other subsystem reports through, so dashboards and the JSONL
-        exporters pick exploration runs up unchanged.
-        """
-        from repro.obs import MetricsRegistry
-
-        registry = registry or MetricsRegistry()
-        registry.counter("explore.schedules").inc(self.schedules)
-        registry.counter("explore.runs").inc(self.runs)
-        registry.counter("explore.pruned_fingerprint").inc(
-            self.pruned_fingerprint
-        )
-        registry.counter("explore.deadlocks").inc(self.deadlocks)
-        registry.counter("explore.crashes").inc(self.crashes)
-        registry.counter("explore.violations").inc(len(self.violations))
-        registry.gauge("explore.distinct_states").set(len(self.digests))
-        coverage = self.frontier_coverage
-        if coverage is not None:
-            registry.gauge("explore.frontier_coverage").set(coverage)
-        return registry
-
 
 # ---------------------------------------------------------------------------
 # Violation artifacts: dump / load / replay

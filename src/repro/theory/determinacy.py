@@ -130,7 +130,6 @@ class DeterminacyReport:
     schedules_seen: int = 0
     distinct_schedules: int = 0
     errors: list[str] = field(default_factory=list)
-    engine_breakdown: dict[str, int] = field(default_factory=dict)
 
     @property
     def determinate(self) -> bool:
@@ -188,9 +187,6 @@ def check_determinacy(
     for policy in policies if policies is not None else default_policies(n_random, seed0):
         engine = CooperativeEngine(policy, trace=True, max_actions=max_actions)
         report.runs += 1
-        report.engine_breakdown["cooperative"] = (
-            report.engine_breakdown.get("cooperative", 0) + 1
-        )
         try:
             result = engine.run(factory())
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -204,9 +200,6 @@ def check_determinacy(
 
     for k in range(threaded_runs):
         report.runs += 1
-        report.engine_breakdown["threaded"] = (
-            report.engine_breakdown.get("threaded", 0) + 1
-        )
         try:
             result = ThreadedEngine().run(factory())
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed

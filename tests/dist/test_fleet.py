@@ -234,13 +234,27 @@ def test_fleet_serves_concurrent_jobs_identically():
 
 
 def test_fleet_rejects_oversized_job_at_submit():
-    # Without the elastic controller a daemon's ceiling is its capacity,
-    # and the message names that ceiling.
+    # The message names the fleet's ceiling, daemons x capacity.
     with FleetScheduler(daemons=1, capacity=2, elastic=False) as sched:
         with pytest.raises(
             ValueError, match=r"tops out at 2 \(1 daemons x 2\)"
         ):
             sched.submit(stencil_ring(nprocs=3))
+
+
+def test_elastic_fleet_rejects_a_job_its_idle_daemons_cannot_place():
+    # The controller grows only a daemon already running at its
+    # capacity, so on an idle fleet a job larger than daemons x capacity
+    # would never be placed: it is refused at submit, not left waiting
+    # (and should it be queued, closing without drain sheds it).
+    sched = FleetScheduler(daemons=2, capacity=1)
+    try:
+        with pytest.raises(
+            ValueError, match=r"tops out at 2 \(2 daemons x 1\)"
+        ):
+            sched.submit(stencil_ring(nprocs=3))
+    finally:
+        sched.close(drain=False)
 
 
 @pytest.mark.parametrize(

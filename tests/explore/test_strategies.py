@@ -180,16 +180,6 @@ class TestFaultedExploration:
 
 
 class TestReportExports:
-    def test_metrics_exported_through_obs(self):
-        report = explore_dfs(
-            build_target("ring3"), max_schedules=50, target="ring3"
-        )
-        registry = report.export_metrics()
-        snap = registry.snapshot()
-        assert snap["explore.schedules"] == report.schedules
-        assert snap["explore.violations"] == 0
-        assert snap["explore.distinct_states"] == 1
-
     def test_to_dict_round_trip_fields(self):
         report = explore_dfs(
             build_target("ring3"), max_schedules=50, target="ring3"
