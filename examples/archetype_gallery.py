@@ -22,7 +22,7 @@ import numpy as np
 from repro.archetypes import get_archetype
 from repro.archetypes.divide_conquer import DivideConquerBuilder
 from repro.archetypes.mesh import BlockDecomposition, MeshProgramBuilder
-from repro.archetypes.pipeline import PipelineProgramBuilder
+from repro.archetypes.pipeline import PipelineProgramBuilder, model_pipeline_time
 from repro.numerics import partitioned_sum, wide_dynamic_range_values
 from repro.runtime import ThreadedEngine
 from repro.util import bitwise_equal_arrays
@@ -91,6 +91,14 @@ def demo_pipeline() -> None:
     print(f"3-stage DSP chain over 10 items: "
           f"simulated {'==' if ok_sim else '!='} sequential, "
           f"parallel {'==' if ok_par else '!='} simulated")
+
+    # The model's crossover: the fill latency sinks short streams.
+    (short, fused_short), (long, fused_long) = (
+        model_pipeline_time([1.0] * 4, nitems, latency=2.0) for nitems in (2, 128)
+    )
+    print(f"pipeline model, 4 unit stages, hop latency 2: "
+          f"{'fused' if fused_short < short else 'pipelined'} wins at 2 items, "
+          f"{'pipelined' if long < fused_long else 'fused'} at 128")
 
 
 def demo_divide_conquer() -> None:

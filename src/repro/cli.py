@@ -1,5 +1,8 @@
 """Experiment runners: ``python -m repro <command> [options]``.
 
+Each paper experiment is a runner that returns a :class:`Record` (its
+tables, notes, values and verdict); :func:`render` prints any record.
+
 One ``argparse`` parser (:func:`_build_parser`) defines every command
 and every option; what follows is its ``--help`` output, top level
 first and then each command that takes options (``e2`` takes ``e1``'s),
@@ -11,11 +14,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro.runtime import ENGINE_NAMES, make_engine
+from repro.util import Table
 
 __all__ = ["main"]
 
@@ -118,6 +124,48 @@ def _near_fields_identical(par, stores, reference) -> bool:
     )
 
 
+def _same(ok: bool) -> str:
+    return "identical" if ok else "DIFFERS"
+
+
+# ---------------------------------------------------------------------------
+# Records: what each experiment found, printed by one renderer
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Record:
+    """What one experiment found: the notes and tables it prints, in
+    order, the numbers behind them, and its verdict.  :func:`render`
+    prints any record; ``tests/experiments/`` checks the fields and that
+    EXPERIMENTS.md quotes the tables' cells."""
+
+    title: str
+    parts: list[str | Table] = field(default_factory=list)
+    tables: dict[str, Table] = field(default_factory=dict)
+    values: dict[str, Any] = field(default_factory=dict)
+    ok: bool = True
+
+    def note(self, text: str) -> None:
+        self.parts.append(text)
+
+    def add_table(self, name: str, table: Table) -> None:
+        self.tables[name] = table
+        self.parts.append(table)
+
+    def check(self, claim) -> None:
+        """Fold one claim into the verdict."""
+        self.ok = self.ok and bool(claim)
+
+
+def render(record: Record, out=print) -> bool:
+    """Print ``record`` as its command does; return its verdict."""
+    out(_header(record.title))
+    for part in record.parts:
+        out(part if isinstance(part, str) else part.render())
+    return record.ok
+
+
 # ---------------------------------------------------------------------------
 # E1 — near-field correctness
 # ---------------------------------------------------------------------------
@@ -125,49 +173,42 @@ def _near_fields_identical(par, stores, reference) -> bool:
 _E1_GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)]
 
 
-def run_e1(args=None, out=print) -> bool:
+def run_e1(args=None) -> Record:
     from repro.apps.fdtd import VersionA
-    from repro.util import format_table
 
     if args is None:
         args = _PARSER.parse_args(["e1"])
+    rec = Record("E1: near-field correctness (paper section 4.5)")
     rows = []
-    all_ok = True
     with _build_run(args, _E1_GRIDS) as (pars, engine):
-        out(_header("E1: near-field correctness (paper section 4.5)"))
-        out(f"message-passing engine: {engine.name}\n")
+        rec.note(f"message-passing engine: {engine.name}\n")
         seq = VersionA(pars[0].config).run()
         for par in pars:
             sim = par.run_simulated()
             sim_ok = _near_fields_identical(par, sim, seq.fields)
             msg = engine.run(par.to_parallel())
             msg_ok = _near_fields_identical(par, msg.stores, sim[par.host])
-            all_ok &= sim_ok and msg_ok
-            rows.append(
-                [
-                    f"{par.decomp.pgrid.shape}",
-                    "identical" if sim_ok else "DIFFERS",
-                    "identical" if msg_ok else "DIFFERS",
-                ]
-            )
-    out(
-        format_table(
+            rec.check(sim_ok and msg_ok)
+            rows.append([par.decomp.pgrid.shape, _same(sim_ok), _same(msg_ok)])
+    rec.add_table(
+        "grids",
+        Table(
             [
                 "process grid",
                 "simulated-parallel vs sequential",
                 "message-passing vs simulated",
             ],
             rows,
-        )
+        ),
     )
-    out(
+    rec.note(
         "\npaper: 'the sequential simulated-parallel version produced "
         "results identical to those of the original sequential code' "
         "(near field), and 'the message-passing programs produced results "
         "identical to those of the corresponding sequential "
         "simulated-parallel versions, on the first and every execution'."
     )
-    return all_ok
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -177,28 +218,26 @@ def run_e1(args=None, out=print) -> bool:
 _E2_GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 
 
-def run_e2(args=None, out=print) -> bool:
+def run_e2(args=None) -> Record:
     from repro.apps.fdtd import VersionC
     from repro.numerics import (
         dynamic_range,
         reordering_report,
         wide_dynamic_range_values,
     )
-    from repro.util import (
-        bitwise_equal_arrays,
-        format_table,
-        max_rel_diff,
-    )
+    from repro.util import bitwise_equal_arrays, max_rel_diff
 
     if args is None:
         args = _PARSER.parse_args(["e2"])
-    out(_header("E2: far-field associativity failure (paper section 4.5)"))
+    rec = Record("E2: far-field associativity failure (paper section 4.5)")
     rows = []
-    ok = True
+    max_rel = rec.values["max_rel"] = {}
+    close = rec.values["close_as_reals"] = {}
     with _build_run(args, _E2_GRIDS) as (pars, engine):
         if engine is not None:
-            out(f"message-passing engine: {engine.name}\n")
+            rec.note(f"message-passing engine: {engine.name}\n")
         seq = VersionC(pars[0].config, pars[0].ntff_config).run()
+        reference = (seq.vector_potential_A, seq.vector_potential_F)
         for par in pars:
             pshape = par.decomp.pgrid.shape
             sim = par.run_simulated()
@@ -214,46 +253,50 @@ def run_e2(args=None, out=print) -> bool:
                 msg_ok &= bitwise_equal_arrays(mA, A)
                 msg_ok &= bitwise_equal_arrays(mF, F)
                 if not msg_ok:
-                    out(f"  {pshape}: {engine.name} run DIFFERS from simulated")
-                ok &= msg_ok
+                    rec.note(f"  {pshape}: {engine.name} run DIFFERS from simulated")
+                rec.check(msg_ok)
             near_ok = _near_fields_identical(par, sim, seq.fields)
-            bitA = bitwise_equal_arrays(A, seq.vector_potential_A)
-            rel = max(
-                max_rel_diff(A, seq.vector_potential_A),
-                max_rel_diff(F, seq.vector_potential_F),
+            bitA = bitwise_equal_arrays(A, reference[0])
+            max_rel[pshape] = rel = max(map(max_rel_diff, (A, F), reference))
+            # Reordered, not wrong: close as reals where not equal as floats.
+            close[pshape] = all(
+                np.allclose(x, ref, rtol=1e-9, atol=1e-22)
+                for x, ref in zip((A, F), reference)
             )
-            expect_identical = par.decomp.nprocs == 1
-            ok &= near_ok and (bitA == expect_identical)
+            rec.check(near_ok and bitA == (par.decomp.nprocs == 1))
             rows.append(
                 [
-                    f"{pshape}",
-                    "identical" if near_ok else "DIFFERS",
+                    pshape,
+                    _same(near_ok),
                     "identical" if bitA else f"differs (max rel {rel:.1e})",
                 ]
             )
-    out(
-        format_table(
+    rec.add_table(
+        "grids",
+        Table(
             ["process grid", "near field vs sequential", "far field vs sequential"],
             rows,
-        )
+        ),
     )
 
-    out("\nWhy (footnote 2): dynamic range of the far-field summands —")
-    # Collect actual step-0..N contributions magnitude proxy: use the
-    # sequential potentials' nonzero bins as a magnitude sample.
-    sample = seq.vector_potential_A[np.abs(seq.vector_potential_A) > 0]
+    rec.note("\nWhy (footnote 2): dynamic range of the far-field summands —")
+    # The sequential potentials' nonzero bins sample the summands' magnitudes.
+    sample = reference[0][np.abs(reference[0]) > 0]
     if sample.size:
-        out("  " + dynamic_range(sample).describe())
+        info = rec.values["dynamic_range"] = dynamic_range(sample)
+        rec.note("  " + info.describe())
 
-    out(
+    rec.note(
         "\nThe 'more sophisticated strategy' (compensated summation) "
         "restores reproducibility:"
     )
     values = wide_dynamic_range_values(4096, orders=14)
-    report = reordering_report(values, parts_list=(1, 2, 4, 8))
-    out(report.describe())
-    ok &= report.max_kahan_discrepancy() < report.max_reordering_discrepancy()
-    return ok
+    report = rec.values["reordering"] = reordering_report(
+        values, parts_list=(1, 2, 4, 8)
+    )
+    rec.note(report.describe())
+    rec.check(report.max_kahan_discrepancy() < report.max_reordering_discrepancy())
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +304,26 @@ def run_e2(args=None, out=print) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_table1(out=print) -> bool:
-    from repro.perfmodel import table1_report
+def run_table1() -> Record:
+    from repro.perfmodel import SUN_ETHERNET, estimate_parallel_time, table1_report
 
-    out(_header("Table 1 (modeled substitution — see DESIGN.md)"))
-    out(table1_report())
-    return True
+    rec = Record("Table 1 (modeled substitution — see DESIGN.md)")
+    rec.add_table("table1", table1_report())
+    # Where the P = 4 row's time goes (the table's model and parameters).
+    rec.values["breakdown_p4"] = estimate_parallel_time(
+        (33, 33, 33), 128, 4, SUN_ETHERNET, "C"
+    )
+    return rec
 
 
-def run_figure2(out=print) -> bool:
+def run_figure2() -> Record:
     from repro.perfmodel import figure2_report
 
-    out(_header("Figure 2 (modeled substitution — see DESIGN.md)"))
-    out(figure2_report())
-    return True
+    rec = Record("Figure 2 (modeled substitution — see DESIGN.md)")
+    table, curve = figure2_report()
+    rec.add_table("figure2", table)
+    rec.note("\n" + curve)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +331,7 @@ def run_figure2(out=print) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_theorem1(out=print) -> bool:
+def run_theorem1() -> Record:
     from repro.runtime import (
         CooperativeEngine,
         ProcessSpec,
@@ -293,6 +342,8 @@ def run_theorem1(out=print) -> bool:
     from repro.theory import (
         check_determinacy,
         enumerate_interleavings,
+        enumerate_reduced,
+        foata_normal_form,
         permute_interleaving,
     )
     from repro.theory.violations import (
@@ -301,8 +352,8 @@ def run_theorem1(out=print) -> bool:
         shared_variable_system,
     )
 
-    out(_header("E5: Theorem 1 — determinacy of SRSW-channel systems"))
-    ok = True
+    rec = Record("E5: Theorem 1 — determinacy of SRSW-channel systems")
+    found = rec.values
 
     def stencil_ring():
         # A miniature of the FDTD exchange/compute cycle on a ring.
@@ -310,7 +361,6 @@ def run_theorem1(out=print) -> bool:
             import numpy as _np
 
             u = _np.arange(4.0) + ctx.rank
-            right = (ctx.rank + 1) % ctx.nprocs
             for _ in range(3):
                 ctx.send(f"r{ctx.rank}", u[-1])
                 ghost = ctx.recv(f"r{(ctx.rank - 1) % ctx.nprocs}")
@@ -322,9 +372,11 @@ def run_theorem1(out=print) -> bool:
             system.add_channel(f"r{r}", r, (r + 1) % 4)
         return system
 
-    report = check_determinacy(stencil_ring, n_random=12, threaded_runs=3)
-    out("stencil ring (conforming): " + report.summary())
-    ok &= report.determinate
+    report = found["stencil_ring"] = check_determinacy(
+        stencil_ring, n_random=12, threaded_runs=3
+    )
+    rec.note("stencil ring (conforming): " + report.summary())
+    rec.check(report.determinate)
 
     # Exhaustive enumeration of a small exchange.
     def two_proc_exchange():
@@ -338,49 +390,50 @@ def run_theorem1(out=print) -> bool:
         system.add_channel("c1", 1, 0)
         return system
 
-    enum = enumerate_interleavings(two_proc_exchange())
-    out(f"exhaustive enumeration (2-proc exchange): {enum.summary()}")
-    ok &= enum.determinate
+    enum = found["enumeration"] = enumerate_interleavings(two_proc_exchange())
+    rec.note(f"exhaustive enumeration (2-proc exchange): {enum.summary()}")
+    rec.check(enum.determinate)
 
-    from repro.theory import enumerate_reduced
-
-    reduced = enumerate_reduced(two_proc_exchange())
-    out(
+    reduced = found["reduced"] = enumerate_reduced(two_proc_exchange())
+    rec.note(
         "partial-order reduction (sleep sets): "
         f"{reduced.visited} representative of {enum.interleavings} "
         "interleavings suffices"
     )
-    ok &= reduced.determinate and reduced.visited <= enum.interleavings
+    rec.check(reduced.determinate and reduced.visited <= enum.interleavings)
 
     # Constructive permutation (the proof technique).
     r1 = CooperativeEngine(RoundRobinPolicy(), trace=True).run(two_proc_exchange())
     r2 = CooperativeEngine(RunToBlockPolicy(), trace=True).run(two_proc_exchange())
-    cert = permute_interleaving(r1.trace, r2.trace)
-    out("permutation certificate: " + cert.summary())
+    cert = found["certificate"] = permute_interleaving(r1.trace, r2.trace)
+    rec.note("permutation certificate: " + cert.summary())
 
     # Canonical form: every interleaving of a conforming system has the
     # same Foata normal form (one Mazurkiewicz trace class).
-    from repro.theory import foata_normal_form
-
-    f1 = foata_normal_form(r1.trace)
-    f2 = foata_normal_form(r2.trace)
-    ok &= f1 == f2
-    out(
+    f1, f2 = found["foata"] = (
+        foata_normal_form(r1.trace),
+        foata_normal_form(r2.trace),
+    )
+    rec.check(f1 == f2)
+    rec.note(
         f"canonical (Foata) form identical across schedules: {f1 == f2} "
         f"— {f1.total_events} events, critical path {f1.depth}, "
         f"peak parallelism {f1.width}"
     )
 
-    out("\nhypothesis violations (each breaks determinacy):")
+    rec.note("\nhypothesis violations (each breaks determinacy):")
+    violations = found["violations"] = {}
     for name, factory in [
         ("shared variables", lambda: shared_variable_system(5)),
         ("nondeterministic body", lambda: nondeterministic_body_system(4)),
         ("finite slack", lambda: finite_slack_system(6)),
     ]:
-        vr = check_determinacy(factory, n_random=6, threaded_runs=0)
-        out(f"  {name}: {vr.summary().splitlines()[0]}")
-        ok &= not vr.determinate
-    return ok
+        vr = violations[name] = check_determinacy(
+            factory, n_random=6, threaded_runs=0
+        )
+        rec.note(f"  {name}: {vr.summary().splitlines()[0]}")
+        rec.check(not vr.determinate)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +441,7 @@ def run_theorem1(out=print) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_figure1(out=print) -> bool:
+def run_figure1() -> Record:
     from repro.runtime import (
         CooperativeEngine,
         ProcessSpec,
@@ -398,7 +451,7 @@ def run_figure1(out=print) -> bool:
     )
     from repro.theory.events import check_same_action_sequences
 
-    out(_header("Figure 1: parallel vs simulated-parallel correspondence"))
+    rec = Record("Figure 1: parallel vs simulated-parallel correspondence")
 
     def make_system():
         def body(ctx):
@@ -416,16 +469,18 @@ def run_figure1(out=print) -> bool:
 
     par = ThreadedEngine(trace=True).run(make_system())
     sim = CooperativeEngine(SendsFirstPolicy(), trace=True).run(make_system())
-    out("real parallel (threaded, observed order):")
-    out(par.trace.render())
-    out("\nsimulated parallel (sends-first schedule):")
-    out(sim.trace.render())
+    rec.values["traces"] = (par.trace, sim.trace)
+    rec.note("real parallel (threaded, observed order):")
+    rec.note(par.trace.render())
+    rec.note("\nsimulated parallel (sends-first schedule):")
+    rec.note(sim.trace.render())
     same = check_same_action_sequences(par.trace, sim.trace)
-    out(
+    rec.note(
         f"\nper-process action sequences identical: {same}; "
         f"final states equal: {par.stores == sim.stores}"
     )
-    return same and par.stores == sim.stores
+    rec.check(same and par.stores == sim.stores)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +488,7 @@ def run_figure1(out=print) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_effort(out=print) -> bool:
+def run_effort() -> Record:
     from repro.apps.fdtd import (
         FDTDConfig,
         GaussianPulse,
@@ -443,10 +498,9 @@ def run_effort(out=print) -> bool:
         build_parallel_fdtd,
     )
     from repro.refinement import TransformationMetrics
-    from repro.util import format_table
 
-    out(_header("E7: effort — paper person-days vs mechanical-edit counts"))
-    out(
+    rec = Record("E7: effort — paper person-days vs mechanical-edit counts")
+    rec.note(
         "paper (section 4.5): Version C: 2 days strategy + 8 days to\n"
         "simulated-parallel + <1 day to message passing; Version A: <1 + 5\n"
         "+ <1 days.  The final (formally justified) step was the cheapest\n"
@@ -470,15 +524,18 @@ def run_effort(out=print) -> bool:
         rows.append(
             [
                 f"Version {version} (P=4+host)",
-                str(metrics.stages),
-                str(metrics.exchanges),
-                str(metrics.assignments),
-                str(metrics.message_pairs),
-                str(metrics.channels),
+                metrics.stages,
+                metrics.exchanges,
+                metrics.assignments,
+                metrics.message_pairs,
+                metrics.channels,
             ]
         )
-    out(
-        format_table(
+        # The final stage is the one call: one process per partition.
+        rec.check(par.to_parallel().nprocs == par.builder.nprocs)
+    rec.add_table(
+        "metrics",
+        Table(
             [
                 "program",
                 "stages",
@@ -488,9 +545,9 @@ def run_effort(out=print) -> bool:
                 "channels",
             ],
             rows,
-        )
+        ),
     )
-    return True
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -498,60 +555,140 @@ def run_effort(out=print) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_ablations(out=print) -> bool:
-    from repro.apps.fdtd.update import H_GHOST_FACES
-    from repro.archetypes.mesh import BlockDecomposition
-    from repro.errors import DeadlockError
-    from repro.perfmodel import SUN_ETHERNET, exchange_comm_volume
-    from repro.runtime import (
-        CooperativeEngine,
-        ProcessSpec,
-        SendsFirstPolicy,
-        System,
-    )
-    from repro.util import format_table
+def _all_pairs_exchange(nprocs: int, sends_first: bool):
+    """Every rank sends its rank to every other and receives theirs —
+    with every send before any receive, or (wrongly) each receive
+    before its send."""
+    from repro.runtime import ProcessSpec, System
 
-    out(_header("Ablations"))
-    ok = True
+    def body(ctx):
+        partners = [r for r in range(ctx.nprocs) if r != ctx.rank]
+        got = []
+        for p in partners:
+            if sends_first:
+                ctx.send(f"c_{ctx.rank}_{p}", ctx.rank)
+            else:
+                got.append(ctx.recv(f"c_{p}_{ctx.rank}"))
+                ctx.send(f"c_{ctx.rank}_{p}", ctx.rank)
+        if sends_first:
+            got = [ctx.recv(f"c_{p}_{ctx.rank}") for p in partners]
+        ctx.store["got"] = got
+
+    system = System([ProcessSpec(r, body) for r in range(nprocs)])
+    for i in range(nprocs):
+        for j in range(nprocs):
+            if i != j:
+                system.add_channel(f"c_{i}_{j}", i, j)
+    return system
+
+
+def _reduction(nprocs: int, method: str):
+    """Every rank contributes ``1 + rank / 4``; all-to-one/one-to-all
+    (``"a2o"``) or recursive doubling (``"rd"``) sums them on the
+    threaded engine."""
+    import operator
+
+    from repro.runtime import (
+        Collectives,
+        Communicator,
+        ProcessSpec,
+        System,
+        ThreadedEngine,
+        make_full_mesh_channels,
+    )
+
+    def body(ctx):
+        coll = Collectives(Communicator(ctx))
+        value = 1.0 + ctx.rank * 0.25
+        if method == "a2o":
+            return coll.reduce_one_to_all(value, operator.add)
+        return coll.allreduce_recursive_doubling(value, operator.add)
+
+    system = System([ProcessSpec(r, body) for r in range(nprocs)])
+    make_full_mesh_channels(system)
+    return ThreadedEngine().run(system)
+
+
+def _jacobi_region(store, rank, region):
+    """One Jacobi sweep of a 2-D five-point stencil over ``region``."""
+    u = store["u"]
+    (i0, i1), (j0, j1) = ((s.start, s.stop) for s in region)
+    core = u[region]
+    lap = (
+        u[i0 - 1 : i1 - 1, j0:j1]
+        + u[i0 + 1 : i1 + 1, j0:j1]
+        + u[i0:i1, j0 - 1 : j1 - 1]
+        + u[i0:i1, j0 + 1 : j1 + 1]
+        - 4.0 * core
+    )
+    u[region] = core + 0.2 * lap
+
+
+def run_ablations() -> Record:
+    from repro.apps.fdtd.update import H_GHOST_FACES
+    from repro.archetypes.mesh import (
+        BlockDecomposition,
+        MeshProgramBuilder,
+        add_redundant_sweeps,
+        choose_process_grid,
+        redundant_comm_volume,
+    )
+    from repro.errors import DeadlockError
+    from repro.perfmodel import IBM_SP2, SUN_ETHERNET, exchange_comm_volume
+    from repro.runtime import CooperativeEngine, RandomPolicy, SendsFirstPolicy
+    from repro.runtime.deadlock import explain_deadlock
+    from repro.util import bitwise_equal_arrays
+
+    rec = Record("Ablations")
+    found = rec.values
 
     # A1 — ordering: receives-first deadlocks, sends-first cannot.
-    out("A1: data-exchange ordering (sends before receives)")
-
-    def recv_first_exchange():
-        def body(ctx):
-            other = 1 - ctx.rank
-            got = ctx.recv(f"c{other}")  # WRONG ORDER
-            ctx.send(f"c{ctx.rank}", ctx.rank)
-            ctx.store["got"] = got
-
-        system = System([ProcessSpec(0, body), ProcessSpec(1, body)])
-        system.add_channel("c0", 0, 1)
-        system.add_channel("c1", 1, 0)
-        return system
-
+    rec.note("A1: data-exchange ordering (sends before receives)")
     try:
-        CooperativeEngine().run(recv_first_exchange())
-        out("  recv-first: unexpectedly completed")
-        ok = False
+        CooperativeEngine().run(_all_pairs_exchange(2, sends_first=False))
+        rec.note("  recv-first: unexpectedly completed")
+        rec.check(False)
     except DeadlockError as exc:
-        out(f"  recv-first: DEADLOCK as predicted ({len(exc.waiting)} blocked)")
+        rec.note(f"  recv-first: DEADLOCK as predicted ({len(exc.waiting)} blocked)")
+    CooperativeEngine(SendsFirstPolicy()).run(_all_pairs_exchange(2, sends_first=True))
+    rec.note("  sends-first: completes under every schedule (Theorem 1's recipe)")
 
-    def send_first_exchange():
-        def body(ctx):
-            other = 1 - ctx.rank
-            ctx.send(f"c{ctx.rank}", ctx.rank)
-            ctx.store["got"] = ctx.recv(f"c{other}")
-
-        system = System([ProcessSpec(0, body), ProcessSpec(1, body)])
-        system.add_channel("c0", 0, 1)
-        system.add_channel("c1", 1, 0)
-        return system
-
-    CooperativeEngine(SendsFirstPolicy()).run(send_first_exchange())
-    out("  sends-first: completes under every schedule (Theorem 1's recipe)")
+    a1 = found["a1"] = {"diagnosis": None}
+    try:
+        CooperativeEngine().run(_all_pairs_exchange(4, sends_first=False))
+        rec.note("  4-rank all-pairs, recv-first: unexpectedly completed")
+    except DeadlockError as exc:
+        diagnosis = a1["diagnosis"] = explain_deadlock(
+            exc, _all_pairs_exchange(4, sends_first=False)
+        )
+        rec.note(
+            f"  4-rank all-pairs, recv-first: DEADLOCK ({len(exc.waiting)} "
+            "blocked)\n    " + diagnosis.replace("\n", "\n    ")
+        )
+    rec.check(a1["diagnosis"] and "circular wait" in a1["diagnosis"])
+    engines = [CooperativeEngine()] + [
+        CooperativeEngine(RandomPolicy(seed=seed)) for seed in range(3)
+    ]
+    received = traffic = True
+    for engine in engines:
+        result = engine.run(_all_pairs_exchange(4, sends_first=True))
+        received &= all(
+            sorted(store["got"]) == [r for r in range(4) if r != rank]
+            for rank, store in enumerate(result.stores)
+        )
+        traffic &= all(n == (1, 1) for n in result.channel_stats.values())
+    a1.update(received=received, one_message_per_channel=traffic)
+    rec.note(
+        "  4-rank all-pairs, sends-first: each rank received one value "
+        f"from every other under {len(engines)} schedules (round-robin, "
+        f"random seeds 0-2): {received}; each of the "
+        f"{len(result.channel_stats)} channels carried exactly one "
+        f"message: {traffic}"
+    )
+    rec.check(received and traffic)
 
     # A2 — reduction topology.
-    out("\nA2: reduction topology (all-to-one/one-to-all vs recursive doubling)")
+    rec.note("\nA2: reduction topology (all-to-one/one-to-all vs recursive doubling)")
     rows = []
     for p in (4, 8, 16, 32):
         a2o_msgs = 2 * (p - 1)  # gather + broadcast tree-less
@@ -559,28 +696,103 @@ def run_ablations(out=print) -> bool:
         lat = SUN_ETHERNET.latency
         a2o_t = 2 * (p - 1) * lat  # serialised at root
         rd_t = int(np.log2(p)) * 2 * lat
-        rows.append(
-            [str(p), str(a2o_msgs), f"{a2o_t*1e3:.1f} ms", str(rd_msgs), f"{rd_t*1e3:.1f} ms"]
-        )
-    out(
-        format_table(
+        rows.append([p, a2o_msgs, a2o_t * 1e3, rd_msgs, rd_t * 1e3])
+    rec.add_table(
+        "a2",
+        Table(
             ["P", "a2o msgs", "a2o latency", "rd msgs", "rd critical path"],
             rows,
-        )
+            formats=["{}", "{}", "{:.1f} ms", "{}", "{:.1f} ms"],
+        ),
     )
+    modeled = {row[0]: (row[1], row[3]) for row in rows}
+    rows = []
+    for p in (4, 8):
+        expected = sum(1.0 + r * 0.25 for r in range(p))
+        counts, sums_ok = [], True
+        for method in ("a2o", "rd"):
+            result = _reduction(p, method)
+            counts.append(sum(s for s, _ in result.channel_stats.values()))
+            sums_ok &= result.returns == [expected] * p
+        rows.append([p, *counts, expected if sums_ok else "MISMATCH"])
+        rec.check(sums_ok and tuple(counts) == modeled[p])
+    rec.note("  on the threaded engine (rank r contributes 1 + r/4):")
+    rec.add_table(
+        "a2_substrate",
+        Table(["P", "a2o msgs", "rd msgs", "sum on every rank"], rows),
+    )
+    crossover = found["a2_crossover"] = all(
+        2 * int(np.log2(p)) * m.latency < 2 * (p - 1) * m.latency
+        for m in (SUN_ETHERNET, IBM_SP2)
+        for p in (8, 16, 32, 64)
+    )
+    rec.note(
+        "  recursive doubling's critical path is the shorter one from P = 8 "
+        f"up to 64 on both machine models (Suns, SP): {crossover}"
+    )
+    rec.check(crossover)
 
     # A3 — decomposition shape.
-    out("\nA3: process-grid shape for the 33^3 node grid (exchange bytes/step)")
+    rec.note("\nA3: process-grid shape for the 33^3 node grid (exchange bytes/step)")
     rows = []
     for pshape in [(8, 1, 1), (4, 2, 1), (2, 2, 2)]:
         d = BlockDecomposition((34, 34, 34), pshape, ghost=1)
         vol = exchange_comm_volume(d, 3, 4, faces=H_GHOST_FACES)
-        rows.append(
-            [str(pshape), str(vol.total_messages), f"{vol.total_bytes/1e3:.1f} kB"]
+        rows.append([pshape, vol.total_messages, vol.total_bytes / 1e3])
+    rec.add_table(
+        "a3",
+        Table(
+            ["process grid", "messages", "bytes per phase"],
+            rows,
+            formats=["{}", "{}", "{:.1f} kB"],
+        ),
+    )
+    rec.note("  (balanced 3-D blocks minimise surface, as choose_process_grid picks)")
+    least = min(rows, key=lambda row: row[2])[0]
+    chosen = found["a3_chosen"] = choose_process_grid(8, (34, 34, 34))
+    rec.check(sorted(chosen) == sorted(least))
+
+    # A4 — deep ghosts: exchange every g sweeps, compute the ring redundantly.
+    rec.note(
+        "\nA4: ghost width g (24x20 grid, 2x2 ranks + host, 6 Jacobi sweeps; "
+        "an exchange every g sweeps)"
+    )
+    initial = np.random.default_rng(9).normal(size=(24, 20))
+    rows, fields = [], []
+    for ghost in (1, 2, 3):
+        decomp = BlockDecomposition(initial.shape, (2, 2), ghost=ghost)
+        builder = MeshProgramBuilder(decomp, use_host=True, name=f"a4-g{ghost}")
+        builder.declare_distributed("u", initial.copy())
+        add_redundant_sweeps(builder, "u", _jacobi_region, nsweeps=6)
+        builder.collect("u")
+        fields.append(np.asarray(builder.run_simulated()[builder.host]["u"]))
+        vol, exchanges = redundant_comm_volume(decomp, 1, 8, 6)
+        seconds = SUN_ETHERNET.transfer_round_time(
+            vol.total_messages, vol.total_bytes
         )
-    out(format_table(["process grid", "messages", "bytes per phase"], rows))
-    out("  (balanced 3-D blocks minimise surface, as choose_process_grid picks)")
-    return ok
+        rows.append(
+            [ghost, exchanges, vol.total_messages, vol.total_bytes / 1e3, seconds * 1e3]
+        )
+    rec.add_table(
+        "a4",
+        Table(
+            ["g", "exchanges", "messages", "bytes", "modeled time (Suns)"],
+            rows,
+            formats=["{}", "{}", "{}", "{:.1f} kB", "{:.1f} ms"],
+        ),
+    )
+    identical = found["a4_identical"] = all(
+        bitwise_equal_arrays(fields[0], f) for f in fields[1:]
+    )
+    rec.note(f"  fields bitwise identical for every g: {identical}")
+    messages = [row[2] for row in rows]
+    times = [row[4] for row in rows]
+    rec.check(
+        identical
+        and messages == sorted(set(messages), reverse=True)
+        and times == sorted(set(times), reverse=True)
+    )
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +801,10 @@ def run_ablations(out=print) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_rcs(out=print) -> bool:
+def run_rcs() -> Record:
     from repro.apps.fdtd import (
         FDTDConfig,
         GaussianPulse,
-        Material,
         MaterialGrid,
         NTFFConfig,
         PointSource,
@@ -603,9 +814,8 @@ def run_rcs(out=print) -> bool:
         far_field_signal,
         rcs_proxy,
     )
-    from repro.util import format_table
 
-    out(_header("Far-zone fields / RCS proxy (derived from the potentials)"))
+    rec = Record("Far-zone fields / RCS proxy (derived from the potentials)")
     grid = YeeGrid(shape=(18, 18, 18))
     scatterer = MaterialGrid(grid).add_pec_box((11, 7, 7), (14, 12, 12))
     waveform = GaussianPulse(delay=10, spread=3)
@@ -636,24 +846,22 @@ def run_rcs(out=print) -> bool:
     sigma = rcs_proxy(sig, grid.dt, incident)
     energy = far_field_energy(sig, grid.dt)
     labels = ["+x forward", "-x backscatter", "+y broadside", "+z dipole axis"]
-    rows = [
-        [label, f"{e:.3e}", f"{s:.3e}"]
-        for label, e, s in zip(labels, energy, sigma)
-    ]
-    out(
-        format_table(
-            ["direction", "radiated energy density", "RCS proxy"], rows
-        )
+    rec.add_table(
+        "directions",
+        Table(
+            ["direction", "radiated energy density", "RCS proxy"],
+            [list(row) for row in zip(labels, energy, sigma)],
+            formats=["{}", "{:.3e}", "{:.3e}"],
+        ),
     )
     # A z-directed dipole has a radiation null along z.
-    ok = energy[3] < 0.2 * max(energy[:3])
-    out(
+    null = energy[3] < 0.2 * max(energy[:3])
+    rec.note(
         "\n(the +z direction sits in the z-dipole's radiation null — "
-        f"{'confirmed' if ok else 'NOT confirmed'})"
+        f"{'confirmed' if null else 'NOT confirmed'})"
     )
-    return bool(ok)
-
-
+    rec.check(null)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -835,13 +1043,16 @@ EXPERIMENTS = {
     "theorem1": (run_theorem1, "determinacy experiments (E5)"),
     "figure1": (run_figure1, "parallel vs simulated-parallel trace correspondence"),
     "effort": (run_effort, "mechanical-edit counts vs the paper's person-days (E7)"),
-    "ablations": (run_ablations, "A1 ordering, A2 reduction topology, A3 grid shape"),
+    "ablations": (
+        run_ablations,
+        "A1 ordering, A2 reduction topology, A3 grid shape, A4 ghost width",
+    ),
     "rcs": (run_rcs, "far-zone fields / RCS proxy derived from the potentials"),
 }
 
 
 def run_all(out=print) -> bool:
-    results = {key: fn() for key, (fn, _help) in EXPERIMENTS.items()}
+    results = {key: render(fn(), out) for key, (fn, _help) in EXPERIMENTS.items()}
     out(_header("summary"))
     for key, good in results.items():
         out(f"  {key:10s} {'OK' if good else 'MISMATCH'}")
@@ -943,10 +1154,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         if name in ("e1", "e2"):
             parent = _run_options("threaded" if name == "e1" else None)
             sub = commands.add_parser(name, help=text, parents=[parent])
-            sub.set_defaults(run=reproduced(fn), experiment=name)
+            sub.set_defaults(
+                run=reproduced(lambda args, fn=fn: render(fn(args))),
+                experiment=name,
+            )
         else:
             sub = commands.add_parser(name, help=text)
-            sub.set_defaults(run=reproduced(lambda args, fn=fn: fn()))
+            sub.set_defaults(run=reproduced(lambda args, fn=fn: render(fn())))
     sub = commands.add_parser("all", help="every experiment above, in order")
     sub.set_defaults(run=reproduced(lambda args: run_all()))
 

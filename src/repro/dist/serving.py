@@ -12,8 +12,10 @@ runs behind ``submit() -> Future``: the single-host
   admitted-but-unfinished jobs; at the bound
   :meth:`JobServerCore.submit` waits until one finishes;
 * **the ready queue** — admitted jobs wait FIFO (admission order) for
-  capacity; what "capacity" means is the subclass's business, expressed
-  through the :meth:`JobServerCore._try_reserve` /
+  capacity, each keeping its place while it prepares, and the head is
+  dispatched once it is prepared; what "capacity" means is the
+  subclass's business, expressed through the
+  :meth:`JobServerCore._try_reserve` /
   :meth:`JobServerCore._release` hooks (pool slots for the local
   server, per-daemon rank reservations for the fleet);
 * **the future protocol** — cancellation before dispatch, exceptions
@@ -224,6 +226,7 @@ class JobServerCore:
             )
             job = _Job(stats=stats, system=system)
             self._records.append(stats)
+            self._queued.append(job)
             thread = threading.Thread(
                 target=self._serve_one,
                 args=(job,),
@@ -240,13 +243,18 @@ class JobServerCore:
         stats = job.stats
         try:
             # Prepare while other jobs execute: pure CPU on this side,
-            # needs no capacity.
-            prepared = self._prepare(job)
+            # needs no capacity.  The job keeps its place in the queue.
+            try:
+                prepared = self._prepare(job)
+            except BaseException:
+                with self._cv:
+                    self._queued.remove(job)
+                    self._cv.notify_all()
+                raise
 
             # Wait for capacity (ready queue, admission order).
             grant = None
             with self._cv:
-                self._queued.append(job)
                 try:
                     while (
                         not self._abort_queued

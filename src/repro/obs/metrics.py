@@ -5,9 +5,8 @@ The observability layer keeps its numeric state in a
 
 * :class:`Counter` — a monotonically increasing total (messages sent,
   bytes moved, stages executed);
-* :class:`Gauge` — a last-written value that additionally tracks its
-  **high-water mark** (queue occupancy, buffered envelopes), because for
-  capacity questions the peak matters more than the final value.
+* :class:`Gauge` — a **high-water mark** (buffered envelopes), because
+  for capacity questions the peak matters more than the final value.
 
 Two disciplines shape the implementation:
 
@@ -54,34 +53,19 @@ class Counter:
 
 
 class Gauge:
-    """A named last-written value with a high-water mark.
+    """A named high-water mark: ``update_max`` raises it, nothing lowers
+    it."""
 
-    ``set`` overwrites; ``update_max`` only raises the high-water mark
-    (for callers that track a peak without caring about the current
-    value).  The high-water mark never decreases.
-    """
-
-    __slots__ = ("name", "_value", "_hwm", "_lock")
+    __slots__ = ("name", "_hwm", "_lock")
 
     def __init__(self, name: str):
         self.name = name
-        self._value = 0.0
         self._hwm = 0.0
         self._lock = threading.Lock()
 
     @property
-    def value(self) -> int | float:
-        return self._value
-
-    @property
     def high_water(self) -> int | float:
         return self._hwm
-
-    def set(self, value: int | float) -> None:
-        with self._lock:
-            self._value = value
-            if value > self._hwm:
-                self._hwm = value
 
     def update_max(self, value: int | float) -> None:
         with self._lock:
@@ -89,7 +73,7 @@ class Gauge:
                 self._hwm = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name!r}, {self._value}, hwm={self._hwm})"
+        return f"Gauge({self.name!r}, hwm={self._hwm})"
 
 
 class MetricsRegistry:
@@ -125,14 +109,12 @@ class MetricsRegistry:
             return g
 
     def snapshot(self) -> dict[str, int | float]:
-        """All current values, flat: gauges contribute ``name`` and
-        ``name/hwm`` entries.  Deterministically ordered by name."""
+        """All current values, flat: a gauge contributes one
+        ``name/hwm`` entry.  Deterministically ordered by name."""
         with self._lock:
             out: dict[str, int | float] = {}
             for name in sorted(self._counters):
                 out[name] = self._counters[name].value
             for name in sorted(self._gauges):
-                g = self._gauges[name]
-                out[name] = g.value
-                out[f"{name}/hwm"] = g.high_water
+                out[f"{name}/hwm"] = self._gauges[name].high_water
             return out

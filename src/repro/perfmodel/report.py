@@ -1,9 +1,9 @@
 """Paper-shaped reports: Table 1 and Figure 2.
 
-``table1_report`` prints the rows of the paper's Table 1 — "Execution
+``table1_report`` tabulates the rows of the paper's Table 1 — "Execution
 times and speedups for electromagnetics code (version C), for 33 by 33
 by 33 grid, 128 steps, using Fortran M on a network of Suns" — from the
-machine model.  ``figure2_report`` prints the two panels of Figure 2 —
+machine model.  ``figure2_report`` tabulates the two panels of Figure 2 —
 execution time (actual vs ideal) and speedup (actual vs perfect) for
 "electromagnetics code (version A) for 66 by 66 by 66 grid, 512 steps
 ... on the IBM SP" — as aligned series plus an ASCII rendering of the
@@ -17,7 +17,7 @@ from repro.perfmodel.fdtd_model import (
     estimate_sequential_time,
 )
 from repro.perfmodel.machine import IBM_SP2, SUN_ETHERNET, MachineModel
-from repro.util import format_table
+from repro.util import Table
 
 __all__ = ["table1_report", "figure2_report", "ascii_curve"]
 
@@ -27,23 +27,27 @@ def table1_report(
     grid_cells: tuple[int, int, int] = (33, 33, 33),
     steps: int = 128,
     process_counts: tuple[int, ...] = (2, 4, 8),
-) -> str:
-    """The Table 1 analogue (modeled, see DESIGN.md substitutions)."""
+) -> Table:
+    """The Table 1 analogue (modeled, see DESIGN.md substitutions): a row
+    ``[label, seconds, speedup]`` for the sequential run and each P."""
     seq = estimate_sequential_time(grid_cells, steps, machine, version="C")
-    rows: list[list[str]] = [["Sequential", f"{seq:.1f}", "1.00"]]
+    rows: list[list] = [["Sequential", seq, 1.0]]
     for p in process_counts:
         t = estimate_parallel_time(
             grid_cells, steps, p, machine, version="C"
         ).total
-        rows.append([f"Parallel, P = {p}", f"{t:.1f}", f"{seq / t:.2f}"])
+        rows.append([f"Parallel, P = {p}", t, seq / t])
     title = (
         "Table 1 (modeled): execution times and speedups for "
         f"electromagnetics code (version C), {grid_cells[0]} by "
         f"{grid_cells[1]} by {grid_cells[2]} grid, {steps} steps,\n"
         f"machine model: {machine.describe()}"
     )
-    return format_table(
-        ["", "Execution time (seconds)", "Speedup"], rows, title=title
+    return Table(
+        ["", "Execution time (seconds)", "Speedup"],
+        rows,
+        formats=["{}", "{:.1f}", "{:.2f}"],
+        title=title,
     )
 
 
@@ -86,23 +90,16 @@ def figure2_report(
     grid_cells: tuple[int, int, int] = (66, 66, 66),
     steps: int = 512,
     process_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-) -> str:
-    """The Figure 2 analogue: time and speedup panels (modeled)."""
+) -> tuple[Table, str]:
+    """The Figure 2 analogue (modeled): the time and speedup panels as
+    one table of rows ``[P, actual s, ideal s, speedup, perfect]``, and
+    the speedup panel drawn by :func:`ascii_curve`."""
     seq = estimate_sequential_time(grid_cells, steps, machine, version="A")
-    ps = list(process_counts)
-    actual_times = [
-        estimate_parallel_time(grid_cells, steps, p, machine, version="A").total
-        for p in ps
-    ]
-    ideal_times = [seq / p for p in ps]
-    speedups = [seq / t for t in actual_times]
-    perfect = [float(p) for p in ps]
-
-    rows = [
-        [str(p), f"{t:.1f}", f"{i:.1f}", f"{s:.2f}", f"{q:.0f}"]
-        for p, t, i, s, q in zip(ps, actual_times, ideal_times, speedups, perfect)
-    ]
-    table = format_table(
+    rows = []
+    for p in process_counts:
+        t = estimate_parallel_time(grid_cells, steps, p, machine, version="A").total
+        rows.append([p, t, seq / p, seq / t, float(p)])
+    table = Table(
         [
             "Processors",
             "Time actual (s)",
@@ -111,6 +108,7 @@ def figure2_report(
             "Speedup perfect",
         ],
         rows,
+        formats=["{}", "{:.1f}", "{:.1f}", "{:.2f}", "{:.0f}"],
         title=(
             "Figure 2 (modeled): execution times and speedups for "
             f"electromagnetics code (version A), {grid_cells[0]} by "
@@ -119,9 +117,9 @@ def figure2_report(
         ),
     )
     curve = ascii_curve(
-        [float(p) for p in ps],
-        {"actual": speedups, "perfect": perfect},
+        [float(p) for p in process_counts],
+        {"actual": [r[3] for r in rows], "perfect": [r[4] for r in rows]},
         xlabel="Processors",
         ylabel="Speedup",
     )
-    return table + "\n\n" + curve
+    return table, curve

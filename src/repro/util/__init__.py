@@ -15,6 +15,7 @@ the paper's model demands:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "is_array_like",
     "payload_nbytes",
     "format_table",
+    "Table",
     "product",
 ]
 
@@ -202,3 +204,22 @@ def format_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+@dataclass
+class Table:
+    """A table's data: raw row values, each column printed through its
+    ``str.format`` spec (``"{}"`` for every column by default)."""
+
+    headers: list[str]
+    rows: list[list[Any]]
+    formats: list[str] | None = None
+    title: str | None = None
+
+    def cells(self) -> list[list[str]]:
+        """The rows as printed, one string per cell."""
+        formats = self.formats or ["{}"] * len(self.headers)
+        return [[f.format(v) for f, v in zip(formats, row)] for row in self.rows]
+
+    def render(self) -> str:
+        return format_table(self.headers, self.cells(), title=self.title)

@@ -1,75 +1,63 @@
 """End-to-end tests of the experiment runners (``python -m repro ...``)."""
 
-import io
-
 import pytest
 
-from repro.cli import (
-    EXPERIMENTS,
-    main,
-    run_ablations,
-    run_e1,
-    run_effort,
-    run_figure1,
-    run_figure2,
-    run_rcs,
-    run_table1,
-    run_theorem1,
-)
-
-
-def capture(fn):
-    lines: list[str] = []
-    ok = fn(out=lines.append)
-    return ok, "\n".join(str(x) for x in lines)
+from repro.cli import EXPERIMENTS, main
 
 
 class TestExperimentRunners:
-    def test_e1_reports_identical(self):
-        ok, text = capture(run_e1)
-        assert ok
-        assert text.count("identical") >= 10
-        assert "DIFFERS" not in text
+    """Each command's verdict and headline claim, on its record."""
 
-    def test_table1_rows(self):
-        ok, text = capture(run_table1)
-        assert ok
-        assert "Sequential" in text
-        assert "Parallel, P = 4" in text
+    def test_e1_reports_identical(self, record):
+        rec = record("e1")
+        assert rec.ok
+        cells = [c for row in rec.tables["grids"].rows for c in row[1:]]
+        assert cells == ["identical"] * 10
 
-    def test_figure2_panels(self):
-        ok, text = capture(run_figure2)
-        assert ok
-        assert "Speedup actual" in text
+    def test_table1_rows(self, record):
+        rec = record("table1")
+        assert rec.ok
+        labels = [row[0] for row in rec.tables["table1"].rows]
+        assert "Sequential" in labels and "Parallel, P = 4" in labels
 
-    def test_theorem1(self):
-        ok, text = capture(run_theorem1)
-        assert ok
-        assert "DETERMINATE" in text
-        assert "NOT determinate" in text  # the violations
-        assert "Foata" in text and "critical path" in text
+    def test_figure2_panels(self, record):
+        rec = record("figure2")
+        assert rec.ok
+        assert "Speedup actual" in rec.tables["figure2"].headers
 
-    def test_figure1_traces(self):
-        ok, text = capture(run_figure1)
-        assert ok
-        assert "send" in text and "recv" in text
+    def test_theorem1(self, record):
+        rec = record("theorem1")
+        assert rec.ok
+        assert rec.values["stencil_ring"].determinate
+        assert not any(r.determinate for r in rec.values["violations"].values())
+        f1, f2 = rec.values["foata"]
+        assert f1 == f2 and f1.depth == 2  # the critical path
 
-    def test_effort_table(self):
-        ok, text = capture(run_effort)
-        assert ok
-        assert "Version A" in text and "Version C" in text
+    def test_figure1_traces(self, record):
+        rec = record("figure1")
+        assert rec.ok
+        for trace in rec.values["traces"]:
+            assert {"send", "recv"} <= {e.kind for e in trace.events}
 
-    def test_ablations(self):
-        ok, text = capture(run_ablations)
-        assert ok
-        assert "DEADLOCK" in text
-        assert "recursive doubling" in text.lower() or "rd" in text
+    def test_effort_table(self, record):
+        rec = record("effort")
+        assert rec.ok
+        labels = [row[0] for row in rec.tables["metrics"].rows]
+        assert [label[:9] for label in labels] == ["Version A", "Version C"]
 
-    def test_rcs(self):
-        ok, text = capture(run_rcs)
-        assert ok
-        assert "backscatter" in text
-        assert "radiation null" in text and "confirmed" in text
+    def test_ablations(self, record):
+        rec = record("ablations")
+        assert rec.ok
+        assert "circular wait" in rec.values["a1"]["diagnosis"]
+        assert {"a2", "a2_substrate", "a3", "a4"} <= rec.tables.keys()
+
+    def test_rcs(self, record):
+        rec = record("rcs")
+        assert rec.ok
+        rows = rec.tables["directions"].rows
+        assert rows[1][0] == "-x backscatter"
+        # the +z direction sits in the z-dipole's radiation null
+        assert rows[3][1] < 0.2 * max(row[1] for row in rows[:3])
 
 
 class TestStatsCommand:

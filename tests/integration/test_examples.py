@@ -50,6 +50,7 @@ def test_fdtd_scattering():
 def test_archetype_gallery():
     out = run_example("archetype_gallery.py")
     assert "simulated == sequential, parallel == simulated" in out
+    assert "fused wins at 2 items, pipelined at 128" in out
     assert "mergesort over 8 processes: correct" in out
     assert "divide-conquer gives 1 distinct value(s)" in out
 

@@ -8,8 +8,8 @@ public class; dunders, ``_private`` names and the members of
 ``ast.Name`` or ``ast.Attribute`` outside its own definition — in one of
 the places where a program that is not a test runs:
 
-* a module under ``src/``, ``examples/`` or ``benchmarks/`` (the suite
-  and the A1-A5 ablation drivers that EXPERIMENTS.md cites);
+* a module under ``src/``, ``examples/`` or ``benchmarks/`` (the
+  benchmark suite);
 * a ````` ```python ````` block of README.md or ``docs/*.md`` (Tier-1's
   ``test_docs.py`` executes them, as ``test_examples.py`` runs the
   examples).
@@ -29,7 +29,8 @@ and ``kind`` says why the name stays:
   is the document.
 * ``paper`` — an operation in ``archetypes/mesh/library.py``'s
   inventory of the paper's mesh library.
-* ``deferred`` — the ROADMAP direction that will give it a caller.
+* ``deferred`` — DESIGN.md's sentence naming the deferral and the
+  caller to come.
 
 A public name with neither a use nor a row, a row whose name has a use
 or no longer exists, and a needle missing from its file all fail here:
@@ -52,7 +53,7 @@ KIND_PATHS = {
     "seam": ("tests/",),
     "vocabulary": ("README.md", "DESIGN.md", "docs/", "src/repro/"),
     "paper": ("src/repro/archetypes/mesh/library.py",),
-    "deferred": ("ROADMAP.md",),
+    "deferred": ("DESIGN.md",),
 }
 
 LIBRARY = "src/repro/archetypes/mesh/library.py"
@@ -121,6 +122,11 @@ EXEMPT = {
         "src/repro/runtime/mpi_style.py",
         "* ``comm.bcast(obj, root=0)``",
     ),
+    "repro.archetypes.mesh.exchange:boundary_exchange_op": (
+        "paper",
+        LIBRARY,
+        "refresh ghost strips from neighbouring local sections",
+    ),
     "repro.archetypes.mesh.skeleton:MeshProgramBuilder.read_file": (
         "paper",
         LIBRARY,
@@ -143,8 +149,8 @@ EXEMPT = {
     ),
     "repro.dist.net.rendezvous:poll_stats": (
         "deferred",
-        "ROADMAP.md",
-        "**`python -m repro top --hosts ...`**",
+        "DESIGN.md",
+        "`rendezvous.poll_stats` is deferred",
     ),
 }
 

@@ -95,7 +95,8 @@ FLEET_TESTS = "tests/dist/test_fleet.py"
 
 #: name -> ``(kind, path, needle)``.
 ROWS = {
-    # Metrics: every observed run's report prints them.
+    # Metrics: every observed run's report prints them (a gauge only as
+    # its high-water mark, ``comm/pending/P<rank>/hwm``).
     "comm/pending/P": SUMMARY,
     "wire/frames": SUMMARY,
     "wire/bytes": SUMMARY,

@@ -16,8 +16,8 @@ Each keyword of each callable in :data:`CALLERS` has one row
   count (:data:`SEAMS`) that the test sets so that it finishes in
   seconds, or so that a timing assertion can tell a prompt failure from
   one that waited the default out.
-* ``deferred`` — exactly one row, whose needle names the ROADMAP
-  direction that replaces the keyword.
+* ``deferred`` — exactly one row, whose needle is DESIGN.md's sentence
+  naming the deferral and what replaces the keyword.
 
 A keyword without a row, a row without a keyword, and a needle missing
 from its file all fail here: a new option comes with its caller, or it
@@ -52,7 +52,7 @@ KIND_PATHS = {
     "example": ("examples/",),
     "src": ("src/",),
     "seam": ("tests/",),
-    "deferred": ("ROADMAP.md",),
+    "deferred": ("DESIGN.md",),
 }
 
 CLI = "src/repro/cli.py"
@@ -174,8 +174,8 @@ CALLERS = {
         "ntff": ("example", SCATTERING, 'PSHAPE, version="C", ntff=ntff)'),
         "compensated_farfield": (
             "deferred",
-            "ROADMAP.md",
-            "8. **An exact far field",
+            "DESIGN.md",
+            "`build_parallel_fdtd(compensated_farfield=True)` is deferred",
         ),
         "batch_exchanges": (
             "suite",

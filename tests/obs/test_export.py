@@ -33,7 +33,7 @@ def sample_report() -> RunReport:
             Span("compute", "stage", 0, 0.0, 1.0),
             Span("recv c1", "blocked", 0, 1.0, 1.5, depth=1, args={"n": 1}),
         ],
-        metrics={"comm/pending/P0": 2, "comm/pending/P0/hwm": 2},
+        metrics={"comm/pending/P0/hwm": 2},
     )
 
 

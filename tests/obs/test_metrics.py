@@ -37,27 +37,18 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_tracks_high_water(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.set(7)
-        g.set(2)
-        assert g.value == 2
-        assert g.high_water == 7
-
-    def test_update_max_leaves_value_alone(self):
-        g = Gauge("depth")
-        g.set(1)
-        g.update_max(9)
-        g.update_max(4)
-        assert g.value == 1
-        assert g.high_water == 9
-
     def test_high_water_never_decreases(self):
         g = Gauge("depth")
+        assert g.high_water == 0
         g.update_max(5)
-        g.set(0)
-        assert g.high_water == 5
+        g.update_max(9)
+        g.update_max(4)
+        assert g.high_water == 9
+
+    def test_snapshots_as_its_high_water_mark_only(self):
+        reg = MetricsRegistry()
+        reg.gauge("g").update_max(3)
+        assert reg.snapshot() == {"g/hwm": 3}
 
 
 class TestRegistry:
@@ -81,8 +72,8 @@ class TestRegistry:
     def test_snapshot_flat_and_sorted(self):
         reg = MetricsRegistry()
         reg.counter("b/msgs").inc(2)
-        reg.gauge("a/depth").set(4)
+        reg.gauge("a/depth").update_max(4)
         snap = reg.snapshot()
-        assert snap == {"a/depth": 4, "a/depth/hwm": 4, "b/msgs": 2}
+        assert snap == {"a/depth/hwm": 4, "b/msgs": 2}
         # Deterministic order: counters sorted by name, then gauges.
-        assert list(snap) == ["b/msgs", "a/depth", "a/depth/hwm"]
+        assert list(snap) == ["b/msgs", "a/depth/hwm"]

@@ -189,17 +189,18 @@ class TestShapes:
 
 class TestReports:
     def test_table1_report_rows(self):
-        text = table1_report()
+        text = table1_report().render()
         assert "Sequential" in text
         assert "Parallel, P = 2" in text
         assert "Speedup" in text
 
     def test_figure2_report_panels(self):
-        text = figure2_report()
+        table, curve = figure2_report()
+        text = table.render()
         assert "Time actual" in text
         assert "Speedup perfect" in text
         assert "Processors" in text
-        assert "*" in text  # the ASCII curve
+        assert "*" in curve  # the ASCII curve
 
     def test_estimates_validate_inputs(self):
         with pytest.raises(ModelError):

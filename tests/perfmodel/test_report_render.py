@@ -32,14 +32,15 @@ class TestAsciiCurve:
 
 class TestTableParameters:
     def test_custom_process_counts(self):
-        text = table1_report(process_counts=(2, 16))
+        text = table1_report(process_counts=(2, 16)).render()
         assert "Parallel, P = 16" in text
         assert "Parallel, P = 4" not in text
 
     def test_custom_grid_in_title(self):
-        text = table1_report(grid_cells=(17, 17, 17), steps=32)
+        text = table1_report(grid_cells=(17, 17, 17), steps=32).render()
         assert "17 by 17 by 17" in text
 
     def test_figure2_custom_counts(self):
-        text = figure2_report(process_counts=(1, 4, 64))
-        assert "64" in text
+        table, curve = figure2_report(process_counts=(1, 4, 64))
+        assert [row[0] for row in table.rows] == [1, 4, 64]
+        assert "64" in table.render() and "64" in curve

@@ -118,6 +118,45 @@ def test_jobs_dispatch_fifo_and_the_head_blocks_smaller_jobs():
     server.close()
 
 
+class SlowPrepareServer(CounterServer):
+    """``_prepare`` takes ``SETTLE`` seconds for job ``a`` and raises for
+    a job labelled ``bad``."""
+
+    def _prepare(self, job):
+        if job.stats.label == "a":
+            time.sleep(SETTLE)
+        if job.stats.label == "bad":
+            raise RuntimeError("bad did not prepare")
+
+
+def test_a_slow_prepare_keeps_its_place_in_the_queue():
+    server = SlowPrepareServer(capacity=1, max_inflight=3)
+    futures = [server.submit_gated("x")]
+    assert server.started["x"].wait(WAIT)
+    # b prepares at once and a takes SETTLE, while x holds the only rank.
+    futures += [server.submit_gated("a"), server.submit_gated("b")]
+    for gate in server.gates.values():
+        gate.set()
+    assert [f.result(WAIT) for f in futures] == ["x", "a", "b"]
+    assert server.order == ["x", "a", "b"]
+    server.close()
+
+
+def test_a_failed_prepare_leaves_the_queue():
+    server = SlowPrepareServer(capacity=1, max_inflight=3)
+    running = server.submit_gated("x")
+    assert server.started["x"].wait(WAIT)
+    failing, passing = server.submit_gated("bad"), server.submit_gated("ok")
+    with pytest.raises(RuntimeError, match="bad did not prepare"):
+        failing.result(WAIT)
+    for gate in server.gates.values():
+        gate.set()
+    assert (running.result(WAIT), passing.result(WAIT)) == ("x", "ok")
+    assert server.order == ["x", "ok"]
+    server.close()
+    assert server.queued() == 0 and server.free == 1
+
+
 def test_a_raising_execute_fails_only_its_own_future():
     server = CounterServer(capacity=2, max_inflight=2)
     failing = server.submit_gated("fail-1")
