@@ -34,7 +34,21 @@ kind of channel; :class:`SocketChannel` is only the storage:
   surfaced here as :class:`~repro.errors.ProcessFailedError` naming the
   writer rank: the run's error attributes the death instead of blaming
   the reader for an empty channel.
-* **Statistics.**  ``sends`` / ``receives`` / ``bytes_sent`` are exact.
+* **Two header kinds, one landed receive.**  An exchange payload of the
+  refinement transform crosses under the fixed array-message header,
+  any other value under the pickled one (:mod:`repro.dist.wire`).  A
+  receive with a landing (``ctx.recv_into``) reads the header, has the
+  landing check the stage token and value count, and reads each array
+  frame straight into the target view bound for it — or into a bound
+  scratch and one copy into a strided target — with the same
+  ownership, timeout, :class:`~repro.errors.EmptyChannelError` and
+  :class:`~repro.errors.ProcessFailedError` behaviour as a plain
+  receive.  The in-memory channel receives the same payload dict and
+  lands it through the landing's generic form (check, then
+  ``write_region``), so the transform has one exchange path.
+* **Statistics.**  ``sends`` / ``receives`` / ``bytes_sent`` are exact
+  (an array message's ``bytes_sent`` is read off its frames, not
+  walked).
   The writer also counts ``frames`` (wire frames: a header per value
   plus its non-empty array frames), ``pipe_bytes`` (those frames' bytes)
   and ``net_syscalls`` (send syscalls issued: one gather per value
@@ -185,7 +199,7 @@ class SocketChannel(ChannelCore):
         self._feeder.put((header, buffers))
         self.frames += 1 + sum(1 for a in buffers if a.nbytes)
         self.pipe_bytes += nbytes
-        return 0
+        return wire.payload_nbytes(value, header, buffers)
 
     def _shut(self) -> None:
         """Flush any queued values and say goodbye (writer), or drop the
@@ -203,11 +217,17 @@ class SocketChannel(ChannelCore):
 
     # -- read side ---------------------------------------------------------
 
-    def _get(self, timeout: float | None):
+    def _get(self, timeout: float | None, landing: Any = None):
+        """The next value and its stamp; with a ``landing``, the value
+        is landed frame by frame as it arrives
+        (:func:`repro.dist.wire.recv_into`) and ``None`` stands in its
+        place."""
         try:
             if timeout is not None and not self._conn.poll(timeout):
                 return None
-            return wire.recv_traced(self._conn)
+            if landing is None:
+                return wire.recv_traced(self._conn)
+            return None, wire.recv_into(self._conn, landing)
         except TransportAbortError as exc:
             raise ProcessFailedError(
                 self.writer,
@@ -217,6 +237,8 @@ class SocketChannel(ChannelCore):
                     f"({exc}) — its host process or daemon died"
                 ),
             ) from exc
+
+    _get_into = _get
 
     def poll(self) -> bool:
         """True iff a receive would find data (or pending EOF) now."""

@@ -4,9 +4,11 @@
 channel (a pool's ``AF_UNIX`` socketpair or a daemon's TCP connection),
 every result and control stream, every rendezvous hello.
 :mod:`repro.dist.wire` speaks to it through ``send_frames``,
-``recv_bytes`` and ``recv_bytes_into``, plus ``poll`` for timeouts: a
-channel value is a header frame plus zero or more raw array frames,
-each behind an 8-byte big-endian length prefix.
+``recv_bytes`` and ``recv_bytes_into`` — or ``recv_len`` then
+``recv_payload_into``, to check a frame's length before allocating for
+it — plus ``poll`` for timeouts: a channel value is a header frame plus
+zero or more raw array frames, each behind an 8-byte big-endian length
+prefix.
 
 **Vectored send.**  Every send gathers its pieces — length prefix,
 payload, and (via :meth:`FrameStream.send_frames`) *all* frames of one
@@ -140,9 +142,10 @@ class FrameStream:
     The surface :mod:`repro.dist.wire` and the engine's collection loop
     use: ``send_frames`` (a list of frames in one syscall) and its
     non-blocking twin ``try_send_frames``, ``send_bytes`` /
-    ``recv_bytes`` / ``recv_bytes_into`` / ``poll`` / ``fileno`` /
-    ``close``.  Instances are SRSW like everything above them: one
-    thread sends at a time, one thread receives.
+    ``recv_bytes`` / ``recv_bytes_into`` / ``recv_len`` /
+    ``recv_payload_into`` / ``poll`` / ``fileno`` / ``close``.
+    Instances are SRSW like everything above them: one thread sends at
+    a time, one thread receives.
     """
 
     __slots__ = (
@@ -398,7 +401,12 @@ class FrameStream:
             self._rpos = self._rend
         self._recv_direct(view[have:])
 
-    def _recv_len(self) -> int:
+    def recv_len(self) -> int:
+        """Consume the next frame's length prefix; ``EOFError`` on the
+        goodbye marker.  The payload must be read next, with
+        :meth:`recv_payload_into`: a reader that knows what the frame
+        should hold compares the length first and allocates only for a
+        frame that matches."""
         self._require(_LEN.size, mid_frame=False)
         (length,) = _LEN.unpack_from(self._rbuf, self._rpos)
         self._rpos += _LEN.size
@@ -411,9 +419,16 @@ class FrameStream:
             )
         return length
 
+    def recv_payload_into(self, view) -> None:
+        """Read the payload :meth:`recv_len` announced — exactly
+        ``len(view)`` bytes — straight into ``view``."""
+        view = memoryview(view).cast("B")
+        if len(view):
+            self._read_payload(view, len(view))
+
     def recv_bytes(self) -> bytes:
         """Read one whole frame; ``EOFError`` on the goodbye marker."""
-        length = self._recv_len()
+        length = self.recv_len()
         buf = bytearray(length)
         if length:
             self._read_payload(memoryview(buf), length)
@@ -421,7 +436,7 @@ class FrameStream:
 
     def recv_bytes_into(self, view) -> int:
         """Read one frame straight into ``view`` (an array's buffer)."""
-        length = self._recv_len()
+        length = self.recv_len()
         view = memoryview(view).cast("B")
         if length != len(view):
             raise TransportAbortError(

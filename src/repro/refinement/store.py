@@ -38,8 +38,11 @@ from repro.util import (
 __all__ = ["AddressSpace", "make_stores"]
 
 
-def _check_compatible(name: str, current: Any, incoming: Any, owner: int) -> None:
-    """Array-into-array writes must match shape exactly and cast safely.
+def _check_compatible(
+    name: str, current: Any, shape: tuple, dtype: Any, owner: int
+) -> None:
+    """Array-into-array writes must match shape exactly and cast safely:
+    a value of ``shape`` and ``dtype`` may be written into ``current``.
 
     Silent NumPy broadcasting and down-casting are exactly how a wrong
     rank decomposition hides: a (4,) slab lands in a (4, 4) block by
@@ -50,19 +53,19 @@ def _check_compatible(name: str, current: Any, incoming: Any, owner: int) -> Non
     view writes every element exactly once, which is assignment, not
     broadcasting.
     """
-    squeezed_in = tuple(d for d in incoming.shape if d != 1)
+    squeezed_in = tuple(d for d in shape if d != 1)
     squeezed_cur = tuple(d for d in current.shape if d != 1)
     if squeezed_in != squeezed_cur:
         raise StoreError(
             f"shape mismatch writing {name!r} (owner {owner}): variable is "
-            f"{tuple(current.shape)}, value is {tuple(incoming.shape)}"
+            f"{tuple(current.shape)}, value is {tuple(shape)}"
         )
-    if incoming.dtype != current.dtype and not np.can_cast(
-        incoming.dtype, current.dtype, casting="safe"
+    if dtype != current.dtype and not np.can_cast(
+        dtype, current.dtype, casting="safe"
     ):
         raise StoreError(
             f"dtype mismatch writing {name!r} (owner {owner}): variable is "
-            f"{current.dtype}, value is {incoming.dtype} (unsafe cast)"
+            f"{current.dtype}, value is {dtype} (unsafe cast)"
         )
 
 
@@ -108,7 +111,9 @@ class AddressSpace:
         current = self._vars[name]
         self._check_assignable(name, current)
         if is_array_like(current) and is_array_like(value) and value.shape:
-            _check_compatible(name, current, value, self.owner)
+            _check_compatible(
+                name, current, value.shape, value.dtype, self.owner
+            )
         self._vars[name] = value
 
     def _check_assignable(self, name: str, current: Any) -> None:
@@ -168,7 +173,9 @@ class AddressSpace:
                         f"shape mismatch writing {name!r}: variable is "
                         f"{tuple(current.shape)}, value is a scalar"
                     )
-                _check_compatible(name, current, incoming, self.owner)
+                _check_compatible(
+                    name, current, incoming.shape, incoming.dtype, self.owner
+                )
                 current[...] = incoming
             else:
                 self._vars[name] = value
@@ -180,8 +187,38 @@ class AddressSpace:
             )
         view = target[region]
         if is_array_like(value) and value.shape:
-            _check_compatible(name, view, value, self.owner)
+            _check_compatible(name, view, value.shape, value.dtype, self.owner)
         target[region] = value
+
+    def landing_view(
+        self, name: str, region: tuple | None, dtype: Any, shape: tuple
+    ) -> np.ndarray | None:
+        """The array that :meth:`write_region` of an array of ``dtype``
+        and ``shape`` would write into, after the same checks: where a
+        received value can land in place.
+
+        ``None`` when that write would not fill an ndarray — it would
+        replace a scalar variable, or the target is another backend's
+        array or a single element — so the value must be written whole.
+        """
+        current = self[name]
+        self._check_assignable(name, current)
+        if not is_array_like(current) or not current.shape:
+            if region is None:
+                return None
+            raise StoreError(f"region write to non-array variable {name!r}")
+        if region is None:
+            if not shape:
+                raise StoreError(
+                    f"shape mismatch writing {name!r}: variable is "
+                    f"{tuple(current.shape)}, value is a scalar"
+                )
+            view = current
+        else:
+            view = current[region]
+        if shape:
+            _check_compatible(name, view, shape, dtype, self.owner)
+        return view if isinstance(view, np.ndarray) else None
 
     def snapshot(self) -> dict[str, Any]:
         """Deep copy of all variables (for bitwise comparison)."""

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.errors import RefinementError
 from repro.refinement.dataexchange import DataExchange
 from repro.refinement.program import LocalBlock, SimulatedParallelProgram
@@ -45,30 +47,147 @@ def exchange_channel_name(src: int, dst: int) -> str:
     return f"dx_{src}_{dst}"
 
 
+class _RankShare:
+    """One rank's share of one exchange, grouped once, when the rank's
+    body is made (not on every exchange of every run).
+
+    ``sends`` is one ``(channel, source refs)`` per receiver, ``local``
+    the intra-rank assignments, ``recvs`` one ``(channel, slot)`` per
+    sender, in sender order.  A slot names the sender and the targets
+    its values land in, and is shared by every exchange of the program
+    whose message from that sender writes the same targets (each time
+    step's ghost exchange of one field), so a run binds it once.
+    """
+
+    __slots__ = ("sends", "local", "recvs")
+
+    def __init__(self, op: DataExchange, rank: int, slots: dict) -> None:
+        outgoing: dict[int, list[Any]] = {}
+        for dest, a in op.sends_from(rank):
+            outgoing.setdefault(dest, []).append(a.src)
+        self.sends = [
+            (exchange_channel_name(rank, dest), outgoing[dest])
+            for dest in sorted(outgoing)
+        ]
+        self.local = op.local_assignments(rank)
+        incoming: dict[int, list[Any]] = {}
+        for source, a in op.recvs_to(rank):
+            incoming.setdefault(source, []).append(a)
+        self.recvs = []
+        for source in sorted(incoming):
+            targets = incoming[source]
+            # repr, not the tuple: a region's slices are unhashable
+            key = repr((source, [(a.dst.var, a.dst.region) for a in targets]))
+            slot = slots.setdefault(key, (len(slots), source, targets))[0]
+            self.recvs.append((exchange_channel_name(source, rank), slot))
+
+
+class _Landing:
+    """Where one slot's messages land in one run of one rank: the
+    landing protocol of :mod:`repro.dist.wire`.
+
+    A stream lands an array message through the ``(sink, strip)`` pairs
+    bound here: a target view that is C-contiguous with the frame's
+    dtype and shape is the sink itself, any other gets a scratch sink
+    and one copy into it.  The pairs are bound on the slot's first
+    message, after :meth:`AddressSpace.landing_view`'s checks (constant,
+    shape, safe cast) against its header, and again when a header's
+    metadata differs or a target's store array is a new object.  A
+    landing lives in the body's frame for one run: nothing keeps it, so
+    no resident body views a finished run's arrays.  In-memory channels
+    call :meth:`land`, which writes region by region.
+    """
+
+    __slots__ = (
+        "space",
+        "rank",
+        "source",
+        "targets",
+        "stage",
+        "meta",
+        "pairs",
+        "_arrays",
+    )
+
+    def __init__(self, space: AddressSpace, rank: int, source: int, targets):
+        self.space = space
+        self.rank = rank
+        self.source = source
+        self.targets = targets
+        #: the stage token the next message must carry
+        self.stage = -1
+        self.meta: bytes | None = None
+        self.pairs: list | None = None
+        self._arrays: list[tuple[str, Any]] = []
+
+    def check(self, stage: int, count: int) -> None:
+        if stage != self.stage:
+            raise RefinementError(
+                f"rank {self.rank} expected exchange stage {self.stage} "
+                f"from {self.source}, got {stage}; the transformed "
+                "program's stage sequences have diverged"
+            )
+        if count != len(self.targets):
+            raise RefinementError(
+                f"rank {self.rank} expected {len(self.targets)} values from "
+                f"{self.source} at stage {self.stage}, got {count}"
+            )
+
+    def land(self, payload: dict) -> None:
+        self.check(payload["stage"], len(payload["values"]))
+        for a, value in zip(self.targets, payload["values"]):
+            self.space.write_region(a.dst.var, a.dst.region, value)
+
+    def bound(self, meta: bytes) -> list | None:
+        if meta != self.meta:
+            return None
+        variables = self.space.raw()
+        for name, arr in self._arrays:
+            if variables[name] is not arr:
+                return None
+        return self.pairs
+
+    def bind(self, meta: bytes, metas: list) -> list | None:
+        self.meta = None
+        pairs = []
+        for a, (dtype, shape) in zip(self.targets, metas):
+            view = self.space.landing_view(a.dst.var, a.dst.region, dtype, shape)
+            if view is None:
+                return None
+            if (
+                view.dtype == dtype
+                and view.shape == shape
+                and view.flags.c_contiguous
+            ):
+                pairs.append((view, None))
+            else:
+                pairs.append((np.empty(shape, dtype), view))
+        variables = self.space.raw()
+        self._arrays = [
+            (name, variables[name]) for name in {a.dst.var for a in self.targets}
+        ]
+        self.meta, self.pairs = meta, pairs
+        return pairs
+
+
 def _begin_exchange(
-    ctx, space: AddressSpace, stage_index: int, op: DataExchange
+    ctx, space: AddressSpace, stage_index: int, share: _RankShare
 ) -> list[tuple[Any, Any]]:
     """Phases 1-2 of one rank's share of an exchange: stage every read
     against the pre-state and launch every send.  Returns the staged
     intra-rank assignments for :func:`_finish_exchange`."""
-    rank = ctx.rank
-
     # Phase 1 — stage all reads against the pre-state.
-    outgoing: dict[int, list[Any]] = {}
-    for dest, a in op.sends_from(rank):
-        outgoing.setdefault(dest, []).append(
-            space.read_region(a.src.var, a.src.region)
-        )
-    local_staged: list[tuple[Any, Any]] = []
-    for a in op.local_assignments(rank):
-        local_staged.append((a, space.read_region(a.src.var, a.src.region)))
+    outgoing = [
+        (name, [space.read_region(ref.var, ref.region) for ref in refs])
+        for name, refs in share.sends
+    ]
+    local_staged = [
+        (a, space.read_region(a.src.var, a.src.region)) for a in share.local
+    ]
 
     # Phase 2 — all sends (combined: one message per receiver).
-    for dest in sorted(outgoing):
-        ctx.send(
-            exchange_channel_name(rank, dest),
-            {"stage": stage_index, "values": outgoing[dest]},
-        )
+    for name, values in outgoing:
+        ctx.send(name, {"stage": stage_index, "values": values})
     return local_staged
 
 
@@ -76,8 +195,9 @@ def _finish_exchange(
     ctx,
     space: AddressSpace,
     stage_index: int,
-    op: DataExchange,
+    share: _RankShare,
     local_staged: list[tuple[Any, Any]],
+    landings: list[_Landing],
 ) -> None:
     """Phases 3-4: the local writes, then all receives.
 
@@ -86,44 +206,17 @@ def _finish_exchange(
     so the stage token in the payload still proves both sides agree on
     which exchange this is.
     """
-    rank = ctx.rank
-
     # Phase 3 — local writes.
     for a, value in local_staged:
         space.write_region(a.dst.var, a.dst.region, value)
 
-    # Phase 4 — all receives (one combined message per sender), then
-    # unpack in assignment order, which both sides derive identically
+    # Phase 4 — all receives (one combined message per sender), each
+    # landed in assignment order, which both sides derive identically
     # from the exchange definition.
-    recvs = op.recvs_to(rank)
-    by_source: dict[int, list[Any]] = {}
-    for source, a in recvs:
-        by_source.setdefault(source, []).append(a)
-    for source in sorted(by_source):
-        payload = ctx.recv(exchange_channel_name(source, rank))
-        if payload["stage"] != stage_index:
-            raise RefinementError(
-                f"rank {rank} expected exchange stage {stage_index} from "
-                f"{source}, got {payload['stage']}; the transformed "
-                "program's stage sequences have diverged"
-            )
-        values = payload["values"]
-        targets = by_source[source]
-        if len(values) != len(targets):
-            raise RefinementError(
-                f"rank {rank} expected {len(targets)} values from "
-                f"{source} at stage {stage_index}, got {len(values)}"
-            )
-        for a, value in zip(targets, values):
-            space.write_region(a.dst.var, a.dst.region, value)
-
-
-def _perform_exchange(
-    ctx, space: AddressSpace, stage_index: int, op: DataExchange
-) -> None:
-    """One rank's share of one (unsplit) data-exchange operation."""
-    local_staged = _begin_exchange(ctx, space, stage_index, op)
-    _finish_exchange(ctx, space, stage_index, op, local_staged)
+    for name, slot in share.recvs:
+        landing = landings[slot]
+        landing.stage = stage_index
+        ctx.recv_into(name, landing)
 
 
 def _make_body(program: SimulatedParallelProgram, rank: int):
@@ -155,9 +248,23 @@ def _make_body(program: SimulatedParallelProgram, rank: int):
         for i, stage in enumerate(program.stages)
         if isinstance(stage, ExchangeEnd)
     }
+    # This rank's share of every exchange, by token, and the landing
+    # slots they share.
+    slots: dict[str, tuple[int, int, list]] = {}
+    shares: dict[int, _RankShare] = {}
+    for i, stage in enumerate(program.stages):
+        if isinstance(stage, ExchangeBegin):
+            shares[i] = _RankShare(stage.op, rank, slots)
+        elif isinstance(stage, DataExchange):
+            shares[i] = _RankShare(stage, rank, slots)
+    slot_targets = [(source, targets) for _, source, targets in slots.values()]
 
     def body(ctx) -> None:
         space = AddressSpace.wrap(ctx.store, owner=rank)
+        landings = [
+            _Landing(space, rank, source, targets)
+            for source, targets in slot_targets
+        ]
         pending: dict[int, list[tuple[Any, Any]]] = {}
         for stage_index, stage in enumerate(program.stages):
             if isinstance(stage, LocalBlock):
@@ -168,17 +275,26 @@ def _make_body(program: SimulatedParallelProgram, rank: int):
             elif isinstance(stage, ExchangeBegin):
                 with ctx.span(stage.name, cat="exchange"):
                     pending[stage_index] = _begin_exchange(
-                        ctx, space, stage_index, stage.op
+                        ctx, space, stage_index, shares[stage_index]
                     )
             elif isinstance(stage, ExchangeEnd):
                 token = end_to_begin[stage_index]
                 with ctx.span(stage.name, cat="exchange"):
                     _finish_exchange(
-                        ctx, space, token, stage.op, pending.pop(token)
+                        ctx,
+                        space,
+                        token,
+                        shares[token],
+                        pending.pop(token),
+                        landings,
                     )
             else:
+                share = shares[stage_index]
                 with ctx.span(stage.name, cat="exchange"):
-                    _perform_exchange(ctx, space, stage_index, stage)
+                    local_staged = _begin_exchange(ctx, space, stage_index, share)
+                    _finish_exchange(
+                        ctx, space, stage_index, share, local_staged, landings
+                    )
 
     return body
 

@@ -78,20 +78,28 @@ class ChannelCore:
 
     ``_put(value, clock) -> int``
         Append one value with its causal stamp (``None`` when the run is
-        not traced); never blocks.  Returns the queue occupancy
-        right after the put (``0`` where it cannot be known).
+        not traced); never blocks.  Returns the value's payload byte
+        count (:func:`repro.util.payload_nbytes`); a storage that can
+        see its queue keeps ``queue_hwm`` here.
     ``_get(timeout) -> (value, clock) | None``
         The oldest value and the stamp it was sent with, waiting up to
         ``timeout`` seconds (``None``: indefinitely); ``None`` when the
         wait ran out, :class:`EOFError` once the writer has terminated
         with the channel empty.
+    ``_get_into(timeout, landing) -> (value, clock) | None``
+        :meth:`_get`, with the value landed through ``landing`` (the
+        landing protocol of :mod:`repro.dist.wire`).  Written here in
+        its generic form — receive, then ``landing.land(value)``, which
+        checks the value and writes it region by region — which a
+        storage may replace by one that lands the value as it arrives
+        (and then returns ``None`` for it).
     ``poll() -> bool``
         True iff a receive would succeed immediately.
     ``_shut()``
         Release the storage; called once, by the first :meth:`close`.
 
     A stamp rides with its value — in the queue entry in process, in the
-    header pickle on a wire — so the k-th receive returns the k-th
+    header frame on a wire — so the k-th receive returns the k-th
     send's stamp on every kind.
     """
 
@@ -168,17 +176,19 @@ class ChannelCore:
                 "writer terminates)"
             )
         seq = self.sends
-        depth = self._put(value, clock)
+        nbytes = self._put(value, clock)
         self.sends = seq + 1
-        self.bytes_sent += payload_nbytes(value)
-        if depth > self.queue_hwm:
-            self.queue_hwm = depth
+        self.bytes_sent += nbytes
         return seq
 
     def recv_stamped(
-        self, *, rank: int, timeout: float | None = None
+        self, *, rank: int, timeout: float | None = None, into: Any = None
     ) -> tuple[Any, int | None]:
         """Blocking receive: the value and the stamp it was sent with.
+
+        With ``into`` (a landing, :mod:`repro.dist.wire`) the value is
+        landed through it before this returns, and may come back as
+        ``None``; the checks and errors are the same.
 
         Blocks until a value is available.  If the writer terminates
         while the queue is empty the receive can never succeed, so it
@@ -194,7 +204,10 @@ class ChannelCore:
                 f"owned by reader {self.reader}"
             )
         try:
-            item = self._get(timeout)
+            if into is None:
+                item = self._get(timeout)
+            else:
+                item = self._get_into(timeout, into)
         except EOFError:
             raise EmptyChannelError(
                 f"receive on channel {self.name!r}: writer "
@@ -212,6 +225,12 @@ class ChannelCore:
                 f"{timeout}s (likely deadlock)"
             )
         self.receives += 1
+        return item
+
+    def _get_into(self, timeout: float | None, landing: Any):
+        item = self._get(timeout)
+        if item is not None:
+            landing.land(item[0])
         return item
 
     def recv(self, *, rank: int, timeout: float | None = None) -> Any:
@@ -265,7 +284,9 @@ class Channel(ChannelCore):
         with self._lock:
             self._queue.append((value, clock))
             self._nonempty.notify()
-            return len(self._queue)
+            if len(self._queue) > self.queue_hwm:
+                self.queue_hwm = len(self._queue)
+        return payload_nbytes(value)
 
     def _get(self, timeout: float | None):
         with self._nonempty:

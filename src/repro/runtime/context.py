@@ -6,7 +6,9 @@ legally do in the paper's model flows through the
 
 * ``ctx.store`` — the private address space (a dict of named values);
 * ``ctx.send(channel, value)`` / ``ctx.recv(channel)`` — the only
-  interaction with other processes;
+  interaction with other processes (``ctx.recv_into(channel,
+  landing)`` is a receive that lands the value in the receiver's store
+  as it arrives, :mod:`repro.dist.wire`);
 * ``ctx.step(label)`` — an optional marker delimiting local-computation
   blocks; it has no semantic effect (local actions of distinct
   processes always commute) but makes traces legible and, under the
@@ -77,8 +79,10 @@ class Executor:
             stamp = self.log[rank].record("send", channel.name, channel.sends)
         channel.send(value, rank=rank, clock=stamp)
 
-    def exec_recv(self, rank: int, channel: Channel) -> Any:
-        """Perform a blocking receive; returns the received value.
+    def exec_recv(self, rank: int, channel: Channel, into: Any = None) -> Any:
+        """Perform a blocking receive; returns the received value
+        (``None`` once landed ``into`` a landing, where a channel lands
+        it in place).
 
         With a log attached the receive's blocked interval is timed
         from the request to the value in hand — the wait on the channel
@@ -87,12 +91,16 @@ class Executor:
         channel is non-empty).
         """
         if self.log is not None:
-            return self.log[rank].receive(channel, self._recv)
-        return self._recv(rank, channel)[0]
+            return self.log[rank].receive(channel, self._recv, into)
+        return self._recv(rank, channel, into)[0]
 
-    def _recv(self, rank: int, channel: Channel) -> tuple[Any, int | None]:
+    def _recv(
+        self, rank: int, channel: Channel, into: Any = None
+    ) -> tuple[Any, int | None]:
         self._park(rank, "recv", channel)
-        return channel.recv_stamped(rank=rank, timeout=self.recv_timeout)
+        return channel.recv_stamped(
+            rank=rank, timeout=self.recv_timeout, into=into
+        )
 
     def exec_step(self, rank: int, label: str) -> None:
         """Mark a local-computation step."""
@@ -191,6 +199,14 @@ class ProcessContext:
         """Blocking receive from ``channel``."""
         ch = self.in_channel(channel) if isinstance(channel, str) else channel
         return self._executor.exec_recv(self.rank, ch)
+
+    def recv_into(self, channel: str | Channel, landing: Any) -> None:
+        """Blocking receive whose value is landed through ``landing``
+        (the landing protocol of :mod:`repro.dist.wire`): checked and
+        written into the receiver's store, in place as it arrives on a
+        stream."""
+        ch = self.in_channel(channel) if isinstance(channel, str) else channel
+        self._executor.exec_recv(self.rank, ch, landing)
 
     def step(self, label: str = "compute") -> None:
         """Mark a local-computation step (trace/preemption point only)."""

@@ -57,7 +57,7 @@ Three action kinds are recorded:
   clock;
 * under ``trace=True`` every sent message is stamped with the
   sender's post-tick clock — riding with the value in one place: the
-  queue entry in process, the wire header pickle over a stream
+  queue entry in process, the wire header over a stream
   (:mod:`repro.dist.wire`);
 * a receiver *max-merges*: ``c = max(c_local, c_message) + 1`` — so a
   receive's clock **strictly exceeds** its matching send's clock, and
@@ -189,12 +189,12 @@ class EventLog:
         self.count += 1
         return clock if self.stamps else None
 
-    def receive(self, channel, perform) -> Any:
-        """Time ``perform(rank, channel)`` — the executor's blocking
-        receive, returning ``(value, stamp)`` — from the request to the
-        value in hand, and record it."""
+    def receive(self, channel, perform, into: Any = None) -> Any:
+        """Time ``perform(rank, channel, into)`` — the executor's
+        blocking receive, returning ``(value, stamp)`` — from the request
+        to the value in hand (landed, with ``into``), and record it."""
         t0 = perf_counter()
-        value, stamp = perform(self.rank, channel)
+        value, stamp = perform(self.rank, channel, into)
         # SRSW: this thread is the only receiver, so ``receives`` is
         # stable between the receive above and the read below.
         self.record("recv", channel.name, channel.receives - 1, "", stamp, t0)

@@ -77,3 +77,63 @@ def test_warm_runs_on_new_packs_rebind_and_leave_no_plan(overlap):
                 assert sizes == fresh
         del held
     assert live_segment_names() == frozenset()
+
+
+
+def body_parts(body) -> tuple[int, int]:
+    """A transform body's pickled size, and that of what it keeps for
+    its rank besides the program (its exchange shares, landing slots and
+    split-stage map): the first moves with the code objects' marshal
+    form once they have run, the second must not move at all."""
+    from repro.dist import closures
+
+    cells = dict(zip(body.__code__.co_freevars, body.__closure__))
+    kept = {k: c.cell_contents for k, c in cells.items() if k != "program"}
+    return len(closures.dumps(body)), len(pickle.dumps(kept))
+
+
+def resident_bodies(ctx):
+    """This worker's resident transform bodies' :func:`body_parts`,
+    sorted, and how many exchange landings its heap still holds."""
+    import gc
+
+    from repro.refinement.transform import _Landing
+    from tests.dist.test_step_plan_pool import body_parts
+
+    gc.collect()
+    objects = gc.get_objects()
+    bodies = [
+        o
+        for o in objects
+        if getattr(o, "__qualname__", "") == "_make_body.<locals>.body"
+        and getattr(o, "__module__", None) == "repro.refinement.transform"
+    ]
+    landings = sum(isinstance(o, _Landing) for o in objects)
+    return sorted(body_parts(b) for b in bodies), landings
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["plain", "overlap"])
+def test_resident_bodies_hold_no_landing(overlap):
+    # A run binds each exchange's receive targets (views into its run
+    # packs) in the body's frame; after the run nothing may keep them.
+    with WorkerPool("spawn") as pool:
+        par = build("A", (2, 1, 1), overlap)
+        system = par.to_parallel()
+        fresh = sorted(body_parts(p.body)[1] for p in system.processes)
+        probe = System(
+            [ProcessSpec(r, resident_bodies) for r in range(system.nprocs)]
+        )
+        held = []  # every result stays alive: each run lands in new packs
+        first = None
+        for _ in range(3):
+            held.append(run_on_pool(pool, system))
+            assert stores_digest(par, held[-1].stores) == expected_digest("A")
+            probed = run_on_pool(pool, probe).returns
+            assert [landings for _, landings in probed] == [0] * system.nprocs
+            # the workers keep the ranks' bodies, unchanged run to run
+            sizes = [parts for parts, _ in probed]
+            assert sorted(kept for parts in sizes for _, kept in parts) == fresh
+            assert first is None or sizes == first
+            first = sizes
+        del held
+    assert live_segment_names() == frozenset()
