@@ -33,7 +33,8 @@ kind of channel; :class:`SocketChannel` is only the storage:
   :class:`~repro.errors.TransportAbortError` from the framing layer,
   surfaced here as :class:`~repro.errors.ProcessFailedError` naming the
   writer rank: the run's error attributes the death instead of blaming
-  the reader for an empty channel.
+  the reader for an empty channel.  A frame the wire cannot parse fails
+  the writer rank too, as a malformed frame, not a death.
 * **Two header kinds, one landed receive.**  An exchange payload of the
   refinement transform crosses under the fixed array-message header,
   any other value under the pickled one (:mod:`repro.dist.wire`).  A
@@ -67,7 +68,7 @@ from typing import Any
 from repro.dist import wire
 from repro.dist.net.feeder import SendFeeder
 from repro.dist.net.frames import FrameStream
-from repro.errors import ProcessFailedError, TransportAbortError
+from repro.errors import MalformedFrameError, ProcessFailedError, TransportAbortError
 from repro.runtime.channel import ChannelCore
 
 __all__ = ["EndpointSpec", "SocketChannel"]
@@ -229,13 +230,13 @@ class SocketChannel(ChannelCore):
                 return wire.recv_traced(self._conn)
             return None, wire.recv_into(self._conn, landing)
         except TransportAbortError as exc:
+            if isinstance(exc, MalformedFrameError):
+                what = "carried a malformed frame"
+            else:
+                what = "aborted without a clean close: its host process or daemon died"
+            error = f"channel {self.name!r}: the stream from writer rank {self.writer}"
             raise ProcessFailedError(
-                self.writer,
-                TransportAbortError(
-                    f"channel {self.name!r}: the stream from writer rank "
-                    f"{self.writer} aborted without a clean close "
-                    f"({exc}) — its host process or daemon died"
-                ),
+                self.writer, type(exc)(f"{error} {what} ({exc})")
             ) from exc
 
     _get_into = _get

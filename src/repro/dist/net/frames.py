@@ -64,7 +64,7 @@ than a raw ``ConnectionError`` escaping a feeder thread.
 
 **No frame is longer than** :data:`_MAX_FRAME`.  A length prefix above
 it is not a frame but a stream out of sync (or a peer speaking something
-else), and is refused as :class:`~repro.errors.TransportAbortError`
+else), and is refused as :class:`~repro.errors.MalformedFrameError`
 before anything is allocated for it.  Vectoring changes the syscall
 packaging, never the stream — so a fast-path sender remains readable by
 the original unbuffered decoder and vice versa — and a causal stamp,
@@ -79,7 +79,7 @@ import select
 import socket
 import struct
 
-from repro.errors import TransportAbortError
+from repro.errors import MalformedFrameError, TransportAbortError
 
 __all__ = ["FrameStream", "GOODBYE"]
 
@@ -413,7 +413,7 @@ class FrameStream:
         if length == GOODBYE:
             raise EOFError("clean close")
         if length > _MAX_FRAME:
-            raise TransportAbortError(
+            raise MalformedFrameError(
                 f"frame length {length} exceeds the {_MAX_FRAME}-byte "
                 "frame bound (stream out of sync)"
             )
@@ -439,7 +439,7 @@ class FrameStream:
         length = self.recv_len()
         view = memoryview(view).cast("B")
         if length != len(view):
-            raise TransportAbortError(
+            raise MalformedFrameError(
                 f"frame length {length} does not match the expected "
                 f"buffer of {len(view)} bytes (stream out of sync)"
             )

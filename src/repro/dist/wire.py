@@ -26,7 +26,7 @@ copy**.  The header comes in two kinds, told apart by its first byte:
 :func:`recv` rebuilds either kind as the value that was sent, each
 array a fresh one allocated only after its frame's length prefix has
 been checked against the header's ``(dtype, shape)``: a corrupt header
-is a :class:`~repro.errors.TransportAbortError`, never an allocation
+is a :class:`~repro.errors.MalformedFrameError`, never an allocation
 of what it promises.  :func:`recv_into` instead *lands* an array
 message in a receiver's bound target views (the landing protocol
 below): a frame goes straight into a C-contiguous target of its dtype
@@ -77,7 +77,7 @@ import numpy as np
 
 from repro import util
 from repro.dist import closures
-from repro.errors import TransportAbortError
+from repro.errors import MalformedFrameError
 
 __all__ = [
     "send",
@@ -240,7 +240,7 @@ def _fixed(header: bytes) -> tuple[int, int | None, int]:
         _kind, flags, stage, clock = _FIXED.unpack_from(header)
         (count,) = _COUNT.unpack_from(header, _FIXED.size)
     except struct.error:
-        raise TransportAbortError(
+        raise MalformedFrameError(
             f"array-message header of {len(header)} bytes is truncated"
         ) from None
     return stage, clock if flags & _HAS_CLOCK else None, count
@@ -256,34 +256,34 @@ def _metas(meta: bytes, count: int) -> list[tuple[np.dtype, tuple]]:
             code, ndim = _ENTRY.unpack_from(meta, off)
             off += _ENTRY.size
             if code >= len(_DTYPES):
-                raise TransportAbortError(
+                raise MalformedFrameError(
                     f"array-message header names unknown dtype code {code}"
                 )
             if ndim > _MAX_NDIM:
-                raise TransportAbortError(
+                raise MalformedFrameError(
                     f"array-message header gives an array {ndim} dimensions"
                 )
             shape = struct.unpack_from(f"<{ndim}q", meta, off)
             off += 8 * ndim
             if min(shape, default=0) < 0:
-                raise TransportAbortError(
+                raise MalformedFrameError(
                     f"array-message header gives negative shape {shape}"
                 )
             out.append((_DTYPES[code], shape))
     except struct.error:
-        raise TransportAbortError(
+        raise MalformedFrameError(
             f"array-message header for {count} arrays is truncated"
         ) from None
     if off != len(meta):
-        raise TransportAbortError(
+        raise MalformedFrameError(
             f"array-message header has {len(meta) - off} bytes after its "
             f"{count} arrays"
         )
     return out
 
 
-def _cut_short() -> TransportAbortError:
-    return TransportAbortError(
+def _cut_short() -> MalformedFrameError:
+    return MalformedFrameError(
         "the writer closed its stream inside a message, before the "
         "array frames its header announced"
     )
@@ -293,7 +293,7 @@ def _recv_array(conn, dtype: np.dtype, shape: tuple) -> np.ndarray:
     """One array frame as a fresh array, allocated only once the frame's
     length prefix matches ``(dtype, shape)``."""
     if min(shape, default=0) < 0:
-        raise TransportAbortError(f"header gives negative shape {shape}")
+        raise MalformedFrameError(f"header gives negative shape {shape}")
     nbytes = dtype.itemsize * math.prod(shape)
     if not nbytes:
         return np.empty(shape, dtype)
@@ -302,7 +302,7 @@ def _recv_array(conn, dtype: np.dtype, shape: tuple) -> np.ndarray:
     except EOFError:
         raise _cut_short() from None
     if length != nbytes:
-        raise TransportAbortError(
+        raise MalformedFrameError(
             f"frame length {length} does not match the header's "
             f"{dtype} array of shape {tuple(shape)} (stream out of sync)"
         )
@@ -314,7 +314,7 @@ def _recv_array(conn, dtype: np.dtype, shape: tuple) -> np.ndarray:
 def _read_header(conn) -> bytes:
     header = conn.recv_bytes()
     if not header or header[0] not in (_ARRAYS, _PICKLED):
-        raise TransportAbortError(
+        raise MalformedFrameError(
             f"header frame of unknown kind {header[:1]!r} (stream out "
             "of sync)"
         )
@@ -326,7 +326,7 @@ def _recv_pickled(conn, header: bytes) -> tuple[Any, int | None]:
     try:
         metas = [(np.dtype(d), tuple(map(int, s))) for d, s in loaded[1]]
     except (TypeError, ValueError) as exc:
-        raise TransportAbortError(
+        raise MalformedFrameError(
             f"header array metadata is malformed ({exc})"
         ) from None
     arrays = [_recv_array(conn, d, s) for d, s in metas]

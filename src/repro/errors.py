@@ -160,6 +160,13 @@ class TransportAbortError(TransportError):
     """
 
 
+class MalformedFrameError(TransportAbortError):
+    """A stream carried bytes that are no frame or message of the wire
+    format.  Its writer need not have died, so a channel receive words
+    it as a malformed frame; the stream is as unusable as after an
+    abort, so every handler of one handles both."""
+
+
 class RendezvousError(TransportError):
     """The (writer, reader, channel) socket handshake could not complete."""
 

@@ -266,31 +266,6 @@ class DataExchange:
         the ones that become messages."""
         return [a for a in self.assignments if a.src.proc != a.dst.proc]
 
-    def local_assignments(self, rank: int) -> list[Assignment]:
-        """Assignments entirely within partition ``rank``."""
-        return [
-            a
-            for a in self.assignments
-            if a.src.proc == rank and a.dst.proc == rank
-        ]
-
-    def sends_from(self, rank: int) -> list[tuple[int, Assignment]]:
-        """``(dest, assignment)`` pairs this rank must send, grouped
-        caller-side by destination (stable order: assignment order)."""
-        return [
-            (a.dst.proc, a)
-            for a in self.assignments
-            if a.src.proc == rank and a.dst.proc != rank
-        ]
-
-    def recvs_to(self, rank: int) -> list[tuple[int, Assignment]]:
-        """``(source, assignment)`` pairs this rank must receive."""
-        return [
-            (a.src.proc, a)
-            for a in self.assignments
-            if a.dst.proc == rank and a.src.proc != rank
-        ]
-
     def message_pairs(self) -> set[tuple[int, int]]:
         """All (sender, receiver) pairs with at least one assignment —
         after combining, one message flows per pair."""

@@ -47,9 +47,28 @@ def exchange_channel_name(src: int, dst: int) -> str:
     return f"dx_{src}_{dst}"
 
 
+def _group_exchange(op: DataExchange) -> dict[int, tuple[list, list, list]]:
+    """``rank -> (sends, local, recvs)`` of one exchange in one pass:
+    ``[(receiver, [assignment])]``, the intra-rank assignments and
+    ``[(sender, [assignment])]``, each in assignment order."""
+    parts: dict[int, tuple[dict, list, dict]] = {}
+    for a in op.assignments:
+        src, dst = a.src.proc, a.dst.proc
+        if src == dst:
+            parts.setdefault(src, ({}, [], {}))[1].append(a)
+        else:
+            parts.setdefault(src, ({}, [], {}))[0].setdefault(dst, []).append(a)
+            parts.setdefault(dst, ({}, [], {}))[2].setdefault(src, []).append(a)
+    return {
+        rank: (sorted(sends.items()), local, sorted(recvs.items()))
+        for rank, (sends, local, recvs) in parts.items()
+    }
+
+
 class _RankShare:
-    """One rank's share of one exchange, grouped once, when the rank's
-    body is made (not on every exchange of every run).
+    """One rank's share of one exchange, made from its part
+    (:func:`_group_exchange`) when the rank's body is made, not on
+    every exchange of every run.
 
     ``sends`` is one ``(channel, source refs)`` per receiver, ``local``
     the intra-rank assignments, ``recvs`` one ``(channel, slot)`` per
@@ -61,25 +80,22 @@ class _RankShare:
 
     __slots__ = ("sends", "local", "recvs")
 
-    def __init__(self, op: DataExchange, rank: int, slots: dict) -> None:
-        outgoing: dict[int, list[Any]] = {}
-        for dest, a in op.sends_from(rank):
-            outgoing.setdefault(dest, []).append(a.src)
+    def __init__(self, part: tuple, rank: int, slots: dict) -> None:
+        sends, self.local, recvs = part
         self.sends = [
-            (exchange_channel_name(rank, dest), outgoing[dest])
-            for dest in sorted(outgoing)
+            (exchange_channel_name(rank, dest), [a.src for a in assignments])
+            for dest, assignments in sends
         ]
-        self.local = op.local_assignments(rank)
-        incoming: dict[int, list[Any]] = {}
-        for source, a in op.recvs_to(rank):
-            incoming.setdefault(source, []).append(a)
         self.recvs = []
-        for source in sorted(incoming):
-            targets = incoming[source]
+        for source, targets in recvs:
             # repr, not the tuple: a region's slices are unhashable
             key = repr((source, [(a.dst.var, a.dst.region) for a in targets]))
             slot = slots.setdefault(key, (len(slots), source, targets))[0]
             self.recvs.append((exchange_channel_name(source, rank), slot))
+
+
+#: the share of a rank with no part in an exchange
+_NO_SHARE = _RankShare(([], [], []), -1, {})
 
 
 class _Landing:
@@ -219,9 +235,10 @@ def _finish_exchange(
         ctx.recv_into(name, landing)
 
 
-def _make_body(program: SimulatedParallelProgram, rank: int):
+def _make_body(program: SimulatedParallelProgram, rank: int, groups: dict):
     """The parallel process body for one rank: the program's stages,
-    restricted to this rank's share of each.
+    restricted to this rank's share of each.  ``groups`` maps each
+    exchange's stage index to its :func:`_group_exchange`.
 
     When the run is observed, every stage this rank takes part in is
     recorded as a span named after the stage (``exchange:hx``,
@@ -251,12 +268,10 @@ def _make_body(program: SimulatedParallelProgram, rank: int):
     # This rank's share of every exchange, by token, and the landing
     # slots they share.
     slots: dict[str, tuple[int, int, list]] = {}
-    shares: dict[int, _RankShare] = {}
-    for i, stage in enumerate(program.stages):
-        if isinstance(stage, ExchangeBegin):
-            shares[i] = _RankShare(stage.op, rank, slots)
-        elif isinstance(stage, DataExchange):
-            shares[i] = _RankShare(stage, rank, slots)
+    shares = {
+        i: _RankShare(group[rank], rank, slots) if rank in group else _NO_SHARE
+        for i, group in groups.items()
+    }
     slot_targets = [(source, targets) for _, source, targets in slots.values()]
 
     def body(ctx) -> None:
@@ -332,8 +347,14 @@ def to_parallel_system(
     else:
         stores = [dict(initial or {}) for _ in range(program.nprocs)]
 
+    # Each exchange grouped once for every rank, by its (begin) stage.
+    groups = {
+        i: _group_exchange(s.op if isinstance(s, ExchangeBegin) else s)
+        for i, s in enumerate(program.stages)
+        if isinstance(s, (ExchangeBegin, DataExchange))
+    }
     processes = [
-        ProcessSpec(rank, _make_body(program, rank), store=stores[rank])
+        ProcessSpec(rank, _make_body(program, rank, groups), store=stores[rank])
         for rank in range(program.nprocs)
     ]
     system = System(processes)

@@ -7,10 +7,10 @@ through a landing reads each frame into the receiver's bound target
 view.  Every other value keeps the pickled header.
 
 The hostile cases write a hand-made header onto a real socketpair and
-read it back: each must end in a typed error — ``TransportAbortError``
-from the wire, ``RefinementError`` / ``StoreError`` from the landing —
-without allocating what the header promises and without waiting for
-frames that are not coming.
+read it back: each must end in a typed error — ``MalformedFrameError``
+(a ``TransportAbortError``) from the wire, ``RefinementError`` /
+``StoreError`` from the landing — without allocating what the header
+promises and without waiting for frames that are not coming.
 """
 
 import socket
@@ -21,8 +21,15 @@ import numpy as np
 import pytest
 
 from repro.dist import closures, wire
+from repro.dist.channels import EndpointSpec, SocketChannel
 from repro.dist.net.frames import FrameStream
-from repro.errors import RefinementError, StoreError, TransportAbortError
+from repro.errors import (
+    MalformedFrameError,
+    ProcessFailedError,
+    RefinementError,
+    StoreError,
+    TransportAbortError,
+)
 from repro.refinement import AddressSpace, VarRef
 from repro.refinement.dataexchange import Assignment
 from repro.refinement.transform import _Landing
@@ -261,6 +268,41 @@ class TestHostileHeaders:
         const.flags.writeable = False
         with pytest.raises(StoreError, match="assignment to constant 'g'"):
             wire.recv_into(r, landing_on({"g": const}, [("g", None)]))
+
+
+class TestChannelBlame:
+    """A receive through a real ``SocketChannel`` fails the writer rank
+    either way, but says "died" only for a stream that ended without its
+    goodbye, never for a frame the wire cannot parse."""
+
+    def receive(self, r, landed):
+        channel = SocketChannel(EndpointSpec("dx_0_1", 0, 1, "r", r))
+        landing = landing_on({"g": np.zeros(4)}, [("g", None)]) if landed else None
+        with pytest.raises(ProcessFailedError) as excinfo:
+            channel.recv_stamped(rank=1, timeout=5.0, into=landing)
+        assert excinfo.value.rank == 0
+        return excinfo.value
+
+    @pytest.mark.parametrize("landed", [False, True], ids=["plain", "landed"])
+    def test_a_flipped_kind_byte_is_a_malformed_frame(self, stream, landed):
+        r, w = stream
+        header = bytearray(array_header(3, [(F8, (4,))]))
+        header[0] ^= 0x01
+        send_raw(w, bytes(header), np.ones(4))
+        error = self.receive(r, landed)
+        assert isinstance(error.original, MalformedFrameError)
+        assert "writer rank 0 carried a malformed frame" in str(error)
+        assert "unknown kind" in str(error) and "died" not in str(error)
+
+    @pytest.mark.parametrize("landed", [False, True], ids=["plain", "landed"])
+    def test_a_stream_closed_without_its_goodbye_says_the_writer_died(
+        self, stream, landed
+    ):
+        r, w = stream
+        w.close()
+        error = self.receive(r, landed)
+        assert not isinstance(error.original, MalformedFrameError)
+        assert "without a clean close" in str(error) and "died" in str(error)
 
 
 class TestLanding:

@@ -1,18 +1,13 @@
 """Every public name has a caller: ``src/repro``'s public functions,
 classes and methods against one checked table.
 
-The scan walks ``src/repro`` with :mod:`ast`.  It checks every public
-top-level function or class of a module, and every public method of a
-public class; dunders, ``_private`` names and the members of
-``_private`` classes are skipped.  A checked name must be *used* — an
-``ast.Name`` or ``ast.Attribute`` outside its own definition — in one of
-the places where a program that is not a test runs:
-
-* a module under ``src/``, ``examples/`` or ``benchmarks/`` (the
-  benchmark suite);
-* a ````` ```python ````` block of README.md or ``docs/*.md`` (Tier-1's
-  ``test_docs.py`` executes them, as ``test_examples.py`` runs the
-  examples).
+The scan checks every public top-level function or class of a module
+of ``src/repro``, and every public method of a public class; dunders,
+``_private`` names and the members of ``_private`` classes are skipped.
+A checked name must be *used* — an ``ast.Name`` or ``ast.Attribute``
+outside its own definition — in a program that is not a test
+(:func:`tests.integration.inventory.programs`: ``src/``, ``examples/``,
+``benchmarks/`` and the docs' executed python blocks).
 
 An import alone is not a use, and neither is a name in ``__all__``: a
 re-export keeps nothing alive.
@@ -32,19 +27,14 @@ and ``kind`` says why the name stays:
 * ``deferred`` — DESIGN.md's sentence naming the deferral and the
   caller to come.
 
-A public name with neither a use nor a row, a row whose name has a use
-or no longer exists, and a needle missing from its file all fail here:
-a new name comes with its caller, or it is not added.
+:mod:`tests.integration.inventory` checks the rows.
 """
 
 import ast
-import pathlib
-import re
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
-SRC = ROOT / "src" / "repro"
+from tests.integration import inventory
 
 #: Where each kind's file may live.
 KIND_PATHS = {
@@ -68,9 +58,7 @@ EXEMPT = {
         "class ClosurePickler(pickle.Pickler):",
     ),
     "repro.apps.fdtd.ntff:NTFFAccumulator.accumulate": (
-        "oracle",
-        "tests/fdtd/test_kernel_alloc.py",
-        "acc.accumulate(arrays, step)",
+        "oracle", "tests/fdtd/test_kernel_alloc.py", "acc.accumulate(arrays, step)"
     ),
     "repro.archetypes.mesh.distributed_grid:gather_array": (
         "oracle",
@@ -78,19 +66,13 @@ EXEMPT = {
         "gather_array(decomp, locals_), fields.ez",
     ),
     "repro.archetypes.mesh.decomposition:BlockDecomposition.verify_partition": (
-        "oracle",
-        "tests/archetypes/test_decomposition.py",
-        "d.verify_partition()",
+        "oracle", "tests/archetypes/test_decomposition.py", "d.verify_partition()"
     ),
     "repro.obs.export:read_jsonl": (
-        "oracle",
-        "tests/obs/test_export.py",
-        "assert read_jsonl(path) == report",
+        "oracle", "tests/obs/test_export.py", "assert read_jsonl(path) == report"
     ),
     "repro.obs.export:read_chrome_trace": (
-        "oracle",
-        "tests/obs/test_export.py",
-        "loaded = read_chrome_trace(path)",
+        "oracle", "tests/obs/test_export.py", "loaded = read_chrome_trace(path)"
     ),
     "repro.dist.closures:body_images": (
         "seam",
@@ -98,19 +80,13 @@ EXEMPT = {
         "closures.body_images(system)[0] != closures.dumps(old)",
     ),
     "repro.dist.fleet.scheduler:FleetScheduler.daemon_states": (
-        "seam",
-        "tests/dist/test_fleet.py",
-        "states = sched.daemon_states()",
+        "seam", "tests/dist/test_fleet.py", "states = sched.daemon_states()"
     ),
     "repro.dist.net.daemon:WorkerDaemon.jobs_run": (
-        "seam",
-        "tests/dist/test_net.py",
-        "assert daemon.jobs_run == 4",
+        "seam", "tests/dist/test_net.py", "assert daemon.jobs_run == 4"
     ),
     "repro.dist.net.frames:FrameStream.has_buffered": (
-        "seam",
-        "tests/dist/test_net_fastpath.py",
-        "assert stream.has_buffered",
+        "seam", "tests/dist/test_net_fastpath.py", "assert stream.has_buffered"
     ),
     "repro.apps.fdtd.sources:PlaneSource": SOURCES,
     "repro.apps.fdtd.sources:RickerWavelet": SOURCES,
@@ -118,58 +94,27 @@ EXEMPT = {
     "repro.apps.fdtd.materials:MaterialGrid.add_sphere": SHAPES,
     "repro.apps.fdtd.materials:MaterialGrid.add_pec_plate": SHAPES,
     "repro.runtime.mpi_style:MPIStyleComm.bcast": (
-        "vocabulary",
-        "src/repro/runtime/mpi_style.py",
-        "* ``comm.bcast(obj, root=0)``",
+        "vocabulary", "src/repro/runtime/mpi_style.py", "* ``comm.bcast(obj, root=0)``"
     ),
     "repro.archetypes.mesh.exchange:boundary_exchange_op": (
-        "paper",
-        LIBRARY,
-        "refresh ghost strips from neighbouring local sections",
+        "paper", LIBRARY, "refresh ghost strips from neighbouring local sections"
     ),
     "repro.archetypes.mesh.skeleton:MeshProgramBuilder.read_file": (
-        "paper",
-        LIBRARY,
-        "host -> grid redistribution after a file read",
+        "paper", LIBRARY, "host -> grid redistribution after a file read"
     ),
     "repro.archetypes.mesh.skeleton:MeshProgramBuilder.write_file": (
-        "paper",
-        LIBRARY,
-        "grid -> host redistribution before a file write",
+        "paper", LIBRARY, "grid -> host redistribution before a file write"
     ),
     "repro.archetypes.mesh.skeleton:MeshProgramBuilder.broadcast_global": (
-        "paper",
-        LIBRARY,
-        "re-establish copy consistency of duplicated globals",
+        "paper", LIBRARY, "re-establish copy consistency of duplicated globals"
     ),
     "repro.archetypes.mesh.skeleton:MeshProgramBuilder.declare_host_only": (
-        "paper",
-        LIBRARY,
-        "file I/O and global bookkeeping on the HOST",
+        "paper", LIBRARY, "file I/O and global bookkeeping on the HOST"
     ),
     "repro.dist.net.rendezvous:poll_stats": (
-        "deferred",
-        "DESIGN.md",
-        "`rendezvous.poll_stats` is deferred",
+        "deferred", "DESIGN.md", "`rendezvous.poll_stats` is deferred"
     ),
 }
-
-
-def _programs():
-    """``(path, text)`` of every program that is not a test."""
-    for top in ("src", "examples", "benchmarks"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            yield path, path.read_text()
-    for doc in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
-        for block in re.findall(r"```python\n(.*?)```", doc.read_text(), re.S):
-            yield doc, block
-
-
-def _module_name(path: pathlib.Path) -> str:
-    parts = path.relative_to(SRC.parent).with_suffix("").parts
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -179,37 +124,42 @@ def _public(node) -> bool:
     return not node.name.startswith("_")
 
 
-def definitions() -> dict[str, tuple[pathlib.Path, ast.AST]]:
+def _module_name(path: str) -> str:
+    """``src/repro/a/b.py`` -> ``repro.a.b``; a package is its ``__init__``."""
+    return path[len("src/") : -len(".py")].replace("/", ".").removesuffix(".__init__")
+
+
+def definitions() -> dict[str, tuple[str, ast.AST]]:
     """``"module:qualname" -> (path, node)`` for every checked name."""
     found = {}
-    for path in sorted(SRC.rglob("*.py")):
-        module = _module_name(path)
-        for node in ast.parse(path.read_text()).body:
+    for program in inventory.library():
+        module = _module_name(program.name)
+        for node in program.tree.body:
             if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 continue
             if _public(node):
-                found[f"{module}:{node.name}"] = (path, node)
+                found[f"{module}:{node.name}"] = (program.name, node)
             if isinstance(node, ast.ClassDef) and _public(node):
                 for member in node.body:
                     if isinstance(member, FUNCTIONS) and _public(member):
                         qualname = f"{node.name}.{member.name}"
-                        found[f"{module}:{qualname}"] = (path, member)
+                        found[f"{module}:{qualname}"] = (program.name, member)
     return found
 
 
-def uses() -> dict[str, list[tuple[pathlib.Path, int]]]:
-    """``name -> [(path, line)]`` of every ``Name`` and ``Attribute``
+def uses() -> dict[str, list[tuple[str, int]]]:
+    """``name -> [(program, line)]`` of every ``Name`` and ``Attribute``
     in a program that is not a test."""
     found: dict[str, list] = {}
-    for path, text in _programs():
-        for node in ast.walk(ast.parse(text)):
+    for program in inventory.programs():
+        for node in ast.walk(program.tree):
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
             else:
                 continue
-            found.setdefault(name, []).append((path, node.lineno))
+            found.setdefault(name, []).append((program.name, node.lineno))
     return found
 
 
@@ -230,19 +180,17 @@ UNCALLED = uncalled()
 
 
 def test_every_uncalled_name_has_a_row():
-    missing = UNCALLED - EXEMPT.keys()
-    assert not missing, (
-        f"{sorted(missing)} have no caller outside tests; "
-        "call each from src/, examples/, benchmarks/ or a docs block, "
-        "give it a row in EXEMPT, or delete it"
+    inventory.check_subset(
+        UNCALLED,
+        EXEMPT,
+        "have no caller outside tests; call each from src/, examples/, "
+        "benchmarks/ or a docs block, give it a row in EXEMPT, or delete it",
     )
 
 
 def test_every_row_names_an_uncalled_name():
-    stale = EXEMPT.keys() - UNCALLED
-    assert not stale, (
-        f"{sorted(stale)} have a caller or no longer exist; "
-        "delete their rows"
+    inventory.check_subset(
+        EXEMPT, UNCALLED, "have a caller or no longer exist; delete their rows"
     )
 
 
@@ -252,11 +200,4 @@ def test_every_row_names_an_uncalled_name():
     ids=[target.partition(":")[2] for target in sorted(EXEMPT)],
 )
 def test_every_needle_is_in_its_file(target, row):
-    kind, path, needle = row
-    assert kind in KIND_PATHS, f"unknown kind {kind!r}"
-    assert path.startswith(KIND_PATHS[kind]), (
-        f"a {kind} row cannot point at {path}"
-    )
-    assert needle in (ROOT / path).read_text(), (
-        f"{target}: {needle!r} is not in {path}"
-    )
+    inventory.check_row(KIND_PATHS, target, row)

@@ -1,8 +1,7 @@
 """Every reported number has a reader: metric names and ``stats()`` keys
 against one checked table.
 
-The scan walks ``src/repro`` with :mod:`ast` and collects two kinds of
-reported number:
+The scan walks ``src/repro`` and collects two kinds of reported number:
 
 * **metric names** — every name passed to a registry's ``.counter(`` or
   ``.gauge(`` (an f-string contributes its literal prefix, e.g.
@@ -13,13 +12,12 @@ reported number:
   :data:`PRODUCERS`: a dict display's key, ``out["key"] = ...``,
   ``out.update(key=...)``, or an entry of a tuple of field names.
 
-A name is *read* where a program that is not a test — a module under
-``src/``, ``examples/`` or ``benchmarks/``, or a ````` ```python `````
-block of README.md or ``docs/*.md`` (Tier-1's ``test_docs.py`` runs
-them) — takes it back outside every producer: as a quoted key
-(``d["key"]``, ``d.get("key")``, ``"key" in d``; for a metric prefix, a
-quoted key that starts with it) or as an attribute (``x.key``, which is
-how a :class:`~repro.runtime.system.ChannelStatsRecord` field is read).
+A name is *read* where a program that is not a test
+(:func:`tests.integration.inventory.programs`) takes it back outside
+every producer: as a quoted key (``d["key"]``, ``d.get("key")``,
+``"key" in d``; for a metric prefix, a quoted key that starts with it)
+or as an attribute (``x.key``, which is how a
+:class:`~repro.runtime.system.ChannelStatsRecord` field is read).
 
 A name with no reader needs exactly one row ``(kind, path, needle)`` in
 :data:`ROWS`; ``needle`` must be found in the file at ``path``, and
@@ -32,19 +30,14 @@ A name with no reader needs exactly one row ``(kind, path, needle)`` in
   table of :meth:`~repro.obs.report.RunReport.summary` (``stats e1``).
 * ``vocabulary`` — the document at ``path`` defines it.
 
-A name with neither a reader nor a row, a row whose name has a reader or
-is no longer reported, and a needle missing from its file all fail
-here: a new number comes with its reader, or it is not reported.
+:mod:`tests.integration.inventory` checks the rows.
 """
 
 import ast
-import pathlib
-import re
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
-SRC = ROOT / "src" / "repro"
+from tests.integration import inventory
 
 #: ``(path, qualname)`` of every function or class attribute whose
 #: string keys are reported numbers.  A qualname's last part may name
@@ -69,8 +62,7 @@ PRODUCERS = (
 #: a variable is one of the keys of the dict display at the qualname.
 INDIRECT = {
     "src/repro/dist/worker.py": (
-        "src/repro/dist/channels.py",
-        "SocketChannel.wire_metrics",
+        "src/repro/dist/channels.py", "SocketChannel.wire_metrics"
     ),
 }
 
@@ -92,6 +84,7 @@ SUMMARY = (
     "[[k, str(v)] for k, v in sorted(self.metrics.items())]",
 )
 FLEET_TESTS = "tests/dist/test_fleet.py"
+SERVE_TESTS = "tests/dist/test_serve.py"
 
 #: name -> ``(kind, path, needle)``.
 ROWS = {
@@ -103,27 +96,15 @@ ROWS = {
     "wire/syscalls": SUMMARY,
     "wire/net_control_bytes": SUMMARY,
     # The servers' stats().
-    "jobs_failed": (
-        "seam",
-        "tests/dist/test_serve.py",
-        'assert stats["jobs_failed"] == 1',
-    ),
-    "inflight_hwm": (
-        "seam",
-        "tests/dist/test_serve.py",
-        'assert stats["inflight_hwm"] > 1',
-    ),
+    "jobs_failed": ("seam", SERVE_TESTS, 'assert stats["jobs_failed"] == 1'),
+    "inflight_hwm": ("seam", SERVE_TESTS, 'assert stats["inflight_hwm"] > 1'),
     "startup_ms_p50": (
-        "seam",
-        "tests/dist/test_warm_dispatch.py",
-        'assert stats["startup_ms_p50"] > 0',
+        "seam", "tests/dist/test_warm_dispatch.py", 'assert stats["startup_ms_p50"] > 0'
     ),
     "retries": ("seam", FLEET_TESTS, 'assert sched.stats()["retries"] >= 1'),
     "daemons_alive": ("seam", FLEET_TESTS, 'assert stats["daemons_alive"] == 2'),
     "daemon_deaths": (
-        "seam",
-        FLEET_TESTS,
-        'assert sched.stats()["daemon_deaths"] >= 1',
+        "seam", FLEET_TESTS, 'assert sched.stats()["daemon_deaths"] >= 1'
     ),
     # A daemon's stats() is what its --stats-interval lines print.
     "control_conns": DAEMON_LINE,
@@ -147,26 +128,6 @@ ROWS = {
 }
 
 
-def _rel(path: pathlib.Path) -> str:
-    return path.relative_to(ROOT).as_posix()
-
-
-def _programs():
-    """``(name, tree)`` of every program that is not a test."""
-    for top in ("src", "examples", "benchmarks"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            yield _rel(path), ast.parse(path.read_text())
-    for doc in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
-        for i, block in enumerate(
-            re.findall(r"```python\n(.*?)```", doc.read_text(), re.S)
-        ):
-            yield f"{_rel(doc)} block {i}", ast.parse(block)
-
-
-def _parse(path: str) -> ast.Module:
-    return ast.parse((ROOT / path).read_text())
-
-
 def _targets(node) -> list[str]:
     """The names an assignment binds (``x`` or ``self.x``)."""
     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -184,14 +145,12 @@ def _find(tree: ast.Module, qualname: str) -> ast.AST:
         for child in ast.walk(node):
             if child is node:
                 continue
-            if isinstance(
-                child, (ast.FunctionDef, ast.ClassDef)
-            ) and child.name == part:
-                break
-            if isinstance(child, (ast.Assign, ast.AnnAssign)) and (
-                part in _targets(child)
-            ):
-                break
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if child.name == part:
+                    break
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                if part in _targets(child):
+                    break
         else:
             raise LookupError(f"{qualname}: no {part!r}")
         node = child
@@ -210,9 +169,7 @@ def _keys_written(node: ast.AST) -> set[str]:
     for child in ast.walk(node):
         if isinstance(child, ast.Dict):
             keys.update(k for k in map(_string, child.keys) if k)
-        elif isinstance(child, ast.Subscript) and isinstance(
-            child.ctx, ast.Store
-        ):
+        elif isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Store):
             keys.add(_string(child.slice))
         elif isinstance(child, ast.Call) and (
             isinstance(child.func, ast.Attribute)
@@ -254,7 +211,7 @@ def _metrics_written(tree: ast.Module):
             yield node, _string(node.slice)
 
 
-def inventory():
+def reported():
     """``(names, spans)``: every reported name -> whether it is a
     prefix, and ``path -> [(first, last line)]`` of every producer."""
     names: dict[str, bool] = {}
@@ -264,12 +221,10 @@ def inventory():
         spans.setdefault(path, []).append((node.lineno, node.end_lineno))
 
     for path, qualname in PRODUCERS:
-        node = _find(_parse(path), qualname)
+        node = _find(inventory.tree(path), qualname)
         produced(path, node)
         names.update(dict.fromkeys(_keys_written(node), False))
-    for file in sorted(SRC.rglob("*.py")):
-        path = _rel(file)
-        tree = ast.parse(file.read_text())
+    for path, tree in inventory.library():
         for call, arg in _metric_calls(tree):
             produced(path, call)
             if _string(arg):
@@ -285,7 +240,7 @@ def inventory():
                     "module to INDIRECT"
                 )
                 where, qualname = INDIRECT[path]
-                node = _find(_parse(where), qualname)
+                node = _find(inventory.tree(where), qualname)
                 produced(where, node)
                 names.update(dict.fromkeys(_keys_written(node), False))
         for node, name in _metrics_written(tree):
@@ -298,9 +253,7 @@ def _quoted_reads(tree: ast.Module):
     """``(node, key)`` of every quoted key a program takes back, and
     ``(node, attr)`` of every attribute it loads."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and isinstance(
-            node.ctx, ast.Load
-        ):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
             key = _string(node.slice)
         elif (
             isinstance(node, ast.Call)
@@ -313,9 +266,7 @@ def _quoted_reads(tree: ast.Module):
             node.ops[0], (ast.In, ast.NotIn)
         ):
             key = _string(node.left)
-        elif isinstance(node, ast.Attribute) and isinstance(
-            node.ctx, ast.Load
-        ):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             key = node.attr
         else:
             continue
@@ -326,7 +277,7 @@ def _quoted_reads(tree: ast.Module):
 def unread(names, spans) -> set[str]:
     """The reported names no program takes back outside a producer."""
     read = set()
-    for where, tree in _programs():
+    for where, tree in inventory.programs():
         inside = spans.get(where, ())
         for node, key in _quoted_reads(tree):
             if any(a <= node.lineno <= b for a, b in inside):
@@ -339,42 +290,32 @@ def unread(names, spans) -> set[str]:
     return names.keys() - read
 
 
-NAMES, SPANS = inventory()
+NAMES, SPANS = reported()
 UNREAD = unread(NAMES, SPANS)
 
 
 def test_the_inventory_sees_every_kind_of_producer():
-    assert {"jobs_done", "inflight_hwm", "bad_hellos", "queue_hwm"} <= (
-        NAMES.keys()
-    )
+    assert {"jobs_done", "inflight_hwm", "bad_hellos", "queue_hwm"} <= NAMES.keys()
     assert NAMES["comm/pending/P"] is True
     assert {"wire/frames", "wire/net_control_bytes"} <= NAMES.keys()
 
 
 def test_every_unread_number_has_a_row():
-    missing = UNREAD - ROWS.keys()
-    assert not missing, (
-        f"{sorted(missing)} are reported but nothing reads them; read "
-        "each in src/, examples/, benchmarks/ or a docs block, give it a "
-        "row in ROWS, or stop reporting it"
+    inventory.check_subset(
+        UNREAD,
+        ROWS,
+        "are reported but nothing reads them; read each in src/, "
+        "examples/, benchmarks/ or a docs block, give it a row in ROWS, "
+        "or stop reporting it",
     )
 
 
 def test_every_row_names_an_unread_number():
-    stale = ROWS.keys() - UNREAD
-    assert not stale, (
-        f"{sorted(stale)} have a reader or are no longer reported; "
-        "delete their rows"
+    inventory.check_subset(
+        ROWS, UNREAD, "have a reader or are no longer reported; delete their rows"
     )
 
 
 @pytest.mark.parametrize("name, row", sorted(ROWS.items()), ids=sorted(ROWS))
 def test_every_needle_is_in_its_file(name, row):
-    kind, path, needle = row
-    assert kind in KIND_PATHS, f"unknown kind {kind!r}"
-    assert path.startswith(KIND_PATHS[kind]), (
-        f"a {kind} row cannot point at {path}"
-    )
-    assert needle in (ROOT / path).read_text(), (
-        f"{name}: {needle!r} is not in {path}"
-    )
+    inventory.check_row(KIND_PATHS, name, row)

@@ -19,18 +19,15 @@ Each keyword of each callable in :data:`CALLERS` has one row
 * ``deferred`` — exactly one row, whose needle is DESIGN.md's sentence
   naming the deferral and what replaces the keyword.
 
-A keyword without a row, a row without a keyword, and a needle missing
-from its file all fail here: a new option comes with its caller, or it
-is not added.
+:mod:`tests.integration.inventory` checks the rows.
 """
 
 import importlib
 import inspect
-import pathlib
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
+from tests.integration import inventory
 
 #: The keywords a ``seam`` row may name.
 SEAMS = frozenset(
@@ -61,6 +58,8 @@ HARNESS = "benchmarks/suite/harness.py"
 REGISTRY = "benchmarks/suite/registry.py"
 SCATTERING = "examples/fdtd_scattering.py"
 FLEET_TESTS = "tests/dist/test_fleet.py"
+ENGINE_TESTS = "tests/dist/test_engine.py"
+NET_TESTS = "tests/dist/test_net.py"
 
 # The CLI's engine keywords: ``stats`` observes, ``trace`` traces.
 OBSERVE = ("cli", CLI, "_build_run(args, _STATS_GRIDS, observe=True)")
@@ -76,11 +75,7 @@ CALLERS = {
     },
     "repro.runtime:CooperativeEngine": {
         "policy": ("cli", CLI, "CooperativeEngine(RoundRobinPolicy(), "),
-        "trace": (
-            "cli",
-            CLI,
-            "CooperativeEngine(SendsFirstPolicy(), trace=True)",
-        ),
+        "trace": ("cli", CLI, "CooperativeEngine(SendsFirstPolicy(), trace=True)"),
         "max_actions": (
             "src",
             "src/repro/theory/determinacy.py",
@@ -92,19 +87,13 @@ CALLERS = {
         "trace": TRACE,
         "recv_timeout": (
             "seam",
-            "tests/dist/test_engine.py",
+            ENGINE_TESTS,
             'MultiprocessEngine(start_method="fork", recv_timeout=0.5)',
         ),
         "observe": OBSERVE,
-        "start_method": (
-            "suite",
-            HARNESS,
-            '"multiprocess+pool", start_method="fork"',
-        ),
+        "start_method": ("suite", HARNESS, '"multiprocess+pool", start_method="fork"'),
         "crash_grace": (
-            "seam",
-            "tests/dist/test_pool.py",
-            'start_method="fork", crash_grace=2.0',
+            "seam", "tests/dist/test_pool.py", 'start_method="fork", crash_grace=2.0'
         ),
     },
     "repro.dist.net.engine:SocketEngine": {
@@ -112,30 +101,22 @@ CALLERS = {
         "observe": OBSERVE,
         "hosts": ("cli", CLI, 'engine_opts["hosts"] = args.hosts'),
         "handshake_timeout": (
-            "seam",
-            "tests/dist/test_net.py",
-            'make_engine("socket", handshake_timeout=10.0)',
+            "seam", NET_TESTS, 'make_engine("socket", handshake_timeout=10.0)'
         ),
         "crash_grace": (
-            "seam",
-            "tests/dist/test_engine.py",
-            "make_engine(name, crash_grace=30.0, **kwargs)",
+            "seam", ENGINE_TESTS, "make_engine(name, crash_grace=30.0, **kwargs)"
         ),
     },
     "repro.dist.pool:WorkerPool": {
         "start_method": (
-            "src",
-            "src/repro/dist/engine.py",
-            "WorkerPool(self._start_method)",
+            "src", "src/repro/dist/engine.py", "WorkerPool(self._start_method)"
         ),
     },
     "repro.dist.net.daemon:WorkerDaemon": {
         "host": ("cli", DAEMON, "args.host, args.port, handshake_timeout="),
         "port": ("cli", DAEMON, "args.host, args.port, handshake_timeout="),
         "handshake_timeout": (
-            "cli",
-            DAEMON,
-            "handshake_timeout=args.handshake_timeout",
+            "cli", DAEMON, "handshake_timeout=args.handshake_timeout"
         ),
     },
     "repro.dist.net.daemon:WorkerDaemon.stop": {},
@@ -149,11 +130,7 @@ CALLERS = {
     "repro.dist.serve:JobServer": {
         "pool_size": ("suite", HARNESS, "pool_size=6, max_inflight=2"),
         "max_inflight": ("suite", HARNESS, "pool_size=6, max_inflight=2"),
-        "start_method": (
-            "suite",
-            HARNESS,
-            'max_inflight=2, start_method="fork"',
-        ),
+        "start_method": ("suite", HARNESS, 'max_inflight=2, start_method="fork"'),
     },
     "repro.dist.fleet:FleetScheduler": {
         "daemons": ("suite", HARNESS, FLEET),
@@ -177,11 +154,7 @@ CALLERS = {
             "DESIGN.md",
             "`build_parallel_fdtd(compensated_farfield=True)` is deferred",
         ),
-        "batch_exchanges": (
-            "suite",
-            REGISTRY,
-            'build={"batch_exchanges": True}',
-        ),
+        "batch_exchanges": ("suite", REGISTRY, 'build={"batch_exchanges": True}'),
         "overlap": ("suite", REGISTRY, 'build={"overlap": True}'),
     },
     "repro.apps.fdtd:VersionA": {
@@ -193,67 +166,43 @@ CALLERS = {
     },
 }
 
-ROWS = [
-    (target, keyword, row)
-    for target, rows in CALLERS.items()
-    for keyword, row in rows.items()
-]
+ROWS = [(t, k, row) for t, rows in CALLERS.items() for k, row in rows.items()]
 
 
-def resolve(target: str):
+def keywords(target: str) -> set[str]:
     module, _, qualname = target.partition(":")
     obj = importlib.import_module(module)
     for part in qualname.split("."):
         obj = getattr(obj, part)
-    return obj
-
-
-def keywords(target: str) -> set[str]:
-    params = inspect.signature(resolve(target)).parameters
-    return {name for name in params if name != "self"}
+    return set(inspect.signature(obj).parameters) - {"self"}
 
 
 @pytest.mark.parametrize("target", sorted(CALLERS))
 def test_every_keyword_has_a_row(target):
-    missing = keywords(target) - CALLERS[target].keys()
-    assert not missing, (
-        f"{target} takes {sorted(missing)} but no row names a caller; "
-        "give each a non-test caller in this table, or delete it"
+    inventory.check_subset(
+        keywords(target),
+        CALLERS[target],
+        f"are keywords of {target} but no row names a caller; give each "
+        "a non-test caller in this table, or delete it",
     )
 
 
 @pytest.mark.parametrize("target", sorted(CALLERS))
 def test_every_row_names_a_keyword(target):
-    stale = CALLERS[target].keys() - keywords(target)
-    assert not stale, f"{target} has no keyword {sorted(stale)}"
+    inventory.check_subset(
+        CALLERS[target], keywords(target), f"are not keywords of {target}"
+    )
 
 
 @pytest.mark.parametrize(
-    "target, keyword, row",
-    ROWS,
-    ids=[f"{t.partition(':')[2]}.{keyword}" for t, keyword, _ in ROWS],
+    "target, keyword, row", ROWS, ids=[f"{t.partition(':')[2]}.{k}" for t, k, _ in ROWS]
 )
 def test_every_needle_is_in_its_file(target, keyword, row):
-    kind, path, needle = row
-    assert kind in KIND_PATHS, f"unknown kind {kind!r}"
-    assert path.startswith(KIND_PATHS[kind]), (
-        f"a {kind} row cannot point at {path}"
-    )
-    if kind == "seam":
-        assert keyword in SEAMS, (
-            f"{keyword} is not a timeout, interval or retry count"
-        )
-    assert needle in (ROOT / path).read_text(), (
-        f"{target}({keyword}=): {needle!r} is not in {path}"
-    )
+    inventory.check_row(KIND_PATHS, f"{target}({keyword}=)", row)
+    if row[0] == "seam":
+        assert keyword in SEAMS, f"{keyword} is not a timeout, interval or retry count"
 
 
 def test_one_deferred_row():
-    deferred = [
-        (target, keyword)
-        for target, keyword, (kind, _, _) in ROWS
-        if kind == "deferred"
-    ]
-    assert deferred == [
-        ("repro.apps.fdtd:build_parallel_fdtd", "compensated_farfield")
-    ]
+    deferred = [(t, k) for t, k, (kind, _, _) in ROWS if kind == "deferred"]
+    assert deferred == [("repro.apps.fdtd:build_parallel_fdtd", "compensated_farfield")]

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DataExchangeViolation
 from repro.refinement import Assignment, DataExchange, VarRef, make_stores
 from repro.refinement.dataexchange import regions_overlap
+from repro.refinement.transform import _group_exchange
 
 
 class TestVarRef:
@@ -153,14 +154,19 @@ class TestMessageView:
         assert len(self.make_op().cross_partition()) == 3
 
     def test_local_assignments(self):
-        assert len(self.make_op().local_assignments(2)) == 1
-        assert len(self.make_op().local_assignments(0)) == 0
+        parts = _group_exchange(self.make_op())
+        assert len(parts[2][1]) == 1
+        assert len(parts[0][1]) == 0
 
     def test_sends_and_recvs(self):
         op = self.make_op()
-        assert [d for d, _ in op.sends_from(0)] == [1, 1]
-        assert [s for s, _ in op.recvs_to(0)] == [1]
-        assert [d for d, _ in op.sends_from(1)] == [0]
+        a = op.assignments
+        # (sends, local, recvs); both P0 -> P1 assignments in one group
+        assert _group_exchange(op) == {
+            0: ([(1, [a[0], a[1]])], [], [(1, [a[2]])]),
+            1: ([(0, [a[2]])], [], [(0, [a[0], a[1]])]),
+            2: ([], [a[3]], []),
+        }
 
     def test_message_pairs_combining(self):
         # Two P0->P1 assignments combine into one logical pair.

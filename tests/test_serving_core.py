@@ -15,7 +15,8 @@ import pytest
 
 from repro.dist.serving import JobServerCore, ServerClosedError, percentile
 from repro.runtime import ProcessSpec, System
-from tests.integration.test_number_readers import _find, _keys_written, _parse
+from tests.integration import inventory
+from tests.integration.test_number_readers import _find, _keys_written
 
 WAIT = 10.0  # seconds; only a broken core waits this long
 SETTLE = 0.2  # seconds a blocked call is given to (wrongly) go through
@@ -197,7 +198,7 @@ def test_close_without_drain_fails_queued_futures():
 
 def test_stats_returns_exactly_the_inventoried_keys():
     produced = _keys_written(
-        _find(_parse("src/repro/dist/serving.py"), "JobServerCore.stats")
+        _find(inventory.tree("src/repro/dist/serving.py"), "JobServerCore.stats")
     )
     server = CounterServer(capacity=1, max_inflight=1)
     assert set(server.stats()) == produced - {"startup_ms_p50"}
