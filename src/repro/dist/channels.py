@@ -25,9 +25,14 @@ kind of channel; :class:`SocketChannel` is only the storage:
   mutated afterwards (the refinement transform and the archetype
   library send fresh copies).
 * **Close/EOF cascade.**  A finishing writer flushes its queue, sends
-  the framing layer's *goodbye* frame, and closes; the reader's next
-  receive on the drained stream raises
-  :class:`~repro.errors.EmptyChannelError`.  A writer that *dies* — a
+  the framing layer's *goodbye* frame, and ends its stream; the
+  reader's next receive on the drained stream raises
+  :class:`~repro.errors.EmptyChannelError`.  Ending a stream closes it,
+  except a daemon's: a daemon's data connection carries one channel's
+  session after another (:mod:`repro.dist.net.rendezvous`), so the
+  writer's end parks it and the reader's, which reads the goodbye and
+  sends a release back, hands it to its daemon for the next session.
+  A writer that *dies* — a
   killed pool worker or a dead daemon, whose descriptors the kernel
   closes — never sends the goodbye, so the reader gets
   :class:`~repro.errors.TransportAbortError` from the framing layer,
@@ -52,10 +57,13 @@ kind of channel; :class:`SocketChannel` is only the storage:
   walked).
   The writer also counts ``frames`` (wire frames: a header per value
   plus its non-empty array frames), ``pipe_bytes`` (those frames' bytes)
-  and ``net_syscalls`` (send syscalls issued: one gather per value
-  without back-pressure, plus the goodbye).  ``queue_hwm`` is zero: how
-  far the writer ran ahead of the reader is spread over the local queue,
-  two kernel buffers and the reader, and nothing reads it across them.
+  and ``net_syscalls`` (send syscalls issued on the stream this
+  session: the hello on a daemon's, one gather per value without
+  back-pressure, plus the goodbye; read when the stream ends, since a
+  parked stream counts its next session from zero).  ``queue_hwm`` is
+  zero: how far the writer ran ahead of the reader is spread over the
+  local queue, two kernel buffers and the reader, and nothing reads it
+  across them.
 * **Causal stamps** ride in the wire header of their value
   (:mod:`repro.dist.wire`); the framing layer knows nothing of them.
 """
@@ -127,7 +135,7 @@ class SocketChannel(ChannelCore):
         "net_syscalls",
     )
 
-    __slots__ = ("_conn", "_feeder", "frames", "pipe_bytes")
+    __slots__ = ("_conn", "_feeder", "_ended_syscalls", "frames", "pipe_bytes")
 
     def __init__(self, spec: EndpointSpec):
         if not isinstance(spec.conn, FrameStream):
@@ -145,6 +153,7 @@ class SocketChannel(ChannelCore):
         )
         self.frames = 0  # wire frames written (header + array frames)
         self.pipe_bytes = 0  # bytes in those frames
+        self._ended_syscalls: int | None = None
 
     @property
     def _stat_fields(self) -> tuple[str, ...]:
@@ -152,9 +161,11 @@ class SocketChannel(ChannelCore):
 
     @property
     def net_syscalls(self) -> int:
-        """Send syscalls issued; lives on the stream, so it survives
-        channel close."""
-        return self._conn.send_syscalls
+        """Send syscalls issued this session: the stream's count, read
+        off it when the writer ended it."""
+        if self._ended_syscalls is None:
+            return self._conn.send_syscalls
+        return self._ended_syscalls
 
     # -- write side --------------------------------------------------------
 
@@ -180,18 +191,23 @@ class SocketChannel(ChannelCore):
             self._conn.send_frames(wire.encoded_frames(*item))
 
     def _end_stream(self) -> None:
-        """Feeder finisher: goodbye frame (clean close), then close.
+        """Feeder finisher: goodbye frame (clean close), then end the
+        stream (:meth:`~repro.dist.net.frames.FrameStream.end`).
 
         Runs after the queue drained — so by the time the reader sees
         the goodbye, every value this writer sent is on the stream —
         or after the stream broke, in which case the goodbye write
         fails harmlessly (the feeder swallows transport errors) and the
-        socket is closed all the same.
+        socket is closed, never parked.
         """
         try:
             self._conn.send_goodbye()
-        finally:
+        except BaseException:
             self._conn.close()
+            raise
+        finally:
+            self._ended_syscalls = self._conn.send_syscalls
+        self._conn.end()
 
     def _put(self, value: Any, clock: int | None) -> int:
         """Never blocks (infinite slack): encoded here, then written
@@ -203,8 +219,8 @@ class SocketChannel(ChannelCore):
         return wire.payload_nbytes(value, header, buffers)
 
     def _shut(self) -> None:
-        """Flush any queued values and say goodbye (writer), or drop the
-        receive end (reader).
+        """Flush any queued values and say goodbye (writer), or end the
+        receive side of the stream (reader).
 
         Safe concurrently: the feeder's own lock ensures the flush and
         the goodbye happen exactly once no matter how many threads
@@ -214,7 +230,7 @@ class SocketChannel(ChannelCore):
         if self.spec.role == "w":
             self._feeder.close()
         else:
-            self._conn.close()
+            self._conn.end()
 
     # -- read side ---------------------------------------------------------
 

@@ -36,7 +36,9 @@ result).
 Jobs run on the daemons through exactly the socket engine's dispatch
 path (:func:`~repro.dist.net.engine.run_assigned`) — bodies and
 variables travel by value, constants once per daemon, channels
-rendezvous peer-to-peer between daemons — so every
+rendezvous peer-to-peer between daemons, control connections are
+parked between jobs in the scheduler's own
+:class:`~repro.dist.net.rendezvous.StreamPool` — so every
 transport/goodbye/crash semantic is shared, not re-implemented.
 """
 
@@ -179,6 +181,8 @@ class FleetScheduler(JobServerCore):
         ]
         self._retries = 0
         self._deaths = 0
+        #: Control connections between jobs; closed with the scheduler.
+        self._streams = rendezvous.StreamPool()
 
         self._monitor = HeartbeatMonitor(
             self._daemons,
@@ -282,6 +286,7 @@ class FleetScheduler(JobServerCore):
                     crash_grace=self._crash_grace,
                     engine_name="fleet",
                     bodies=bodies,
+                    streams=self._streams,
                 )
             except BaseException as exc:  # noqa: BLE001 - classified below
                 if not _retryable(exc):
@@ -328,6 +333,7 @@ class FleetScheduler(JobServerCore):
 
     def _close_resources(self) -> None:
         self._monitor.stop()
+        self._streams.close()
         procs, self.local_procs = self.local_procs, []
         stop_loopback_daemons(self.daemon_addresses, procs)
 

@@ -3,33 +3,45 @@
 One long-lived :class:`WorkerDaemon` runs on each machine of a
 network-spanning system (loopback daemons, spawned by the
 :class:`~repro.dist.net.engine.SocketEngine` itself, exercise the same
-path on one box).  It listens on a single TCP port; every inbound
-connection opens with a rendezvous *hello* frame
+path on one box).  It listens on a single TCP port and starts one
+handler thread per accepted connection.  A connection carries a series
+of sessions, each opened by a rendezvous *hello* frame
 (:mod:`repro.dist.net.rendezvous`) that tags it as
 
-* a **control** connection — the coordinator follows with one
-  ``("job", …)`` frame, and the connection then becomes that rank's
-  result stream, speaking the exact ready/done/error protocol of
-  :func:`repro.dist.worker.run_job` (which the daemon reuses verbatim);
-* a **data** connection — a peer daemon dialling one channel's stream
-  for a writer rank it hosts; the acceptor parks it in the
+* a **control** session — the coordinator follows with one
+  ``("job", …)`` frame, and the handler thread runs that rank, the
+  session speaking the exact ready/done/error protocol of
+  :func:`repro.dist.worker.run_job` (which the daemon reuses verbatim)
+  up to the rank's terminal report;
+* a **data** session — a peer daemon opening one channel's stream for
+  a writer rank it hosts; the handler lends it to the
   :class:`~repro.dist.net.rendezvous.ChannelBroker` until the reader
-  rank claims it;
-* a **stats** connection — a monitor (one-shot
+  rank claims it, and gets it back when that rank closes the channel:
+  drained through the writer's goodbye and *released* (a goodbye sent
+  back), or closed when anything else was left on it;
+* a **stats** session — a monitor (one-shot
   :func:`~repro.dist.net.rendezvous.poll_stats` or a fleet scheduler's
   persistent heartbeat) pinging for :meth:`WorkerDaemon.stats`
-  snapshots;
+  snapshots, for the rest of the connection;
 * a **shutdown** request — drain in-flight ranks, then stop.
+
+After a control or data session the handler reads the connection's
+next hello, so a warm run accepts no connection and starts no thread; a
+hello of the wrong shape is counted (``bad_hellos``) and closes its
+connection.  This daemon's own writer ranks dial through a
+:class:`~repro.dist.net.rendezvous.StreamPool` of its own, so their
+data connections outlive runs too.
 
 Shutdown is *drain-ordered*: :meth:`WorkerDaemon.stop` first refuses
 new control hellos (clean goodbye, so the coordinator sees an orderly
 close rather than a crash), keeps the listener open so in-flight jobs'
-late channel dials still land, waits (bounded) for active rank threads
-to finish, and only then closes the listener.  A daemon stopped while
-serving therefore never turns a healthy job's stream into a spurious
-``TransportAbortError``.
+late channel dials still land, waits (bounded) for active ranks to
+finish, and only then closes the listener and hangs up every idle
+connection — a handler waiting for a hello is not an active rank.  A
+daemon stopped while serving therefore never turns a healthy job's
+stream into a spurious ``TransportAbortError``.
 
-Each assigned rank runs on its own thread inside the daemon process.
+Each assigned rank runs on its control connection's handler thread.
 Ranks on *different* daemons (the interesting case: different hosts)
 run genuinely in parallel; ranks sharing a daemon are GIL-bound like
 the threaded engine — correctness is engine-independent either way by
@@ -74,12 +86,40 @@ from repro.dist.worker import (
     report_error,
     run_job,
 )
-from repro.errors import RendezvousError, TransportError
+from repro.errors import MalformedFrameError, RendezvousError, TransportError
 
 __all__ = ["WorkerDaemon", "daemon_process_main", "run_daemon_cli"]
 
 #: Seconds :meth:`WorkerDaemon.stop` waits for in-flight ranks.
 DRAIN_TIMEOUT = 10.0
+
+#: The types of each hello's fields after its kind.
+_HELLO_FIELDS = {
+    rendezvous.HELLO_CONTROL: (),
+    rendezvous.HELLO_DATA: (str, str),
+    rendezvous.HELLO_STATS: (),
+    rendezvous.HELLO_SHUTDOWN: (),
+}
+
+#: The fields :meth:`WorkerDaemon._serve_rank` reads off every job frame.
+_JOB_KEYS = frozenset(
+    (
+        "job_id", "rank", "name", "nprocs", "body", "variables", "w_specs",
+        "r_specs", "recv_timeout", "observe", "trace",
+    )
+)
+
+
+def _well_formed(hello: Any) -> bool:
+    """A tuple naming a known kind, with that kind's fields."""
+    if not (isinstance(hello, tuple) and hello and isinstance(hello[0], str)):
+        return False
+    fields = _HELLO_FIELDS.get(hello[0])
+    return (
+        fields is not None
+        and len(hello) == 1 + len(fields)
+        and all(map(isinstance, hello[1:], fields))
+    )
 
 
 class WorkerDaemon:
@@ -109,6 +149,7 @@ class WorkerDaemon:
         #: :meth:`stats`.  Bumped under one lock so concurrent
         #: connection-handler threads never lose increments.
         self._counters: dict[str, int] = {
+            "accepted_conns": 0,
             "control_conns": 0,
             "data_conns": 0,
             "stats_conns": 0,
@@ -132,6 +173,12 @@ class WorkerDaemon:
         self._active = 0
         self._drain_cv = threading.Condition()
         self._draining = False
+        #: Connections whose handler waits for a hello; stop() hangs
+        #: them up.  Guarded by _idle_lock, as is setting _stopped.
+        self._idle: set[FrameStream] = set()
+        self._idle_lock = threading.Lock()
+        #: This daemon's writer ranks' data connections between runs.
+        self._outbound = rendezvous.StreamPool()
 
     def _count(self, key: str) -> None:
         with self._counters_lock:
@@ -197,7 +244,9 @@ class WorkerDaemon:
         then close — an orderly refusal, not a crash) but keeps the
         listener open so data connections for jobs already running can
         still rendezvous, then waits up to :data:`DRAIN_TIMEOUT` seconds
-        for active rank threads before closing the listener.
+        for active rank threads before closing the listener.  Idle
+        connections are hung up without waiting for them, and every
+        parked or unclaimed data connection is closed.
         """
         with self._drain_cv:
             self._draining = True
@@ -207,13 +256,20 @@ class WorkerDaemon:
                 if remaining <= 0:
                     break
                 self._drain_cv.wait(min(remaining, 0.25))
-        self._stopped.set()
+        with self._idle_lock:
+            self._stopped.set()
+            idle = list(self._idle)
         listener, self._listener = self._listener, None
         if listener is not None:
             try:
-                listener.close()
+                listener.shutdown(socket.SHUT_RDWR)  # wakes the acceptor
             except OSError:
                 pass
+            listener.close()
+        for stream in idle:
+            stream.shutdown()
+        self._broker.close()
+        self._outbound.close()
 
     def __enter__(self) -> "WorkerDaemon":
         if self._listener is None:
@@ -226,31 +282,66 @@ class WorkerDaemon:
     # -- accept/dispatch ----------------------------------------------------
 
     def _accept_loop(self) -> None:
+        listener = self._listener  # stop() drops the attribute
         while not self._stopped.is_set():
             try:
-                sock, _peer = self._listener.accept()
+                sock, _peer = listener.accept()
             except OSError:
                 break  # listener closed: shutting down
+            self._count("accepted_conns")
             threading.Thread(
                 target=self._handle, args=(sock,), daemon=True
             ).start()
 
     def _handle(self, sock: socket.socket) -> None:
-        """Read one connection's hello and route it."""
+        """Serve one connection's sessions, each routed by its hello,
+        until one leaves the connection unusable, the peer hangs up or
+        the daemon stops.  A new connection must say hello within the
+        handshake timeout; a reused one may wait for ever."""
         stream = FrameStream(sock)
+        timeout = self.handshake_timeout
         try:
-            if not stream.poll(self.handshake_timeout):
-                stream.close()
-                return
-            hello = wire.recv(stream)
-        except (EOFError, TransportError, OSError):
+            while (hello := self._next_hello(stream, timeout)) is not None:
+                if not self._route(stream, hello):
+                    break
+                timeout = None
+        finally:
             stream.close()
-            return
+
+    def _next_hello(
+        self, stream: FrameStream, timeout: float | None
+    ) -> tuple | None:
+        """The connection's next well-formed hello, or ``None`` once it
+        is over: hung up, idle past ``timeout``, or the daemon stopped.
+        A frame that is not a hello counts as ``bad_hellos``."""
+        with self._idle_lock:
+            if self._stopped.is_set():
+                return None
+            self._idle.add(stream)
+        try:
+            if not stream.poll(timeout):
+                return None
+            hello = wire.recv(stream)
+        except MalformedFrameError:
+            hello = None
+        except (EOFError, TransportError, OSError):
+            return None
+        finally:
+            with self._idle_lock:
+                self._idle.discard(stream)
+        if _well_formed(hello):
+            return hello
+        self._count("bad_hellos")
+        return None
+
+    def _route(self, stream: FrameStream, hello: tuple) -> bool:
+        """Serve one session; True when the connection can carry the
+        next."""
         kind = hello[0]
         if kind == rendezvous.HELLO_DATA:
             self._count("data_conns")
-            self._broker.offer((hello[1], hello[2]), stream)
-        elif kind == rendezvous.HELLO_CONTROL:
+            return self._lend(stream, (hello[1], hello[2]))
+        if kind == rendezvous.HELLO_CONTROL:
             # Admission and the active count move atomically with the
             # draining flag, so stop() can never observe "no active
             # ranks" while a just-admitted rank is still starting up.
@@ -258,31 +349,78 @@ class WorkerDaemon:
                 admitted = not self._draining
                 if admitted:
                     self._active += 1
-            if not admitted:
-                self._count("refused_conns")
-                try:
-                    stream.send_goodbye()
-                except (OSError, TransportError):
-                    pass
-                stream.close()
-                return
-            self._count("control_conns")
+            served = False
             try:
-                self._serve_rank(stream)
+                if admitted:
+                    self._count("control_conns")
+                    served = self._serve_rank(stream)
+                else:
+                    self._count("refused_conns")
             finally:
-                with self._drain_cv:
-                    self._active -= 1
-                    self._drain_cv.notify_all()
-        elif kind == rendezvous.HELLO_STATS:
+                if admitted:
+                    with self._drain_cv:
+                        self._active -= 1
+                        self._drain_cv.notify_all()
+                if not served:
+                    # A goodbye first makes the coordinator's EOF
+                    # *clean*: bare EOF on a control stream means this
+                    # daemon died.
+                    try:
+                        stream.send_goodbye()
+                    except (OSError, TransportError):
+                        pass
+            return served
+        if kind == rendezvous.HELLO_STATS:
             self._count("stats_conns")
             self._serve_stats(stream)
-        elif kind == rendezvous.HELLO_SHUTDOWN:
-            self._count("shutdown_requests")
+            return False
+        self._count("shutdown_requests")
+        stream.close()
+        self.stop()
+        return False
+
+    def _lend(self, stream: FrameStream, key: tuple) -> bool:
+        """One data session: offer the stream to the reader rank and
+        wait until it comes back — True when it came back released.
+        An offer nobody claims within the handshake timeout is taken
+        back and the connection closed."""
+        back = threading.Event()
+
+        def hand_back(_stream: FrameStream) -> None:
+            if not stream.closed and not self._release(stream):
+                stream.close()
+            back.set()
+
+        stream.lender = hand_back
+        self._broker.offer(key, stream)
+        if not back.wait(self.handshake_timeout) and self._broker.withdraw(
+            key, stream
+        ):
             stream.close()
-            self.stop()
-        else:
-            self._count("bad_hellos")
-            stream.close()
+        back.wait()
+        return not stream.closed
+
+    def _release(self, stream: FrameStream) -> bool:
+        """Run by the reader rank as it closes its channel: read the
+        writer's goodbye, unless the rank already did, and send the
+        release.  False — the stream is not reused — when a frame comes
+        first (a value the reader left unread), the stream ends or
+        resets, or no goodbye comes within the handshake timeout."""
+        try:
+            if not stream.poll(self.handshake_timeout):
+                return False
+            stream.recv_len()
+            return False
+        except EOFError:
+            pass
+        except (TransportError, OSError):
+            return False
+        try:
+            stream.send_goodbye()
+        except (TransportError, OSError):
+            return False
+        stream.goodbye_read = False  # the next hello opens a new session
+        return True
 
     def _serve_stats(self, stream: FrameStream) -> None:
         """One stats connection: answer each ``("ping", seq)`` with
@@ -306,75 +444,78 @@ class WorkerDaemon:
 
     # -- rank execution -----------------------------------------------------
 
-    def _serve_rank(self, stream: FrameStream) -> None:
-        """One control connection: receive the job, run the rank."""
-        job: dict[str, Any] | None = None
+    def _serve_rank(self, stream: FrameStream) -> bool:
+        """One control session: receive the job, run the rank.  True
+        when the session ended with the rank's terminal report, so the
+        connection can carry the next."""
+        try:
+            if not stream.poll(self.handshake_timeout):
+                return False
+            msg = wire.recv(stream)
+        except (EOFError, TransportError, OSError):
+            return False
+        if not (
+            isinstance(msg, tuple)
+            and len(msg) == 2
+            and msg[0] == "job"
+            and isinstance(msg[1], dict)
+            and _JOB_KEYS <= msg[1].keys()
+        ):
+            return False
+        job = msg[1]
+        timeout = job.get("handshake_timeout") or self.handshake_timeout
+        try:
+            constants = self._rank_constants(stream, job, timeout)
+        except (EOFError, TransportError, OSError) as exc:
+            report_error(stream, job["rank"], exc)
+            return False
         w_specs: list = []
         r_specs: list = []
         try:
-            try:
-                if not stream.poll(self.handshake_timeout):
-                    return
-                msg = wire.recv(stream)
-            except (EOFError, TransportError, OSError):
-                return
-            if msg[0] != "job":
-                return
-            job = msg[1]
-            timeout = job.get("handshake_timeout") or self.handshake_timeout
-            try:
-                constants = self._rank_constants(stream, job, timeout)
-            except (EOFError, TransportError, OSError) as exc:
-                report_error(stream, job["rank"], exc)
-                return
-            try:
-                # Writers dial out; readers claim accepted streams.
-                # Either side of a pair may arrive first — dials retry
-                # with backoff, claims block on the broker — so rank
-                # dispatch order never matters.
-                for spec in job["w_specs"]:
-                    spec.conn = rendezvous.dial_channel(
-                        tuple(spec.peer), job["job_id"], spec.name, timeout
-                    )
-                    w_specs.append(spec)
-                for spec in job["r_specs"]:
-                    spec.conn = self._broker.claim(
-                        (job["job_id"], spec.name), timeout
-                    )
-                    r_specs.append(spec)
-            except (RendezvousError, OSError) as exc:
-                self._count("rendezvous_failures")
-                report_error(stream, job["rank"], exc)
-                self._broker.drop_job(job["job_id"])
-                for spec in w_specs:
-                    spec.conn.close()
-                return
-            self._count("jobs_run")
-            run_job(
-                job["rank"],
-                job["name"],
-                job["nprocs"],
-                stream,
-                job["body"],
-                # No segment to map: the plan only names the constants,
-                # so that run_job leaves them out of its overrides.
-                dict.fromkeys(constants, BY_VALUE_CONSTANT),
-                ("object", {**constants, **job["variables"]}),
-                w_specs,
-                r_specs,
-                job["recv_timeout"],
-                job["observe"],
-                job["trace"],
-                self._images,
-            )
-        finally:
-            # A goodbye first makes the coordinator's EOF *clean*: bare
-            # EOF on a control stream means this daemon died mid-job.
-            try:
-                stream.send_goodbye()
-            except (OSError, TransportError):
-                pass
-            stream.close()
+            # Writers dial out; readers claim accepted streams.  Either
+            # side of a pair may arrive first — dials retry with
+            # backoff, claims block on the broker — so rank dispatch
+            # order never matters.
+            for spec in job["w_specs"]:
+                spec.conn = rendezvous.dial_channel(
+                    tuple(spec.peer),
+                    job["job_id"],
+                    spec.name,
+                    timeout,
+                    self._outbound,
+                )
+                w_specs.append(spec)
+            for spec in job["r_specs"]:
+                spec.conn = self._broker.claim(
+                    (job["job_id"], spec.name), timeout
+                )
+                r_specs.append(spec)
+        except (RendezvousError, OSError) as exc:
+            self._count("rendezvous_failures")
+            report_error(stream, job["rank"], exc)
+            self._broker.drop_job(job["job_id"])
+            for spec in (*w_specs, *r_specs):
+                spec.conn.close()
+            return False
+        self._count("jobs_run")
+        run_job(
+            job["rank"],
+            job["name"],
+            job["nprocs"],
+            stream,
+            job["body"],
+            # No segment to map: the plan only names the constants, so
+            # that run_job leaves them out of its overrides.
+            dict.fromkeys(constants, BY_VALUE_CONSTANT),
+            ("object", {**constants, **job["variables"]}),
+            w_specs,
+            r_specs,
+            job["recv_timeout"],
+            job["observe"],
+            job["trace"],
+            self._images,
+        )
+        return True
 
     def _rank_constants(
         self, stream: FrameStream, job: dict[str, Any], timeout: float

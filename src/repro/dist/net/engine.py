@@ -27,7 +27,10 @@ Per run, the coordinator:
    lists — each naming the *reader's* daemon, so writer daemons dial
    data connections peer-to-peer (values never relay through the
    coordinator);
-3. opens one control connection per rank, sends the job (the body
+3. opens one control session per rank — on a connection parked from
+   an earlier run when one is idle
+   (:class:`~repro.dist.net.rendezvous.StreamPool`), so a warm run
+   dials nothing — and sends the job (the body
    travels by value as its once-per-System image from
    :mod:`repro.dist.closures`, the store's *variables* as raw-buffer
    :mod:`repro.dist.wire` frames, its *constants* as a token the
@@ -37,7 +40,8 @@ Per run, the coordinator:
    :func:`~repro.dist.engine.collect_results` collection loop the
    multiprocess engine uses, with proxies standing in for the remote
    processes — a rank runs as soon as its daemon has built it, with no
-   start barrier;
+   start barrier.  After a run whose ranks all reported, the
+   connections are parked again; after a failed one they close;
 4. a daemon that dies mid-run drops its control streams without the
    clean-close goodbye — surfaced by the collection loop as a worker
    crash, hence :class:`~repro.errors.ProcessFailedError`, within the
@@ -275,6 +279,7 @@ def run_assigned(
     engine_name: str = "socket",
     bodies: list | None = None,
     timing_sink: dict | None = None,
+    streams: rendezvous.StreamPool | None = None,
 ) -> RunResult:
     """Dispatch one system onto an explicit rank→daemon assignment and
     collect the result — the whole coordinator side of a networked run,
@@ -304,10 +309,13 @@ def run_assigned(
     run's control streams carried (``control_bytes_out`` /
     ``control_bytes_in``: hellos, job frames, constants, ready notices
     and reports — everything but the peer-to-peer channels), even when
-    the run fails.  Failures — body exceptions, rendezvous failures, or a
-    daemon dying mid-run (control-stream EOF without the goodbye) —
-    raise :class:`~repro.errors.ProcessFailedError` for the rank to
-    blame (:meth:`~repro.dist.engine.Collected.blamed_rank`).
+    the run fails.  ``streams`` is the caller's pool of control
+    connections: each rank's session opens on an idle one when it can,
+    and a run whose every rank reported parks them there again (a
+    failed run closes its own).  Failures — body exceptions, rendezvous
+    failures, or a daemon dying mid-run (control-stream EOF without the
+    goodbye) — raise :class:`~repro.errors.ProcessFailedError` for the
+    rank to blame (:meth:`~repro.dist.engine.Collected.blamed_rank`).
     """
     t_start = time.perf_counter()
     nprocs = system.nprocs
@@ -323,7 +331,9 @@ def run_assigned(
         for p in system.processes:
             rank = p.rank
             token, constants = sets[rank]
-            stream = rendezvous.dial_control(assign[rank], handshake_timeout)
+            stream = rendezvous.dial_control(
+                assign[rank], handshake_timeout, streams
+            )
             parent_conns[stream] = rank
             procs.append(_RemoteRank(rank, assign[rank]))
             wire.send(
@@ -360,10 +370,14 @@ def run_assigned(
             needs=[("constants", token, held) for token, held in sets],
         )
     finally:
-        for stream in parent_conns:
-            stream.close()
         control_out = sum(stream.bytes_sent for stream in parent_conns)
         control_in = sum(stream.bytes_received for stream in parent_conns)
+        reported = collected is not None and not collected.errors
+        for stream in parent_conns:
+            if reported:
+                stream.end()
+            else:
+                stream.close()
         if timing_sink is not None:
             timing_sink.update((collected or Collected()).timing(t_start))
             timing_sink["control_bytes_out"] = control_out
@@ -454,6 +468,9 @@ class SocketEngine:
         self._local_procs: list[Any] = []
         #: Stops the loopback daemons this engine spawned; set with them.
         self._release = None
+        #: Control connections between runs; closed with the engine.
+        self._streams = rendezvous.StreamPool()
+        weakref.finalize(self, self._streams.close)
         self.last_timing: dict[str, float] = {}
 
     # -- daemon plumbing -----------------------------------------------------
@@ -475,8 +492,10 @@ class SocketEngine:
         return self._addrs
 
     def close(self) -> None:
-        """Shut down engine-owned loopback daemons.  Idempotent; hosts
-        passed in by the operator are left running."""
+        """Close the parked control connections and shut down
+        engine-owned loopback daemons.  Idempotent; hosts passed in by
+        the operator are left running."""
+        self._streams.close()
         if self._release is not None:
             self._release()
             self._release = self._addrs = None
@@ -505,6 +524,7 @@ class SocketEngine:
                 trace=self._trace,
                 engine_name=self.name,
                 timing_sink=timing,
+                streams=self._streams,
             )
         finally:
             self.last_timing = timing

@@ -51,7 +51,8 @@ framing layer therefore makes the clean case explicit: a finishing
 writer sends a *goodbye* frame (the all-ones length prefix) before
 closing, and the reader maps
 
-* goodbye frame            → ``EOFError``   (clean close: channel empty),
+* goodbye frame            → ``EOFError``   (clean close: channel empty;
+                             every receive after it raises it again),
 * EOF without goodbye,
   EOF mid-frame, or reset  → :class:`~repro.errors.TransportAbortError`
                              (the writer died — never silently empty).
@@ -61,6 +62,17 @@ as ``BrokenPipeError``/``ConnectionResetError`` in the kernel, which
 every write method maps to :class:`~repro.errors.TransportAbortError`
 so a killed reader fails the writer with transport semantics rather
 than a raw ``ConnectionError`` escaping a feeder thread.
+
+**One connection, many sessions.**  A daemon's connection outlives
+the run that dialled it (:mod:`repro.dist.net.rendezvous`): whoever
+lent a stream to a session sets its :attr:`FrameStream.lender`, the
+session's holder calls :meth:`FrameStream.end` instead of ``close``
+and the lender gets it back, and the traffic counters restart at the
+next session's hello (:meth:`FrameStream.zero_counters`).  A goodbye
+read on such a stream is remembered (:attr:`FrameStream.goodbye_read`)
+until the next session starts, so its session's reader sees the end
+as often as it asks although the connection stays open.  A stream
+without a lender — every socketpair — just closes.
 
 **No frame is longer than** :data:`_MAX_FRAME`.  A length prefix above
 it is not a frame but a stream out of sync (or a peer speaking something
@@ -161,6 +173,8 @@ class FrameStream:
         "recv_syscalls",
         "bytes_sent",
         "bytes_received",
+        "goodbye_read",
+        "lender",
     )
 
     def __init__(self, sock: socket.socket):
@@ -191,6 +205,16 @@ class FrameStream:
         #: connection cost on the wire, whatever was framed inside.
         self.bytes_sent = 0
         self.bytes_received = 0
+        #: The peer's goodbye has been read: every later receive raises
+        #: ``EOFError`` again, and :meth:`poll` reports it, as a closed
+        #: socket would — a parked connection stays open behind it.
+        #: Whoever starts the connection's next session clears it.
+        self.goodbye_read = False
+        #: Who lent this connection to the session holding it, if
+        #: anyone: called with the stream, once, when that session ends
+        #: it (:meth:`end`) or it closes — to park it for the next
+        #: session, or to let it go (:mod:`repro.dist.net.rendezvous`).
+        self.lender = None
 
     def fileno(self) -> int:
         """Expose the fd so ``multiprocessing.connection.wait`` (and any
@@ -407,10 +431,13 @@ class FrameStream:
         :meth:`recv_payload_into`: a reader that knows what the frame
         should hold compares the length first and allocates only for a
         frame that matches."""
+        if self.goodbye_read:
+            raise EOFError("clean close")
         self._require(_LEN.size, mid_frame=False)
         (length,) = _LEN.unpack_from(self._rbuf, self._rpos)
         self._rpos += _LEN.size
         if length == GOODBYE:
+            self.goodbye_read = True
             raise EOFError("clean close")
         if length > _MAX_FRAME:
             raise MalformedFrameError(
@@ -456,7 +483,7 @@ class FrameStream:
         """
         if self._closed:
             return False
-        if self._rend > self._rpos:
+        if self.goodbye_read or self._rend > self._rpos:
             return True
         poller = self._poller
         if poller is None:
@@ -471,11 +498,41 @@ class FrameStream:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def zero_counters(self) -> None:
+        """Start the traffic counters again: a connection that carries a
+        new session counts that session only."""
+        self.send_syscalls = self.recv_syscalls = 0
+        self.bytes_sent = self.bytes_received = 0
+
+    def end(self) -> None:
+        """The holder's session is over: hand the connection back to its
+        :attr:`lender`, or close it when it has none."""
+        lender, self.lender = self.lender, None
+        if lender is None:
+            self.close()
+        else:
+            lender(self)
+
+    def shutdown(self) -> None:
+        """Hang up both directions but keep the descriptor: a thread
+        waiting on this stream wakes, and the peer reads EOF."""
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+
+    def close(self) -> None:
+        """Close the socket; a lender is told (it sees :attr:`closed`)."""
+        if not self._closed:
+            self._closed = True
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+        lender, self.lender = self.lender, None
+        if lender is not None:
+            lender(self)

@@ -321,8 +321,25 @@ def _read_header(conn) -> bytes:
     return header
 
 
+def _unpickle_header(header: bytes) -> tuple:
+    """A pickled header's ``(skeleton, metas[, clock])``: one that does
+    not unpickle, or unpickles to anything else, is a malformed frame."""
+    try:
+        loaded = closures.loads(header)
+    except Exception as exc:  # noqa: BLE001 - whatever the bytes raise
+        raise MalformedFrameError(
+            f"pickled header does not unpickle ({type(exc).__name__}: {exc})"
+        ) from None
+    if not (isinstance(loaded, tuple) and len(loaded) in (2, 3)):
+        raise MalformedFrameError(
+            f"pickled header holds a {type(loaded).__name__}, not a "
+            "(skeleton, metadata) pair"
+        )
+    return loaded
+
+
 def _recv_pickled(conn, header: bytes) -> tuple[Any, int | None]:
-    loaded = closures.loads(header)
+    loaded = _unpickle_header(header)
     try:
         metas = [(np.dtype(d), tuple(map(int, s))) for d, s in loaded[1]]
     except (TypeError, ValueError) as exc:
@@ -337,7 +354,7 @@ def decode(header: bytes, arrays: list[np.ndarray]) -> Any:
     """Rebuild the value from a header and its received array frames."""
     if header[0] == _ARRAYS:
         return {"stage": _fixed(header)[0], "values": list(arrays)}
-    skeleton = closures.loads(header)[0]
+    skeleton = _unpickle_header(header)[0]
     return _inflate(skeleton, arrays)
 
 

@@ -303,6 +303,11 @@ def run_job(
         except BaseException:
             resident = False  # it may have stopped mid-bookkeeping
             raise
+        # Read ends close before the report, as the write ends did in
+        # run_rank: a daemon's stream goes back for the next run only
+        # once its writer's goodbye is read and its release is sent.
+        for ch in inc.values():
+            ch.close()
 
         overrides = flush_store(store, handles)
         stats = {ch.name: ch.stats() for ch in (*out.values(), *inc.values())}
@@ -328,6 +333,11 @@ def run_job(
             ),
         )
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
+        # A failed rank's streams carry no later session: what it left
+        # unread, and the streams of channels it never opened, close
+        # bare (their writers and readers learn that it failed).
+        for spec in (*r_specs, *(s for s in w_specs if s.name not in out)):
+            spec.conn.close()
         report_error(result_conn, rank, exc)
     finally:
         for ch in out.values():

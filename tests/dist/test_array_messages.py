@@ -295,6 +295,28 @@ class TestChannelBlame:
         assert "unknown kind" in str(error) and "died" not in str(error)
 
     @pytest.mark.parametrize("landed", [False, True], ids=["plain", "landed"])
+    @pytest.mark.parametrize(
+        "header, says",
+        [
+            (b"\x80\x05garbage-not-a-pickle", "does not unpickle"),
+            (closures.dumps(5), "holds a int"),
+            (closures.dumps((np.zeros(2),)), "holds a tuple"),
+        ],
+        ids=["garbage", "int", "one-tuple"],
+    )
+    def test_a_header_that_does_not_unpickle_is_a_malformed_frame(
+        self, stream, landed, header, says
+    ):
+        r, w = stream
+        send_raw(w, header)
+        error = self.receive(r, landed)
+        assert isinstance(error.original, MalformedFrameError)
+        assert "writer rank 0 carried a malformed frame" in str(error)
+        assert says in str(error) and "died" not in str(error)
+        with pytest.raises(MalformedFrameError, match=says):
+            wire.decode(header, [])
+
+    @pytest.mark.parametrize("landed", [False, True], ids=["plain", "landed"])
     def test_a_stream_closed_without_its_goodbye_says_the_writer_died(
         self, stream, landed
     ):

@@ -107,6 +107,7 @@ ROWS = {
         "seam", FLEET_TESTS, 'assert sched.stats()["daemon_deaths"] >= 1'
     ),
     # A daemon's stats() is what its --stats-interval lines print.
+    "accepted_conns": DAEMON_LINE,
     "control_conns": DAEMON_LINE,
     "data_conns": DAEMON_LINE,
     "stats_conns": DAEMON_LINE,
