@@ -16,7 +16,6 @@ from repro.dist.fleet.membership import (
     DaemonState,
     HeartbeatMonitor,
     elastic_capacity,
-    probe_stats,
 )
 from repro.dist.fleet.placement import least_loaded
 from repro.dist.fleet.scheduler import (
@@ -33,6 +32,5 @@ __all__ = [
     "DaemonState",
     "HeartbeatMonitor",
     "elastic_capacity",
-    "probe_stats",
     "least_loaded",
 ]

@@ -9,12 +9,16 @@ placed), plus the daemon's last self-reported
 The :class:`HeartbeatMonitor` keeps that view honest: one background
 thread holds a persistent ``stats`` connection per daemon
 (:data:`~repro.dist.net.rendezvous.HELLO_STATS`) and pings every
-``interval`` seconds.  Each answered ping zeroes the miss counter,
-refreshes the stats snapshot, and feeds the elastic controller; each
-missed ping (dial refused, timeout, dead stream) increments it, and
-``miss_threshold`` consecutive misses flip the daemon to dead.  A dead
-daemon keeps being probed — one cheap single-shot dial per tick — so a
+``interval`` seconds (:func:`~repro.dist.net.rendezvous.ping_stats`).
+Each answered ping zeroes the miss counter, refreshes the stats
+snapshot, and feeds the elastic controller; each missed ping (dial
+refused, timeout, dead stream, a reply that is no pong) increments it,
+and ``miss_threshold`` consecutive misses flip the daemon to dead.  A
+dead daemon keeps being probed — one single-shot dial per tick — so a
 daemon restarted at the same address is *revived* automatically.
+:meth:`HeartbeatMonitor.judge` is the one place a probe's outcome
+changes a daemon's state: the scheduler's probes after a failed attempt
+go through it too, with one miss meaning dead.
 
 All state mutation happens under the scheduler's condition variable
 (the same one the ready queue waits on), so a death immediately wakes
@@ -32,21 +36,19 @@ saturation signal can start the growth).
 
 from __future__ import annotations
 
-import socket
 import threading
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dist.net import rendezvous
 from repro.dist.net.frames import FrameStream
-from repro.errors import TransportError
+from repro.errors import RendezvousError
 
 __all__ = [
     "MAX_CAPACITY",
     "DaemonState",
     "HeartbeatMonitor",
     "elastic_capacity",
-    "probe_stats",
 ]
 
 
@@ -113,35 +115,6 @@ def elastic_capacity(
     return capacity
 
 
-def probe_stats(
-    addr: rendezvous.Address, timeout: float = 1.0
-) -> dict[str, Any] | None:
-    """One fail-fast stats probe: single connect attempt (no retry
-    loop), one ping, ``None`` on any failure.  The scheduler uses this
-    after a job failure to decide *which* daemon of the placement died
-    without waiting out a full rendezvous timeout per daemon."""
-    from repro.dist import wire
-
-    try:
-        sock = socket.create_connection(addr, timeout=timeout)
-    except OSError:
-        return None
-    stream = FrameStream(sock)
-    try:
-        wire.send(stream, (rendezvous.HELLO_STATS,))
-        wire.send(stream, ("ping", 0))
-        if not stream.poll(timeout):
-            return None
-        reply = wire.recv(stream)
-        if reply[0] != "pong":
-            return None
-        return reply[2]
-    except (EOFError, OSError, TransportError):
-        return None
-    finally:
-        stream.close()
-
-
 class HeartbeatMonitor:
     """Background heartbeats over persistent ``stats`` connections.
 
@@ -202,60 +175,56 @@ class HeartbeatMonitor:
         mutation inside).  Public so tests can tick deterministically."""
         stats = self._ping(daemon.address)
         with self._lock:
-            if stats is None:
-                daemon.misses += 1
-                if daemon.alive and daemon.misses >= self.miss_threshold:
-                    daemon.alive = False
-                    self._on_death(daemon)
-                    self._notify()
-            else:
-                revived = not daemon.alive
-                daemon.alive = True
-                daemon.misses = 0
-                daemon.stats = stats
-                if self.elastic:
-                    daemon.capacity = elastic_capacity(
-                        daemon.capacity,
-                        int(stats.get("ranks_active", 0)),
-                        daemon.floor,
-                        max(daemon.floor, MAX_CAPACITY),
-                    )
-                if revived:
-                    self._notify()
+            self.judge(daemon, stats, self.miss_threshold)
+
+    def judge(
+        self,
+        daemon: DaemonState,
+        stats: dict[str, Any] | None,
+        dead_after: int,
+    ) -> None:
+        """Fold one probe of ``daemon`` into its state; call under the
+        lock.  ``None`` is a miss, and ``dead_after`` consecutive misses
+        flip a live daemon to dead; a stats snapshot revives it, zeroes
+        its misses and steps its elastic capacity.  A death or a revival
+        notifies."""
+        if stats is None:
+            daemon.misses += 1
+            if daemon.alive and daemon.misses >= dead_after:
+                daemon.alive = False
+                self._on_death(daemon)
+                self._notify()
+            return
+        revived = not daemon.alive
+        daemon.alive = True
+        daemon.misses = 0
+        daemon.stats = stats
+        if self.elastic:
+            daemon.capacity = elastic_capacity(
+                daemon.capacity,
+                int(stats.get("ranks_active", 0)),
+                daemon.floor,
+                max(daemon.floor, MAX_CAPACITY),
+            )
+        if revived:
+            self._notify()
 
     def _ping(self, addr: rendezvous.Address) -> dict[str, Any] | None:
         """Ping one daemon over its persistent stream, (re)dialling on
-        demand — a single fail-fast connect, not the rendezvous retry
-        loop, so one dead daemon cannot stall the whole heartbeat
-        round."""
-        from repro.dist import wire
-
-        stream = self._streams.get(addr)
-        if stream is None:
-            try:
-                sock = socket.create_connection(
-                    addr, timeout=self.ping_timeout
-                )
-            except OSError:
-                return None
-            stream = FrameStream(sock)
-            try:
-                wire.send(stream, (rendezvous.HELLO_STATS,))
-            except (OSError, TransportError):
-                stream.close()
-                return None
-            self._streams[addr] = stream
+        demand; ``None`` on any failure, after which the stream is
+        closed.  A dial is one connect, so one dead daemon cannot stall
+        the whole heartbeat round."""
         self._seq += 1
-        seq = self._seq
+        stream = self._streams.get(addr)
         try:
-            wire.send(stream, ("ping", seq))
-            if not stream.poll(self.ping_timeout):
-                raise TimeoutError
-            reply = wire.recv(stream)
-            if reply[0] != "pong" or reply[1] != seq:
-                raise TimeoutError
-            return reply[2]
-        except (EOFError, OSError, TransportError, TimeoutError):
-            stream.close()
-            self._streams.pop(addr, None)
+            if stream is None:
+                stream = rendezvous.dial_stats(addr, self.ping_timeout)
+                self._streams[addr] = stream
+            return rendezvous.ping_stats(
+                stream, addr, self._seq, self.ping_timeout
+            )
+        except RendezvousError:
+            if stream is not None:
+                stream.close()
+                self._streams.pop(addr, None)
             return None

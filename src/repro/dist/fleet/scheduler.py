@@ -17,10 +17,11 @@ from pool slots to *per-daemon rank reservations* across a fleet of
   shrinks each daemon's capacity from its observed utilization;
 * **retry / re-placement** — a daemon dying mid-job (control-stream
   EOF without goodbye, a refused dial, a reset data stream) fails only
-  that *attempt*: the scheduler probes the placement, marks the
-  unreachable daemons dead, re-places the job on the survivors under a
-  fresh job id, and re-runs — up to ``max_attempts``, after which the
-  job's future gets the :class:`~repro.errors.ProcessFailedError`.
+  that *attempt*: the scheduler polls the placement's daemons once
+  each, marks the unreachable ones dead, re-places the job on the
+  survivors under a fresh job id, and re-runs — up to
+  ``max_attempts``, after which the job's future gets the
+  :class:`~repro.errors.ProcessFailedError`.
   Errors raised by the job's own body are never retried.
 
 **Why a silent re-run is sound** (the determinacy argument): Theorem 1
@@ -48,11 +49,7 @@ from typing import Any
 
 from repro.dist import closures
 from repro.dist.engine import WorkerCrashError
-from repro.dist.fleet.membership import (
-    DaemonState,
-    HeartbeatMonitor,
-    probe_stats,
-)
+from repro.dist.fleet.membership import DaemonState, HeartbeatMonitor
 from repro.dist.fleet.placement import least_loaded
 from repro.dist.net import rendezvous
 from repro.dist.net.engine import (
@@ -170,7 +167,6 @@ class FleetScheduler(JobServerCore):
         self.max_attempts = max_attempts
         self._crash_grace = crash_grace
         self._handshake_timeout = handshake_timeout
-        self._ping_timeout = ping_timeout
         self._elastic = bool(elastic)
         #: Ranks an idle fleet places at once (see the class docstring).
         self._rank_ceiling = len(addrs) * capacity
@@ -208,27 +204,24 @@ class FleetScheduler(JobServerCore):
             return [d.snapshot() for d in self._daemons]
 
     def _record_death(self, daemon: DaemonState) -> None:
-        # Called under _cv (by the monitor or a failure probe).
+        # Called under _cv, by the monitor's judge.
         self._deaths += 1
 
     def _note_failure(self, assign: list[DaemonState]) -> None:
-        """After a failed attempt: probe each daemon of the placement
-        (fail-fast, outside the lock) and mark the unreachable ones
-        dead *now* — re-placement must not wait out miss_threshold
-        heartbeats to learn what the crash already proved."""
+        """After a failed attempt: poll each daemon of the placement
+        once (outside the lock) and judge it, one miss meaning dead —
+        re-placement must not wait out miss_threshold heartbeats to
+        learn what the crash already proved."""
         seen: dict[int, DaemonState] = {id(d): d for d in assign}
         for d in seen.values():
-            stats = probe_stats(d.address, timeout=self._ping_timeout)
+            try:
+                stats = rendezvous.poll_stats(
+                    d.address, self._monitor.ping_timeout
+                )
+            except RendezvousError:
+                stats = None
             with self._cv:
-                if stats is None:
-                    if d.alive:
-                        d.alive = False
-                        self._record_death(d)
-                    self._cv.notify_all()
-                else:
-                    d.alive = True
-                    d.misses = 0
-                    d.stats = stats
+                self._monitor.judge(d, stats, dead_after=1)
 
     # -- capacity hooks (under _cv) ------------------------------------------
 

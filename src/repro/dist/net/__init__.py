@@ -16,7 +16,7 @@ while preserving the paper's channel semantics exactly:
   buffers are not;
 * :mod:`repro.dist.net.rendezvous` — rank→daemon assignment and the
   hello-frame handshake that connects each channel's writer to its
-  reader, with retry/backoff and hard timeouts;
+  reader, with single-shot dials and hard timeouts;
 * :mod:`repro.dist.net.daemon` — the per-host worker daemon behind
   ``python -m repro worker-daemon``;
 * :mod:`repro.dist.net.engine` — :class:`SocketEngine`

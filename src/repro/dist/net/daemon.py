@@ -59,10 +59,10 @@ The daemon's own table is the only authority — restarted, evicted or
 newly placed, it simply asks — and a hit adds no frame.
 
 Job setup then resolves each rank's channel endpoints: writer specs dial the
-reader's daemon (retry + exponential backoff), reader specs claim from
-the broker — both bounded by the job's handshake timeout, so a peer
-daemon that never appears fails the rank with a rendezvous error frame
-instead of hanging the run.
+reader's daemon — once: a refusal means that daemon is gone — and
+reader specs claim from the broker, bounded by the job's handshake
+timeout, so a peer daemon that is dead or never dials fails the rank
+with a rendezvous error frame instead of hanging the run.
 """
 
 from __future__ import annotations
@@ -473,9 +473,9 @@ class WorkerDaemon:
         r_specs: list = []
         try:
             # Writers dial out; readers claim accepted streams.  Either
-            # side of a pair may arrive first — dials retry with
-            # backoff, claims block on the broker — so rank dispatch
-            # order never matters.
+            # side of a pair may arrive first — every daemon already
+            # listens, and claims block on the broker — so rank
+            # dispatch order never matters.
             for spec in job["w_specs"]:
                 spec.conn = rendezvous.dial_channel(
                     tuple(spec.peer),

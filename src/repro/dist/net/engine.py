@@ -42,10 +42,12 @@ Per run, the coordinator:
    processes — a rank runs as soon as its daemon has built it, with no
    start barrier.  After a run whose ranks all reported, the
    connections are parked again; after a failed one they close;
-4. a daemon that dies mid-run drops its control streams without the
-   clean-close goodbye — surfaced by the collection loop as a worker
-   crash, hence :class:`~repro.errors.ProcessFailedError`, within the
-   crash-grace window rather than a hang.
+4. a daemon that is gone before the run refuses its control dial,
+   which fails the rank placed there at once; one that dies mid-run
+   drops its control streams without the clean-close goodbye —
+   surfaced by the collection loop as a worker crash.  Either way the
+   run raises :class:`~repro.errors.ProcessFailedError`, at once or
+   within the crash-grace window, never after a hang.
 
 Determinacy is engine-independent (Theorem 1): TCP neither reorders a
 stream nor bounds the channel (what the kernel will not take at once
@@ -68,7 +70,7 @@ from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec
 from repro.dist.engine import Collected, collect_results
 from repro.dist.net import rendezvous
-from repro.errors import RendezvousError
+from repro.errors import ProcessFailedError, RendezvousError
 from repro.runtime.system import RunResult, System
 from repro.util import is_constant
 
@@ -85,6 +87,9 @@ __all__ = [
 
 #: Loopback daemons a :class:`SocketEngine` without ``hosts`` spawns.
 LOOPBACK_DAEMONS = 2
+
+#: Seconds between readiness polls of a booting operator daemon.
+_BOOT_POLL = 0.05
 
 
 class _RemoteRank:
@@ -251,6 +256,26 @@ def spawn_loopback_daemons(
     return addrs, procs
 
 
+def _await_listening(addr: rendezvous.Address, timeout: float) -> None:
+    """Wait until the operator's daemon at ``addr`` answers a stats
+    ping, polling every :data:`_BOOT_POLL` seconds for up to ``timeout``
+    — the one retry of :mod:`repro.dist`: a daemon started by hand may
+    still be booting when its first run comes, while every later dial
+    to it is made once.  Raises the last
+    :class:`~repro.errors.RendezvousError` when time runs out."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            rendezvous.poll_stats(
+                addr, max(_BOOT_POLL, deadline - time.monotonic())
+            )
+            return
+        except RendezvousError:
+            if time.monotonic() + _BOOT_POLL > deadline:
+                raise
+        time.sleep(_BOOT_POLL)
+
+
 def stop_loopback_daemons(
     addrs: list[rendezvous.Address], procs: list[Any]
 ) -> None:
@@ -315,7 +340,9 @@ def run_assigned(
     failed run closes its own).  Failures — body exceptions, rendezvous
     failures, or a daemon dying mid-run (control-stream EOF without the
     goodbye) — raise :class:`~repro.errors.ProcessFailedError` for the
-    rank to blame (:meth:`~repro.dist.engine.Collected.blamed_rank`).
+    rank to blame (:meth:`~repro.dist.engine.Collected.blamed_rank`); a
+    control dial that fails blames the rank placed on that daemon, with
+    the :class:`~repro.errors.RendezvousError` as its ``original``.
     """
     t_start = time.perf_counter()
     nprocs = system.nprocs
@@ -331,9 +358,12 @@ def run_assigned(
         for p in system.processes:
             rank = p.rank
             token, constants = sets[rank]
-            stream = rendezvous.dial_control(
-                assign[rank], handshake_timeout, streams
-            )
+            try:
+                stream = rendezvous.dial_control(
+                    assign[rank], handshake_timeout, streams
+                )
+            except RendezvousError as exc:
+                raise ProcessFailedError(rank, exc) from exc
             parent_conns[stream] = rank
             procs.append(_RemoteRank(rank, assign[rank]))
             wire.send(
@@ -426,9 +456,11 @@ class SocketEngine:
         processes.  They live from the first run to :meth:`close`, the
         end of a ``with`` block or the engine's collection.
     handshake_timeout:
-        Upper bound, seconds, on every rendezvous step: control dials,
-        channel dials (with exponential-backoff retry), and broker
-        claims.  Exceeding it raises
+        Upper bound, seconds, on every rendezvous step: the wait for
+        ``hosts`` to listen at the first run (the one retry: an
+        operator's daemon may still be booting), control and channel
+        dials (one connect each: a refusal fails the rank placed there
+        at once), and broker claims.  Exceeding it raises
         :class:`~repro.errors.RendezvousTimeoutError` — never a hang.
     crash_grace:
         After the first rank failure, how long to wait for the rest to
@@ -459,10 +491,10 @@ class SocketEngine:
         self._observe = bool(observe)
         if isinstance(hosts, str):
             hosts = rendezvous.parse_hosts(hosts)
-        #: Operator-owned hosts from the start, else spawned on first use.
-        self._addrs: list[rendezvous.Address] | None = (
-            [tuple(h) for h in hosts] if hosts else None
-        )
+        #: Operator-owned hosts, else ``None``: spawn loopback daemons.
+        self._hosts = [tuple(h) for h in hosts] if hosts else None
+        #: The daemons runs go to, once they are known to listen.
+        self._addrs: list[rendezvous.Address] | None = None
         self._handshake_timeout = handshake_timeout
         self._crash_grace = crash_grace
         self._local_procs: list[Any] = []
@@ -477,12 +509,19 @@ class SocketEngine:
 
     @property
     def daemon_addresses(self) -> list[rendezvous.Address]:
-        """The daemons this engine dispatches to (spawning loopback
-        daemons on first use when none were configured)."""
+        """The daemons this engine dispatches to (on first use, waiting
+        for configured ones to listen, or spawning loopback daemons when
+        none were configured)."""
         return list(self._ensure_daemons())
 
     def _ensure_daemons(self) -> list[rendezvous.Address]:
-        if self._addrs is None:
+        if self._addrs is not None:
+            return self._addrs
+        if self._hosts is not None:
+            for addr in self._hosts:
+                _await_listening(addr, self._handshake_timeout)
+            self._addrs = self._hosts
+        else:
             self._addrs, self._local_procs = spawn_loopback_daemons(
                 LOOPBACK_DAEMONS, self._handshake_timeout
             )
@@ -496,9 +535,10 @@ class SocketEngine:
         engine-owned loopback daemons.  Idempotent; hosts passed in by
         the operator are left running."""
         self._streams.close()
+        self._addrs = None
         if self._release is not None:
             self._release()
-            self._release = self._addrs = None
+            self._release = None
             self._local_procs = []
 
     def __enter__(self) -> "SocketEngine":

@@ -123,10 +123,6 @@ _DIRECT_THRESHOLD = 1 << 14
 #: platform IOV_MAX (Linux: 1024).
 _IOV_CAP = 512
 
-#: ``sendmsg`` is POSIX; the (rare) platform without it falls back to
-#: one concatenated ``sendall`` per batch — still one logical write.
-_HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
-
 
 def _unsent(views: list, sent: int) -> list:
     """``views`` minus their first ``sent`` bytes (a short gather-write
@@ -229,35 +225,6 @@ class FrameStream:
 
     # -- write side ---------------------------------------------------------
 
-    def _gather(self, views: list) -> None:
-        """Write every buffer in ``views`` with as few syscalls as the
-        kernel allows, resuming exactly after short writes.
-
-        A peer that went away surfaces here as ``BrokenPipeError`` or
-        ``ConnectionResetError``; both map to
-        :class:`~repro.errors.TransportAbortError` so senders see the
-        same abort type receivers do.
-        """
-        pending = [v for v in views if len(v)]
-        try:
-            while pending:
-                sent = self._sock.sendmsg(pending[:_IOV_CAP])
-                self.send_syscalls += 1
-                self.bytes_sent += sent
-                pending = _unsent(pending, sent)
-        except (BrokenPipeError, ConnectionResetError) as exc:
-            raise _peer_hung_up() from exc
-
-    def _sendall(self, data) -> None:
-        """Fallback single-buffer write (no ``sendmsg`` on this
-        platform), with the same abort mapping."""
-        try:
-            self._sock.sendall(data)
-        except (BrokenPipeError, ConnectionResetError) as exc:
-            raise _peer_hung_up() from exc
-        self.send_syscalls += 1
-        self.bytes_sent += len(data)
-
     def _pack(self, frames: list) -> list:
         """Frame payloads as the byte views of their wire image: per
         frame a length prefix and the payload.  Prefixes live in the
@@ -292,11 +259,24 @@ class FrameStream:
 
     def send_views(self, views: list) -> None:
         """Blocking write of already-framed bytes — a :meth:`_pack`
-        image, or the tail :meth:`try_send_frames` could not place."""
-        if _HAS_SENDMSG:
-            self._gather(views)
-        else:  # pragma: no cover - non-POSIX fallback
-            self._sendall(b"".join(views))
+        image, or the tail :meth:`try_send_frames` could not place —
+        with as few syscalls as the kernel allows, resuming exactly
+        after short writes.
+
+        A peer that went away surfaces here as ``BrokenPipeError`` or
+        ``ConnectionResetError``; both map to
+        :class:`~repro.errors.TransportAbortError` so senders see the
+        same abort type receivers do.
+        """
+        pending = [v for v in views if len(v)]
+        try:
+            while pending:
+                sent = self._sock.sendmsg(pending[:_IOV_CAP])
+                self.send_syscalls += 1
+                self.bytes_sent += sent
+                pending = _unsent(pending, sent)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise _peer_hung_up() from exc
 
     def try_send_frames(self, frames: list) -> list:
         """Non-blocking :meth:`send_frames`: one ``sendmsg`` gather with
@@ -310,8 +290,6 @@ class FrameStream:
         other batches are packed.
         """
         views = self._pack(frames)
-        if not _HAS_SENDMSG:  # pragma: no cover - non-POSIX: all blocking
-            return [b"".join(views)]
         try:
             sent = self._sock.sendmsg(
                 views[:_IOV_CAP], (), socket.MSG_DONTWAIT

@@ -28,8 +28,9 @@ one *hello* frame that tags what the session is::
                                       becomes a ping/pong telemetry
                                       stream (each ("ping", seq) frame
                                       is answered with ("pong", seq,
-                                      stats-dict)) — one-shot pollers
-                                      send a single ping
+                                      stats-dict); :func:`ping_stats`
+                                      is the one asker) — one-shot
+                                      pollers send a single ping
                                       (:func:`poll_stats`), fleet
                                       schedulers keep it open as the
                                       heartbeat wire
@@ -46,23 +47,26 @@ read — so a reader that is still finishing, or a peer that died, never
 sees the next session's hello; anything else closes it, and a new
 connection is dialled in its place.
 
+A new connection is dialled once (:func:`_hello`): every daemon a run
+names is listening before the run starts — a loopback daemon reports
+its address only after its ``listen()``, and the socket engine waits
+for an operator's hosts once, at first use — so a refused dial means a
+dead daemon, and it is an immediate
+:class:`~repro.errors.RendezvousError` naming ``host:port``.  Whoever
+dialled decides what follows (a failed rank, a fleet's re-placement on
+the survivors), never a wait for a daemon that is gone.
+
 Ordering is the interesting part: the writer's dial can land before the
 reader's job frame has even arrived at its daemon (the coordinator
-dispatches ranks one at a time).  Two mechanisms absorb every race:
-
-* :func:`connect_retry` retries refused/unreachable dials with
-  exponential backoff until the handshake deadline — so a daemon that
-  is still booting, or briefly behind a full accept queue, costs
-  latency, not correctness;
-* the reader side's :class:`ChannelBroker` is a rendezvous table keyed
-  by ``(job_id, channel_name)``: data sessions are *offered* as their
-  hello arrives (buffered if the claimant is not ready), and the rank's
-  setup *claims* them, blocking up to the handshake timeout.  Either
-  party may be first; ``job_id`` keeps streams of back-to-back runs
-  from cross-matching.
-
-A handshake that cannot complete inside the timeout raises
-:class:`~repro.errors.RendezvousTimeoutError` — never a silent hang.
+dispatches ranks one at a time).  The reader side's
+:class:`ChannelBroker` absorbs every such race: a rendezvous table keyed
+by ``(job_id, channel_name)``, where data sessions are *offered* as
+their hello arrives (buffered if the claimant is not ready), and the
+rank's setup *claims* them, blocking up to the handshake timeout.
+Either party may be first; ``job_id`` keeps streams of back-to-back
+runs from cross-matching.  A claim that cannot complete inside the
+timeout raises :class:`~repro.errors.RendezvousTimeoutError` — never a
+silent hang.
 """
 
 from __future__ import annotations
@@ -85,10 +89,10 @@ __all__ = [
     "Address",
     "parse_hosts",
     "assign_ranks",
-    "connect_retry",
     "dial_channel",
     "dial_control",
     "dial_stats",
+    "ping_stats",
     "poll_stats",
     "request_shutdown",
     "ChannelBroker",
@@ -105,11 +109,6 @@ HELLO_CONTROL = "control"
 HELLO_DATA = "data"
 HELLO_STATS = "stats"
 HELLO_SHUTDOWN = "shutdown"
-
-#: First and largest retry sleep, seconds (exponential: 10 ms, 20, 40,
-#: ... capped at _BACKOFF_MAX, until the deadline).
-_BACKOFF_FIRST = 0.01
-_BACKOFF_MAX = 0.5
 
 #: Idle connections a :class:`StreamPool` keeps per daemon address; one
 #: parked beyond them is closed.
@@ -147,32 +146,6 @@ def assign_ranks(nprocs: int, daemons: list[Address]) -> list[Address]:
     return [daemons[r % len(daemons)] for r in range(nprocs)]
 
 
-def connect_retry(
-    addr: Address, timeout: float, what: str = "daemon"
-) -> socket.socket:
-    """TCP-connect with exponential backoff until ``timeout`` expires.
-
-    Refused and unreachable errors are retried (the listener may still
-    be booting); anything else propagates immediately.
-    """
-    deadline = time.monotonic() + timeout
-    delay = _BACKOFF_FIRST
-    last: Exception | None = None
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise RendezvousTimeoutError(
-                f"could not connect to {what} at {addr[0]}:{addr[1]} "
-                f"within {timeout:.1f}s (last error: {last})"
-            )
-        try:
-            return socket.create_connection(addr, timeout=min(remaining, 5.0))
-        except (ConnectionRefusedError, ConnectionResetError, OSError) as exc:
-            last = exc
-        time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
-        delay = min(delay * 2, _BACKOFF_MAX)
-
-
 def _hello(
     addr: Address,
     payload: tuple,
@@ -193,7 +166,14 @@ def _hello(
         stream = pool.take(addr) if pool is not None else None
         fresh = stream is None
         if fresh:
-            stream = FrameStream(connect_retry(addr, timeout, what))
+            try:
+                sock = socket.create_connection(addr, timeout=timeout)
+            except OSError as exc:
+                raise RendezvousError(
+                    f"could not connect to {what} at {addr[0]}:{addr[1]}: "
+                    f"{exc}"
+                ) from exc
+            stream = FrameStream(sock)
         try:
             wire.send(stream, payload)
         except (TransportError, OSError) as exc:
@@ -237,53 +217,60 @@ def dial_channel(
 
 
 def dial_stats(addr: Address, timeout: float) -> FrameStream:
-    """Monitor side: open a persistent ping/pong telemetry stream.
-
-    The returned stream speaks the stats protocol: send ``("ping",
-    seq)`` frames, receive ``("pong", seq, stats)`` replies.  Fleet
-    heartbeats hold one of these open per daemon.
-    """
+    """Monitor side: open a persistent ping/pong telemetry stream, for
+    :func:`ping_stats` to ask over.  Fleet heartbeats hold one of these
+    open per daemon."""
     return _hello(addr, (HELLO_STATS,), timeout, "worker daemon")
+
+
+def ping_stats(
+    stream: FrameStream, addr: Address, seq: int, timeout: float
+) -> dict:
+    """Send ``("ping", seq)`` on the stats stream to ``addr`` and return
+    the stats dict of its ``("pong", seq, stats)`` reply.
+
+    Anything else — a stream that breaks or closes (a dial can win a
+    race with a closing daemon), no reply within ``timeout``, a reply of
+    any other shape — raises :class:`~repro.errors.RendezvousError`
+    naming ``addr``, and the stream is no longer fit for pinging.
+    """
+    from repro.dist import wire
+
+    where = f"{addr[0]}:{addr[1]}"
+    try:
+        wire.send(stream, ("ping", seq))
+        answered = stream.poll(timeout)
+        reply = wire.recv(stream) if answered else None
+    except (EOFError, TransportError, OSError) as exc:
+        raise RendezvousError(
+            f"stats stream to {where} broke at ping {seq}: {exc}"
+        ) from exc
+    if not answered:
+        raise RendezvousTimeoutError(
+            f"daemon at {where} did not answer stats ping {seq} within "
+            f"{timeout:.1f}s"
+        )
+    if (
+        type(reply) is not tuple
+        or tuple(map(type, reply)) != (str, int, dict)
+        or reply[:2] != ("pong", seq)
+    ):
+        raise RendezvousError(
+            f"daemon at {where} answered stats ping {seq} with "
+            f"{reply!r:.80}"
+        )
+    return reply[2]
 
 
 def poll_stats(addr: Address, timeout: float = 5.0) -> dict:
     """One-shot remote :meth:`~repro.dist.net.daemon.WorkerDaemon.stats`
-    snapshot: dial, ping once, return the stats dict.
-
-    Raises :class:`~repro.errors.RendezvousError` (or a subclass) when
-    the daemon cannot be reached or does not answer within ``timeout``.
-    """
-    from repro.dist import wire
-
-    deadline = time.monotonic() + timeout
+    snapshot: dial, ping once, close.  Raises
+    :class:`~repro.errors.RendezvousError` (or a subclass) when the
+    daemon cannot be reached or does not answer a pong within
+    ``timeout``."""
     stream = dial_stats(addr, timeout)
     try:
-        try:
-            # The dial can win a race with a closing daemon: the TCP
-            # connect succeeds, then the first write hits the reset.
-            wire.send(stream, ("ping", 0))
-        except (TransportError, OSError) as exc:
-            raise RendezvousError(
-                f"stats stream to {addr[0]}:{addr[1]} closed before the "
-                f"ping could be sent"
-            ) from exc
-        if not stream.poll(max(0.0, deadline - time.monotonic())):
-            raise RendezvousTimeoutError(
-                f"daemon at {addr[0]}:{addr[1]} did not answer a stats "
-                f"ping within {timeout:.1f}s"
-            )
-        try:
-            reply = wire.recv(stream)
-        except (EOFError, TransportError, OSError) as exc:
-            raise RendezvousError(
-                f"stats stream to {addr[0]}:{addr[1]} closed mid-poll"
-            ) from exc
-        if reply[0] != "pong" or reply[1] != 0:
-            raise RendezvousError(
-                f"unexpected stats reply from {addr[0]}:{addr[1]}: "
-                f"{reply[0]!r}"
-            )
-        return reply[2]
+        return ping_stats(stream, addr, 0, timeout)
     finally:
         stream.close()
 

@@ -4,6 +4,8 @@ exhausted retries, admission control, elastic capacity, and drain
 shutdown — all over real loopback daemons."""
 
 import multiprocessing
+import socket
+import struct
 import threading
 import time
 
@@ -15,12 +17,13 @@ from repro.dist.engine import WorkerCrashError
 from repro.dist.fleet import (
     DaemonState,
     FleetScheduler,
+    HeartbeatMonitor,
     ServerClosedError,
     elastic_capacity,
     least_loaded,
-    probe_stats,
 )
 from repro.dist.net.daemon import WorkerDaemon
+from repro.dist.net.frames import FrameStream
 from repro.dist.net.rendezvous import dial_control, poll_stats
 from repro.errors import (
     ProcessFailedError,
@@ -89,13 +92,87 @@ def test_poll_stats_unreachable_daemon_raises():
         poll_stats(addr, timeout=1.0)
 
 
-def test_probe_stats_fail_fast():
+def test_poll_stats_fails_fast():
     with WorkerDaemon() as daemon:
         addr = daemon.address
-        assert probe_stats(addr, timeout=2.0)["ranks_active"] == 0
+        assert poll_stats(addr, timeout=2.0)["ranks_active"] == 0
     t0 = time.monotonic()
-    assert probe_stats(addr, timeout=2.0) is None
+    with pytest.raises(RendezvousError, match=f"{addr[0]}:{addr[1]}"):
+        poll_stats(addr, timeout=30.0)
     assert time.monotonic() - t0 < 1.0  # refused connect, no retry loop
+
+
+def _answer_pings_with(reply: bytes):
+    """A listener that reads each connection's hello and ping, then
+    answers ``reply`` (raw bytes) and hangs up; its address and a stop."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    done = threading.Event()
+
+    def serve():
+        while not done.is_set():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                continue
+            with conn:
+                stream = FrameStream(conn)
+                try:
+                    wire.recv(stream)  # the hello
+                    wire.recv(stream)  # the ping
+                    conn.sendall(reply)
+                except (EOFError, OSError, TransportAbortError):
+                    pass
+        listener.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+
+    def stop():
+        done.set()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    return listener.getsockname(), stop
+
+
+def _framed(value) -> bytes:
+    a, b = socket.socketpair()
+    with a, b:
+        wire.send(FrameStream(a), value)
+        return b.recv(1 << 16)
+
+
+MALFORMED_PONGS = {
+    "short tuple": lambda: _framed(("pong",)),
+    "not a tuple": lambda: _framed(5),
+    "truncated frame": lambda: struct.pack(">Q", 100) + b"pong",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PONGS))
+def test_a_malformed_pong_is_a_rendezvous_error_and_a_counted_miss(name):
+    addr, stop = _answer_pings_with(MALFORMED_PONGS[name]())
+    try:
+        with pytest.raises(RendezvousError, match=f"{addr[0]}:{addr[1]}"):
+            poll_stats(addr, timeout=2.0)
+        daemon = DaemonState(address=addr, capacity=1, floor=1)
+        monitor = HeartbeatMonitor(
+            [daemon], threading.Condition(), interval=0.02,
+            miss_threshold=2, ping_timeout=1.0,
+        )
+        monitor.beat(daemon)
+        assert (daemon.misses, daemon.alive) == (1, True)
+        monitor.start()
+        deadline = time.monotonic() + 10.0
+        while daemon.misses < 4 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        alive = monitor._thread.is_alive()
+        monitor.stop()
+    finally:
+        stop()
+    assert daemon.misses >= 4 and not daemon.alive
+    assert alive  # the heartbeat thread outlived every bad pong
 
 
 def test_stats_stream_is_persistent():
@@ -295,8 +372,11 @@ def _wait_for_inflight(sched, deadline_s=15.0):
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:
         for addr in sched.daemon_addresses:
-            stats = probe_stats(addr, timeout=1.0)
-            if stats and stats.get("ranks_active", 0) > 0:
+            try:
+                stats = poll_stats(addr, timeout=1.0)
+            except RendezvousError:
+                continue
+            if stats["ranks_active"] > 0:
                 return True
         time.sleep(0.02)
     return False

@@ -17,10 +17,11 @@ from repro.dist.channels import EndpointSpec, SocketChannel
 from repro.dist.net.daemon import WorkerDaemon
 from repro.dist.net.feeder import SendFeeder
 from repro.dist.net.frames import FrameStream
+from repro.dist.net.engine import spawn_loopback_daemons, stop_loopback_daemons
 from repro.dist.net.rendezvous import (
     ChannelBroker,
     assign_ranks,
-    connect_retry,
+    dial_control,
     parse_hosts,
 )
 from repro.errors import (
@@ -192,15 +193,20 @@ def test_assign_ranks_round_robin():
         assign_ranks(2, [])
 
 
-def test_connect_retry_times_out_quickly():
+def free_port() -> int:
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
-    dead_addr = probe.getsockname()
+    port = probe.getsockname()[1]
     probe.close()  # nothing listens here any more
+    return port
+
+
+def test_a_refused_dial_fails_at_once_naming_the_address():
+    dead_addr = ("127.0.0.1", free_port())
     t0 = time.monotonic()
-    with pytest.raises(RendezvousTimeoutError):
-        connect_retry(dead_addr, timeout=0.3)
-    assert time.monotonic() - t0 < 5.0
+    with pytest.raises(RendezvousError, match=f"127.0.0.1:{dead_addr[1]}"):
+        dial_control(dead_addr, timeout=30.0)
+    assert time.monotonic() - t0 < 1.0  # one connect, no retry loop
 
 
 def test_broker_offer_then_claim_and_claim_then_offer():
@@ -357,8 +363,8 @@ def test_socket_engine_close_stops_loopback_daemons():
     for proc in procs:
         assert not proc.is_alive()
     for addr in addrs:
-        with pytest.raises(RendezvousTimeoutError):
-            connect_retry(addr, timeout=0.2)
+        with pytest.raises(RendezvousError):
+            dial_control(addr, timeout=0.2)
 
 
 def test_a_dropped_socket_engine_stops_its_loopback_daemons():
@@ -404,6 +410,51 @@ def test_socket_engine_traces():
     assert trace.validate() == []
     assert len(trace.send_recv_pairs()) == 12
     assert trace.events == trace.by_clock().events
+
+
+def test_a_warm_run_against_a_killed_operator_daemon_fails_at_once():
+    """The killed daemon's control dial is refused: the rank placed
+    there fails as a ProcessFailedError naming the address, with no
+    wait for the handshake timeout."""
+    addrs, procs = spawn_loopback_daemons(2)
+    engine = make_engine(
+        "socket", hosts=",".join(f"{h}:{p}" for h, p in addrs),
+        handshake_timeout=30.0,
+    )
+    try:
+        engine.run(stencil_ring())
+        procs[1].kill()
+        procs[1].join()
+        t0 = time.monotonic()
+        with pytest.raises(ProcessFailedError) as failure:
+            engine.run(stencil_ring())
+        elapsed = time.monotonic() - t0
+    finally:
+        engine.close()
+        stop_loopback_daemons(addrs, procs)
+    assert elapsed < 1.0
+    assert failure.value.rank in (1, 3)  # a rank placed on the dead daemon
+    assert isinstance(failure.value.original, RendezvousError)
+    assert f"{addrs[1][0]}:{addrs[1][1]}" in str(failure.value)
+
+
+def test_an_operator_daemon_still_booting_is_waited_for():
+    """A host that starts listening after the engine's first run() began
+    is served: the engine waits for each operator host once."""
+    port = free_port()
+    daemon = WorkerDaemon("127.0.0.1", port)
+    late = threading.Timer(0.5, daemon.start)
+    engine = make_engine("socket", hosts=f"127.0.0.1:{port}")
+    late.start()
+    try:
+        result = engine.run(stencil_ring())
+    finally:
+        late.join(timeout=5.0)
+        engine.close()
+        daemon.stop()
+    reference = ThreadedEngine().run(stencil_ring())
+    assert result.returns == reference.returns
+    assert daemon.jobs_run == 4
 
 
 def test_external_daemon_hosts_and_shared_daemon():

@@ -95,6 +95,16 @@ GONE = [
         r"|serve/jobs_",
         ALL, "382edb6: numbers nothing read", (), 'stats["queue_depth_hwm"]',
     ),
+    Gone(
+        r"connect_retry|probe_stats|_BACKOFF_(FIRST|MAX)",
+        ALL, "dial once: the dial backoff and a second stats ping", (),
+        "sock = connect_retry(addr, timeout)",
+    ),
+    Gone(
+        r"_HAS_SENDMSG|_sendall",
+        CODE, "dial once: the send fallback without sendmsg", (),
+        "if _HAS_SENDMSG:",
+    ),
 ]
 
 

@@ -111,9 +111,6 @@ EXEMPT = {
     "repro.archetypes.mesh.skeleton:MeshProgramBuilder.declare_host_only": (
         "paper", LIBRARY, "file I/O and global bookkeeping on the HOST"
     ),
-    "repro.dist.net.rendezvous:poll_stats": (
-        "deferred", "DESIGN.md", "`rendezvous.poll_stats` is deferred"
-    ),
 }
 
 
