@@ -16,7 +16,15 @@ This module implements exactly that structure:
 * **equivalent currents** at each surface node: ``J = n x H`` and
   ``M = -n x E`` (components sampled at the node — no staggered-grid
   interpolation, a documented simplification that preserves the
-  double-sum structure the experiment is about);
+  double-sum structure the experiment is about).  A face normal is
+  ``+-e_a``, so each current component is one signed field value
+  (``+-H_b``, ``+-E_b``) or zero, and the accumulator gathers the
+  signed values instead of evaluating the cross product.  For finite
+  fields that is bitwise the cross product's sum: a sign flip is exact,
+  and a zero addend, of either sign, leaves a bin unchanged, because a
+  potential starts at +0.0 and a round-to-nearest sum never turns it
+  into -0.0.  A NaN or infinite field value no longer reaches the
+  normal component, where the cross product's ``0 * v`` made it NaN;
 * per observation direction ``r_hat``, a **retarded accumulation**:
   the step-``n`` contribution of point ``p`` lands in time bin
   ``n + delay(p)`` with ``delay = round(r_hat . (p - center) / (c0 dt))``
@@ -64,8 +72,33 @@ _FIELDS = ("hx", "hy", "hz", "ex", "ey", "ez")
 #: contract between sequential and parallel versions.
 FACE_ORDER = [(0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)]
 
-#: Unit normal of each face in FACE_ORDER.
-_FACE_NORMALS = np.array([_NORMALS[face] for face in FACE_ORDER])
+
+def _face_terms() -> tuple:
+    """Per face in FACE_ORDER, the two current components that are not
+    identically zero, as ``(component, field row, sign)`` in component
+    order.
+
+    ``(n x v)_c = n_{c+1} v_{c+2} - n_{c+2} v_{c+1}``: with ``n = s e_a``
+    one term survives for each ``c != a`` (``s v_{a+1}`` at ``c = a -
+    1``, ``-s v_{a+2}`` at ``c = a + 1``) and none for ``c = a``.
+    """
+    terms = []
+    for axis, side in FACE_ORDER:
+        n = _NORMALS[(axis, side)].tolist()
+        terms.append(
+            tuple(
+                (c, (c + 2) % 3, n[(c + 1) % 3])
+                if n[(c + 1) % 3]
+                else (c, (c + 1) % 3, -n[(c + 2) % 3])
+                for c in range(3)
+                if c != axis
+            )
+        )
+    return tuple(terms)
+
+
+#: ``(component, field row, sign)`` of each face's nonzero currents.
+_FACE_TERMS = _face_terms()
 
 
 def default_directions() -> np.ndarray:
@@ -277,54 +310,62 @@ class NTFFAccumulator:
                 f"NTFF fields have shapes {[f.shape for f in fields]}, the "
                 f"accumulator gathers from arrays of shape {self.shape}"
             )
-        scatter, dA, na, nb, gathered, lhs, rhs, values = self._work_arrays()
-        np.stack([f.take(self._gather) for f in fields], out=gathered)
-        # np.cross's elementwise arithmetic for every point at once, v = H
-        # then E: (n x v)_c = n_{c+1} v_{c+2} - n_{c+2} v_{c+1}.  The roll
-        # indices are in range; mode="clip" skips take's buffered ``out``.
-        v = gathered.reshape(2, 3, self.npoints)
-        np.take(v, [2, 0, 1], axis=1, out=lhs, mode="clip")
-        np.take(v, [1, 2, 0], axis=1, out=rhs, mode="clip")
-        np.multiply(na, lhs, out=lhs)
-        np.multiply(nb, rhs, out=rhs)
-        np.subtract(lhs, rhs, out=lhs)
-        np.negative(lhs[1], out=lhs[1])  # J = n x H, M = -n x E
-        # One copy of the currents times dA per direction, J then M.
-        np.multiply(lhs[0], dA, out=values)
-        _scatter_add(A, 3 * step, scatter, values.reshape(-1))
-        np.multiply(lhs[1], dA, out=values)
-        _scatter_add(F, 3 * step, scatter, values.reshape(-1))
+        scatter, takes, coef, current, values = self._work_arrays()
+        # Each current component is one signed field value times dA
+        # (module docstring): per face and term, one take of that field.
+        for row, where, j, m in takes:
+            fields[row].take(where, out=j, mode="clip")  # in range: no buffer
+            fields[row + 3].take(where, out=m, mode="clip")
+        np.multiply(current, coef, out=current)
+        for potential, addends in zip((A, F), current):
+            np.copyto(values, addends)  # once per direction
+            _scatter_add(potential, 3 * step, scatter, values.reshape(-1))
         if step == self.steps - 1:
             self._work = None  # a finished run keeps no work arrays
 
     def _work_arrays(self) -> tuple:
-        """The scatter index, the per-point area element and rolled
-        normals, and the per-step buffers, built on first use.
+        """The scatter index, the bound takes and signed area elements
+        of every current component that is not identically zero, and
+        the per-step buffers, built on first use.
 
-        The scatter index addresses a flat ``(ndirs, nbins, 3)`` potential
-        at ``(d * nbins + delay) * 3 + c`` for step 0, laid out
-        (direction, component, point), so each ``(d, bin, c)`` meets its
-        addends in point order; step ``n`` shifts the flat potential by
-        ``3 * n``.  The buffers are fully overwritten every step, so one
-        accumulator must not be run by two threads at once (each rank
-        has its own).  They live from a run's first step to its last
-        (``steps - 1``): an idle accumulator, kept between runs or
-        resident in a worker, holds none.
+        A point has two such components (:data:`_FACE_TERMS`).  Their
+        addends are laid out (face, term, point): per face and term one
+        ``take`` of one field (H for J, E for M) into a contiguous piece
+        of ``current``, times the term's sign and dA (``M = -n x E``
+        flips it again).  The scatter index addresses a flat ``(ndirs,
+        nbins, 3)`` potential at ``(d * nbins + delay) * 3 + c`` for step
+        0, laid out (direction, face, term, point): a face has one term
+        per ``c``, so each ``(d, bin, c)`` meets its addends in point
+        order; step ``n`` shifts the flat potential by ``3 * n``.  The
+        buffers are fully overwritten every step, so one accumulator
+        must not be run by two threads at once (each rank has its own).
+        They live from a run's first step to its last (``steps - 1``):
+        an idle accumulator, kept between runs or resident in a worker,
+        holds none.
         """
         if self._work is None:
             ndirs, n = self._delays.shape
+            current = np.empty((2, 2 * n))
+            # Points are concatenated face by face: face f owns [lo, hi),
+            # and its two terms fill [2 lo, lo + hi) and [lo + hi, 2 hi).
+            bounds = np.searchsorted(self._face, np.arange(len(FACE_ORDER) + 1))
+            takes, point, comp, coef = [], [], [], []
+            for face, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                where = self._gather[lo:hi]
+                for base, (c, row, sign) in zip((lo, hi), _FACE_TERMS[face]):
+                    j, m = current[:, base + lo : base + hi]
+                    takes.append((row, where, j, m))
+                    point.append(np.arange(lo, hi))
+                    comp.append(np.full(hi - lo, c))
+                    coef.append(np.full(hi - lo, sign * self._face_dA[face]))
+            point, comp, coef = (np.concatenate(a) for a in (point, comp, coef))
             bins = (np.arange(ndirs)[:, None] * self.nbins + self._delays) * 3
-            scatter = (bins[:, None, :] + np.arange(3)[:, None]).ravel()
-            normals = _FACE_NORMALS[self._face].T  # (3, npoints)
             self._work = (
-                scatter,
-                self._face_dA[self._face],
-                normals[[1, 2, 0]],
-                normals[[2, 0, 1]],
-                np.empty((6, n)),
-                np.empty((2, 3, n)),
-                np.empty((2, 3, n)),
-                np.empty((ndirs, 3, n)),
+                (bins[:, point] + comp).ravel(),
+                takes,
+                np.stack([coef, -coef]),
+                current,
+                np.empty((ndirs, 2 * n)),
             )
         return self._work
 
@@ -348,7 +389,18 @@ def _scatter_add(target: np.ndarray, shift: int, index, values) -> None:
     docstring.  A flat view is the fast 1-D path; when ``target``'s
     strides allow none, ``reshape`` copies and the sums are written
     back, never left in the copy.
+
+    ``index`` and ``values`` must be 1-D and of one length
+    (:class:`~repro.errors.GeometryError` otherwise): NumPy 2.4.6's
+    ``np.add.at`` with a 2-D index and 1-D values does not refuse them
+    but writes garbage: ``np.add.at(t, [[0, 1], [5, 6]], [1., 2.])``
+    leaves arbitrary values (1e+209 in one run) in ``t[5:7]``.
     """
+    if not (np.ndim(index) == np.ndim(values) == 1 and len(index) == len(values)):
+        raise GeometryError(
+            f"far-field scatter needs a 1-D index and 1-D values of one "
+            f"length, got shapes {np.shape(index)} and {np.shape(values)}"
+        )
     flat = target.reshape(-1)
     np.add.at(flat[shift:], index, values)
     if not np.may_share_memory(flat, target):

@@ -12,7 +12,8 @@ What a step does to its arrays never changes between steps: the same
 regions, strides and slabs, the same Mur faces, the same driven nodes.
 So at its first step a pass binds all of it into a :class:`StepPlan`:
 every flat-path kernel piece as operand, scratch and ``copyto`` views
-(:func:`~repro.apps.fdtd.update.bind_curl`), the low-fill pieces as
+(:func:`~repro.apps.fdtd.update.bind_curl`), ordered slab-major across
+a half-step's pieces, the low-fill pieces as
 ready ``curl_update`` arguments, Mur's face and inward views with their
 previous-step planes, and each source's target view.  A step then runs
 only ufuncs and ``copyto``s on bound views, so its fixed cost per call
@@ -28,6 +29,7 @@ into its segment.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Mapping
 
 import numpy as np
@@ -45,9 +47,14 @@ __all__ = ["RankPass", "StepPlan"]
 
 
 def _bind_half(arrays, step_pass: "RankPass", half: str):
-    """One half-step's flat-path slabs, and the ``curl_update``
-    arguments of its pieces that take the reference expression."""
-    slabs, reference = [], []
+    """One half-step's flat-path slabs, slab-major — slab k of every
+    piece before slab k+1 of any — and the ``curl_update`` arguments of
+    its pieces that take the reference expression.
+
+    The pieces write disjoint cells and read only the other field, so
+    any interleaving of their slabs is bitwise the same half-step; this
+    one keeps the planes a slab reads in cache for the next piece's."""
+    pieces, reference = [], []
     for args in curl_pieces(
         arrays, step_pass.regions, step_pass.inv_spacing, half
     ):
@@ -55,7 +62,10 @@ def _bind_half(arrays, step_pass: "RankPass", half: str):
         if bound is None:
             reference.append(args)
         else:
-            slabs += bound
+            pieces.append(bound)
+    slabs = [
+        slab for row in zip_longest(*pieces) for slab in row if slab is not None
+    ]
     return slabs, reference
 
 

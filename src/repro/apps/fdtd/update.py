@@ -128,15 +128,33 @@ def shift_region(region: tuple[slice, ...], axis: int, delta: int) -> tuple[slic
     return tuple(out)
 
 
-#: Elements per scratch buffer (512 KB of float64): an x-slab of the
-#: flat kernel is as many whole planes as fit.  Fixed by the threaded
-#: engine, not by the bare loop: 16K elements is faster single-threaded
-#: (``near_large`` sequential 57 -> 49 ms), but every extra ufunc call
-#: costs two ranks sharing the GIL a cross-core hand-off (~3 us), and at
-#: 16K the threaded run goes 70 -> 107 ms.  64K keeps most of the
-#: sequential gain over unblocked (4.2 -> 3.4 ms per 49^3 step) at two
-#: slabs per call, which the threaded engine does not feel.
-_BLOCK = 65536
+#: Elements per scratch buffer (256 KB of float64): an x-slab of the
+#: flat kernel is as many whole planes as fit.  A half-step runs its
+#: three components slab-major (:class:`~repro.apps.fdtd.step.StepPlan`:
+#: slab k of ``ex``, ``ey``, ``ez`` before slab k+1 of any), so the
+#: operand planes one component reads are still in L2 for the next.
+#: Fixed by rotated rounds of the suite's ``near_large`` (2-core box,
+#: 2 MB of L2 per core): medians in host-adjusted ms over 10 rounds,
+#: then each variant against the first row over 5 rounds.
+#:
+#: ==================  ==========  =======  ========  ======
+#: order, block        sequential  mp_pool  threaded  socket
+#: ==================  ==========  =======  ========  ======
+#: by component, 64K   45.8        37.9     39.6      41.4
+#: slab-major, 32K     39.8        33.5     38.2      37.2
+#: slab-major, 24K     -9 %        -7 %     +2 %      -7 %
+#: slab-major, 48K     -11 %       -13 %    -5 %      -10 %
+#: slab-major, 64K     -5 %        -4 %     -2 %      -7 %
+#: by component, 16K   -8 %        -11 %    +13 %     -14 %
+#: ==================  ==========  =======  ========  ======
+#:
+#: Every extra ufunc call costs two threaded ranks sharing the GIL a
+#: cross-core hand-off, which is what a small block loses; a large one
+#: evicts the shared planes before the next component reads them.  48K
+#: ties 32K except on ``threaded``, and 32K holds less scratch.  No
+#: branch on the engine; if a host regresses ``run_ms.threaded``,
+#: enlarge the block.
+_BLOCK = 32768
 
 
 class KernelScratch:

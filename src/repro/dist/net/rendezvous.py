@@ -230,26 +230,45 @@ def ping_stats(
     the stats dict of its ``("pong", seq, stats)`` reply.
 
     Anything else — a stream that breaks or closes (a dial can win a
-    race with a closing daemon), no reply within ``timeout``, a reply of
-    any other shape — raises :class:`~repro.errors.RendezvousError`
-    naming ``addr``, and the stream is no longer fit for pinging.
+    race with a closing daemon), no whole reply within ``timeout``, a
+    reply of any other shape — raises
+    :class:`~repro.errors.RendezvousError` naming ``addr``, and the
+    stream is no longer fit for pinging.  ``timeout`` bounds the whole
+    exchange, not just the reply's first byte: at the deadline a timer
+    hangs the stream up (:meth:`FrameStream.shutdown` wakes the blocked
+    read), so a peer that sends part of a frame and then goes quiet
+    costs ``timeout`` too.  That is a
+    :class:`~repro.errors.RendezvousTimeoutError`, and the stream is
+    closed.
     """
     from repro.dist import wire
 
     where = f"{addr[0]}:{addr[1]}"
+    # Taken by whichever comes first: the end of the read, or the timer.
+    first = threading.Lock()
+    late = threading.Timer(
+        timeout, lambda: first.acquire(blocking=False) and stream.shutdown()
+    )
+    late.daemon = True
+    late.start()
+    broke = None
     try:
         wire.send(stream, ("ping", seq))
-        answered = stream.poll(timeout)
-        reply = wire.recv(stream) if answered else None
+        reply = wire.recv(stream)
     except (EOFError, TransportError, OSError) as exc:
-        raise RendezvousError(
-            f"stats stream to {where} broke at ping {seq}: {exc}"
-        ) from exc
-    if not answered:
+        broke = exc
+    finally:
+        late.cancel()
+    if not first.acquire(blocking=False):
+        stream.close()
         raise RendezvousTimeoutError(
             f"daemon at {where} did not answer stats ping {seq} within "
             f"{timeout:.1f}s"
         )
+    if broke is not None:
+        raise RendezvousError(
+            f"stats stream to {where} broke at ping {seq}: {broke}"
+        ) from broke
     if (
         type(reply) is not tuple
         or tuple(map(type, reply)) != (str, int, dict)

@@ -28,6 +28,7 @@ from repro.dist.net.rendezvous import dial_control, poll_stats
 from repro.errors import (
     ProcessFailedError,
     RendezvousError,
+    RendezvousTimeoutError,
     TransportAbortError,
 )
 from repro.runtime import ProcessSpec, System, ThreadedEngine
@@ -102,9 +103,11 @@ def test_poll_stats_fails_fast():
     assert time.monotonic() - t0 < 1.0  # refused connect, no retry loop
 
 
-def _answer_pings_with(reply: bytes):
+def _answer_pings_with(reply: bytes, hold: bool = False):
     """A listener that reads each connection's hello and ping, then
-    answers ``reply`` (raw bytes) and hangs up; its address and a stop."""
+    answers ``reply`` (raw bytes) and hangs up — or, with ``hold``,
+    keeps the connection open and silent until stopped; its address and
+    a stop."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.1)
     done = threading.Event()
@@ -121,6 +124,8 @@ def _answer_pings_with(reply: bytes):
                     wire.recv(stream)  # the hello
                     wire.recv(stream)  # the ping
                     conn.sendall(reply)
+                    if hold:
+                        done.wait()
                 except (EOFError, OSError, TransportAbortError):
                     pass
         listener.close()
@@ -173,6 +178,33 @@ def test_a_malformed_pong_is_a_rendezvous_error_and_a_counted_miss(name):
         stop()
     assert daemon.misses >= 4 and not daemon.alive
     assert alive  # the heartbeat thread outlived every bad pong
+
+
+def test_a_stalled_partial_pong_times_out_and_is_a_counted_miss():
+    # The reply starts (a length prefix and 4 of its 100 bytes) and the
+    # connection stays open: the timeout bounds the whole reply, not
+    # just its first byte, and the heartbeat thread is not stuck on it.
+    addr, stop = _answer_pings_with(struct.pack(">Q", 100) + b"pong", hold=True)
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(RendezvousTimeoutError, match=f"{addr[0]}:{addr[1]}"):
+            poll_stats(addr, timeout=1.0)
+        assert time.monotonic() - t0 < 2.0
+        daemon = DaemonState(address=addr, capacity=1, floor=1)
+        monitor = HeartbeatMonitor(
+            [daemon], threading.Condition(), interval=0.02,
+            miss_threshold=2, ping_timeout=0.3,
+        )
+        monitor.start()
+        deadline = time.monotonic() + 10.0
+        while daemon.misses < 3 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        alive = monitor._thread.is_alive()
+        monitor.stop()
+    finally:
+        stop()
+    assert daemon.misses >= 3 and not daemon.alive
+    assert alive
 
 
 def test_stats_stream_is_persistent():

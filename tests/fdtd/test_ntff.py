@@ -391,3 +391,128 @@ class TestBatchedAccumulationOracle:
             copy.accumulate(arrays, step)
         assert bitwise_equal_arrays(copy.A, acc.A)
         assert bitwise_equal_arrays(copy.F, acc.F)
+
+
+# -- oracle: the cross product the signed-field gather replaced ---------------
+
+
+def cross_product_reference(acc, field_steps):
+    """The accumulation as it was before the currents became signed
+    field values: ``np.cross``'s arithmetic for every point at once,
+    ``(n x v)_c = n_{c+1} v_{c+2} - n_{c+2} v_{c+1}``, ``J = n x H``,
+    ``M = -n x E``, times dA, one copy per direction, scattered
+    (direction, component, point).  Returns ``(A, F)``."""
+    from repro.apps.fdtd.ntff import _FIELDS, _NORMALS, FACE_ORDER
+
+    ndirs, n = acc._delays.shape
+    normals = np.array([_NORMALS[face] for face in FACE_ORDER])[acc._face].T
+    na, nb = normals[[1, 2, 0]], normals[[2, 0, 1]]
+    dA = acc._face_dA[acc._face]
+    bins = (np.arange(ndirs)[:, None] * acc.nbins + acc._delays) * 3
+    scatter = (bins[:, None, :] + np.arange(3)[:, None]).ravel()
+    A, F = np.zeros_like(acc.A), np.zeros_like(acc.F)
+    for step, arrays in field_steps:
+        v = np.stack([arrays[c].take(acc._gather) for c in _FIELDS])
+        v = v.reshape(2, 3, n)
+        current = na * v[:, [2, 0, 1]] - nb * v[:, [1, 2, 0]]
+        current[1] = -current[1]
+        for target, c in zip((A, F), current):
+            values = np.broadcast_to(c * dA, (ndirs, 3, n)).ravel()
+            np.add.at(target.reshape(-1)[3 * step :], scatter, values)
+    return A, F
+
+
+#: Finite values the signed-field gather must treat exactly as the cross
+#: product did: signed zeros, subnormals and magnitudes near the ends of
+#: the exponent range.
+HARD_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+     1e200, -1e200, 1e-200, -1e-200, 1.0, -1.0]
+)
+
+
+def hard_steps(shape, seed, nsteps=5):
+    rng = np.random.default_rng(seed)
+    steps = []
+    for s in range(nsteps):
+        arrays = {}
+        for c in ("ex", "ey", "ez", "hx", "hy", "hz"):
+            normal = rng.normal(size=shape)
+            hard = rng.choice(HARD_VALUES, size=shape)
+            arrays[c] = np.where(rng.random(shape) < 0.5, hard, normal)
+        steps.append((FIRST_STEP + s, arrays))
+    return steps
+
+
+def signed_field_cases():
+    grid = make_grid(ORACLE_SHAPE)
+    cases = [("full", None)]
+    for pshape in [(2, 1, 1), (1, 2, 1), (2, 2, 1)]:
+        decomp = BlockDecomposition(grid.node_shape, pshape, ghost=1)
+        cases += [
+            (f"{'x'.join(map(str, pshape))}-rank{r}", (decomp, r))
+            for r in range(decomp.nprocs)
+        ]
+    return cases
+
+
+class TestSignedFieldCurrents:
+    """Each current component is one signed field value: bitwise the
+    cross product's potentials on finite fields."""
+
+    @pytest.mark.parametrize(
+        "restrict",
+        [r for _, r in signed_field_cases()],
+        ids=[n for n, _ in signed_field_cases()],
+    )
+    def test_bitwise_equal_to_the_cross_product(self, restrict):
+        from repro.util import bitwise_equal_arrays
+
+        grid = make_grid(ORACLE_SHAPE)
+        acc = NTFFAccumulator(grid, NTFFConfig(gap=3), ORACLE_STEPS, restrict)
+        steps = hard_steps(acc.shape, seed=31)
+        ref_A, ref_F = cross_product_reference(acc, steps)
+        for step, arrays in steps:
+            acc.accumulate(arrays, step)
+        assert bitwise_equal_arrays(acc.A, ref_A)
+        assert bitwise_equal_arrays(acc.F, ref_F)
+        assert acc.A.any() and acc.F.any()
+        assert not np.signbit(acc.A[acc.A == 0]).any()  # no -0.0 bin
+
+    def test_the_cases_cover_every_face(self):
+        grid = make_grid(ORACLE_SHAPE)
+        full = NTFFAccumulator(grid, NTFFConfig(gap=3), ORACLE_STEPS)
+        assert set(full._face.tolist()) == set(range(6))
+        for name, restrict in signed_field_cases()[1:]:
+            acc = NTFFAccumulator(grid, NTFFConfig(gap=3), 1, restrict)
+            assert 0 < acc.npoints < full.npoints, name
+
+
+class TestScatterAddGuard:
+    """``np.add.at`` with a 2-D index and 1-D values writes garbage in
+    NumPy 2.4.6 instead of refusing them: ``_scatter_add`` refuses."""
+
+    @pytest.mark.parametrize(
+        "index, values",
+        [
+            (np.array([[0, 1], [5, 6]]), np.array([1.0, 2.0])),
+            (np.array([0, 1, 5]), np.array([1.0, 2.0])),
+            (np.array([0, 1]), np.array([[1.0, 2.0]])),
+            (np.array(3), np.array(1.0)),
+        ],
+        ids=["2d-index", "lengths-differ", "2d-values", "0d"],
+    )
+    def test_misshapen_operands_are_a_geometry_error(self, index, values):
+        from repro.apps.fdtd.ntff import _scatter_add
+
+        target = np.zeros((2, 4))
+        with pytest.raises(GeometryError, match="1-D index"):
+            _scatter_add(target, 1, index, values)
+        assert not target.any()
+
+    def test_flat_operands_land_in_order(self):
+        from repro.apps.fdtd.ntff import _scatter_add
+
+        target = np.zeros((2, 4))
+        _scatter_add(target, 1, np.array([0, 1, 0, 6]), np.array([1.0, 2.0, 3.0, 4.0]))
+        assert target.reshape(-1).tolist() == [0, 4, 2, 0, 0, 0, 0, 4]
